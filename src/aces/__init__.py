@@ -12,7 +12,7 @@ from .errors import AcesError, CircuitError, GenerationError, NoiseBudgetError, 
 from .homo import hom_add, hom_mul, scalar_product, tensor_contract
 from .keygen import KeyBundle, keygen
 from .refresh import refresh_ct
-from .rings import Repartition, RingPoly
+from .rings import Repartition, Ring, RingPoly
 
 __all__ = [
     "ArithmeticChannel",
@@ -34,6 +34,7 @@ __all__ = [
     "evaluate",
     "EvalKeys",
     "RefreshPolicy",
+    "Ring",
     "RingPoly",
     "Repartition",
     "AcesError",

@@ -18,9 +18,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ParameterError
-from .rings import RingPoly, is_leveled_multiple, lift
+from .rings import Ring, RingPoly, is_leveled_multiple, lift
 
 __all__ = [
     "ArithmeticChannel",
@@ -119,21 +120,28 @@ class ArithmeticChannel:
 
     # -- ring plumbing -------------------------------------------------
 
+    @cached_property
+    def ring(self) -> Ring:
+        """The shared ``Ring(q, u)`` every polynomial of this channel lives in."""
+        return Ring(self.q, self.u)
+
     def zero(self) -> RingPoly:
-        return RingPoly.zero(self.q, self.u)
+        return self.ring.zero()
 
     def constant(self, value: int) -> RingPoly:
-        return RingPoly.constant(self.q, self.u, value)
+        return self.ring.poly([value])
 
     def poly(self, coeffs) -> RingPoly:
-        return RingPoly.make(self.q, self.u, coeffs)
+        """Element from arbitrary integers, reduced (for in-library use; the
+        file loaders in ``serial`` accept canonical coefficients only)."""
+        return self.ring.poly(coeffs)
 
     def random_poly(self, rng: RandomSource) -> RingPoly:
         return RingPoly(self.q, self.u, tuple(rng.below(self.q) for _ in range(self.degree)))
 
     def eval(self, v: RingPoly) -> int:
         """The channel homomorphism: evaluate at omega into Z_q."""
-        if v.q != self.q or v.u != self.u:
+        if v.ring is not self.ring:
             raise ParameterError("polynomial does not belong to this channel's ring")
         return v.eval_at(self.omega % self.q)
 

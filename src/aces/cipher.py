@@ -113,15 +113,16 @@ def level_after(op: str, k1: int, k2: int, ch: ArithmeticChannel):
     """Exact output level of a homomorphic op, or None on overflow.
 
     Overflow is a value, not a fault: callers (the circuit evaluator in
-    particular) decide whether to refresh, fail, or retry.
+    particular) decide whether to refresh, fail, or retry.  A level is
+    admitted exactly when ``decrypt`` accepts it (``ch.max_noise_level()``).
     """
     if op == "add":
-        total = k1 + k2
-        return total if ch.p * total < ch.q else None
-    if op == "mul":
-        base = k1 + k2 + k1 * k2
-        return base * ch.p if ch.p**2 * base < ch.q else None
-    raise ParameterError(f"unknown operation {op!r}")
+        level = k1 + k2
+    elif op == "mul":
+        level = (k1 + k2 + k1 * k2) * ch.p
+    else:
+        raise ParameterError(f"unknown operation {op!r}")
+    return level if level <= ch.max_noise_level() else None
 
 
 def in_encryption_space(sk, rep, ch: ArithmeticChannel, ct: Ciphertext, m: int, k: int) -> bool:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from .cipher import Ciphertext, level_after
 from .errors import NoiseBudgetError, ParameterError
+from .rings import poly_vector_dot, slot_bytes
 
 __all__ = ["tensor_contract", "hom_add", "hom_mul", "scalar_product"]
 
@@ -23,23 +24,40 @@ def tensor_contract(lam, v1: tuple, v2: tuple) -> tuple:
 
     Keeps the divisibility structure: slot k of the output evaluates to a
     multiple of slot k's prime whenever the tensor does.
+
+    The tensor is symmetric, so the ``n(n+1)/2`` packed products of
+    ``lam.pairs`` suffice (see ``ProductTensor.pair_weights``); each output
+    is their weighted sum on packed integers, reduced once.
     """
     n = len(lam.coeffs)
     if len(v1) != n or len(v2) != n:
         raise ParameterError("vector length does not match tensor dimension")
-    products = [[v1[i] * v2[j] for j in range(n)] for i in range(n)]
-    out = []
-    for k in range(n):
-        acc = None
-        for i in range(n):
-            for j in range(n):
-                term = products[i][j].scale(lam.coeffs[i][j][k])
-                acc = term if acc is None else acc + term
-        out.append(acc)
-    return tuple(out)
+    ring = v1[0].ring
+    if any(v.ring is not ring for v in v1) or any(v.ring is not ring for v in v2):
+        raise ParameterError("polynomials belong to different rings")
+    q, top = ring.q, ring.q - 1
+    # Weights and D_i slots are below q and d*top^2; M_ij slots below 4*d*top^2.
+    width = slot_bytes(n * (2 * n - 1) * ring.d * top**3)
+    a = [ring.pack(v.coeffs, width) for v in v1]
+    b = [ring.pack(v.coeffs, width) for v in v2]
+    products = [
+        a[i] * b[i] if i == j else (a[i] + a[j]) * (b[i] + b[j]) for i, j in lam.pairs
+    ]
+    return tuple(
+        ring.unpack_product(sum([(w % q) * m for w, m in zip(weights, products)]), width)
+        for weights in lam.pair_weights
+    )
+
+
+def _check_lengths(ct1: Ciphertext, ct2: Ciphertext) -> None:
+    if len(ct1.c) != len(ct2.c):
+        raise ParameterError(
+            f"ciphertext vector lengths differ: {len(ct1.c)} and {len(ct2.c)}"
+        )
 
 
 def hom_add(ch, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
+    _check_lengths(ct1, ct2)
     level = level_after("add", ct1.level, ct2.level, ch)
     if level is None:
         raise NoiseBudgetError(
@@ -50,6 +68,7 @@ def hom_add(ch, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
 
 
 def hom_mul(ch, lam, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
+    _check_lengths(ct1, ct2)
     level = level_after("mul", ct1.level, ct2.level, ch)
     if level is None:
         raise NoiseBudgetError(
@@ -57,8 +76,9 @@ def hom_mul(ch, lam, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
         )
     cross = tensor_contract(lam, ct1.c, ct2.c)
     # The scalar parts act as ring coefficients on the opposite vectors.
+    scalars = (ct2.cprime, ct1.cprime)
     c = tuple(
-        a * ct2.cprime + b * ct1.cprime - x for a, b, x in zip(ct1.c, ct2.c, cross)
+        poly_vector_dot((a, b), scalars) - x for a, b, x in zip(ct1.c, ct2.c, cross)
     )
     return Ciphertext(c, ct1.cprime * ct2.cprime, level)
 

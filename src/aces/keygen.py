@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .channel import (
     ArithmeticChannel,
@@ -19,7 +20,7 @@ from .channel import (
     sample_noise,
 )
 from .cipher import Ciphertext, encrypt_with_secret
-from .errors import GenerationError
+from .errors import GenerationError, ParameterError
 from .refresh import LocatorEntry, sample_locator_db
 from .rings import RingPoly, Repartition, lift, poly_vector_dot
 
@@ -55,9 +56,48 @@ class PublicKey:
 
 @dataclass(frozen=True)
 class ProductTensor:
-    """Symmetric 3-tensor relinearizing secret products, entries in Z_q."""
+    """Symmetric 3-tensor relinearizing secret products, entries in Z_q.
+
+    ``coeffs[i][j][k]`` must form an ``n x n x n`` cube with
+    ``coeffs[i][j] == coeffs[j][i]``; both are checked on construction,
+    because the contraction relies on them.
+    """
 
     coeffs: tuple[tuple[tuple[int, ...], ...], ...]
+
+    def __post_init__(self):
+        t = self.coeffs
+        n = len(t)
+        if any(len(plane) != n or any(len(row) != n for row in plane) for plane in t):
+            raise ParameterError(f"tensor must be {n}x{n}x{n}")
+        if any(t[i][j] != t[j][i] for i in range(n) for j in range(i)):
+            raise ParameterError("tensor must be symmetric in its first two indices")
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The slot pairs ``(i, j)`` with ``i <= j``, in contraction order."""
+        n = len(self.coeffs)
+        return tuple((i, j) for i in range(n) for j in range(i, n))
+
+    @cached_property
+    def pair_weights(self) -> tuple[tuple[int, ...], ...]:
+        """Per output slot ``k``, one integer weight per pair in ``pairs``.
+
+        With ``D_i = a_i*b_i`` and ``M_ij = (a_i + a_j)*(b_i + b_j)``,
+        symmetry gives ``sum_ij t[i][j][k] a_i b_j = sum_{i<j} t[i][j][k] M_ij
+        + sum_i (t[i][i][k] - sum_{j != i} t[i][j][k]) D_i``: pair ``(i, j)``
+        weighs ``t[i][j][k]`` and pair ``(i, i)`` the bracket.
+        """
+        t = self.coeffs
+        n = len(t)
+        return tuple(
+            tuple(
+                t[i][j][k] if i != j
+                else t[i][i][k] - sum(t[i][m][k] for m in range(n) if m != i)
+                for i, j in self.pairs
+            )
+            for k in range(n)
+        )
 
 
 @dataclass(frozen=True)

@@ -298,9 +298,9 @@ def refresh_ct(
     k_star = k_digit + sum(
         ch.p * (ki + k_digit + ki * k_digit) for ki in refresher.kappa
     )
-    if ch.p * k_star >= ch.q:
+    if k_star > ch.max_noise_level():
         raise NoiseBudgetError(
-            f"refresh refused: accumulated level {k_star} >= q/p"
+            f"refresh refused: accumulated level {k_star} > {ch.max_noise_level()}"
         )
     ps = shadow(ch, ct)
     digit_cts = tuple(encrypt(pk, ch, v % ch.p, rng) for v in ps.v)

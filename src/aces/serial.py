@@ -37,7 +37,27 @@ def _poly_out(poly: RingPoly) -> list[str]:
 
 
 def _poly_in(ch: ArithmeticChannel, coeffs) -> RingPoly:
-    return ch.poly([int(c) for c in coeffs])
+    """Exactly ``deg(u)`` canonical residues mod q; nothing is reduced."""
+    return RingPoly(ch.q, ch.u, [int(c) for c in coeffs])
+
+
+def _polys_in(ch: ArithmeticChannel, items, count: int, what: str) -> tuple[RingPoly, ...]:
+    if len(items) != count:
+        raise ParameterError(f"{what}: expected {count} polynomials, got {len(items)}")
+    return tuple(_poly_in(ch, p) for p in items)
+
+
+def _tensor_in(ch: ArithmeticChannel, planes) -> ProductTensor:
+    """An ``n x n x n`` symmetric tensor of canonical residues mod q."""
+    if len(planes) != ch.n:
+        raise ParameterError(f"lambda: expected {ch.n} planes, got {len(planes)}")
+    # ProductTensor itself rejects a tensor that is not a symmetric cube.
+    tensor = ProductTensor(
+        tuple(tuple(tuple(int(v) for v in row) for row in plane) for plane in planes)
+    )
+    if any(not 0 <= v < ch.q for plane in tensor.coeffs for row in plane for v in row):
+        raise ParameterError(f"lambda: entries must be canonical residues mod {ch.q}")
+    return tensor
 
 
 def channel_to_dict(ch: ArithmeticChannel) -> dict:
@@ -74,7 +94,7 @@ def ciphertext_to_dict(ct: Ciphertext) -> dict:
 
 def ciphertext_from_dict(ch: ArithmeticChannel, data: dict) -> Ciphertext:
     return Ciphertext(
-        tuple(_poly_in(ch, part) for part in data["c"]),
+        _polys_in(ch, data["c"], ch.n, "ciphertext vector"),
         _poly_in(ch, data["cprime"]),
         int(data["level"]),
     )
@@ -121,21 +141,19 @@ def public_to_dict(bundle: KeyBundle) -> dict:
 
 def public_from_dict(ch: ArithmeticChannel, data: dict):
     """Returns (PublicKey, Repartition, ProductTensor, Refresher, locators)."""
+    f0 = data["f0"]
+    if len(f0) != ch.big_n:
+        raise ParameterError(f"f0: expected {ch.big_n} rows, got {len(f0)}")
     pk = PublicKey(
-        tuple(tuple(_poly_in(ch, p) for p in row) for row in data["f0"]),
-        tuple(_poly_in(ch, p) for p in data["fprime"]),
+        tuple(_polys_in(ch, row, ch.n, "f0 row") for row in f0),
+        _polys_in(ch, data["fprime"], ch.big_n, "fprime"),
     )
     rep = Repartition(
         ch.q,
         tuple(int(p) for p in data["sigma"]["primes"]),
         tuple(int(v) for v in data["sigma"]["map"]),
     )
-    tensor = ProductTensor(
-        tuple(
-            tuple(tuple(int(v) for v in row) for row in plane)
-            for plane in data["lambda"]
-        )
-    )
+    tensor = _tensor_in(ch, data["lambda"])
     refresher = Refresher(
         tuple(int(k) for k in data["refresher"]["kappa"]),
         tuple(ciphertext_from_dict(ch, d) for d in data["refresher"]["rho"]),
@@ -149,7 +167,7 @@ def secret_to_dict(sk: SecretKey) -> dict:
 
 
 def secret_from_dict(ch: ArithmeticChannel, data: dict) -> SecretKey:
-    return SecretKey(tuple(_poly_in(ch, p) for p in data["secret"]))
+    return SecretKey(_polys_in(ch, data["secret"], ch.n, "secret"))
 
 
 def dump(data: dict, path) -> None:

@@ -49,6 +49,21 @@ def reduce_poly(coeffs: list[int], u: list[int], q: int) -> list[int]:
     return out
 
 
+def naive_contract(lam, v1, v2, u: list[int], q: int) -> list[list[int]]:
+    """sum_{i,j} lam[i][j][k] * v1[i] * v2[j] for every k, one schoolbook
+    product per (i, j) and no use of symmetry."""
+    n = len(lam)
+    products = [[reduce_poly(conv_mul(v1[i], v2[j]), u, q) for j in range(n)] for i in range(n)]
+    out = []
+    for k in range(n):
+        acc = [0] * (len(u) - 1)
+        for i in range(n):
+            for j in range(n):
+                acc = [(x + lam[i][j][k] * y) % q for x, y in zip(acc, products[i][j])]
+        out.append(acc)
+    return out
+
+
 def ring_op(a: list[int], b: list[int], op: str, u: list[int], q: int) -> list[int]:
     if op == "add":
         raw = [x + y for x, y in zip(a, b)]

@@ -125,3 +125,32 @@ def test_level_guard_boundaries(desk_channel):
     assert level_after("add", 3753, 3753, ch) == 7506
     assert level_after("add", 3754, 3754, ch) is None
     assert ch.max_noise_level() == 7506
+
+
+def test_level_guards_stop_at_the_decrypt_budget(desk_channel):
+    from aces.channel import ArithmeticChannel
+
+    ch = desk_channel
+    budget = ch.max_noise_level()
+    assert level_after("add", 3753, 3753, ch) == budget
+    assert level_after("add", 3753, 3754, ch) is None  # 7507 > 7506
+    assert level_after("mul", 0, budget // 2, ch) == budget  # 2 * 3753
+    assert level_after("mul", 0, budget // 2 + 1, ch) is None
+    tiny = ArithmeticChannel(p=2, q=17, omega=1, u=(-1, 0, 1), n=1, big_n=1, k0=1).require_valid()
+    assert tiny.max_noise_level() == 7
+    assert level_after("mul", 0, 3, tiny) == 6
+    assert level_after("mul", 0, 4, tiny) is None  # 8 > 7
+    assert level_after("add", 3, 4, tiny) == 7
+    assert level_after("add", 4, 4, tiny) is None
+
+
+def test_every_admitted_level_decrypts(desk_bundle):
+    """Whatever level_after admits, decrypt accepts: the two guards agree."""
+    ch = desk_bundle.channel
+    for k1, k2 in ((3753, 3753), (3753, 3754), (0, 3753), (1, 2501), (1, 2502)):
+        for op in ("add", "mul"):
+            level = level_after(op, k1, k2, ch)
+            if level is None:
+                continue
+            ct = Ciphertext(tuple(ch.zero() for _ in range(ch.n)), ch.constant(1), level)
+            assert decrypt(desk_bundle.secret, ch, ct) == 1

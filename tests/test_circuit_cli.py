@@ -1,11 +1,14 @@
 """Tests for circuit parsing, the evaluator, serialization, and the CLI."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import aces
 from aces import serial
 from aces.channel import RandomSource
 from aces.cipher import decrypt, encrypt
@@ -385,11 +388,15 @@ def test_cli_outputs_are_deterministic(tmp_path):
 
 
 def test_cli_entry_point_runs_as_module(tmp_path):
+    # The child imports the same ``aces`` as this process, installed or not.
+    src = str(Path(aces.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
         [sys.executable, "-m", "aces.cli", "keygen", "--p", "2", "--q", "105",
          "--degree", "2", "--n", "2", "--bigN", "1", "--k0", "1",
          "--seed", "01", "--out", str(tmp_path / "k")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "k" / "public.json").exists()

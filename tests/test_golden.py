@@ -1,0 +1,113 @@
+"""Golden-output pin: SHA-256 digests of files written at fixed seeds.
+
+The reproducibility tests elsewhere compare two runs of the same build, so a
+change that alters a draw order or a single coefficient still passes them.
+These digests were recorded once and are compared against every build: a
+refactor that claims "same behaviour" must keep them unchanged.  If a change
+alters the outputs on purpose, it must say why and re-record the digests.
+"""
+
+import hashlib
+import math
+from pathlib import Path
+
+import pytest
+
+from aces import serial
+from aces.channel import ArithmeticChannel, RandomSource
+from aces.cipher import encrypt
+from aces.circuit import EvalKeys, RefreshPolicy, evaluate, parse_circuit
+from aces.cli import main
+from aces.homo import hom_mul
+from aces.keygen import keygen
+from aces.refresh import secret_refresh_checker
+
+DESK_ARGS = ["--p", "2", "--q", "15015", "--degree", "4", "--n", "3", "--bigN", "2", "--k0", "1"]
+MID_Q = math.prod((3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
+MID_ARGS = ["--p", "2", "--q", str(MID_Q), "--degree", "16", "--n", "6", "--bigN", "4", "--k0", "1"]
+LARGE_Q = math.prod((5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47))
+
+CIRCUIT = "in a b\nt = mul a b\ns = add t b\nr = mul s a\nout r s\n"
+
+GOLDEN_CLI = {
+    "desk": {
+        "keys/channel.json": "97032fd81ac66cb2f889a71d0774af04ce5f8da18f0da5b7f3564ef7ebb60c17",
+        "keys/public.json": "f947523d5a95c96685154dc2a04b178b32d5242b50a4c188abcb07fe53f2f83e",
+        "keys/secret.json": "b44cd727abd0a9ddf21417b4f758df3b498716ff7d89d8f1613ccd05a6a7f0e8",
+        "a.json": "e9200e46a52794fa7f9c67f18f7933f0a662c6e2a2600d599efbf3decaaf1593",
+        "b.json": "6143c5769115cd95291cd71f5657274d45c2bbcfbddfd418bd98b288254bd55f",
+        "out/r.json": "f42a21f22f3da50dc3406bde75300587cc7cbe321d77fe6590f26e6a35465e6a",
+        "out/s.json": "df183691112a1151cddfbc6f36da08d5ce17cd4a24dc040c5bda41eb30c0c246",
+        "out/report.json": "e9f93f8575ff1f80b58cf904d2e8f59c483a40faaab28567fdbe92fb38ed833b",
+    },
+    "mid": {
+        "keys/channel.json": "09146a750167b79a7bfae297964a48dc76426e9b800b1c58e0a870954d4b8ff1",
+        "keys/public.json": "9adb84deb4b5ce9f38a5280b0d78324baff4287b13943fa26ca47847cf7b952f",
+        "keys/secret.json": "716d5017b147d49809d0b206eb9ff9909f49ecc32caaa52eef5895cc12125523",
+        "a.json": "6aeb6c18a57346e6fa5f89739cec6273ebaf96992a93cc23a8b9312c3bef3afa",
+        "b.json": "7df84e01e91c9490c6b6810343441495ac748fc9bcbf0ee30ab0b2b398f1d3db",
+        "out/r.json": "93a619c1f27fb1f1308deabf6a08cfcff850a6f4b225e239b247a214a01b1c4e",
+        "out/s.json": "9cf16a437e35ad2539cdef17177ab7dca2a7d164fda64dc3dfb6815ff794e0e9",
+        "out/report.json": "a07bf26e52e13293c86d667a435bf4ff71c0edd2ec9c719fedcecfe1762ed00c",
+    },
+}
+GOLDEN_DESK_REFRESH = {
+    "t6.json": "dd88e5f979e4f2f12a4798cacb5554e24775260d0121902148ea03370df49827",
+    "report.json": "b91b86242d6542c2a25f5d44f2b0e6ff66413e1cd5c7728e21877c963835d6cb",
+}
+GOLDEN_LARGE_MUL = "3a839708e9c4b82bb88a10c1dd459c4744d2a42524fee0b7a1ffe14140515e7d"
+
+
+def _digest(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _run(argv):
+    assert main([str(a) for a in argv]) == 0
+
+
+@pytest.mark.parametrize("name,params", [("desk", DESK_ARGS), ("mid", MID_ARGS)])
+def test_cli_outputs_match_golden_digests(tmp_path, name, params):
+    keys = tmp_path / "keys"
+    _run(["keygen", *params, "--seed", "60fd", "--out", keys])
+    for label, message, seed in (("a", 1, "a1"), ("b", 1, "b2")):
+        _run(["encrypt", "--pub", keys / "public.json", "--channel", keys / "channel.json",
+              "--message", message, "--seed", seed, "--out", tmp_path / f"{label}.json"])
+    (tmp_path / "c.txt").write_text(CIRCUIT, encoding="utf-8")
+    _run(["eval", "--pub", keys / "public.json", "--channel", keys / "channel.json",
+          "--circuit", tmp_path / "c.txt", "--input", f"a={tmp_path / 'a.json'}",
+          "--input", f"b={tmp_path / 'b.json'}", "--refresh", "off",
+          "--out", tmp_path / "out"])
+    got = {rel: _digest(tmp_path / rel) for rel in GOLDEN_CLI[name]}
+    assert got == GOLDEN_CLI[name]
+
+
+def test_desk_auto_refresh_matches_golden_digests(tmp_path, desk_channel):
+    ch = desk_channel
+    bundle = keygen(ch, RandomSource(b"golden-desk-refresh"))
+    rng = RandomSource(b"golden-desk-refresh/eval")
+    a = encrypt(bundle.public, ch, 1, rng)
+    chain = "in a\n" + "".join(
+        f"t{i} = mul {'a' if i == 1 else f't{i - 1}'} a\n" for i in range(1, 7)
+    ) + "out t6\n"
+    policy = RefreshPolicy(checker=secret_refresh_checker(bundle.secret, ch))
+    outputs, report = evaluate(parse_circuit(chain), {"a": a}, EvalKeys.from_bundle(bundle),
+                               policy, rng)
+    assert report.refresh_events  # the pin covers the refresh path
+    serial.dump(serial.ciphertext_to_dict(outputs["t6"]), tmp_path / "t6.json")
+    serial.dump({"levels": report.levels,
+                 "refresh_events": [list(e) for e in report.refresh_events]},
+                tmp_path / "report.json")
+    got = {rel: _digest(tmp_path / rel) for rel in GOLDEN_DESK_REFRESH}
+    assert got == GOLDEN_DESK_REFRESH
+
+
+def test_large_hom_mul_matches_golden_digest(tmp_path):
+    ch = ArithmeticChannel(p=3, q=LARGE_Q, omega=1, u=tuple([-1] + [0] * 63 + [1]),
+                           n=10, big_n=8, k0=1).require_valid()
+    bundle = keygen(ch, RandomSource(b"golden-large"))
+    rng = RandomSource(b"golden-large/mul")
+    a = encrypt(bundle.public, ch, 2, rng)
+    b = encrypt(bundle.public, ch, 2, rng)
+    serial.dump(serial.ciphertext_to_dict(hom_mul(ch, bundle.tensor, a, b)), tmp_path / "ab.json")
+    assert _digest(tmp_path / "ab.json") == GOLDEN_LARGE_MUL

@@ -193,3 +193,31 @@ def test_scalar_product_overflow_names_the_step(desk_bundle, rng):
     big = encrypt_with_secret(sk, rep, ch, 1, 4000, rng)
     with pytest.raises(NoiseBudgetError, match="step 1"):
         scalar_product(ch, desk_bundle.tensor, (fine, big), (fine, big))
+
+
+def test_hom_ops_reject_mismatched_vector_lengths(desk_bundle, rng):
+    ch = desk_bundle.channel
+    ct = encrypt(desk_bundle.public, ch, 1, rng)
+    short = type(ct)(ct.c[:-1], ct.cprime, ct.level)
+    for left, right in ((ct, short), (short, ct)):
+        with pytest.raises(ParameterError):
+            hom_add(ch, left, right)
+        with pytest.raises(ParameterError):
+            hom_mul(ch, desk_bundle.tensor, left, right)
+
+
+def test_hom_add_refuses_the_level_past_the_budget(desk_bundle, rng):
+    ch = desk_bundle.channel
+    sk, rep = desk_bundle.secret, desk_bundle.repartition
+    a = encrypt_with_secret(sk, rep, ch, 1, 3753, rng)
+    b = encrypt_with_secret(sk, rep, ch, 1, 3754, rng)
+    with pytest.raises(NoiseBudgetError):
+        hom_add(ch, a, b)
+    assert decrypt(sk, ch, hom_add(ch, a, a)) == 0
+
+
+def test_product_tensor_must_be_a_symmetric_cube():
+    with pytest.raises(ParameterError):
+        ProductTensor((((0, 0), (0, 0)), ((0, 0),)))
+    with pytest.raises(ParameterError):
+        ProductTensor((((0, 0), (1, 0)), ((0, 0), (0, 0))))

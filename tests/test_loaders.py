@@ -1,0 +1,83 @@
+"""Strict loading: files must hold canonical, exactly-shaped values.
+
+Nothing read from a file is silently reduced or truncated; a malformed
+polynomial or tensor is refused with ParameterError (CLI exit 2).
+"""
+
+import pytest
+
+from aces import serial
+from aces.cli import main
+from aces.errors import ParameterError
+
+
+@pytest.fixture()
+def desk_files(tmp_path):
+    keys = tmp_path / "keys"
+    assert main(["keygen", "--p", "2", "--q", "15015", "--degree", "4", "--n", "3",
+                 "--bigN", "2", "--k0", "1", "--seed", "0a0b", "--out", str(keys)]) == 0
+    ct = tmp_path / "ct.json"
+    assert main(["encrypt", "--pub", str(keys / "public.json"),
+                 "--channel", str(keys / "channel.json"),
+                 "--message", "1", "--seed", "c0de", "--out", str(ct)]) == 0
+    ch = serial.channel_from_dict(serial.load(keys / "channel.json"))
+    return ch, keys, ct
+
+
+def _decrypt(keys, ct):
+    return main(["decrypt", "--secret", str(keys / "secret.json"),
+                 "--channel", str(keys / "channel.json"), "--ct", str(ct)])
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda ch, d: d["cprime"].__setitem__(0, str(int(d["cprime"][0]) + ch.q)),  # q + c
+    lambda ch, d: d["cprime"].__setitem__(0, "-1"),
+    lambda ch, d: d["c"][0].append("0"),  # a surplus coefficient
+    lambda ch, d: d["c"][1].pop(),  # a missing coefficient
+    lambda ch, d: d["c"].pop(),  # a missing vector slot
+])
+def test_corrupted_ciphertext_is_refused(desk_files, tmp_path, corrupt):
+    ch, keys, ct = desk_files
+    data = serial.load(ct)
+    corrupt(ch, data)
+    bad = tmp_path / "bad.json"
+    serial.dump(data, bad)
+    with pytest.raises(ParameterError):
+        serial.ciphertext_from_dict(ch, serial.load(bad))
+    assert _decrypt(keys, bad) == 2
+    assert _decrypt(keys, ct) == 0  # the intact file still loads
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda ch, lam: lam[-1].pop(),  # truncated plane
+    lambda ch, lam: lam.pop(),  # missing plane
+    lambda ch, lam: lam[0][0].pop(),  # short row
+    lambda ch, lam: lam[0][0].__setitem__(0, str(ch.q)),  # non-canonical entry
+    lambda ch, lam: lam[0][1].__setitem__(0, str((int(lam[0][1][0]) + 1) % ch.q)),  # asymmetric
+])
+def test_malformed_tensor_is_refused(desk_files, tmp_path, corrupt):
+    ch, keys, ct = desk_files
+    data = serial.load(keys / "public.json")
+    corrupt(ch, data["lambda"])
+    bad = tmp_path / "public.json"
+    serial.dump(data, bad)
+    with pytest.raises(ParameterError):
+        serial.public_from_dict(ch, serial.load(bad))
+    circuit = tmp_path / "c.txt"
+    circuit.write_text("in a\nt = mul a a\nout t\n")
+    assert main(["eval", "--pub", str(bad), "--channel", str(keys / "channel.json"),
+                 "--circuit", str(circuit), "--input", f"a={ct}", "--refresh", "off",
+                 "--out", str(tmp_path / "out")]) == 2
+
+
+def test_public_key_rows_must_match_the_channel(desk_files, tmp_path):
+    ch, keys, _ = desk_files
+    data = serial.load(keys / "public.json")
+    data["f0"][0].pop()
+    with pytest.raises(ParameterError):
+        serial.public_from_dict(ch, data)
+
+
+def test_channel_poly_stays_lenient_in_library_code(desk_files):
+    ch, _, _ = desk_files
+    assert ch.poly([ch.q + 3, 0, 0, 0, 1]).coeffs == (4, 0, 0, 0)  # X^4 = 1

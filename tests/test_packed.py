@@ -1,0 +1,156 @@
+"""Packed (Kronecker) ring arithmetic against the schoolbook oracles.
+
+Products, dot products and tensor contractions are computed on packed
+integers whose slot width is derived from the largest possible result
+coefficient.  All-(q-1) operands and tensors reach that largest value, so a
+slot one byte too narrow shows up here as a wrong coefficient.
+"""
+
+import math
+import pickle
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from aces.homo import tensor_contract
+from aces.keygen import ProductTensor
+from aces.rings import Ring, RingPoly, poly_vector_dot
+
+from oracles import conv_mul, naive_contract, reduce_poly, ring_op
+
+DESK_Q = 15015
+MID_Q = math.prod((3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
+LARGE_Q = math.prod((5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47))  # 57 bits
+MODULI = (DESK_Q, MID_Q, LARGE_Q)
+DEGREES = (4, 16, 64)
+
+
+@st.composite
+def rings(draw, degrees=DEGREES):
+    """(q, u) with u cyclic, negacyclic or a general monic polynomial."""
+    q = draw(st.sampled_from(MODULI))
+    d = draw(st.sampled_from(degrees))
+    kind = draw(st.sampled_from(("cyclic", "negacyclic", "general")))
+    if kind == "cyclic":
+        u = [-1] + [0] * (d - 1) + [1]
+    elif kind == "negacyclic":
+        u = [1] + [0] * (d - 1) + [1]
+    else:
+        u = draw(st.lists(st.integers(-q, q), min_size=d, max_size=d)) + [1]
+        if all(c % q == 0 for c in u[1:d]):
+            u[1] = 1  # keep it off the binomial path
+    return q, tuple(u)
+
+
+def coefficient_vectors(draw, q, d, count):
+    """``count`` coefficient lists: all q-1 (the widest slot value) or drawn."""
+    if draw(st.booleans()):
+        return [[q - 1] * d for _ in range(count)]
+    return [draw(st.lists(st.integers(0, q - 1), min_size=d, max_size=d)) for _ in range(count)]
+
+
+def test_ring_is_shared_and_knows_its_reduction():
+    assert Ring(DESK_Q, (-1, 0, 0, 0, 1)) is Ring(DESK_Q, [-1, 0, 0, 0, 1])
+    assert RingPoly.make(DESK_Q, (-1, 0, 0, 0, 1), [5]).ring is Ring(DESK_Q, (-1, 0, 0, 0, 1))
+    assert Ring(DESK_Q, (-1, 0, 0, 0, 1)) is not Ring(DESK_Q, (1, 0, 0, 0, 1))
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_mul_matches_schoolbook_oracle(data):
+    q, u = data.draw(rings())
+    d = len(u) - 1
+    a, b = coefficient_vectors(data.draw, q, d, 2)
+    got = RingPoly(q, u, a) * RingPoly(q, u, b)
+    assert list(got.coeffs) == ring_op(a, b, "mul", list(u), q)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_square_matches_schoolbook_oracle(data):
+    q, u = data.draw(rings())
+    (a,) = coefficient_vectors(data.draw, q, len(u) - 1, 1)
+    x = RingPoly(q, u, a)
+    assert list((x * x).coeffs) == ring_op(a, a, "mul", list(u), q)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_make_reduces_long_inputs_like_the_oracle(data):
+    q, u = data.draw(rings(degrees=(4, 16)))
+    d = len(u) - 1
+    raw = data.draw(st.lists(st.integers(-(q**2), q**2), max_size=3 * d + 2))
+    assert list(RingPoly.make(q, u, raw).coeffs) == reduce_poly(raw, list(u), q)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_vector_dot_matches_oracle(data):
+    q, u = data.draw(rings())
+    d = len(u) - 1
+    count = data.draw(st.integers(1, 12))
+    va = coefficient_vectors(data.draw, q, d, count)
+    vb = coefficient_vectors(data.draw, q, d, count)
+    want = [0] * d
+    for a, b in zip(va, vb):
+        want = [(x + y) % q for x, y in zip(want, reduce_poly(conv_mul(a, b), list(u), q))]
+    got = poly_vector_dot(tuple(RingPoly(q, u, a) for a in va), tuple(RingPoly(q, u, b) for b in vb))
+    assert list(got.coeffs) == want
+
+
+def _symmetric(draw, q, n):
+    """A symmetric tensor: drawn entries, all q-1, or the worst case for the
+    packed contraction (every pair weight is q-1, see pair_weights)."""
+    kind = draw(st.sampled_from(("drawn", "top", "worst")))
+    if kind == "top":
+        return [[[q - 1] * n for _ in range(n)] for _ in range(n)]
+    if kind == "worst":
+        return [[[(q - n) % q if i == j else q - 1 for _ in range(n)] for j in range(n)]
+                for i in range(n)]
+    lam = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            row = draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n))
+            lam[i][j] = lam[j][i] = row
+    return lam
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_tensor_contract_matches_naive_triple_loop(data):
+    q, u = data.draw(rings())
+    d = len(u) - 1
+    n = data.draw(st.integers(1, 3))
+    lam = _symmetric(data.draw, q, n)
+    v1 = coefficient_vectors(data.draw, q, d, n)
+    v2 = coefficient_vectors(data.draw, q, d, n)
+    tensor = ProductTensor(tuple(tuple(tuple(row) for row in plane) for plane in lam))
+    got = tensor_contract(tensor, tuple(RingPoly(q, u, c) for c in v1),
+                          tuple(RingPoly(q, u, c) for c in v2))
+    assert [list(part.coeffs) for part in got] == naive_contract(lam, v1, v2, list(u), q)
+
+
+def test_tensor_contract_worst_case_at_the_large_channel():
+    """n = 10, d = 64, 57-bit q, every operand coefficient and every pair
+    weight at q - 1.  Each product is the same polynomial P, so the
+    contraction is sum_ij lam[i][j][k] * P, computed here with the oracle."""
+    q, n, d = LARGE_Q, 10, 64
+    u = tuple([-1] + [0] * (d - 1) + [1])
+    lam = tuple(tuple(tuple((q - n) % q if i == j else q - 1 for _ in range(n))
+                      for j in range(n)) for i in range(n))
+    top = [q - 1] * d
+    product = reduce_poly(conv_mul(top, top), list(u), q)
+    vec = tuple(RingPoly(q, u, top) for _ in range(n))
+    got = tensor_contract(ProductTensor(lam), vec, vec)
+    for k, part in enumerate(got):
+        weight = sum(lam[i][j][k] for i in range(n) for j in range(n))
+        assert list(part.coeffs) == [(weight * c) % q for c in product]
+
+
+def test_ring_elements_pickle_into_the_shared_ring_and_stay_immutable():
+    x = RingPoly.make(DESK_Q, (-1, 0, 0, 0, 1), [3, DESK_Q + 5])
+    y = pickle.loads(pickle.dumps(x))
+    assert y == x and y.ring is x.ring
+    with pytest.raises(AttributeError):
+        x.coeffs = (0, 0, 0, 0)

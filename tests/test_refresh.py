@@ -341,3 +341,16 @@ def test_publicly_refreshable_is_sound(desk_bundle, rng):
             verified += 1
             assert locator_index(desk_bundle.secret, ch, e.vec) is not None
     assert verified > 0
+
+
+def test_refresh_refuses_an_accumulated_level_past_the_budget(rng):
+    """k_star = 4 + 3 * 2 * (1 + 4 + 4) = 58 at p=2, N=2; q = 117 leaves a
+    budget of 57, which the refresh guard must refuse before any work."""
+    from aces.keygen import Refresher
+
+    ch = ArithmeticChannel(p=2, q=117, omega=1, u=(-1, 0, 0, 0, 1), n=3, big_n=2, k0=1)
+    ch.require_valid()
+    assert ch.max_noise_level() == 57
+    ct = Ciphertext(tuple(ch.zero() for _ in range(ch.n)), ch.constant(1), 0)
+    with pytest.raises(NoiseBudgetError, match="accumulated level 58"):
+        refresh_ct(None, ch, None, Refresher((1, 1, 1), ()), ct, rng)
