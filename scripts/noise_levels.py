@@ -6,9 +6,9 @@ auto-refresh policy keeps the chain alive.
 """
 
 from aces import ArithmeticChannel, RandomSource, encrypt, keygen
-from aces.cipher import level_after
+from aces.cipher import fresh_level, level_after, post_refresh_level
 from aces.circuit import EvalKeys, RefreshPolicy, evaluate, parse_circuit
-from aces.refresh import post_refresh_level, secret_refresh_checker
+from aces.refresh import secret_refresh_checker
 
 
 def main():
@@ -20,7 +20,7 @@ def main():
     print(f"budget {budget}, post-refresh level {refreshed}\n")
 
     print("squaring chain without refresh:")
-    level, depth = ch.big_n * ch.p * ch.k0, 0
+    level, depth = fresh_level(ch), 0
     while level is not None:
         print(f"  depth {depth}: level {level}")
         level = level_after("mul", level, level, ch)

@@ -4,13 +4,14 @@ A ciphertext is a vector part ``c`` (one ring polynomial per secret-key
 slot) plus a scalar part ``cprime``, together with a tracked noise level.
 The level is a certificate: the pair is claimed to sit in the encryption
 space of its message at that level, and every operation in the package
-updates it by the exact closed-form rules rather than re-deriving it from
-data.
+updates it by the exact closed-form rules, all defined in this module,
+rather than re-deriving it from data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .channel import ArithmeticChannel, RandomSource, sample_message_carrier, sample_noise
 from .errors import NoiseBudgetError, ParameterError
@@ -23,6 +24,9 @@ __all__ = [
     "decrypt",
     "level_after",
     "fresh_level",
+    "post_refresh_level",
+    "checked_refresh_level",
+    "has_refresh_headroom",
     "sample_mask",
     "in_encryption_space",
 ]
@@ -123,6 +127,42 @@ def level_after(op: str, k1: int, k2: int, ch: ArithmeticChannel):
     else:
         raise ParameterError(f"unknown operation {op!r}")
     return level if level <= ch.max_noise_level() else None
+
+
+def _refresh_levels(ch: ArithmeticChannel, refresher) -> tuple[int, int]:
+    """Accumulated and post-refresh level of a refresh, from the closed forms.
+
+    Every digit encryption carries the fresh public level; the contraction
+    against the refresher and the final addition accumulate by the
+    ``level_after`` forms, and the post-refresh level adds the digit-sum
+    correction floor(((p-1) + n(p-1)^2) / p).
+    """
+    k_digit = fresh_level(ch)
+    k_star = k_digit + sum(ch.p * (k + k_digit + k * k_digit) for k in refresher.kappa)
+    return k_star, k_star + ((ch.p - 1) + ch.n * (ch.p - 1) ** 2) // ch.p
+
+
+def post_refresh_level(ch: ArithmeticChannel, refresher) -> int:
+    """Exact output level of a refresh; it does not depend on the input."""
+    return _refresh_levels(ch, refresher)[1]
+
+
+def checked_refresh_level(ch: ArithmeticChannel, refresher, level: int) -> int:
+    """The post-refresh level for a level-``level`` input, refused (with
+    NoiseBudgetError) when the input or the output is past the budget."""
+    k_star, out = _refresh_levels(ch, refresher)
+    if max(level, out) > ch.max_noise_level():
+        raise NoiseBudgetError(
+            f"refresh refused: input level {level}, accumulated level {k_star}, "
+            f"post-refresh level {out}, budget {ch.max_noise_level()}"
+        )
+    return out
+
+
+def has_refresh_headroom(ch: ArithmeticChannel, level: int, margin: Fraction) -> bool:
+    """The margin inequality: a located ciphertext at ``level`` is
+    refreshable when ``(p(level+1) - 1)/q < 1 - margin``, decided exactly."""
+    return Fraction(ch.p * (level + 1) - 1, ch.q) < 1 - margin
 
 
 def in_encryption_space(sk, rep, ch: ArithmeticChannel, ct: Ciphertext, m: int, k: int) -> bool:

@@ -19,15 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .channel import ArithmeticChannel, RandomSource
-from .cipher import Ciphertext, level_after
+from .cipher import Ciphertext, level_after, post_refresh_level
 from .errors import CircuitError, NoiseBudgetError
 from .homo import hom_add, hom_mul
-from .refresh import (
-    make_refreshable,
-    post_refresh_level,
-    publicly_refreshable,
-    refresh_ct,
-)
+from .refresh import make_refreshable, publicly_refreshable, refresh_ct
 
 __all__ = [
     "Gate",
@@ -139,7 +134,6 @@ class RefreshPolicy:
 
     mode: str = "auto"
     checker: object = None
-    max_retries: int = 32
 
     def resolve_checker(self, keys: EvalKeys):
         if self.checker is not None:
@@ -174,15 +168,15 @@ def evaluate(
         raise CircuitError(f"unbound circuit inputs: {missing}")
     report = EvalReport()
     values = dict(env)
-    budget = ch.max_noise_level()
-    threshold = budget - post_refresh_level(ch, keys.refresher)
+    refreshed = post_refresh_level(ch, keys.refresher)
+    threshold = ch.max_noise_level() - refreshed
     checker = policy.resolve_checker(keys)
 
     def try_refresh(wire: str) -> bool:
         ct = values[wire]
-        if ct.level <= post_refresh_level(ch, keys.refresher):
+        if ct.level <= refreshed:
             return False  # refreshing cannot lower this wire further
-        ready = make_refreshable(ct, checker, keys.public, ch, rng, policy.max_retries)
+        ready = make_refreshable(ct, checker, keys.public, ch, rng)
         if ready is None:
             return False
         fresh = refresh_ct(keys.public, ch, keys.tensor, keys.refresher, ready, rng)
@@ -195,24 +189,22 @@ def evaluate(
 
     for gate in circuit.gates:
         out_level = gate_level(gate)
-        if out_level is None or out_level > threshold:
-            if policy.mode == "auto":
-                if rng is None:
-                    raise CircuitError("auto refresh needs a random source")
-                for wire in dict.fromkeys((gate.left, gate.right)):
-                    if try_refresh(wire):
-                        out_level = gate_level(gate)
-                        if out_level is not None and out_level <= threshold:
-                            break
-                out_level = gate_level(gate)
-            if out_level is None or out_level > budget:
-                msg = (
-                    f"gate {gate.out!r} ({gate.op} {gate.left} {gate.right}) "
-                    f"exceeds the noise budget at levels "
-                    f"{values[gate.left].level}, {values[gate.right].level}"
-                )
-                report.failures.append(msg)
-                raise NoiseBudgetError(msg)
+        if policy.mode == "auto" and (out_level is None or out_level > threshold):
+            if rng is None:
+                raise CircuitError("auto refresh needs a random source")
+            for wire in dict.fromkeys((gate.left, gate.right)):
+                if try_refresh(wire):
+                    out_level = gate_level(gate)
+                    if out_level is not None and out_level <= threshold:
+                        break
+        if out_level is None:
+            msg = (
+                f"gate {gate.out!r} ({gate.op} {gate.left} {gate.right}) "
+                f"exceeds the noise budget at levels "
+                f"{values[gate.left].level}, {values[gate.right].level}"
+            )
+            report.failures.append(msg)
+            raise NoiseBudgetError(msg)
         left, right = values[gate.left], values[gate.right]
         if gate.op == "add":
             values[gate.out] = hom_add(ch, left, right)

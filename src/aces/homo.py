@@ -49,31 +49,31 @@ def tensor_contract(lam, v1: tuple, v2: tuple) -> tuple:
     )
 
 
-def _check_lengths(ct1: Ciphertext, ct2: Ciphertext) -> None:
+_OVERFLOW = {"add": "addition overflows the noise budget: levels {} + {}",
+             "mul": "multiplication overflows the noise budget: levels {} * {}"}
+
+
+def _output_level(ch, op: str, ct1: Ciphertext, ct2: Ciphertext) -> int:
+    """The ``level_after`` level of ``op`` on two ciphertexts; refuses
+    mismatched vector lengths and any level past the budget."""
     if len(ct1.c) != len(ct2.c):
         raise ParameterError(
             f"ciphertext vector lengths differ: {len(ct1.c)} and {len(ct2.c)}"
         )
+    level = level_after(op, ct1.level, ct2.level, ch)
+    if level is None:
+        raise NoiseBudgetError(_OVERFLOW[op].format(ct1.level, ct2.level))
+    return level
 
 
 def hom_add(ch, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
-    _check_lengths(ct1, ct2)
-    level = level_after("add", ct1.level, ct2.level, ch)
-    if level is None:
-        raise NoiseBudgetError(
-            f"addition overflows the noise budget: levels {ct1.level} + {ct2.level}"
-        )
+    level = _output_level(ch, "add", ct1, ct2)
     c = tuple(a + b for a, b in zip(ct1.c, ct2.c))
     return Ciphertext(c, ct1.cprime + ct2.cprime, level)
 
 
 def hom_mul(ch, lam, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
-    _check_lengths(ct1, ct2)
-    level = level_after("mul", ct1.level, ct2.level, ch)
-    if level is None:
-        raise NoiseBudgetError(
-            f"multiplication overflows the noise budget: levels {ct1.level} * {ct2.level}"
-        )
+    level = _output_level(ch, "mul", ct1, ct2)
     cross = tensor_contract(lam, ct1.c, ct2.c)
     # The scalar parts act as ring coefficients on the opposite vectors.
     scalars = (ct2.cprime, ct1.cprime)

@@ -129,16 +129,15 @@ def _bezout(values: list[int]) -> tuple[int, list[int]]:
     """gcd of the values along with one set of Bezout coefficients."""
     g, coeffs = values[0], [1]
     for v in values[1:]:
-        new_g = math.gcd(g, v)
-        # Solve a*g + b*v = new_g via the two-term extended algorithm.
-        a, b = _ext_gcd_pair(g, v)
+        # Solve a*g + b*v = gcd(g, v) via the two-term extended algorithm.
+        g, a, b = _ext_gcd_pair(g, v)
         coeffs = [c * a for c in coeffs]
         coeffs.append(b)
-        g = new_g
     return g, coeffs
 
 
-def _ext_gcd_pair(a: int, b: int) -> tuple[int, int]:
+def _ext_gcd_pair(a: int, b: int) -> tuple[int, int, int]:
+    """``(gcd(a, b), s, t)`` with ``s*a + t*b == gcd(a, b)``, for a, b >= 0."""
     old_r, r = a, b
     old_s, s = 1, 0
     old_t, t = 0, 1
@@ -147,12 +146,16 @@ def _ext_gcd_pair(a: int, b: int) -> tuple[int, int]:
         old_r, r = r, old_r - quot * r
         old_s, s = s, old_s - quot * s
         old_t, t = t, old_t - quot * t
-    return old_s, old_t
+    return old_r, old_s, old_t
 
 
 def gen_secret(ch: ArithmeticChannel, rep: Repartition, rng: RandomSource) -> SecretKey:
     """Draw the secret vector, resampling until the weighted evaluations are
-    globally coprime (which the tensor construction requires)."""
+    globally coprime (which the tensor construction requires); raises before
+    any draw when the slot factors share a prime, which rules that out."""
+    factors = tuple(rep.prime_of(i) for i in range(rep.n))
+    if math.gcd(*factors) != 1:
+        raise GenerationError(f"secret generation impossible: slot factors {factors} share a prime")
     for _ in range(SECRET_ATTEMPTS):
         sk = SecretKey(tuple(ch.random_poly(rng) for _ in range(ch.n)))
         g, _ = _bezout(_weighted_evals(ch, rep, sk))

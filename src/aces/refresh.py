@@ -23,7 +23,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 from .channel import ArithmeticChannel, RandomSource
-from .cipher import Ciphertext, encrypt, fresh_level
+from .cipher import Ciphertext, encrypt, post_refresh_level
+from .cipher import checked_refresh_level, has_refresh_headroom
 from .errors import NoiseBudgetError
 from .homo import hom_add, scalar_product
 from .rings import lift
@@ -44,6 +45,11 @@ __all__ = [
     "make_refreshable",
     "secret_refresh_checker",
 ]
+
+# Most directors the public search combines with one locator.
+SEARCH_BUDGET = 2
+# Rejection draws allowed when sampling the locator database.
+LOCATOR_DRAWS = 4096
 
 
 @dataclass(frozen=True)
@@ -82,34 +88,32 @@ def _dot(vec: tuple[int, ...], evals: tuple[int, ...]) -> int:
     return sum(a * b for a, b in zip(vec, evals))
 
 
+def _split(ch: ArithmeticChannel, evals: tuple[int, ...], vec: tuple[int, ...]):
+    """Locator index, director index (None when ``vec`` is not one) and the
+    fractional numerator over q of ``vec``'s lifted dot product with the
+    secret evaluations.  ``vec`` locates when the evaluation total minus the
+    whole part is a non-negative multiple of p, and directs when the whole
+    part is a multiple of p."""
+    whole, num = divmod(_dot(tuple(lift(ch.q, v) for v in vec), evals), ch.q)
+    diff = sum(evals) - whole
+    loc = diff // ch.p if diff >= 0 and diff % ch.p == 0 else None
+    return loc, (whole // ch.p if whole % ch.p == 0 else None), num
+
+
 def margin(sk, ch: ArithmeticChannel, vec: tuple[int, ...]) -> Fraction:
     """Fractional part of the lifted dot product with the secret evaluations,
     as an exact rational with denominator q."""
-    s = _dot(tuple(lift(ch.q, v) for v in vec), _secret_evals(sk, ch))
-    return Fraction(s % ch.q, ch.q)
+    return Fraction(_split(ch, _secret_evals(sk, ch), vec)[2], ch.q)
 
 
 def locator_index(sk, ch: ArithmeticChannel, vec: tuple[int, ...]):
-    """The locator index of ``vec``, or None if it is not a locator.
-
-    A vector locates when the secret evaluation total, minus the whole part
-    of its dot product, is an exact non-negative multiple of p.
-    """
-    evals = _secret_evals(sk, ch)
-    s = _dot(tuple(lift(ch.q, v) for v in vec), evals)
-    diff = sum(evals) - s // ch.q
-    if diff < 0 or diff % ch.p != 0:
-        return None
-    return diff // ch.p
+    """The locator index of ``vec``, or None if it is not a locator."""
+    return _split(ch, _secret_evals(sk, ch), vec)[0]
 
 
 def director_index(sk, ch: ArithmeticChannel, vec: tuple[int, ...]):
     """The director index of ``vec``, or None."""
-    s = _dot(tuple(lift(ch.q, v) for v in vec), _secret_evals(sk, ch))
-    whole = s // ch.q
-    if whole % ch.p != 0:
-        return None
-    return whole // ch.p
+    return _split(ch, _secret_evals(sk, ch), vec)[1]
 
 
 def refreshable_index(sk, ch: ArithmeticChannel, ct: Ciphertext):
@@ -119,13 +123,9 @@ def refreshable_index(sk, ch: ArithmeticChannel, ct: Ciphertext):
     an exact offset of k*p*q, or None when no non-negative k works.
     """
     ps = shadow(ch, ct)
-    evals = _secret_evals(sk, ch)
-    lhs = lift(ch.q, ps.vprime) + _dot(ps.v, evals)
-    reduced = (ps.vprime + _dot(ps.v, evals)) % ch.q
-    offset = lhs - reduced
-    if offset < 0 or offset % (ch.p * ch.q) != 0:
-        return None
-    return offset // (ch.p * ch.q)
+    # The lifted sum minus its reduction is q times its whole part.
+    whole = (ps.vprime + _dot(ps.v, _secret_evals(sk, ch))) // ch.q
+    return whole // ch.p if whole % ch.p == 0 else None
 
 
 def margin_test(sk, ch: ArithmeticChannel, ct: Ciphertext) -> bool:
@@ -136,10 +136,8 @@ def margin_test(sk, ch: ArithmeticChannel, ct: Ciphertext) -> bool:
     exact rational arithmetic.
     """
     vec = tuple(lift(ch.q, ch.eval(ci)) for ci in ct.c)
-    if locator_index(sk, ch, vec) is None:
-        return False
-    gap = Fraction(ch.p * (ct.level + 1) - 1, ch.q)
-    return gap < 1 - margin(sk, ch, vec)
+    loc, _, num = _split(ch, _secret_evals(sk, ch), vec)
+    return loc is not None and has_refresh_headroom(ch, ct.level, Fraction(num, ch.q))
 
 
 # -- public-side test -----------------------------------------------------
@@ -190,13 +188,11 @@ def _combine(ch: ArithmeticChannel, loc: LocatorEntry, dirs, signs):
     return tuple(vec), index, margin_sum - whole
 
 
-def public_locator_search(
-    db, ch: ArithmeticChannel, target: tuple[int, ...], search_budget: int = 2
-) -> PublicVerdict:
+def public_locator_search(db, ch: ArithmeticChannel, target: tuple[int, ...]) -> PublicVerdict:
     """Search bounded +/- director combinations of published locators.
 
-    Tries ``target = locator +/- d1 +/- ... +/- dr`` for r up to the budget.
-    On a hit, the combination rule yields the located index and the exact
+    Tries ``target = locator +/- d1 +/- ... +/- dr`` for r up to
+    ``SEARCH_BUDGET``.  On a hit, the combination rule yields the located index and the exact
     combined margin.  Exhausting the search is not a negative claim.
     """
     locators = [e for e in db if e.kind == "locator"]
@@ -204,7 +200,7 @@ def public_locator_search(
     for loc in locators:
         if loc.vec == target:
             return PublicVerdict(True, loc.k, Fraction(loc.margin_num, ch.q))
-    for r in range(1, search_budget + 1):
+    for r in range(1, SEARCH_BUDGET + 1):
         for loc in locators:
             for dirs in combinations_with_replacement(directors, r):
                 for signs in product((1, -1), repeat=r):
@@ -214,14 +210,11 @@ def public_locator_search(
     return UNKNOWN
 
 
-def publicly_refreshable(db, ch: ArithmeticChannel, ct: Ciphertext, search_budget: int = 2) -> bool:
+def publicly_refreshable(db, ch: ArithmeticChannel, ct: Ciphertext) -> bool:
     """Best-effort public refreshability certificate for a ciphertext."""
     target = tuple(lift(ch.q, ch.eval(ci)) for ci in ct.c)
-    verdict = public_locator_search(db, ch, target, search_budget)
-    if not verdict.verified:
-        return False
-    gap = Fraction(ch.p * (ct.level + 1) - 1, ch.q)
-    return gap < 1 - verdict.margin
+    verdict = public_locator_search(db, ch, target)
+    return verdict.verified and has_refresh_headroom(ch, ct.level, verdict.margin)
 
 
 def sample_locator_db(
@@ -230,7 +223,6 @@ def sample_locator_db(
     rng: RandomSource,
     n_locators: int = 4,
     n_directors: int = 6,
-    max_draws: int = 4096,
 ) -> list[LocatorEntry]:
     """Rejection-sample random vectors and certify them with the secret key.
 
@@ -239,41 +231,22 @@ def sample_locator_db(
     """
     entries: list[LocatorEntry] = []
     want_loc, want_dir = n_locators, n_directors
+    evals = _secret_evals(sk, ch)
     draws = 0
-    while (want_loc > 0 or want_dir > 0) and draws < max_draws:
+    while (want_loc > 0 or want_dir > 0) and draws < LOCATOR_DRAWS:
         draws += 1
         vec = tuple(rng.below(ch.q) for _ in range(ch.n))
-        num = (_dot(vec, _secret_evals(sk, ch))) % ch.q
-        if want_loc > 0:
-            k = locator_index(sk, ch, vec)
-            if k is not None:
-                entries.append(LocatorEntry(vec, "locator", k, num))
-                want_loc -= 1
-                continue
-        if want_dir > 0:
-            k = director_index(sk, ch, vec)
-            if k is not None:
-                entries.append(LocatorEntry(vec, "director", k, num))
-                want_dir -= 1
+        loc, dirk, num = _split(ch, evals, vec)
+        if want_loc > 0 and loc is not None:
+            entries.append(LocatorEntry(vec, "locator", loc, num))
+            want_loc -= 1
+        elif want_dir > 0 and dirk is not None:
+            entries.append(LocatorEntry(vec, "director", dirk, num))
+            want_dir -= 1
     return entries
 
 
 # -- the refresh operation -------------------------------------------------
-
-
-def post_refresh_level(ch: ArithmeticChannel, refresher) -> int:
-    """Exact output level of a refresh, from the closed forms.
-
-    Every digit encryption carries the fresh public level; the contraction
-    against the refresher and the final addition then determine the total,
-    plus the digit-sum correction floor(((p-1) + n(p-1)^2) / p).
-    """
-    k_digit = fresh_level(ch)
-    total = k_digit
-    for kappa_i in refresher.kappa:
-        total += ch.p * (kappa_i + k_digit + kappa_i * k_digit)
-    correction = ((ch.p - 1) + ch.n * (ch.p - 1) ** 2) // ch.p
-    return total + correction
 
 
 def refresh_ct(
@@ -287,26 +260,15 @@ def refresh_ct(
     """Rebuild a refreshable ciphertext at the fixed post-refresh level.
 
     Refreshability itself must have been verified (or is asserted) by the
-    caller; this routine checks only the arithmetic preconditions it can see
-    without the secret key.
+    caller; this routine checks only the level preconditions it can see
+    without the secret key (``checked_refresh_level``).
     """
-    if ct.level > ch.max_noise_level():
-        raise NoiseBudgetError(
-            f"refresh refused: level {ct.level} > {ch.max_noise_level()}"
-        )
-    k_digit = fresh_level(ch)
-    k_star = k_digit + sum(
-        ch.p * (ki + k_digit + ki * k_digit) for ki in refresher.kappa
-    )
-    if k_star > ch.max_noise_level():
-        raise NoiseBudgetError(
-            f"refresh refused: accumulated level {k_star} > {ch.max_noise_level()}"
-        )
+    level = checked_refresh_level(ch, refresher, ct.level)
     ps = shadow(ch, ct)
     digit_cts = tuple(encrypt(pk, ch, v % ch.p, rng) for v in ps.v)
     scalar_ct = encrypt(pk, ch, ps.vprime % ch.p, rng)
     rebuilt = hom_add(ch, scalar_ct, scalar_product(ch, lam, digit_cts, refresher.rho))
-    return Ciphertext(rebuilt.c, rebuilt.cprime, post_refresh_level(ch, refresher))
+    return Ciphertext(rebuilt.c, rebuilt.cprime, level)
 
 
 def secret_refresh_checker(sk, ch: ArithmeticChannel):

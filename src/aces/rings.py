@@ -296,10 +296,6 @@ class RingPoly:
     def constant(q: int, u: tuple[int, ...], value: int) -> "RingPoly":
         return Ring(q, u).poly([value])
 
-    @property
-    def degree_bound(self) -> int:
-        return self.ring.d
-
     def _check_same_ring(self, other: "RingPoly") -> None:
         if other.ring is not self.ring:
             raise ParameterError("polynomials belong to different rings")

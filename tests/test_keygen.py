@@ -157,3 +157,14 @@ def test_keygen_retries_bad_repartitions(micro_channel):
     for seed in range(20):
         bundle = keygen(micro_channel, RandomSource(seed.to_bytes(2, "big")))
         assert math.gcd(*_weighted(bundle)) == 1
+
+
+def test_gen_secret_refuses_a_tied_repartition_before_drawing():
+    """Every slot tied to the prime 3 makes gcd 1 unattainable: gen_secret
+    must raise at once, leaving the random stream untouched."""
+    rep = Repartition(15015, (3, 5, 7, 11, 13), (1, 1, 1))
+    ch = ArithmeticChannel(p=2, q=15015, omega=1, u=(-1, 0, 0, 0, 1), n=3, big_n=2, k0=1)
+    rng = RandomSource(b"tied")
+    with pytest.raises(GenerationError):
+        gen_secret(ch, rep, rng)
+    assert rng.below(2**64) == RandomSource(b"tied").below(2**64)

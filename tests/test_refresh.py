@@ -19,6 +19,7 @@ from aces.refresh import (
     publicly_refreshable,
     refresh_ct,
     refreshable_index,
+    secret_refresh_checker,
     shadow,
 )
 from aces.rings import lift
@@ -354,3 +355,33 @@ def test_refresh_refuses_an_accumulated_level_past_the_budget(rng):
     ct = Ciphertext(tuple(ch.zero() for _ in range(ch.n)), ch.constant(1), 0)
     with pytest.raises(NoiseBudgetError, match="accumulated level 58"):
         refresh_ct(None, ch, None, Refresher((1, 1, 1), ()), ct, rng)
+
+
+@pytest.mark.parametrize("q", [119, 121])
+def test_refresh_refuses_a_post_refresh_level_past_the_budget(q):
+    """At p=2, N=2 the accumulated level is 58 and the post-refresh level 60.
+    Budgets 58 (q=119) and 59 (q=121) admit the first but not the second, so
+    the refresh must refuse rather than emit a level-60 ciphertext."""
+    ch = ArithmeticChannel(p=2, q=q, omega=1, u=(-1, 0, 0, 0, 1), n=3, big_n=2, k0=1)
+    ch.require_valid()
+    rng = RandomSource(b"edge")
+    bundle = keygen(ch, rng)
+    assert ch.max_noise_level() < post_refresh_level(ch, bundle.refresher) == 60
+    ct = encrypt(bundle.public, ch, 1, rng)
+    ready = make_refreshable(ct, secret_refresh_checker(bundle.secret, ch), bundle.public, ch, rng)
+    assert ready is not None
+    with pytest.raises(NoiseBudgetError, match="accumulated level 58"):
+        refresh_ct(bundle.public, ch, bundle.tensor, bundle.refresher, ready, rng)
+
+
+def test_refresh_at_a_budget_equal_to_the_post_refresh_level():
+    ch = ArithmeticChannel(p=2, q=123, omega=1, u=(-1, 0, 0, 0, 1), n=3, big_n=2, k0=1)
+    ch.require_valid()
+    rng = RandomSource(b"edge")
+    bundle = keygen(ch, rng)
+    assert ch.max_noise_level() == post_refresh_level(ch, bundle.refresher) == 60
+    ct = encrypt(bundle.public, ch, 1, rng)
+    ready = make_refreshable(ct, secret_refresh_checker(bundle.secret, ch), bundle.public, ch, rng)
+    fresh = refresh_ct(bundle.public, ch, bundle.tensor, bundle.refresher, ready, rng)
+    assert fresh.level == 60
+    assert decrypt(bundle.secret, ch, fresh) == 1
