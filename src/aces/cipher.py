@@ -23,6 +23,7 @@ __all__ = [
     "encrypt_with_secret",
     "decrypt",
     "level_after",
+    "within_budget",
     "fresh_level",
     "post_refresh_level",
     "checked_refresh_level",
@@ -41,6 +42,11 @@ class Ciphertext:
     def __post_init__(self):
         if self.level < 0:
             raise ParameterError("noise level cannot be negative")
+
+
+def within_budget(ch: ArithmeticChannel, level: int) -> bool:
+    """The budget predicate: whether ``decrypt`` accepts level ``level``."""
+    return level <= ch.max_noise_level()
 
 
 def fresh_level(ch: ArithmeticChannel) -> int:
@@ -65,19 +71,15 @@ def encrypt(pk, ch: ArithmeticChannel, m: int, rng: RandomSource) -> Ciphertext:
 
     c = f0^T b for a bounded random mask b, and the scalar part carries the
     message through a random carrier polynomial plus the masked public-key
-    noise.
+    noise fprime^T b; both come from one combination of the packed rows
+    ``(f0[i], fprime[i])`` (``PublicKey.rows``).
     """
     if not 0 <= m < ch.p:
         raise ParameterError(f"message {m} is not a residue mod p={ch.p}")
     b = sample_mask(ch, rng)
-    n = len(pk.f0[0])
-    c = tuple(
-        poly_vector_dot(tuple(pk.f0[i][j] for i in range(ch.big_n)), b)
-        for j in range(n)
-    )
+    *c, masked = pk.rows.combine(b)
     carrier = sample_message_carrier(ch, m, rng)
-    cprime = carrier + poly_vector_dot(b, pk.fprime)
-    return Ciphertext(c, cprime, fresh_level(ch))
+    return Ciphertext(tuple(c), carrier + masked, fresh_level(ch))
 
 
 def encrypt_with_secret(
@@ -105,7 +107,7 @@ def decrypt(sk, ch: ArithmeticChannel, ct: Ciphertext) -> int:
     Refuses past the noise budget: beyond it the result is no longer
     guaranteed, and a wrong answer would be worse than an error.
     """
-    if ct.level > ch.max_noise_level():
+    if not within_budget(ch, ct.level):
         raise NoiseBudgetError(
             f"noise budget exceeded: level {ct.level} > {ch.max_noise_level()}"
         )
@@ -118,7 +120,7 @@ def level_after(op: str, k1: int, k2: int, ch: ArithmeticChannel):
 
     Overflow is a value, not a fault: callers (the circuit evaluator in
     particular) decide whether to refresh, fail, or retry.  A level is
-    admitted exactly when ``decrypt`` accepts it (``ch.max_noise_level()``).
+    admitted exactly when ``decrypt`` accepts it (``within_budget``).
     """
     if op == "add":
         level = k1 + k2
@@ -126,7 +128,7 @@ def level_after(op: str, k1: int, k2: int, ch: ArithmeticChannel):
         level = (k1 + k2 + k1 * k2) * ch.p
     else:
         raise ParameterError(f"unknown operation {op!r}")
-    return level if level <= ch.max_noise_level() else None
+    return level if within_budget(ch, level) else None
 
 
 def _refresh_levels(ch: ArithmeticChannel, refresher) -> tuple[int, int]:
@@ -151,7 +153,7 @@ def checked_refresh_level(ch: ArithmeticChannel, refresher, level: int) -> int:
     """The post-refresh level for a level-``level`` input, refused (with
     NoiseBudgetError) when the input or the output is past the budget."""
     k_star, out = _refresh_levels(ch, refresher)
-    if max(level, out) > ch.max_noise_level():
+    if not within_budget(ch, max(level, out)):
         raise NoiseBudgetError(
             f"refresh refused: input level {level}, accumulated level {k_star}, "
             f"post-refresh level {out}, budget {ch.max_noise_level()}"

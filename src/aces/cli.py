@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import serial
 from .channel import ArithmeticChannel, RandomSource
-from .cipher import decrypt, encrypt
+from .cipher import decrypt, encrypt, within_budget
 from .circuit import EvalKeys, RefreshPolicy, evaluate, parse_circuit
 from .errors import AcesError, CircuitError, NoiseBudgetError, ParameterError
 from .keygen import keygen
@@ -185,7 +185,7 @@ def _cmd_inspect(args) -> int:
         _, rep, _, _, _ = serial.public_from_dict(ch, serial.load(args.pub))
         ct = serial.ciphertext_from_dict(ch, serial.load(args.ct))
         budget = ch.max_noise_level()
-        print(f"decryptable: {'yes' if ct.level <= budget else 'no'} (budget {budget})")
+        print(f"decryptable: {'yes' if within_budget(ch, ct.level) else 'no'} (budget {budget})")
         for j, cj in enumerate(ct.c):
             value = lift(ch.q, ch.eval(cj))
             prime = rep.prime_of(j)

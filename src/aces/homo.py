@@ -6,15 +6,16 @@ contraction; its vector part is exactly
 
     c2' * c1 + c1' * c2 - contract(tensor, c1, c2)
 
-with the scalar parts multiplied.  Level bookkeeping follows the exact
-closed forms, never looser bounds.
+with the scalar parts multiplied, all computed as one contraction of the
+ciphertexts extended by their scalar slot (``ProductTensor.extended``).
+Level bookkeeping follows the exact closed forms, never looser bounds.
 """
 
 from __future__ import annotations
 
 from .cipher import Ciphertext, level_after
 from .errors import NoiseBudgetError, ParameterError
-from .rings import poly_vector_dot, slot_bytes
+from .rings import slot_bytes
 
 __all__ = ["tensor_contract", "hom_add", "hom_mul", "scalar_product"]
 
@@ -74,13 +75,8 @@ def hom_add(ch, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
 
 def hom_mul(ch, lam, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
     level = _output_level(ch, "mul", ct1, ct2)
-    cross = tensor_contract(lam, ct1.c, ct2.c)
-    # The scalar parts act as ring coefficients on the opposite vectors.
-    scalars = (ct2.cprime, ct1.cprime)
-    c = tuple(
-        poly_vector_dot((a, b), scalars) - x for a, b, x in zip(ct1.c, ct2.c, cross)
-    )
-    return Ciphertext(c, ct1.cprime * ct2.cprime, level)
+    *c, cprime = tensor_contract(lam.extended, (*ct1.c, ct1.cprime), (*ct2.c, ct2.cprime))
+    return Ciphertext(tuple(c), cprime, level)
 
 
 def scalar_product(ch, lam, gamma: tuple, rho: tuple) -> Ciphertext:

@@ -22,7 +22,7 @@ from .channel import (
 from .cipher import Ciphertext, encrypt_with_secret
 from .errors import GenerationError, ParameterError
 from .refresh import LocatorEntry, sample_locator_db
-from .rings import RingPoly, Repartition, lift, poly_vector_dot
+from .rings import PackedRows, RingPoly, Repartition, lift, poly_vector_dot
 
 __all__ = [
     "SecretKey",
@@ -52,6 +52,12 @@ class SecretKey:
 class PublicKey:
     f0: tuple[tuple[RingPoly, ...], ...]
     fprime: tuple[RingPoly, ...]
+
+    @cached_property
+    def rows(self) -> PackedRows:
+        """The rows ``(f0[i][0..n-1], fprime[i])``, packed once for ``encrypt``
+        on first use (so key generation and loading do not pay for it)."""
+        return PackedRows(row + (masked,) for row, masked in zip(self.f0, self.fprime))
 
 
 @dataclass(frozen=True)
@@ -98,6 +104,27 @@ class ProductTensor:
             )
             for k in range(n)
         )
+
+    @cached_property
+    def extended(self) -> "ProductTensor":
+        """The ``(n+1)``-cube that folds all of ``hom_mul`` into one contraction.
+
+        On ciphertexts extended by their scalar slot, ``(c_0..c_{n-1}, c')``,
+        it has ``-t[i][j][k]`` for ``i, j, k < n``, a 1 at ``[k][n][k]`` and
+        ``[n][k][k]`` (the scalar part of one factor times slot ``k`` of the
+        other), a 1 at ``[n][n][n]`` (the product of the scalar parts) and 0
+        elsewhere.  Entries are integers; the contraction reduces them mod q.
+        """
+        t = self.coeffs
+        n = len(t)
+
+        def entry(i, j, k):
+            if i < n and j < n:
+                return -t[i][j][k] if k < n else 0
+            return int(k == min(i, j))
+
+        m = range(n + 1)
+        return ProductTensor(tuple(tuple(tuple(entry(i, j, k) for k in m) for j in m) for i in m))
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from itertools import combinations_with_replacement, product
 
 from .channel import ArithmeticChannel, RandomSource
 from .cipher import Ciphertext, encrypt, post_refresh_level
-from .cipher import checked_refresh_level, has_refresh_headroom
+from .cipher import checked_refresh_level, has_refresh_headroom, within_budget
 from .errors import NoiseBudgetError
 from .homo import hom_add, scalar_product
 from .rings import lift
@@ -50,6 +50,8 @@ __all__ = [
 SEARCH_BUDGET = 2
 # Rejection draws allowed when sampling the locator database.
 LOCATOR_DRAWS = 4096
+# Encryptions of zero ``make_refreshable`` adds before it gives up.
+REFRESH_ATTEMPTS = 32
 
 
 @dataclass(frozen=True)
@@ -277,27 +279,19 @@ def secret_refresh_checker(sk, ch: ArithmeticChannel):
     Plaintext preservation under refresh needs the identity to hold and the
     level to sit inside the decryption budget; both are checked exactly.
     """
-    budget = ch.max_noise_level()
-    return lambda ct: ct.level <= budget and refreshable_index(sk, ch, ct) is not None
+    return lambda ct: within_budget(ch, ct.level) and refreshable_index(sk, ch, ct) is not None
 
 
-def make_refreshable(
-    ct: Ciphertext,
-    checker,
-    pk,
-    ch: ArithmeticChannel,
-    rng: RandomSource,
-    max_attempts: int = 32,
-):
+def make_refreshable(ct: Ciphertext, checker, pk, ch: ArithmeticChannel, rng: RandomSource):
     """Randomize a ciphertext with encryptions of zero until it checks out.
 
     ``checker`` is any refreshability predicate (secret-side exact test or
     the public database test).  Returns the refreshable ciphertext, or None
-    once the attempt budget is spent or further randomization would overflow;
-    each attempt adds one fresh level step.
+    once ``REFRESH_ATTEMPTS`` attempts are spent or further randomization
+    would overflow; each attempt adds one fresh level step.
     """
     current = ct
-    for _ in range(max_attempts):
+    for _ in range(REFRESH_ATTEMPTS):
         if checker(current):
             return current
         try:

@@ -11,13 +11,15 @@ Three layers live in this module:
   split used by decryption),
 * the quotient ring ``Z_q[X]/(u)`` for a monic ``u`` (one shared ``Ring``
   object per ``(q, u)``) and its elements; products are computed exactly
-  by Kronecker substitution on packed integers,
+  by Kronecker substitution on packed integers, and a fixed matrix is kept
+  packed (``PackedRows``) for the combinations of its rows,
 * repartitions: assignments of the prime factors of ``q`` to key slots.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import ParameterError
@@ -359,6 +361,69 @@ def poly_vector_dot(vec_a: tuple, vec_b: tuple) -> RingPoly:
     pack = ring.pack
     total = sum(pack(a.coeffs, width) * pack(b.coeffs, width) for a, b in zip(vec_a, vec_b))
     return ring.unpack_product(total, width)
+
+
+class PackedRows:
+    """A fixed matrix of ring elements, kept packed for combinations of its
+    rows with ring-element weights: ``combine(w)[j] = sum_i w[i] * rows[i][j]``.
+
+    The rows are paired by Winograd's inner-product identity.  With
+    ``r = rows``, the per-matrix ``xi_j = sum_k r[2k][j] * r[2k+1][j]`` and
+    the per-call ``eta = sum_k w[2k] * w[2k+1]``,
+
+        combine(w)[j] = sum_k (r[2k][j] + w[2k+1]) * (r[2k+1][j] + w[2k]) - xi_j - eta,
+
+    where an odd row count pairs the last row with a zero row and a zero
+    weight.  That is ``ceil(N/2)`` products per column plus ``floor(N/2)``
+    for ``eta``, instead of ``N`` per column.  Packing is evaluation at
+    ``X = 2^(8 * width)``, a ring homomorphism on Z[X], so the identity holds
+    on the packed integers; the slots are sized for the sum before the
+    subtractions, whose coefficients are non-negative and bound every term,
+    so the difference unpacks to the exact unreduced combination.
+    """
+
+    __slots__ = ("ring", "width", "row_count", "_columns")
+
+    def __init__(self, rows):
+        rows = tuple(tuple(row) for row in rows)
+        if not rows or not rows[0]:
+            raise ParameterError("a packed matrix needs at least one row and one column")
+        if any(len(row) != len(rows[0]) for row in rows):
+            raise ParameterError("matrix rows differ in length")
+        ring = rows[0][0].ring
+        if any(x.ring is not ring for row in rows for x in row):
+            raise ParameterError("polynomials belong to different rings")
+        big_n = len(rows)
+        # A pair product has coefficients up to d*(2(q-1))^2; the odd row's
+        # product with a zero row and weight, up to d*(q-1)^2.
+        width = slot_bytes((4 * (big_n // 2) + big_n % 2) * ring.d * (ring.q - 1) ** 2)
+        packed = [[ring.pack(x.coeffs, width) for x in row] for row in rows]
+        if big_n % 2:
+            packed.append([0] * len(rows[0]))
+        self.ring, self.width, self.row_count = ring, width, big_n
+        # Per column: its even-row entries, its odd-row entries, and xi.
+        self._columns = [
+            (col[0::2], col[1::2], sum(map(operator.mul, col[0::2], col[1::2])))
+            for col in zip(*packed)
+        ]
+
+    def combine(self, weights) -> tuple[RingPoly, ...]:
+        """``sum_i weights[i] * rows[i][j]`` for every column ``j``."""
+        ring, width = self.ring, self.width
+        if len(weights) != self.row_count:
+            raise ParameterError(f"expected {self.row_count} weights, got {len(weights)}")
+        if any(w.ring is not ring for w in weights):
+            raise ParameterError("polynomials belong to different rings")
+        w = [ring.pack(x.coeffs, width) for x in weights]
+        if len(w) % 2:
+            w.append(0)
+        even, odd = w[0::2], w[1::2]
+        eta = sum(map(operator.mul, even, odd))
+        out = []
+        for r_even, r_odd, xi in self._columns:
+            paired = sum([(a + y) * (b + x) for a, b, x, y in zip(r_even, r_odd, even, odd)])
+            out.append(ring.unpack_product(paired - xi - eta, width))
+        return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from .cipher import Ciphertext
 from .errors import ParameterError
 from .keygen import KeyBundle, ProductTensor, PublicKey, Refresher, SecretKey
 from .refresh import LocatorEntry
-from .rings import Repartition, RingPoly
+from .rings import Repartition, RingPoly, factorize
 
 __all__ = [
     "channel_to_dict",
@@ -109,13 +109,37 @@ def _locator_to_dict(entry: LocatorEntry) -> dict:
     }
 
 
-def _locator_from_dict(data: dict) -> LocatorEntry:
-    return LocatorEntry(
-        tuple(int(v) for v in data["vec"]),
-        data["kind"],
-        int(data["k"]),
-        int(data["margin_num"]),
-    )
+def _locator_from_dict(ch: ArithmeticChannel, data: dict) -> LocatorEntry:
+    vec = tuple(int(v) for v in data["vec"])
+    if len(vec) != ch.n or any(not 0 <= v < ch.q for v in vec):
+        raise ParameterError(f"locator vec: expected {ch.n} canonical residues mod {ch.q}")
+    if data["kind"] not in ("locator", "director"):
+        raise ParameterError(f"locator kind must be locator or director, got {data['kind']!r}")
+    return LocatorEntry(vec, data["kind"], int(data["k"]), int(data["margin_num"]))
+
+
+def _repartition_in(ch: ArithmeticChannel, data: dict) -> Repartition:
+    """The prime factors of q, in order, and one assignment per slot."""
+    primes, factors = tuple(int(p) for p in data["primes"]), factorize(ch.q)
+    if list(primes) != factors:
+        raise ParameterError(f"sigma: primes must be the prime factors of q, {factors}")
+    assignment = tuple(int(v) for v in data["map"])
+    if len(assignment) != ch.n:
+        raise ParameterError(f"sigma: expected {ch.n} map entries, got {len(assignment)}")
+    return Repartition(ch.q, primes, assignment)
+
+
+def _refresher_in(ch: ArithmeticChannel, data: dict) -> Refresher:
+    """One non-negative level and one ciphertext per secret slot."""
+    kappa = tuple(int(k) for k in data["kappa"])
+    if len(kappa) != ch.n or len(data["rho"]) != ch.n:
+        raise ParameterError(
+            f"refresher: expected {ch.n} levels and ciphertexts, "
+            f"got {len(kappa)} and {len(data['rho'])}"
+        )
+    if min(kappa) < 0:
+        raise ParameterError("refresher: levels cannot be negative")
+    return Refresher(kappa, tuple(ciphertext_from_dict(ch, d) for d in data["rho"]))
 
 
 def public_to_dict(bundle: KeyBundle) -> dict:
@@ -148,17 +172,10 @@ def public_from_dict(ch: ArithmeticChannel, data: dict):
         tuple(_polys_in(ch, row, ch.n, "f0 row") for row in f0),
         _polys_in(ch, data["fprime"], ch.big_n, "fprime"),
     )
-    rep = Repartition(
-        ch.q,
-        tuple(int(p) for p in data["sigma"]["primes"]),
-        tuple(int(v) for v in data["sigma"]["map"]),
-    )
+    rep = _repartition_in(ch, data["sigma"])
     tensor = _tensor_in(ch, data["lambda"])
-    refresher = Refresher(
-        tuple(int(k) for k in data["refresher"]["kappa"]),
-        tuple(ciphertext_from_dict(ch, d) for d in data["refresher"]["rho"]),
-    )
-    locators = tuple(_locator_from_dict(d) for d in data.get("locators", []))
+    refresher = _refresher_in(ch, data["refresher"])
+    locators = tuple(_locator_from_dict(ch, d) for d in data.get("locators", []))
     return pk, rep, tensor, refresher, locators
 
 

@@ -154,3 +154,29 @@ def test_every_admitted_level_decrypts(desk_bundle):
                 continue
             ct = Ciphertext(tuple(ch.zero() for _ in range(ch.n)), ch.constant(1), level)
             assert decrypt(desk_bundle.secret, ch, ct) == 1
+
+
+def test_budget_predicate_is_the_decrypt_guard(desk_bundle):
+    from aces.cipher import within_budget
+
+    ch = desk_bundle.channel
+    budget = ch.max_noise_level()
+    assert within_budget(ch, budget) and not within_budget(ch, budget + 1)
+    at = Ciphertext(tuple(ch.zero() for _ in range(ch.n)), ch.constant(1), budget)
+    assert decrypt(desk_bundle.secret, ch, at) == 1
+    with pytest.raises(NoiseBudgetError):
+        decrypt(desk_bundle.secret, ch, Ciphertext(at.c, at.cprime, budget + 1))
+
+
+def test_packed_public_rows_are_built_on_first_encryption(desk_channel):
+    from aces.keygen import PublicKey, keygen
+
+    bundle = keygen(desk_channel, RandomSource(b"lazy-rows"))
+    assert "rows" not in vars(bundle.public)  # keygen does not pay for them
+    encrypt(bundle.public, desk_channel, 1, RandomSource(b"lazy-rows/enc"))
+    rows = vars(bundle.public)["rows"]
+    encrypt(bundle.public, desk_channel, 0, RandomSource(b"lazy-rows/enc"))
+    assert bundle.public.rows is rows
+    loaded = PublicKey(bundle.public.f0, bundle.public.fprime)
+    assert "rows" not in vars(loaded)
+    assert loaded == bundle.public  # the cache is not part of the key's value

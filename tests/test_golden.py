@@ -56,6 +56,14 @@ GOLDEN_DESK_REFRESH = {
     "report.json": "b91b86242d6542c2a25f5d44f2b0e6ff66413e1cd5c7728e21877c963835d6cb",
 }
 GOLDEN_LARGE_MUL = "3a839708e9c4b82bb88a10c1dd459c4744d2a42524fee0b7a1ffe14140515e7d"
+ODD_Q = math.prod((5, 7, 11, 13, 17, 19))
+GOLDEN_ODD_ROWS = {
+    "public.json": "07bb8b79679aef284c780eb73d8d56cba0b5e649427a6141b2b9bf7d9b7ebb29",
+    "secret.json": "a0dd2a8c456ff8232ff1aeb71ed8c1c12368f4900413f47bd93be4b2095ea9ec",
+    "a.json": "9374b17b18d11b2fbfde068fd1747cd9220b9ebdd882a10ddd3b17cdaf8a0d9b",
+    "b.json": "d97a0e6d2f29d71b2d6dee29ce4f0288529d032fa2984c4f693246ffb7cc9d6e",
+    "ab.json": "b1aea759a9b63b95f9abd97a77711e182032836ec194749f91bd525a038d0f53",
+}
 
 
 def _digest(path: Path) -> str:
@@ -111,3 +119,20 @@ def test_large_hom_mul_matches_golden_digest(tmp_path):
     b = encrypt(bundle.public, ch, 2, rng)
     serial.dump(serial.ciphertext_to_dict(hom_mul(ch, bundle.tensor, a, b)), tmp_path / "ab.json")
     assert _digest(tmp_path / "ab.json") == GOLDEN_LARGE_MUL
+
+
+def test_odd_row_count_matches_golden_digests(tmp_path):
+    """An odd number N = 5 of public-key rows, p = 3, a cyclic u = X^8 - 1:
+    keygen, two public encryptions and their product."""
+    ch = ArithmeticChannel(p=3, q=ODD_Q, omega=1, u=tuple([-1] + [0] * 7 + [1]),
+                           n=4, big_n=5, k0=1).require_valid()
+    bundle = keygen(ch, RandomSource(b"golden-odd"))
+    rng = RandomSource(b"golden-odd/mul")
+    a = encrypt(bundle.public, ch, 1, rng)
+    b = encrypt(bundle.public, ch, 2, rng)
+    serial.dump(serial.public_to_dict(bundle), tmp_path / "public.json")
+    serial.dump(serial.secret_to_dict(bundle.secret), tmp_path / "secret.json")
+    for name, ct in (("a", a), ("b", b), ("ab", hom_mul(ch, bundle.tensor, a, b))):
+        serial.dump(serial.ciphertext_to_dict(ct), tmp_path / f"{name}.json")
+    got = {rel: _digest(tmp_path / rel) for rel in GOLDEN_ODD_ROWS}
+    assert got == GOLDEN_ODD_ROWS

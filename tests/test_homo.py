@@ -221,3 +221,19 @@ def test_product_tensor_must_be_a_symmetric_cube():
         ProductTensor((((0, 0), (0, 0)), ((0, 0),)))
     with pytest.raises(ParameterError):
         ProductTensor((((0, 0), (1, 0)), ((0, 0), (0, 0))))
+
+
+def test_extended_tensor_folds_in_the_scalar_slots(desk_bundle):
+    lam = desk_bundle.tensor.coeffs
+    n = len(lam)
+    ext = desk_bundle.tensor.extended.coeffs
+    assert len(ext) == n + 1
+    for i in range(n + 1):
+        for j in range(n + 1):
+            for k in range(n + 1):
+                if i < n and j < n:
+                    want = -lam[i][j][k] if k < n else 0
+                else:
+                    want = 1 if k == min(i, j) else 0  # [k][n][k], [n][k][k], [n][n][n]
+                assert ext[i][j][k] == want
+    assert desk_bundle.tensor.extended is desk_bundle.tensor.extended

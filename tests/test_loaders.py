@@ -81,3 +81,40 @@ def test_public_key_rows_must_match_the_channel(desk_files, tmp_path):
 def test_channel_poly_stays_lenient_in_library_code(desk_files):
     ch, _, _ = desk_files
     assert ch.poly([ch.q + 3, 0, 0, 0, 1]).coeffs == (4, 0, 0, 0)  # X^4 = 1
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda ch, d: d["sigma"]["primes"].pop(),  # a prime factor of q missing
+    lambda ch, d: d["sigma"]["primes"].append("17"),  # a prime that does not divide q
+    lambda ch, d: d["sigma"]["primes"].reverse(),  # out of order
+    lambda ch, d: d["sigma"]["map"].pop(),  # one slot unassigned
+    lambda ch, d: d["sigma"]["map"].append(0),  # a surplus slot
+    lambda ch, d: d["refresher"]["kappa"].pop(),
+    lambda ch, d: d["refresher"]["kappa"].__setitem__(0, -1),
+    lambda ch, d: d["refresher"]["rho"].pop(),
+    lambda ch, d: d["refresher"]["rho"].append(d["refresher"]["rho"][0]),
+    lambda ch, d: d["locators"][0]["vec"].pop(),
+    lambda ch, d: d["locators"][0]["vec"].append("0"),
+    lambda ch, d: d["locators"][0]["vec"].__setitem__(0, str(ch.q)),
+    lambda ch, d: d["locators"][0]["vec"].__setitem__(0, "-1"),
+    lambda ch, d: d["locators"][0].__setitem__("kind", "detector"),
+])
+def test_malformed_public_material_is_refused(desk_files, tmp_path, corrupt):
+    ch, keys, ct = desk_files
+    data = serial.load(keys / "public.json")
+    corrupt(ch, data)
+    with pytest.raises(ParameterError):
+        serial.public_from_dict(ch, data)
+    bad = tmp_path / "public.json"
+    serial.dump(data, bad)
+    assert main(["refresh", "--pub", str(bad), "--channel", str(keys / "channel.json"),
+                 "--ct", str(ct), "--seed", "01", "--assume-refreshable",
+                 "--out", str(tmp_path / "r.json")]) == 2
+
+
+def test_intact_public_material_loads_whole(desk_files):
+    ch, keys, _ = desk_files
+    data = serial.load(keys / "public.json")
+    _, rep, _, refresher, locators = serial.public_from_dict(ch, data)
+    assert len(rep.assignment) == len(refresher.kappa) == len(refresher.rho) == ch.n
+    assert {e.kind for e in locators} == {"locator", "director"}

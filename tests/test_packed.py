@@ -1,9 +1,10 @@
 """Packed (Kronecker) ring arithmetic against the schoolbook oracles.
 
-Products, dot products and tensor contractions are computed on packed
-integers whose slot width is derived from the largest possible result
-coefficient.  All-(q-1) operands and tensors reach that largest value, so a
-slot one byte too narrow shows up here as a wrong coefficient.
+Products, dot products, row combinations of a packed matrix and tensor
+contractions (``hom_mul`` included) are computed on packed integers whose
+slot width is derived from the largest possible result coefficient.
+All-(q-1) operands and tensors reach that largest value, so a slot one
+byte too narrow shows up here as a wrong coefficient.
 """
 
 import math
@@ -13,9 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aces.homo import tensor_contract
+from aces.channel import ArithmeticChannel
+from aces.cipher import Ciphertext
+from aces.errors import ParameterError
+from aces.homo import hom_mul, tensor_contract
 from aces.keygen import ProductTensor
-from aces.rings import Ring, RingPoly, poly_vector_dot
+from aces.rings import PackedRows, Ring, RingPoly, poly_vector_dot
 
 from oracles import conv_mul, naive_contract, reduce_poly, ring_op
 
@@ -154,3 +158,99 @@ def test_ring_elements_pickle_into_the_shared_ring_and_stay_immutable():
     assert y == x and y.ring is x.ring
     with pytest.raises(AttributeError):
         x.coeffs = (0, 0, 0, 0)
+
+
+def _oracle_sum(pairs, u, q):
+    """sum of the reduced schoolbook products of the coefficient-list pairs."""
+    total = [0] * (len(u) - 1)
+    for a, b in pairs:
+        total = [(x + y) % q for x, y in zip(total, reduce_poly(conv_mul(a, b), list(u), q))]
+    return total
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_packed_rows_combination_matches_oracle(data):
+    """Winograd row pairing, odd row counts included: all-(q-1) rows and
+    weights put every slot of the paired sum at the width's bound."""
+    q, u = data.draw(rings())
+    d = len(u) - 1
+    big_n = data.draw(st.sampled_from((1, 2, 3, 5)))
+    cols = data.draw(st.integers(1, 4))
+    flat = coefficient_vectors(data.draw, q, d, big_n * cols)
+    rows = [flat[i * cols:(i + 1) * cols] for i in range(big_n)]
+    weights = coefficient_vectors(data.draw, q, d, big_n)
+    matrix = PackedRows(tuple(RingPoly(q, u, c) for c in row) for row in rows)
+    got = matrix.combine(tuple(RingPoly(q, u, w) for w in weights))
+    want = [_oracle_sum([(weights[i], rows[i][j]) for i in range(big_n)], u, q)
+            for j in range(cols)]
+    assert [list(part.coeffs) for part in got] == want
+
+
+def test_packed_rows_refuse_mismatched_shapes():
+    q, u = DESK_Q, (-1, 0, 0, 0, 1)
+    x = RingPoly(q, u, [1, 2, 3, 4])
+    with pytest.raises(ParameterError):
+        PackedRows([(x, x), (x,)])
+    with pytest.raises(ParameterError):
+        PackedRows([(x,), (RingPoly(q, (1, 0, 0, 0, 1), [1, 2, 3, 4]),)])
+    with pytest.raises(ParameterError):
+        PackedRows([(x,), (x,)]).combine((x,))
+
+
+def _hom_mul_oracle(lam, c1, p1, c2, p2, u, q):
+    """``(c2'*c1_k + c1'*c2_k - contract_k, c1'*c2')`` on coefficient lists."""
+    cross = naive_contract(lam, c1, c2, list(u), q)
+    vector = [
+        [(x - y) % q for x, y in zip(_oracle_sum([(p2, a), (p1, b)], u, q), z)]
+        for a, b, z in zip(c1, c2, cross)
+    ]
+    return vector, reduce_poly(conv_mul(p1, p2), list(u), q)
+
+
+def _hom_mul_worst(n):
+    """The tensor whose ``ProductTensor.extended`` puts the weight q-1 on
+    every pair it shares with the tensor (off-diagonal entries 1, diagonal
+    ``n - [i == k]``), the largest slots ``hom_mul``'s contraction can reach."""
+    return [[[n - (k == i) if i == j else 1 for k in range(n)] for j in range(n)]
+            for i in range(n)]
+
+
+def _ciphertext(q, u, vector, scalar):
+    return Ciphertext(tuple(RingPoly(q, u, c) for c in vector), RingPoly(q, u, scalar), 0)
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_hom_mul_matches_its_defining_formula(data):
+    q, u = data.draw(rings(degrees=(4, 16)))
+    d = len(u) - 1
+    n = data.draw(st.sampled_from((1, 2, 3, 5)))
+    lam = _hom_mul_worst(n) if data.draw(st.booleans()) else _symmetric(data.draw, q, n)
+    c1, c2 = (coefficient_vectors(data.draw, q, d, n) for _ in range(2))
+    p1, p2 = coefficient_vectors(data.draw, q, d, 2)
+    ch = ArithmeticChannel(p=2, q=q, omega=1, u=u, n=n, big_n=1, k0=1)
+    tensor = ProductTensor(tuple(tuple(tuple(row) for row in plane) for plane in lam))
+    got = hom_mul(ch, tensor, _ciphertext(q, u, c1, p1), _ciphertext(q, u, c2, p2))
+    vector, scalar = _hom_mul_oracle(lam, c1, p1, c2, p2, u, q)
+    assert [list(part.coeffs) for part in got.c] == vector
+    assert list(got.cprime.coeffs) == scalar
+
+
+def test_hom_mul_worst_case_at_the_large_channel():
+    """n = 10, d = 64, 57-bit q, all-(q-1) ciphertexts and the worst-weight
+    tensor for the extended contraction.  Every product is the same
+    polynomial P, so slot k is ``(2 - sum_ij lam[i][j][k]) * P`` and the
+    scalar part is P."""
+    q, n, d = LARGE_Q, 10, 64
+    u = tuple([-1] + [0] * (d - 1) + [1])
+    lam = tuple(tuple(tuple(row) for row in plane) for plane in _hom_mul_worst(n))
+    top = [q - 1] * d
+    product = reduce_poly(conv_mul(top, top), list(u), q)
+    ct = _ciphertext(q, u, [top] * n, top)
+    ch = ArithmeticChannel(p=3, q=q, omega=1, u=u, n=n, big_n=8, k0=1)
+    got = hom_mul(ch, ProductTensor(lam), ct, ct)
+    for k, part in enumerate(got.c):
+        weight = 2 - sum(lam[i][j][k] for i in range(n) for j in range(n))
+        assert list(part.coeffs) == [(weight * c) % q for c in product]
+    assert list(got.cprime.coeffs) == product

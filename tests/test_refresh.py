@@ -385,3 +385,15 @@ def test_refresh_at_a_budget_equal_to_the_post_refresh_level():
     fresh = refresh_ct(bundle.public, ch, bundle.tensor, bundle.refresher, ready, rng)
     assert fresh.level == 60
     assert decrypt(bundle.secret, ch, fresh) == 1
+
+
+def test_make_refreshable_gives_up_after_the_attempt_budget(desk_bundle, rng):
+    from aces.refresh import REFRESH_ATTEMPTS
+
+    ch = desk_bundle.channel
+    calls = []
+    ct = encrypt(desk_bundle.public, ch, 1, rng)
+    assert make_refreshable(ct, lambda c: calls.append(c.level) and False,
+                            desk_bundle.public, ch, rng) is None
+    assert len(calls) == REFRESH_ATTEMPTS
+    assert calls == [ct.level * (1 + i) for i in range(REFRESH_ATTEMPTS)]
