@@ -199,4 +199,4 @@ def sample_message_carrier(ch: ArithmeticChannel, m: int, rng: RandomSource) -> 
 
 def in_noise_space(ch: ArithmeticChannel, e: RingPoly, k: int) -> bool:
     """Whether ``e`` evaluates to a multiple of p no greater than k*p."""
-    return is_leveled_multiple(ch.p, k, lift(ch.q, ch.eval(e)))
+    return is_leveled_multiple(ch.p, k, ch.eval(e))

@@ -6,6 +6,14 @@ The level is a certificate: the pair is claimed to sit in the encryption
 space of its message at that level, and every operation in the package
 updates it by the exact closed-form rules, all defined in this module,
 rather than re-deriving it from data.
+
+This is also the one module where secret-side code reads ciphertexts and
+keys, and it reads them only through the channel's evaluation map, a ring
+homomorphism onto Z_q.  A ciphertext's integer shadow ``(v, v')`` holds
+the negated evaluations of ``c`` and the evaluation of ``c'``; with the
+secret evaluations ``s``, the lifted sum ``v' + <v, s>`` is
+``eval(c' - <c, x>)`` modulo q, so decryption, the membership check and the
+refreshability index are integer arithmetic on it, with no ring product.
 """
 
 from __future__ import annotations
@@ -15,10 +23,13 @@ from fractions import Fraction
 
 from .channel import ArithmeticChannel, RandomSource, sample_message_carrier, sample_noise
 from .errors import NoiseBudgetError, ParameterError
-from .rings import RingPoly, is_leveled_multiple, lift, poly_vector_dot
+from .rings import RingPoly, is_leveled_multiple
 
 __all__ = [
     "Ciphertext",
+    "Pseudociphertext",
+    "evals",
+    "shadow",
     "encrypt",
     "encrypt_with_secret",
     "decrypt",
@@ -29,6 +40,7 @@ __all__ = [
     "checked_refresh_level",
     "has_refresh_headroom",
     "sample_mask",
+    "sample_divisible_vector",
     "in_encryption_space",
 ]
 
@@ -42,6 +54,35 @@ class Ciphertext:
     def __post_init__(self):
         if self.level < 0:
             raise ParameterError("noise level cannot be negative")
+
+
+@dataclass(frozen=True)
+class Pseudociphertext:
+    """Integer shadow of a ciphertext: negated vector evaluations plus the
+    scalar evaluation, all canonical residues mod q."""
+
+    v: tuple[int, ...]
+    vprime: int
+
+
+def evals(ch: ArithmeticChannel, polys) -> tuple[int, ...]:
+    """The channel evaluations of ``polys``, canonical residues mod q."""
+    return tuple(ch.eval(x) for x in polys)
+
+
+def shadow(ch: ArithmeticChannel, ct: Ciphertext) -> Pseudociphertext:
+    return Pseudociphertext(tuple((-v) % ch.q for v in evals(ch, ct.c)), ch.eval(ct.cprime))
+
+
+def _lifted_sum(sk, ch: ArithmeticChannel, ct: Ciphertext) -> int:
+    """``v' + <v, s>`` over Z, for the shadow ``(v, v')`` of ``ct`` and the
+    secret evaluations ``s``: congruent to ``eval(c' - <c, x>)`` mod q."""
+    if len(ct.c) != len(sk.polys):
+        raise ParameterError(
+            f"ciphertext has {len(ct.c)} vector parts, the secret key {len(sk.polys)}"
+        )
+    ps = shadow(ch, ct)
+    return ps.vprime + sum(v * s for v, s in zip(ps.v, evals(ch, sk.polys)))
 
 
 def within_budget(ch: ArithmeticChannel, level: int) -> bool:
@@ -82,6 +123,15 @@ def encrypt(pk, ch: ArithmeticChannel, m: int, rng: RandomSource) -> Ciphertext:
     return Ciphertext(tuple(c), carrier + masked, fresh_level(ch))
 
 
+def sample_divisible_vector(ch: ArithmeticChannel, rep, rng: RandomSource) -> tuple[RingPoly, ...]:
+    """One carrier per slot ``j``, evaluating to a uniform multiple of slot
+    ``j``'s prime: the divisibility-constrained module of vector parts."""
+    return tuple(
+        sample_message_carrier(ch, (rep.prime_of(j) * rng.below(ch.q)) % ch.q, rng)
+        for j in range(rep.n)
+    )
+
+
 def encrypt_with_secret(
     sk, rep, ch: ArithmeticChannel, m: int, k: int, rng: RandomSource
 ) -> Ciphertext:
@@ -91,13 +141,10 @@ def encrypt_with_secret(
     the divisibility-constrained module and the scalar part is built from
     the secret key itself.  Used for the refresher and for tests.
     """
-    c = tuple(
-        sample_message_carrier(ch, (rep.prime_of(j) * rng.below(ch.q)) % ch.q, rng)
-        for j in range(rep.n)
-    )
+    c = sample_divisible_vector(ch, rep, rng)
     carrier = sample_message_carrier(ch, m, rng)
     noise = sample_noise(ch, k, rng)
-    cprime = carrier + poly_vector_dot(c, sk.polys) + noise
+    cprime = carrier + sk.rows.combine(c)[0] + noise
     return Ciphertext(c, cprime, k)
 
 
@@ -111,8 +158,7 @@ def decrypt(sk, ch: ArithmeticChannel, ct: Ciphertext) -> int:
         raise NoiseBudgetError(
             f"noise budget exceeded: level {ct.level} > {ch.max_noise_level()}"
         )
-    inner = ct.cprime - poly_vector_dot(ct.c, sk.polys)
-    return lift(ch.q, ch.eval(inner)) % ch.p
+    return _lifted_sum(sk, ch, ct) % ch.q % ch.p
 
 
 def level_after(op: str, k1: int, k2: int, ch: ArithmeticChannel):
@@ -173,8 +219,8 @@ def in_encryption_space(sk, rep, ch: ArithmeticChannel, ct: Ciphertext, m: int, 
     Verifies the divisibility constraint on the vector part and that the
     scalar residual evaluates to the message plus level-``k`` noise.
     """
-    for j, cj in enumerate(ct.c):
-        if lift(ch.q, ch.eval(cj)) % rep.prime_of(j) != 0:
+    for j, value in enumerate(evals(ch, ct.c)):
+        if value % rep.prime_of(j) != 0:
             return False
-    residual = ch.eval(ct.cprime - poly_vector_dot(ct.c, sk.polys))
-    return is_leveled_multiple(ch.p, k, lift(ch.q, (residual - m) % ch.q))
+    residual = _lifted_sum(sk, ch, ct) % ch.q
+    return is_leveled_multiple(ch.p, k, (residual - m) % ch.q)

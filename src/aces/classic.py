@@ -166,13 +166,12 @@ class AcesScheme:
 
     def publish(self, state):
         bundle = state["bundle"]
-        return {"f0": bundle.public.f0, "fprime": bundle.public.fprime}
+        return {"public": bundle.public}
 
     def encrypt(self, published, m, rng):
         from .cipher import encrypt
-        from .keygen import PublicKey
 
-        return encrypt(PublicKey(published["f0"], published["fprime"]), self.channel, m, rng)
+        return encrypt(published["public"], self.channel, m, rng)
 
     def decrypt(self, state, ct):
         from .cipher import decrypt

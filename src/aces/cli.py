@@ -13,12 +13,11 @@ from pathlib import Path
 
 from . import serial
 from .channel import ArithmeticChannel, RandomSource
-from .cipher import decrypt, encrypt, within_budget
+from .cipher import decrypt, encrypt, evals, within_budget
 from .circuit import EvalKeys, RefreshPolicy, evaluate, parse_circuit
 from .errors import AcesError, CircuitError, NoiseBudgetError, ParameterError
 from .keygen import keygen
 from .refresh import make_refreshable, publicly_refreshable, refresh_ct
-from .rings import lift
 
 
 class _UsageError(Exception):
@@ -186,8 +185,7 @@ def _cmd_inspect(args) -> int:
         ct = serial.ciphertext_from_dict(ch, serial.load(args.ct))
         budget = ch.max_noise_level()
         print(f"decryptable: {'yes' if within_budget(ch, ct.level) else 'no'} (budget {budget})")
-        for j, cj in enumerate(ct.c):
-            value = lift(ch.q, ch.eval(cj))
+        for j, value in enumerate(evals(ch, ct.c)):
             prime = rep.prime_of(j)
             ok = "ok" if value % prime == 0 else "VIOLATED"
             print(f"slot {j}: eval {value}, factor {prime}: {ok}")

@@ -13,16 +13,11 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .channel import (
-    ArithmeticChannel,
-    RandomSource,
-    sample_message_carrier,
-    sample_noise,
-)
-from .cipher import Ciphertext, encrypt_with_secret
+from .channel import ArithmeticChannel, RandomSource, sample_noise
+from .cipher import Ciphertext, encrypt_with_secret, evals, sample_divisible_vector
 from .errors import GenerationError, ParameterError
 from .refresh import LocatorEntry, sample_locator_db
-from .rings import PackedRows, RingPoly, Repartition, lift, poly_vector_dot
+from .rings import PackedRows, RingPoly, Repartition
 
 __all__ = [
     "SecretKey",
@@ -46,6 +41,13 @@ REFRESHER_LEVEL = 1
 @dataclass(frozen=True)
 class SecretKey:
     polys: tuple[RingPoly, ...]
+
+    @cached_property
+    def rows(self) -> PackedRows:
+        """The secret as an ``n x 1`` packed matrix, for the two places that
+        publish ``<c, x>`` as a polynomial (``gen_public``,
+        ``encrypt_with_secret``); decryption reads only evaluations."""
+        return PackedRows((x,) for x in self.polys)
 
 
 @dataclass(frozen=True)
@@ -147,9 +149,7 @@ class KeyBundle:
 
 
 def _weighted_evals(ch: ArithmeticChannel, rep: Repartition, sk: SecretKey) -> list[int]:
-    return [
-        rep.prime_of(i) * lift(ch.q, ch.eval(x)) for i, x in enumerate(sk.polys)
-    ]
+    return [rep.prime_of(i) * e for i, e in enumerate(evals(ch, sk.polys))]
 
 
 def _bezout(values: list[int]) -> tuple[int, list[int]]:
@@ -197,20 +197,14 @@ def gen_secret(ch: ArithmeticChannel, rep: Repartition, rng: RandomSource) -> Se
 def gen_initializer(ch: ArithmeticChannel, rep: Repartition, rng: RandomSource):
     """N x n matrix whose column-j entries evaluate to multiples of slot j's
     prime, so fresh ciphertext vectors inherit the divisibility structure."""
-    return tuple(
-        tuple(
-            sample_message_carrier(ch, (rep.prime_of(j) * rng.below(ch.q)) % ch.q, rng)
-            for j in range(rep.n)
-        )
-        for _ in range(ch.big_n)
-    )
+    return tuple(sample_divisible_vector(ch, rep, rng) for _ in range(ch.big_n))
 
 
 def gen_public(ch: ArithmeticChannel, sk: SecretKey, f0, rng: RandomSource) -> PublicKey:
     """Mask each row's secret contraction with channel noise at the slack
     level k0."""
     fprime = tuple(
-        poly_vector_dot(row, sk.polys) + sample_noise(ch, ch.k0, rng) for row in f0
+        sk.rows.combine(row)[0] + sample_noise(ch, ch.k0, rng) for row in f0
     )
     return PublicKey(f0, fprime)
 
@@ -231,14 +225,14 @@ def gen_tensor(
     if g != 1:
         raise GenerationError("tensor generation needs coprime weighted evaluations")
     n = ch.n
-    evals = [lift(ch.q, ch.eval(x)) for x in sk.polys]
+    secret = evals(ch, sk.polys)
     coeffs = [[[0] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            forbidden = _degenerate_rows(evals, i, j, n)
+            forbidden = _degenerate_rows(secret, i, j, n)
             for _ in range(SECRET_ATTEMPTS):
                 mask = rng.below(ch.q)
-                base = evals[i] * evals[j] - mask * rep.weight(i, j)
+                base = secret[i] * secret[j] - mask * rep.weight(i, j)
                 row = tuple(
                     (rep.prime_of(k) * mu[k] * base) % ch.q for k in range(n)
                 )
@@ -256,9 +250,9 @@ def gen_tensor(
     return ProductTensor(tuple(tuple(tuple(r) for r in plane) for plane in coeffs))
 
 
-def _degenerate_rows(evals, i, j, n):
-    unit_i = tuple(evals[i] if k == j else 0 for k in range(n))
-    unit_j = tuple(evals[j] if k == i else 0 for k in range(n))
+def _degenerate_rows(secret, i, j, n):
+    unit_i = tuple(secret[i] if k == j else 0 for k in range(n))
+    unit_j = tuple(secret[j] if k == i else 0 for k in range(n))
     return {unit_i, unit_j}
 
 
@@ -270,13 +264,11 @@ def gen_refresher(
     The smallest nonzero level keeps post-refresh noise minimal while still
     masking the digit.
     """
-    rho = []
-    for x in sk.polys:
-        digit = lift(ch.q, ch.eval(x)) % ch.p
-        rho.append(
-            encrypt_with_secret(sk, rep, ch, digit, REFRESHER_LEVEL, rng)
-        )
-    return Refresher(tuple([REFRESHER_LEVEL] * ch.n), tuple(rho))
+    rho = tuple(
+        encrypt_with_secret(sk, rep, ch, e % ch.p, REFRESHER_LEVEL, rng)
+        for e in evals(ch, sk.polys)
+    )
+    return Refresher(tuple([REFRESHER_LEVEL] * ch.n), rho)
 
 
 def keygen(

@@ -1,10 +1,12 @@
 """Refreshability testing and the noise-reset operation.
 
 A ciphertext's integer shadow is the pair of evaluations
-``(eval<-c>, eval(c'))``.  The shadow is refreshable when the lifted dot
-product against the secret evaluations differs from its reduced form by an
-exact non-negative multiple of p*q; refreshable ciphertexts can have their
-noise rebuilt from scratch without decrypting.
+``(eval<-c>, eval(c'))`` (``cipher.shadow``, re-exported here).  The shadow
+is refreshable when the lifted dot product against the secret evaluations
+differs from its reduced form by an exact non-negative multiple of p*q;
+refreshable ciphertexts can have their noise rebuilt from scratch without
+decrypting.  The secret key is read only through its evaluations
+(``cipher.evals``), never through ring products.
 
 Two test routes exist.  With the secret key the defining identity is checked
 exactly, and a sufficient margin condition gives a cheaper certificate.
@@ -23,8 +25,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 from .channel import ArithmeticChannel, RandomSource
-from .cipher import Ciphertext, encrypt, post_refresh_level
-from .cipher import checked_refresh_level, has_refresh_headroom, within_budget
+from .cipher import Ciphertext, Pseudociphertext, encrypt, evals, post_refresh_level, shadow
+from .cipher import _lifted_sum, checked_refresh_level, has_refresh_headroom, within_budget
 from .errors import NoiseBudgetError
 from .homo import hom_add, scalar_product
 from .rings import lift
@@ -55,15 +57,6 @@ REFRESH_ATTEMPTS = 32
 
 
 @dataclass(frozen=True)
-class Pseudociphertext:
-    """Integer shadow of a ciphertext: negated vector evaluations plus the
-    scalar evaluation, all canonical residues mod q."""
-
-    v: tuple[int, ...]
-    vprime: int
-
-
-@dataclass(frozen=True)
 class LocatorEntry:
     """A published vector with its secret-side certificate.
 
@@ -77,27 +70,14 @@ class LocatorEntry:
     margin_num: int
 
 
-def shadow(ch: ArithmeticChannel, ct: Ciphertext) -> Pseudociphertext:
-    v = tuple((ch.q - lift(ch.q, ch.eval(ci))) % ch.q for ci in ct.c)
-    return Pseudociphertext(v, ch.eval(ct.cprime))
-
-
-def _secret_evals(sk, ch: ArithmeticChannel) -> tuple[int, ...]:
-    return tuple(lift(ch.q, ch.eval(x)) for x in sk.polys)
-
-
-def _dot(vec: tuple[int, ...], evals: tuple[int, ...]) -> int:
-    return sum(a * b for a, b in zip(vec, evals))
-
-
-def _split(ch: ArithmeticChannel, evals: tuple[int, ...], vec: tuple[int, ...]):
+def _split(ch: ArithmeticChannel, secret: tuple[int, ...], vec: tuple[int, ...]):
     """Locator index, director index (None when ``vec`` is not one) and the
     fractional numerator over q of ``vec``'s lifted dot product with the
     secret evaluations.  ``vec`` locates when the evaluation total minus the
     whole part is a non-negative multiple of p, and directs when the whole
     part is a multiple of p."""
-    whole, num = divmod(_dot(tuple(lift(ch.q, v) for v in vec), evals), ch.q)
-    diff = sum(evals) - whole
+    whole, num = divmod(sum(lift(ch.q, v) * s for v, s in zip(vec, secret)), ch.q)
+    diff = sum(secret) - whole
     loc = diff // ch.p if diff >= 0 and diff % ch.p == 0 else None
     return loc, (whole // ch.p if whole % ch.p == 0 else None), num
 
@@ -105,17 +85,17 @@ def _split(ch: ArithmeticChannel, evals: tuple[int, ...], vec: tuple[int, ...]):
 def margin(sk, ch: ArithmeticChannel, vec: tuple[int, ...]) -> Fraction:
     """Fractional part of the lifted dot product with the secret evaluations,
     as an exact rational with denominator q."""
-    return Fraction(_split(ch, _secret_evals(sk, ch), vec)[2], ch.q)
+    return Fraction(_split(ch, evals(ch, sk.polys), vec)[2], ch.q)
 
 
 def locator_index(sk, ch: ArithmeticChannel, vec: tuple[int, ...]):
     """The locator index of ``vec``, or None if it is not a locator."""
-    return _split(ch, _secret_evals(sk, ch), vec)[0]
+    return _split(ch, evals(ch, sk.polys), vec)[0]
 
 
 def director_index(sk, ch: ArithmeticChannel, vec: tuple[int, ...]):
     """The director index of ``vec``, or None."""
-    return _split(ch, _secret_evals(sk, ch), vec)[1]
+    return _split(ch, evals(ch, sk.polys), vec)[1]
 
 
 def refreshable_index(sk, ch: ArithmeticChannel, ct: Ciphertext):
@@ -124,9 +104,8 @@ def refreshable_index(sk, ch: ArithmeticChannel, ct: Ciphertext):
     Returns the index k for which the lifted dot-product identity holds with
     an exact offset of k*p*q, or None when no non-negative k works.
     """
-    ps = shadow(ch, ct)
     # The lifted sum minus its reduction is q times its whole part.
-    whole = (ps.vprime + _dot(ps.v, _secret_evals(sk, ch))) // ch.q
+    whole = _lifted_sum(sk, ch, ct) // ch.q
     return whole // ch.p if whole % ch.p == 0 else None
 
 
@@ -137,8 +116,7 @@ def margin_test(sk, ch: ArithmeticChannel, ct: Ciphertext) -> bool:
     ciphertext's level leaves enough headroom below the margin, decided in
     exact rational arithmetic.
     """
-    vec = tuple(lift(ch.q, ch.eval(ci)) for ci in ct.c)
-    loc, _, num = _split(ch, _secret_evals(sk, ch), vec)
+    loc, _, num = _split(ch, evals(ch, sk.polys), evals(ch, ct.c))
     return loc is not None and has_refresh_headroom(ch, ct.level, Fraction(num, ch.q))
 
 
@@ -214,8 +192,7 @@ def public_locator_search(db, ch: ArithmeticChannel, target: tuple[int, ...]) ->
 
 def publicly_refreshable(db, ch: ArithmeticChannel, ct: Ciphertext) -> bool:
     """Best-effort public refreshability certificate for a ciphertext."""
-    target = tuple(lift(ch.q, ch.eval(ci)) for ci in ct.c)
-    verdict = public_locator_search(db, ch, target)
+    verdict = public_locator_search(db, ch, evals(ch, ct.c))
     return verdict.verified and has_refresh_headroom(ch, ct.level, verdict.margin)
 
 
@@ -233,12 +210,12 @@ def sample_locator_db(
     """
     entries: list[LocatorEntry] = []
     want_loc, want_dir = n_locators, n_directors
-    evals = _secret_evals(sk, ch)
+    secret = evals(ch, sk.polys)
     draws = 0
     while (want_loc > 0 or want_dir > 0) and draws < LOCATOR_DRAWS:
         draws += 1
         vec = tuple(rng.below(ch.q) for _ in range(ch.n))
-        loc, dirk, num = _split(ch, evals, vec)
+        loc, dirk, num = _split(ch, secret, vec)
         if want_loc > 0 and loc is not None:
             entries.append(LocatorEntry(vec, "locator", loc, num))
             want_loc -= 1

@@ -8,7 +8,7 @@ every value in an object.
 Three layers live in this module:
 
 * the lift/reduce maps between ``Z_m`` and ``Z`` (and the quotient/remainder
-  split used by decryption),
+  split of a lifted decryption residual),
 * the quotient ring ``Z_q[X]/(u)`` for a monic ``u`` (one shared ``Ring``
   object per ``(q, u)``) and its elements; products are computed exactly
   by Kronecker substitution on packed integers, and a fixed matrix is kept
@@ -343,24 +343,6 @@ class RingPoly:
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
-
-
-def poly_vector_dot(vec_a: tuple, vec_b: tuple) -> RingPoly:
-    """Dot product of two equal-length RingPoly vectors.
-
-    The products are summed on packed integers and reduced once.
-    """
-    if len(vec_a) != len(vec_b):
-        raise ParameterError("vector length mismatch")
-    if not vec_a:
-        raise ParameterError("empty vectors have no dot product")
-    ring = vec_a[0].ring
-    if any(v.ring is not ring for v in vec_a) or any(v.ring is not ring for v in vec_b):
-        raise ParameterError("polynomials belong to different rings")
-    width = slot_bytes(len(vec_a) * ring.d * (ring.q - 1) ** 2)
-    pack = ring.pack
-    total = sum(pack(a.coeffs, width) * pack(b.coeffs, width) for a, b in zip(vec_a, vec_b))
-    return ring.unpack_product(total, width)
 
 
 class PackedRows:

@@ -64,6 +64,16 @@ def naive_contract(lam, v1, v2, u: list[int], q: int) -> list[list[int]]:
     return out
 
 
+def poly_vector_dot(vec_a, vec_b):
+    """sum_i vec_a[i] * vec_b[i] over RingPoly operands, one ring product
+    per term (``RingPoly.__mul__`` is itself checked against ``conv_mul``)."""
+    assert len(vec_a) == len(vec_b) and vec_a
+    total = vec_a[0] * vec_b[0]
+    for a, b in zip(vec_a[1:], vec_b[1:]):
+        total = total + a * b
+    return total
+
+
 def ring_op(a: list[int], b: list[int], op: str, u: list[int], q: int) -> list[int]:
     if op == "add":
         raw = [x + y for x, y in zip(a, b)]
@@ -89,14 +99,20 @@ def eval_nonneg(coeffs: list[int], omega: int, q: int) -> int:
     return total % q
 
 
-def brute_decrypt(secret_coeff_vectors, ch, ct_c_vectors, ct_cprime_coeffs) -> int:
-    """Decryption recomputed from first principles on raw coefficient lists."""
+def brute_residual(secret_coeff_vectors, ch, ct_c_vectors, ct_cprime_coeffs) -> int:
+    """eval(c' - sum_i c_i * x_i) mod q, with every ring product a
+    schoolbook product on raw coefficient lists."""
     u, q = list(ch.u), ch.q
     acc = [c % q for c in ct_cprime_coeffs]
     for c_vec, x_vec in zip(ct_c_vectors, secret_coeff_vectors):
         prod = reduce_poly(conv_mul(list(c_vec), list(x_vec)), u, q)
         acc = [(a - b) % q for a, b in zip(acc, prod)]
-    return eval_nonneg(acc, ch.omega % q, q) % ch.p
+    return eval_nonneg(acc, ch.omega % q, q)
+
+
+def brute_decrypt(secret_coeff_vectors, ch, ct_c_vectors, ct_cprime_coeffs) -> int:
+    """Decryption recomputed from first principles on raw coefficient lists."""
+    return brute_residual(secret_coeff_vectors, ch, ct_c_vectors, ct_cprime_coeffs) % ch.p
 
 
 def margin_fraction(vec, secret_evals, q: int) -> Fraction:

@@ -33,9 +33,9 @@ from aces.refresh import (
     refreshable_index,
     secret_refresh_checker,
 )
-from aces.rings import lift, poly_vector_dot, reduce_mod
+from aces.rings import lift, reduce_mod
 
-from oracles import brute_decrypt
+from oracles import brute_decrypt, poly_vector_dot
 
 
 @contextmanager

@@ -14,7 +14,9 @@ from aces.cipher import (
     sample_mask,
 )
 from aces.errors import NoiseBudgetError, ParameterError
-from aces.rings import lift, poly_vector_dot
+from aces.rings import lift
+
+from oracles import poly_vector_dot
 
 
 def test_roundtrip_all_messages_many_seeds(desk_bundle):

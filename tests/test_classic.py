@@ -104,3 +104,27 @@ def test_aces_through_the_same_driver(micro_channel):
         recovered, transcript = run_protocol(scheme, m, rng)
         assert recovered == m
         assert len(transcript) == 4
+
+
+def test_aces_driver_encryptions_share_the_packed_public_rows(micro_channel, monkeypatch):
+    """The driver hands ``encrypt`` the bundle's own ``PublicKey``, so its
+    packed rows are built once per key, not once per encryption."""
+    import importlib
+
+    # ``aces.keygen`` is also the name of the function the package exports.
+    keygen_module = importlib.import_module("aces.keygen")
+    scheme = AcesScheme(micro_channel)
+    rng = RandomSource(b"shared-rows")
+    state = scheme.generate(rng)
+    published = scheme.publish(state)
+    built = []
+
+    class CountingRows(keygen_module.PackedRows):
+        def __init__(self, rows):
+            built.append(self)
+            super().__init__(rows)
+
+    monkeypatch.setattr(keygen_module, "PackedRows", CountingRows)
+    for m in (0, 1):
+        assert scheme.decrypt(state, scheme.encrypt(published, m, rng)) == m
+    assert len(built) == 1

@@ -7,7 +7,9 @@ from aces.cipher import decrypt, encrypt, encrypt_with_secret, in_encryption_spa
 from aces.errors import NoiseBudgetError, ParameterError
 from aces.homo import hom_add, hom_mul, scalar_product, tensor_contract
 from aces.keygen import ProductTensor
-from aces.rings import lift, poly_vector_dot
+from aces.rings import lift
+
+from oracles import poly_vector_dot
 
 
 def _constrained_vector(bundle, rng):

@@ -10,8 +10,10 @@ from aces.channel import ArithmeticChannel, RandomSource, in_noise_space
 from aces.cipher import decrypt, in_encryption_space
 from aces.errors import GenerationError
 from aces.keygen import _bezout, gen_secret, keygen
-from aces.rings import Repartition, lift, poly_vector_dot
+from aces.rings import Repartition, lift
 from aces.serial import public_to_dict, secret_to_dict
+
+from oracles import poly_vector_dot
 
 
 def _weighted(bundle):

@@ -1,6 +1,7 @@
 """Packed (Kronecker) ring arithmetic against the schoolbook oracles.
 
-Products, dot products, row combinations of a packed matrix and tensor
+Products, dot products (a one-column packed matrix, the shape of
+``SecretKey.rows``), row combinations of a packed matrix and tensor
 contractions (``hom_mul`` included) are computed on packed integers whose
 slot width is derived from the largest possible result coefficient.
 All-(q-1) operands and tensors reach that largest value, so a slot one
@@ -19,7 +20,7 @@ from aces.cipher import Ciphertext
 from aces.errors import ParameterError
 from aces.homo import hom_mul, tensor_contract
 from aces.keygen import ProductTensor
-from aces.rings import PackedRows, Ring, RingPoly, poly_vector_dot
+from aces.rings import PackedRows, Ring, RingPoly
 
 from oracles import conv_mul, naive_contract, reduce_poly, ring_op
 
@@ -91,6 +92,7 @@ def test_make_reduces_long_inputs_like_the_oracle(data):
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_vector_dot_matches_oracle(data):
+    """A dot product as the combination of a one-column packed matrix."""
     q, u = data.draw(rings())
     d = len(u) - 1
     count = data.draw(st.integers(1, 12))
@@ -99,7 +101,8 @@ def test_vector_dot_matches_oracle(data):
     want = [0] * d
     for a, b in zip(va, vb):
         want = [(x + y) % q for x, y in zip(want, reduce_poly(conv_mul(a, b), list(u), q))]
-    got = poly_vector_dot(tuple(RingPoly(q, u, a) for a in va), tuple(RingPoly(q, u, b) for b in vb))
+    column = PackedRows((RingPoly(q, u, a),) for a in va)
+    (got,) = column.combine(tuple(RingPoly(q, u, b) for b in vb))
     assert list(got.coeffs) == want
 
 
