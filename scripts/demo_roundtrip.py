@@ -27,7 +27,7 @@ def main():
 
     checker = secret_refresh_checker(bundle.secret, ch)
     ready = make_refreshable(product, checker, bundle.public, ch, rng)
-    fresh = refresh_ct(bundle.public, ch, bundle.tensor, bundle.refresher, ready, rng)
+    fresh = refresh_ct(bundle.eval_keys, ready, rng)
     print(f"\nrefreshed the product: level {product.level} -> {fresh.level}, "
           f"still decrypts to {decrypt(bundle.secret, ch, fresh)}")
     print(f"refreshable index of the fresh ciphertext: "

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .channel import ArithmeticChannel, RandomSource
+from .channel import RandomSource
 from .cipher import Ciphertext, level_after, post_refresh_level
-from .errors import CircuitError, NoiseBudgetError
+from .errors import CircuitError, NoiseBudgetError, ParameterError
 from .homo import hom_add, hom_mul
-from .refresh import make_refreshable, publicly_refreshable, refresh_ct
+from .refresh import EvalKeys, make_refreshable, publicly_refreshable, refresh_ct
 
 __all__ = [
     "Gate",
@@ -102,38 +102,22 @@ def eval_plain(circuit: Circuit, env: dict[str, int], p: int) -> dict[str, int]:
 
 
 @dataclass(frozen=True)
-class EvalKeys:
-    """Evaluation-side material: everything public, nothing secret."""
-
-    channel: ArithmeticChannel
-    public: object
-    tensor: object
-    refresher: object
-    locators: tuple = ()
-
-    @staticmethod
-    def from_bundle(bundle) -> "EvalKeys":
-        return EvalKeys(
-            bundle.channel,
-            bundle.public,
-            bundle.tensor,
-            bundle.refresher,
-            bundle.locators,
-        )
-
-
-@dataclass
 class RefreshPolicy:
     """When and how the evaluator refreshes.
 
     ``checker`` is a predicate Ciphertext -> bool certifying refreshability;
     the default uses the published locator database, which is sound but
     frequently inconclusive.  A key owner can pass a secret-side checker
-    instead.  ``mode`` "off" disables refreshing entirely.
+    instead.  ``mode`` is "auto" or "off", which disables refreshing
+    entirely; any other mode is refused.
     """
 
     mode: str = "auto"
     checker: object = None
+
+    def __post_init__(self):
+        if self.mode not in ("auto", "off"):
+            raise ParameterError(f"refresh mode must be 'auto' or 'off', got {self.mode!r}")
 
     def resolve_checker(self, keys: EvalKeys):
         if self.checker is not None:
@@ -179,7 +163,7 @@ def evaluate(
         ready = make_refreshable(ct, checker, keys.public, ch, rng)
         if ready is None:
             return False
-        fresh = refresh_ct(keys.public, ch, keys.tensor, keys.refresher, ready, rng)
+        fresh = refresh_ct(keys, ready, rng)
         report.refresh_events.append((wire, ct.level, fresh.level))
         values[wire] = fresh
         return True

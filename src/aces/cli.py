@@ -159,6 +159,7 @@ def _cmd_eval(args) -> int:
 def _cmd_refresh(args) -> int:
     ch = _load_channel(args.channel)
     pk, rep, tensor, refresher, locators = serial.public_from_dict(ch, serial.load(args.pub))
+    keys = EvalKeys(ch, pk, tensor, refresher, locators)
     ct = serial.ciphertext_from_dict(ch, serial.load(args.ct))
     rng = RandomSource.from_hex(args.seed)
     if not args.assume_refreshable:
@@ -169,7 +170,7 @@ def _cmd_refresh(args) -> int:
                 "could not publicly verify refreshability; rerun with "
                 "--assume-refreshable if you hold an external certificate"
             )
-    fresh = refresh_ct(pk, ch, tensor, refresher, ct, rng)
+    fresh = refresh_ct(keys, ct, rng)
     serial.dump(serial.ciphertext_to_dict(fresh), args.out)
     print(f"wrote {args.out} (level {fresh.level})")
     return 0

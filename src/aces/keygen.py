@@ -16,7 +16,7 @@ from functools import cached_property
 from .channel import ArithmeticChannel, RandomSource, sample_noise
 from .cipher import Ciphertext, encrypt_with_secret, evals, sample_divisible_vector
 from .errors import GenerationError, ParameterError
-from .refresh import LocatorEntry, sample_locator_db
+from .refresh import EvalKeys, LocatorEntry, sample_locator_db
 from .rings import PackedRows, RingPoly, Repartition
 
 __all__ = [
@@ -146,6 +146,12 @@ class KeyBundle:
     tensor: ProductTensor
     refresher: Refresher
     locators: tuple[LocatorEntry, ...]
+
+    @cached_property
+    def eval_keys(self) -> EvalKeys:
+        """The public part as one ``EvalKeys``, made on first use and kept, so
+        its refresh matrix is built once per bundle."""
+        return EvalKeys(self.channel, self.public, self.tensor, self.refresher, self.locators)
 
 
 def _weighted_evals(ch: ArithmeticChannel, rep: Repartition, sk: SecretKey) -> list[int]:

@@ -14,22 +14,30 @@ Without the secret key, a published database of locator and director vectors
 (with their exact margins) supports a best-effort affine-decomposition test:
 it can verify refreshability but never refute it.
 
-The refresh itself re-encrypts the mod-p digits of the shadow with the
-public key and contracts them against the published refresher ciphertexts.
+The refresh itself encrypts the mod-p digits of the shadow with the public
+key and contracts each against its refresher ciphertext, adding an
+encryption of the scalar digit.  Encryption is linear in its mask and
+carrier, and the contraction is bilinear, so all of it is one combination
+of a fixed per-key matrix (``EvalKeys.refresh_rows``) with the freshly drawn
+masks and carriers.  The matrix is built on the first refresh with a key,
+and ``EvalKeys`` keeps it for every later one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations_with_replacement, product
 
-from .channel import ArithmeticChannel, RandomSource
-from .cipher import Ciphertext, Pseudociphertext, encrypt, evals, post_refresh_level, shadow
-from .cipher import _lifted_sum, checked_refresh_level, has_refresh_headroom, within_budget
-from .errors import NoiseBudgetError
-from .homo import hom_add, scalar_product
-from .rings import lift
+from .channel import ArithmeticChannel, RandomSource, sample_message_carrier
+from .cipher import (
+    Ciphertext, Pseudociphertext, _lifted_sum, checked_refresh_level, encrypt, evals,
+    has_refresh_headroom, post_refresh_level, sample_mask, shadow, within_budget,
+)
+from .errors import NoiseBudgetError, ParameterError
+from .homo import hom_add, tensor_contract
+from .rings import PackedRows, lift
 
 __all__ = [
     "Pseudociphertext",
@@ -43,6 +51,7 @@ __all__ = [
     "publicly_refreshable",
     "sample_locator_db",
     "post_refresh_level",
+    "EvalKeys",
     "refresh_ct",
     "make_refreshable",
     "secret_refresh_checker",
@@ -76,6 +85,8 @@ def _split(ch: ArithmeticChannel, secret: tuple[int, ...], vec: tuple[int, ...])
     secret evaluations.  ``vec`` locates when the evaluation total minus the
     whole part is a non-negative multiple of p, and directs when the whole
     part is a multiple of p."""
+    if len(vec) != ch.n:
+        raise ParameterError(f"vector has {len(vec)} entries, the secret key {ch.n}")
     whole, num = divmod(sum(lift(ch.q, v) * s for v, s in zip(vec, secret)), ch.q)
     diff = sum(secret) - whole
     loc = diff // ch.p if diff >= 0 and diff % ch.p == 0 else None
@@ -228,26 +239,62 @@ def sample_locator_db(
 # -- the refresh operation -------------------------------------------------
 
 
-def refresh_ct(
-    pk,
-    ch: ArithmeticChannel,
-    lam,
-    refresher,
-    ct: Ciphertext,
-    rng: RandomSource,
-) -> Ciphertext:
+@dataclass(frozen=True)
+class EvalKeys:
+    """Evaluation-side material: everything public, nothing secret."""
+
+    channel: ArithmeticChannel
+    public: object
+    tensor: object
+    refresher: object
+    locators: tuple = ()
+
+    @staticmethod
+    def from_bundle(bundle) -> "EvalKeys":
+        """The bundle's own evaluation keys, shared by every caller."""
+        return bundle.eval_keys
+
+    @cached_property
+    def refresh_rows(self) -> PackedRows:
+        """The refresh as one fixed matrix, built on first use.
+
+        With ``pk_r = (f0[r], fprime[r])`` and ``rho_i = (rho[i].c,
+        rho[i].c')``, a digit encryption is ``sum_r b[i][r] * pk_r +
+        carrier_i * e_n``, and the extended contraction with ``e_n`` returns
+        ``rho_i`` itself.  So the rows are ``contract(pk_r, rho_i)`` for
+        every digit ``i`` and row ``r``, then the ``pk_r`` (the scalar
+        digit's encryption), then the ``rho_i``: ``n*N + N + n`` rows of
+        ``n + 1`` columns, weighted by the masks in draw order and then the
+        digit carriers.
+        """
+        lam = self.tensor.extended
+        pk = tuple(row + (masked,) for row, masked in zip(self.public.f0, self.public.fprime))
+        rho = tuple((*r.c, r.cprime) for r in self.refresher.rho)
+        return PackedRows(
+            (*(tensor_contract(lam, row, r) for r in rho for row in pk), *pk, *rho)
+        )
+
+
+def refresh_ct(keys: EvalKeys, ct: Ciphertext, rng: RandomSource) -> Ciphertext:
     """Rebuild a refreshable ciphertext at the fixed post-refresh level.
 
     Refreshability itself must have been verified (or is asserted) by the
     caller; this routine checks only the level preconditions it can see
-    without the secret key (``checked_refresh_level``).
+    without the secret key (``checked_refresh_level``).  The draws are
+    those of encrypting each mod-p digit of the shadow and then its scalar
+    digit: per digit, a mask and then a carrier.
     """
-    level = checked_refresh_level(ch, refresher, ct.level)
+    ch = keys.channel
+    level = checked_refresh_level(ch, keys.refresher, ct.level)
+    if len(ct.c) != ch.n:
+        raise ParameterError(f"ciphertext has {len(ct.c)} vector parts, the channel {ch.n}")
     ps = shadow(ch, ct)
-    digit_cts = tuple(encrypt(pk, ch, v % ch.p, rng) for v in ps.v)
-    scalar_ct = encrypt(pk, ch, ps.vprime % ch.p, rng)
-    rebuilt = hom_add(ch, scalar_ct, scalar_product(ch, lam, digit_cts, refresher.rho))
-    return Ciphertext(rebuilt.c, rebuilt.cprime, level)
+    masks, carriers = [], []
+    for v in (*ps.v, ps.vprime):
+        masks += sample_mask(ch, rng)
+        carriers.append(sample_message_carrier(ch, v % ch.p, rng))
+    *c, cprime = keys.refresh_rows.combine((*masks, *carriers[:-1]))
+    return Ciphertext(tuple(c), cprime + carriers[-1], level)
 
 
 def secret_refresh_checker(sk, ch: ArithmeticChannel):

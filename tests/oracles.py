@@ -2,12 +2,18 @@
 
 Everything here is written against the definitions directly, with plain
 integer lists and a monomial-substitution reduction, deliberately not
-sharing code or algorithm shape with the package under test.
+sharing code or algorithm shape with the package under test.  The one
+exception is ``refresh_reference``, which composes the package's own
+encryption and homomorphic operations (each checked against the oracles
+above) into the refresh as it is defined.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from aces.cipher import encrypt, shadow
+from aces.homo import hom_add, scalar_product
 
 
 def conv_mul(a: list[int], b: list[int]) -> list[int]:
@@ -125,3 +131,15 @@ def margin_fraction(vec, secret_evals, q: int) -> Fraction:
 def floor_dot_over_q(vec, secret_evals, q: int) -> int:
     s = sum(int(a) * int(b) for a, b in zip(vec, secret_evals))
     return s // q
+
+
+def refresh_reference(keys, ct, rng):
+    """The refresh by its definition: a public encryption of each mod-p digit
+    of the shadow and then of its scalar digit, the digit encryptions folded
+    against the refresher by ``scalar_product``, plus the scalar encryption.
+    Returns the ciphertext at its accumulated level."""
+    ch = keys.channel
+    ps = shadow(ch, ct)
+    digits = tuple(encrypt(keys.public, ch, v % ch.p, rng) for v in ps.v)
+    scalar = encrypt(keys.public, ch, ps.vprime % ch.p, rng)
+    return hom_add(ch, scalar, scalar_product(ch, keys.tensor, digits, keys.refresher.rho))

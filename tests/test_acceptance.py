@@ -158,10 +158,7 @@ def test_07_refresh_correctness(desk_bundle):
             ct = encrypt(desk_bundle.public, ch, m, rng)
             if refreshable_index(desk_bundle.secret, ch, ct) is None:
                 continue
-            fresh = refresh_ct(
-                desk_bundle.public, ch, desk_bundle.tensor,
-                desk_bundle.refresher, ct, rng,
-            )
+            fresh = refresh_ct(desk_bundle.eval_keys, ct, rng)
             assert fresh.level == 60
             assert decrypt(desk_bundle.secret, ch, fresh) == decrypt(
                 desk_bundle.secret, ch, ct

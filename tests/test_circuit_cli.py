@@ -1,5 +1,6 @@
 """Tests for circuit parsing, the evaluator, serialization, and the CLI."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -20,7 +21,7 @@ from aces.circuit import (
     parse_circuit,
 )
 from aces.cli import main
-from aces.errors import CircuitError, NoiseBudgetError
+from aces.errors import CircuitError, NoiseBudgetError, ParameterError
 from aces.refresh import secret_refresh_checker
 
 # -- parsing ----------------------------------------------------------------
@@ -113,6 +114,20 @@ def test_mul_chain_fails_without_refresh(desk_bundle, rng):
     env = {"a": encrypt(desk_bundle.public, desk_bundle.channel, 1, rng)}
     with pytest.raises(NoiseBudgetError, match="t3"):
         evaluate(parse_circuit(DEPTH3), env, keys, RefreshPolicy(mode="off"), rng)
+
+
+@pytest.mark.parametrize("mode", ["Auto", "OFF", "on", ""])
+def test_refresh_policy_refuses_unknown_modes(mode):
+    with pytest.raises(ParameterError, match="refresh mode"):
+        RefreshPolicy(mode=mode)
+    policy = RefreshPolicy(mode="off")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        policy.mode = mode  # the check cannot be bypassed after construction
+    assert policy.mode == "off" and RefreshPolicy().mode == "auto"
+
+
+def test_evaluation_keys_are_one_class_everywhere():
+    assert aces.EvalKeys is EvalKeys is aces.refresh.EvalKeys
 
 
 def test_mul_chain_succeeds_with_refresh(desk_bundle, rng):

@@ -25,6 +25,8 @@ from aces.refresh import secret_refresh_checker
 DESK_ARGS = ["--p", "2", "--q", "15015", "--degree", "4", "--n", "3", "--bigN", "2", "--k0", "1"]
 MID_Q = math.prod((3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
 MID_ARGS = ["--p", "2", "--q", str(MID_Q), "--degree", "16", "--n", "6", "--bigN", "4", "--k0", "1"]
+ODD_Q = math.prod((5, 7, 11, 13, 17, 19))
+ODD_ARGS = ["--p", "3", "--q", str(ODD_Q), "--degree", "8", "--n", "4", "--bigN", "5", "--k0", "1"]
 LARGE_Q = math.prod((5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47))
 
 CIRCUIT = "in a b\nt = mul a b\ns = add t b\nr = mul s a\nout r s\n"
@@ -55,8 +57,24 @@ GOLDEN_DESK_REFRESH = {
     "t6.json": "dd88e5f979e4f2f12a4798cacb5554e24775260d0121902148ea03370df49827",
     "report.json": "b91b86242d6542c2a25f5d44f2b0e6ff66413e1cd5c7728e21877c963835d6cb",
 }
+# CLI keygen (seed 7e57), encrypt, then refresh --assume-refreshable (seed
+# f1), at mid and at the odd-row channel; the encryption seeds were picked so
+# that the input is refreshable, and the refreshed file decrypts to the message.
+GOLDEN_CLI_REFRESH = {
+    "mid": ("e4", 1, {
+        "keys/public.json": "b10bbe7797ecd97554596375ae0f55845afeb5f9f6d9582fd698df2fca350f11",
+        "keys/secret.json": "c45191c3ffae1546ade31a55131290da41de2086d3c9589a4c7907d812251466",
+        "a.json": "d1d4cb42d5d2ce838a654deebc77e26ac046c3bf86e08887c8fa341afb88c25e",
+        "fresh.json": "100e764bd75a97f6f35ae1c9ca5ad720adf1834e387ef38517c188ac711d98d5",
+    }),
+    "odd": ("e1", 2, {
+        "keys/public.json": "45aea8053f3fb1a5761ec5bfdd9b6759d2e240d6498170617c7d00900eeca41a",
+        "keys/secret.json": "9411abd3cb105e24ae6545e0503ec4ceb1c7b90e0074a24ee51d78e8bbbace57",
+        "a.json": "6dfd16f2190aacf37c1e1ed7c6938bd44e7257ecca2950774b53c7160a9b8571",
+        "fresh.json": "f615cf5dd39e7b14d4b4d593d90abb9577c8f4fce3cd1349b51bf880a6015d82",
+    }),
+}
 GOLDEN_LARGE_MUL = "3a839708e9c4b82bb88a10c1dd459c4744d2a42524fee0b7a1ffe14140515e7d"
-ODD_Q = math.prod((5, 7, 11, 13, 17, 19))
 GOLDEN_ODD_ROWS = {
     "public.json": "07bb8b79679aef284c780eb73d8d56cba0b5e649427a6141b2b9bf7d9b7ebb29",
     "secret.json": "a0dd2a8c456ff8232ff1aeb71ed8c1c12368f4900413f47bd93be4b2095ea9ec",
@@ -88,6 +106,23 @@ def test_cli_outputs_match_golden_digests(tmp_path, name, params):
           "--out", tmp_path / "out"])
     got = {rel: _digest(tmp_path / rel) for rel in GOLDEN_CLI[name]}
     assert got == GOLDEN_CLI[name]
+
+
+@pytest.mark.parametrize("name,params", [("mid", MID_ARGS), ("odd", ODD_ARGS)])
+def test_cli_refresh_matches_golden_digests(tmp_path, capsys, name, params):
+    seed, message, golden = GOLDEN_CLI_REFRESH[name]
+    keys = tmp_path / "keys"
+    files = ["--pub", keys / "public.json", "--channel", keys / "channel.json"]
+    _run(["keygen", *params, "--seed", "7e57", "--out", keys])
+    _run(["encrypt", *files, "--message", message, "--seed", seed, "--out", tmp_path / "a.json"])
+    _run(["refresh", *files, "--ct", tmp_path / "a.json", "--seed", "f1",
+          "--assume-refreshable", "--out", tmp_path / "fresh.json"])
+    got = {rel: _digest(tmp_path / rel) for rel in golden}
+    assert got == golden
+    capsys.readouterr()
+    _run(["decrypt", "--secret", keys / "secret.json", "--channel", keys / "channel.json",
+          "--ct", tmp_path / "fresh.json"])
+    assert capsys.readouterr().out.strip() == str(message)
 
 
 def test_desk_auto_refresh_matches_golden_digests(tmp_path, desk_channel):

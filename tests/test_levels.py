@@ -71,7 +71,7 @@ def test_emitted_levels_stay_within_the_budget(name, messages, ops, seed):
                 ready = make_refreshable(a, checker, pk, ch, rng)
                 if ready is None:
                     continue
-                ct, m = refresh_ct(pk, ch, bundle.tensor, bundle.refresher, ready, rng), ma
+                ct, m = refresh_ct(bundle.eval_keys, ready, rng), ma
         except NoiseBudgetError:
             continue
         assert ct.level <= budget

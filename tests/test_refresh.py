@@ -1,14 +1,19 @@
 """Tests for refreshability testing and the refresh operation."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from aces import refresh, serial
 from aces.channel import ArithmeticChannel, RandomSource
 from aces.cipher import Ciphertext, decrypt, encrypt, encrypt_with_secret
-from aces.errors import NoiseBudgetError
-from aces.keygen import SecretKey, keygen
+from aces.errors import NoiseBudgetError, ParameterError
+from aces.keygen import ProductTensor, PublicKey, Refresher, SecretKey, keygen
 from aces.refresh import (
+    EvalKeys,
     director_index,
     locator_index,
     make_refreshable,
@@ -22,9 +27,9 @@ from aces.refresh import (
     secret_refresh_checker,
     shadow,
 )
-from aces.rings import lift
+from aces.rings import RingPoly, lift
 
-from oracles import floor_dot_over_q, margin_fraction
+from oracles import floor_dot_over_q, margin_fraction, refresh_reference
 
 TINY = dict(p=2, q=15, omega=1, u=(-1, 0, 1), n=2, big_n=1, k0=1)
 
@@ -177,13 +182,11 @@ def test_margin_inequality_direction(desk_bundle, rng):
 
 
 def test_refresh_refuses_oversized_refresher(desk_bundle, rng):
-    from aces.keygen import Refresher
-
     ch = desk_bundle.channel
     bloated = Refresher((3000,) * ch.n, desk_bundle.refresher.rho)
     ct = encrypt(desk_bundle.public, ch, 1, rng)
     with pytest.raises(NoiseBudgetError, match="accumulated"):
-        refresh_ct(desk_bundle.public, ch, desk_bundle.tensor, bloated, ct, rng)
+        refresh_ct(EvalKeys(ch, desk_bundle.public, desk_bundle.tensor, bloated), ct, rng)
 
 
 def test_refreshable_digit_identity(desk_bundle, rng):
@@ -275,9 +278,7 @@ def test_refresh_preserves_plaintext(desk_bundle, rng):
         ct = encrypt(desk_bundle.public, ch, m, rng)
         if not margin_test(desk_bundle.secret, ch, ct):
             continue
-        fresh = refresh_ct(
-            desk_bundle.public, ch, desk_bundle.tensor, desk_bundle.refresher, ct, rng
-        )
+        fresh = refresh_ct(desk_bundle.eval_keys, ct, rng)
         assert fresh.level == 60
         assert decrypt(desk_bundle.secret, ch, fresh) == m
         done += 1
@@ -290,12 +291,12 @@ def test_refresh_level_is_input_independent(desk_bundle, rng):
         ct = encrypt(desk_bundle.public, ch, 1, rng)
         if margin_test(desk_bundle.secret, ch, ct):
             break
-    once = refresh_ct(desk_bundle.public, ch, desk_bundle.tensor, desk_bundle.refresher, ct, rng)
+    once = refresh_ct(desk_bundle.eval_keys, ct, rng)
     ready = make_refreshable(
         once, lambda c: margin_test(desk_bundle.secret, ch, c),
         desk_bundle.public, ch, rng,
     )
-    twice = refresh_ct(desk_bundle.public, ch, desk_bundle.tensor, desk_bundle.refresher, ready, rng)
+    twice = refresh_ct(desk_bundle.eval_keys, ready, rng)
     assert once.level == twice.level == 60
     assert decrypt(desk_bundle.secret, ch, twice) == 1
 
@@ -306,7 +307,7 @@ def test_refresh_refuses_past_budget(desk_bundle, rng):
         tuple(ch.zero() for _ in range(ch.n)), ch.constant(1), ch.max_noise_level() + 1
     )
     with pytest.raises(NoiseBudgetError):
-        refresh_ct(desk_bundle.public, ch, desk_bundle.tensor, desk_bundle.refresher, ct, rng)
+        refresh_ct(desk_bundle.eval_keys, ct, rng)
 
 
 def test_make_refreshable_with_secret_checker(desk_bundle, rng):
@@ -317,9 +318,7 @@ def test_make_refreshable_with_secret_checker(desk_bundle, rng):
         ready = make_refreshable(ct, checker, desk_bundle.public, ch, rng)
         assert ready is not None
         assert decrypt(desk_bundle.secret, ch, ready) == m
-        fresh = refresh_ct(
-            desk_bundle.public, ch, desk_bundle.tensor, desk_bundle.refresher, ready, rng
-        )
+        fresh = refresh_ct(desk_bundle.eval_keys, ready, rng)
         assert decrypt(desk_bundle.secret, ch, fresh) == m
 
 
@@ -347,14 +346,14 @@ def test_publicly_refreshable_is_sound(desk_bundle, rng):
 def test_refresh_refuses_an_accumulated_level_past_the_budget(rng):
     """k_star = 4 + 3 * 2 * (1 + 4 + 4) = 58 at p=2, N=2; q = 117 leaves a
     budget of 57, which the refresh guard must refuse before any work."""
-    from aces.keygen import Refresher
-
     ch = ArithmeticChannel(p=2, q=117, omega=1, u=(-1, 0, 0, 0, 1), n=3, big_n=2, k0=1)
     ch.require_valid()
     assert ch.max_noise_level() == 57
     ct = Ciphertext(tuple(ch.zero() for _ in range(ch.n)), ch.constant(1), 0)
+    keys = EvalKeys(ch, None, None, Refresher((1, 1, 1), ()))
     with pytest.raises(NoiseBudgetError, match="accumulated level 58"):
-        refresh_ct(None, ch, None, Refresher((1, 1, 1), ()), ct, rng)
+        refresh_ct(keys, ct, rng)
+    assert "refresh_rows" not in vars(keys)
 
 
 @pytest.mark.parametrize("q", [119, 121])
@@ -371,7 +370,7 @@ def test_refresh_refuses_a_post_refresh_level_past_the_budget(q):
     ready = make_refreshable(ct, secret_refresh_checker(bundle.secret, ch), bundle.public, ch, rng)
     assert ready is not None
     with pytest.raises(NoiseBudgetError, match="accumulated level 58"):
-        refresh_ct(bundle.public, ch, bundle.tensor, bundle.refresher, ready, rng)
+        refresh_ct(bundle.eval_keys, ready, rng)
 
 
 def test_refresh_at_a_budget_equal_to_the_post_refresh_level():
@@ -382,7 +381,7 @@ def test_refresh_at_a_budget_equal_to_the_post_refresh_level():
     assert ch.max_noise_level() == post_refresh_level(ch, bundle.refresher) == 60
     ct = encrypt(bundle.public, ch, 1, rng)
     ready = make_refreshable(ct, secret_refresh_checker(bundle.secret, ch), bundle.public, ch, rng)
-    fresh = refresh_ct(bundle.public, ch, bundle.tensor, bundle.refresher, ready, rng)
+    fresh = refresh_ct(bundle.eval_keys, ready, rng)
     assert fresh.level == 60
     assert decrypt(bundle.secret, ch, fresh) == 1
 
@@ -397,3 +396,111 @@ def test_make_refreshable_gives_up_after_the_attempt_budget(desk_bundle, rng):
                             desk_bundle.public, ch, rng) is None
     assert len(calls) == REFRESH_ATTEMPTS
     assert calls == [ct.level * (1 + i) for i in range(REFRESH_ATTEMPTS)]
+
+
+# -- wrong-length vectors ----------------------------------------------------
+
+
+@pytest.mark.parametrize("length", [0, 2, 4])
+def test_secret_side_tests_refuse_wrong_length_vectors(desk_bundle, length):
+    """A vector or ciphertext whose length is not n is refused, never read
+    against a truncated secret."""
+    ch, sk = desk_bundle.channel, desk_bundle.secret
+    vec = (5,) * length
+    for test in (margin, locator_index, director_index):
+        with pytest.raises(ParameterError, match=f"vector has {length} entries"):
+            test(sk, ch, vec)
+    ct = Ciphertext(tuple(ch.constant(5) for _ in range(length)), ch.constant(1), 0)
+    with pytest.raises(ParameterError, match=f"vector has {length} entries"):
+        margin_test(sk, ch, ct)
+
+
+def test_refresh_refuses_a_wrong_length_ciphertext(desk_bundle, rng):
+    ch = desk_bundle.channel
+    ct = encrypt(desk_bundle.public, ch, 1, rng)
+    short = Ciphertext(ct.c[:2], ct.cprime, ct.level)
+    with pytest.raises(ParameterError, match="2 vector parts"):
+        refresh_ct(desk_bundle.eval_keys, short, rng)
+
+
+# -- the refresh matrix --------------------------------------------------------
+
+
+def test_evaluation_keys_are_shared_and_built_lazily(desk_channel, tmp_path):
+    bundle = keygen(desk_channel, RandomSource(b"lazy"))
+    assert "eval_keys" not in vars(bundle)
+    keys = EvalKeys.from_bundle(bundle)
+    assert keys is EvalKeys.from_bundle(bundle) is bundle.eval_keys
+    assert "refresh_rows" not in vars(keys)
+    serial.dump(serial.public_to_dict(bundle), tmp_path / "public.json")
+    pk, _, tensor, refresher, locators = serial.public_from_dict(
+        desk_channel, serial.load(tmp_path / "public.json"))
+    loaded = EvalKeys(desk_channel, pk, tensor, refresher, locators)
+    assert "refresh_rows" not in vars(loaded)
+
+
+def test_refresh_matrix_is_built_once(desk_channel, monkeypatch):
+    ch = desk_channel
+    bundle = keygen(ch, RandomSource(b"built-once"))
+    rng = RandomSource(b"built-once/refresh")
+    contractions, contract = [], refresh.tensor_contract
+
+    def counted(*args):
+        contractions.append(args)
+        return contract(*args)
+
+    monkeypatch.setattr(refresh, "tensor_contract", counted)
+    checker = secret_refresh_checker(bundle.secret, ch)
+    for m in (1, 0):
+        ct = make_refreshable(encrypt(bundle.public, ch, m, rng), checker, bundle.public, ch, rng)
+        assert decrypt(bundle.secret, ch, refresh_ct(bundle.eval_keys, ct, rng)) == m
+    assert len(contractions) == ch.n * ch.big_n
+
+
+def _polys(data, ch, count):
+    """``count`` canonical ring elements: all q-1, or seeded uniform draws."""
+    if data.draw(st.booleans(), label="all q-1"):
+        coeffs = [[ch.q - 1] * ch.degree] * count
+    else:
+        rnd = random.Random(data.draw(st.integers(0, 2**32 - 1), label="coefficient seed"))
+        coeffs = [[rnd.randrange(ch.q) for _ in range(ch.degree)] for _ in range(count)]
+    return tuple(RingPoly(ch.q, ch.u, c) for c in coeffs)
+
+
+def _symmetric_tensor(data, ch):
+    n, top = ch.n, ch.q - 1
+    if data.draw(st.booleans(), label="all q-1"):
+        return ProductTensor(((((top,) * n),) * n,) * n)
+    rnd = random.Random(data.draw(st.integers(0, 2**32 - 1), label="tensor seed"))
+    t = [[[rnd.randrange(ch.q) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    return ProductTensor(tuple(
+        tuple(tuple(t[min(i, j)][max(i, j)]) for j in range(n)) for i in range(n)
+    ))
+
+
+# (p, q) pairs with p not dividing q in the second.
+REFERENCE_MODULI = ((2, 15015), (3, 5 * 7 * 11 * 13 * 17 * 19))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("big_n", [1, 2, 3, 5])
+@pytest.mark.parametrize("degree", [4, 16])
+@given(data=st.data())
+@settings(max_examples=6, deadline=None)
+def test_refresh_matches_the_encrypt_and_fold_reference(n, big_n, degree, data):
+    """On arbitrary canonical public rows, a symmetric tensor and refresher
+    ciphertexts, the one-combination refresh equals encrypting every digit
+    and folding with ``scalar_product``, draw for draw."""
+    p, q = data.draw(st.sampled_from(REFERENCE_MODULI), label="moduli")
+    ch = ArithmeticChannel(p=p, q=q, omega=1, u=(-1,) + (0,) * (degree - 1) + (1,),
+                           n=n, big_n=big_n, k0=1).require_valid()
+    f0 = tuple(_polys(data, ch, n) for _ in range(big_n))
+    rho = tuple(Ciphertext(_polys(data, ch, n), *_polys(data, ch, 1), 1) for _ in range(n))
+    keys = EvalKeys(ch, PublicKey(f0, _polys(data, ch, big_n)), _symmetric_tensor(data, ch),
+                    Refresher((1,) * n, rho))
+    ct = Ciphertext(_polys(data, ch, n), *_polys(data, ch, 1), 0)
+    seed = data.draw(st.binary(max_size=8), label="refresh seed")
+    got = refresh_ct(keys, ct, RandomSource(seed))
+    want = refresh_reference(keys, ct, RandomSource(seed))
+    assert (got.c, got.cprime) == (want.c, want.cprime)
+    assert got.level == post_refresh_level(ch, keys.refresher)
