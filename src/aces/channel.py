@@ -16,12 +16,13 @@ The two samplers draw the random material the scheme consumes:
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ParameterError
-from .rings import Ring, RingPoly, is_leveled_multiple, lift
+from .rings import Ring, RingPoly, _wrap, is_leveled_multiple, lift
 
 __all__ = [
     "ArithmeticChannel",
@@ -41,8 +42,6 @@ class RandomSource:
     """
 
     def __init__(self, seed: bytes):
-        if isinstance(seed, str):
-            seed = bytes.fromhex(seed)
         self.seed = bytes(seed)
         self._rng = random.Random(self.seed)
 
@@ -137,13 +136,22 @@ class ArithmeticChannel:
         return self.ring.poly(coeffs)
 
     def random_poly(self, rng: RandomSource) -> RingPoly:
-        return RingPoly(self.q, self.u, tuple(rng.below(self.q) for _ in range(self.degree)))
+        return _wrap(self.ring, tuple(rng.below(self.q) for _ in range(self.degree)))
+
+    @cached_property
+    def _omega_powers(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``omega^j`` and ``omega^-j`` mod q for ``j < deg(u)``; refuses an
+        omega that is not invertible mod q."""
+        q, w = self.q, self.omega % self.q
+        if math.gcd(w, q) != 1:
+            raise ParameterError("omega is not invertible mod q")
+        return tuple(tuple(pow(x, j, q) for j in range(self.degree)) for x in (w, pow(w, -1, q)))
 
     def eval(self, v: RingPoly) -> int:
         """The channel homomorphism: evaluate at omega into Z_q."""
         if v.ring is not self.ring:
             raise ParameterError("polynomial does not belong to this channel's ring")
-        return v.eval_at(self.omega % self.q)
+        return sum(map(operator.mul, v.coeffs, self._omega_powers[0])) % self.q
 
     def max_noise_level(self) -> int:
         """Largest level at which decryption is still guaranteed.
@@ -152,11 +160,6 @@ class ArithmeticChannel:
         """
         return self.q // self.p - 1
 
-    def _omega_inverse(self) -> int:
-        if math.gcd(self.omega % self.q, self.q) != 1:
-            raise ParameterError("omega is not invertible mod q")
-        return pow(self.omega % self.q, -1, self.q)
-
 
 def _pivot_poly(ch: ArithmeticChannel, target: int, rng: RandomSource) -> RingPoly:
     """Random polynomial evaluating to ``target`` at omega.
@@ -164,19 +167,19 @@ def _pivot_poly(ch: ArithmeticChannel, target: int, rng: RandomSource) -> RingPo
     Free coefficients are uniform; one pivot coefficient (at a random index
     >= 1) is solved so the evaluation comes out exactly right.
     """
-    d = ch.degree
-    inv_omega = ch._omega_inverse()
+    q, d = ch.q, ch.degree
+    powers, inverses = ch._omega_powers
     pivot = rng.between(1, d - 1)
     coeffs = [0] * d
-    acc = target % ch.q
+    acc = target % q
     for j in range(d):
         if j == pivot:
             continue
-        a = rng.below(ch.q)
+        a = rng.below(q)
         coeffs[j] = a
-        acc = (acc - a * pow(ch.omega % ch.q, j, ch.q)) % ch.q
-    coeffs[pivot] = (acc * pow(inv_omega, pivot, ch.q)) % ch.q
-    return RingPoly(ch.q, ch.u, tuple(coeffs))
+        acc = (acc - a * powers[j]) % q
+    coeffs[pivot] = (acc * inverses[pivot]) % q
+    return _wrap(ch.ring, tuple(coeffs))
 
 
 def sample_noise(ch: ArithmeticChannel, k: int, rng: RandomSource) -> RingPoly:

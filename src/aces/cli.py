@@ -17,7 +17,7 @@ from .cipher import decrypt, encrypt, evals, within_budget
 from .circuit import EvalKeys, RefreshPolicy, evaluate, parse_circuit
 from .errors import AcesError, CircuitError, NoiseBudgetError, ParameterError
 from .keygen import keygen
-from .refresh import make_refreshable, publicly_refreshable, refresh_ct
+from .refresh import make_refreshable, refresh_ct
 
 
 class _UsageError(Exception):
@@ -88,9 +88,16 @@ def _load_channel(path) -> ArithmeticChannel:
     return serial.channel_from_dict(serial.load(path)).require_valid()
 
 
+def _load_keys(args) -> EvalKeys:
+    """The evaluation keys of ``--pub`` over the channel of ``--channel``."""
+    return serial.public_from_dict(_load_channel(args.channel), serial.load(args.pub))
+
+
 def _cmd_keygen(args) -> int:
     if args.u is not None:
         u = tuple(int(c) for c in args.u.split(","))
+        if len(u) - 1 != args.degree:
+            raise _UsageError(f"--u has degree {len(u) - 1}, --degree is {args.degree}")
     else:
         u = tuple([-1] + [0] * (args.degree - 1) + [1])
     ch = ArithmeticChannel(
@@ -108,9 +115,8 @@ def _cmd_keygen(args) -> int:
 
 
 def _cmd_encrypt(args) -> int:
-    ch = _load_channel(args.channel)
-    pk, _, _, _, _ = serial.public_from_dict(ch, serial.load(args.pub))
-    ct = encrypt(pk, ch, args.message % ch.p, RandomSource.from_hex(args.seed))
+    keys = _load_keys(args)
+    ct = encrypt(keys.public, keys.channel, args.message, RandomSource.from_hex(args.seed))
     serial.dump(serial.ciphertext_to_dict(ct), args.out)
     print(f"wrote {args.out} (level {ct.level})")
     return 0
@@ -125,16 +131,14 @@ def _cmd_decrypt(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    ch = _load_channel(args.channel)
-    pk, rep, tensor, refresher, locators = serial.public_from_dict(ch, serial.load(args.pub))
-    keys = EvalKeys(ch, pk, tensor, refresher, locators)
+    keys = _load_keys(args)
     circuit = parse_circuit(Path(args.circuit).read_text(encoding="utf-8"))
     env = {}
     for item in args.input:
         name, _, path = item.partition("=")
         if not path:
             raise _UsageError(f"--input expects NAME=FILE, got {item!r}")
-        env[name] = serial.ciphertext_from_dict(ch, serial.load(path))
+        env[name] = serial.ciphertext_from_dict(keys.channel, serial.load(path))
     policy = RefreshPolicy(mode=args.refresh)
     outputs, report = evaluate(circuit, env, keys, policy, RandomSource.from_hex(args.seed))
     out = Path(args.out)
@@ -157,14 +161,12 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_refresh(args) -> int:
-    ch = _load_channel(args.channel)
-    pk, rep, tensor, refresher, locators = serial.public_from_dict(ch, serial.load(args.pub))
-    keys = EvalKeys(ch, pk, tensor, refresher, locators)
+    keys = _load_keys(args)
+    ch = keys.channel
     ct = serial.ciphertext_from_dict(ch, serial.load(args.ct))
     rng = RandomSource.from_hex(args.seed)
     if not args.assume_refreshable:
-        checker = lambda c: publicly_refreshable(locators, ch, c)
-        ct = make_refreshable(ct, checker, pk, ch, rng)
+        ct = make_refreshable(ct, RefreshPolicy().resolve_checker(keys), keys.public, ch, rng)
         if ct is None:
             raise NoiseBudgetError(
                 "could not publicly verify refreshability; rerun with "
@@ -181,8 +183,8 @@ def _cmd_inspect(args) -> int:
     print(f"level: {data['level']}")
     print(f"vector parts: {len(data['c'])}")
     if args.channel and args.pub:
-        ch = _load_channel(args.channel)
-        _, rep, _, _, _ = serial.public_from_dict(ch, serial.load(args.pub))
+        keys = _load_keys(args)
+        ch, rep = keys.channel, keys.repartition
         ct = serial.ciphertext_from_dict(ch, serial.load(args.ct))
         budget = ch.max_noise_level()
         print(f"decryptable: {'yes' if within_budget(ch, ct.level) else 'no'} (budget {budget})")

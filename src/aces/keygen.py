@@ -151,7 +151,8 @@ class KeyBundle:
     def eval_keys(self) -> EvalKeys:
         """The public part as one ``EvalKeys``, made on first use and kept, so
         its refresh matrix is built once per bundle."""
-        return EvalKeys(self.channel, self.public, self.tensor, self.refresher, self.locators)
+        return EvalKeys(self.channel, self.public, self.tensor, self.refresher, self.locators,
+                        self.repartition)
 
 
 def _weighted_evals(ch: ArithmeticChannel, rep: Repartition, sk: SecretKey) -> list[int]:
@@ -277,12 +278,7 @@ def gen_refresher(
     return Refresher(tuple([REFRESHER_LEVEL] * ch.n), rho)
 
 
-def keygen(
-    ch: ArithmeticChannel,
-    rng: RandomSource,
-    n_locators: int = 4,
-    n_directors: int = 6,
-) -> KeyBundle:
+def keygen(ch: ArithmeticChannel, rng: RandomSource) -> KeyBundle:
     """Generate the full key bundle for a validated channel.
 
     The repartition is drawn uniformly; if a draw makes the secret's gcd
@@ -304,8 +300,6 @@ def keygen(
         f0 = gen_initializer(ch, rep, rng)
         pk = gen_public(ch, sk, f0, rng)
         refresher = gen_refresher(ch, rep, sk, rng)
-        locators = tuple(
-            sample_locator_db(sk, ch, rng, n_locators, n_directors)
-        )
+        locators = tuple(sample_locator_db(sk, ch, rng))
         return KeyBundle(ch, sk, pk, rep, tensor, refresher, locators)
     raise GenerationError(f"key generation failed: {last_error}")

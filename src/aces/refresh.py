@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 
 from .channel import ArithmeticChannel, RandomSource, sample_message_carrier
 from .cipher import (
@@ -150,54 +150,45 @@ class PublicVerdict:
 UNKNOWN = PublicVerdict(False)
 
 
-def _combine(ch: ArithmeticChannel, loc: LocatorEntry, dirs, signs):
-    """Apply the affine-combination rule to one candidate decomposition.
-
-    Returns (vector, index, margin) or None when a side condition fails:
-    the integer combination must stay componentwise inside [0, q) and the
-    margin combination must fall into a window [p*k', p*k'+1).
-    """
-    vec = list(loc.vec)
-    for entry, sign in zip(dirs, signs):
-        for idx, v in enumerate(entry.vec):
-            vec[idx] += sign * v
-    if any(not 0 <= v < ch.q for v in vec):
-        return None
-    margin_sum = Fraction(loc.margin_num, ch.q)
-    index = loc.k
-    for entry, sign in zip(dirs, signs):
-        margin_sum += sign * Fraction(entry.margin_num, ch.q)
+def _certify(ch: ArithmeticChannel, loc: LocatorEntry, steps) -> PublicVerdict | None:
+    """The combination rule's verdict on a decomposition equal to the
+    (canonical) target, or None when the combined margin misses every window
+    [p*k', p*k'+1) or the index goes negative."""
+    num, index = loc.margin_num, loc.k
+    for entry, sign, _ in steps:
+        num += sign * entry.margin_num
         index -= sign * entry.k
-    if margin_sum < 0:
-        return None
-    whole = margin_sum.numerator // margin_sum.denominator
-    if whole % ch.p != 0:
-        return None
+    whole, rest = divmod(num, ch.q)
     index -= whole // ch.p
-    if index < 0:
+    if num < 0 or whole % ch.p != 0 or index < 0:
         return None
-    return tuple(vec), index, margin_sum - whole
+    return PublicVerdict(True, index, Fraction(rest, ch.q))
 
 
 def public_locator_search(db, ch: ArithmeticChannel, target: tuple[int, ...]) -> PublicVerdict:
     """Search bounded +/- director combinations of published locators.
 
     Tries ``target = locator +/- d1 +/- ... +/- dr`` for r up to
-    ``SEARCH_BUDGET``.  On a hit, the combination rule yields the located index and the exact
-    combined margin.  Exhausting the search is not a negative claim.
+    ``SEARCH_BUDGET`` and certifies only a match: the combination rule yields
+    the located index and the exact combined margin.  Both are fixed by the
+    target's lifted dot product with the secret, so every certified match
+    gives the same verdict, whatever the search order.  A target that is not
+    ``n`` canonical residues is never hit.  Exhausting the search is not a
+    negative claim.
     """
-    locators = [e for e in db if e.kind == "locator"]
-    directors = [e for e in db if e.kind == "director"]
-    for loc in locators:
-        if loc.vec == target:
-            return PublicVerdict(True, loc.k, Fraction(loc.margin_num, ch.q))
-    for r in range(1, SEARCH_BUDGET + 1):
-        for loc in locators:
-            for dirs in combinations_with_replacement(directors, r):
-                for signs in product((1, -1), repeat=r):
-                    combo = _combine(ch, loc, dirs, signs)
-                    if combo is not None and combo[0] == target:
-                        return PublicVerdict(True, combo[1], combo[2])
+    target = tuple(target)
+    if len(target) != ch.n or not all(0 <= v < ch.q for v in target):
+        return UNKNOWN
+    signed = [(e, s, tuple(s * v for v in e.vec))
+              for e in db if e.kind == "director" for s in (1, -1)]
+    needs = [(tuple(t - v for t, v in zip(target, e.vec)), e) for e in db if e.kind == "locator"]
+    zero = (0,) * ch.n
+    for r in range(SEARCH_BUDGET + 1):
+        for steps in combinations_with_replacement(signed, r):
+            offset = tuple(map(sum, zip(zero, *[vec for _, _, vec in steps])))
+            for need, loc in needs:
+                if offset == need and (verdict := _certify(ch, loc, steps)) is not None:
+                    return verdict
     return UNKNOWN
 
 
@@ -241,13 +232,15 @@ def sample_locator_db(
 
 @dataclass(frozen=True)
 class EvalKeys:
-    """Evaluation-side material: everything public, nothing secret."""
+    """Evaluation-side material: everything public, nothing secret; what
+    ``serial.public_from_dict`` loads (the repartition serves inspection)."""
 
     channel: ArithmeticChannel
     public: object
     tensor: object
     refresher: object
     locators: tuple = ()
+    repartition: object = None
 
     @staticmethod
     def from_bundle(bundle) -> "EvalKeys":

@@ -2,21 +2,23 @@
 
 All residue-sized integers are rendered as decimal strings so files stay
 width-agnostic; structural integers (levels, indices, dimensions) stay
-plain.  Field order is fixed, which makes output files byte-stable under a
-fixed seed.  The secret key always lives in its own file and is never
-written by the public-material exporters.
+plain, and one reader (``_ints``) reads them all back exactly or refuses.
+Field order is fixed, which makes output files byte-stable under a fixed
+seed.  The secret key always lives in its own file and is never written by
+the public-material exporters.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 from .channel import ArithmeticChannel
 from .cipher import Ciphertext
 from .errors import ParameterError
-from .keygen import KeyBundle, ProductTensor, PublicKey, Refresher, SecretKey
-from .refresh import LocatorEntry
-from .rings import Repartition, RingPoly, factorize
+from .keygen import ProductTensor, PublicKey, Refresher, SecretKey
+from .refresh import EvalKeys, LocatorEntry
+from .rings import Repartition, RingPoly, _wrap, factorize
 
 __all__ = [
     "channel_to_dict",
@@ -32,32 +34,54 @@ __all__ = [
 ]
 
 
+def _ints(data, what: str, shape=(), below: int | None = None, signed: bool = False):
+    """The integers of ``data``: one, or nested lists of ``shape``.
+
+    ``shape`` gives each nesting level's length; the outermost may be
+    ``None``, which leaves it free.  An integer is a JSON integer (not a
+    boolean) or a decimal string, with a leading minus only when ``signed``;
+    residues mod ``below`` are ASCII decimal strings in ``[0, below)``.
+    Anything else (a float, a boolean, a value out of range) or a wrong
+    length is refused with ParameterError, never truncated or reduced; a
+    container of the wrong type is a TypeError.  Each check covers a whole
+    level in C, not with a Python call per value.
+    """
+    items = [data]
+    for count in shape:
+        if not set(map(type, items)) <= {list}:
+            raise TypeError(f"{what}: expected nested lists of shape {shape}")
+        if count is not None and not set(map(len, items)) <= {count}:
+            raise ParameterError(f"{what}: expected nested lists of shape {shape}")
+        items = list(chain.from_iterable(items))
+    ok, values = False, ()
+    if items and type(items[0]) is int:  # JSON integers; a boolean is not one
+        ok = below is None and set(map(type, items)) == {int} and (signed or min(items) >= 0)
+        values = tuple(items)
+    else:
+        try:  # non-empty strings of ASCII digits; int() refuses a misplaced minus
+            text = "".join(items)
+            ok = not items or all(items) and (
+                text.replace("-", "") if signed else text).encode("ascii").isdigit()
+            values = tuple(map(int, items)) if ok else ()
+        except (TypeError, ValueError):  # a float, a boolean, None, not ASCII, "1-"
+            ok = False
+    if not ok or below is not None and max(values, default=0) >= below:
+        raise ParameterError(f"{what}: expected " + (
+            f"decimal strings in [0, {below})" if below is not None
+            else "integers" if signed else "non-negative integers"))
+    for count in reversed(shape[1:]):
+        values = tuple(values[i:i + count] for i in range(0, len(values), count))
+    return values if shape else values[0]
+
+
+def _polys(ch: ArithmeticChannel, data, what: str, count: int) -> tuple[RingPoly, ...]:
+    """``count`` polynomials of exactly ``deg(u)`` canonical residues mod q;
+    nothing is reduced."""
+    return tuple(_wrap(ch.ring, c) for c in _ints(data, what, (count, ch.degree), ch.q))
+
+
 def _poly_out(poly: RingPoly) -> list[str]:
     return [str(c) for c in poly.coeffs]
-
-
-def _poly_in(ch: ArithmeticChannel, coeffs) -> RingPoly:
-    """Exactly ``deg(u)`` canonical residues mod q; nothing is reduced."""
-    return RingPoly(ch.q, ch.u, [int(c) for c in coeffs])
-
-
-def _polys_in(ch: ArithmeticChannel, items, count: int, what: str) -> tuple[RingPoly, ...]:
-    if len(items) != count:
-        raise ParameterError(f"{what}: expected {count} polynomials, got {len(items)}")
-    return tuple(_poly_in(ch, p) for p in items)
-
-
-def _tensor_in(ch: ArithmeticChannel, planes) -> ProductTensor:
-    """An ``n x n x n`` symmetric tensor of canonical residues mod q."""
-    if len(planes) != ch.n:
-        raise ParameterError(f"lambda: expected {ch.n} planes, got {len(planes)}")
-    # ProductTensor itself rejects a tensor that is not a symmetric cube.
-    tensor = ProductTensor(
-        tuple(tuple(tuple(int(v) for v in row) for row in plane) for plane in planes)
-    )
-    if any(not 0 <= v < ch.q for plane in tensor.coeffs for row in plane for v in row):
-        raise ParameterError(f"lambda: entries must be canonical residues mod {ch.q}")
-    return tensor
 
 
 def channel_to_dict(ch: ArithmeticChannel) -> dict:
@@ -73,14 +97,11 @@ def channel_to_dict(ch: ArithmeticChannel) -> dict:
 
 
 def channel_from_dict(data: dict) -> ArithmeticChannel:
+    p, q, n, big_n, k0 = _ints([data[k] for k in ("p", "q", "n", "N", "k0")], "channel", (5,))
     return ArithmeticChannel(
-        p=int(data["p"]),
-        q=int(data["q"]),
-        omega=int(data["omega"]),
-        u=tuple(int(c) for c in data["u"]),
-        n=int(data["n"]),
-        big_n=int(data["N"]),
-        k0=int(data["k0"]),
+        p=p, q=q, n=n, big_n=big_n, k0=k0,
+        omega=_ints(data["omega"], "omega", signed=True),
+        u=_ints(data["u"], "u", (None,), signed=True),
     )
 
 
@@ -94,9 +115,9 @@ def ciphertext_to_dict(ct: Ciphertext) -> dict:
 
 def ciphertext_from_dict(ch: ArithmeticChannel, data: dict) -> Ciphertext:
     return Ciphertext(
-        _polys_in(ch, data["c"], ch.n, "ciphertext vector"),
-        _poly_in(ch, data["cprime"]),
-        int(data["level"]),
+        _polys(ch, data["c"], "ciphertext vector", ch.n),
+        _wrap(ch.ring, _ints(data["cprime"], "ciphertext scalar part", (ch.degree,), ch.q)),
+        _ints(data["level"], "ciphertext level"),
     )
 
 
@@ -109,74 +130,56 @@ def _locator_to_dict(entry: LocatorEntry) -> dict:
     }
 
 
-def _locator_from_dict(ch: ArithmeticChannel, data: dict) -> LocatorEntry:
-    vec = tuple(int(v) for v in data["vec"])
-    if len(vec) != ch.n or any(not 0 <= v < ch.q for v in vec):
-        raise ParameterError(f"locator vec: expected {ch.n} canonical residues mod {ch.q}")
-    if data["kind"] not in ("locator", "director"):
-        raise ParameterError(f"locator kind must be locator or director, got {data['kind']!r}")
-    return LocatorEntry(vec, data["kind"], int(data["k"]), int(data["margin_num"]))
-
-
-def _repartition_in(ch: ArithmeticChannel, data: dict) -> Repartition:
-    """The prime factors of q, in order, and one assignment per slot."""
-    primes, factors = tuple(int(p) for p in data["primes"]), factorize(ch.q)
-    if list(primes) != factors:
-        raise ParameterError(f"sigma: primes must be the prime factors of q, {factors}")
-    assignment = tuple(int(v) for v in data["map"])
-    if len(assignment) != ch.n:
-        raise ParameterError(f"sigma: expected {ch.n} map entries, got {len(assignment)}")
-    return Repartition(ch.q, primes, assignment)
-
-
-def _refresher_in(ch: ArithmeticChannel, data: dict) -> Refresher:
-    """One non-negative level and one ciphertext per secret slot."""
-    kappa = tuple(int(k) for k in data["kappa"])
-    if len(kappa) != ch.n or len(data["rho"]) != ch.n:
-        raise ParameterError(
-            f"refresher: expected {ch.n} levels and ciphertexts, "
-            f"got {len(kappa)} and {len(data['rho'])}"
-        )
-    if min(kappa) < 0:
-        raise ParameterError("refresher: levels cannot be negative")
-    return Refresher(kappa, tuple(ciphertext_from_dict(ch, d) for d in data["rho"]))
-
-
-def public_to_dict(bundle: KeyBundle) -> dict:
-    """Everything publishable from a key bundle; never the secret."""
-    rep = bundle.repartition
+def public_to_dict(keys) -> dict:
+    """Everything publishable from a key bundle or its ``EvalKeys``; never
+    the secret."""
+    rep = keys.repartition
     return {
-        "f0": [[_poly_out(p) for p in row] for row in bundle.public.f0],
-        "fprime": [_poly_out(p) for p in bundle.public.fprime],
+        "f0": [[_poly_out(p) for p in row] for row in keys.public.f0],
+        "fprime": [_poly_out(p) for p in keys.public.fprime],
         "sigma": {
             "map": list(rep.assignment),
             "primes": [str(p) for p in rep.primes],
         },
         "lambda": [
-            [[str(v) for v in row] for row in plane] for plane in bundle.tensor.coeffs
+            [[str(v) for v in row] for row in plane] for plane in keys.tensor.coeffs
         ],
         "refresher": {
-            "kappa": list(bundle.refresher.kappa),
-            "rho": [ciphertext_to_dict(ct) for ct in bundle.refresher.rho],
+            "kappa": list(keys.refresher.kappa),
+            "rho": [ciphertext_to_dict(ct) for ct in keys.refresher.rho],
         },
-        "locators": [_locator_to_dict(e) for e in bundle.locators],
+        "locators": [_locator_to_dict(e) for e in keys.locators],
     }
 
 
-def public_from_dict(ch: ArithmeticChannel, data: dict):
-    """Returns (PublicKey, Repartition, ProductTensor, Refresher, locators)."""
-    f0 = data["f0"]
-    if len(f0) != ch.big_n:
-        raise ParameterError(f"f0: expected {ch.big_n} rows, got {len(f0)}")
-    pk = PublicKey(
-        tuple(_polys_in(ch, row, ch.n, "f0 row") for row in f0),
-        _polys_in(ch, data["fprime"], ch.big_n, "fprime"),
+def public_from_dict(ch: ArithmeticChannel, data: dict) -> EvalKeys:
+    """The public file as the evaluation keys it publishes."""
+    n, sigma, fresh = ch.n, data["sigma"], data["refresher"]
+    f0 = _ints(data["f0"], "f0", (ch.big_n, n, ch.degree), ch.q)
+    public = PublicKey(tuple(tuple(_wrap(ch.ring, c) for c in row) for row in f0),
+                       _polys(ch, data["fprime"], "fprime", ch.big_n))
+    primes, factors = _ints(sigma["primes"], "sigma primes", (None,)), factorize(ch.q)
+    if list(primes) != factors:
+        raise ParameterError(f"sigma: primes must be the prime factors of q, {factors}")
+    rep = Repartition(ch.q, primes, _ints(sigma["map"], "sigma map", (n,)))
+    # ProductTensor itself rejects a tensor that is not symmetric.
+    tensor = ProductTensor(_ints(data["lambda"], "lambda", (n, n, n), ch.q))
+    if len(fresh["rho"]) != n:
+        raise ParameterError(f"refresher: expected {n} ciphertexts, got {len(fresh['rho'])}")
+    refresher = Refresher(_ints(fresh["kappa"], "refresher levels", (n,)),
+                          tuple(ciphertext_from_dict(ch, d) for d in fresh["rho"]))
+    entries = data["locators"]
+    kinds = [e["kind"] for e in entries]
+    if not set(kinds) <= {"locator", "director"}:
+        raise ParameterError(f"locator kinds must be locator or director, got {kinds}")
+    locators = map(
+        LocatorEntry,
+        _ints([e["vec"] for e in entries], "locator vec", (None, n), ch.q),
+        kinds,
+        _ints([e["k"] for e in entries], "locator k", (None,)),
+        _ints([e["margin_num"] for e in entries], "locator margin", (None,), ch.q),
     )
-    rep = _repartition_in(ch, data["sigma"])
-    tensor = _tensor_in(ch, data["lambda"])
-    refresher = _refresher_in(ch, data["refresher"])
-    locators = tuple(_locator_from_dict(ch, d) for d in data.get("locators", []))
-    return pk, rep, tensor, refresher, locators
+    return EvalKeys(ch, public, tensor, refresher, tuple(locators), rep)
 
 
 def secret_to_dict(sk: SecretKey) -> dict:
@@ -184,7 +187,7 @@ def secret_to_dict(sk: SecretKey) -> dict:
 
 
 def secret_from_dict(ch: ArithmeticChannel, data: dict) -> SecretKey:
-    return SecretKey(_polys_in(ch, data["secret"], ch.n, "secret"))
+    return SecretKey(_polys(ch, data["secret"], "secret", ch.n))
 
 
 def dump(data: dict, path) -> None:

@@ -11,9 +11,11 @@ above) into the refresh as it is defined.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 
 from aces.cipher import encrypt, shadow
 from aces.homo import hom_add, scalar_product
+from aces.refresh import SEARCH_BUDGET, UNKNOWN, PublicVerdict
 
 
 def conv_mul(a: list[int], b: list[int]) -> list[int]:
@@ -143,3 +145,45 @@ def refresh_reference(keys, ct, rng):
     digits = tuple(encrypt(keys.public, ch, v % ch.p, rng) for v in ps.v)
     scalar = encrypt(keys.public, ch, ps.vprime % ch.p, rng)
     return hom_add(ch, scalar, scalar_product(ch, keys.tensor, digits, keys.refresher.rho))
+
+
+def public_search_reference(db, ch, target):
+    """The public locator search as first written: every candidate
+    decomposition is combined and bounds-checked, its margin summed as exact
+    rationals, and only then compared with the target."""
+
+    def combine(loc, dirs, signs):
+        vec = list(loc.vec)
+        for entry, sign in zip(dirs, signs):
+            for idx, v in enumerate(entry.vec):
+                vec[idx] += sign * v
+        if any(not 0 <= v < ch.q for v in vec):
+            return None
+        margin_sum = Fraction(loc.margin_num, ch.q)
+        index = loc.k
+        for entry, sign in zip(dirs, signs):
+            margin_sum += sign * Fraction(entry.margin_num, ch.q)
+            index -= sign * entry.k
+        if margin_sum < 0:
+            return None
+        whole = margin_sum.numerator // margin_sum.denominator
+        if whole % ch.p != 0:
+            return None
+        index -= whole // ch.p
+        if index < 0:
+            return None
+        return tuple(vec), index, margin_sum - whole
+
+    locators = [e for e in db if e.kind == "locator"]
+    directors = [e for e in db if e.kind == "director"]
+    for loc in locators:
+        if loc.vec == target:
+            return PublicVerdict(True, loc.k, Fraction(loc.margin_num, ch.q))
+    for r in range(1, SEARCH_BUDGET + 1):
+        for loc in locators:
+            for dirs in combinations_with_replacement(directors, r):
+                for signs in product((1, -1), repeat=r):
+                    combo = combine(loc, dirs, signs)
+                    if combo is not None and combo[0] == target:
+                        return PublicVerdict(True, combo[1], combo[2])
+    return UNKNOWN

@@ -201,12 +201,12 @@ def test_public_bundle_roundtrip(desk_bundle, tmp_path):
     ch = desk_bundle.channel
     path = tmp_path / "public.json"
     serial.dump(serial.public_to_dict(desk_bundle), path)
-    pk, rep, tensor, refresher, locators = serial.public_from_dict(ch, serial.load(path))
-    assert pk == desk_bundle.public
-    assert rep == desk_bundle.repartition
-    assert tensor == desk_bundle.tensor
-    assert refresher == desk_bundle.refresher
-    assert locators == desk_bundle.locators
+    keys = serial.public_from_dict(ch, serial.load(path))
+    assert keys.public == desk_bundle.public
+    assert keys.repartition == desk_bundle.repartition
+    assert keys.tensor == desk_bundle.tensor
+    assert keys.refresher == desk_bundle.refresher
+    assert keys.locators == desk_bundle.locators
     assert "secret" not in serial.load(path)
 
 
@@ -304,6 +304,27 @@ def test_cli_usage_error_is_exit_1():
     assert main(["bogus"]) == 1
 
 
+@pytest.mark.parametrize("message", ["2", "5", "-1"])
+def test_cli_encrypt_refuses_a_message_outside_zp(cli_keys, tmp_path, message):
+    """The message is encrypted as given, never reduced mod p (2 here)."""
+    out = tmp_path / "m.json"
+    assert main([
+        "encrypt", "--pub", str(cli_keys / "public.json"),
+        "--channel", str(cli_keys / "channel.json"),
+        "--message", message, "--seed", "0a", "--out", str(out),
+    ]) == 2
+    assert not out.exists()
+
+
+def test_cli_keygen_refuses_u_of_another_degree(tmp_path):
+    out = tmp_path / "keys"
+    assert main([
+        "keygen", "--p", "2", "--q", "15015", "--degree", "4", "--n", "3", "--bigN", "2",
+        "--k0", "1", "--seed", "00ff", "--u=-1,0,0,0,0,0,0,0,1", "--out", str(out),
+    ]) == 1
+    assert not out.exists()
+
+
 def test_cli_missing_file_is_exit_1(tmp_path):
     assert main([
         "decrypt", "--secret", str(tmp_path / "nope.json"),
@@ -334,7 +355,7 @@ def test_cli_decrypt_past_budget_is_exit_2(cli_keys, tmp_path):
 def test_cli_refresh_with_assertion_flag(cli_keys, tmp_path, capsys):
     ch = serial.channel_from_dict(serial.load(cli_keys / "channel.json"))
     sk = serial.secret_from_dict(ch, serial.load(cli_keys / "secret.json"))
-    pk, _, _, _, _ = serial.public_from_dict(ch, serial.load(cli_keys / "public.json"))
+    pk = serial.public_from_dict(ch, serial.load(cli_keys / "public.json")).public
     # find a seed whose encryption of 1 is refreshable, then refresh via CLI
     seed = 0
     while True:

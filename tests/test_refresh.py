@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings
@@ -24,12 +25,13 @@ from aces.refresh import (
     publicly_refreshable,
     refresh_ct,
     refreshable_index,
+    sample_locator_db,
     secret_refresh_checker,
     shadow,
 )
 from aces.rings import RingPoly, lift
 
-from oracles import floor_dot_over_q, margin_fraction, refresh_reference
+from oracles import floor_dot_over_q, margin_fraction, public_search_reference, refresh_reference
 
 TINY = dict(p=2, q=15, omega=1, u=(-1, 0, 1), n=2, big_n=1, k0=1)
 
@@ -232,23 +234,58 @@ def test_search_derived_combinations_match_secret_oracle(desk_channel):
     ch = desk_channel
     checked = 0
     for seed in range(6):
-        bundle = keygen(ch, RandomSource(b"combo" + bytes([seed])),
-                        n_locators=5, n_directors=8)
-        locs = [e for e in bundle.locators if e.kind == "locator"]
-        dirs = [e for e in bundle.locators if e.kind == "director"]
+        rng = RandomSource(b"combo" + bytes([seed]))
+        bundle = keygen(ch, rng)
+        db = sample_locator_db(bundle.secret, ch, rng, 5, 8)
+        locs = [e for e in db if e.kind == "locator"]
+        dirs = [e for e in db if e.kind == "director"]
         for loc in locs:
             for d in dirs:
                 for sign in (1, -1):
                     vec = tuple(a + sign * b for a, b in zip(loc.vec, d.vec))
                     if any(not 0 <= v < ch.q for v in vec):
                         continue
-                    verdict = public_locator_search(bundle.locators, ch, vec)
+                    verdict = public_locator_search(db, ch, vec)
                     if not verdict.verified:
                         continue
                     checked += 1
                     assert locator_index(bundle.secret, ch, vec) == verdict.k
                     assert margin(bundle.secret, ch, vec) == verdict.margin
     assert checked > 10
+
+
+@pytest.mark.parametrize("params", [
+    dict(p=2, q=15015, omega=1, u=(-1, 0, 0, 0, 1), n=3, big_n=2, k0=1),
+    dict(p=3, q=5 * 7 * 11 * 13, omega=1, u=(-1, 0, 0, 0, 1), n=3, big_n=2, k0=1),
+], ids=["desk", "p3"])
+def test_search_matches_reference_on_hits_and_misses(params):
+    """Comparing before certifying gives the verdicts of the search that
+    certified every candidate: on ``loc +/- d1 +/- d2`` built from the
+    database (in and out of range), on random vectors and on a vector of the
+    wrong length."""
+    ch = ArithmeticChannel(**params).require_valid()
+    db = keygen(ch, RandomSource(b"search-reference")).locators
+    locs = [e for e in db if e.kind == "locator"]
+    dirs = [e for e in db if e.kind == "director"]
+    targets = []
+    for loc in locs:
+        for r in range(3):
+            for combo in combinations_with_replacement(dirs, r):
+                for signs in product((1, -1), repeat=r):
+                    vec = tuple(v + sum(s * e.vec[i] for s, e in zip(signs, combo))
+                                for i, v in enumerate(loc.vec))
+                    if all(0 <= v < ch.q for v in vec):
+                        targets.append(vec)
+    rng = RandomSource(b"search-reference/miss")
+    targets += [tuple(rng.below(ch.q) for _ in range(ch.n)) for _ in range(20)]
+    vec = locs[0].vec
+    targets += [(vec[0] + ch.q,) + vec[1:], (vec[0] - ch.q,) + vec[1:], vec + (0,)]
+    hits = 0
+    for target in targets:
+        verdict = public_locator_search(db, ch, target)
+        assert verdict == public_search_reference(db, ch, target)
+        hits += verdict.verified
+    assert 0 < hits < len(targets)
 
 
 def test_sampled_db_entries_verify(desk_bundle):
@@ -433,9 +470,7 @@ def test_evaluation_keys_are_shared_and_built_lazily(desk_channel, tmp_path):
     assert keys is EvalKeys.from_bundle(bundle) is bundle.eval_keys
     assert "refresh_rows" not in vars(keys)
     serial.dump(serial.public_to_dict(bundle), tmp_path / "public.json")
-    pk, _, tensor, refresher, locators = serial.public_from_dict(
-        desk_channel, serial.load(tmp_path / "public.json"))
-    loaded = EvalKeys(desk_channel, pk, tensor, refresher, locators)
+    loaded = serial.public_from_dict(desk_channel, serial.load(tmp_path / "public.json"))
     assert "refresh_rows" not in vars(loaded)
 
 
