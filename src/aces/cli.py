@@ -138,6 +138,10 @@ def _cmd_eval(args) -> int:
         name, _, path = item.partition("=")
         if not path:
             raise _UsageError(f"--input expects NAME=FILE, got {item!r}")
+        if name not in circuit.inputs:
+            raise _UsageError(f"--input {name!r}: the circuit declares no such input")
+        if name in env:
+            raise _UsageError(f"--input {name!r} is given more than once")
         env[name] = serial.ciphertext_from_dict(keys.channel, serial.load(path))
     policy = RefreshPolicy(mode=args.refresh)
     outputs, report = evaluate(circuit, env, keys, policy, RandomSource.from_hex(args.seed))
@@ -180,18 +184,23 @@ def _cmd_refresh(args) -> int:
 
 def _cmd_inspect(args) -> int:
     data = serial.load(args.ct)
-    print(f"level: {data['level']}")
-    print(f"vector parts: {len(data['c'])}")
-    if args.channel and args.pub:
-        keys = _load_keys(args)
-        ch, rep = keys.channel, keys.repartition
-        ct = serial.ciphertext_from_dict(ch, serial.load(args.ct))
-        budget = ch.max_noise_level()
-        print(f"decryptable: {'yes' if within_budget(ch, ct.level) else 'no'} (budget {budget})")
-        for j, value in enumerate(evals(ch, ct.c)):
-            prime = rep.prime_of(j)
-            ok = "ok" if value % prime == 0 else "VIOLATED"
-            print(f"slot {j}: eval {value}, factor {prime}: {ok}")
+    if not (args.channel and args.pub):
+        if type(data["c"]) is not list:
+            raise TypeError("ciphertext vector: expected a list")
+        print(f"level: {serial._ints(data['level'], 'ciphertext level')}")
+        print(f"vector parts: {len(data['c'])}")
+        return 0
+    keys = _load_keys(args)
+    ch, rep = keys.channel, keys.repartition
+    ct = serial.ciphertext_from_dict(ch, data)
+    print(f"level: {ct.level}")
+    print(f"vector parts: {len(ct.c)}")
+    budget = ch.max_noise_level()
+    print(f"decryptable: {'yes' if within_budget(ch, ct.level) else 'no'} (budget {budget})")
+    for j, value in enumerate(evals(ch, ct.c)):
+        prime = rep.prime_of(j)
+        ok = "ok" if value % prime == 0 else "VIOLATED"
+        print(f"slot {j}: eval {value}, factor {prime}: {ok}")
     return 0
 
 

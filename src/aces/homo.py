@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from .cipher import Ciphertext, level_after
 from .errors import NoiseBudgetError, ParameterError
-from .rings import slot_bytes
 
 __all__ = ["tensor_contract", "hom_add", "hom_mul", "scalar_product"]
 
@@ -36,9 +35,9 @@ def tensor_contract(lam, v1: tuple, v2: tuple) -> tuple:
     ring = v1[0].ring
     if any(v.ring is not ring for v in v1) or any(v.ring is not ring for v in v2):
         raise ParameterError("polynomials belong to different rings")
-    q, top = ring.q, ring.q - 1
-    # Weights and D_i slots are below q and d*top^2; M_ij slots below 4*d*top^2.
-    width = slot_bytes(n * (2 * n - 1) * ring.d * top**3)
+    q = ring.q
+    # Weights below q on n products D_i and n(n-1)/2 M_ij (four products each).
+    width = ring.width(n * (2 * n - 1) * (q - 1))
     a = [ring.pack(v.coeffs, width) for v in v1]
     b = [ring.pack(v.coeffs, width) for v in v2]
     products = [

@@ -56,10 +56,15 @@ class PublicKey:
     fprime: tuple[RingPoly, ...]
 
     @cached_property
+    def extended_rows(self) -> tuple[tuple[RingPoly, ...], ...]:
+        """The rows ``(f0[i][0..n-1], fprime[i])``, built on first use, for
+        ``rows`` and ``EvalKeys.refresh_rows``; key generation builds none."""
+        return tuple(row + (masked,) for row, masked in zip(self.f0, self.fprime))
+
+    @cached_property
     def rows(self) -> PackedRows:
-        """The rows ``(f0[i][0..n-1], fprime[i])``, packed once for ``encrypt``
-        on first use (so key generation and loading do not pay for it)."""
-        return PackedRows(row + (masked,) for row, masked in zip(self.f0, self.fprime))
+        """``extended_rows`` packed once for ``encrypt``."""
+        return PackedRows(self.extended_rows)
 
 
 @dataclass(frozen=True)
@@ -131,10 +136,14 @@ class ProductTensor:
 
 @dataclass(frozen=True)
 class Refresher:
-    """Encryptions of the secret key's mod-p digits, with their levels."""
+    """Encryptions of the secret key's mod-p digits."""
 
-    kappa: tuple[int, ...]
     rho: tuple[Ciphertext, ...]
+
+    @property
+    def kappa(self) -> tuple[int, ...]:
+        """The refresher's levels: those its ciphertexts carry."""
+        return tuple(ct.level for ct in self.rho)
 
 
 @dataclass(frozen=True)
@@ -275,7 +284,7 @@ def gen_refresher(
         encrypt_with_secret(sk, rep, ch, e % ch.p, REFRESHER_LEVEL, rng)
         for e in evals(ch, sk.polys)
     )
-    return Refresher(tuple([REFRESHER_LEVEL] * ch.n), rho)
+    return Refresher(rho)
 
 
 def keygen(ch: ArithmeticChannel, rng: RandomSource) -> KeyBundle:

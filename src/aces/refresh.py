@@ -261,7 +261,7 @@ class EvalKeys:
         digit carriers.
         """
         lam = self.tensor.extended
-        pk = tuple(row + (masked,) for row, masked in zip(self.public.f0, self.public.fprime))
+        pk = self.public.extended_rows
         rho = tuple((*r.c, r.cprime) for r in self.refresher.rho)
         return PackedRows(
             (*(tensor_contract(lam, row, r) for r in rho for row in pk), *pk, *rho)

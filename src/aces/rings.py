@@ -18,7 +18,6 @@ Three layers live in this module:
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 
@@ -98,11 +97,6 @@ def factorize(q: int) -> list[int]:
     return primes
 
 
-def slot_bytes(bound: int) -> int:
-    """Bytes per Kronecker slot that hold any value in ``[0, bound]``."""
-    return (bound.bit_length() + 7) // 8
-
-
 # One Ring per (q, u), built and validated on first use.  Interning is what
 # lets polynomials compare rings by identity; a Ring never changes value (its
 # power table is a cache derived from q and u), so sharing it is safe.
@@ -127,7 +121,7 @@ class Ring:
       ``hi[k] * (X^(d+k) mod u)`` from a table grown on demand.
     """
 
-    __slots__ = ("q", "u", "d", "mul_bytes", "_fold", "_powers")
+    __slots__ = ("q", "u", "d", "_fold", "_powers")
 
     def __new__(cls, q: int, u):
         try:
@@ -151,8 +145,6 @@ class Ring:
             raise ParameterError("modulus polynomial must be monic")
         d = len(u) - 1
         self.q, self.u, self.d = q, u, d
-        # A product of two canonical polynomials has coefficients <= d(q-1)^2.
-        self.mul_bytes = slot_bytes(d * (q - 1) ** 2)
         binomial = all(c % q == 0 for c in u[1:d])
         self._fold = (-u[0]) % q if binomial else None
         self._powers: list[list[int]] = []  # X^(d+k) mod u, k = 0, 1, ...
@@ -162,6 +154,12 @@ class Ring:
 
     def __reduce__(self):
         return Ring, (self.q, self.u)
+
+    def width(self, terms: int) -> int:
+        """Bytes per Kronecker slot that hold a sum of ``terms`` products of
+        canonical polynomials, each coefficient of one at most ``d(q-1)^2``."""
+        bound = terms * self.d * (self.q - 1) ** 2
+        return (bound.bit_length() + 7) // 8
 
     def zero(self) -> "RingPoly":
         return _wrap(self, (0,) * self.d)
@@ -290,14 +288,6 @@ class RingPoly:
         """Build a canonical element from arbitrary integer coefficients."""
         return Ring(q, u).poly(coeffs)
 
-    @staticmethod
-    def zero(q: int, u: tuple[int, ...]) -> "RingPoly":
-        return Ring(q, u).zero()
-
-    @staticmethod
-    def constant(q: int, u: tuple[int, ...], value: int) -> "RingPoly":
-        return Ring(q, u).poly([value])
-
     def _check_same_ring(self, other: "RingPoly") -> None:
         if other.ring is not self.ring:
             raise ParameterError("polynomials belong to different rings")
@@ -320,7 +310,7 @@ class RingPoly:
         """Kronecker substitution: one big-integer multiply, reduced once."""
         self._check_same_ring(other)
         ring = self.ring
-        width = ring.mul_bytes
+        width = ring.width(1)
         a = ring.pack(self.coeffs, width)
         b = a if other is self else ring.pack(other.coeffs, width)
         return ring.unpack_product(a * b, width)
@@ -330,16 +320,6 @@ class RingPoly:
         q = self.ring.q
         v = value % q
         return _wrap(self.ring, tuple([(a * v) % q for a in self.coeffs]))
-
-    def eval_at(self, point: int) -> int:
-        """Evaluate at an integer point over the non-negative representatives,
-        reduced mod q.  Horner over Z would overflow nothing here; mod-q
-        arithmetic gives the identical result."""
-        q = self.ring.q
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * point + c) % q
-        return acc
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -376,9 +356,9 @@ class PackedRows:
         if any(x.ring is not ring for row in rows for x in row):
             raise ParameterError("polynomials belong to different rings")
         big_n = len(rows)
-        # A pair product has coefficients up to d*(2(q-1))^2; the odd row's
-        # product with a zero row and weight, up to d*(q-1)^2.
-        width = slot_bytes((4 * (big_n // 2) + big_n % 2) * ring.d * (ring.q - 1) ** 2)
+        # A pair product of sums of two canonical polynomials weighs four
+        # products; the odd row's product with a zero row and weight, one.
+        width = ring.width(4 * (big_n // 2) + big_n % 2)
         packed = [[ring.pack(x.coeffs, width) for x in row] for row in rows]
         if big_n % 2:
             packed.append([0] * len(rows[0]))
@@ -422,9 +402,9 @@ class Repartition:
     assignment: tuple[int, ...]
 
     def __post_init__(self):
-        prod = math.prod(self.primes)
-        if self.q % prod != 0:
-            raise ParameterError("listed primes do not divide the modulus")
+        factors = factorize(self.q)
+        if list(self.primes) != factors:
+            raise ParameterError(f"repartition primes must be the prime factors of q, {factors}")
         for v in self.assignment:
             if not 0 <= v <= len(self.primes):
                 raise ParameterError(f"assignment value {v} out of range")

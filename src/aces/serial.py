@@ -18,7 +18,7 @@ from .cipher import Ciphertext
 from .errors import ParameterError
 from .keygen import ProductTensor, PublicKey, Refresher, SecretKey
 from .refresh import EvalKeys, LocatorEntry
-from .rings import Repartition, RingPoly, _wrap, factorize
+from .rings import Repartition, RingPoly, _wrap
 
 __all__ = [
     "channel_to_dict",
@@ -158,16 +158,17 @@ def public_from_dict(ch: ArithmeticChannel, data: dict) -> EvalKeys:
     f0 = _ints(data["f0"], "f0", (ch.big_n, n, ch.degree), ch.q)
     public = PublicKey(tuple(tuple(_wrap(ch.ring, c) for c in row) for row in f0),
                        _polys(ch, data["fprime"], "fprime", ch.big_n))
-    primes, factors = _ints(sigma["primes"], "sigma primes", (None,)), factorize(ch.q)
-    if list(primes) != factors:
-        raise ParameterError(f"sigma: primes must be the prime factors of q, {factors}")
-    rep = Repartition(ch.q, primes, _ints(sigma["map"], "sigma map", (n,)))
+    # Repartition itself rejects primes other than the prime factors of q.
+    rep = Repartition(ch.q, _ints(sigma["primes"], "sigma primes", (None,)),
+                      _ints(sigma["map"], "sigma map", (n,)))
     # ProductTensor itself rejects a tensor that is not symmetric.
     tensor = ProductTensor(_ints(data["lambda"], "lambda", (n, n, n), ch.q))
     if len(fresh["rho"]) != n:
         raise ParameterError(f"refresher: expected {n} ciphertexts, got {len(fresh['rho'])}")
-    refresher = Refresher(_ints(fresh["kappa"], "refresher levels", (n,)),
-                          tuple(ciphertext_from_dict(ch, d) for d in fresh["rho"]))
+    kappa = _ints(fresh["kappa"], "refresher levels", (n,))
+    refresher = Refresher(tuple(ciphertext_from_dict(ch, d) for d in fresh["rho"]))
+    if kappa != refresher.kappa:
+        raise ParameterError(f"refresher: kappa {kappa} is not the rho levels {refresher.kappa}")
     entries = data["locators"]
     kinds = [e["kind"] for e in entries]
     if not set(kinds) <= {"locator", "director"}:

@@ -1,0 +1,19 @@
+"""Every exported name resolves: ``__all__`` of the package and of each of
+its modules lists only names that exist, each once."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import aces
+
+MODULES = ["aces"] + [f"aces.{m.name}" for m in pkgutil.iter_modules(aces.__path__)]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_export_resolves_and_is_listed_once(name):
+    module = importlib.import_module(name)
+    exported = list(getattr(module, "__all__", ()))
+    assert [x for x in exported if not hasattr(module, x)] == []
+    assert sorted(x for x in set(exported) if exported.count(x) > 1) == []

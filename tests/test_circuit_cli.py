@@ -282,6 +282,35 @@ def test_cli_eval_and_inspect(cli_keys, tmp_path, capsys):
     assert "level: 52" in capsys.readouterr().out
 
 
+def _eval_with_inputs(cli_keys, tmp_path, inputs):
+    """``aces eval`` of a two-input circuit with ``--input`` for each
+    ``(name, file stem)``."""
+    circ = tmp_path / "circ.txt"
+    circ.write_text("in a b\nt = mul a b\nout t\n")
+    for name in ("a", "b"):
+        assert main([
+            "encrypt", "--pub", str(cli_keys / "public.json"),
+            "--channel", str(cli_keys / "channel.json"),
+            "--message", "1", "--seed", "0" + name, "--out", str(tmp_path / f"{name}.json"),
+        ]) == 0
+    args = [arg for name, stem in inputs for arg in ("--input", f"{name}={tmp_path / stem}.json")]
+    return main([
+        "eval", "--pub", str(cli_keys / "public.json"),
+        "--channel", str(cli_keys / "channel.json"), "--circuit", str(circ),
+        *args, "--refresh", "off", "--out", str(tmp_path / "out"),
+    ])
+
+
+def test_cli_eval_refuses_an_undeclared_input(cli_keys, tmp_path):
+    assert _eval_with_inputs(cli_keys, tmp_path, [("a", "a"), ("b", "b"), ("zz", "b")]) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_eval_refuses_a_repeated_input(cli_keys, tmp_path):
+    assert _eval_with_inputs(cli_keys, tmp_path, [("a", "b"), ("a", "a"), ("b", "b")]) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_eval_budget_failure_is_exit_2(cli_keys, tmp_path):
     circ = tmp_path / "deep.txt"
     circ.write_text("in a\nt1 = mul a a\nt2 = mul t1 t1\nt3 = mul t2 t2\nout t3\n")
@@ -403,6 +432,26 @@ def test_cli_bare_inspect(cli_keys, tmp_path, capsys):
     capsys.readouterr()
     assert main(["inspect", "--ct", str(ct)]) == 0
     assert "level: 4" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("with_keys", [False, True])
+def test_cli_inspect_reads_the_level_through_the_reader(cli_keys, tmp_path, capsys, with_keys):
+    """A level of 7506.5 (past the desk budget) is refused before anything
+    is printed, with or without the key files."""
+    ct = tmp_path / "ct.json"
+    assert main([
+        "encrypt", "--pub", str(cli_keys / "public.json"),
+        "--channel", str(cli_keys / "channel.json"),
+        "--message", "0", "--seed", "55", "--out", str(ct),
+    ]) == 0
+    ch = serial.channel_from_dict(serial.load(cli_keys / "channel.json"))
+    data = serial.load(ct)
+    data["level"] = ch.max_noise_level() + 0.5
+    serial.dump(data, ct)
+    keys = ["--channel", str(cli_keys / "channel.json"), "--pub", str(cli_keys / "public.json")]
+    capsys.readouterr()
+    assert main(["inspect", "--ct", str(ct), *(keys if with_keys else [])]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_outputs_are_deterministic(tmp_path):

@@ -111,6 +111,7 @@ def test_channel_poly_stays_lenient_in_library_code(desk_files):
     lambda ch, d: d["sigma"]["map"].__setitem__(0, float(d["sigma"]["map"][0])),
     lambda ch, d: d["refresher"]["kappa"].__setitem__(0, 1.5),
     lambda ch, d: d["refresher"]["kappa"].__setitem__(0, True),
+    lambda ch, d: d["refresher"].__setitem__("kappa", [0] * ch.n),  # rho sits at level 1
     lambda ch, d: d["locators"][0].__setitem__("k", d["locators"][0]["k"] + 0.5),
     lambda ch, d: d["locators"][0].__setitem__("k", -1),
     lambda ch, d: d["locators"][0].__setitem__("margin_num", str(ch.q)),

@@ -185,7 +185,7 @@ def test_margin_inequality_direction(desk_bundle, rng):
 
 def test_refresh_refuses_oversized_refresher(desk_bundle, rng):
     ch = desk_bundle.channel
-    bloated = Refresher((3000,) * ch.n, desk_bundle.refresher.rho)
+    bloated = Refresher(tuple(Ciphertext(r.c, r.cprime, 3000) for r in desk_bundle.refresher.rho))
     ct = encrypt(desk_bundle.public, ch, 1, rng)
     with pytest.raises(NoiseBudgetError, match="accumulated"):
         refresh_ct(EvalKeys(ch, desk_bundle.public, desk_bundle.tensor, bloated), ct, rng)
@@ -387,7 +387,7 @@ def test_refresh_refuses_an_accumulated_level_past_the_budget(rng):
     ch.require_valid()
     assert ch.max_noise_level() == 57
     ct = Ciphertext(tuple(ch.zero() for _ in range(ch.n)), ch.constant(1), 0)
-    keys = EvalKeys(ch, None, None, Refresher((1, 1, 1), ()))
+    keys = EvalKeys(ch, None, None, Refresher((Ciphertext(ct.c, ch.zero(), 1),) * 3))
     with pytest.raises(NoiseBudgetError, match="accumulated level 58"):
         refresh_ct(keys, ct, rng)
     assert "refresh_rows" not in vars(keys)
@@ -532,7 +532,7 @@ def test_refresh_matches_the_encrypt_and_fold_reference(n, big_n, degree, data):
     f0 = tuple(_polys(data, ch, n) for _ in range(big_n))
     rho = tuple(Ciphertext(_polys(data, ch, n), *_polys(data, ch, 1), 1) for _ in range(n))
     keys = EvalKeys(ch, PublicKey(f0, _polys(data, ch, big_n)), _symmetric_tensor(data, ch),
-                    Refresher((1,) * n, rho))
+                    Refresher(rho))
     ct = Ciphertext(_polys(data, ch, n), *_polys(data, ch, 1), 0)
     seed = data.draw(st.binary(max_size=8), label="refresh seed")
     got = refresh_ct(keys, ct, RandomSource(seed))

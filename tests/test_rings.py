@@ -1,12 +1,16 @@
 """Tests for the modular arithmetic kernels."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aces.channel import ArithmeticChannel
 from aces.errors import ParameterError
 from aces.rings import (
     Repartition,
+    Ring,
     RingPoly,
     factorize,
     is_leveled_multiple,
@@ -120,8 +124,8 @@ U15 = (-1, 0, 1)  # X^2 - 1 over q = 15
 
 def test_poly_identities():
     x = RingPoly.make(15, U15, [0, 1])
-    zero = RingPoly.zero(15, U15)
-    one = RingPoly.constant(15, U15, 1)
+    zero = Ring(15, U15).zero()
+    one = Ring(15, U15).poly([1])
     b = RingPoly.make(15, U15, [7, 11])
     assert zero + x == x
     assert one * b == b
@@ -175,12 +179,18 @@ def test_poly_mul_random_against_oracle(data):
     assert got.coeffs == tuple(ring_op(a, b, "mul", list(u), q))
 
 
+def _channel(q, u, omega):
+    """A channel whose ``eval`` is evaluation at ``omega`` in ``Ring(q, u)``."""
+    return ArithmeticChannel(p=2, q=q, omega=omega, u=u, n=1, big_n=1, k0=1)
+
+
 def test_poly_eval_examples():
     u = (-1, 0, 0, 1)  # X^3 - 1, so degree-2 inputs stay unreduced
+    ch = _channel(15, u, 1)
     v = RingPoly.make(15, u, [2, 3, 4])
-    assert v.eval_at(1) == 9  # coefficient sum mod 15
-    assert RingPoly.zero(15, u).eval_at(1) == 0
-    assert RingPoly.constant(15, u, 1).eval_at(1) == 1
+    assert ch.eval(v) == 9  # coefficient sum mod 15
+    assert ch.eval(Ring(15, u).zero()) == 0
+    assert ch.eval(Ring(15, u).poly([1])) == 1
 
 
 # -- repartitions -----------------------------------------------------------
@@ -231,6 +241,8 @@ def test_repartition_validates_primes():
         Repartition(15, (3, 7), (1, 1))
     with pytest.raises(ParameterError):
         Repartition(15, (3, 5), (3,))
+    with pytest.raises(ParameterError):
+        Repartition(15015, (3, 5), (1, 2))  # divides q, but not all its primes
 
 
 def test_eval_matches_nonneg_embedding_oracle(rng):
@@ -239,4 +251,9 @@ def test_eval_matches_nonneg_embedding_oracle(rng):
         coeffs = [rng.below(q) for _ in range(4)]
         omega = 1 + rng.below(30)
         poly = RingPoly(q, u, tuple(coeffs))
-        assert poly.eval_at(omega) == eval_nonneg(coeffs, omega, q)
+        ch = _channel(q, u, omega)
+        if math.gcd(omega, q) == 1:
+            assert ch.eval(poly) == eval_nonneg(coeffs, omega, q)
+        else:
+            with pytest.raises(ParameterError):
+                ch.eval(poly)
