@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ParameterError
-from .rings import Ring, RingPoly, _wrap, is_leveled_multiple, lift
+from .rings import Ring, RingPoly, _int_coeffs, _wrap, is_leveled_multiple, lift
 
 __all__ = [
     "ArithmeticChannel",
@@ -78,7 +78,7 @@ class ArithmeticChannel:
     k0: int
 
     def __post_init__(self):
-        object.__setattr__(self, "u", tuple(int(c) for c in self.u))
+        object.__setattr__(self, "u", _int_coeffs(self.u))
 
     @property
     def degree(self) -> int:
@@ -123,17 +123,6 @@ class ArithmeticChannel:
     def ring(self) -> Ring:
         """The shared ``Ring(q, u)`` every polynomial of this channel lives in."""
         return Ring(self.q, self.u)
-
-    def zero(self) -> RingPoly:
-        return self.ring.zero()
-
-    def constant(self, value: int) -> RingPoly:
-        return self.ring.poly([value])
-
-    def poly(self, coeffs) -> RingPoly:
-        """Element from arbitrary integers, reduced (for in-library use; the
-        file loaders in ``serial`` accept canonical coefficients only)."""
-        return self.ring.poly(coeffs)
 
     def random_poly(self, rng: RandomSource) -> RingPoly:
         return _wrap(self.ring, tuple(rng.below(self.q) for _ in range(self.degree)))

@@ -129,7 +129,6 @@ class RefreshPolicy:
 class EvalReport:
     levels: dict[str, int] = field(default_factory=dict)
     refresh_events: list[tuple[str, int, int]] = field(default_factory=list)
-    failures: list[str] = field(default_factory=list)
 
 
 def evaluate(
@@ -141,9 +140,8 @@ def evaluate(
 ) -> tuple[dict[str, Ciphertext], EvalReport]:
     """Run the circuit over ciphertexts with level bookkeeping.
 
-    Raises NoiseBudgetError (after recording the failure) if a gate cannot
-    proceed even after refreshing; a wire is never silently emitted past the
-    decryption bound.
+    Raises NoiseBudgetError if a gate cannot proceed even after refreshing;
+    a wire is never silently emitted past the decryption bound.
     """
     policy = policy or RefreshPolicy()
     ch = keys.channel
@@ -182,13 +180,11 @@ def evaluate(
                     if out_level is not None and out_level <= threshold:
                         break
         if out_level is None:
-            msg = (
+            raise NoiseBudgetError(
                 f"gate {gate.out!r} ({gate.op} {gate.left} {gate.right}) "
                 f"exceeds the noise budget at levels "
                 f"{values[gate.left].level}, {values[gate.right].level}"
             )
-            report.failures.append(msg)
-            raise NoiseBudgetError(msg)
         left, right = values[gate.left], values[gate.right]
         if gate.op == "add":
             values[gate.out] = hom_add(ch, left, right)

@@ -133,6 +133,10 @@ def _cmd_decrypt(args) -> int:
 def _cmd_eval(args) -> int:
     keys = _load_keys(args)
     circuit = parse_circuit(Path(args.circuit).read_text(encoding="utf-8"))
+    for name in circuit.outputs:
+        # Each output is written to <out>/<name>.json, beside report.json.
+        if not name.isidentifier() or name == "report":
+            raise _UsageError(f"output {name!r}: must be an identifier other than 'report'")
     env = {}
     for item in args.input:
         name, _, path = item.partition("=")
@@ -156,7 +160,6 @@ def _cmd_eval(args) -> int:
                 {"wire": w, "pre": pre, "post": post}
                 for w, pre, post in report.refresh_events
             ],
-            "failures": report.failures,
         },
         out / "report.json",
     )
@@ -183,8 +186,10 @@ def _cmd_refresh(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
+    if (args.channel is None) != (args.pub is None):
+        raise _UsageError("--channel and --pub must be given together")
     data = serial.load(args.ct)
-    if not (args.channel and args.pub):
+    if args.channel is None:
         if type(data["c"]) is not list:
             raise TypeError("ciphertext vector: expected a list")
         print(f"level: {serial._ints(data['level'], 'ciphertext level')}")

@@ -81,7 +81,7 @@ def hom_mul(ch, lam, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
 def scalar_product(ch, lam, gamma: tuple, rho: tuple) -> Ciphertext:
     """Fold of componentwise products: sum_i gamma[i] * rho[i].
 
-    Strictly left-to-right so that noise-guard failures are reported at a
+    Strictly left-to-right so that a noise-guard refusal is raised at a
     deterministic step.
     """
     if len(gamma) != len(rho):

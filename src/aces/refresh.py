@@ -1,12 +1,12 @@
 """Refreshability testing and the noise-reset operation.
 
 A ciphertext's integer shadow is the pair of evaluations
-``(eval<-c>, eval(c'))`` (``cipher.shadow``, re-exported here).  The shadow
-is refreshable when the lifted dot product against the secret evaluations
-differs from its reduced form by an exact non-negative multiple of p*q;
-refreshable ciphertexts can have their noise rebuilt from scratch without
-decrypting.  The secret key is read only through its evaluations
-(``cipher.evals``), never through ring products.
+``(eval<-c>, eval(c'))`` (``cipher.shadow``).  The shadow is refreshable
+when the lifted dot product against the secret evaluations differs from its
+reduced form by an exact non-negative multiple of p*q; refreshable
+ciphertexts can have their noise rebuilt from scratch without decrypting.
+The secret key is read only through its evaluations (``cipher.evals``),
+never through ring products.
 
 Two test routes exist.  With the secret key the defining identity is checked
 exactly, and a sufficient margin condition gives a cheaper certificate.
@@ -32,17 +32,15 @@ from itertools import combinations_with_replacement
 
 from .channel import ArithmeticChannel, RandomSource, sample_message_carrier
 from .cipher import (
-    Ciphertext, Pseudociphertext, _lifted_sum, checked_refresh_level, encrypt, evals,
-    has_refresh_headroom, post_refresh_level, sample_mask, shadow, within_budget,
+    Ciphertext, _lifted_sum, checked_refresh_level, encrypt, evals, has_refresh_headroom,
+    sample_mask, shadow, within_budget,
 )
 from .errors import NoiseBudgetError, ParameterError
 from .homo import hom_add, tensor_contract
 from .rings import PackedRows, lift
 
 __all__ = [
-    "Pseudociphertext",
     "LocatorEntry",
-    "shadow",
     "margin",
     "locator_index",
     "refreshable_index",
@@ -50,7 +48,6 @@ __all__ = [
     "public_locator_search",
     "publicly_refreshable",
     "sample_locator_db",
-    "post_refresh_level",
     "EvalKeys",
     "refresh_ct",
     "make_refreshable",

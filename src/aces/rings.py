@@ -97,6 +97,14 @@ def factorize(q: int) -> list[int]:
     return primes
 
 
+def _int_coeffs(coeffs) -> tuple[int, ...]:
+    """``coeffs`` as a tuple; a float or a bool is refused, never truncated."""
+    coeffs = tuple(coeffs)
+    if any(type(c) is not int for c in coeffs):
+        raise ParameterError(f"polynomial coefficients must be integers, got {coeffs}")
+    return coeffs
+
+
 # One Ring per (q, u), built and validated on first use.  Interning is what
 # lets polynomials compare rings by identity; a Ring never changes value (its
 # power table is a cache derived from q and u), so sharing it is safe.
@@ -124,11 +132,7 @@ class Ring:
     __slots__ = ("q", "u", "d", "_fold", "_powers")
 
     def __new__(cls, q: int, u):
-        try:
-            return _RINGS[q, u]
-        except (KeyError, TypeError):  # first use, or ``u`` not a tuple of ints
-            pass
-        u = tuple(int(c) for c in u)
+        u = _int_coeffs(u)
         ring = _RINGS.get((q, u))
         if ring is None:
             ring = super().__new__(cls)
@@ -320,9 +324,6 @@ class RingPoly:
         q = self.ring.q
         v = value % q
         return _wrap(self.ring, tuple([(a * v) % q for a in self.coeffs]))
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
 
 
 class PackedRows:

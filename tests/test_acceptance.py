@@ -104,7 +104,7 @@ def test_04_tensor_invariants(desk_channel):
                     assert lam[i][j] == lam[j][i]
                     for k in range(ch.n):
                         assert lam[i][j][k] % rep.prime_of(k) == 0
-                    combo = ch.zero()
+                    combo = ch.ring.zero()
                     for k in range(ch.n):
                         combo = combo + xs[k].scale(lam[i][j][k])
                     defect = xs[i] * xs[j] - combo

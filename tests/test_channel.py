@@ -10,7 +10,7 @@ from aces.channel import (
     sample_noise,
 )
 from aces.errors import ParameterError
-from aces.rings import lift
+from aces.rings import Ring, lift
 
 
 def test_desk_channel_is_valid(desk_channel):
@@ -44,6 +44,16 @@ def test_validation_reports_every_violation():
 def test_validation_rejects_degree_one_modulus():
     ch = ArithmeticChannel(p=2, q=15, omega=1, u=(-1, 1), n=2, big_n=1, k0=1)
     assert any("degree" in v for v in ch.violations())
+
+
+@pytest.mark.parametrize("top", [1.9, 1.0, True])
+def test_non_integer_u_coefficient_is_refused(top):
+    """A float or a bool in ``u`` is refused, not truncated to an int."""
+    u = (-1, 0, 0, 0, top)
+    with pytest.raises(ParameterError):
+        ArithmeticChannel(p=2, q=15015, omega=1, u=u, n=3, big_n=2, k0=1)
+    with pytest.raises(ParameterError):
+        Ring(15015, u)
 
 
 def test_random_source_is_reproducible():
@@ -108,7 +118,7 @@ def test_carrier_sums_and_products_track_messages(desk_channel, rng):
 
 def test_channel_homomorphism_small_ring_exhaustive():
     ch = ArithmeticChannel(p=2, q=15, omega=1, u=(-1, 0, 1), n=2, big_n=1, k0=1)
-    polys = [ch.poly([a, b]) for a in range(15) for b in range(15)]
+    polys = [ch.ring.poly([a, b]) for a in range(15) for b in range(15)]
     for v1 in polys[::5]:
         for v2 in polys[::7]:
             assert ch.eval(v1 * v2) == (ch.eval(v1) * ch.eval(v2)) % 15
@@ -117,8 +127,8 @@ def test_channel_homomorphism_small_ring_exhaustive():
 
 def test_noise_membership_examples(desk_channel, rng):
     ch = desk_channel
-    assert in_noise_space(ch, ch.zero(), 0)
-    assert not in_noise_space(ch, ch.constant(ch.p), 0)
+    assert in_noise_space(ch, ch.ring.zero(), 0)
+    assert not in_noise_space(ch, ch.ring.poly([ch.p]), 0)
     assert in_noise_space(ch, sample_noise(ch, 2, rng), 2)
 
 

@@ -99,13 +99,13 @@ def test_worked_normalization_case(desk_bundle, rng):
 def test_identity_ciphertext_decrypts_directly(desk_bundle):
     ch = desk_bundle.channel
     for m in range(ch.p):
-        ct = Ciphertext(tuple(ch.zero() for _ in range(ch.n)), ch.constant(m), 0)
+        ct = Ciphertext(tuple(ch.ring.zero() for _ in range(ch.n)), ch.ring.poly([m]), 0)
         assert decrypt(desk_bundle.secret, ch, ct) == m
 
 
 def test_decrypt_refuses_past_budget(desk_bundle):
     ch = desk_bundle.channel
-    ct = Ciphertext(tuple(ch.zero() for _ in range(ch.n)), ch.constant(1), ch.max_noise_level() + 1)
+    ct = Ciphertext(tuple(ch.ring.zero() for _ in range(ch.n)), ch.ring.poly([1]), ch.max_noise_level() + 1)
     with pytest.raises(NoiseBudgetError):
         decrypt(desk_bundle.secret, ch, ct)
 
@@ -154,7 +154,7 @@ def test_every_admitted_level_decrypts(desk_bundle):
             level = level_after(op, k1, k2, ch)
             if level is None:
                 continue
-            ct = Ciphertext(tuple(ch.zero() for _ in range(ch.n)), ch.constant(1), level)
+            ct = Ciphertext(tuple(ch.ring.zero() for _ in range(ch.n)), ch.ring.poly([1]), level)
             assert decrypt(desk_bundle.secret, ch, ct) == 1
 
 
@@ -164,7 +164,7 @@ def test_budget_predicate_is_the_decrypt_guard(desk_bundle):
     ch = desk_bundle.channel
     budget = ch.max_noise_level()
     assert within_budget(ch, budget) and not within_budget(ch, budget + 1)
-    at = Ciphertext(tuple(ch.zero() for _ in range(ch.n)), ch.constant(1), budget)
+    at = Ciphertext(tuple(ch.ring.zero() for _ in range(ch.n)), ch.ring.poly([1]), budget)
     assert decrypt(desk_bundle.secret, ch, at) == 1
     with pytest.raises(NoiseBudgetError):
         decrypt(desk_bundle.secret, ch, Ciphertext(at.c, at.cprime, budget + 1))

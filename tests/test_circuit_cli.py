@@ -282,11 +282,11 @@ def test_cli_eval_and_inspect(cli_keys, tmp_path, capsys):
     assert "level: 52" in capsys.readouterr().out
 
 
-def _eval_with_inputs(cli_keys, tmp_path, inputs):
+def _eval_with_inputs(cli_keys, tmp_path, inputs, output="t"):
     """``aces eval`` of a two-input circuit with ``--input`` for each
-    ``(name, file stem)``."""
+    ``(name, file stem)``, whose one output is named ``output``."""
     circ = tmp_path / "circ.txt"
-    circ.write_text("in a b\nt = mul a b\nout t\n")
+    circ.write_text(f"in a b\n{output} = mul a b\nout {output}\n")
     for name in ("a", "b"):
         assert main([
             "encrypt", "--pub", str(cli_keys / "public.json"),
@@ -309,6 +309,14 @@ def test_cli_eval_refuses_an_undeclared_input(cli_keys, tmp_path):
 def test_cli_eval_refuses_a_repeated_input(cli_keys, tmp_path):
     assert _eval_with_inputs(cli_keys, tmp_path, [("a", "b"), ("a", "a"), ("b", "b")]) == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("output", ["../escaped", "report"])
+def test_cli_eval_refuses_an_output_name_it_cannot_write(cli_keys, tmp_path, output):
+    """Outputs are written as ``<out>/<name>.json`` beside ``report.json``: a
+    name that would leave ``--out`` or overwrite the report is a usage error."""
+    assert _eval_with_inputs(cli_keys, tmp_path, [("a", "a"), ("b", "b")], output) == 1
+    assert not (tmp_path / "out").exists() and not (tmp_path / "escaped.json").exists()
 
 
 def test_cli_eval_budget_failure_is_exit_2(cli_keys, tmp_path):
@@ -432,6 +440,20 @@ def test_cli_bare_inspect(cli_keys, tmp_path, capsys):
     capsys.readouterr()
     assert main(["inspect", "--ct", str(ct)]) == 0
     assert "level: 4" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", ["--channel", "--pub"])
+def test_cli_inspect_refuses_half_of_the_key_pair(cli_keys, tmp_path, capsys, flag):
+    ct = tmp_path / "ct.json"
+    assert main([
+        "encrypt", "--pub", str(cli_keys / "public.json"),
+        "--channel", str(cli_keys / "channel.json"),
+        "--message", "0", "--seed", "55", "--out", str(ct),
+    ]) == 0
+    path = cli_keys / ("channel.json" if flag == "--channel" else "public.json")
+    capsys.readouterr()
+    assert main(["inspect", "--ct", str(ct), flag, str(path)]) == 1
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("with_keys", [False, True])

@@ -55,7 +55,7 @@ def _channel(name):
 def test_omega_two_channels_leave_the_coefficient_sum():
     for name in OMEGA_TWO:
         ch = _channel(name)
-        x = ch.poly([1, 1, 0, 0])
+        x = ch.ring.poly([1, 1, 0, 0])
         assert ch.eval(x) == 3 and sum(x.coeffs) == 2
 
 

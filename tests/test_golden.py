@@ -40,7 +40,7 @@ GOLDEN_CLI = {
         "b.json": "6143c5769115cd95291cd71f5657274d45c2bbcfbddfd418bd98b288254bd55f",
         "out/r.json": "f42a21f22f3da50dc3406bde75300587cc7cbe321d77fe6590f26e6a35465e6a",
         "out/s.json": "df183691112a1151cddfbc6f36da08d5ce17cd4a24dc040c5bda41eb30c0c246",
-        "out/report.json": "e9f93f8575ff1f80b58cf904d2e8f59c483a40faaab28567fdbe92fb38ed833b",
+        "out/report.json": "a1cf5732c40e00c1ea21e1e80046fc5f7995a2d97ff66434efb624a2399176de",
     },
     "mid": {
         "keys/channel.json": "09146a750167b79a7bfae297964a48dc76426e9b800b1c58e0a870954d4b8ff1",
@@ -50,7 +50,7 @@ GOLDEN_CLI = {
         "b.json": "7df84e01e91c9490c6b6810343441495ac748fc9bcbf0ee30ab0b2b398f1d3db",
         "out/r.json": "93a619c1f27fb1f1308deabf6a08cfcff850a6f4b225e239b247a214a01b1c4e",
         "out/s.json": "9cf16a437e35ad2539cdef17177ab7dca2a7d164fda64dc3dfb6815ff794e0e9",
-        "out/report.json": "a07bf26e52e13293c86d667a435bf4ff71c0edd2ec9c719fedcecfe1762ed00c",
+        "out/report.json": "134af46bb3285e765c65593541cab81fbab6dcd8f330c770d23ab2268ffa9164",
     },
 }
 GOLDEN_DESK_REFRESH = {

@@ -82,7 +82,7 @@ def test_tensor_residue_condition(desk_bundle):
     n = len(xs)
     for i in range(n):
         for j in range(n):
-            combo = ch.zero()
+            combo = ch.ring.zero()
             for k in range(n):
                 combo = combo + xs[k].scale(lam[i][j][k])
             defect = xs[i] * xs[j] - combo

@@ -89,7 +89,7 @@ def test_public_key_rows_must_match_the_channel(desk_files, tmp_path):
 
 def test_channel_poly_stays_lenient_in_library_code(desk_files):
     ch, _, _ = desk_files
-    assert ch.poly([ch.q + 3, 0, 0, 0, 1]).coeffs == (4, 0, 0, 0)  # X^4 = 1
+    assert ch.ring.poly([ch.q + 3, 0, 0, 0, 1]).coeffs == (4, 0, 0, 0)  # X^4 = 1
 
 
 @pytest.mark.parametrize("corrupt", [

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from aces import refresh, serial
 from aces.channel import ArithmeticChannel, RandomSource
-from aces.cipher import Ciphertext, decrypt, encrypt, encrypt_with_secret
+from aces.cipher import (
+    Ciphertext, decrypt, encrypt, encrypt_with_secret, post_refresh_level, shadow,
+)
 from aces.errors import NoiseBudgetError, ParameterError
 from aces.keygen import ProductTensor, PublicKey, Refresher, SecretKey, keygen
 from aces.refresh import (
@@ -20,14 +22,12 @@ from aces.refresh import (
     make_refreshable,
     margin,
     margin_test,
-    post_refresh_level,
     public_locator_search,
     publicly_refreshable,
     refresh_ct,
     refreshable_index,
     sample_locator_db,
     secret_refresh_checker,
-    shadow,
 )
 from aces.rings import RingPoly, lift
 
@@ -46,7 +46,7 @@ def _secret_evals(bundle):
 
 def test_shadow_of_zero_vector(desk_bundle):
     ch = desk_bundle.channel
-    ct = Ciphertext(tuple(ch.zero() for _ in range(ch.n)), ch.constant(9), 0)
+    ct = Ciphertext(tuple(ch.ring.zero() for _ in range(ch.n)), ch.ring.poly([9]), 0)
     ps = shadow(ch, ct)
     assert ps.v == (0,) * ch.n
     assert ps.vprime == 9
@@ -54,7 +54,7 @@ def test_shadow_of_zero_vector(desk_bundle):
 
 def test_shadow_negates_evaluations():
     ch = ArithmeticChannel(**TINY)
-    ct = Ciphertext((ch.constant(1), ch.constant(0)), ch.constant(3), 0)
+    ct = Ciphertext((ch.ring.poly([1]), ch.ring.poly([0])), ch.ring.poly([3]), 0)
     assert shadow(ch, ct).v == (14, 0)
 
 
@@ -76,7 +76,7 @@ def test_margin_of_zero_vector(desk_bundle):
 
 def test_margin_of_exact_multiple():
     ch = ArithmeticChannel(**TINY)
-    sk = SecretKey((ch.constant(3), ch.constant(4)))
+    sk = SecretKey((ch.ring.poly([3]), ch.ring.poly([4])))
     # dot product of (1, 3) with (3, 4) is 15, an exact multiple of q
     assert margin(sk, ch, (1, 3)) == 0
 
@@ -96,7 +96,7 @@ def test_margin_matches_rational_oracle(desk_bundle, rng):
 
 def test_locator_single_slot_example():
     ch = ArithmeticChannel(p=2, q=9, omega=1, u=(-1, 0, 1), n=1, big_n=2, k0=1)
-    sk = SecretKey((ch.constant(ch.p),))
+    sk = SecretKey((ch.ring.poly([ch.p]),))
     assert locator_index(sk, ch, (0,)) == 1  # sum is p, floor term is 0
 
 
@@ -129,7 +129,7 @@ def test_director_index_against_definition(desk_bundle, rng):
 
 def test_plain_ciphertext_is_refreshable_at_zero(desk_bundle):
     ch = desk_bundle.channel
-    ct = Ciphertext(tuple(ch.zero() for _ in range(ch.n)), ch.constant(5), 0)
+    ct = Ciphertext(tuple(ch.ring.zero() for _ in range(ch.n)), ch.ring.poly([5]), 0)
     assert refreshable_index(desk_bundle.secret, ch, ct) == 0
 
 
@@ -341,7 +341,7 @@ def test_refresh_level_is_input_independent(desk_bundle, rng):
 def test_refresh_refuses_past_budget(desk_bundle, rng):
     ch = desk_bundle.channel
     ct = Ciphertext(
-        tuple(ch.zero() for _ in range(ch.n)), ch.constant(1), ch.max_noise_level() + 1
+        tuple(ch.ring.zero() for _ in range(ch.n)), ch.ring.poly([1]), ch.max_noise_level() + 1
     )
     with pytest.raises(NoiseBudgetError):
         refresh_ct(desk_bundle.eval_keys, ct, rng)
@@ -372,7 +372,7 @@ def test_publicly_refreshable_is_sound(desk_bundle, rng):
         # Graft the locator evaluations onto a ciphertext shape: the public
         # test only reads the vector evaluations and the level.
         graft = Ciphertext(
-            tuple(ch.constant(v) for v in e.vec), ct.cprime, 0
+            tuple(ch.ring.poly([v]) for v in e.vec), ct.cprime, 0
         )
         if publicly_refreshable(desk_bundle.locators, ch, graft):
             verified += 1
@@ -386,8 +386,8 @@ def test_refresh_refuses_an_accumulated_level_past_the_budget(rng):
     ch = ArithmeticChannel(p=2, q=117, omega=1, u=(-1, 0, 0, 0, 1), n=3, big_n=2, k0=1)
     ch.require_valid()
     assert ch.max_noise_level() == 57
-    ct = Ciphertext(tuple(ch.zero() for _ in range(ch.n)), ch.constant(1), 0)
-    keys = EvalKeys(ch, None, None, Refresher((Ciphertext(ct.c, ch.zero(), 1),) * 3))
+    ct = Ciphertext(tuple(ch.ring.zero() for _ in range(ch.n)), ch.ring.poly([1]), 0)
+    keys = EvalKeys(ch, None, None, Refresher((Ciphertext(ct.c, ch.ring.zero(), 1),) * 3))
     with pytest.raises(NoiseBudgetError, match="accumulated level 58"):
         refresh_ct(keys, ct, rng)
     assert "refresh_rows" not in vars(keys)
@@ -447,7 +447,7 @@ def test_secret_side_tests_refuse_wrong_length_vectors(desk_bundle, length):
     for test in (margin, locator_index, director_index):
         with pytest.raises(ParameterError, match=f"vector has {length} entries"):
             test(sk, ch, vec)
-    ct = Ciphertext(tuple(ch.constant(5) for _ in range(length)), ch.constant(1), 0)
+    ct = Ciphertext(tuple(ch.ring.poly([5]) for _ in range(length)), ch.ring.poly([1]), 0)
     with pytest.raises(ParameterError, match=f"vector has {length} entries"):
         margin_test(sk, ch, ct)
 
