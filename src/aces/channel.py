@@ -78,6 +78,8 @@ class ArithmeticChannel:
     k0: int
 
     def __post_init__(self):
+        for name in ("p", "q", "omega", "n", "big_n", "k0"):
+            _int_coeffs((getattr(self, name),), f"channel field {name}")
         object.__setattr__(self, "u", _int_coeffs(self.u))
 
     @property

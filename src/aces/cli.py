@@ -29,58 +29,18 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _build_parser() -> _Parser:
+def _build_parser(argv) -> _Parser:
+    """The ``aces`` parser; only the command ``argv[0]`` names gets its flags,
+    since a subparser costs more to build than a parse.  Any other ``argv``
+    (help, empty, unknown) gets every command by name and help alone."""
     parser = _Parser(prog="aces", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("keygen", help="generate channel, public, and secret files")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--bigN", type=int, required=True)
-    p.add_argument("--k0", type=int, required=True)
-    p.add_argument("--seed", required=True, help="hex seed for deterministic output")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--omega", type=int, default=1)
-    p.add_argument("--u", default=None, help="comma-separated coefficients, low to high")
-
-    p = sub.add_parser("encrypt", help="encrypt one plaintext residue")
-    p.add_argument("--pub", required=True)
-    p.add_argument("--channel", required=True)
-    p.add_argument("--message", type=int, required=True)
-    p.add_argument("--seed", required=True)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("decrypt", help="decrypt a ciphertext and print the residue")
-    p.add_argument("--secret", required=True)
-    p.add_argument("--channel", required=True)
-    p.add_argument("--ct", required=True)
-
-    p = sub.add_parser("eval", help="evaluate a circuit over ciphertexts")
-    p.add_argument("--pub", required=True)
-    p.add_argument("--channel", required=True)
-    p.add_argument("--lambda-in-pub", action="store_true",
-                   help="read the multiplication tensor from the public file (the default and only layout)")
-    p.add_argument("--circuit", required=True)
-    p.add_argument("--input", action="append", default=[], metavar="NAME=FILE")
-    p.add_argument("--refresh", choices=("auto", "off"), default="auto")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", default="00", help="hex seed for refresh randomness")
-
-    p = sub.add_parser("refresh", help="refresh a ciphertext to the fixed post-refresh level")
-    p.add_argument("--pub", required=True)
-    p.add_argument("--channel", required=True)
-    p.add_argument("--ct", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", default="00")
-    p.add_argument("--assume-refreshable", action="store_true",
-                   help="skip the public refreshability check (caller asserts it)")
-
-    p = sub.add_parser("inspect", help="print level and divisibility diagnostics")
-    p.add_argument("--ct", required=True)
-    p.add_argument("--channel", default=None)
-    p.add_argument("--pub", default=None)
+    chosen = argv[0] if argv and argv[0] in _COMMANDS else None
+    for name, (_, summary, add_arguments) in _COMMANDS.items():
+        if chosen is None:
+            sub.add_parser(name, help=summary)
+        elif name == chosen:
+            add_arguments(sub.add_parser(name, help=summary))
     return parser
 
 
@@ -91,6 +51,19 @@ def _load_channel(path) -> ArithmeticChannel:
 def _load_keys(args) -> EvalKeys:
     """The evaluation keys of ``--pub`` over the channel of ``--channel``."""
     return serial.public_from_dict(_load_channel(args.channel), serial.load(args.pub))
+
+
+def _keygen_arguments(p) -> None:
+    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--bigN", type=int, required=True)
+    p.add_argument("--k0", type=int, required=True)
+    p.add_argument("--seed", required=True, help="hex seed for deterministic output")
+    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--omega", type=int, default=1)
+    p.add_argument("--u", default=None, help="comma-separated coefficients, low to high")
 
 
 def _cmd_keygen(args) -> int:
@@ -114,6 +87,14 @@ def _cmd_keygen(args) -> int:
     return 0
 
 
+def _encrypt_arguments(p) -> None:
+    p.add_argument("--pub", required=True)
+    p.add_argument("--channel", required=True)
+    p.add_argument("--message", type=int, required=True)
+    p.add_argument("--seed", required=True)
+    p.add_argument("--out", required=True)
+
+
 def _cmd_encrypt(args) -> int:
     keys = _load_keys(args)
     ct = encrypt(keys.public, keys.channel, args.message, RandomSource.from_hex(args.seed))
@@ -122,12 +103,30 @@ def _cmd_encrypt(args) -> int:
     return 0
 
 
+def _decrypt_arguments(p) -> None:
+    p.add_argument("--secret", required=True)
+    p.add_argument("--channel", required=True)
+    p.add_argument("--ct", required=True)
+
+
 def _cmd_decrypt(args) -> int:
     ch = _load_channel(args.channel)
     sk = serial.secret_from_dict(ch, serial.load(args.secret))
     ct = serial.ciphertext_from_dict(ch, serial.load(args.ct))
     print(decrypt(sk, ch, ct))
     return 0
+
+
+def _eval_arguments(p) -> None:
+    p.add_argument("--pub", required=True)
+    p.add_argument("--channel", required=True)
+    p.add_argument("--lambda-in-pub", action="store_true",
+                   help="read the multiplication tensor from the public file (the default and only layout)")
+    p.add_argument("--circuit", required=True)
+    p.add_argument("--input", action="append", default=[], metavar="NAME=FILE")
+    p.add_argument("--refresh", choices=("auto", "off"), default="auto")
+    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--seed", default="00", help="hex seed for refresh randomness")
 
 
 def _cmd_eval(args) -> int:
@@ -167,6 +166,16 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _refresh_arguments(p) -> None:
+    p.add_argument("--pub", required=True)
+    p.add_argument("--channel", required=True)
+    p.add_argument("--ct", required=True)
+    p.add_argument("--out", required=True)
+    p.add_argument("--seed", default="00")
+    p.add_argument("--assume-refreshable", action="store_true",
+                   help="skip the public refreshability check (caller asserts it)")
+
+
 def _cmd_refresh(args) -> int:
     keys = _load_keys(args)
     ch = keys.channel
@@ -183,6 +192,12 @@ def _cmd_refresh(args) -> int:
     serial.dump(serial.ciphertext_to_dict(fresh), args.out)
     print(f"wrote {args.out} (level {fresh.level})")
     return 0
+
+
+def _inspect_arguments(p) -> None:
+    p.add_argument("--ct", required=True)
+    p.add_argument("--channel", default=None)
+    p.add_argument("--pub", default=None)
 
 
 def _cmd_inspect(args) -> int:
@@ -209,24 +224,26 @@ def _cmd_inspect(args) -> int:
     return 0
 
 
+# name -> (handler, help, add_arguments): the one list of subcommands.
 _COMMANDS = {
-    "keygen": _cmd_keygen,
-    "encrypt": _cmd_encrypt,
-    "decrypt": _cmd_decrypt,
-    "eval": _cmd_eval,
-    "refresh": _cmd_refresh,
-    "inspect": _cmd_inspect,
+    "keygen": (_cmd_keygen, "generate channel, public, and secret files", _keygen_arguments),
+    "encrypt": (_cmd_encrypt, "encrypt one plaintext residue", _encrypt_arguments),
+    "decrypt": (_cmd_decrypt, "decrypt a ciphertext and print the residue", _decrypt_arguments),
+    "eval": (_cmd_eval, "evaluate a circuit over ciphertexts", _eval_arguments),
+    "refresh": (_cmd_refresh, "refresh a ciphertext to the fixed post-refresh level", _refresh_arguments),
+    "inspect": (_cmd_inspect, "print level and divisibility diagnostics", _inspect_arguments),
 }
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

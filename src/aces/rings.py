@@ -97,11 +97,12 @@ def factorize(q: int) -> list[int]:
     return primes
 
 
-def _int_coeffs(coeffs) -> tuple[int, ...]:
-    """``coeffs`` as a tuple; a float or a bool is refused, never truncated."""
+def _int_coeffs(coeffs, what: str = "polynomial coefficients") -> tuple[int, ...]:
+    """``coeffs`` as a tuple; a float or a bool is refused, never truncated,
+    with ``what`` named in the error."""
     coeffs = tuple(coeffs)
     if any(type(c) is not int for c in coeffs):
-        raise ParameterError(f"polynomial coefficients must be integers, got {coeffs}")
+        raise ParameterError(f"{what}: expected integers, got {coeffs}")
     return coeffs
 
 
@@ -170,7 +171,7 @@ class Ring:
 
     def poly(self, coeffs) -> "RingPoly":
         """The element with arbitrary integer coefficients, reduced."""
-        return _wrap(self, self.reduce([int(c) for c in coeffs]))
+        return _wrap(self, self.reduce(_int_coeffs(coeffs)))
 
     def reduce(self, coeffs: list[int]) -> tuple[int, ...]:
         """Canonical coefficients of an integer polynomial of any length."""

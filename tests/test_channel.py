@@ -1,6 +1,9 @@
 """Tests for channel validation and the two samplers."""
 
+from fractions import Fraction
+
 import pytest
+from conftest import DESK
 
 from aces.channel import (
     ArithmeticChannel,
@@ -48,12 +51,25 @@ def test_validation_rejects_degree_one_modulus():
 
 @pytest.mark.parametrize("top", [1.9, 1.0, True])
 def test_non_integer_u_coefficient_is_refused(top):
-    """A float or a bool in ``u`` is refused, not truncated to an int."""
+    """A float or a bool in ``u``, or in the coefficients ``Ring.poly`` is
+    given, is refused, not truncated to an int."""
     u = (-1, 0, 0, 0, top)
     with pytest.raises(ParameterError):
         ArithmeticChannel(p=2, q=15015, omega=1, u=u, n=3, big_n=2, k0=1)
     with pytest.raises(ParameterError):
         Ring(15015, u)
+    with pytest.raises(ParameterError):
+        Ring(15015, (-1, 0, 0, 0, 1)).poly([top, 1])
+
+
+@pytest.mark.parametrize("value", [2.5, 1.0, True, "3", Fraction(3)], ids=repr)
+@pytest.mark.parametrize("field", ["p", "q", "omega", "n", "big_n", "k0"])
+def test_non_integer_channel_field_is_refused(field, value):
+    """Every scalar field is an ``int``: anything else is a ParameterError
+    naming the field when the channel is built, never a TypeError from
+    ``violations()`` or an empty list of violations."""
+    with pytest.raises(ParameterError, match=f"channel field {field}:"):
+        ArithmeticChannel(**{**DESK, field: value})
 
 
 def test_random_source_is_reproducible():

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -341,6 +342,50 @@ def test_cli_usage_error_is_exit_1():
     assert main(["bogus"]) == 1
 
 
+def test_cli_without_a_command_is_exit_1():
+    assert main([]) == 1
+    assert main(["--", "decrypt", "--secret", "s.json"]) == 1
+
+
+# The help line of each subcommand and its option strings, as ``aces -h`` and
+# ``aces <cmd> -h`` print them.
+CLI_SURFACE = {
+    "keygen": ("generate channel, public, and secret files", [
+        "-h", "--help", "--p", "--q", "--degree", "--n", "--bigN", "--k0", "--seed",
+        "--out", "--omega", "--u"]),
+    "encrypt": ("encrypt one plaintext residue", [
+        "-h", "--help", "--pub", "--channel", "--message", "--seed", "--out"]),
+    "decrypt": ("decrypt a ciphertext and print the residue", [
+        "-h", "--help", "--secret", "--channel", "--ct"]),
+    "eval": ("evaluate a circuit over ciphertexts", [
+        "-h", "--help", "--pub", "--channel", "--lambda-in-pub", "--circuit", "--input",
+        "--refresh", "--out", "--seed"]),
+    "refresh": ("refresh a ciphertext to the fixed post-refresh level", [
+        "-h", "--help", "--pub", "--channel", "--ct", "--out", "--seed",
+        "--assume-refreshable"]),
+    "inspect": ("print level and divisibility diagnostics", [
+        "-h", "--help", "--ct", "--channel", "--pub"]),
+}
+
+
+def test_cli_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["-h"])
+    assert exit_.value.code == 0
+    out = capsys.readouterr().out
+    for name, (summary, _) in CLI_SURFACE.items():
+        assert re.search(rf"^ +{name} +{re.escape(summary)}$", out, re.M), name
+
+
+@pytest.mark.parametrize("name", list(CLI_SURFACE))
+def test_cli_command_help_lists_its_flags(capsys, name):
+    with pytest.raises(SystemExit) as exit_:
+        main([name, "-h"])
+    assert exit_.value.code == 0
+    flags = set(re.findall(r"(?<![\w-])--?[A-Za-z][\w-]*", capsys.readouterr().out))
+    assert flags == set(CLI_SURFACE[name][1])
+
+
 @pytest.mark.parametrize("message", ["2", "5", "-1"])
 def test_cli_encrypt_refuses_a_message_outside_zp(cli_keys, tmp_path, message):
     """The message is encrypted as given, never reduced mod p (2 here)."""
@@ -494,16 +539,36 @@ def test_cli_outputs_are_deterministic(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
-def test_cli_entry_point_runs_as_module(tmp_path):
-    # The child imports the same ``aces`` as this process, installed or not.
+def _run_module(*args):
+    """``python -m aces.cli ARGS`` in a child that imports the same ``aces`` as
+    this process, installed or not, so ``main`` reads ``sys.argv``."""
     src = str(Path(aces.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "aces.cli", "keygen", "--p", "2", "--q", "105",
-         "--degree", "2", "--n", "2", "--bigN", "1", "--k0", "1",
-         "--seed", "01", "--out", str(tmp_path / "k")],
-        capture_output=True, text=True, env=env,
+    return subprocess.run(
+        [sys.executable, "-m", "aces.cli", *args], capture_output=True, text=True, env=env,
+    )
+
+
+def test_cli_entry_point_runs_as_module(tmp_path):
+    proc = _run_module(
+        "keygen", "--p", "2", "--q", "105", "--degree", "2", "--n", "2", "--bigN", "1",
+        "--k0", "1", "--seed", "01", "--out", str(tmp_path / "k"),
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "k" / "public.json").exists()
+
+
+def test_cli_module_reads_the_command_from_sys_argv(cli_keys, tmp_path):
+    ct = tmp_path / "ct.json"
+    assert main([
+        "encrypt", "--pub", str(cli_keys / "public.json"),
+        "--channel", str(cli_keys / "channel.json"),
+        "--message", "1", "--seed", "55", "--out", str(ct),
+    ]) == 0
+    proc = _run_module("inspect", "--ct", str(ct))
+    assert proc.returncode == 0, proc.stderr
+    assert re.search(r"^level: \d+$", proc.stdout, re.M)
+    proc = _run_module("bogus")
+    assert proc.returncode == 1
+    assert "invalid choice: 'bogus'" in proc.stderr
