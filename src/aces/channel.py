@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ParameterError
-from .rings import Ring, RingPoly, _int_coeffs, _wrap, is_leveled_multiple, lift
+from .rings import Ring, RingPoly, _int_coeffs, _wrap, factorize, is_leveled_multiple, lift
 
 __all__ = [
     "ArithmeticChannel",
@@ -125,6 +125,12 @@ class ArithmeticChannel:
     def ring(self) -> Ring:
         """The shared ``Ring(q, u)`` every polynomial of this channel lives in."""
         return Ring(self.q, self.u)
+
+    @cached_property
+    def primes(self) -> tuple[int, ...]:
+        """The distinct prime factors of q in increasing order, factorized
+        once per channel; repartitions are drawn over them."""
+        return tuple(factorize(self.q))
 
     def random_poly(self, rng: RandomSource) -> RingPoly:
         return _wrap(self.ring, tuple(rng.below(self.q) for _ in range(self.degree)))

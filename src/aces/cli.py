@@ -8,6 +8,7 @@ operation (noise budget, invalid parameters, unverifiable refresh).
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -53,6 +54,13 @@ def _load_keys(args) -> EvalKeys:
     return serial.public_from_dict(_load_channel(args.channel), serial.load(args.pub))
 
 
+def _coefficients(text: str) -> tuple[int, ...]:
+    """``--u``: integers separated by commas alone, low to high."""
+    if not re.fullmatch(r"-?[0-9]+(,-?[0-9]+)*", text):
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return tuple(map(int, text.split(",")))
+
+
 def _keygen_arguments(p) -> None:
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
@@ -63,16 +71,15 @@ def _keygen_arguments(p) -> None:
     p.add_argument("--seed", required=True, help="hex seed for deterministic output")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--omega", type=int, default=1)
-    p.add_argument("--u", default=None, help="comma-separated coefficients, low to high")
+    p.add_argument("--u", type=_coefficients, default=None,
+                   help="comma-separated coefficients, low to high, no blanks; write a "
+                        "leading minus as --u=-1,0,...,1 (default X^degree - 1)")
 
 
 def _cmd_keygen(args) -> int:
-    if args.u is not None:
-        u = tuple(int(c) for c in args.u.split(","))
-        if len(u) - 1 != args.degree:
-            raise _UsageError(f"--u has degree {len(u) - 1}, --degree is {args.degree}")
-    else:
-        u = tuple([-1] + [0] * (args.degree - 1) + [1])
+    if args.u is not None and len(args.u) - 1 != args.degree:
+        raise _UsageError(f"--u has degree {len(args.u) - 1}, --degree is {args.degree}")
+    u = args.u or tuple([-1] + [0] * (args.degree - 1) + [1])
     ch = ArithmeticChannel(
         p=args.p, q=args.q, omega=args.omega, u=u,
         n=args.n, big_n=args.bigN, k0=args.k0,
@@ -205,6 +212,7 @@ def _cmd_inspect(args) -> int:
         raise _UsageError("--channel and --pub must be given together")
     data = serial.load(args.ct)
     if args.channel is None:
+        serial._format(data, "ciphertext")
         if type(data["c"]) is not list:
             raise TypeError("ciphertext vector: expected a list")
         print(f"level: {serial._ints(data['level'], 'ciphertext level')}")

@@ -297,7 +297,7 @@ def keygen(ch: ArithmeticChannel, rng: RandomSource) -> KeyBundle:
     ch.require_valid()
     last_error = None
     for _ in range(REPARTITION_ATTEMPTS):
-        rep = Repartition.sample(ch.q, ch.n, rng)
+        rep = Repartition.sample(ch, rng)
         try:
             sk = gen_secret(ch, rep, rng)
             tensor = gen_tensor(ch, rep, sk, rng)

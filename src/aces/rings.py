@@ -412,11 +412,11 @@ class Repartition:
                 raise ParameterError(f"assignment value {v} out of range")
 
     @staticmethod
-    def sample(q: int, n: int, rng) -> "Repartition":
-        """Uniform assignment over functions [n] -> {0, ..., n0}."""
-        primes = tuple(factorize(q))
-        assignment = tuple(rng.below(len(primes) + 1) for _ in range(n))
-        return Repartition(q, primes, assignment)
+    def sample(ch, rng) -> "Repartition":
+        """Uniform assignment over functions [n] -> {0, ..., n0}, over the
+        prime factors the channel ``ch`` holds."""
+        assignment = tuple(rng.below(len(ch.primes) + 1) for _ in range(ch.n))
+        return Repartition(ch.q, ch.primes, assignment)
 
     @property
     def n(self) -> int:

@@ -1,8 +1,20 @@
-"""JSON wire formats.
+"""JSON wire formats, file format 2.
 
-All residue-sized integers are rendered as decimal strings so files stay
-width-agnostic; structural integers (levels, indices, dimensions) stay
-plain, and one reader (``_ints``) reads them all back exactly or refuses.
+Every file but ``report.json`` starts with ``"format": 2``; a file without
+it, or with any other value, is refused, with a message to regenerate the
+keys.  There is one reader per kind of value and no reader of older files.
+
+* A polynomial in ``Z_q[X]/(u)`` is one lowercase hex string of its
+  ``deg(u)`` canonical coefficients, each a little-endian word of the
+  smallest of 1, 2, 4 or 8 bytes that holds ``q - 1`` (``_WORDS``); a ``q``
+  above ``2**64`` has no word and is refused.  The rows of the
+  multiplication tensor, the locator vectors and the locator margins are
+  word strings in the same way.  ``_words`` reads them all back or refuses.
+* Structural integers (levels, ``kappa``, the repartition map, locator
+  indices) are JSON integers; channel parameters and the repartition's
+  primes are decimal strings, so they stay exact at any width.  ``_ints``
+  reads them all back or refuses.
+
 Field order is fixed, which makes output files byte-stable under a fixed
 seed.  The secret key always lives in its own file and is never written by
 the public-material exporters.
@@ -11,6 +23,7 @@ the public-material exporters.
 from __future__ import annotations
 
 import json
+import struct
 from itertools import chain
 
 from .channel import ArithmeticChannel
@@ -33,19 +46,37 @@ __all__ = [
     "load",
 ]
 
+FORMAT = 2
 
-def _ints(data, what: str, shape=(), below: int | None = None, signed: bool = False):
-    """The integers of ``data``: one, or nested lists of ``shape``.
+# Word width in bytes -> its struct code (little-endian, unsigned).
+_WORDS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
-    ``shape`` gives each nesting level's length; the outermost may be
-    ``None``, which leaves it free.  An integer is a JSON integer (not a
-    boolean) or a decimal string, with a leading minus only when ``signed``;
-    residues mod ``below`` are ASCII decimal strings in ``[0, below)``.
-    Anything else (a float, a boolean, a value out of range) or a wrong
-    length is refused with ParameterError, never truncated or reduced; a
-    container of the wrong type is a TypeError.  Each check covers a whole
-    level in C, not with a Python call per value.
-    """
+
+def _word(q: int) -> tuple[str, int]:
+    """The struct code and byte width of one residue mod ``q``."""
+    for width, code in _WORDS.items():
+        if q - 1 < 1 << 8 * width:
+            return code, width
+    raise ParameterError(f"q = {q} is above 2**64: no file word holds its residues")
+
+
+def _format(data, what: str) -> None:
+    """Refuse a file that is not format 2 (an older file, or not a file of
+    this package)."""
+    if type(data) is not dict:
+        raise TypeError(f"{what}: expected a JSON object")
+    found = data.get("format")
+    if type(found) is not int or found != FORMAT:  # 2.0 and True are not 2
+        raise ParameterError(
+            f"{what}: file format {found!r}, expected {FORMAT}; "
+            "regenerate the keys (and re-encrypt) with this version of aces")
+
+
+def _leaves(data, what: str, shape) -> list:
+    """The leaves of nested lists of ``shape``: each entry is one nesting
+    level's length, the outermost may be ``None`` (free).  A container of
+    the wrong type is a TypeError, a wrong length a ParameterError; each
+    level is checked whole in C."""
     items = [data]
     for count in shape:
         if not set(map(type, items)) <= {list}:
@@ -53,9 +84,28 @@ def _ints(data, what: str, shape=(), below: int | None = None, signed: bool = Fa
         if count is not None and not set(map(len, items)) <= {count}:
             raise ParameterError(f"{what}: expected nested lists of shape {shape}")
         items = list(chain.from_iterable(items))
+    return items
+
+
+def _nest(values: tuple, shape) -> tuple:
+    """``values`` regrouped by every length of ``shape`` but the outermost."""
+    for count in reversed(shape[1:]):
+        values = tuple(zip(*[iter(values)] * count))  # lengths are checked: no group is short
+    return values
+
+
+def _ints(data, what: str, shape=(), signed: bool = False):
+    """The structural integers of ``data``: one, or nested lists of ``shape``.
+
+    An integer is a JSON integer (not a boolean) or a decimal string, with a
+    leading minus only when ``signed``.  Anything else (a float, a boolean,
+    a negative value where none belongs) is refused with ParameterError,
+    never truncated.
+    """
+    items = _leaves(data, what, shape)
     ok, values = False, ()
     if items and type(items[0]) is int:  # JSON integers; a boolean is not one
-        ok = below is None and set(map(type, items)) == {int} and (signed or min(items) >= 0)
+        ok = set(map(type, items)) == {int} and (signed or min(items) >= 0)
         values = tuple(items)
     else:
         try:  # non-empty strings of ASCII digits; int() refuses a misplaced minus
@@ -65,27 +115,76 @@ def _ints(data, what: str, shape=(), below: int | None = None, signed: bool = Fa
             values = tuple(map(int, items)) if ok else ()
         except (TypeError, ValueError):  # a float, a boolean, None, not ASCII, "1-"
             ok = False
-    if not ok or below is not None and max(values, default=0) >= below:
+    if not ok:
         raise ParameterError(f"{what}: expected " + (
-            f"decimal strings in [0, {below})" if below is not None
-            else "integers" if signed else "non-negative integers"))
-    for count in reversed(shape[1:]):
-        values = tuple(values[i:i + count] for i in range(0, len(values), count))
-    return values if shape else values[0]
+            "integers" if signed else "non-negative integers"))
+    return _nest(values, shape) if shape else values[0]
+
+
+def _words(q: int, data, what: str, shape, count: int) -> tuple:
+    """The residues mod ``q`` of ``data``: nested lists of ``shape`` whose
+    leaves are word strings of ``count`` words each, as nested tuples whose
+    innermost tuples hold one string's words.
+
+    A leaf must be a string of exactly ``count`` words in canonical
+    lowercase hex (no whitespace, no uppercase), and every word must be
+    below ``q``; anything else is a ParameterError, never reduced or
+    truncated, except that a list where a string belongs is a TypeError,
+    as a wrong container is.  Every check covers the whole field in C.
+    """
+    code, width = _word(q)
+    items = _leaves(data, what, shape)
+    kinds = set(map(type, items))
+    if not kinds <= {str}:
+        error = TypeError if kinds & {list, dict} else ParameterError
+        raise error(f"{what}: expected hex word strings")
+    size = 2 * width * count
+    if not set(map(len, items)) <= {size}:
+        raise ParameterError(f"{what}: expected strings of {count} words of {width} bytes")
+    text = "".join(items)
+    try:
+        raw = bytes.fromhex(text)
+    except ValueError:  # not hex, or not ASCII
+        raw = b""
+    if raw.hex() != text:  # also refuses whitespace and uppercase, which fromhex accepts
+        raise ParameterError(f"{what}: expected lowercase hex digits only")
+    values = struct.unpack(f"<{len(items) * count}{code}", raw)
+    if max(values, default=0) >= q:
+        raise ParameterError(f"{what}: expected words below q = {q}")
+    return _nest(values, (*shape, count))
+
+
+def _words_out(q: int, rows) -> list[str]:
+    """One word string per row of ``rows`` (equal-length rows of residues
+    mod ``q``), all packed in one call."""
+    rows = list(rows)
+    if not rows:
+        return []
+    code, width = _word(q)
+    flat = list(chain.from_iterable(rows))
+    text = struct.pack(f"<{len(flat)}{code}", *flat).hex()
+    step = 2 * width * len(rows[0])
+    return [text[i:i + step] for i in range(0, len(text), step)]
 
 
 def _polys(ch: ArithmeticChannel, data, what: str, count: int) -> tuple[RingPoly, ...]:
-    """``count`` polynomials of exactly ``deg(u)`` canonical residues mod q;
-    nothing is reduced."""
-    return tuple(_wrap(ch.ring, c) for c in _ints(data, what, (count, ch.degree), ch.q))
+    """``count`` polynomials; nothing is reduced."""
+    return tuple(_wrap(ch.ring, c) for c in _words(ch.q, data, what, (count,), ch.degree))
 
 
-def _poly_out(poly: RingPoly) -> list[str]:
-    return [str(c) for c in poly.coeffs]
+def _polys_out(polys) -> list[str]:
+    """One word string per polynomial of the non-empty ``polys``."""
+    return _words_out(polys[0].ring.q, [p.coeffs for p in polys])
+
+
+def _rows(items: list, count: int) -> list[list]:
+    """``items`` in lists of ``count``."""
+    return [items[i:i + count] for i in range(0, len(items), count)]
 
 
 def channel_to_dict(ch: ArithmeticChannel) -> dict:
     return {
+        "format": FORMAT,
         "p": str(ch.p),
         "q": str(ch.q),
         "omega": str(ch.omega),
@@ -97,6 +196,7 @@ def channel_to_dict(ch: ArithmeticChannel) -> dict:
 
 
 def channel_from_dict(data: dict) -> ArithmeticChannel:
+    _format(data, "channel")
     p, q, n, big_n, k0 = _ints([data[k] for k in ("p", "q", "n", "N", "k0")], "channel", (5,))
     return ArithmeticChannel(
         p=p, q=q, n=n, big_n=big_n, k0=k0,
@@ -105,68 +205,72 @@ def channel_from_dict(data: dict) -> ArithmeticChannel:
     )
 
 
+def _ciphertext_out(ct: Ciphertext) -> dict:
+    return {"c": _polys_out(ct.c), "cprime": _polys_out([ct.cprime])[0], "level": ct.level}
+
+
+def _ciphertexts(ch: ArithmeticChannel, items, what: str) -> tuple[Ciphertext, ...]:
+    """The ciphertexts ``items`` (objects of ``c``, ``cprime`` and
+    ``level``), each field of them all read in one call."""
+    c = _words(ch.q, [e["c"] for e in items], f"{what} vector", (None, ch.n), ch.degree)
+    cprime = _words(ch.q, [e["cprime"] for e in items], f"{what} scalar part", (None,), ch.degree)
+    levels = _ints([e["level"] for e in items], f"{what} level", (None,))
+    ring = ch.ring
+    return tuple(Ciphertext(tuple(_wrap(ring, x) for x in v), _wrap(ring, y), k)
+                 for v, y, k in zip(c, cprime, levels))
+
+
 def ciphertext_to_dict(ct: Ciphertext) -> dict:
-    return {
-        "c": [_poly_out(part) for part in ct.c],
-        "cprime": _poly_out(ct.cprime),
-        "level": ct.level,
-    }
+    return {"format": FORMAT, **_ciphertext_out(ct)}
 
 
 def ciphertext_from_dict(ch: ArithmeticChannel, data: dict) -> Ciphertext:
-    return Ciphertext(
-        _polys(ch, data["c"], "ciphertext vector", ch.n),
-        _wrap(ch.ring, _ints(data["cprime"], "ciphertext scalar part", (ch.degree,), ch.q)),
-        _ints(data["level"], "ciphertext level"),
-    )
-
-
-def _locator_to_dict(entry: LocatorEntry) -> dict:
-    return {
-        "vec": [str(v) for v in entry.vec],
-        "kind": entry.kind,
-        "k": entry.k,
-        "margin_num": str(entry.margin_num),
-    }
+    _format(data, "ciphertext")
+    return _ciphertexts(ch, [data], "ciphertext")[0]
 
 
 def public_to_dict(keys) -> dict:
     """Everything publishable from a key bundle or its ``EvalKeys``; never
     the secret."""
-    rep = keys.repartition
+    ch, rep, locators = keys.channel, keys.repartition, keys.locators
+    q, n = ch.q, ch.n
     return {
-        "f0": [[_poly_out(p) for p in row] for row in keys.public.f0],
-        "fprime": [_poly_out(p) for p in keys.public.fprime],
+        "format": FORMAT,
+        "f0": _rows(_polys_out([p for row in keys.public.f0 for p in row]), n),
+        "fprime": _polys_out(keys.public.fprime),
         "sigma": {
             "map": list(rep.assignment),
             "primes": [str(p) for p in rep.primes],
         },
-        "lambda": [
-            [[str(v) for v in row] for row in plane] for plane in keys.tensor.coeffs
-        ],
+        "lambda": _rows(_words_out(q, chain.from_iterable(keys.tensor.coeffs)), n),
         "refresher": {
             "kappa": list(keys.refresher.kappa),
-            "rho": [ciphertext_to_dict(ct) for ct in keys.refresher.rho],
+            "rho": [_ciphertext_out(ct) for ct in keys.refresher.rho],
         },
-        "locators": [_locator_to_dict(e) for e in keys.locators],
+        "locators": [
+            {"vec": vec, "kind": e.kind, "k": e.k, "margin_num": margin}
+            for e, vec, margin in zip(locators, _words_out(q, (e.vec for e in locators)),
+                                      _words_out(q, ((e.margin_num,) for e in locators)))
+        ],
     }
 
 
 def public_from_dict(ch: ArithmeticChannel, data: dict) -> EvalKeys:
     """The public file as the evaluation keys it publishes."""
+    _format(data, "public key")
     n, sigma, fresh = ch.n, data["sigma"], data["refresher"]
-    f0 = _ints(data["f0"], "f0", (ch.big_n, n, ch.degree), ch.q)
+    f0 = _words(ch.q, data["f0"], "f0", (ch.big_n, n), ch.degree)
     public = PublicKey(tuple(tuple(_wrap(ch.ring, c) for c in row) for row in f0),
                        _polys(ch, data["fprime"], "fprime", ch.big_n))
     # Repartition itself rejects primes other than the prime factors of q.
     rep = Repartition(ch.q, _ints(sigma["primes"], "sigma primes", (None,)),
                       _ints(sigma["map"], "sigma map", (n,)))
     # ProductTensor itself rejects a tensor that is not symmetric.
-    tensor = ProductTensor(_ints(data["lambda"], "lambda", (n, n, n), ch.q))
+    tensor = ProductTensor(_words(ch.q, data["lambda"], "lambda", (n, n), n))
     if len(fresh["rho"]) != n:
         raise ParameterError(f"refresher: expected {n} ciphertexts, got {len(fresh['rho'])}")
     kappa = _ints(fresh["kappa"], "refresher levels", (n,))
-    refresher = Refresher(tuple(ciphertext_from_dict(ch, d) for d in fresh["rho"]))
+    refresher = Refresher(_ciphertexts(ch, fresh["rho"], "refresher"))
     if kappa != refresher.kappa:
         raise ParameterError(f"refresher: kappa {kappa} is not the rho levels {refresher.kappa}")
     entries = data["locators"]
@@ -175,26 +279,28 @@ def public_from_dict(ch: ArithmeticChannel, data: dict) -> EvalKeys:
         raise ParameterError(f"locator kinds must be locator or director, got {kinds}")
     locators = map(
         LocatorEntry,
-        _ints([e["vec"] for e in entries], "locator vec", (None, n), ch.q),
+        _words(ch.q, [e["vec"] for e in entries], "locator vec", (None,), n),
         kinds,
         _ints([e["k"] for e in entries], "locator k", (None,)),
-        _ints([e["margin_num"] for e in entries], "locator margin", (None,), ch.q),
+        chain.from_iterable(_words(ch.q, [e["margin_num"] for e in entries],
+                                   "locator margin", (None,), 1)),
     )
     return EvalKeys(ch, public, tensor, refresher, tuple(locators), rep)
 
 
 def secret_to_dict(sk: SecretKey) -> dict:
-    return {"secret": [_poly_out(p) for p in sk.polys]}
+    return {"format": FORMAT, "secret": _polys_out(sk.polys)}
 
 
 def secret_from_dict(ch: ArithmeticChannel, data: dict) -> SecretKey:
+    _format(data, "secret key")
     return SecretKey(_polys(ch, data["secret"], "secret", ch.n))
 
 
 def dump(data: dict, path) -> None:
+    """Write ``data`` as indented JSON in one write."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(data, indent=2) + "\n")
 
 
 def load(path) -> dict:

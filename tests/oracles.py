@@ -5,11 +5,14 @@ integer lists and a monomial-substitution reduction, deliberately not
 sharing code or algorithm shape with the package under test.  The one
 exception is ``refresh_reference``, which composes the package's own
 encryption and homomorphic operations (each checked against the oracles
-above) into the refresh as it is defined.
+above) into the refresh as it is defined.  ``render_v1`` renders a file of
+the current wire format in the layout of file format 1, so digests recorded
+under format 1 still pin every value.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
@@ -187,3 +190,36 @@ def public_search_reference(db, ch, target):
                     if combo is not None and combo[0] == target:
                         return PublicVerdict(True, combo[1], combo[2])
     return UNKNOWN
+
+
+def _decimal_words(text: str, q: int) -> list[str]:
+    """A word string as format 1 wrote it: one decimal string per word, the
+    word being the fewest of 1, 2, 4 or 8 bytes that hold q - 1."""
+    width = next(w for w in (1, 2, 4, 8) if q - 1 < 256**w)
+    raw = bytes.fromhex(text)
+    return [str(int.from_bytes(raw[i:i + width], "little")) for i in range(0, len(raw), width)]
+
+
+def render_v1(data: dict, q: int) -> bytes:
+    """The bytes file format 1 held for the same values as the format-2
+    document ``data`` (a channel, ciphertext, public, secret or report
+    file): no ``format`` field, every residue a decimal string of its own,
+    ``json.dump(indent=2)`` and a final newline."""
+
+    def v1(doc: dict) -> dict:
+        out = {key: value for key, value in doc.items() if key != "format"}
+        for key in ("c", "cprime", "f0", "fprime", "lambda", "secret"):
+            if key in out:
+                out[key] = polys(out[key])
+        if "refresher" in out:
+            out["refresher"] = {**out["refresher"], "rho": [v1(ct) for ct in out["refresher"]["rho"]]}
+        if "locators" in out:
+            out["locators"] = [{**e, "vec": _decimal_words(e["vec"], q),
+                                "margin_num": _decimal_words(e["margin_num"], q)[0]}
+                               for e in out["locators"]]
+        return out
+
+    def polys(value):
+        return [polys(v) for v in value] if isinstance(value, list) else _decimal_words(value, q)
+
+    return (json.dumps(v1(data), indent=2) + "\n").encode()

@@ -13,7 +13,7 @@ import pytest
 import aces
 from aces import serial
 from aces.channel import RandomSource
-from aces.cipher import decrypt, encrypt
+from aces.cipher import Ciphertext, decrypt, encrypt
 from aces.circuit import (
     EvalKeys,
     RefreshPolicy,
@@ -194,8 +194,9 @@ def test_ciphertext_roundtrip(desk_bundle, rng, tmp_path):
     serial.dump(serial.ciphertext_to_dict(ct), path)
     assert serial.ciphertext_from_dict(ch, serial.load(path)) == ct
     data = serial.load(path)
+    assert data["format"] == 2
     assert isinstance(data["level"], int)
-    assert all(isinstance(c, str) for c in data["cprime"])
+    assert isinstance(data["cprime"], str) and all(isinstance(c, str) for c in data["c"])
 
 
 def test_public_bundle_roundtrip(desk_bundle, tmp_path):
@@ -407,6 +408,21 @@ def test_cli_keygen_refuses_u_of_another_degree(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("u", ["--u=-1,0,0,0,x", "--u=-1,0,0,0, 1", "--u=-1,,0,0,1", "--u=1.0,0,0,0,1"])
+def test_cli_keygen_refuses_a_malformed_u_as_usage(tmp_path, capsys, u):
+    """``--u`` is parsed as the flag's value: a non-integer entry or a blank
+    is a usage error naming ``--u``, not a malformed file."""
+    out = tmp_path / "keys"
+    capsys.readouterr()
+    assert main([
+        "keygen", "--p", "2", "--q", "15015", "--degree", "4", "--n", "3", "--bigN", "2",
+        "--k0", "1", "--seed", "00ff", u, "--out", str(out),
+    ]) == 1
+    err = capsys.readouterr().err
+    assert "--u" in err and "malformed input file" not in err
+    assert not out.exists()
+
+
 def test_cli_missing_file_is_exit_1(tmp_path):
     assert main([
         "decrypt", "--secret", str(tmp_path / "nope.json"),
@@ -421,13 +437,9 @@ def test_cli_wrong_file_shape_is_exit_1(cli_keys):
 
 def test_cli_decrypt_past_budget_is_exit_2(cli_keys, tmp_path):
     ch = serial.channel_from_dict(serial.load(cli_keys / "channel.json"))
-    data = {
-        "c": [["0"] * ch.degree for _ in range(ch.n)],
-        "cprime": ["1"] + ["0"] * (ch.degree - 1),
-        "level": ch.max_noise_level() + 1,
-    }
+    hot = Ciphertext((ch.ring.zero(),) * ch.n, ch.ring.poly([1]), ch.max_noise_level() + 1)
     path = tmp_path / "hot.json"
-    serial.dump(data, path)
+    serial.dump(serial.ciphertext_to_dict(hot), path)
     assert main([
         "decrypt", "--secret", str(cli_keys / "secret.json"),
         "--channel", str(cli_keys / "channel.json"), "--ct", str(path),

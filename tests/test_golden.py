@@ -5,9 +5,16 @@ change that alters a draw order or a single coefficient still passes them.
 These digests were recorded once and are compared against every build: a
 refactor that claims "same behaviour" must keep them unchanged.  If a change
 alters the outputs on purpose, it must say why and re-record the digests.
+
+Each file is pinned twice.  The ``*_V1`` tables hold the digests of its
+rendering in file format 1 (``oracles.render_v1``), recorded before format 2
+existed, so they show that no value and no draw moved with the format; the
+``*_V2`` tables hold the digests of the files as written.  ``report.json``
+has one layout in both formats, so its two digests are equal.
 """
 
 import hashlib
+import json
 import math
 from pathlib import Path
 
@@ -21,6 +28,7 @@ from aces.cli import main
 from aces.homo import hom_mul
 from aces.keygen import keygen
 from aces.refresh import secret_refresh_checker
+from oracles import render_v1
 
 DESK_ARGS = ["--p", "2", "--q", "15015", "--degree", "4", "--n", "3", "--bigN", "2", "--k0", "1"]
 MID_Q = math.prod((3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
@@ -28,10 +36,11 @@ MID_ARGS = ["--p", "2", "--q", str(MID_Q), "--degree", "16", "--n", "6", "--bigN
 ODD_Q = math.prod((5, 7, 11, 13, 17, 19))
 ODD_ARGS = ["--p", "3", "--q", str(ODD_Q), "--degree", "8", "--n", "4", "--bigN", "5", "--k0", "1"]
 LARGE_Q = math.prod((5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47))
+CHANNEL_Q = {"desk": 15015, "mid": MID_Q, "odd": ODD_Q}
 
 CIRCUIT = "in a b\nt = mul a b\ns = add t b\nr = mul s a\nout r s\n"
 
-GOLDEN_CLI = {
+GOLDEN_CLI_V1 = {
     "desk": {
         "keys/channel.json": "97032fd81ac66cb2f889a71d0774af04ce5f8da18f0da5b7f3564ef7ebb60c17",
         "keys/public.json": "f947523d5a95c96685154dc2a04b178b32d5242b50a4c188abcb07fe53f2f83e",
@@ -53,14 +62,14 @@ GOLDEN_CLI = {
         "out/report.json": "134af46bb3285e765c65593541cab81fbab6dcd8f330c770d23ab2268ffa9164",
     },
 }
-GOLDEN_DESK_REFRESH = {
+GOLDEN_DESK_REFRESH_V1 = {
     "t6.json": "dd88e5f979e4f2f12a4798cacb5554e24775260d0121902148ea03370df49827",
     "report.json": "b91b86242d6542c2a25f5d44f2b0e6ff66413e1cd5c7728e21877c963835d6cb",
 }
 # CLI keygen (seed 7e57), encrypt, then refresh --assume-refreshable (seed
 # f1), at mid and at the odd-row channel; the encryption seeds were picked so
 # that the input is refreshable, and the refreshed file decrypts to the message.
-GOLDEN_CLI_REFRESH = {
+GOLDEN_CLI_REFRESH_V1 = {
     "mid": ("e4", 1, {
         "keys/public.json": "b10bbe7797ecd97554596375ae0f55845afeb5f9f6d9582fd698df2fca350f11",
         "keys/secret.json": "c45191c3ffae1546ade31a55131290da41de2086d3c9589a4c7907d812251466",
@@ -74,18 +83,73 @@ GOLDEN_CLI_REFRESH = {
         "fresh.json": "f615cf5dd39e7b14d4b4d593d90abb9577c8f4fce3cd1349b51bf880a6015d82",
     }),
 }
-GOLDEN_LARGE_MUL = "3a839708e9c4b82bb88a10c1dd459c4744d2a42524fee0b7a1ffe14140515e7d"
-GOLDEN_ODD_ROWS = {
+GOLDEN_LARGE_MUL_V1 = "3a839708e9c4b82bb88a10c1dd459c4744d2a42524fee0b7a1ffe14140515e7d"
+GOLDEN_ODD_ROWS_V1 = {
     "public.json": "07bb8b79679aef284c780eb73d8d56cba0b5e649427a6141b2b9bf7d9b7ebb29",
     "secret.json": "a0dd2a8c456ff8232ff1aeb71ed8c1c12368f4900413f47bd93be4b2095ea9ec",
     "a.json": "9374b17b18d11b2fbfde068fd1747cd9220b9ebdd882a10ddd3b17cdaf8a0d9b",
     "b.json": "d97a0e6d2f29d71b2d6dee29ce4f0288529d032fa2984c4f693246ffb7cc9d6e",
     "ab.json": "b1aea759a9b63b95f9abd97a77711e182032836ec194749f91bd525a038d0f53",
 }
+GOLDEN_CLI_V2 = {
+    "desk": {
+        "keys/channel.json": "999f5c9b8d8457c5e09edc274313eb7a1feb77e3be2b7b9c25dfa4caf2e6d85c",
+        "keys/public.json": "6a740b55b99b2b7e062d0d42343a5ac5d16fcbe8cd69068ed8b8c289644f5800",
+        "keys/secret.json": "089fc1b6f8bd2b001ef28f91004966b94977640f6a3b511d9d87960012a67299",
+        "a.json": "2d5c49ed12b175dd85350c21036758206f8efeee84f5b636e62da4bc6bd8d417",
+        "b.json": "bee4f2319226eb99387ef11cfb612a7efc481b073121ddbf566efb2fb665c3f1",
+        "out/r.json": "05990d3f7d1979c11d56f092252fadcb83fa276dfdd1995e5970818a3f5a9c8e",
+        "out/s.json": "ec8074aa590b83f0837dedf67ec71588e5945ae92f77211ab2abcb8f1d4a6721",
+        "out/report.json": "a1cf5732c40e00c1ea21e1e80046fc5f7995a2d97ff66434efb624a2399176de",
+    },
+    "mid": {
+        "keys/channel.json": "0c35ef8be689bc6744a0007848331fd454eee7706c1c56f0a84e50a461d5d13f",
+        "keys/public.json": "8eb424bec97cc109dd4bad16204da46d917a2ad0d3d15d02aac2421e2eac9e08",
+        "keys/secret.json": "b4c7f6ea5633a91587ea41472256756e18318478c5474c293fff3220bda64c92",
+        "a.json": "9475f65da48384f045281828b90dc4848fda6d43e47a1b62ae9045b0ce53a6b8",
+        "b.json": "895a984bb97aadd9b2b3d486f802cd5f4da6cce263f63677d5c708a1d6a43f99",
+        "out/r.json": "cd00348d6048ebb993bc117e3c7e59675184ed0ab95871ee72551089748e60ba",
+        "out/s.json": "a133982a5011ba816cbf69aca25bf2c87793e4f7f7da44bb859515af2de89213",
+        "out/report.json": "134af46bb3285e765c65593541cab81fbab6dcd8f330c770d23ab2268ffa9164",
+    },
+}
+GOLDEN_DESK_REFRESH_V2 = {
+    "t6.json": "02ad28adc9ad7ab9153c917152085866ffd2e9bc952ff07a70e4d75be11940b4",
+    "report.json": "b91b86242d6542c2a25f5d44f2b0e6ff66413e1cd5c7728e21877c963835d6cb",
+}
+GOLDEN_CLI_REFRESH_V2 = {
+    "mid": {
+        "keys/public.json": "007b1e7224813981a1c654e89699f8b82807fe7fa95cf09441ab14d661ae9365",
+        "keys/secret.json": "9382e17ee91b03a34ce8bc159dc225de60313cbae2a529ab323a67dc6e51a026",
+        "a.json": "473e95ed101998bde65d25c19984cbd1c4828479e23193d8e85a57c1862d563d",
+        "fresh.json": "54bd1291087ded86200694e0788238842639e4f8924f343913f807b4bf79e47d",
+    },
+    "odd": {
+        "keys/public.json": "cae9940f1b963223b3bc83a7639d54ef92384e03d7465fc57e9405b28efde780",
+        "keys/secret.json": "ff40dca7ca9809a308ff53c7fa3ddf1ee89a60e302fa203cdda6c6b293544548",
+        "a.json": "7097a456d2f0f879f29cc37cbfb14085efa76e2e05876fbeaf59798b9d4911a6",
+        "fresh.json": "34db01cbbc4b72aff27b9626774833452da90ebe559fe9a6c14deb665f88d6c0",
+    },
+}
+GOLDEN_LARGE_MUL_V2 = "a0caffbd7032babbf322d9fb826b3c23fee95977defa248b52d4db0468a1ed9d"
+GOLDEN_ODD_ROWS_V2 = {
+    "public.json": "a7d253106b77b1d7e0dd26866f0b65a1ee990f47ad0213294c05e2fe054c2534",
+    "secret.json": "3d6082bc5ba673bf5dab96203f965cdf020c86cc391617653cf7ade1155dbba3",
+    "a.json": "d9c6fc8bf355391865408c4828b72bc90aed246c93d9d58c07a5c8566af684cc",
+    "b.json": "e5aa7a371fe9fa4bc1dd1e570b82200dec54b07ad33e1cf4f0c0e265ca16f030",
+    "ab.json": "200c6451460b0ff9ad2b415160ff8ae5ddb470b111680ba43f670fa968ec13f2",
+}
 
 
-def _digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _digests(root: Path, rels, q: int) -> tuple[dict, dict]:
+    """The format-1 rendering digest and the file digest of each file."""
+    files = {rel: (root / rel).read_bytes() for rel in rels}
+    v1 = {rel: _digest(render_v1(json.loads(data), q)) for rel, data in files.items()}
+    return v1, {rel: _digest(data) for rel, data in files.items()}
 
 
 def _run(argv):
@@ -104,21 +168,23 @@ def test_cli_outputs_match_golden_digests(tmp_path, name, params):
           "--circuit", tmp_path / "c.txt", "--input", f"a={tmp_path / 'a.json'}",
           "--input", f"b={tmp_path / 'b.json'}", "--refresh", "off",
           "--out", tmp_path / "out"])
-    got = {rel: _digest(tmp_path / rel) for rel in GOLDEN_CLI[name]}
-    assert got == GOLDEN_CLI[name]
+    v1, v2 = _digests(tmp_path, GOLDEN_CLI_V1[name], CHANNEL_Q[name])
+    assert v1 == GOLDEN_CLI_V1[name]
+    assert v2 == GOLDEN_CLI_V2[name]
 
 
 @pytest.mark.parametrize("name,params", [("mid", MID_ARGS), ("odd", ODD_ARGS)])
 def test_cli_refresh_matches_golden_digests(tmp_path, capsys, name, params):
-    seed, message, golden = GOLDEN_CLI_REFRESH[name]
+    seed, message, golden = GOLDEN_CLI_REFRESH_V1[name]
     keys = tmp_path / "keys"
     files = ["--pub", keys / "public.json", "--channel", keys / "channel.json"]
     _run(["keygen", *params, "--seed", "7e57", "--out", keys])
     _run(["encrypt", *files, "--message", message, "--seed", seed, "--out", tmp_path / "a.json"])
     _run(["refresh", *files, "--ct", tmp_path / "a.json", "--seed", "f1",
           "--assume-refreshable", "--out", tmp_path / "fresh.json"])
-    got = {rel: _digest(tmp_path / rel) for rel in golden}
-    assert got == golden
+    v1, v2 = _digests(tmp_path, golden, CHANNEL_Q[name])
+    assert v1 == golden
+    assert v2 == GOLDEN_CLI_REFRESH_V2[name]
     capsys.readouterr()
     _run(["decrypt", "--secret", keys / "secret.json", "--channel", keys / "channel.json",
           "--ct", tmp_path / "fresh.json"])
@@ -141,8 +207,9 @@ def test_desk_auto_refresh_matches_golden_digests(tmp_path, desk_channel):
     serial.dump({"levels": report.levels,
                  "refresh_events": [list(e) for e in report.refresh_events]},
                 tmp_path / "report.json")
-    got = {rel: _digest(tmp_path / rel) for rel in GOLDEN_DESK_REFRESH}
-    assert got == GOLDEN_DESK_REFRESH
+    v1, v2 = _digests(tmp_path, GOLDEN_DESK_REFRESH_V1, ch.q)
+    assert v1 == GOLDEN_DESK_REFRESH_V1
+    assert v2 == GOLDEN_DESK_REFRESH_V2
 
 
 def test_large_hom_mul_matches_golden_digest(tmp_path):
@@ -153,7 +220,9 @@ def test_large_hom_mul_matches_golden_digest(tmp_path):
     a = encrypt(bundle.public, ch, 2, rng)
     b = encrypt(bundle.public, ch, 2, rng)
     serial.dump(serial.ciphertext_to_dict(hom_mul(ch, bundle.tensor, a, b)), tmp_path / "ab.json")
-    assert _digest(tmp_path / "ab.json") == GOLDEN_LARGE_MUL
+    v1, v2 = _digests(tmp_path, ["ab.json"], ch.q)
+    assert v1["ab.json"] == GOLDEN_LARGE_MUL_V1
+    assert v2["ab.json"] == GOLDEN_LARGE_MUL_V2
 
 
 def test_odd_row_count_matches_golden_digests(tmp_path):
@@ -169,5 +238,6 @@ def test_odd_row_count_matches_golden_digests(tmp_path):
     serial.dump(serial.secret_to_dict(bundle.secret), tmp_path / "secret.json")
     for name, ct in (("a", a), ("b", b), ("ab", hom_mul(ch, bundle.tensor, a, b))):
         serial.dump(serial.ciphertext_to_dict(ct), tmp_path / f"{name}.json")
-    got = {rel: _digest(tmp_path / rel) for rel in GOLDEN_ODD_ROWS}
-    assert got == GOLDEN_ODD_ROWS
+    v1, v2 = _digests(tmp_path, GOLDEN_ODD_ROWS_V1, ch.q)
+    assert v1 == GOLDEN_ODD_ROWS_V1
+    assert v2 == GOLDEN_ODD_ROWS_V2

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from aces import channel, rings
 from aces.channel import ArithmeticChannel, RandomSource, in_noise_space
 from aces.cipher import decrypt, in_encryption_space
 from aces.errors import GenerationError
@@ -170,3 +171,19 @@ def test_gen_secret_refuses_a_tied_repartition_before_drawing():
     with pytest.raises(GenerationError):
         gen_secret(ch, rep, rng)
     assert rng.below(2**64) == RandomSource(b"tied").below(2**64)
+
+
+def test_keygen_factorizes_q_once_per_repartition_draw(monkeypatch):
+    """The channel factorizes q once and every draw reads its primes; the
+    only other factorization is the check each new repartition makes."""
+    ch = ArithmeticChannel(p=2, q=105, omega=1, u=(-1, 0, 1), n=2, big_n=1, k0=1).require_valid()
+    calls, draws = [], []
+    factorize, sample = rings.factorize, Repartition.sample
+    monkeypatch.setattr(rings, "factorize", lambda q: calls.append(q) or factorize(q))
+    monkeypatch.setattr(channel, "factorize", rings.factorize)
+    monkeypatch.setattr(Repartition, "sample",
+                        staticmethod(lambda *args: draws.append(args) or sample(*args)))
+    for seed in range(8):  # micro seeds redraw unusable repartitions
+        keygen(ch, RandomSource(seed.to_bytes(2, "big")))
+    assert len(draws) > 8
+    assert len(calls) == len(draws) + 1

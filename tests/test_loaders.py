@@ -1,20 +1,26 @@
 """Strict loading: files must hold canonical, exactly-shaped values.
 
 Nothing read from a file is silently reduced or truncated; a malformed
-polynomial or tensor, or a float or boolean where an integer belongs, is
-refused with ParameterError (CLI exit 2).
+polynomial or tensor, a word string that is not exactly its words in
+lowercase hex, a word not below q, a float or boolean where an integer
+belongs, or a file of another format is refused with ParameterError (CLI
+exit 2).  A wrong container type is malformed input (CLI exit 1).
 """
 
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aces import serial
 from aces.channel import ArithmeticChannel, RandomSource
+from aces.cipher import Ciphertext
 from aces.cli import main
 from aces.errors import ParameterError
 from aces.keygen import keygen
+from oracles import render_v1
 
 
 @pytest.fixture()
@@ -30,20 +36,43 @@ def desk_files(tmp_path):
     return ch, keys, ct
 
 
+def _digits(ch) -> int:
+    """Hex digits per word: the fewest of 1, 2, 4 or 8 bytes that hold q - 1."""
+    return next(2 * w for w in (1, 2, 4, 8) if ch.q - 1 < 256**w)
+
+
+def _word(ch, text: str, i: int) -> int:
+    w = _digits(ch)
+    return int.from_bytes(bytes.fromhex(text[i * w:(i + 1) * w]), "little")
+
+
+def _set_word(ch, text: str, i: int, value: int) -> str:
+    w = _digits(ch)
+    return text[:i * w] + value.to_bytes(w // 2, "little").hex() + text[(i + 1) * w:]
+
+
+def _edit(obj, key, change) -> None:
+    obj[key] = change(obj[key])
+
+
 def _decrypt(keys, ct):
     return main(["decrypt", "--secret", str(keys / "secret.json"),
                  "--channel", str(keys / "channel.json"), "--ct", str(ct)])
 
 
 @pytest.mark.parametrize("corrupt", [
-    lambda ch, d: d["cprime"].__setitem__(0, str(int(d["cprime"][0]) + ch.q)),  # q + c
-    lambda ch, d: d["cprime"].__setitem__(0, "-1"),
-    lambda ch, d: d["c"][0].append("0"),  # a surplus coefficient
-    lambda ch, d: d["c"][1].pop(),  # a missing coefficient
+    lambda ch, d: _edit(d, "cprime", lambda t: _set_word(ch, t, 0, _word(ch, t, 0) + ch.q)),  # q + c
+    lambda ch, d: _edit(d, "cprime", lambda t: "-" + t[1:]),  # a minus sign
+    lambda ch, d: _edit(d["c"], 0, lambda t: t + "0" * _digits(ch)),  # one word long
+    lambda ch, d: _edit(d["c"], 1, lambda t: t[:-_digits(ch)]),  # one word short
     lambda ch, d: d["c"].pop(),  # a missing vector slot
     lambda ch, d: d.__setitem__("level", ch.max_noise_level() + 0.5),  # 7506.5, past the budget
     lambda ch, d: d.__setitem__("level", True),
-    lambda ch, d: d["cprime"].__setitem__(0, 4539.75),
+    lambda ch, d: d["c"].__setitem__(0, 4539.75),  # a number for a word string
+    lambda ch, d: _edit(d, "cprime", lambda t: _set_word(ch, t, 0, 0xab).upper()),  # uppercase
+    lambda ch, d: _edit(d, "cprime", lambda t: t[:4] + "  " + t[6:]),  # whitespace fromhex skips
+    lambda ch, d: _edit(d, "cprime", lambda t: t[:-1]),  # odd length
+    lambda ch, d: _edit(d, "cprime", lambda t: _set_word(ch, t, 0, ch.q)),  # a word equal to q
 ])
 def test_corrupted_ciphertext_is_refused(desk_files, tmp_path, corrupt):
     ch, keys, ct = desk_files
@@ -60,9 +89,9 @@ def test_corrupted_ciphertext_is_refused(desk_files, tmp_path, corrupt):
 @pytest.mark.parametrize("corrupt", [
     lambda ch, lam: lam[-1].pop(),  # truncated plane
     lambda ch, lam: lam.pop(),  # missing plane
-    lambda ch, lam: lam[0][0].pop(),  # short row
-    lambda ch, lam: lam[0][0].__setitem__(0, str(ch.q)),  # non-canonical entry
-    lambda ch, lam: lam[0][1].__setitem__(0, str((int(lam[0][1][0]) + 1) % ch.q)),  # asymmetric
+    lambda ch, lam: _edit(lam[0], 0, lambda t: t[:-_digits(ch)]),  # short row
+    lambda ch, lam: _edit(lam[0], 0, lambda t: _set_word(ch, t, 0, ch.q)),  # non-canonical entry
+    lambda ch, lam: _edit(lam[0], 1, lambda t: _set_word(ch, t, 0, (_word(ch, t, 0) + 1) % ch.q)),
 ])
 def test_malformed_tensor_is_refused(desk_files, tmp_path, corrupt):
     ch, keys, ct = desk_files
@@ -102,19 +131,19 @@ def test_channel_poly_stays_lenient_in_library_code(desk_files):
     lambda ch, d: d["refresher"]["kappa"].__setitem__(0, -1),
     lambda ch, d: d["refresher"]["rho"].pop(),
     lambda ch, d: d["refresher"]["rho"].append(d["refresher"]["rho"][0]),
-    lambda ch, d: d["locators"][0]["vec"].pop(),
-    lambda ch, d: d["locators"][0]["vec"].append("0"),
-    lambda ch, d: d["locators"][0]["vec"].__setitem__(0, str(ch.q)),
-    lambda ch, d: d["locators"][0]["vec"].__setitem__(0, "-1"),
+    lambda ch, d: _edit(d["locators"][0], "vec", lambda t: t[:-_digits(ch)]),
+    lambda ch, d: _edit(d["locators"][0], "vec", lambda t: t + "0" * _digits(ch)),
+    lambda ch, d: _edit(d["locators"][0], "vec", lambda t: _set_word(ch, t, 0, ch.q)),
+    lambda ch, d: _edit(d["locators"][0], "vec", lambda t: "-" + t[1:]),
     lambda ch, d: d["locators"][0].__setitem__("kind", "detector"),
-    lambda ch, d: d["lambda"][0][0].__setitem__(0, int(d["lambda"][0][0][0]) + 0.25),
+    lambda ch, d: d["lambda"][0].__setitem__(0, 0.25),  # a number for a word string
     lambda ch, d: d["sigma"]["map"].__setitem__(0, float(d["sigma"]["map"][0])),
     lambda ch, d: d["refresher"]["kappa"].__setitem__(0, 1.5),
     lambda ch, d: d["refresher"]["kappa"].__setitem__(0, True),
     lambda ch, d: d["refresher"].__setitem__("kappa", [0] * ch.n),  # rho sits at level 1
     lambda ch, d: d["locators"][0].__setitem__("k", d["locators"][0]["k"] + 0.5),
     lambda ch, d: d["locators"][0].__setitem__("k", -1),
-    lambda ch, d: d["locators"][0].__setitem__("margin_num", str(ch.q)),
+    lambda ch, d: _edit(d["locators"][0], "margin_num", lambda t: _set_word(ch, t, 0, ch.q)),
 ])
 def test_malformed_public_material_is_refused(desk_files, tmp_path, corrupt):
     ch, keys, ct = desk_files
@@ -153,15 +182,17 @@ def test_channel_numbers_are_never_truncated(desk_files, tmp_path, field, value)
 
 def test_a_string_for_a_coefficient_list_is_exit_1(desk_files, tmp_path):
     """A wrong container type is malformed input, never read character by
-    character."""
+    character: a string where the list of polynomials belongs, and a list
+    where a polynomial's word string belongs."""
     ch, keys, ct = desk_files
-    data = serial.load(ct)
-    data["cprime"] = "1000"
-    with pytest.raises(TypeError):
-        serial.ciphertext_from_dict(ch, data)
-    bad = tmp_path / "bad.json"
-    serial.dump(data, bad)
-    assert _decrypt(keys, bad) == 1
+    for field, value in (("c", "1000"), ("cprime", ["1000"])):
+        data = serial.load(ct)
+        data[field] = value
+        with pytest.raises(TypeError):
+            serial.ciphertext_from_dict(ch, data)
+        bad = tmp_path / "bad.json"
+        serial.dump(data, bad)
+        assert _decrypt(keys, bad) == 1
 
 
 def test_a_public_file_without_its_locator_database_is_exit_1(desk_files, tmp_path):
@@ -184,7 +215,9 @@ def test_a_public_file_without_its_locator_database_is_exit_1(desk_files, tmp_pa
          u=(-1,) + (0,) * 15 + (1,), n=6, big_n=4, k0=1),
     dict(p=3, q=math.prod((5, 7, 11, 13, 17, 19)), omega=1, u=(-1,) + (0,) * 7 + (1,),
          n=4, big_n=5, k0=1),
-], ids=["desk", "mid", "odd-rows"])
+    dict(p=3, q=math.prod((5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)), omega=1,
+         u=(-1,) + (0,) * 63 + (1,), n=10, big_n=8, k0=1),
+], ids=["desk", "mid", "odd-rows", "large"])
 def test_public_file_round_trips_through_eval_keys(params):
     ch = ArithmeticChannel(**params).require_valid()
     bundle = keygen(ch, RandomSource(b"round-trip"))
@@ -192,3 +225,97 @@ def test_public_file_round_trips_through_eval_keys(params):
     keys = serial.public_from_dict(ch, data)
     assert serial.public_to_dict(keys) == data
     assert keys.repartition == bundle.repartition
+
+
+# kind -> (file, reader, a command line that reads the file as bad.json and
+# the other files intact; each .json argument is relative to the test's tmp_path)
+FILE_KINDS = {
+    "channel": ("keys/channel.json", lambda ch, d: serial.channel_from_dict(d),
+                ["decrypt", "--secret", "keys/secret.json", "--channel", "bad.json", "--ct", "ct.json"]),
+    "public": ("keys/public.json", serial.public_from_dict,
+               ["encrypt", "--pub", "bad.json", "--channel", "keys/channel.json", "--message", "1",
+                "--seed", "01", "--out", "out.json"]),
+    "secret": ("keys/secret.json", serial.secret_from_dict,
+               ["decrypt", "--secret", "bad.json", "--channel", "keys/channel.json", "--ct", "ct.json"]),
+    "ciphertext": ("ct.json", serial.ciphertext_from_dict, ["inspect", "--ct", "bad.json"]),
+}
+
+
+@pytest.mark.parametrize("kind", list(FILE_KINDS))
+@pytest.mark.parametrize("found", [None, 1, 2.0, "2"], ids=["missing", "1", "2.0", "str"])
+def test_a_file_of_another_format_is_exit_2(desk_files, tmp_path, capsys, kind, found):
+    ch, _, _ = desk_files
+    rel, read, argv = FILE_KINDS[kind]
+    data = serial.load(tmp_path / rel)
+    if found is None:
+        del data["format"]
+    else:
+        data["format"] = found
+    with pytest.raises(ParameterError, match="regenerate the keys"):
+        read(ch, data)
+    serial.dump(data, tmp_path / "bad.json")
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    capsys.readouterr()
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "regenerate the keys" in err
+
+
+@pytest.mark.parametrize("command", ["encrypt", "decrypt", "eval", "refresh", "inspect",
+                                     "inspect-with-keys"])
+def test_a_format_1_key_directory_is_exit_2(desk_files, tmp_path, capsys, command):
+    """Files of format 1 (decimal strings, no format field), as the previous
+    release wrote them, are refused by every command that reads them."""
+    ch, keys, ct = desk_files
+    old = tmp_path / "v1"
+    old.mkdir()
+    for name in ("channel.json", "public.json", "secret.json"):
+        (old / name).write_bytes(render_v1(serial.load(keys / name), ch.q))
+    (old / "ct.json").write_bytes(render_v1(serial.load(ct), ch.q))
+    assert b'"format"' not in (old / "public.json").read_bytes()
+    files = ["--pub", str(old / "public.json"), "--channel", str(old / "channel.json")]
+    circuit = tmp_path / "c.txt"
+    circuit.write_text("in a\nt = mul a a\nout t\n")
+    argv = {
+        "encrypt": ["encrypt", *files, "--message", "1", "--seed", "01", "--out", str(tmp_path / "o.json")],
+        "decrypt": ["decrypt", "--secret", str(old / "secret.json"), "--channel", str(old / "channel.json"),
+                    "--ct", str(old / "ct.json")],
+        "eval": ["eval", *files, "--circuit", str(circuit), "--input", f"a={old / 'ct.json'}",
+                 "--out", str(tmp_path / "out")],
+        "refresh": ["refresh", *files, "--ct", str(old / "ct.json"), "--assume-refreshable",
+                    "--out", str(tmp_path / "r.json")],
+        "inspect": ["inspect", "--ct", str(old / "ct.json")],
+        "inspect-with-keys": ["inspect", "--ct", str(old / "ct.json"), *files],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "regenerate the keys" in err
+
+
+# q at each side of every word width, and one just under the factoring cap.
+WORD_EDGES = {256: 1, 257: 2, 65536: 2, 65537: 4, 2**32: 4, 2**32 + 1: 8, (1 << 62) - 57: 8, 2**64: 8}
+
+
+@pytest.mark.parametrize("q", list(WORD_EDGES))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_word_strings_round_trip_at_every_word_width(q, data):
+    """A ciphertext over ``Z_q[X]/(X^3 - 1)`` written and read back, with
+    every residue drawn from the two ends of ``[0, q)`` or anywhere in it."""
+    ch = ArithmeticChannel(p=2, q=q, omega=1, u=(-1, 0, 0, 1), n=2, big_n=1, k0=1).require_valid()
+    residue = st.one_of(st.sampled_from([0, 1, q - 1]), st.integers(0, q - 1))
+    polys = [ch.ring.poly(data.draw(st.lists(residue, min_size=3, max_size=3))) for _ in range(3)]
+    ct = Ciphertext(tuple(polys[:2]), polys[2], data.draw(st.integers(0, 10**6)))
+    text = json.loads(json.dumps(serial.ciphertext_to_dict(ct)))
+    assert {len(t) for t in (*text["c"], text["cprime"])} == {2 * 3 * WORD_EDGES[q]}
+    assert serial.ciphertext_from_dict(ch, text) == ct
+
+
+def test_a_modulus_above_2_to_the_64_has_no_word():
+    ch = ArithmeticChannel(p=2, q=2**64 + 1, omega=1, u=(-1, 0, 1), n=1, big_n=1, k0=1).require_valid()
+    one = ch.ring.poly([1])
+    with pytest.raises(ParameterError, match="2\\*\\*64"):
+        serial.ciphertext_to_dict(Ciphertext((one,), one, 0))
+    with pytest.raises(ParameterError, match="2\\*\\*64"):
+        serial.ciphertext_from_dict(ch, {"format": 2, "c": ["00" * 16], "cprime": "00" * 16, "level": 0})
