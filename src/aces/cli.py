@@ -61,6 +61,14 @@ def _coefficients(text: str) -> tuple[int, ...]:
     return tuple(map(int, text.split(",")))
 
 
+def _seed(text: str) -> RandomSource:
+    """``--seed``: the random source seeded by a hex string, two digits a byte."""
+    try:
+        return RandomSource.from_hex(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected hex digits in pairs, got {text!r}") from None
+
+
 def _keygen_arguments(p) -> None:
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
@@ -68,7 +76,7 @@ def _keygen_arguments(p) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--bigN", type=int, required=True)
     p.add_argument("--k0", type=int, required=True)
-    p.add_argument("--seed", required=True, help="hex seed for deterministic output")
+    p.add_argument("--seed", type=_seed, required=True, help="hex seed for deterministic output")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--omega", type=int, default=1)
     p.add_argument("--u", type=_coefficients, default=None,
@@ -84,7 +92,7 @@ def _cmd_keygen(args) -> int:
         p=args.p, q=args.q, omega=args.omega, u=u,
         n=args.n, big_n=args.bigN, k0=args.k0,
     ).require_valid()
-    bundle = keygen(ch, RandomSource.from_hex(args.seed))
+    bundle = keygen(ch, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     serial.dump(serial.channel_to_dict(ch), out / "channel.json")
@@ -98,13 +106,13 @@ def _encrypt_arguments(p) -> None:
     p.add_argument("--pub", required=True)
     p.add_argument("--channel", required=True)
     p.add_argument("--message", type=int, required=True)
-    p.add_argument("--seed", required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--out", required=True)
 
 
 def _cmd_encrypt(args) -> int:
     keys = _load_keys(args)
-    ct = encrypt(keys.public, keys.channel, args.message, RandomSource.from_hex(args.seed))
+    ct = encrypt(keys.public, keys.channel, args.message, args.seed)
     serial.dump(serial.ciphertext_to_dict(ct), args.out)
     print(f"wrote {args.out} (level {ct.level})")
     return 0
@@ -133,7 +141,7 @@ def _eval_arguments(p) -> None:
     p.add_argument("--input", action="append", default=[], metavar="NAME=FILE")
     p.add_argument("--refresh", choices=("auto", "off"), default="auto")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", default="00", help="hex seed for refresh randomness")
+    p.add_argument("--seed", type=_seed, default="00", help="hex seed for refresh randomness")
 
 
 def _cmd_eval(args) -> int:
@@ -154,7 +162,7 @@ def _cmd_eval(args) -> int:
             raise _UsageError(f"--input {name!r} is given more than once")
         env[name] = serial.ciphertext_from_dict(keys.channel, serial.load(path))
     policy = RefreshPolicy(mode=args.refresh)
-    outputs, report = evaluate(circuit, env, keys, policy, RandomSource.from_hex(args.seed))
+    outputs, report = evaluate(circuit, env, keys, policy, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for name, ct in outputs.items():
@@ -178,7 +186,7 @@ def _refresh_arguments(p) -> None:
     p.add_argument("--channel", required=True)
     p.add_argument("--ct", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", default="00")
+    p.add_argument("--seed", type=_seed, default="00")
     p.add_argument("--assume-refreshable", action="store_true",
                    help="skip the public refreshability check (caller asserts it)")
 
@@ -187,7 +195,7 @@ def _cmd_refresh(args) -> int:
     keys = _load_keys(args)
     ch = keys.channel
     ct = serial.ciphertext_from_dict(ch, serial.load(args.ct))
-    rng = RandomSource.from_hex(args.seed)
+    rng = args.seed
     if not args.assume_refreshable:
         ct = make_refreshable(ct, RefreshPolicy().resolve_checker(keys), keys.public, ch, rng)
         if ct is None:

@@ -13,6 +13,8 @@ Level bookkeeping follows the exact closed forms, never looser bounds.
 
 from __future__ import annotations
 
+import operator
+
 from .cipher import Ciphertext, level_after
 from .errors import NoiseBudgetError, ParameterError
 
@@ -37,16 +39,20 @@ def tensor_contract(lam, v1: tuple, v2: tuple) -> tuple:
         raise ParameterError("polynomials belong to different rings")
     q = ring.q
     # Weights below q on n products D_i and n(n-1)/2 M_ij (four products each).
-    width = ring.width(n * (2 * n - 1) * (q - 1))
-    a = [ring.pack(v.coeffs, width) for v in v1]
-    b = [ring.pack(v.coeffs, width) for v in v2]
-    products = [
-        a[i] * b[i] if i == j else (a[i] + a[j]) * (b[i] + b[j]) for i, j in lam.pairs
-    ]
-    return tuple(
-        ring.unpack_product(sum([(w % q) * m for w, m in zip(weights, products)]), width)
-        for weights in lam.pair_weights
-    )
+    layout = ring.width(n * (2 * n - 1) * (q - 1))
+    weights = [[w % q for w in row] for row in lam.pair_weights]
+    packed1 = ring.pack(v1, layout)
+    packed2 = packed1 if v2 is v1 else ring.pack(v2, layout)
+    sums = []
+    for a, b in zip(packed1, packed2):
+        if a is b:
+            products = [a[i] * a[i] if i == j else (a[i] + a[j]) ** 2 for i, j in lam.pairs]
+        else:
+            products = [
+                a[i] * b[i] if i == j else (a[i] + a[j]) * (b[i] + b[j]) for i, j in lam.pairs
+            ]
+        sums.append([sum(map(operator.mul, row, products)) for row in weights])
+    return ring.unpack(sums, layout)
 
 
 _OVERFLOW = {"add": "addition overflows the noise budget: levels {} + {}",
@@ -74,7 +80,9 @@ def hom_add(ch, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
 
 def hom_mul(ch, lam, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
     level = _output_level(ch, "mul", ct1, ct2)
-    *c, cprime = tensor_contract(lam.extended, (*ct1.c, ct1.cprime), (*ct2.c, ct2.cprime))
+    v1 = (*ct1.c, ct1.cprime)
+    v2 = v1 if ct2 is ct1 else (*ct2.c, ct2.cprime)
+    *c, cprime = tensor_contract(lam.extended, v1, v2)
     return Ciphertext(tuple(c), cprime, level)
 
 

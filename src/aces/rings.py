@@ -12,7 +12,12 @@ Three layers live in this module:
 * the quotient ring ``Z_q[X]/(u)`` for a monic ``u`` (one shared ``Ring``
   object per ``(q, u)``) and its elements; products are computed exactly
   by Kronecker substitution on packed integers, and a fixed matrix is kept
-  packed (``PackedRows``) for the combinations of its rows,
+  packed (``PackedRows``) for the combinations of its rows.  Small operands
+  are packed at one point, ``2^(8w)``; large ones at the two points
+  ``+-2^(8w')`` with half-width slots, where two big-integer multiplies of
+  half the size cost less than one of the full size (D. Harvey,
+  "Faster polynomial multiplication via multipoint Kronecker
+  substitution", J. Symbolic Comput. 44, 2009),
 * repartitions: assignments of the prime factors of ``q`` to key slots.
 """
 
@@ -20,12 +25,22 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import repeat
 
 from .errors import ParameterError
 
 # Trial division is all we ever need: moduli are built as products of small
 # distinct primes and stay far below this cap.
 FACTOR_CAP = 1 << 62
+
+# One-point operand size (d slots, in bytes) from which a kernel evaluates
+# at two points, +-2^(8w) with half-width slots, instead of at one.  Time at
+# two points over time at one, CPython 3.11 on a 2-vCPU Xeon, best of 15
+# interleaved runs at d = 16, 32, 64 and q of 14 to 57 bits:
+# ``tensor_contract`` (n = 7) and ``PackedRows.combine`` (5 x 7) 0.88-1.18
+# below 512 B and 0.80-0.90 from it; ``RingPoly.__mul__`` 0.93-1.34 below
+# 512 B and 0.85-0.97 from it.
+TWO_POINT_BYTES = 512
 
 
 def lift(m: int, value: int) -> int:
@@ -121,10 +136,19 @@ class Ring:
     two kernels every product goes through:
 
     * Kronecker packing: a coefficient vector becomes one integer with a
-      byte-aligned slot per coefficient.  When the slots are wide enough for
-      the largest coefficient of the result, a polynomial product, or a
-      whole weighted sum of products, is exact big-integer arithmetic on the
-      packed integers, with no carry crossing a slot boundary.
+      byte-aligned slot per coefficient, its value at ``x = 2^(8w)``.  When
+      the slots are wide enough for the largest coefficient of the result,
+      a polynomial product, or a whole weighted sum of products, is exact
+      big-integer arithmetic on the packed integers, with no carry crossing
+      a slot boundary.  ``width`` picks the layout per kernel call: this one
+      point while the packed operand is below ``TWO_POINT_BYTES``, else the
+      two points ``x`` and ``-x`` with ``w`` about half as wide.  A kernel
+      runs its arithmetic once per point; since evaluation at any point is a
+      ring homomorphism of Z[X], the two results give the even- and the
+      odd-index coefficients of the result, each in slots of ``2w`` bytes
+      (``unpack``).  Each product then multiplies integers of half the
+      size: cheaper above the switch, and dearer below it, where packing
+      and decoding twice cost more than the smaller multiplies save.
     * Reduction by ``u``: a binomial ``u = X^d + u_0`` folds the part above
       degree ``d - 1`` in as ``lo[i] - u_0 * hi[i]``; any other ``u`` adds
       ``hi[k] * (X^(d+k) mod u)`` from a table grown on demand.
@@ -160,11 +184,20 @@ class Ring:
     def __reduce__(self):
         return Ring, (self.q, self.u)
 
-    def width(self, terms: int) -> int:
-        """Bytes per Kronecker slot that hold a sum of ``terms`` products of
-        canonical polynomials, each coefficient of one at most ``d(q-1)^2``."""
-        bound = terms * self.d * (self.q - 1) ** 2
-        return (bound.bit_length() + 7) // 8
+    def width(self, terms: int) -> tuple[int, int]:
+        """The Kronecker layout ``(points, slot bytes)`` for a sum of ``terms``
+        products of canonical polynomials, each coefficient of one at most
+        ``d(q-1)^2``.
+
+        One point while the packed operand, ``d`` slots of the bytes that
+        hold that bound, is below ``TWO_POINT_BYTES``; above it two points,
+        with half slots of ``ceil(bits/16)`` bytes (see ``unpack``).
+        """
+        bits = (terms * self.d * (self.q - 1) ** 2).bit_length()
+        width = (bits + 7) // 8
+        if self.d * width < TWO_POINT_BYTES:
+            return 1, width
+        return 2, (bits + 15) // 16
 
     def zero(self) -> "RingPoly":
         return _wrap(self, (0,) * self.d)
@@ -213,16 +246,53 @@ class Ring:
             self._powers = powers
         return powers
 
-    def pack(self, coeffs, width: int) -> int:
-        """Kronecker-pack non-negative coefficients into ``width``-byte slots."""
-        return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in coeffs]), "little")
+    def pack(self, polys, layout: tuple[int, int]) -> list[list[int]]:
+        """Per point of ``layout``, the packed value of each element of ``polys``.
 
-    def unpack_product(self, value: int, width: int) -> "RingPoly":
-        """The element whose unreduced coefficients are the ``2d - 1`` slots of
-        ``value``: a packed product, or a sum of them, reduced once."""
-        data = value.to_bytes((2 * self.d - 1) * width, "little")
-        slots = [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
-        return _wrap(self, self.reduce(slots))
+        The first point is ``x = 2^(8w)`` for ``w``-byte slots: the canonical
+        coefficients, byte-aligned.  The second is ``-x``: the value there is
+        the first one minus twice its odd-index coefficients, which a byte
+        mask picks out.
+        """
+        points, width = layout
+        size = self.d * width
+        data = b"".join([c.to_bytes(width, "little") for x in polys for c in x.coeffs])
+        plus = [int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size)]
+        if points == 1:
+            return [plus]
+        odd = int.from_bytes((bytes(width) + b"\xff" * width) * (self.d // 2), "little")
+        return [plus, [v - ((v & odd) << 1) for v in plus]]
+
+    def unpack(self, sums, layout: tuple[int, int]) -> tuple["RingPoly", ...]:
+        """The elements whose unreduced coefficients ``sums`` holds, per point
+        of ``layout`` one packed value for each output: each a product of
+        packed values, or a sum of them, with every coefficient of the result
+        non-negative and within its slot.  Each output is reduced once.
+
+        At two points ``S(x)`` and ``S(-x)`` give ``(S(x) + S(-x)) / 2``, the
+        even-index coefficients, and ``(S(x) - S(-x)) / 2x``, the odd-index
+        ones, each in slots of ``2w`` bytes, as ``x^2 = 2^(16w)``.
+        """
+        points, width = layout
+        d = self.d
+        if points == 1:
+            return tuple([_wrap(self, self.reduce(_slots(v, 2 * d - 1, width))) for v in sums[0]])
+        shift, wide = 8 * width + 1, 2 * width
+        coeffs = [0] * (2 * d - 1)
+        out = []
+        for plus, minus in zip(*sums):
+            coeffs[0::2] = _slots((plus + minus) >> 1, d, wide)
+            coeffs[1::2] = _slots((plus - minus) >> shift, d - 1, wide)
+            out.append(_wrap(self, self.reduce(coeffs)))
+        return tuple(out)
+
+
+def _slots(value: int, count: int, width: int) -> list[int]:
+    """The ``count`` slots of ``width`` bytes of a non-negative integer."""
+    size = count * width
+    data = value.to_bytes(size, "little")
+    return list(map(int.from_bytes, [data[i:i + width] for i in range(0, size, width)],
+                    repeat("little")))
 
 
 _new = object.__new__
@@ -312,13 +382,13 @@ class RingPoly:
         return _wrap(self.ring, tuple([(-a) % q for a in self.coeffs]))
 
     def __mul__(self, other: "RingPoly") -> "RingPoly":
-        """Kronecker substitution: one big-integer multiply, reduced once."""
+        """Kronecker substitution: one big-integer multiply per point (a
+        square when ``other`` is ``self``), reduced once."""
         self._check_same_ring(other)
         ring = self.ring
-        width = ring.width(1)
-        a = ring.pack(self.coeffs, width)
-        b = a if other is self else ring.pack(other.coeffs, width)
-        return ring.unpack_product(a * b, width)
+        layout = ring.width(1)
+        packed = ring.pack((self,) if other is self else (self, other), layout)
+        return ring.unpack([[p[0] * p[-1]] for p in packed], layout)[0]
 
     def scale(self, value: int) -> "RingPoly":
         """Multiply by an integer scalar."""
@@ -339,14 +409,15 @@ class PackedRows:
 
     where an odd row count pairs the last row with a zero row and a zero
     weight.  That is ``ceil(N/2)`` products per column plus ``floor(N/2)``
-    for ``eta``, instead of ``N`` per column.  Packing is evaluation at
-    ``X = 2^(8 * width)``, a ring homomorphism on Z[X], so the identity holds
-    on the packed integers; the slots are sized for the sum before the
-    subtractions, whose coefficients are non-negative and bound every term,
-    so the difference unpacks to the exact unreduced combination.
+    for ``eta``, instead of ``N`` per column.  Packing is evaluation at a
+    point of ``Ring.width``'s layout, a ring homomorphism on Z[X], so the
+    identity holds on the packed integers at each point; the slots are sized
+    for the sum before the subtractions, whose coefficients are non-negative
+    and bound every term, so the differences unpack to the exact unreduced
+    combination.
     """
 
-    __slots__ = ("ring", "width", "row_count", "_columns")
+    __slots__ = ("ring", "layout", "row_count", "_columns")
 
     def __init__(self, rows):
         rows = tuple(tuple(row) for row in rows)
@@ -360,34 +431,39 @@ class PackedRows:
         big_n = len(rows)
         # A pair product of sums of two canonical polynomials weighs four
         # products; the odd row's product with a zero row and weight, one.
-        width = ring.width(4 * (big_n // 2) + big_n % 2)
-        packed = [[ring.pack(x.coeffs, width) for x in row] for row in rows]
-        if big_n % 2:
-            packed.append([0] * len(rows[0]))
-        self.ring, self.width, self.row_count = ring, width, big_n
-        # Per column: its even-row entries, its odd-row entries, and xi.
-        self._columns = [
-            (col[0::2], col[1::2], sum(map(operator.mul, col[0::2], col[1::2])))
-            for col in zip(*packed)
-        ]
+        layout = ring.width(4 * (big_n // 2) + big_n % 2)
+        self.ring, self.layout, self.row_count = ring, layout, big_n
+        # Per point, then per column: its even-row entries, its odd-row
+        # entries, and xi.
+        cols = len(rows[0])
+        self._columns = []
+        for flat in ring.pack([x for row in rows for x in row], layout):
+            packed = [flat[i:i + cols] for i in range(0, len(flat), cols)]
+            if big_n % 2:
+                packed.append([0] * cols)
+            self._columns.append([
+                (col[0::2], col[1::2], sum(map(operator.mul, col[0::2], col[1::2])))
+                for col in zip(*packed)
+            ])
 
     def combine(self, weights) -> tuple[RingPoly, ...]:
         """``sum_i weights[i] * rows[i][j]`` for every column ``j``."""
-        ring, width = self.ring, self.width
+        ring = self.ring
         if len(weights) != self.row_count:
             raise ParameterError(f"expected {self.row_count} weights, got {len(weights)}")
         if any(w.ring is not ring for w in weights):
             raise ParameterError("polynomials belong to different rings")
-        w = [ring.pack(x.coeffs, width) for x in weights]
-        if len(w) % 2:
-            w.append(0)
-        even, odd = w[0::2], w[1::2]
-        eta = sum(map(operator.mul, even, odd))
-        out = []
-        for r_even, r_odd, xi in self._columns:
-            paired = sum([(a + y) * (b + x) for a, b, x, y in zip(r_even, r_odd, even, odd)])
-            out.append(ring.unpack_product(paired - xi - eta, width))
-        return tuple(out)
+        sums = []
+        for w, columns in zip(ring.pack(weights, self.layout), self._columns):
+            if len(w) % 2:
+                w.append(0)
+            even, odd = w[0::2], w[1::2]
+            eta = sum(map(operator.mul, even, odd))
+            sums.append([
+                sum([(a + y) * (b + x) for a, b, x, y in zip(r_even, r_odd, even, odd)]) - xi - eta
+                for r_even, r_odd, xi in columns
+            ])
+        return ring.unpack(sums, self.layout)
 
 
 @dataclass(frozen=True)

@@ -423,6 +423,32 @@ def test_cli_keygen_refuses_a_malformed_u_as_usage(tmp_path, capsys, u):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", ["0", "xyz"])
+@pytest.mark.parametrize("command", ["keygen", "encrypt", "eval", "refresh"])
+def test_cli_refuses_a_malformed_seed_as_usage(cli_keys, tmp_path, capsys, command, seed):
+    """``--seed`` is parsed as the flag's value: an odd digit count or a
+    non-hex digit is a usage error naming ``--seed``, not a malformed file,
+    and nothing is written."""
+    keys = ["--pub", str(cli_keys / "public.json"), "--channel", str(cli_keys / "channel.json")]
+    ct = tmp_path / "a.json"
+    assert main(["encrypt", *keys, "--message", "1", "--seed", "0a", "--out", str(ct)]) == 0
+    circ = tmp_path / "circ.txt"
+    circ.write_text("in a\nt = mul a a\nout t\n")
+    out = tmp_path / "out"
+    argv = {
+        "keygen": ["keygen", "--p", "2", "--q", "15015", "--degree", "4", "--n", "3",
+                   "--bigN", "2", "--k0", "1"],
+        "encrypt": ["encrypt", *keys, "--message", "1"],
+        "eval": ["eval", *keys, "--circuit", str(circ), "--input", f"a={ct}"],
+        "refresh": ["refresh", *keys, "--ct", str(ct), "--assume-refreshable"],
+    }[command]
+    capsys.readouterr()
+    assert main([*argv, "--seed", seed, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: argument --seed") and "malformed input file" not in err
+    assert not out.exists()
+
+
 def test_cli_missing_file_is_exit_1(tmp_path):
     assert main([
         "decrypt", "--secret", str(tmp_path / "nope.json"),

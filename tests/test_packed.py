@@ -6,21 +6,30 @@ contractions (``hom_mul`` included) are computed on packed integers whose
 slot width is derived from the largest possible result coefficient.
 All-(q-1) operands and tensors reach that largest value, so a slot one
 byte too narrow shows up here as a wrong coefficient.
+
+``Ring.width`` evaluates at one point, or at two (``+-2^(8w)``, half-width
+slots) once the packed operand reaches ``TWO_POINT_BYTES``.  Odd degrees
+give the even/odd split of the two-point decode an odd coefficient count,
+two rings sit either side of the switch, and the large-channel worst cases
+run on two points; the layouts each kernel picks are asserted, so moving
+the switch cannot silently drop the two-point path from these tests.
 """
 
 import math
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aces.channel import ArithmeticChannel
-from aces.cipher import Ciphertext
+from aces.channel import ArithmeticChannel, RandomSource
+from aces.cipher import Ciphertext, decrypt, encrypt
 from aces.errors import ParameterError
 from aces.homo import hom_mul, tensor_contract
-from aces.keygen import ProductTensor
-from aces.rings import PackedRows, Ring, RingPoly
+from aces.keygen import ProductTensor, keygen
+from aces.refresh import make_refreshable, refresh_ct, secret_refresh_checker
+from aces.rings import TWO_POINT_BYTES, PackedRows, Ring, RingPoly
 
 from oracles import conv_mul, naive_contract, reduce_poly, ring_op
 
@@ -28,14 +37,16 @@ DESK_Q = 15015
 MID_Q = math.prod((3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
 LARGE_Q = math.prod((5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47))  # 57 bits
 MODULI = (DESK_Q, MID_Q, LARGE_Q)
-DEGREES = (4, 16, 64)
+DEGREES = (4, 5, 16, 33, 64, 65)
+# The 57-bit q at degrees 34 and 35: a product's packed operand is 34 and 35
+# slots of 15 bytes, 510 and 525 bytes, either side of TWO_POINT_BYTES.
+SWITCH = ((LARGE_Q, 34), (LARGE_Q, 35))
 
 
 @st.composite
 def rings(draw, degrees=DEGREES):
     """(q, u) with u cyclic, negacyclic or a general monic polynomial."""
-    q = draw(st.sampled_from(MODULI))
-    d = draw(st.sampled_from(degrees))
+    q, d = draw(st.sampled_from([(q, d) for q in MODULI for d in degrees] + list(SWITCH)))
     kind = draw(st.sampled_from(("cyclic", "negacyclic", "general")))
     if kind == "cyclic":
         u = [-1] + [0] * (d - 1) + [1]
@@ -59,6 +70,30 @@ def test_ring_is_shared_and_knows_its_reduction():
     assert Ring(DESK_Q, (-1, 0, 0, 0, 1)) is Ring(DESK_Q, [-1, 0, 0, 0, 1])
     assert RingPoly.make(DESK_Q, (-1, 0, 0, 0, 1), [5]).ring is Ring(DESK_Q, (-1, 0, 0, 0, 1))
     assert Ring(DESK_Q, (-1, 0, 0, 0, 1)) is not Ring(DESK_Q, (1, 0, 0, 0, 1))
+
+
+def _cyclic(d):
+    return tuple([-1] + [0] * (d - 1) + [1])
+
+
+def test_the_switch_rings_straddle_two_point_bytes():
+    assert TWO_POINT_BYTES == 512
+    (q, below), (_, above) = SWITCH
+    assert Ring(q, _cyclic(below)).width(1) == (1, 15)
+    assert Ring(q, _cyclic(above)).width(1) == (2, 8)
+
+
+@pytest.fixture()
+def layouts(monkeypatch):
+    """Every layout ``Ring.width`` returns while the test runs."""
+    seen, width = [], Ring.width
+
+    def spy(ring, terms):
+        seen.append(width(ring, terms))
+        return seen[-1]
+
+    monkeypatch.setattr(Ring, "width", spy)
+    return seen
 
 
 @given(st.data())
@@ -138,7 +173,7 @@ def test_tensor_contract_matches_naive_triple_loop(data):
     assert [list(part.coeffs) for part in got] == naive_contract(lam, v1, v2, list(u), q)
 
 
-def test_tensor_contract_worst_case_at_the_large_channel():
+def test_tensor_contract_worst_case_at_the_large_channel(layouts):
     """n = 10, d = 64, 57-bit q, every operand coefficient and every pair
     weight at q - 1.  Each product is the same polynomial P, so the
     contraction is sum_ij lam[i][j][k] * P, computed here with the oracle."""
@@ -150,6 +185,7 @@ def test_tensor_contract_worst_case_at_the_large_channel():
     product = reduce_poly(conv_mul(top, top), list(u), q)
     vec = tuple(RingPoly(q, u, top) for _ in range(n))
     got = tensor_contract(ProductTensor(lam), vec, vec)
+    assert [points for points, _ in layouts] == [2]
     for k, part in enumerate(got):
         weight = sum(lam[i][j][k] for i in range(n) for j in range(n))
         assert list(part.coeffs) == [(weight * c) % q for c in product]
@@ -226,7 +262,7 @@ def _ciphertext(q, u, vector, scalar):
 @given(st.data())
 @settings(max_examples=30, deadline=None)
 def test_hom_mul_matches_its_defining_formula(data):
-    q, u = data.draw(rings(degrees=(4, 16)))
+    q, u = data.draw(rings(degrees=(4, 5, 16)))
     d = len(u) - 1
     n = data.draw(st.sampled_from((1, 2, 3, 5)))
     lam = _hom_mul_worst(n) if data.draw(st.booleans()) else _symmetric(data.draw, q, n)
@@ -240,7 +276,7 @@ def test_hom_mul_matches_its_defining_formula(data):
     assert list(got.cprime.coeffs) == scalar
 
 
-def test_hom_mul_worst_case_at_the_large_channel():
+def test_hom_mul_worst_case_at_the_large_channel(layouts):
     """n = 10, d = 64, 57-bit q, all-(q-1) ciphertexts and the worst-weight
     tensor for the extended contraction.  Every product is the same
     polynomial P, so slot k is ``(2 - sum_ij lam[i][j][k]) * P`` and the
@@ -253,7 +289,114 @@ def test_hom_mul_worst_case_at_the_large_channel():
     ct = _ciphertext(q, u, [top] * n, top)
     ch = ArithmeticChannel(p=3, q=q, omega=1, u=u, n=n, big_n=8, k0=1)
     got = hom_mul(ch, ProductTensor(lam), ct, ct)
+    assert [points for points, _ in layouts] == [2]
     for k, part in enumerate(got.c):
         weight = 2 - sum(lam[i][j][k] for i in range(n) for j in range(n))
         assert list(part.coeffs) == [(weight * c) % q for c in product]
     assert list(got.cprime.coeffs) == product
+
+
+@pytest.mark.parametrize("square", [False, True])
+def test_mul_worst_case_at_the_large_channel(layouts, square):
+    """d = 64, 57-bit q, all-(q-1) factors: the middle coefficient of the
+    unreduced product is d(q-1)^2, the bound the slots are sized for."""
+    q, d = LARGE_Q, 64
+    u = _cyclic(d)
+    top = [q - 1] * d
+    x = RingPoly(q, u, top)
+    got = x * (x if square else RingPoly(q, u, top))
+    assert layouts == [(2, 8)]
+    assert list(got.coeffs) == reduce_poly(conv_mul(top, top), list(u), q)
+
+
+@pytest.mark.parametrize("big_n", [8, 9, 98])
+def test_packed_rows_worst_case_at_the_large_channel(layouts, big_n):
+    """d = 64, 57-bit q, all-(q-1) rows and weights (8 rows as in
+    ``PublicKey.rows``, 98 as in the large ``refresh_rows``): every product
+    is the same polynomial P, so each column is ``big_n * P``."""
+    q, d = LARGE_Q, 64
+    u = _cyclic(d)
+    top = [q - 1] * d
+    x = RingPoly(q, u, top)
+    matrix = PackedRows([(x, x)] * big_n)
+    got = matrix.combine((x,) * big_n)
+    assert [points for points, _ in layouts] == [2] and matrix.layout[0] == 2
+    product = reduce_poly(conv_mul(top, top), list(u), q)
+    assert [list(part.coeffs) for part in got] == [[(big_n * c) % q for c in product]] * 2
+
+
+# The bench channels' parameters: desk, mid and large.
+CHANNELS = {
+    "desk": dict(p=2, q=DESK_Q, d=4, n=3, big_n=2),
+    "mid": dict(p=2, q=MID_Q, d=16, n=6, big_n=4),
+    "large": dict(p=3, q=LARGE_Q, d=64, n=10, big_n=8),
+}
+
+
+def _channel(name):
+    c = CHANNELS[name]
+    return ArithmeticChannel(p=c["p"], q=c["q"], omega=1, u=_cyclic(c["d"]), n=c["n"],
+                             big_n=c["big_n"], k0=1).require_valid()
+
+
+@pytest.mark.parametrize("top", [False, True], ids=["drawn", "all-q-1"])
+@pytest.mark.parametrize("name", list(CHANNELS))
+def test_hom_mul_of_a_ciphertext_by_itself_squares(monkeypatch, name, top):
+    """``hom_mul(ct, ct)`` packs its operand once and squares; it equals the
+    product with a distinct, equal-valued copy, and the defining formula."""
+    packed, pack = [], Ring.pack
+    monkeypatch.setattr(Ring, "pack", lambda ring, *args: packed.append(args) or pack(ring, *args))
+    ch = _channel(name)
+    q, u, n, d = ch.q, ch.u, ch.n, ch.degree
+    rnd = random.Random(f"square/{name}")
+    if top:
+        lam, c, p = _hom_mul_worst(n), [[q - 1] * d] * n, [q - 1] * d
+    else:
+        lam = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                lam[i][j] = lam[j][i] = [rnd.randrange(q) for _ in range(n)]
+        c = [[rnd.randrange(q) for _ in range(d)] for _ in range(n)]
+        p = [rnd.randrange(q) for _ in range(d)]
+    tensor = ProductTensor(tuple(tuple(tuple(row) for row in plane) for plane in lam))
+    ct, copy = _ciphertext(q, u, c, p), _ciphertext(q, u, c, p)
+    assert ct == copy and ct.c[0] is not copy.c[0]
+    got = hom_mul(ch, tensor, ct, ct)
+    assert len(packed) == 1
+    assert got == hom_mul(ch, tensor, ct, copy)
+    assert len(packed) == 3
+    if name != "large":  # the oracle's n^3 schoolbook products take seconds there
+        vector, scalar = _hom_mul_oracle(lam, c, p, c, p, u, q)
+        assert [list(part.coeffs) for part in got.c] == vector
+        assert list(got.cprime.coeffs) == scalar
+
+
+def test_every_desk_kernel_runs_on_one_point(layouts):
+    """Key generation, encryption, products, refresh and decryption at the
+    desk channel: the packed operands stay far below TWO_POINT_BYTES."""
+    ch = _channel("desk")
+    bundle = keygen(ch, RandomSource(b"desk/one point"))
+    rng = RandomSource(b"desk/one point/run")
+    a = encrypt(bundle.public, ch, 1, rng)
+    b = hom_mul(ch, bundle.tensor, a, a)
+    checker = secret_refresh_checker(bundle.secret, ch)
+    ready = make_refreshable(b, checker, bundle.public, ch, rng)
+    fresh = refresh_ct(bundle.eval_keys, ready, rng)
+    assert decrypt(bundle.secret, ch, fresh) == 1
+    assert (a.c[0] * a.c[1]).ring is ch.ring
+    assert layouts and {points for points, _ in layouts} == {1}
+
+
+def test_the_large_channel_contraction_and_rows_run_on_two_points(layouts):
+    """At the large channel ``encrypt`` (``PublicKey.rows``), ``hom_mul``
+    and the refresh matrix all pick the two-point layout."""
+    ch = _channel("large")
+    bundle = keygen(ch, RandomSource(b"large/two points"))
+    del layouts[:]
+    rng = RandomSource(b"large/two points/run")
+    a = encrypt(bundle.public, ch, 1, rng)
+    assert [points for points, _ in layouts] == [2]
+    b = hom_mul(ch, bundle.tensor, a, a)
+    assert [points for points, _ in layouts] == [2, 2]
+    assert bundle.eval_keys.refresh_rows.layout[0] == 2
+    assert decrypt(bundle.secret, ch, b) == 1

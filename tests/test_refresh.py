@@ -529,6 +529,24 @@ def test_refresh_matches_the_encrypt_and_fold_reference(n, big_n, degree, data):
     p, q = data.draw(st.sampled_from(REFERENCE_MODULI), label="moduli")
     ch = ArithmeticChannel(p=p, q=q, omega=1, u=(-1,) + (0,) * (degree - 1) + (1,),
                            n=n, big_n=big_n, k0=1).require_valid()
+    _check_against_reference(ch, data)
+
+
+@given(data=st.data())
+@settings(max_examples=3, deadline=None)
+def test_refresh_matches_the_reference_at_the_large_channel(data):
+    """The same at the large channel (d = 64, 57-bit q, n = 10, N = 8),
+    where the refresh matrix, ``encrypt`` and ``hom_mul`` evaluate at two
+    points."""
+    q = 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43 * 47
+    ch = ArithmeticChannel(p=3, q=q, omega=1, u=(-1,) + (0,) * 63 + (1,),
+                           n=10, big_n=8, k0=1).require_valid()
+    keys = _check_against_reference(ch, data)
+    assert keys.refresh_rows.layout[0] == 2
+
+
+def _check_against_reference(ch, data):
+    n, big_n = ch.n, ch.big_n
     f0 = tuple(_polys(data, ch, n) for _ in range(big_n))
     rho = tuple(Ciphertext(_polys(data, ch, n), *_polys(data, ch, 1), 1) for _ in range(n))
     keys = EvalKeys(ch, PublicKey(f0, _polys(data, ch, big_n)), _symmetric_tensor(data, ch),
@@ -539,3 +557,4 @@ def test_refresh_matches_the_encrypt_and_fold_reference(n, big_n, degree, data):
     want = refresh_reference(keys, ct, RandomSource(seed))
     assert (got.c, got.cprime) == (want.c, want.cprime)
     assert got.level == post_refresh_level(ch, keys.refresher)
+    return keys
