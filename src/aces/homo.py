@@ -6,9 +6,10 @@ contraction; its vector part is exactly
 
     c2' * c1 + c1' * c2 - contract(tensor, c1, c2)
 
-with the scalar parts multiplied, all computed as one contraction of the
-ciphertexts extended by their scalar slot (``ProductTensor.extended``).
-Level bookkeeping follows the exact closed forms, never looser bounds.
+with the scalar parts multiplied.  The contraction reads the tensor as
+``t[i][j][k] = sum_s alpha_s[k] * beta_s[i][j] mod q`` (``ProductTensor.
+layers``; one layer for a key's tensor), so it is ``n`` packed products per
+layer.  Level bookkeeping follows the exact closed forms, never looser bounds.
 """
 
 from __future__ import annotations
@@ -21,38 +22,63 @@ from .errors import NoiseBudgetError, ParameterError
 __all__ = ["tensor_contract", "hom_add", "hom_mul", "scalar_product"]
 
 
-def tensor_contract(lam, v1: tuple, v2: tuple) -> tuple:
-    """Bilinear contraction sum_{i,j} t[i][j][k] * v1[i] * v2[j], per k.
-
-    Keeps the divisibility structure: slot k of the output evaluates to a
-    multiple of slot k's prime whenever the tensor does.
-
-    The tensor is symmetric, so the ``n(n+1)/2`` packed products of
-    ``lam.pairs`` suffice (see ``ProductTensor.pair_weights``); each output
-    is their weighted sum on packed integers, reduced once.
-    """
+def _layer_sums(lam, v1: tuple, v2: tuple, extra: int = 0):
+    """The ring, the layers and per layer the reduced ``B = sum_i v1[i] *
+    y_i``, ``y_i = sum_j beta[i][j] * v2[j]``, on packed integers, over the
+    first ``n`` of the tensor's ``n`` plus ``extra`` elements of each."""
     n = len(lam.coeffs)
-    if len(v1) != n or len(v2) != n:
+    if len(v1) != n + extra or len(v2) != n + extra:
         raise ParameterError("vector length does not match tensor dimension")
     ring = v1[0].ring
     if any(v.ring is not ring for v in v1) or any(v.ring is not ring for v in v2):
         raise ParameterError("polynomials belong to different rings")
-    q = ring.q
-    # Weights below q on n products D_i and n(n-1)/2 M_ij (four products each).
-    layout = ring.width(n * (2 * n - 1) * (q - 1))
-    weights = [[w % q for w in row] for row in lam.pair_weights]
-    packed1 = ring.pack(v1, layout)
-    packed2 = packed1 if v2 is v1 else ring.pack(v2, layout)
+    layers = lam.layers(ring.q)
+    # A coefficient of B is at most n * n * d * (q-1)^3 before reduction.
+    layout = ring.width(n * n * (ring.q - 1))
     sums = []
-    for a, b in zip(packed1, packed2):
-        if a is b:
-            products = [a[i] * a[i] if i == j else (a[i] + a[j]) ** 2 for i, j in lam.pairs]
+    for packed in ring.pack(v1[:n] if v2 is v1 else (*v1[:n], *v2[:n]), layout):
+        a, b = packed[:n], packed[-n:]
+        sums.append([sum(map(operator.mul, a, [sum(map(operator.mul, row, b)) for row in beta]))
+                     for _, beta in layers])
+    return ring, layers, ring.unpack(sums, layout)
+
+
+def tensor_contract(lam, v1: tuple, v2: tuple) -> tuple:
+    """Bilinear contraction sum_{i,j} t[i][j][k] * v1[i] * v2[j], per k,
+    as ``sum_s alpha_s[k] * B_s`` over the tensor's layers.
+
+    Keeps the divisibility structure: slot k of the output evaluates to a
+    multiple of slot k's prime whenever the tensor does.
+    """
+    ring, layers, sums = _layer_sums(lam, v1, v2)
+    columns = list(zip(*[b.coeffs for b in sums]))
+    return tuple(ring.poly([sum(a[k] * c for (a, _), c in zip(layers, col)) for col in columns])
+                 for k in range(len(v1)))
+
+
+def _product(lam, v1: tuple, v2: tuple) -> tuple:
+    """The product ``(c_0..c_{n-1}, c')`` of two ciphertexts given as
+    ``(c_0..c_{n-1}, c')``: after the layer sums, one packed pass of ``c_k =
+    c1'*c2_k + c2'*c1_k + sum_s (-alpha_s[k] mod q) * B_s`` and ``c' =
+    c1'*c2'``.  With ``v2`` the same object as ``v1`` it packs it once per
+    pass and squares."""
+    ring, layers, sums = _layer_sums(lam, v1, v2, 1)
+    q, n, square = ring.q, len(v1) - 1, v2 is v1
+    weights = list(zip(*[[-a % q for a in alpha] for alpha, _ in layers]))
+    # Two products of canonical polynomials, and per layer a canonical B
+    # times a weight below q.
+    layout = ring.width(2 + len(layers))
+    out = []
+    for p in ring.pack((*v1, *sums) if square else (*v1, *v2, *sums), layout):
+        c1, p1, b = p[:n], p[n], p[len(p) - len(sums):]
+        if square:
+            p2, twice = p1, p1 + p1
+            cross = [twice * x for x in c1]
         else:
-            products = [
-                a[i] * b[i] if i == j else (a[i] + a[j]) * (b[i] + b[j]) for i, j in lam.pairs
-            ]
-        sums.append([sum(map(operator.mul, row, products)) for row in weights])
-    return ring.unpack(sums, layout)
+            p2 = p[2 * n + 1]
+            cross = [p2 * x + p1 * y for x, y in zip(c1, p[n + 1:2 * n + 1])]
+        out.append([x + sum(map(operator.mul, w, b)) for x, w in zip(cross, weights)] + [p1 * p2])
+    return ring.unpack(out, layout)
 
 
 _OVERFLOW = {"add": "addition overflows the noise budget: levels {} + {}",
@@ -82,7 +108,7 @@ def hom_mul(ch, lam, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
     level = _output_level(ch, "mul", ct1, ct2)
     v1 = (*ct1.c, ct1.cprime)
     v2 = v1 if ct2 is ct1 else (*ct2.c, ct2.cprime)
-    *c, cprime = tensor_contract(lam.extended, v1, v2)
+    *c, cprime = _product(lam, v1, v2)
     return Ciphertext(tuple(c), cprime, level)
 
 

@@ -12,12 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from .channel import ArithmeticChannel, RandomSource, sample_noise
 from .cipher import Ciphertext, encrypt_with_secret, evals, sample_divisible_vector
 from .errors import GenerationError, ParameterError
 from .refresh import EvalKeys, LocatorEntry, sample_locator_db
-from .rings import PackedRows, RingPoly, Repartition
+from .rings import FACTOR_CAP, PackedRows, RingPoly, Repartition, _int_coeffs, factorize
 
 __all__ = [
     "SecretKey",
@@ -71,9 +72,14 @@ class PublicKey:
 class ProductTensor:
     """Symmetric 3-tensor relinearizing secret products, entries in Z_q.
 
-    ``coeffs[i][j][k]`` must form an ``n x n x n`` cube with
-    ``coeffs[i][j] == coeffs[j][i]``; both are checked on construction,
-    because the contraction relies on them.
+    ``coeffs[i][j][k]`` must form a non-empty ``n x n x n`` cube of ``int``
+    entries with ``coeffs[i][j] == coeffs[j][i]``; all three are checked on
+    construction, because the contraction relies on them.
+
+    The contraction reads it as ``layers(q)``, pairs ``(alpha, beta)`` with
+    ``coeffs[i][j][k] == sum_s alpha_s[k] * beta_s[i][j] (mod q)``: one for
+    a ``gen_tensor`` tensor, ``prime_of(k) * mu_k * base_ij``, which has rank
+    one; else (or for a q that is not squarefree) one per plane, ``e_k``.
     """
 
     coeffs: tuple[tuple[tuple[int, ...], ...], ...]
@@ -81,57 +87,47 @@ class ProductTensor:
     def __post_init__(self):
         t = self.coeffs
         n = len(t)
+        if n == 0:
+            raise ParameterError("tensor must have at least one slot")
         if any(len(plane) != n or any(len(row) != n for row in plane) for plane in t):
             raise ParameterError(f"tensor must be {n}x{n}x{n}")
+        _int_coeffs(chain.from_iterable(chain.from_iterable(t)), "tensor entries")
         if any(t[i][j] != t[j][i] for i in range(n) for j in range(i)):
             raise ParameterError("tensor must be symmetric in its first two indices")
 
-    @cached_property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        """The slot pairs ``(i, j)`` with ``i <= j``, in contraction order."""
-        n = len(self.coeffs)
-        return tuple((i, j) for i in range(n) for j in range(i, n))
+    def layers(self, q: int) -> tuple:
+        """The pairs ``(alpha, beta)`` of canonical residues mod ``q``, found
+        on first use and kept on the tensor (see the class docstring)."""
+        if self.__dict__.get("_q") != q:
+            t = self.coeffs
+            self.__dict__.update(_q=q, _layers=_rank_one(t, q) or tuple(
+                (tuple(int(m == k) for m in range(len(t))),
+                 tuple(tuple(x[k] % q for x in row) for row in t)) for k in range(len(t))))
+        return self._layers
 
-    @cached_property
-    def pair_weights(self) -> tuple[tuple[int, ...], ...]:
-        """Per output slot ``k``, one integer weight per pair in ``pairs``.
 
-        With ``D_i = a_i*b_i`` and ``M_ij = (a_i + a_j)*(b_i + b_j)``,
-        symmetry gives ``sum_ij t[i][j][k] a_i b_j = sum_{i<j} t[i][j][k] M_ij
-        + sum_i (t[i][i][k] - sum_{j != i} t[i][j][k]) D_i``: pair ``(i, j)``
-        weighs ``t[i][j][k]`` and pair ``(i, i)`` the bracket.
-        """
-        t = self.coeffs
-        n = len(t)
-        return tuple(
-            tuple(
-                t[i][j][k] if i != j
-                else t[i][i][k] - sum(t[i][m][k] for m in range(n) if m != i)
-                for i, j in self.pairs
-            )
-            for k in range(n)
-        )
-
-    @cached_property
-    def extended(self) -> "ProductTensor":
-        """The ``(n+1)``-cube that folds all of ``hom_mul`` into one contraction.
-
-        On ciphertexts extended by their scalar slot, ``(c_0..c_{n-1}, c')``,
-        it has ``-t[i][j][k]`` for ``i, j, k < n``, a 1 at ``[k][n][k]`` and
-        ``[n][k][k]`` (the scalar part of one factor times slot ``k`` of the
-        other), a 1 at ``[n][n][n]`` (the product of the scalar parts) and 0
-        elsewhere.  Entries are integers; the contraction reduces them mod q.
-        """
-        t = self.coeffs
-        n = len(t)
-
-        def entry(i, j, k):
-            if i < n and j < n:
-                return -t[i][j][k] if k < n else 0
-            return int(k == min(i, j))
-
-        m = range(n + 1)
-        return ProductTensor(tuple(tuple(tuple(entry(i, j, k) for k in m) for j in m) for i in m))
+def _rank_one(t, q: int):
+    """The one layer of ``t`` mod a squarefree ``q``, or None.  Per prime r
+    a pivot entry that r does not divide gives ``alpha`` (its row over it)
+    and ``beta`` (its plane) mod r; CRT joins them, checked at every entry."""
+    if q >= FACTOR_CAP or math.prod(primes := factorize(q)) != q:
+        return None
+    n = len(t)
+    cells = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
+    alpha, beta = [0] * n, [[0] * n for _ in range(n)]
+    for r in primes:
+        pivot = next(((i, j, k) for i, j, k in cells if t[i][j][k] % r), None)
+        if pivot:  # else t is 0 mod r, and so are alpha and beta
+            i, j, k = pivot
+            unit = q // r * pow(q // r, -1, r)  # 1 mod r, 0 mod the other primes
+            scale = unit * pow(t[i][j][k], -1, r)
+            alpha = [a + x * scale for a, x in zip(alpha, t[i][j])]
+            beta = [[b + x[k] * unit for b, x in zip(brow, row)] for brow, row in zip(beta, t)]
+    alpha = tuple(a % q for a in alpha)
+    beta = tuple(tuple(b % q for b in row) for row in beta)
+    if any((alpha[k] * beta[i][j] - t[i][j][k]) % q for i, j, k in cells):
+        return None
+    return ((alpha, beta),)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from .cipher import (
     sample_mask, shadow, within_budget,
 )
 from .errors import NoiseBudgetError, ParameterError
-from .homo import hom_add, tensor_contract
+from .homo import _product, hom_add
 from .rings import PackedRows, lift
 
 __all__ = [
@@ -250,18 +250,17 @@ class EvalKeys:
 
         With ``pk_r = (f0[r], fprime[r])`` and ``rho_i = (rho[i].c,
         rho[i].c')``, a digit encryption is ``sum_r b[i][r] * pk_r +
-        carrier_i * e_n``, and the extended contraction with ``e_n`` returns
-        ``rho_i`` itself.  So the rows are ``contract(pk_r, rho_i)`` for
-        every digit ``i`` and row ``r``, then the ``pk_r`` (the scalar
-        digit's encryption), then the ``rho_i``: ``n*N + N + n`` rows of
-        ``n + 1`` columns, weighted by the masks in draw order and then the
-        digit carriers.
+        carrier_i * e_n``, and the product of ``e_n`` with ``rho_i`` is
+        ``rho_i`` itself.  So the rows are the products (``hom_mul``'s
+        kernel) of ``pk_r`` and ``rho_i`` for every digit ``i`` and row
+        ``r``, then the ``pk_r`` (the scalar digit's encryption), then the
+        ``rho_i``: ``n*N + N + n`` rows of ``n + 1`` columns, weighted by the
+        masks in draw order and then the digit carriers.
         """
-        lam = self.tensor.extended
         pk = self.public.extended_rows
         rho = tuple((*r.c, r.cprime) for r in self.refresher.rho)
         return PackedRows(
-            (*(tensor_contract(lam, row, r) for r in rho for row in pk), *pk, *rho)
+            (*(_product(self.tensor, row, r) for r in rho for row in pk), *pk, *rho)
         )
 
 

@@ -275,6 +275,13 @@ class Ring:
         """
         points, width = layout
         d = self.d
+        if points == 1 and self._fold is not None:
+            # Small operands: shift each slot out, folding X^(d+i) = fold * X^i.
+            step, fold, q, mask = 8 * width, self._fold, self.q, (1 << 8 * width) - 1
+            shifts, top = range(0, d * step, step), d * step
+            return tuple([_wrap(self, tuple([((v >> s & mask) + fold * (hi >> s & mask)) % q
+                                             for s in shifts]))
+                          for v, hi in zip(sums[0], [v >> top for v in sums[0]])])
         if points == 1:
             return tuple([_wrap(self, self.reduce(_slots(v, 2 * d - 1, width))) for v in sums[0]])
         shift, wide = 8 * width + 1, 2 * width
@@ -391,9 +398,9 @@ class RingPoly:
         return ring.unpack([[p[0] * p[-1]] for p in packed], layout)[0]
 
     def scale(self, value: int) -> "RingPoly":
-        """Multiply by an integer scalar."""
+        """Multiply by an integer scalar; a non-``int`` is refused."""
         q = self.ring.q
-        v = value % q
+        v = _int_coeffs((value,), "scalar")[0] % q
         return _wrap(self.ring, tuple([(a * v) % q for a in self.coeffs]))
 
 

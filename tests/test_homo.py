@@ -225,17 +225,80 @@ def test_product_tensor_must_be_a_symmetric_cube():
         ProductTensor((((0, 0), (1, 0)), ((0, 0), (0, 0))))
 
 
-def test_extended_tensor_folds_in_the_scalar_slots(desk_bundle):
-    lam = desk_bundle.tensor.coeffs
-    n = len(lam)
-    ext = desk_bundle.tensor.extended.coeffs
-    assert len(ext) == n + 1
-    for i in range(n + 1):
-        for j in range(n + 1):
-            for k in range(n + 1):
-                if i < n and j < n:
-                    want = -lam[i][j][k] if k < n else 0
-                else:
-                    want = 1 if k == min(i, j) else 0  # [k][n][k], [n][k][k], [n][n][n]
-                assert ext[i][j][k] == want
-    assert desk_bundle.tensor.extended is desk_bundle.tensor.extended
+def test_product_tensor_refuses_an_empty_cube():
+    """Before the check, ``ProductTensor(())`` constructed and the contraction
+    raised an IndexError."""
+    with pytest.raises(ParameterError, match="at least one slot"):
+        ProductTensor(())
+
+
+@pytest.mark.parametrize("entry", [1.5, True, "3"], ids=repr)
+def test_product_tensor_refuses_a_non_integer_entry(entry):
+    """Before the check, a 1x1x1 tensor with entry 1.5 constructed and the
+    contraction raised an AttributeError, ``True`` contracted with weight 1
+    and ``"3"`` raised a TypeError."""
+    with pytest.raises(ParameterError, match="tensor entries"):
+        ProductTensor((((entry,),),))
+
+
+def test_key_tensor_is_one_layer(desk_bundle):
+    """The keygen tensor ``prime_of(k) * mu_k * base_ij`` factors as one
+    ``alpha (x) beta`` mod q, found once and kept on the tensor."""
+    lam, q = desk_bundle.tensor, desk_bundle.channel.q
+    (alpha, beta), = lam.layers(q)
+    n = len(lam.coeffs)
+    assert all(lam.coeffs[i][j][k] == alpha[k] * beta[i][j] % q
+               for i in range(n) for j in range(n) for k in range(n))
+    assert all(0 <= a < q for a in alpha) and all(0 <= b < q for row in beta for b in row)
+    assert lam.layers(q) is lam.layers(q)
+    assert "_layers" not in vars(ProductTensor(lam.coeffs))
+
+
+def _rank_one(alpha, beta):
+    n = len(alpha)
+    return ProductTensor(tuple(tuple(tuple(a * beta[i][j] for a in alpha) for j in range(n))
+                               for i in range(n)))
+
+
+def test_layers_fall_back_to_planes():
+    """A tensor with rank one modulo every prime of q but one, and any tensor
+    under a q that is not squarefree, is read as one layer per plane."""
+    q = 15015  # 3 * 5 * 7 * 11 * 13
+    alpha, beta = (1, 2, 3), ((4, 5, 6), (5, 7, 8), (6, 8, 9))
+    lam = _rank_one(alpha, beta)
+    coeffs = [[list(row) for row in plane] for plane in lam.coeffs]
+    coeffs[0][0][1] += q // 13  # moves the entry mod 13 alone: rank two there
+    broken = ProductTensor(tuple(tuple(tuple(row) for row in plane) for plane in coeffs))
+    assert len(lam.layers(q)) == 1
+    assert len(_rank_one(alpha, beta).layers(4 * q)) == 3
+    for tensor, modulus in ((broken, q), (lam, 4 * q)):
+        layers = tensor.layers(modulus)
+        assert [a for a, _ in layers] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        assert [b for _, b in layers] == [
+            tuple(tuple(x[k] % modulus for x in row) for row in tensor.coeffs) for k in range(3)
+        ]
+
+
+def test_a_tensor_that_vanishes_mod_one_prime_is_still_one_layer():
+    q = 15015
+    lam = _rank_one((7, 14, 0), ((3, 6, 9), (6, 3, 12), (9, 12, 3)))  # every entry 0 mod 7
+    (alpha, beta), = lam.layers(q)
+    assert all(lam.coeffs[i][j][k] % q == alpha[k] * beta[i][j] % q
+               for i in range(3) for j in range(3) for k in range(3))
+    assert alpha[2] == 0
+
+
+def test_key_tensor_layers_contract_like_the_planes(desk_bundle, rng):
+    """The one-layer contraction equals the plane-by-plane one, which the
+    same tensor gets under 4q (not squarefree) and reads mod q."""
+    ch = desk_bundle.channel
+    v1, v2 = _constrained_vector(desk_bundle, rng), _constrained_vector(desk_bundle, rng)
+    lam = desk_bundle.tensor
+    planes = ProductTensor(lam.coeffs).layers(4 * ch.q)
+    assert len(lam.layers(ch.q)) == 1 and len(planes) == ch.n
+    for k, part in enumerate(tensor_contract(lam, v1, v2)):
+        want = ch.ring.zero()
+        for i in range(ch.n):
+            for j in range(ch.n):
+                want = want + (v1[i] * v2[j]).scale(planes[k][1][i][j])
+        assert part == want

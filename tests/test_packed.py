@@ -13,6 +13,13 @@ give the even/odd split of the two-point decode an odd coefficient count,
 two rings sit either side of the switch, and the large-channel worst cases
 run on two points; the layouts each kernel picks are asserted, so moving
 the switch cannot silently drop the two-point path from these tests.
+
+The contraction reads the tensor through ``ProductTensor.layers``: one
+layer ``alpha (x) beta`` for a rank-one tensor (every key's), one per plane
+for any other.  Each layer's sum ``B = sum_ij beta[i][j] v1[i] v2[j]`` is
+packed at the slots for ``n^2 d (q-1)^3``, reached by all-(q-1) operands
+and ``beta``; ``hom_mul`` then folds ``-alpha mod q`` into a narrower pass.
+Rank-one tensors are drawn as such, so both layer shapes meet the oracles.
 """
 
 import math
@@ -142,8 +149,8 @@ def test_vector_dot_matches_oracle(data):
 
 
 def _symmetric(draw, q, n):
-    """A symmetric tensor: drawn entries, all q-1, or the worst case for the
-    packed contraction (every pair weight is q-1, see pair_weights)."""
+    """A symmetric tensor: drawn entries (one layer per plane), all q-1, or
+    q-1 off the diagonal and q-n on it (both rank one, beta near q-1)."""
     kind = draw(st.sampled_from(("drawn", "top", "worst")))
     if kind == "top":
         return [[[q - 1] * n for _ in range(n)] for _ in range(n)]
@@ -277,10 +284,10 @@ def test_hom_mul_matches_its_defining_formula(data):
 
 
 def test_hom_mul_worst_case_at_the_large_channel(layouts):
-    """n = 10, d = 64, 57-bit q, all-(q-1) ciphertexts and the worst-weight
-    tensor for the extended contraction.  Every product is the same
-    polynomial P, so slot k is ``(2 - sum_ij lam[i][j][k]) * P`` and the
-    scalar part is P."""
+    """n = 10, d = 64, 57-bit q, all-(q-1) ciphertexts and a tensor that is
+    not rank one (one layer per plane, so ten layer sums and ten weights per
+    slot).  Every product is the same polynomial P, so slot k is ``(2 -
+    sum_ij lam[i][j][k]) * P`` and the scalar part is P."""
     q, n, d = LARGE_Q, 10, 64
     u = tuple([-1] + [0] * (d - 1) + [1])
     lam = tuple(tuple(tuple(row) for row in plane) for plane in _hom_mul_worst(n))
@@ -288,8 +295,10 @@ def test_hom_mul_worst_case_at_the_large_channel(layouts):
     product = reduce_poly(conv_mul(top, top), list(u), q)
     ct = _ciphertext(q, u, [top] * n, top)
     ch = ArithmeticChannel(p=3, q=q, omega=1, u=u, n=n, big_n=8, k0=1)
-    got = hom_mul(ch, ProductTensor(lam), ct, ct)
-    assert [points for points, _ in layouts] == [2]
+    tensor = ProductTensor(lam)
+    got = hom_mul(ch, tensor, ct, ct)
+    assert len(tensor.layers(q)) == n
+    assert [points for points, _ in layouts] == [2, 2]
     for k, part in enumerate(got.c):
         weight = 2 - sum(lam[i][j][k] for i in range(n) for j in range(n))
         assert list(part.coeffs) == [(weight * c) % q for c in product]
@@ -342,8 +351,9 @@ def _channel(name):
 @pytest.mark.parametrize("top", [False, True], ids=["drawn", "all-q-1"])
 @pytest.mark.parametrize("name", list(CHANNELS))
 def test_hom_mul_of_a_ciphertext_by_itself_squares(monkeypatch, name, top):
-    """``hom_mul(ct, ct)`` packs its operand once and squares; it equals the
-    product with a distinct, equal-valued copy, and the defining formula."""
+    """``hom_mul(ct, ct)`` packs its operand once per pass (the layer sums,
+    then the pass that folds them in) and squares; it equals the product
+    with a distinct, equal-valued copy, and the defining formula."""
     packed, pack = [], Ring.pack
     monkeypatch.setattr(Ring, "pack", lambda ring, *args: packed.append(args) or pack(ring, *args))
     ch = _channel(name)
@@ -361,10 +371,11 @@ def test_hom_mul_of_a_ciphertext_by_itself_squares(monkeypatch, name, top):
     tensor = ProductTensor(tuple(tuple(tuple(row) for row in plane) for plane in lam))
     ct, copy = _ciphertext(q, u, c, p), _ciphertext(q, u, c, p)
     assert ct == copy and ct.c[0] is not copy.c[0]
+    layers = len(tensor.layers(q))
     got = hom_mul(ch, tensor, ct, ct)
-    assert len(packed) == 1
+    assert [len(polys) for polys, _ in packed] == [n, n + 1 + layers]
     assert got == hom_mul(ch, tensor, ct, copy)
-    assert len(packed) == 3
+    assert [len(polys) for polys, _ in packed[2:]] == [2 * n, 2 * n + 2 + layers]
     if name != "large":  # the oracle's n^3 schoolbook products take seconds there
         vector, scalar = _hom_mul_oracle(lam, c, p, c, p, u, q)
         assert [list(part.coeffs) for part in got.c] == vector
@@ -388,8 +399,10 @@ def test_every_desk_kernel_runs_on_one_point(layouts):
 
 
 def test_the_large_channel_contraction_and_rows_run_on_two_points(layouts):
-    """At the large channel ``encrypt`` (``PublicKey.rows``), ``hom_mul``
-    and the refresh matrix all pick the two-point layout."""
+    """At the large channel ``encrypt`` (``PublicKey.rows``), both passes of
+    ``hom_mul`` (the layer sum in 12-byte half slots, then the pass that
+    folds it in with 8-byte ones) and the refresh matrix all pick the
+    two-point layout."""
     ch = _channel("large")
     bundle = keygen(ch, RandomSource(b"large/two points"))
     del layouts[:]
@@ -397,6 +410,78 @@ def test_the_large_channel_contraction_and_rows_run_on_two_points(layouts):
     a = encrypt(bundle.public, ch, 1, rng)
     assert [points for points, _ in layouts] == [2]
     b = hom_mul(ch, bundle.tensor, a, a)
-    assert [points for points, _ in layouts] == [2, 2]
+    assert layouts[1:] == [(2, 12), (2, 8)]
     assert bundle.eval_keys.refresh_rows.layout[0] == 2
     assert decrypt(bundle.secret, ch, b) == 1
+
+
+@pytest.mark.parametrize("name", list(CHANNELS))
+def test_every_key_tensor_is_one_layer(name):
+    """So every workload's products take the short path: n products for the
+    layer sum instead of n per plane."""
+    ch = _channel(name)
+    for seed in range(3):
+        bundle = keygen(ch, RandomSource(f"{name}/layers/{seed}".encode()))
+        assert len(bundle.tensor.layers(ch.q)) == 1
+
+
+def _outer(alpha, beta, q):
+    n = len(alpha)
+    return ProductTensor(tuple(tuple(tuple(a * beta[i][j] % q for a in alpha)
+                                     for j in range(n)) for i in range(n)))
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_rank_one_tensors_match_the_oracles(data):
+    """Drawn ``alpha (x) beta`` tensors (all-(q-1) factors and zero entries
+    of alpha included) are one layer, and their contraction and ``hom_mul``
+    equal the schoolbook oracles."""
+    q, u = data.draw(rings(degrees=(4, 5, 16)))
+    d = len(u) - 1
+    n = data.draw(st.sampled_from((1, 2, 3, 5)))
+    kind = data.draw(st.sampled_from(("drawn", "all q-1", "some alpha_k = 0")))
+    entries = st.just(q - 1) if kind == "all q-1" else st.integers(0, q - 1)
+    alpha = data.draw(st.lists(entries, min_size=n, max_size=n))
+    if kind == "some alpha_k = 0":
+        for k in data.draw(st.sets(st.integers(0, n - 1), min_size=1)):
+            alpha[k] = 0
+    beta = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            beta[i][j] = beta[j][i] = data.draw(entries)
+    tensor = _outer(alpha, beta, q)
+    assert len(tensor.layers(q)) == 1
+    lam = [[list(row) for row in plane] for plane in tensor.coeffs]
+    c1, c2 = (coefficient_vectors(data.draw, q, d, n) for _ in range(2))
+    p1, p2 = coefficient_vectors(data.draw, q, d, 2)
+    got = tensor_contract(tensor, *(tuple(RingPoly(q, u, c) for c in v) for v in (c1, c2)))
+    assert [list(part.coeffs) for part in got] == naive_contract(lam, c1, c2, list(u), q)
+    ch = ArithmeticChannel(p=2, q=q, omega=1, u=u, n=n, big_n=1, k0=1)
+    got = hom_mul(ch, tensor, _ciphertext(q, u, c1, p1), _ciphertext(q, u, c2, p2))
+    vector, scalar = _hom_mul_oracle(lam, c1, p1, c2, p2, u, q)
+    assert [list(part.coeffs) for part in got.c] == vector
+    assert list(got.cprime.coeffs) == scalar
+
+
+@pytest.mark.parametrize("square", [False, True])
+def test_rank_one_worst_case_at_the_large_channel(layouts, square):
+    """n = 10, d = 64, 57-bit q, all-(q-1) ciphertexts and the all-(q-1)
+    tensor: its layer is ``beta`` all q-1 and ``alpha`` all 1, so every
+    weight ``-alpha mod q`` is q-1 and the layer sum reaches its bound
+    ``n^2 d (q-1)^3``.  Every product is the same polynomial P: slot k is
+    ``(2 - n^2 (q-1)) * P`` and the scalar part is P."""
+    q, n, d = LARGE_Q, 10, 64
+    u = _cyclic(d)
+    tensor = ProductTensor(((((q - 1,) * n,) * n,) * n))
+    ((alpha, beta),) = tensor.layers(q)
+    assert alpha == (1,) * n and beta == (((q - 1,) * n,) * n)
+    top = [q - 1] * d
+    product = reduce_poly(conv_mul(top, top), list(u), q)
+    ch = ArithmeticChannel(p=3, q=q, omega=1, u=u, n=n, big_n=8, k0=1)
+    ct = _ciphertext(q, u, [top] * n, top)
+    got = hom_mul(ch, tensor, ct, ct if square else _ciphertext(q, u, [top] * n, top))
+    assert layouts == [(2, 12), (2, 8)]
+    weight = (2 - n * n * (q - 1)) % q
+    assert [list(part.coeffs) for part in got.c] == [[weight * c % q for c in product]] * n
+    assert list(got.cprime.coeffs) == product

@@ -478,13 +478,13 @@ def test_refresh_matrix_is_built_once(desk_channel, monkeypatch):
     ch = desk_channel
     bundle = keygen(ch, RandomSource(b"built-once"))
     rng = RandomSource(b"built-once/refresh")
-    contractions, contract = [], refresh.tensor_contract
+    contractions, contract = [], refresh._product
 
     def counted(*args):
         contractions.append(args)
         return contract(*args)
 
-    monkeypatch.setattr(refresh, "tensor_contract", counted)
+    monkeypatch.setattr(refresh, "_product", counted)
     checker = secret_refresh_checker(bundle.secret, ch)
     for m in (1, 0):
         ct = make_refreshable(encrypt(bundle.public, ch, m, rng), checker, bundle.public, ch, rng)

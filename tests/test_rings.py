@@ -1,6 +1,7 @@
 """Tests for the modular arithmetic kernels."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -132,6 +133,22 @@ def test_poly_identities():
     assert x * x == one  # X^2 reduces to 1 modulo X^2 - 1
     assert b - b == zero
     assert -zero == zero
+
+
+def test_poly_scale_reduces_an_integer_scalar():
+    x = Ring(15015, (-1, 0, 0, 0, 1)).poly([1, 2, 3, 4])
+    assert x.scale(3).coeffs == (3, 6, 9, 12)
+    assert x.scale(-1) == -x
+    assert x.scale(15015 * 7 + 2).coeffs == (2, 4, 6, 8)
+
+
+@pytest.mark.parametrize("value", [1.5, 2.0, True, "2", Fraction(2)], ids=repr)
+def test_poly_scale_refuses_a_non_integer_scalar(value):
+    """A float scalar made a ring element with float coefficients, ``True``
+    scaled by 1 and ``"2"`` raised a bare TypeError from string formatting."""
+    x = Ring(15015, (-1, 0, 0, 0, 1)).poly([1, 2, 3, 4])
+    with pytest.raises(ParameterError, match="scalar"):
+        x.scale(value)
 
 
 def test_poly_channel_mismatch_rejected():
