@@ -1,0 +1,140 @@
+"""Per-operation timings of ``aces`` at the benchmark's three channels.
+
+    python3 scripts/ops.py --out BENCH_15.json
+    python3 scripts/ops.py --out BENCH_15.json --base OTHER/src --rounds 3
+
+At desk, mid and large (``bench/workloads.py``) it times ``Ring.unpack`` of
+11 outputs (the layout of ``hom_mul``'s last pass), ``PackedRows.combine``
+(the public-key rows by a mask), ``encrypt``, ``decrypt``, ``hom_mul`` of two
+ciphertexts and of one by itself, ``RingPoly.__mul__``, ``sample_mask`` and
+``keygen``.  Calls run in batches of about ``--batch-ms``; each batch is one
+span scaled to the reference host by ``bench/hostspeed.py``, and a figure is
+the median over batches of the scaled time per call, in microseconds.
+
+With ``--base`` (the ``src`` directory of another checkout) every round
+times this checkout's ``src`` and the base, each in a fresh process, and
+alternates which goes first; the file then holds both and their ratio.  The
+script is not part of the test suite.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+OUTPUTS = 11
+
+
+def _operations(channel):
+    """Name -> zero-argument callable, for one channel's fixed inputs."""
+    from aces.channel import RandomSource
+    from aces.cipher import decrypt, encrypt, sample_mask
+    from aces.homo import hom_mul
+    from aces.keygen import keygen
+
+    ch = channel.build()
+    seed = f"ops/{channel.degree}".encode()
+    bundle = keygen(ch, RandomSource(seed))
+    rng = RandomSource(seed + b"/run")
+    ring = ch.ring
+    a, b = encrypt(bundle.public, ch, 1, rng), encrypt(bundle.public, ch, 0, rng)
+    x, y = ch.random_poly(rng), ch.random_poly(rng)
+    mask = sample_mask(ch, rng)
+    layout = ring.width(3)
+    packed = ring.pack([ch.random_poly(rng) for _ in range(2 * OUTPUTS)], layout)
+    sums = [[s * t for s, t in zip(p[:OUTPUTS], p[OUTPUTS:])] for p in packed]
+    hom_mul(ch, bundle.tensor, a, b)  # the tensor's layers are found on its first product
+    return {
+        f"Ring.unpack ({OUTPUTS} outputs)": lambda: ring.unpack(sums, layout),
+        "PackedRows.combine": lambda: bundle.public.rows.combine(mask),
+        "encrypt": lambda: encrypt(bundle.public, ch, 1, rng),
+        "decrypt": lambda: decrypt(bundle.secret, ch, a),
+        "hom_mul": lambda: hom_mul(ch, bundle.tensor, a, b),
+        "hom_mul(ct, ct)": lambda: hom_mul(ch, bundle.tensor, a, a),
+        "RingPoly.__mul__": lambda: x * y,
+        "sample_mask": lambda: sample_mask(ch, rng),
+        "keygen": lambda: keygen(ch, RandomSource(seed)),
+    }
+
+
+def _worker(src: str, batch_s: float, batches: int) -> dict:
+    """Per channel and operation, the scaled seconds per call of each batch."""
+    sys.path[:0] = [src, str(ROOT / "bench")]
+    from hostspeed import HostClock
+    from workloads import DESK, LARGE, MID
+
+    clock = HostClock()
+    out = {}
+    for name, channel in (("desk", DESK), ("mid", MID), ("large", LARGE)):
+        out[name] = {}
+        for op, fn in _operations(channel).items():
+            clock.calibrate()
+            spans = []
+            clock.span(spans, fn)  # warm-up, and the size of a batch
+            calls = max(1, round(batch_s / (spans[0][1] - spans[0][0])))
+            spans = []
+            for _ in range(batches):
+                clock.span(spans, lambda: [fn() for _ in range(calls)])
+            out[name][op] = [clock.seconds([span]) / calls for span in spans]
+    out["calibration_ms"] = 1e3 * statistics.median(clock.samples)
+    return out
+
+
+def _run(src: Path, args) -> dict:
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--worker", str(src),
+           "--batch-ms", str(args.batch_ms), "--batches", str(args.batches)]
+    return json.loads(subprocess.run(cmd, check=True, capture_output=True, text=True).stdout)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", type=Path)
+    parser.add_argument("--base", type=Path, help="src directory of the checkout to compare with")
+    parser.add_argument("--rounds", type=int, default=3)
+    parser.add_argument("--batch-ms", type=float, default=40.0)
+    parser.add_argument("--batches", type=int, default=7)
+    parser.add_argument("--worker", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:
+        print(json.dumps(_worker(args.worker, args.batch_ms / 1e3, args.batches)))
+        return 0
+    trees = {"change": ROOT / "src"} | ({"base": args.base} if args.base else {})
+    samples = {label: [] for label in trees}
+    for round_ in range(args.rounds):
+        order = list(trees) if round_ % 2 == 0 else list(trees)[::-1]
+        for label in order:
+            samples[label].append(_run(trees[label], args))
+    ops = {}
+    for channel in ("desk", "mid", "large"):
+        ops[channel] = {}
+        for op in samples["change"][0][channel]:
+            row = {label: round(1e6 * statistics.median(
+                       [t for run in runs for t in run[channel][op]]), 2)
+                   for label, runs in samples.items()}
+            if "base" in row:
+                row["ratio"] = round(row["change"] / row["base"], 3)
+            ops[channel][op] = row
+    result = {
+        "unit": "us per call on the reference host (bench/hostspeed.py), median over batches",
+        "python": platform.python_version(),
+        "rounds": args.rounds,
+        "batches_per_round": args.batches,
+        "calibration_ms": {label: round(statistics.median(r["calibration_ms"] for r in runs), 3)
+                           for label, runs in samples.items()},
+        "ops": ops,
+    }
+    text = json.dumps(result, indent=1) + "\n"
+    if args.out:
+        args.out.write_text(text)
+    print(text, end="")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

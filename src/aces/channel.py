@@ -55,6 +55,17 @@ class RandomSource:
             raise ParameterError("upper bound must be positive")
         return self._rng.randrange(n)
 
+    def draws(self, n: int, count: int) -> list[int]:
+        """The values of ``count`` calls of ``below(n)``, drawn as ``randrange`` draws them."""
+        if n <= 0:
+            raise ParameterError("upper bound must be positive")
+        bits, k, out = self._rng.getrandbits, n.bit_length(), []
+        while len(out) < count:
+            r = bits(k)
+            if r < n:
+                out.append(r)
+        return out
+
     def between(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi] inclusive."""
         return lo + self.below(hi - lo + 1)
@@ -133,7 +144,7 @@ class ArithmeticChannel:
         return tuple(factorize(self.q))
 
     def random_poly(self, rng: RandomSource) -> RingPoly:
-        return _wrap(self.ring, tuple(rng.below(self.q) for _ in range(self.degree)))
+        return _wrap(self.ring, tuple(rng.draws(self.q, self.degree)))
 
     @cached_property
     def _omega_powers(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -167,15 +178,9 @@ def _pivot_poly(ch: ArithmeticChannel, target: int, rng: RandomSource) -> RingPo
     q, d = ch.q, ch.degree
     powers, inverses = ch._omega_powers
     pivot = rng.between(1, d - 1)
-    coeffs = [0] * d
-    acc = target % q
-    for j in range(d):
-        if j == pivot:
-            continue
-        a = rng.below(q)
-        coeffs[j] = a
-        acc = (acc - a * powers[j]) % q
-    coeffs[pivot] = (acc * inverses[pivot]) % q
+    coeffs = rng.draws(q, d - 1)
+    coeffs.insert(pivot, 0)
+    coeffs[pivot] = (target - sum(map(operator.mul, coeffs, powers))) * inverses[pivot] % q
     return _wrap(ch.ring, tuple(coeffs))
 
 

@@ -213,7 +213,7 @@ def sample_locator_db(
     draws = 0
     while (want_loc > 0 or want_dir > 0) and draws < LOCATOR_DRAWS:
         draws += 1
-        vec = tuple(rng.below(ch.q) for _ in range(ch.n))
+        vec = tuple(rng.draws(ch.q, ch.n))
         loc, dirk, num = _split(ch, secret, vec)
         if want_loc > 0 and loc is not None:
             entries.append(LocatorEntry(vec, "locator", loc, num))

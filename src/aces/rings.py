@@ -17,21 +17,25 @@ Three layers live in this module:
   ``+-2^(8w')`` with half-width slots, where two big-integer multiplies of
   half the size cost less than one of the full size (D. Harvey,
   "Faster polynomial multiplication via multipoint Kronecker
-  substitution", J. Symbolic Comput. 44, 2009),
+  substitution", J. Symbolic Comput. 44, 2009).  The decode folds a
+  binomial ``u`` into the packed halves before it reads a slot, and reads
+  slots of 8, 16 or 24 bytes as 8-byte words,
 * repartitions: assignments of the prime factors of ``q`` to key slots.
 """
 
 from __future__ import annotations
 
+import math
 import operator
+import struct
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import count
 
 from .errors import ParameterError
 
-# Trial division is all we ever need: moduli are built as products of small
-# distinct primes and stay far below this cap.
-FACTOR_CAP = 1 << 62
+# ``factorize`` takes moduli below this cap, and primes below ``_TRIAL`` by
+# trial division: every benchmark modulus is a product of such primes.
+FACTOR_CAP, _TRIAL = 1 << 62, 1 << 10
 
 # One-point operand size (d slots, in bytes) from which a kernel evaluates
 # at two points, +-2^(8w) with half-width slots, instead of at one.  Time at
@@ -89,27 +93,47 @@ def is_leveled_multiple(p: int, k: int, z: int) -> bool:
 
 
 def factorize(q: int) -> list[int]:
-    """Distinct prime factors of ``q`` in increasing order, by trial division.
-
-    Moduli are chosen smooth by construction, so no general-purpose
-    factorization is needed; the cap guards against misuse.
-    """
+    """Distinct prime factors of ``q`` in increasing order: trial division
+    below ``_TRIAL``, then Miller-Rabin and Pollard's rho on the rest."""
     if q < 2:
         raise ParameterError(f"cannot factor {q}")
     if q >= FACTOR_CAP:
-        raise ParameterError(f"modulus too large for trial division: {q}")
-    primes = []
-    rest = q
-    d = 2
-    while d * d <= rest:
-        if rest % d == 0:
+        raise ParameterError(f"modulus too large to factor: {q}")
+    primes, rest, d = [], q, 2
+    while d < _TRIAL and d * d <= rest:
+        while rest % d == 0:
             primes.append(d)
-            while rest % d == 0:
-                rest //= d
+            rest //= d
         d += 1 if d == 2 else 2
-    if rest > 1:
-        primes.append(rest)
-    return primes
+    stack = [rest] if rest > 1 else []
+    while stack:
+        m = stack.pop()
+        if m < _TRIAL * _TRIAL or _is_prime(m):
+            primes.append(m)
+        else:
+            stack += [f := _rho(m), m // f]
+    return sorted(set(primes))
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin for an odd ``n > 37``, exact below 2^64 with these bases."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s * odd
+    odd = (n - 1) >> s
+    return all(pow(a, odd, n) == 1 or n - 1 in {pow(a, odd << i, n) for i in range(s)}
+               for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
+
+
+def _rho(n: int) -> int:
+    """A proper factor of an odd composite ``n``: Pollard's rho, Brent's cycle
+    search on ``x -> x^2 + c`` from ``x = 2`` for ``c = 1, 2, ...``."""
+    for c in count(1):
+        x, y, power, steps = 2, (4 + c) % n, 1, 1
+        while (g := math.gcd(x - y, n)) == 1:
+            if steps == power:
+                x, power, steps = y, 2 * power, 0
+            y, steps = (y * y + c) % n, steps + 1
+        if g != n:
+            return g
 
 
 def _int_coeffs(coeffs, what: str = "polynomial coefficients") -> tuple[int, ...]:
@@ -150,11 +174,12 @@ class Ring:
       size: cheaper above the switch, and dearer below it, where packing
       and decoding twice cost more than the smaller multiplies save.
     * Reduction by ``u``: a binomial ``u = X^d + u_0`` folds the part above
-      degree ``d - 1`` in as ``lo[i] - u_0 * hi[i]``; any other ``u`` adds
-      ``hi[k] * (X^(d+k) mod u)`` from a table grown on demand.
+      degree ``d - 1`` in as ``lo[i] - u_0 * hi[i]`` (at two points on the
+      packed halves: one big-integer add each for a cyclic ``u``); any other
+      ``u`` adds ``hi[k] * (X^(d+k) mod u)`` from a table grown on demand.
     """
 
-    __slots__ = ("q", "u", "d", "_fold", "_powers")
+    __slots__ = ("q", "u", "d", "_fold", "_powers", "_radix")
 
     def __new__(cls, q: int, u):
         u = _int_coeffs(u)
@@ -177,6 +202,7 @@ class Ring:
         binomial = all(c % q == 0 for c in u[1:d])
         self._fold = (-u[0]) % q if binomial else None
         self._powers: list[list[int]] = []  # X^(d+k) mod u, k = 0, 1, ...
+        self._radix = (pow(2, 64, q), pow(2, 128, q))  # word weights in ``_read``
 
     def __repr__(self) -> str:
         return f"Ring(q={self.q}, u={self.u})"
@@ -250,13 +276,17 @@ class Ring:
         """Per point of ``layout``, the packed value of each element of ``polys``.
 
         The first point is ``x = 2^(8w)`` for ``w``-byte slots: the canonical
-        coefficients, byte-aligned.  The second is ``-x``: the value there is
-        the first one minus twice its odd-index coefficients, which a byte
-        mask picks out.
+        coefficients, byte-aligned (8-byte words padded to the slot, if they
+        fit).  The second is ``-x``: the value there is the first one minus
+        twice its odd-index coefficients, which a byte mask picks out.
         """
         points, width = layout
         size = self.d * width
-        data = b"".join([c.to_bytes(width, "little") for x in polys for c in x.coeffs])
+        if width >= 8 and self.q <= 1 << 64:
+            data = struct.pack("<" + f"Q{width - 8}x" * (len(polys) * self.d),
+                               *[c for x in polys for c in x.coeffs])
+        else:
+            data = b"".join([c.to_bytes(width, "little") for x in polys for c in x.coeffs])
         plus = [int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size)]
         if points == 1:
             return [plus]
@@ -271,35 +301,60 @@ class Ring:
 
         At two points ``S(x)`` and ``S(-x)`` give ``(S(x) + S(-x)) / 2``, the
         even-index coefficients, and ``(S(x) - S(-x)) / 2x``, the odd-index
-        ones, each in slots of ``2w`` bytes, as ``x^2 = 2^(16w)``.
+        ones, each in slots of ``2w`` bytes, as ``x^2 = 2^(16w)``.  A binomial
+        ``u`` is folded on those halves before a slot is read, ``X^(d+i)``
+        onto ``X^i`` (in the other half for an odd ``d``); a cyclic ``u``
+        adds them as big integers, which cannot overflow a slot: ``width``
+        bounds a cyclic coefficient, a sum of ``d`` products.
         """
         points, width = layout
-        d = self.d
-        if points == 1 and self._fold is not None:
+        d, fold, q = self.d, self._fold, self.q
+        if points == 1 and fold is not None:
             # Small operands: shift each slot out, folding X^(d+i) = fold * X^i.
-            step, fold, q, mask = 8 * width, self._fold, self.q, (1 << 8 * width) - 1
+            step, mask = 8 * width, (1 << 8 * width) - 1
             shifts, top = range(0, d * step, step), d * step
             return tuple([_wrap(self, tuple([((v >> s & mask) + fold * (hi >> s & mask)) % q
                                              for s in shifts]))
                           for v, hi in zip(sums[0], [v >> top for v in sums[0]])])
         if points == 1:
-            return tuple([_wrap(self, self.reduce(_slots(v, 2 * d - 1, width))) for v in sums[0]])
-        shift, wide = 8 * width + 1, 2 * width
-        coeffs = [0] * (2 * d - 1)
-        out = []
-        for plus, minus in zip(*sums):
-            coeffs[0::2] = _slots((plus + minus) >> 1, d, wide)
-            coeffs[1::2] = _slots((plus - minus) >> shift, d - 1, wide)
-            out.append(_wrap(self, self.reduce(coeffs)))
+            return tuple([_wrap(self, self.reduce(self._read([v], 2 * d - 1, width)))
+                          for v in sums[0]])
+        shift, wide, read = 8 * width + 1, 2 * width, self._read
+        halves = [h for plus, minus in zip(*sums)
+                  for h in ((plus + minus) >> 1, (plus - minus) >> shift)]
+        if fold is None:
+            half, size, slots = d, 2 * d - 1, read(halves, d, wide)
+        else:
+            half, size = (d + 1) // 2, d  # half: how many even indices lie below d
+            cuts = [8 * wide * half, 8 * wide * (d - half)] * len(sums[0])
+            lows = [h & (1 << cut) - 1 for h, cut in zip(halves, cuts)]
+            highs = [halves[i ^ d % 2] >> cuts[i ^ d % 2] for i in range(len(halves))]
+            if fold == 1:
+                slots = read(list(map(operator.add, lows, highs)), half, wide)
+            else:
+                slots = [(a + fold * b) % q
+                         for a, b in zip(read(lows, half, wide), read(highs, half, wide))]
+        coeffs, out = [0] * size, []
+        for i in range(0, len(slots), 2 * half):
+            coeffs[0::2], coeffs[1::2] = slots[i:i + half], slots[i + half:i + size]
+            out.append(_wrap(self, self.reduce(coeffs) if fold is None else tuple(coeffs)))
         return tuple(out)
 
-
-def _slots(value: int, count: int, width: int) -> list[int]:
-    """The ``count`` slots of ``width`` bytes of a non-negative integer."""
-    size = count * width
-    data = value.to_bytes(size, "little")
-    return list(map(int.from_bytes, [data[i:i + width] for i in range(0, size, width)],
-                    repeat("little")))
+    def _read(self, values, per: int, width: int) -> list[int]:
+        """``per`` slots of ``width`` bytes of each of ``values``, mod q, in one list;
+        8-, 16- and 24-byte slots as 8-byte words, ``sum_t w_t * (2^(64t) mod q)``."""
+        q, data = self.q, b"".join([v.to_bytes(per * width, "little") for v in values])
+        if width % 8 or width > 24:
+            return [int.from_bytes(data[i:i + width], "little") % q
+                    for i in range(0, len(data), width)]
+        words = struct.unpack(f"<{len(data) // 8}Q", data)
+        r1, r2 = self._radix
+        if width == 8:
+            return [w % q for w in words]
+        if width == 16:
+            return [(a + b * r1) % q for a, b in zip(words[0::2], words[1::2])]
+        return [(a + b * r1 + c * r2) % q
+                for a, b, c in zip(words[0::3], words[1::3], words[2::3])]
 
 
 _new = object.__new__

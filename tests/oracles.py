@@ -99,6 +99,23 @@ def ring_op(a: list[int], b: list[int], op: str, u: list[int], q: int) -> list[i
     return reduce_poly(raw, u, q)
 
 
+def trial_factorize(q: int) -> list[int]:
+    """Distinct prime factors of ``q >= 2`` in increasing order, by trial
+    division up to the square root of what is left."""
+    primes = []
+    rest = q
+    d = 2
+    while d * d <= rest:
+        if rest % d == 0:
+            primes.append(d)
+            while rest % d == 0:
+                rest //= d
+        d += 1 if d == 2 else 2
+    if rest > 1:
+        primes.append(rest)
+    return primes
+
+
 def eval_nonneg(coeffs: list[int], omega: int, q: int) -> int:
     """Embed into the non-negative representatives, evaluate in N, reduce."""
     total = 0

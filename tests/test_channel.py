@@ -1,5 +1,6 @@
 """Tests for channel validation and the two samplers."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -77,6 +78,29 @@ def test_random_source_is_reproducible():
     b = RandomSource(b"\x01\x02")
     assert [a.below(1000) for _ in range(20)] == [b.below(1000) for _ in range(20)]
     assert RandomSource.from_hex("0102").below(1000) == RandomSource(b"\x01\x02").below(1000)
+
+
+LARGE_Q = 102481630431415235
+
+
+@pytest.mark.parametrize("n", [1, 2, 2**16, 2**16 + 1, 2**64, 2**64 + 1, 15015, LARGE_Q])
+def test_draws_are_randrange_draws(n):
+    """``draws(n, count)`` is ``count`` calls of ``randrange(n)`` on the same
+    stream (and so of ``below(n)``), and leaves the stream where they do."""
+    seed = f"draws/{n}".encode()
+    got, want = RandomSource(seed), random.Random(seed)
+    assert got.draws(n, 300) == [want.randrange(n) for _ in range(300)]
+    assert got.draws(n, 0) == []
+    assert got.below(n) == want.randrange(n)  # the stream goes on in step
+    one_by_one = RandomSource(seed)
+    assert RandomSource(seed).draws(n, 50) == [one_by_one.below(n) for _ in range(50)]
+
+
+@pytest.mark.parametrize("n", [0, -1, -(2**64)])
+def test_draws_refuse_an_empty_range_as_below_does(n):
+    for draw in (lambda rng: rng.below(n), lambda rng: rng.draws(n, 3)):
+        with pytest.raises(ParameterError, match="upper bound must be positive"):
+            draw(RandomSource(b"empty"))
 
 
 def test_noise_sampler_hits_the_level_set(desk_channel, rng):

@@ -485,3 +485,82 @@ def test_rank_one_worst_case_at_the_large_channel(layouts, square):
     weight = (2 - n * n * (q - 1)) % q
     assert [list(part.coeffs) for part in got.c] == [[weight * c % q for c in product]] * n
     assert list(got.cprime.coeffs) == product
+
+
+# The two-point decode's branches: slots a whole number of 8-byte words or
+# not, an odd degree (the folded slots change halves), and moduli past 2^64,
+# which ``Ring.pack`` writes with ``int.to_bytes`` instead of ``struct`` words.
+BIG_Q = 2**65 + 13
+CODEC_RINGS = {
+    "large-d64": (LARGE_Q, 64, (2, 8)),   # 16-byte slots: two words
+    "mid-d64": (MID_Q, 64, (2, 6)),       # 12-byte slots: no whole words
+    "large-d65": (LARGE_Q, 65, (2, 8)),   # odd d: even and odd halves swap
+    "2^64-d64": (2**64, 64, (2, 9)),      # the largest q that pack writes as words
+    "big-d4": (BIG_Q, 4, (1, 17)),
+    "big-d64": (BIG_Q, 64, (2, 9)),
+    "big-d65": (BIG_Q, 65, (2, 9)),
+}
+
+
+def _codec_u(d, kind):
+    if kind == "cyclic":
+        return _cyclic(d)
+    if kind == "negacyclic":
+        return tuple([1] + [0] * (d - 1) + [1])
+    return tuple([3, 1] + [0] * (d - 2) + [1])  # X^d + X + 3: not a binomial
+
+
+def test_the_codec_rings_pick_their_layouts():
+    for q, d, layout in CODEC_RINGS.values():
+        assert Ring(q, _cyclic(d)).width(1) == layout
+
+
+@pytest.mark.parametrize("kind", ["cyclic", "negacyclic", "general"])
+@pytest.mark.parametrize("name", list(CODEC_RINGS))
+def test_codec_branches_match_the_oracles(layouts, name, kind):
+    """A product, a square and a combination of packed rows, with all-(q-1)
+    operands (every slot at its bound) and drawn ones, equal the schoolbook
+    ``conv_mul``/``reduce_poly`` oracles."""
+    q, d, layout = CODEC_RINGS[name]
+    u = _codec_u(d, kind)
+    rnd = random.Random(f"codec/{name}/{kind}")
+    top = [q - 1] * d
+    drawn = [[rnd.randrange(q) for _ in range(d)] for _ in range(4)]
+    for a, b in ((top, top), (drawn[0], drawn[1])):
+        x, y = RingPoly(q, u, a), RingPoly(q, u, b)
+        assert list((x * y).coeffs) == reduce_poly(conv_mul(a, b), list(u), q)
+        assert list((x * x).coeffs) == reduce_poly(conv_mul(a, a), list(u), q)
+    assert set(layouts) == {layout}
+    rows = [[top, drawn[2]], [drawn[3], top], [top, top]]
+    weights = [top, drawn[0], drawn[1]]
+    matrix = PackedRows(tuple(RingPoly(q, u, c) for c in row) for row in rows)
+    got = matrix.combine(tuple(RingPoly(q, u, w) for w in weights))
+    want = [_oracle_sum([(weights[i], rows[i][j]) for i in range(3)], u, q) for j in range(2)]
+    assert [list(part.coeffs) for part in got] == want
+
+
+@pytest.mark.parametrize("kind", ["cyclic", "negacyclic"])
+@pytest.mark.parametrize("d", [64, 65])
+def test_two_point_decode_of_a_binomial_never_reduces(monkeypatch, layouts, d, kind):
+    """A binomial u is folded on the packed halves: ``Ring.reduce`` is not
+    called by a product, a row combination or either pass of ``hom_mul``
+    (16- and 24-byte slots)."""
+    q, u = LARGE_Q, _codec_u(d, kind)
+    x = RingPoly(q, u, [q - 1] * d)
+    want = reduce_poly(conv_mul([q - 1] * d, [q - 1] * d), list(u), q)
+
+    def refuse(ring, coeffs):
+        raise AssertionError("reduce called")
+
+    monkeypatch.setattr(Ring, "reduce", refuse)
+    assert list((x * x).coeffs) == want
+    (got,) = PackedRows([(x,)] * 3).combine((x,) * 3)
+    assert list(got.coeffs) == [3 * c % q for c in want]
+    n = 3
+    ch = ArithmeticChannel(p=3, q=q, omega=1, u=u, n=n, big_n=8, k0=1)
+    ct = _ciphertext(q, u, [[q - 1] * d] * n, [q - 1] * d)
+    got = hom_mul(ch, ProductTensor(((((q - 1,) * n,) * n,) * n)), ct, ct)
+    weight = (2 - n * n * (q - 1)) % q
+    assert [list(part.coeffs) for part in got.c] == [[weight * c % q for c in want]] * n
+    assert list(got.cprime.coeffs) == want
+    assert set(layouts) == {(2, 8), (2, 12)}

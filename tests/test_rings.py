@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from aces.channel import ArithmeticChannel
 from aces.errors import ParameterError
 from aces.rings import (
+    FACTOR_CAP,
     Repartition,
     Ring,
     RingPoly,
@@ -20,7 +21,7 @@ from aces.rings import (
     reduce_mod,
 )
 
-from oracles import eval_nonneg, ring_op
+from oracles import eval_nonneg, ring_op, trial_factorize
 
 
 # -- lift / reduce ----------------------------------------------------------
@@ -229,6 +230,36 @@ def test_factorize_reconstructs(q):
         while rest % p == 0:
             rest //= p
     assert rest == 1
+
+
+@given(st.integers(2, 2**40 - 1) | st.builds(math.prod, st.lists(st.integers(2, 2**20),
+                                                                min_size=2, max_size=2)))
+@settings(max_examples=150, deadline=None)
+def test_factorize_agrees_with_trial_division(q):
+    """Below 2^40, including products of two factors up to 2^20 (so the
+    cofactor after trial division is split by Pollard's rho)."""
+    assert factorize(q) == trial_factorize(q)
+
+
+P31, P31B = 2**31 - 1, 2147483629  # two 31-bit primes
+
+
+@pytest.mark.parametrize("q, primes", [
+    (2**61 - 1, [2**61 - 1]),                     # a 61-bit prime
+    (P31 * P31B, [P31B, P31]),                    # two 31-bit primes
+    (P31 * P31, [P31]),                           # a square past trial division
+    (3 * 1031 * 1033 * P31, [3, 1031, 1033, P31]),
+    (3215031751, [151, 751, 28351]),              # strong pseudoprime to bases 2, 3, 5, 7
+    (3825123056546413051, [149491, 747451, 34233211]),  # ... to every prime base below 37
+])
+def test_factorize_large_moduli(q, primes):
+    assert factorize(q) == primes
+
+
+@pytest.mark.parametrize("q", [1, 0, -15, FACTOR_CAP])
+def test_factorize_refuses_moduli_out_of_range(q):
+    with pytest.raises(ParameterError):
+        factorize(q)
 
 
 def test_repartition_weights():
