@@ -1,12 +1,14 @@
 """Per-operation timings of ``aces`` at the benchmark's three channels.
 
-    python3 scripts/ops.py --out BENCH_15.json
-    python3 scripts/ops.py --out BENCH_15.json --base OTHER/src --rounds 3
+    python3 scripts/ops.py --out BENCH_16.json
+    python3 scripts/ops.py --out BENCH_16.json --base OTHER/src --rounds 3
 
 At desk, mid and large (``bench/workloads.py``) it times ``Ring.unpack`` of
 11 outputs (the layout of ``hom_mul``'s last pass), ``PackedRows.combine``
 (the public-key rows by a mask), ``encrypt``, ``decrypt``, ``hom_mul`` of two
-ciphertexts and of one by itself, ``RingPoly.__mul__``, ``sample_mask`` and
+ciphertexts and of one by itself, ``public_from_dict`` of the public file
+followed by one ``hom_mul`` with the loaded tensor (what each ``aces eval``
+process pays before its circuit), ``RingPoly.__mul__``, ``sample_mask`` and
 ``keygen``.  Calls run in batches of about ``--batch-ms``; each batch is one
 span scaled to the reference host by ``bench/hostspeed.py``, and a figure is
 the median over batches of the scaled time per call, in microseconds.
@@ -33,6 +35,7 @@ OUTPUTS = 11
 
 def _operations(channel):
     """Name -> zero-argument callable, for one channel's fixed inputs."""
+    from aces import serial
     from aces.channel import RandomSource
     from aces.cipher import decrypt, encrypt, sample_mask
     from aces.homo import hom_mul
@@ -49,7 +52,7 @@ def _operations(channel):
     layout = ring.width(3)
     packed = ring.pack([ch.random_poly(rng) for _ in range(2 * OUTPUTS)], layout)
     sums = [[s * t for s, t in zip(p[:OUTPUTS], p[OUTPUTS:])] for p in packed]
-    hom_mul(ch, bundle.tensor, a, b)  # the tensor's layers are found on its first product
+    public = json.loads(json.dumps(serial.public_to_dict(bundle)))
     return {
         f"Ring.unpack ({OUTPUTS} outputs)": lambda: ring.unpack(sums, layout),
         "PackedRows.combine": lambda: bundle.public.rows.combine(mask),
@@ -57,6 +60,8 @@ def _operations(channel):
         "decrypt": lambda: decrypt(bundle.secret, ch, a),
         "hom_mul": lambda: hom_mul(ch, bundle.tensor, a, b),
         "hom_mul(ct, ct)": lambda: hom_mul(ch, bundle.tensor, a, a),
+        "public_from_dict + hom_mul": lambda: hom_mul(
+            ch, serial.public_from_dict(ch, public).tensor, a, b),
         "RingPoly.__mul__": lambda: x * y,
         "sample_mask": lambda: sample_mask(ch, rng),
         "keygen": lambda: keygen(ch, RandomSource(seed)),

@@ -18,7 +18,7 @@ from .cipher import decrypt, encrypt, evals, within_budget
 from .circuit import EvalKeys, RefreshPolicy, evaluate, parse_circuit
 from .errors import AcesError, CircuitError, NoiseBudgetError, ParameterError
 from .keygen import keygen
-from .refresh import make_refreshable, refresh_ct
+from .refresh import make_refreshable, refresh_ct, secret_refresh_checker
 
 
 class _UsageError(Exception):
@@ -187,22 +187,23 @@ def _refresh_arguments(p) -> None:
     p.add_argument("--ct", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=_seed, default="00")
-    p.add_argument("--assume-refreshable", action="store_true",
-                   help="skip the public refreshability check (caller asserts it)")
+    p.add_argument("--secret", default=None,
+                   help="the key owner's secret.json: certify refreshability exactly")
 
 
 def _cmd_refresh(args) -> int:
     keys = _load_keys(args)
     ch = keys.channel
     ct = serial.ciphertext_from_dict(ch, serial.load(args.ct))
+    checker = (RefreshPolicy().resolve_checker(keys) if args.secret is None else
+               secret_refresh_checker(serial.secret_from_dict(ch, serial.load(args.secret)), ch))
     rng = args.seed
-    if not args.assume_refreshable:
-        ct = make_refreshable(ct, RefreshPolicy().resolve_checker(keys), keys.public, ch, rng)
-        if ct is None:
-            raise NoiseBudgetError(
-                "could not publicly verify refreshability; rerun with "
-                "--assume-refreshable if you hold an external certificate"
-            )
+    ct = make_refreshable(ct, checker, keys.public, ch, rng)
+    if ct is None:
+        raise NoiseBudgetError(
+            "could not publicly verify refreshability (the public test rarely certifies a "
+            "ciphertext); the key owner can pass --secret to check it exactly"
+            if args.secret is None else "no re-randomization within the budget was refreshable")
     fresh = refresh_ct(keys, ct, rng)
     serial.dump(serial.ciphertext_to_dict(fresh), args.out)
     print(f"wrote {args.out} (level {fresh.level})")

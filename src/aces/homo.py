@@ -6,10 +6,10 @@ contraction; its vector part is exactly
 
     c2' * c1 + c1' * c2 - contract(tensor, c1, c2)
 
-with the scalar parts multiplied.  The contraction reads the tensor as
-``t[i][j][k] = sum_s alpha_s[k] * beta_s[i][j] mod q`` (``ProductTensor.
-layers``; one layer for a key's tensor), so it is ``n`` packed products per
-layer.  Level bookkeeping follows the exact closed forms, never looser bounds.
+with the scalar parts multiplied.  The contraction reads the tensor's
+layers, ``t[i][j][k] = sum_s alpha_s[k] * beta_s[i][j] mod q`` (one for a
+key's tensor), so it is ``n`` packed products per layer.  Level
+bookkeeping follows the exact closed forms, never looser bounds.
 """
 
 from __future__ import annotations
@@ -22,48 +22,44 @@ from .errors import NoiseBudgetError, ParameterError
 __all__ = ["tensor_contract", "hom_add", "hom_mul", "scalar_product"]
 
 
-def _layer_sums(lam, v1: tuple, v2: tuple, extra: int = 0):
-    """The ring, the layers and per layer the reduced ``B = sum_i v1[i] *
-    y_i``, ``y_i = sum_j beta[i][j] * v2[j]``, on packed integers, over the
-    first ``n`` of the tensor's ``n`` plus ``extra`` elements of each."""
-    n = len(lam.coeffs)
-    if len(v1) != n + extra or len(v2) != n + extra:
-        raise ParameterError("vector length does not match tensor dimension")
-    ring = v1[0].ring
-    if any(v.ring is not ring for v in v1) or any(v.ring is not ring for v in v2):
-        raise ParameterError("polynomials belong to different rings")
-    layers = lam.layers(ring.q)
-    # A coefficient of B is at most n * n * d * (q-1)^3 before reduction.
-    layout = ring.width(n * n * (ring.q - 1))
-    sums = []
-    for packed in ring.pack(v1[:n] if v2 is v1 else (*v1[:n], *v2[:n]), layout):
-        a, b = packed[:n], packed[-n:]
-        sums.append([sum(map(operator.mul, a, [sum(map(operator.mul, row, b)) for row in beta]))
-                     for _, beta in layers])
-    return ring, layers, ring.unpack(sums, layout)
-
-
 def tensor_contract(lam, v1: tuple, v2: tuple) -> tuple:
-    """Bilinear contraction sum_{i,j} t[i][j][k] * v1[i] * v2[j], per k,
-    as ``sum_s alpha_s[k] * B_s`` over the tensor's layers.
+    """Bilinear contraction sum_{i,j} t[i][j][k] * v1[i] * v2[j], per k:
+    ``_product``'s vector part with zero scalar parts, negated.
 
     Keeps the divisibility structure: slot k of the output evaluates to a
     multiple of slot k's prime whenever the tensor does.
     """
-    ring, layers, sums = _layer_sums(lam, v1, v2)
-    columns = list(zip(*[b.coeffs for b in sums]))
-    return tuple(ring.poly([sum(a[k] * c for (a, _), c in zip(layers, col)) for col in columns])
-                 for k in range(len(v1)))
+    zero = tuple(v.ring.zero() for v in v1[:1])  # none for an empty v1, which _product refuses
+    a = (*v1, *zero)
+    *c, _ = _product(lam, a, a if v2 is v1 else (*v2, *zero))
+    return tuple(-x for x in c)
 
 
 def _product(lam, v1: tuple, v2: tuple) -> tuple:
     """The product ``(c_0..c_{n-1}, c')`` of two ciphertexts given as
-    ``(c_0..c_{n-1}, c')``: after the layer sums, one packed pass of ``c_k =
-    c1'*c2_k + c2'*c1_k + sum_s (-alpha_s[k] mod q) * B_s`` and ``c' =
-    c1'*c2'``.  With ``v2`` the same object as ``v1`` it packs it once per
-    pass and squares."""
-    ring, layers, sums = _layer_sums(lam, v1, v2, 1)
-    q, n, square = ring.q, len(v1) - 1, v2 is v1
+    ``(c_0..c_{n-1}, c')``, in two packed passes.  The first makes per layer
+    ``B = sum_i c1_i * y_i``, ``y_i = sum_j beta[i][j] * c2_j``; the second
+    ``c_k = c1'*c2_k + c2'*c1_k + sum_s (-alpha_s[k] mod q) * B_s`` and
+    ``c' = c1'*c2'``.  With ``v2`` the same object as ``v1`` it packs it
+    once per pass and squares."""
+    layers = lam.layers
+    n = len(layers[0][0])
+    if len(v1) != n + 1 or len(v2) != n + 1:
+        raise ParameterError("vector length does not match tensor dimension")
+    ring, square = v1[0].ring, v2 is v1
+    if any(v.ring is not ring for v in v1) or any(v.ring is not ring for v in v2):
+        raise ParameterError("polynomials belong to different rings")
+    q = ring.q
+    if lam.q != q:
+        raise ParameterError(f"tensor modulus {lam.q} is not the ring's q = {q}")
+    # A coefficient of B is at most n * n * d * (q-1)^3 before reduction.
+    layout = ring.width(n * n * (q - 1))
+    sums = []
+    for packed in ring.pack(v1[:n] if square else (*v1[:n], *v2[:n]), layout):
+        a, b = packed[:n], packed[-n:]
+        sums.append([sum(map(operator.mul, a, [sum(map(operator.mul, row, b)) for row in beta]))
+                     for _, beta in layers])
+    sums = ring.unpack(sums, layout)
     weights = list(zip(*[[-a % q for a in alpha] for alpha, _ in layers]))
     # Two products of canonical polynomials, and per layer a canonical B
     # times a weight below q.

@@ -18,7 +18,7 @@ from .channel import ArithmeticChannel, RandomSource, sample_noise
 from .cipher import Ciphertext, encrypt_with_secret, evals, sample_divisible_vector
 from .errors import GenerationError, ParameterError
 from .refresh import EvalKeys, LocatorEntry, sample_locator_db
-from .rings import FACTOR_CAP, PackedRows, RingPoly, Repartition, _int_coeffs, factorize
+from .rings import PackedRows, RingPoly, Repartition, _int_coeffs
 
 __all__ = [
     "SecretKey",
@@ -72,62 +72,37 @@ class PublicKey:
 class ProductTensor:
     """Symmetric 3-tensor relinearizing secret products, entries in Z_q.
 
-    ``coeffs[i][j][k]`` must form a non-empty ``n x n x n`` cube of ``int``
-    entries with ``coeffs[i][j] == coeffs[j][i]``; all three are checked on
-    construction, because the contraction relies on them.
-
-    The contraction reads it as ``layers(q)``, pairs ``(alpha, beta)`` with
-    ``coeffs[i][j][k] == sum_s alpha_s[k] * beta_s[i][j] (mod q)``: one for
-    a ``gen_tensor`` tensor, ``prime_of(k) * mu_k * base_ij``, which has rank
-    one; else (or for a q that is not squarefree) one per plane, ``e_k``.
+    Held as its layers: pairs ``(alpha, beta)`` of canonical residues mod
+    ``q``, an ``n``-vector and a symmetric ``n x n`` matrix, with
+    ``lambda[i][j][k] = sum_s alpha_s[k] * beta_s[i][j] mod q``.  A key's
+    tensor has one layer (``gen_tensor``); the contraction reads the layers
+    and nothing else.  Shapes, symmetry and the range of every entry are
+    checked on construction, because the contraction relies on them.
     """
 
-    coeffs: tuple[tuple[tuple[int, ...], ...], ...]
+    q: int
+    layers: tuple
 
     def __post_init__(self):
-        t = self.coeffs
-        n = len(t)
-        if n == 0:
-            raise ParameterError("tensor must have at least one slot")
-        if any(len(plane) != n or any(len(row) != n for row in plane) for plane in t):
-            raise ParameterError(f"tensor must be {n}x{n}x{n}")
-        _int_coeffs(chain.from_iterable(chain.from_iterable(t)), "tensor entries")
-        if any(t[i][j] != t[j][i] for i in range(n) for j in range(i)):
-            raise ParameterError("tensor must be symmetric in its first two indices")
+        if not self.layers:
+            raise ParameterError("tensor must have at least one layer")
+        n = len(self.layers[0][0])
+        for alpha, beta in self.layers:
+            if n == 0 or len(alpha) != n or len(beta) != n or any(len(row) != n for row in beta):
+                raise ParameterError(f"tensor layers must pair {n} weights with an {n}x{n} matrix")
+            entries = _int_coeffs(chain(alpha, *beta), "tensor entries")
+            if not 0 <= min(entries) <= max(entries) < self.q:
+                raise ParameterError(f"tensor entries must be residues in [0, {self.q})")
+            if any(beta[i][j] != beta[j][i] for i in range(n) for j in range(i)):
+                raise ParameterError("tensor must be symmetric in its first two indices")
 
-    def layers(self, q: int) -> tuple:
-        """The pairs ``(alpha, beta)`` of canonical residues mod ``q``, found
-        on first use and kept on the tensor (see the class docstring)."""
-        if self.__dict__.get("_q") != q:
-            t = self.coeffs
-            self.__dict__.update(_q=q, _layers=_rank_one(t, q) or tuple(
-                (tuple(int(m == k) for m in range(len(t))),
-                 tuple(tuple(x[k] % q for x in row) for row in t)) for k in range(len(t))))
-        return self._layers
-
-
-def _rank_one(t, q: int):
-    """The one layer of ``t`` mod a squarefree ``q``, or None.  Per prime r
-    a pivot entry that r does not divide gives ``alpha`` (its row over it)
-    and ``beta`` (its plane) mod r; CRT joins them, checked at every entry."""
-    if q >= FACTOR_CAP or math.prod(primes := factorize(q)) != q:
-        return None
-    n = len(t)
-    cells = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
-    alpha, beta = [0] * n, [[0] * n for _ in range(n)]
-    for r in primes:
-        pivot = next(((i, j, k) for i, j, k in cells if t[i][j][k] % r), None)
-        if pivot:  # else t is 0 mod r, and so are alpha and beta
-            i, j, k = pivot
-            unit = q // r * pow(q // r, -1, r)  # 1 mod r, 0 mod the other primes
-            scale = unit * pow(t[i][j][k], -1, r)
-            alpha = [a + x * scale for a, x in zip(alpha, t[i][j])]
-            beta = [[b + x[k] * unit for b, x in zip(brow, row)] for brow, row in zip(beta, t)]
-    alpha = tuple(a % q for a in alpha)
-    beta = tuple(tuple(b % q for b in row) for row in beta)
-    if any((alpha[k] * beta[i][j] - t[i][j][k]) % q for i, j, k in cells):
-        return None
-    return ((alpha, beta),)
+    @property
+    def coeffs(self) -> tuple:
+        """The cube ``lambda[i][j][k]``, derived from the layers for the
+        oracles; the contraction never reads it."""
+        n, q = len(self.layers[0][0]), self.q
+        return tuple(tuple(tuple(sum(a[k] * b[i][j] for a, b in self.layers) % q for k in range(n))
+                           for j in range(n)) for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -224,48 +199,67 @@ def gen_public(ch: ArithmeticChannel, sk: SecretKey, f0, rng: RandomSource) -> P
 def gen_tensor(
     ch: ArithmeticChannel, rep: Repartition, sk: SecretKey, rng: RandomSource
 ) -> ProductTensor:
-    """Build the relinearization tensor from the Bezout identity.
+    """Build the relinearization tensor from the Bezout identity: entry
+    ``(i, j, k)`` is ``alpha_k * beta_ij``, ``alpha_k = prime_of(k) * mu_k``
+    and ``beta_ij = s_i * s_j - mask * weight(i, j)``.
 
     For each unordered slot pair one uniform masking scalar is drawn (shared
     across the pair, which keeps the tensor symmetric and starves Groebner
-    reductions of usable equation pairs).  Slot k of every entry carries the
-    factor prime_of(k), and the degenerate unit-vector solutions that would
-    leak secret evaluations are rejected and redrawn.
+    reductions of usable equation pairs), and the degenerate unit-vector
+    rows ``alpha * beta_ij`` that would leak secret evaluations are rejected
+    and redrawn.  The tensor holds ``_published_layers``, not these factors.
     """
     weighted = _weighted_evals(ch, rep, sk)
     g, mu = _bezout(weighted)
     if g != 1:
         raise GenerationError("tensor generation needs coprime weighted evaluations")
-    n = ch.n
+    n, q = ch.n, ch.q
     secret = evals(ch, sk.polys)
-    coeffs = [[[0] * n for _ in range(n)] for _ in range(n)]
+    alpha = tuple(rep.prime_of(k) * mu[k] % q for k in range(n))
+    beta = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            forbidden = _degenerate_rows(secret, i, j, n)
+            forbidden = {tuple(secret[i] if k == j else 0 for k in range(n)),
+                         tuple(secret[j] if k == i else 0 for k in range(n))}
             for _ in range(SECRET_ATTEMPTS):
-                mask = rng.below(ch.q)
-                base = secret[i] * secret[j] - mask * rep.weight(i, j)
-                row = tuple(
-                    (rep.prime_of(k) * mu[k] * base) % ch.q for k in range(n)
-                )
-                if row not in forbidden:
+                mask = rng.below(q)
+                base = (secret[i] * secret[j] - mask * rep.weight(i, j)) % q
+                if tuple(a * base % q for a in alpha) not in forbidden:
                     break
             else:
                 if n > 1:
-                    raise GenerationError(
-                        f"tensor slot ({i},{j}) only admits degenerate rows"
-                    )
+                    raise GenerationError(f"tensor slot ({i},{j}) only admits degenerate rows")
                 # With a single slot every valid row is the degenerate one.
-            for k in range(n):
-                coeffs[i][j][k] = row[k]
-                coeffs[j][i][k] = row[k]
-    return ProductTensor(tuple(tuple(tuple(r) for r in plane) for plane in coeffs))
+            beta[i][j] = beta[j][i] = base
+    return ProductTensor(q, _published_layers(ch, alpha, beta))
 
 
-def _degenerate_rows(secret, i, j, n):
-    unit_i = tuple(secret[i] if k == j else 0 for k in range(n))
-    unit_j = tuple(secret[j] if k == i else 0 for k in range(n))
-    return {unit_i, unit_j}
+def _published_layers(ch: ArithmeticChannel, alpha, beta) -> tuple:
+    """The layers of ``alpha (x) beta mod q`` that the tensor alone fixes.
+
+    The tensor fixes its layer only up to a unit c, as ``(c * alpha, c^-1 *
+    beta)``, and keygen's own factors would also fix c.  So per prime r of
+    q, alpha is scaled to make its first entry that r does not divide 1 mod
+    r (both are 0 mod r where either vanishes mod r); CRT joins the primes.
+    For a q that is not squarefree the layers are the planes ``(e_k,
+    lambda[.][.][k])``."""
+    q, n = ch.q, len(alpha)
+    if math.prod(ch.primes) != q:
+        return tuple((tuple(int(m == k) for m in range(n)),
+                      tuple(tuple(alpha[k] * b % q for b in row) for row in beta))
+                     for k in range(n))
+    # The scales of alpha and beta: alpha_k^-1 and alpha_k mod each r, 0 mod
+    # an r where the tensor vanishes.
+    scale_a = scale_b = 0
+    beta_gcd = math.gcd(q, *chain.from_iterable(beta))
+    for r in ch.primes:
+        k = next((k for k, x in enumerate(alpha) if x % r), None)
+        if k is not None and beta_gcd % r:
+            unit = q // r * pow(q // r, -1, r)  # 1 mod r, 0 mod the other primes
+            scale_a += unit * pow(alpha[k], -1, r)
+            scale_b += unit * alpha[k]
+    return ((tuple(scale_a * x % q for x in alpha),
+             tuple(tuple(scale_b * x % q for x in row) for row in beta)),)
 
 
 def gen_refresher(

@@ -1,15 +1,17 @@
-"""JSON wire formats, file format 2.
+"""JSON wire formats, file format 3.
 
-Every file but ``report.json`` starts with ``"format": 2``; a file without
+Every file but ``report.json`` starts with ``"format": 3``; a file without
 it, or with any other value, is refused, with a message to regenerate the
 keys.  There is one reader per kind of value and no reader of older files.
 
 * A polynomial in ``Z_q[X]/(u)`` is one lowercase hex string of its
   ``deg(u)`` canonical coefficients, each a little-endian word of the
   smallest of 1, 2, 4 or 8 bytes that holds ``q - 1`` (``_WORDS``); a ``q``
-  above ``2**64`` has no word and is refused.  The rows of the
-  multiplication tensor, the locator vectors and the locator margins are
-  word strings in the same way.  ``_words`` reads them all back or refuses.
+  above ``2**64`` has no word and is refused.  The multiplication tensor
+  is a list of layers, each ``alpha`` (one string of ``n`` words) and
+  ``beta`` (``n`` strings of ``n`` words, a symmetric matrix); the locator
+  vectors and the locator margins are word strings in the same way.
+  ``_words`` reads them all back or refuses.
 * Structural integers (levels, ``kappa``, the repartition map, locator
   indices) are JSON integers; channel parameters and the repartition's
   primes are decimal strings, so they stay exact at any width.  ``_ints``
@@ -46,7 +48,7 @@ __all__ = [
     "load",
 ]
 
-FORMAT = 2
+FORMAT = 3
 
 # Word width in bytes -> its struct code (little-endian, unsigned).
 _WORDS = {1: "B", 2: "H", 4: "I", 8: "Q"}
@@ -61,12 +63,12 @@ def _word(q: int) -> tuple[str, int]:
 
 
 def _format(data, what: str) -> None:
-    """Refuse a file that is not format 2 (an older file, or not a file of
+    """Refuse a file that is not format 3 (an older file, or not a file of
     this package)."""
     if type(data) is not dict:
         raise TypeError(f"{what}: expected a JSON object")
     found = data.get("format")
-    if type(found) is not int or found != FORMAT:  # 2.0 and True are not 2
+    if type(found) is not int or found != FORMAT:  # 3.0 is not 3
         raise ParameterError(
             f"{what}: file format {found!r}, expected {FORMAT}; "
             "regenerate the keys (and re-encrypt) with this version of aces")
@@ -233,7 +235,7 @@ def public_to_dict(keys) -> dict:
     """Everything publishable from a key bundle or its ``EvalKeys``; never
     the secret."""
     ch, rep, locators = keys.channel, keys.repartition, keys.locators
-    q, n = ch.q, ch.n
+    q, n, layers = ch.q, ch.n, keys.tensor.layers
     return {
         "format": FORMAT,
         "f0": _rows(_polys_out([p for row in keys.public.f0 for p in row]), n),
@@ -242,7 +244,9 @@ def public_to_dict(keys) -> dict:
             "map": list(rep.assignment),
             "primes": [str(p) for p in rep.primes],
         },
-        "lambda": _rows(_words_out(q, chain.from_iterable(keys.tensor.coeffs)), n),
+        "lambda": [{"alpha": a, "beta": b} for a, b in zip(
+            _words_out(q, (a for a, _ in layers)),
+            _rows(_words_out(q, chain.from_iterable(b for _, b in layers)), n))],
         "refresher": {
             "kappa": list(keys.refresher.kappa),
             "rho": [_ciphertext_out(ct) for ct in keys.refresher.rho],
@@ -265,8 +269,11 @@ def public_from_dict(ch: ArithmeticChannel, data: dict) -> EvalKeys:
     # Repartition itself rejects primes other than the prime factors of q.
     rep = Repartition(ch.q, _ints(sigma["primes"], "sigma primes", (None,)),
                       _ints(sigma["map"], "sigma map", (n,)))
-    # ProductTensor itself rejects a tensor that is not symmetric.
-    tensor = ProductTensor(_words(ch.q, data["lambda"], "lambda", (n, n), n))
+    # ProductTensor itself refuses an empty layer list and a beta that is not symmetric.
+    layers = data["lambda"]
+    tensor = ProductTensor(ch.q, tuple(zip(
+        _words(ch.q, [e["alpha"] for e in layers], "lambda alpha", (None,), n),
+        _words(ch.q, [e["beta"] for e in layers], "lambda beta", (None, n), n))))
     if len(fresh["rho"]) != n:
         raise ParameterError(f"refresher: expected {n} ciphertexts, got {len(fresh['rho'])}")
     kappa = _ints(fresh["kappa"], "refresher levels", (n,))

@@ -5,19 +5,22 @@ integer lists and a monomial-substitution reduction, deliberately not
 sharing code or algorithm shape with the package under test.  The one
 exception is ``refresh_reference``, which composes the package's own
 encryption and homomorphic operations (each checked against the oracles
-above) into the refresh as it is defined.  ``render_v1`` renders a file of
-the current wire format in the layout of file format 1, so digests recorded
-under format 1 still pin every value.
+above) into the refresh as it is defined.  ``render_v2`` renders a file of
+the current wire format in the layout of file format 2, and ``render_v1``
+a file of format 2 in that of format 1, so digests recorded under either
+still pin every value.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 from aces.cipher import encrypt, shadow
 from aces.homo import hom_add, scalar_product
+from aces.keygen import ProductTensor
 from aces.refresh import SEARCH_BUDGET, UNKNOWN, PublicVerdict
 
 
@@ -114,6 +117,41 @@ def trial_factorize(q: int) -> list[int]:
     if rest > 1:
         primes.append(rest)
     return primes
+
+
+def rank_one(t, q: int):
+    """The one layer ``(alpha, beta)`` of the cube ``t`` mod a squarefree
+    ``q``, or None.  Per prime r a pivot entry that r does not divide gives
+    ``alpha`` (its row over it) and ``beta`` (its plane) mod r; CRT joins
+    them, checked at every entry."""
+    primes = trial_factorize(q)
+    if math.prod(primes) != q:
+        return None
+    n = len(t)
+    cells = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
+    alpha, beta = [0] * n, [[0] * n for _ in range(n)]
+    for r in primes:
+        pivot = next(((i, j, k) for i, j, k in cells if t[i][j][k] % r), None)
+        if pivot:  # else t is 0 mod r, and so are alpha and beta
+            i, j, k = pivot
+            unit = q // r * pow(q // r, -1, r)  # 1 mod r, 0 mod the other primes
+            scale = unit * pow(t[i][j][k], -1, r)
+            alpha = [a + x * scale for a, x in zip(alpha, t[i][j])]
+            beta = [[b + x[k] * unit for b, x in zip(brow, row)] for brow, row in zip(beta, t)]
+    alpha = tuple(a % q for a in alpha)
+    beta = tuple(tuple(b % q for b in row) for row in beta)
+    if any((alpha[k] * beta[i][j] - t[i][j][k]) % q for i, j, k in cells):
+        return None
+    return alpha, beta
+
+
+def planes(t, q: int) -> ProductTensor:
+    """The symmetric cube ``t`` (any integers) as a tensor mod ``q`` of one
+    layer per plane, ``(e_k, t[.][.][k] mod q)``."""
+    n = len(t)
+    return ProductTensor(q, tuple((tuple(int(m == k) for m in range(n)),
+                                   tuple(tuple(x[k] % q for x in row) for row in t))
+                                  for k in range(n)))
 
 
 def eval_nonneg(coeffs: list[int], omega: int, q: int) -> int:
@@ -217,6 +255,33 @@ def _decimal_words(text: str, q: int) -> list[str]:
     return [str(int.from_bytes(raw[i:i + width], "little")) for i in range(0, len(raw), width)]
 
 
+def render_v2(data: dict, q: int) -> dict:
+    """The format-2 document for the same values as the format-3 document
+    ``data``: ``"format": 2`` where a format field is, and the tensor as its
+    cube ``lambda[i][j][k] = sum_s alpha_s[k] * beta_s[i][j] mod q``, one
+    word string per ``(i, j)``."""
+    out = dict(data)
+    if "format" in out:
+        out["format"] = 2
+    if "lambda" in out:
+        width = next(w for w in (1, 2, 4, 8) if q - 1 < 256**w)
+
+        def words(text):
+            raw = bytes.fromhex(text)
+            return [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
+
+        layers = [(words(e["alpha"]), [words(row) for row in e["beta"]]) for e in out["lambda"]]
+        n = len(layers[0][0])
+        out["lambda"] = [[b"".join((sum(a[k] * b[i][j] for a, b in layers) % q).to_bytes(width, "little")
+                                   for k in range(n)).hex() for j in range(n)] for i in range(n)]
+    return out
+
+
+def dumps(data: dict) -> bytes:
+    """``data`` as ``serial.dump`` writes it: indented JSON, a final newline."""
+    return (json.dumps(data, indent=2) + "\n").encode()
+
+
 def render_v1(data: dict, q: int) -> bytes:
     """The bytes file format 1 held for the same values as the format-2
     document ``data`` (a channel, ciphertext, public, secret or report
@@ -239,4 +304,4 @@ def render_v1(data: dict, q: int) -> bytes:
     def polys(value):
         return [polys(v) for v in value] if isinstance(value, list) else _decimal_words(value, q)
 
-    return (json.dumps(v1(data), indent=2) + "\n").encode()
+    return dumps(v1(data))

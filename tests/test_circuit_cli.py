@@ -194,7 +194,7 @@ def test_ciphertext_roundtrip(desk_bundle, rng, tmp_path):
     serial.dump(serial.ciphertext_to_dict(ct), path)
     assert serial.ciphertext_from_dict(ch, serial.load(path)) == ct
     data = serial.load(path)
-    assert data["format"] == 2
+    assert data["format"] == 3
     assert isinstance(data["level"], int)
     assert isinstance(data["cprime"], str) and all(isinstance(c, str) for c in data["c"])
 
@@ -363,7 +363,7 @@ CLI_SURFACE = {
         "--refresh", "--out", "--seed"]),
     "refresh": ("refresh a ciphertext to the fixed post-refresh level", [
         "-h", "--help", "--pub", "--channel", "--ct", "--out", "--seed",
-        "--assume-refreshable"]),
+        "--secret"]),
     "inspect": ("print level and divisibility diagnostics", [
         "-h", "--help", "--ct", "--channel", "--pub"]),
 }
@@ -440,7 +440,7 @@ def test_cli_refuses_a_malformed_seed_as_usage(cli_keys, tmp_path, capsys, comma
                    "--bigN", "2", "--k0", "1"],
         "encrypt": ["encrypt", *keys, "--message", "1"],
         "eval": ["eval", *keys, "--circuit", str(circ), "--input", f"a={ct}"],
-        "refresh": ["refresh", *keys, "--ct", str(ct), "--assume-refreshable"],
+        "refresh": ["refresh", *keys, "--ct", str(ct), "--secret", str(cli_keys / "secret.json")],
     }[command]
     capsys.readouterr()
     assert main([*argv, "--seed", seed, "--out", str(out)]) == 1
@@ -472,7 +472,7 @@ def test_cli_decrypt_past_budget_is_exit_2(cli_keys, tmp_path):
     ]) == 2
 
 
-def test_cli_refresh_with_assertion_flag(cli_keys, tmp_path, capsys):
+def test_cli_refresh_with_the_secret_key(cli_keys, tmp_path, capsys):
     ch = serial.channel_from_dict(serial.load(cli_keys / "channel.json"))
     sk = serial.secret_from_dict(ch, serial.load(cli_keys / "secret.json"))
     pk = serial.public_from_dict(ch, serial.load(cli_keys / "public.json")).public
@@ -491,7 +491,7 @@ def test_cli_refresh_with_assertion_flag(cli_keys, tmp_path, capsys):
         "refresh", "--pub", str(cli_keys / "public.json"),
         "--channel", str(cli_keys / "channel.json"),
         "--ct", str(src), "--out", str(out), "--seed", "0abc",
-        "--assume-refreshable",
+        "--secret", str(cli_keys / "secret.json"),
     ]) == 0
     fresh = serial.ciphertext_from_dict(ch, serial.load(out))
     assert fresh.level == 60
@@ -511,6 +511,38 @@ def test_cli_refresh_unverifiable_is_exit_2(cli_keys, tmp_path):
         "--channel", str(cli_keys / "channel.json"),
         "--ct", str(ct), "--out", str(tmp_path / "fresh.json"), "--seed", "00",
     ]) == 2
+
+
+@pytest.mark.parametrize("seed", ["e1", "e2", "e3"])
+def test_cli_refresh_writes_only_certified_ciphertexts(tmp_path, capsys, seed):
+    """Mid encryptions of 1 that are not refreshable as they stand.  Once an
+    unchecked refresh wrote them as ciphertexts that decrypt to 0 (exit 0).
+    With ``--secret`` the exact check re-randomizes them until they are
+    refreshable, and the output decrypts to 1; without it the public test
+    certifies none, so the command exits 2, names ``--secret`` and writes
+    nothing."""
+    q = 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37
+    keys = tmp_path / "keys"
+    assert main(["keygen", "--p", "2", "--q", str(q), "--degree", "16", "--n", "6",
+                 "--bigN", "4", "--k0", "1", "--seed", "7e57", "--out", str(keys)]) == 0
+    files = ["--pub", str(keys / "public.json"), "--channel", str(keys / "channel.json")]
+    ct = tmp_path / "a.json"
+    assert main(["encrypt", *files, "--message", "1", "--seed", seed, "--out", str(ct)]) == 0
+    ch = serial.channel_from_dict(serial.load(keys / "channel.json"))
+    sk = serial.secret_from_dict(ch, serial.load(keys / "secret.json"))
+    assert not secret_refresh_checker(sk, ch)(serial.ciphertext_from_dict(ch, serial.load(ct)))
+    refresh = ["refresh", *files, "--ct", str(ct), "--seed", "f1"]
+    public = tmp_path / "public-fresh.json"
+    capsys.readouterr()
+    assert main([*refresh, "--out", str(public)]) == 2
+    assert "--secret" in capsys.readouterr().err
+    assert not public.exists()
+    fresh = tmp_path / "fresh.json"
+    assert main([*refresh, "--secret", str(keys / "secret.json"), "--out", str(fresh)]) == 0
+    capsys.readouterr()
+    assert main(["decrypt", "--secret", str(keys / "secret.json"),
+                 "--channel", str(keys / "channel.json"), "--ct", str(fresh)]) == 0
+    assert capsys.readouterr().out.strip() == "1"
 
 
 def test_cli_bare_inspect(cli_keys, tmp_path, capsys):

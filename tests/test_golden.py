@@ -6,11 +6,14 @@ These digests were recorded once and are compared against every build: a
 refactor that claims "same behaviour" must keep them unchanged.  If a change
 alters the outputs on purpose, it must say why and re-record the digests.
 
-Each file is pinned twice.  The ``*_V1`` tables hold the digests of its
-rendering in file format 1 (``oracles.render_v1``), recorded before format 2
-existed, so they show that no value and no draw moved with the format; the
-``*_V2`` tables hold the digests of the files as written.  ``report.json``
-has one layout in both formats, so its two digests are equal.
+Each file is pinned three times.  The ``*_V1`` tables hold the digests of
+its rendering in file format 1 (``oracles.render_v1`` of
+``oracles.render_v2``), recorded before format 2 existed, and the ``*_V2``
+tables those of its rendering in format 2 (``oracles.render_v2``), recorded
+before format 3 existed; so they show that no value and no draw moved with
+either format.  The ``*_V3`` tables hold the digests of the files as
+written.  ``report.json`` has one layout in every format, so its digests
+are equal.
 """
 
 import hashlib
@@ -28,7 +31,7 @@ from aces.cli import main
 from aces.homo import hom_mul
 from aces.keygen import keygen
 from aces.refresh import secret_refresh_checker
-from oracles import render_v1
+from oracles import dumps, render_v1, render_v2
 
 DESK_ARGS = ["--p", "2", "--q", "15015", "--degree", "4", "--n", "3", "--bigN", "2", "--k0", "1"]
 MID_Q = math.prod((3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
@@ -66,9 +69,10 @@ GOLDEN_DESK_REFRESH_V1 = {
     "t6.json": "dd88e5f979e4f2f12a4798cacb5554e24775260d0121902148ea03370df49827",
     "report.json": "b91b86242d6542c2a25f5d44f2b0e6ff66413e1cd5c7728e21877c963835d6cb",
 }
-# CLI keygen (seed 7e57), encrypt, then refresh --assume-refreshable (seed
-# f1), at mid and at the odd-row channel; the encryption seeds were picked so
-# that the input is refreshable, and the refreshed file decrypts to the message.
+# CLI keygen (seed 7e57), encrypt, then refresh --secret (seed f1), at mid
+# and at the odd-row channel; the encryption seeds were picked so that the
+# input is refreshable (so the exact check passes at once and draws nothing),
+# and the refreshed file decrypts to the message.
 GOLDEN_CLI_REFRESH_V1 = {
     "mid": ("e4", 1, {
         "keys/public.json": "b10bbe7797ecd97554596375ae0f55845afeb5f9f6d9582fd698df2fca350f11",
@@ -140,16 +144,68 @@ GOLDEN_ODD_ROWS_V2 = {
     "ab.json": "200c6451460b0ff9ad2b415160ff8ae5ddb470b111680ba43f670fa968ec13f2",
 }
 
+GOLDEN_CLI_V3 = {
+    "desk": {
+        "keys/channel.json": "514b1a56b5666d6b20020faa1eb47835e779a0c8bf10732a7c9cce77a210426d",
+        "keys/public.json": "08cd3ca431dce6ee32827e62a1fe4dd334c84c4b44d83b41490d7eb04ba70086",
+        "keys/secret.json": "c57b6717b0011282e9b4b07731404e34c5eb2bbc913eba764e73bb5860e972f4",
+        "a.json": "25c83d9b9b8349207c87b3e9e47936dc3ed791bacdc21801747790559a6a12b5",
+        "b.json": "f62f8d7f76086fe97c32920ea6aa9cf972664b8206defd47eac47470a82e36c2",
+        "out/r.json": "4c16f78d8966cb6915dea9ebdbb7cc1942a540d42724e119199abb4f6b3f1167",
+        "out/s.json": "8963b03ab7cdc651f162feff614dd763eb74d127bbbb6cea4230b83590e5cd94",
+        "out/report.json": "a1cf5732c40e00c1ea21e1e80046fc5f7995a2d97ff66434efb624a2399176de",
+    },
+    "mid": {
+        "keys/channel.json": "bda35e954a1928a618da4314e78f0f97c86086be1d92f9093cdd7ea5722152fe",
+        "keys/public.json": "acf69b8debbaddbe789684abb9fa2251c3f0a0ad3aa56faa1cc96c2320e23d8d",
+        "keys/secret.json": "853d9d9e31628e1618551170f5a90a13bddc716128429d4c33cacf1693c76d05",
+        "a.json": "0627ce1c712c9b5a6199be7b2b6e3320ccd5cee450428d4419b87a440ed40d9a",
+        "b.json": "0c5a4dcb50cb580a5238106b3eec3349909389e1b939d9a01498ffe0b8a78f65",
+        "out/r.json": "2c41d3a5d530246dcc939a38756d5f6281960a604bb99d7f32d9427591ba744b",
+        "out/s.json": "0415db1bc3169e54e8a838cdeeaaa2a8754b06d2560d4137c689b0393346e05e",
+        "out/report.json": "134af46bb3285e765c65593541cab81fbab6dcd8f330c770d23ab2268ffa9164",
+    },
+}
+GOLDEN_DESK_REFRESH_V3 = {
+    "t6.json": "a32b1c1d85b0618007443d8f8f72e08407f1946a00dad02fc7824341e09b8583",
+    "report.json": "b91b86242d6542c2a25f5d44f2b0e6ff66413e1cd5c7728e21877c963835d6cb",
+}
+GOLDEN_CLI_REFRESH_V3 = {
+    "mid": {
+        "keys/public.json": "4f3a160b60d9fef0a93764013b7d8382e933cf3047b517a729501636f78aab0e",
+        "keys/secret.json": "31c89f07407751f3f7c0552971fef6ce54c84d10dc7286ea81d303b103e6428b",
+        "a.json": "cbd4f6237d71a41d2df67454a86c821c3b83148e85375657d7a2427e480329ea",
+        "fresh.json": "8455ca5560c45d5690bb4423227465429b4781fb99b9664220c84de1becf0044",
+    },
+    "odd": {
+        "keys/public.json": "b637a3c10083ba515ab1951f38a543c6b5f56b3e37d1416961e6820344ad4767",
+        "keys/secret.json": "7323f5ea4d25a462a08e4899d32b480be829f495c5533ea2e59fbaa096968a08",
+        "a.json": "3bf066098b1af0e97e5995ab93467ea96400de0192f78349ad96be3605449688",
+        "fresh.json": "f5b79f5c77d54085c52b6e800374969abe76eeb61c5ae1ece4a0cbf8893bf3e5",
+    },
+}
+GOLDEN_LARGE_MUL_V3 = "993e6adff8aec7b00b599c4190435dbbdb43aad11aaa94159465eb5e74f66206"
+GOLDEN_ODD_ROWS_V3 = {
+    "public.json": "fc469ca3d6fdf3f25586bc98217265abeb2261a0a24bf77d3380bcbb6c603e4f",
+    "secret.json": "7ea6648753caee5e5065e453a88af65b009217c89ad148bb13997e93dd75cc68",
+    "a.json": "aa9729bba757bde2e235839582a2d8966391108e711443a28a890ff3b451b80c",
+    "b.json": "01082f41b3ffb0465a9d863479d468da3e6de46591cc80662b234c15716ae05c",
+    "ab.json": "1f81fca6414927a13aee77201611b250c81a57f183cec26d049cb17e6ef05951",
+}
+
 
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _digests(root: Path, rels, q: int) -> tuple[dict, dict]:
-    """The format-1 rendering digest and the file digest of each file."""
+def _digests(root: Path, rels, q: int) -> tuple[dict, dict, dict]:
+    """The format-1 and format-2 rendering digests and the file digest of
+    each file."""
     files = {rel: (root / rel).read_bytes() for rel in rels}
-    v1 = {rel: _digest(render_v1(json.loads(data), q)) for rel, data in files.items()}
-    return v1, {rel: _digest(data) for rel, data in files.items()}
+    v2 = {rel: render_v2(json.loads(data), q) for rel, data in files.items()}
+    return ({rel: _digest(render_v1(doc, q)) for rel, doc in v2.items()},
+            {rel: _digest(dumps(doc)) for rel, doc in v2.items()},
+            {rel: _digest(data) for rel, data in files.items()})
 
 
 def _run(argv):
@@ -168,9 +224,10 @@ def test_cli_outputs_match_golden_digests(tmp_path, name, params):
           "--circuit", tmp_path / "c.txt", "--input", f"a={tmp_path / 'a.json'}",
           "--input", f"b={tmp_path / 'b.json'}", "--refresh", "off",
           "--out", tmp_path / "out"])
-    v1, v2 = _digests(tmp_path, GOLDEN_CLI_V1[name], CHANNEL_Q[name])
+    v1, v2, v3 = _digests(tmp_path, GOLDEN_CLI_V1[name], CHANNEL_Q[name])
     assert v1 == GOLDEN_CLI_V1[name]
     assert v2 == GOLDEN_CLI_V2[name]
+    assert v3 == GOLDEN_CLI_V3[name]
 
 
 @pytest.mark.parametrize("name,params", [("mid", MID_ARGS), ("odd", ODD_ARGS)])
@@ -181,10 +238,11 @@ def test_cli_refresh_matches_golden_digests(tmp_path, capsys, name, params):
     _run(["keygen", *params, "--seed", "7e57", "--out", keys])
     _run(["encrypt", *files, "--message", message, "--seed", seed, "--out", tmp_path / "a.json"])
     _run(["refresh", *files, "--ct", tmp_path / "a.json", "--seed", "f1",
-          "--assume-refreshable", "--out", tmp_path / "fresh.json"])
-    v1, v2 = _digests(tmp_path, golden, CHANNEL_Q[name])
+          "--secret", keys / "secret.json", "--out", tmp_path / "fresh.json"])
+    v1, v2, v3 = _digests(tmp_path, golden, CHANNEL_Q[name])
     assert v1 == golden
     assert v2 == GOLDEN_CLI_REFRESH_V2[name]
+    assert v3 == GOLDEN_CLI_REFRESH_V3[name]
     capsys.readouterr()
     _run(["decrypt", "--secret", keys / "secret.json", "--channel", keys / "channel.json",
           "--ct", tmp_path / "fresh.json"])
@@ -207,9 +265,10 @@ def test_desk_auto_refresh_matches_golden_digests(tmp_path, desk_channel):
     serial.dump({"levels": report.levels,
                  "refresh_events": [list(e) for e in report.refresh_events]},
                 tmp_path / "report.json")
-    v1, v2 = _digests(tmp_path, GOLDEN_DESK_REFRESH_V1, ch.q)
+    v1, v2, v3 = _digests(tmp_path, GOLDEN_DESK_REFRESH_V1, ch.q)
     assert v1 == GOLDEN_DESK_REFRESH_V1
     assert v2 == GOLDEN_DESK_REFRESH_V2
+    assert v3 == GOLDEN_DESK_REFRESH_V3
 
 
 def test_large_hom_mul_matches_golden_digest(tmp_path):
@@ -220,9 +279,10 @@ def test_large_hom_mul_matches_golden_digest(tmp_path):
     a = encrypt(bundle.public, ch, 2, rng)
     b = encrypt(bundle.public, ch, 2, rng)
     serial.dump(serial.ciphertext_to_dict(hom_mul(ch, bundle.tensor, a, b)), tmp_path / "ab.json")
-    v1, v2 = _digests(tmp_path, ["ab.json"], ch.q)
+    v1, v2, v3 = _digests(tmp_path, ["ab.json"], ch.q)
     assert v1["ab.json"] == GOLDEN_LARGE_MUL_V1
     assert v2["ab.json"] == GOLDEN_LARGE_MUL_V2
+    assert v3["ab.json"] == GOLDEN_LARGE_MUL_V3
 
 
 def test_odd_row_count_matches_golden_digests(tmp_path):
@@ -238,6 +298,7 @@ def test_odd_row_count_matches_golden_digests(tmp_path):
     serial.dump(serial.secret_to_dict(bundle.secret), tmp_path / "secret.json")
     for name, ct in (("a", a), ("b", b), ("ab", hom_mul(ch, bundle.tensor, a, b))):
         serial.dump(serial.ciphertext_to_dict(ct), tmp_path / f"{name}.json")
-    v1, v2 = _digests(tmp_path, GOLDEN_ODD_ROWS_V1, ch.q)
+    v1, v2, v3 = _digests(tmp_path, GOLDEN_ODD_ROWS_V1, ch.q)
     assert v1 == GOLDEN_ODD_ROWS_V1
     assert v2 == GOLDEN_ODD_ROWS_V2
+    assert v3 == GOLDEN_ODD_ROWS_V3

@@ -9,7 +9,7 @@ from aces.homo import hom_add, hom_mul, scalar_product, tensor_contract
 from aces.keygen import ProductTensor
 from aces.rings import lift
 
-from oracles import poly_vector_dot
+from oracles import planes, poly_vector_dot, rank_one
 
 
 def _constrained_vector(bundle, rng):
@@ -59,15 +59,30 @@ def test_contract_zero_tensor():
     from aces.channel import ArithmeticChannel
 
     ch = ArithmeticChannel(p=2, q=15, omega=1, u=(-1, 0, 1), n=1, big_n=1, k0=1)
-    lam = ProductTensor((((0,),),))
+    lam = ProductTensor(15, (((0,), ((0,),)),))
     v = (ch.ring.poly([3, 7]),)
     assert tensor_contract(lam, v, v)[0] == ch.ring.zero()
 
 
 def test_contract_dimension_mismatch(desk_bundle):
     ch = desk_bundle.channel
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="vector length does not match tensor dimension"):
         tensor_contract(desk_bundle.tensor, (ch.ring.zero(),), (ch.ring.zero(),))
+    with pytest.raises(ParameterError, match="vector length does not match tensor dimension"):
+        tensor_contract(desk_bundle.tensor, (), ())
+
+
+def test_a_tensor_over_another_modulus_is_refused(desk_bundle, rng):
+    """The tensor's q must be the ring's: the same layers read mod another
+    modulus are refused by the contraction and by ``hom_mul``."""
+    ch, lam = desk_bundle.channel, desk_bundle.tensor
+    other = ProductTensor(ch.q + 2, lam.layers)
+    v = tuple(ch.ring.zero() for _ in range(ch.n))
+    ct = encrypt(desk_bundle.public, ch, 1, rng)
+    with pytest.raises(ParameterError, match="not the ring's"):
+        tensor_contract(other, v, v)
+    with pytest.raises(ParameterError, match="not the ring's"):
+        hom_mul(ch, other, ct, ct)
 
 
 def test_contract_relinearization_identity(desk_bundle, rng):
@@ -219,86 +234,88 @@ def test_hom_add_refuses_the_level_past_the_budget(desk_bundle, rng):
 
 
 def test_product_tensor_must_be_a_symmetric_cube():
-    with pytest.raises(ParameterError):
-        ProductTensor((((0, 0), (0, 0)), ((0, 0),)))
-    with pytest.raises(ParameterError):
-        ProductTensor((((0, 0), (1, 0)), ((0, 0), (0, 0))))
+    """Each layer pairs an n-vector with a symmetric n x n matrix, and every
+    layer has the same n >= 1."""
+    one = (0, 0), ((0, 0), (0, 0))
+    for layers in (
+        (((0, 0), ((0, 0), (0,))),),  # a short row of beta
+        (((0, 0), ((0, 0),)),),  # a missing row of beta
+        (((0, 0, 0), ((0, 0), (0, 0))),),  # alpha longer than beta
+        (one, ((0,), ((0,),))),  # layers of different n
+        (((), ()),),  # n = 0
+        (((0, 0), ((0, 0), (1, 0))),),  # beta not symmetric
+    ):
+        with pytest.raises(ParameterError):
+            ProductTensor(15, layers)
+    assert ProductTensor(15, (one,)).coeffs == ((((0, 0),) * 2),) * 2
 
 
 def test_product_tensor_refuses_an_empty_cube():
-    """Before the check, ``ProductTensor(())`` constructed and the contraction
-    raised an IndexError."""
-    with pytest.raises(ParameterError, match="at least one slot"):
-        ProductTensor(())
+    """A tensor of no layers has no dimension: refused on construction."""
+    with pytest.raises(ParameterError, match="at least one layer"):
+        ProductTensor(15015, ())
 
 
 @pytest.mark.parametrize("entry", [1.5, True, "3"], ids=repr)
 def test_product_tensor_refuses_a_non_integer_entry(entry):
-    """Before the check, a 1x1x1 tensor with entry 1.5 constructed and the
-    contraction raised an AttributeError, ``True`` contracted with weight 1
-    and ``"3"`` raised a TypeError."""
-    with pytest.raises(ParameterError, match="tensor entries"):
-        ProductTensor((((entry,),),))
+    """A 1x1x1 tensor with entry 1.5 once constructed and the contraction
+    raised an AttributeError, ``True`` contracted with weight 1 and ``"3"``
+    raised a TypeError; in alpha or in beta, each is refused."""
+    for layer in (((entry,), ((1,),)), ((1,), ((entry,),))):
+        with pytest.raises(ParameterError, match="tensor entries"):
+            ProductTensor(15015, (layer,))
+
+
+@pytest.mark.parametrize("entry", [-1, 15015])
+def test_product_tensor_refuses_an_entry_outside_zq(entry):
+    for layer in (((entry,), ((1,),)), ((1,), ((entry,),))):
+        with pytest.raises(ParameterError, match="residues"):
+            ProductTensor(15015, (layer,))
 
 
 def test_key_tensor_is_one_layer(desk_bundle):
-    """The keygen tensor ``prime_of(k) * mu_k * base_ij`` factors as one
-    ``alpha (x) beta`` mod q, found once and kept on the tensor."""
+    """Keygen publishes one layer ``alpha (x) beta`` of canonical residues,
+    normalized as the tensor alone fixes it: the layer the cube oracle
+    ``rank_one`` finds from ``coeffs``."""
     lam, q = desk_bundle.tensor, desk_bundle.channel.q
-    (alpha, beta), = lam.layers(q)
-    n = len(lam.coeffs)
+    (alpha, beta), = lam.layers
+    n = len(alpha)
     assert all(lam.coeffs[i][j][k] == alpha[k] * beta[i][j] % q
                for i in range(n) for j in range(n) for k in range(n))
     assert all(0 <= a < q for a in alpha) and all(0 <= b < q for row in beta for b in row)
-    assert lam.layers(q) is lam.layers(q)
-    assert "_layers" not in vars(ProductTensor(lam.coeffs))
-
-
-def _rank_one(alpha, beta):
-    n = len(alpha)
-    return ProductTensor(tuple(tuple(tuple(a * beta[i][j] for a in alpha) for j in range(n))
-                               for i in range(n)))
-
-
-def test_layers_fall_back_to_planes():
-    """A tensor with rank one modulo every prime of q but one, and any tensor
-    under a q that is not squarefree, is read as one layer per plane."""
-    q = 15015  # 3 * 5 * 7 * 11 * 13
-    alpha, beta = (1, 2, 3), ((4, 5, 6), (5, 7, 8), (6, 8, 9))
-    lam = _rank_one(alpha, beta)
-    coeffs = [[list(row) for row in plane] for plane in lam.coeffs]
-    coeffs[0][0][1] += q // 13  # moves the entry mod 13 alone: rank two there
-    broken = ProductTensor(tuple(tuple(tuple(row) for row in plane) for plane in coeffs))
-    assert len(lam.layers(q)) == 1
-    assert len(_rank_one(alpha, beta).layers(4 * q)) == 3
-    for tensor, modulus in ((broken, q), (lam, 4 * q)):
-        layers = tensor.layers(modulus)
-        assert [a for a, _ in layers] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-        assert [b for _, b in layers] == [
-            tuple(tuple(x[k] % modulus for x in row) for row in tensor.coeffs) for k in range(3)
-        ]
+    assert rank_one(lam.coeffs, q) == (alpha, beta)
 
 
 def test_a_tensor_that_vanishes_mod_one_prime_is_still_one_layer():
+    """A key whose alpha vanishes mod one prime of q, or whose beta does,
+    publishes one layer that is 0 mod that prime, as the oracle finds it."""
+    from aces.channel import ArithmeticChannel
+    from aces.keygen import _published_layers
+
     q = 15015
-    lam = _rank_one((7, 14, 0), ((3, 6, 9), (6, 3, 12), (9, 12, 3)))  # every entry 0 mod 7
-    (alpha, beta), = lam.layers(q)
-    assert all(lam.coeffs[i][j][k] % q == alpha[k] * beta[i][j] % q
-               for i in range(3) for j in range(3) for k in range(3))
-    assert alpha[2] == 0
+    ch = ArithmeticChannel(p=2, q=q, omega=1, u=(-1, 0, 0, 0, 1), n=3, big_n=2, k0=1)
+    beta = ((3, 6, 9), (6, 3, 12), (9, 12, 3))
+    for r, alpha, beta in ((7, (7, 14, 0), beta),  # alpha is 0 mod 7
+                           (11, (2, 4, 5), tuple(tuple(11 * b for b in row) for row in beta))):
+        (got,) = _published_layers(ch, alpha, beta)
+        cube = tuple(tuple(tuple(a * beta[i][j] % q for a in alpha) for j in range(3))
+                     for i in range(3))
+        assert got == rank_one(cube, q)
+        assert ProductTensor(q, (got,)).coeffs == cube
+        assert all(x % r == 0 for x in (*got[0], *sum(got[1], ())))
 
 
 def test_key_tensor_layers_contract_like_the_planes(desk_bundle, rng):
-    """The one-layer contraction equals the plane-by-plane one, which the
-    same tensor gets under 4q (not squarefree) and reads mod q."""
+    """The one-layer contraction equals the plane-by-plane one."""
     ch = desk_bundle.channel
     v1, v2 = _constrained_vector(desk_bundle, rng), _constrained_vector(desk_bundle, rng)
     lam = desk_bundle.tensor
-    planes = ProductTensor(lam.coeffs).layers(4 * ch.q)
-    assert len(lam.layers(ch.q)) == 1 and len(planes) == ch.n
+    by_planes = planes(lam.coeffs, ch.q)
+    assert len(lam.layers) == 1 and len(by_planes.layers) == ch.n
+    assert tensor_contract(lam, v1, v2) == tensor_contract(by_planes, v1, v2)
     for k, part in enumerate(tensor_contract(lam, v1, v2)):
         want = ch.ring.zero()
         for i in range(ch.n):
             for j in range(ch.n):
-                want = want + (v1[i] * v2[j]).scale(planes[k][1][i][j])
+                want = want + (v1[i] * v2[j]).scale(by_planes.layers[k][1][i][j])
         assert part == want

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aces import channel, rings
@@ -14,7 +14,7 @@ from aces.keygen import _bezout, gen_secret, keygen
 from aces.rings import Repartition, lift
 from aces.serial import public_to_dict, secret_to_dict
 
-from oracles import poly_vector_dot
+from oracles import poly_vector_dot, rank_one
 
 
 def _weighted(bundle):
@@ -101,6 +101,55 @@ def test_tensor_avoids_degenerate_rows(desk_bundle):
             unit_i = tuple(evals[i] if k == j else 0 for k in range(n))
             unit_j = tuple(evals[j] if k == i else 0 for k in range(n))
             assert row != unit_i and row != unit_j
+
+
+def _relinearizes(bundle) -> None:
+    """Criterion 4's properties of the cube ``coeffs``: symmetric, slot k a
+    multiple of prime_of(k), and every pair's relinearization defect a
+    multiple of the pair's weight under evaluation."""
+    ch, rep = bundle.channel, bundle.repartition
+    lam, n = bundle.tensor.coeffs, ch.n
+    s = [lift(ch.q, ch.eval(x)) for x in bundle.secret.polys]
+    for i in range(n):
+        for j in range(n):
+            assert lam[i][j] == lam[j][i]
+            assert all(lam[i][j][k] % rep.prime_of(k) == 0 for k in range(n))
+            defect = (s[i] * s[j] - sum(lam[i][j][k] * s[k] for k in range(n))) % ch.q
+            assert lift(ch.q, defect) % rep.weight(i, j) == 0
+
+
+# desk, and p = 3 with p not dividing q.
+LAYER_CHANNELS = {
+    "desk": dict(p=2, q=15015, u=(-1, 0, 0, 0, 1), n=3, big_n=2),
+    "p3": dict(p=3, q=5 * 7 * 11 * 13, u=(-1, 0, 0, 0, 0, 0, 0, 0, 1), n=4, big_n=3),
+}
+
+
+@pytest.mark.parametrize("name", list(LAYER_CHANNELS))
+@given(seed=st.binary(min_size=1, max_size=8))
+@settings(max_examples=15, deadline=None)
+def test_the_published_layer_is_the_one_the_tensor_fixes(name, seed):
+    """The one layer keygen publishes is the oracle's layer of the cube
+    ``coeffs``: a function of the tensor alone, not of keygen's own
+    factors.  The cube keeps criterion 4's properties."""
+    ch = ArithmeticChannel(omega=1, k0=1, **LAYER_CHANNELS[name]).require_valid()
+    bundle = keygen(ch, RandomSource(seed))
+    (layer,) = bundle.tensor.layers
+    assert layer == rank_one(bundle.tensor.coeffs, ch.q)
+    _relinearizes(bundle)
+
+
+def test_keygen_publishes_planes_under_a_q_that_is_not_squarefree():
+    """Under 3^2 * 13 and 11^2 keygen publishes n plane layers ``(e_k,
+    lambda[.][.][k])``, whose cube relinearizes (and which the oracle cannot
+    factor there)."""
+    for q in (117, 121):
+        ch = ArithmeticChannel(p=2, q=q, omega=1, u=(-1, 0, 1), n=2, big_n=1, k0=1).require_valid()
+        for seed in range(8):
+            bundle = keygen(ch, RandomSource(f"planes/{seed}".encode()))
+            assert [alpha for alpha, _ in bundle.tensor.layers] == [(1, 0), (0, 1)]
+            assert rank_one(bundle.tensor.coeffs, q) is None
+            _relinearizes(bundle)
 
 
 def test_refresher_decrypts_to_secret_digits(desk_bundle):

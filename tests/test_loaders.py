@@ -1,10 +1,12 @@
 """Strict loading: files must hold canonical, exactly-shaped values.
 
 Nothing read from a file is silently reduced or truncated; a malformed
-polynomial or tensor, a word string that is not exactly its words in
-lowercase hex, a word not below q, a float or boolean where an integer
-belongs, or a file of another format is refused with ParameterError (CLI
-exit 2).  A wrong container type is malformed input (CLI exit 1).
+polynomial or tensor layer (an ``alpha`` that is not ``n`` words, a
+``beta`` that is not ``n`` rows of ``n`` words or not symmetric), a word
+string that is not exactly its words in lowercase hex, a word not below q,
+a float or boolean where an integer belongs, or a file of another format
+is refused with ParameterError (CLI exit 2).  A wrong container type is
+malformed input (CLI exit 1).
 """
 
 import json
@@ -20,7 +22,7 @@ from aces.cipher import Ciphertext
 from aces.cli import main
 from aces.errors import ParameterError
 from aces.keygen import keygen
-from oracles import render_v1
+from oracles import render_v1, render_v2
 
 
 @pytest.fixture()
@@ -87,11 +89,15 @@ def test_corrupted_ciphertext_is_refused(desk_files, tmp_path, corrupt):
 
 
 @pytest.mark.parametrize("corrupt", [
-    lambda ch, lam: lam[-1].pop(),  # truncated plane
-    lambda ch, lam: lam.pop(),  # missing plane
-    lambda ch, lam: _edit(lam[0], 0, lambda t: t[:-_digits(ch)]),  # short row
-    lambda ch, lam: _edit(lam[0], 0, lambda t: _set_word(ch, t, 0, ch.q)),  # non-canonical entry
-    lambda ch, lam: _edit(lam[0], 1, lambda t: _set_word(ch, t, 0, (_word(ch, t, 0) + 1) % ch.q)),
+    lambda ch, lam: lam[0]["beta"].pop(),  # a missing row of beta
+    lambda ch, lam: lam.pop(),  # no layer
+    lambda ch, lam: _edit(lam[0]["beta"], 0, lambda t: t[:-_digits(ch)]),  # short row of beta
+    lambda ch, lam: _edit(lam[0]["beta"], 0, lambda t: _set_word(ch, t, 0, ch.q)),  # a word equal to q
+    lambda ch, lam: _edit(lam[0]["beta"], 0,  # beta[0][1] != beta[1][0]: not symmetric
+                          lambda t: _set_word(ch, t, 1, (_word(ch, t, 1) + 1) % ch.q)),
+    lambda ch, lam: _edit(lam[0], "alpha", lambda t: t[:-_digits(ch)]),  # short alpha
+    lambda ch, lam: _edit(lam[0], "alpha", lambda t: _set_word(ch, t, 0, ch.q)),  # a word equal to q
+    lambda ch, lam: lam.append({"alpha": lam[0]["alpha"], "beta": lam[0]["beta"][:-1]}),  # n - 1 rows
 ])
 def test_malformed_tensor_is_refused(desk_files, tmp_path, corrupt):
     ch, keys, ct = desk_files
@@ -136,7 +142,7 @@ def test_channel_poly_stays_lenient_in_library_code(desk_files):
     lambda ch, d: _edit(d["locators"][0], "vec", lambda t: _set_word(ch, t, 0, ch.q)),
     lambda ch, d: _edit(d["locators"][0], "vec", lambda t: "-" + t[1:]),
     lambda ch, d: d["locators"][0].__setitem__("kind", "detector"),
-    lambda ch, d: d["lambda"][0].__setitem__(0, 0.25),  # a number for a word string
+    lambda ch, d: d["lambda"][0].__setitem__("alpha", 0.25),  # a number for a word string
     lambda ch, d: d["sigma"]["map"].__setitem__(0, float(d["sigma"]["map"][0])),
     lambda ch, d: d["refresher"]["kappa"].__setitem__(0, 1.5),
     lambda ch, d: d["refresher"]["kappa"].__setitem__(0, True),
@@ -154,7 +160,7 @@ def test_malformed_public_material_is_refused(desk_files, tmp_path, corrupt):
     bad = tmp_path / "public.json"
     serial.dump(data, bad)
     assert main(["refresh", "--pub", str(bad), "--channel", str(keys / "channel.json"),
-                 "--ct", str(ct), "--seed", "01", "--assume-refreshable",
+                 "--ct", str(ct), "--seed", "01", "--secret", str(keys / "secret.json"),
                  "--out", str(tmp_path / "r.json")]) == 2
 
 
@@ -205,7 +211,7 @@ def test_a_public_file_without_its_locator_database_is_exit_1(desk_files, tmp_pa
     bad = tmp_path / "public.json"
     serial.dump(data, bad)
     assert main(["refresh", "--pub", str(bad), "--channel", str(keys / "channel.json"),
-                 "--ct", str(ct), "--seed", "01", "--assume-refreshable",
+                 "--ct", str(ct), "--seed", "01", "--secret", str(keys / "secret.json"),
                  "--out", str(tmp_path / "r.json")]) == 1
 
 
@@ -242,7 +248,8 @@ FILE_KINDS = {
 
 
 @pytest.mark.parametrize("kind", list(FILE_KINDS))
-@pytest.mark.parametrize("found", [None, 1, 2.0, "2"], ids=["missing", "1", "2.0", "str"])
+@pytest.mark.parametrize("found", [None, 1, 2.0, "2", 2, 3.0, "3"],
+                         ids=["missing", "1", "2.0", "str", "2", "3.0", "str-3"])
 def test_a_file_of_another_format_is_exit_2(desk_files, tmp_path, capsys, kind, found):
     ch, _, _ = desk_files
     rel, read, argv = FILE_KINDS[kind]
@@ -264,14 +271,14 @@ def test_a_file_of_another_format_is_exit_2(desk_files, tmp_path, capsys, kind, 
 @pytest.mark.parametrize("command", ["encrypt", "decrypt", "eval", "refresh", "inspect",
                                      "inspect-with-keys"])
 def test_a_format_1_key_directory_is_exit_2(desk_files, tmp_path, capsys, command):
-    """Files of format 1 (decimal strings, no format field), as the previous
+    """Files of format 1 (decimal strings, no format field), as an earlier
     release wrote them, are refused by every command that reads them."""
     ch, keys, ct = desk_files
     old = tmp_path / "v1"
     old.mkdir()
     for name in ("channel.json", "public.json", "secret.json"):
-        (old / name).write_bytes(render_v1(serial.load(keys / name), ch.q))
-    (old / "ct.json").write_bytes(render_v1(serial.load(ct), ch.q))
+        (old / name).write_bytes(render_v1(render_v2(serial.load(keys / name), ch.q), ch.q))
+    (old / "ct.json").write_bytes(render_v1(render_v2(serial.load(ct), ch.q), ch.q))
     assert b'"format"' not in (old / "public.json").read_bytes()
     files = ["--pub", str(old / "public.json"), "--channel", str(old / "channel.json")]
     circuit = tmp_path / "c.txt"
@@ -282,7 +289,7 @@ def test_a_format_1_key_directory_is_exit_2(desk_files, tmp_path, capsys, comman
                     "--ct", str(old / "ct.json")],
         "eval": ["eval", *files, "--circuit", str(circuit), "--input", f"a={old / 'ct.json'}",
                  "--out", str(tmp_path / "out")],
-        "refresh": ["refresh", *files, "--ct", str(old / "ct.json"), "--assume-refreshable",
+        "refresh": ["refresh", *files, "--ct", str(old / "ct.json"), "--secret", str(old / "secret.json"),
                     "--out", str(tmp_path / "r.json")],
         "inspect": ["inspect", "--ct", str(old / "ct.json")],
         "inspect-with-keys": ["inspect", "--ct", str(old / "ct.json"), *files],
@@ -318,4 +325,5 @@ def test_a_modulus_above_2_to_the_64_has_no_word():
     with pytest.raises(ParameterError, match="2\\*\\*64"):
         serial.ciphertext_to_dict(Ciphertext((one,), one, 0))
     with pytest.raises(ParameterError, match="2\\*\\*64"):
-        serial.ciphertext_from_dict(ch, {"format": 2, "c": ["00" * 16], "cprime": "00" * 16, "level": 0})
+        serial.ciphertext_from_dict(ch, {"format": serial.FORMAT, "c": ["00" * 16], "cprime": "00" * 16,
+                                         "level": 0})

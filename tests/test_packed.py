@@ -14,12 +14,13 @@ two rings sit either side of the switch, and the large-channel worst cases
 run on two points; the layouts each kernel picks are asserted, so moving
 the switch cannot silently drop the two-point path from these tests.
 
-The contraction reads the tensor through ``ProductTensor.layers``: one
-layer ``alpha (x) beta`` for a rank-one tensor (every key's), one per plane
-for any other.  Each layer's sum ``B = sum_ij beta[i][j] v1[i] v2[j]`` is
-packed at the slots for ``n^2 d (q-1)^3``, reached by all-(q-1) operands
-and ``beta``; ``hom_mul`` then folds ``-alpha mod q`` into a narrower pass.
-Rank-one tensors are drawn as such, so both layer shapes meet the oracles.
+The contraction reads the tensor's layers, ``ProductTensor.layers``: one
+layer ``alpha (x) beta`` for every key's tensor; drawn cubes are given as
+one layer per plane (``oracles.planes``).  Each layer's sum ``B = sum_ij
+beta[i][j] v1[i] v2[j]`` is packed at the slots for ``n^2 d (q-1)^3``,
+reached by all-(q-1) operands and ``beta``; ``hom_mul`` then folds
+``-alpha mod q`` into a narrower pass.  Rank-one tensors are drawn as one
+layer, so both layer shapes meet the oracles.
 """
 
 import math
@@ -38,7 +39,7 @@ from aces.keygen import ProductTensor, keygen
 from aces.refresh import make_refreshable, refresh_ct, secret_refresh_checker
 from aces.rings import TWO_POINT_BYTES, PackedRows, Ring, RingPoly
 
-from oracles import conv_mul, naive_contract, reduce_poly, ring_op
+from oracles import conv_mul, naive_contract, planes, rank_one, reduce_poly, ring_op
 
 DESK_Q = 15015
 MID_Q = math.prod((3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
@@ -174,7 +175,7 @@ def test_tensor_contract_matches_naive_triple_loop(data):
     lam = _symmetric(data.draw, q, n)
     v1 = coefficient_vectors(data.draw, q, d, n)
     v2 = coefficient_vectors(data.draw, q, d, n)
-    tensor = ProductTensor(tuple(tuple(tuple(row) for row in plane) for plane in lam))
+    tensor = planes(lam, q)
     got = tensor_contract(tensor, tuple(RingPoly(q, u, c) for c in v1),
                           tuple(RingPoly(q, u, c) for c in v2))
     assert [list(part.coeffs) for part in got] == naive_contract(lam, v1, v2, list(u), q)
@@ -183,7 +184,9 @@ def test_tensor_contract_matches_naive_triple_loop(data):
 def test_tensor_contract_worst_case_at_the_large_channel(layouts):
     """n = 10, d = 64, 57-bit q, every operand coefficient and every pair
     weight at q - 1.  Each product is the same polynomial P, so the
-    contraction is sum_ij lam[i][j][k] * P, computed here with the oracle."""
+    contraction is sum_ij lam[i][j][k] * P, computed here with the oracle.
+    Both of its packed passes (the layer sums, then the weights) run on two
+    points."""
     q, n, d = LARGE_Q, 10, 64
     u = tuple([-1] + [0] * (d - 1) + [1])
     lam = tuple(tuple(tuple((q - n) % q if i == j else q - 1 for _ in range(n))
@@ -191,8 +194,8 @@ def test_tensor_contract_worst_case_at_the_large_channel(layouts):
     top = [q - 1] * d
     product = reduce_poly(conv_mul(top, top), list(u), q)
     vec = tuple(RingPoly(q, u, top) for _ in range(n))
-    got = tensor_contract(ProductTensor(lam), vec, vec)
-    assert [points for points, _ in layouts] == [2]
+    got = tensor_contract(planes(lam, q), vec, vec)
+    assert [points for points, _ in layouts] == [2, 2]
     for k, part in enumerate(got):
         weight = sum(lam[i][j][k] for i in range(n) for j in range(n))
         assert list(part.coeffs) == [(weight * c) % q for c in product]
@@ -276,7 +279,7 @@ def test_hom_mul_matches_its_defining_formula(data):
     c1, c2 = (coefficient_vectors(data.draw, q, d, n) for _ in range(2))
     p1, p2 = coefficient_vectors(data.draw, q, d, 2)
     ch = ArithmeticChannel(p=2, q=q, omega=1, u=u, n=n, big_n=1, k0=1)
-    tensor = ProductTensor(tuple(tuple(tuple(row) for row in plane) for plane in lam))
+    tensor = planes(lam, q)
     got = hom_mul(ch, tensor, _ciphertext(q, u, c1, p1), _ciphertext(q, u, c2, p2))
     vector, scalar = _hom_mul_oracle(lam, c1, p1, c2, p2, u, q)
     assert [list(part.coeffs) for part in got.c] == vector
@@ -295,9 +298,7 @@ def test_hom_mul_worst_case_at_the_large_channel(layouts):
     product = reduce_poly(conv_mul(top, top), list(u), q)
     ct = _ciphertext(q, u, [top] * n, top)
     ch = ArithmeticChannel(p=3, q=q, omega=1, u=u, n=n, big_n=8, k0=1)
-    tensor = ProductTensor(lam)
-    got = hom_mul(ch, tensor, ct, ct)
-    assert len(tensor.layers(q)) == n
+    got = hom_mul(ch, planes(lam, q), ct, ct)
     assert [points for points, _ in layouts] == [2, 2]
     for k, part in enumerate(got.c):
         weight = 2 - sum(lam[i][j][k] for i in range(n) for j in range(n))
@@ -368,10 +369,10 @@ def test_hom_mul_of_a_ciphertext_by_itself_squares(monkeypatch, name, top):
                 lam[i][j] = lam[j][i] = [rnd.randrange(q) for _ in range(n)]
         c = [[rnd.randrange(q) for _ in range(d)] for _ in range(n)]
         p = [rnd.randrange(q) for _ in range(d)]
-    tensor = ProductTensor(tuple(tuple(tuple(row) for row in plane) for plane in lam))
+    tensor = planes(lam, q)
     ct, copy = _ciphertext(q, u, c, p), _ciphertext(q, u, c, p)
     assert ct == copy and ct.c[0] is not copy.c[0]
-    layers = len(tensor.layers(q))
+    layers = len(tensor.layers)
     got = hom_mul(ch, tensor, ct, ct)
     assert [len(polys) for polys, _ in packed] == [n, n + 1 + layers]
     assert got == hom_mul(ch, tensor, ct, copy)
@@ -422,21 +423,15 @@ def test_every_key_tensor_is_one_layer(name):
     ch = _channel(name)
     for seed in range(3):
         bundle = keygen(ch, RandomSource(f"{name}/layers/{seed}".encode()))
-        assert len(bundle.tensor.layers(ch.q)) == 1
-
-
-def _outer(alpha, beta, q):
-    n = len(alpha)
-    return ProductTensor(tuple(tuple(tuple(a * beta[i][j] % q for a in alpha)
-                                     for j in range(n)) for i in range(n)))
+        assert len(bundle.tensor.layers) == 1
 
 
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_rank_one_tensors_match_the_oracles(data):
-    """Drawn ``alpha (x) beta`` tensors (all-(q-1) factors and zero entries
-    of alpha included) are one layer, and their contraction and ``hom_mul``
-    equal the schoolbook oracles."""
+    """Drawn ``alpha (x) beta`` layers (all-(q-1) factors and zero entries
+    of alpha included): their contraction and ``hom_mul`` equal the
+    schoolbook oracles on the cube ``coeffs``."""
     q, u = data.draw(rings(degrees=(4, 5, 16)))
     d = len(u) - 1
     n = data.draw(st.sampled_from((1, 2, 3, 5)))
@@ -450,9 +445,9 @@ def test_rank_one_tensors_match_the_oracles(data):
     for i in range(n):
         for j in range(i, n):
             beta[i][j] = beta[j][i] = data.draw(entries)
-    tensor = _outer(alpha, beta, q)
-    assert len(tensor.layers(q)) == 1
+    tensor = ProductTensor(q, ((tuple(alpha), tuple(map(tuple, beta))),))
     lam = [[list(row) for row in plane] for plane in tensor.coeffs]
+    assert lam == [[[a * beta[i][j] % q for a in alpha] for j in range(n)] for i in range(n)]
     c1, c2 = (coefficient_vectors(data.draw, q, d, n) for _ in range(2))
     p1, p2 = coefficient_vectors(data.draw, q, d, 2)
     got = tensor_contract(tensor, *(tuple(RingPoly(q, u, c) for c in v) for v in (c1, c2)))
@@ -467,15 +462,15 @@ def test_rank_one_tensors_match_the_oracles(data):
 @pytest.mark.parametrize("square", [False, True])
 def test_rank_one_worst_case_at_the_large_channel(layouts, square):
     """n = 10, d = 64, 57-bit q, all-(q-1) ciphertexts and the all-(q-1)
-    tensor: its layer is ``beta`` all q-1 and ``alpha`` all 1, so every
-    weight ``-alpha mod q`` is q-1 and the layer sum reaches its bound
-    ``n^2 d (q-1)^3``.  Every product is the same polynomial P: slot k is
+    tensor, whose layer (``rank_one``) is ``beta`` all q-1 and ``alpha`` all
+    1, so every weight ``-alpha mod q`` is q-1 and the layer sum reaches its
+    bound ``n^2 d (q-1)^3``.  Every product is the same polynomial P: slot k is
     ``(2 - n^2 (q-1)) * P`` and the scalar part is P."""
     q, n, d = LARGE_Q, 10, 64
     u = _cyclic(d)
-    tensor = ProductTensor(((((q - 1,) * n,) * n,) * n))
-    ((alpha, beta),) = tensor.layers(q)
+    alpha, beta = rank_one(((((q - 1,) * n,) * n,) * n), q)
     assert alpha == (1,) * n and beta == (((q - 1,) * n,) * n)
+    tensor = ProductTensor(q, ((alpha, beta),))
     top = [q - 1] * d
     product = reduce_poly(conv_mul(top, top), list(u), q)
     ch = ArithmeticChannel(p=3, q=q, omega=1, u=u, n=n, big_n=8, k0=1)
@@ -559,7 +554,7 @@ def test_two_point_decode_of_a_binomial_never_reduces(monkeypatch, layouts, d, k
     n = 3
     ch = ArithmeticChannel(p=3, q=q, omega=1, u=u, n=n, big_n=8, k0=1)
     ct = _ciphertext(q, u, [[q - 1] * d] * n, [q - 1] * d)
-    got = hom_mul(ch, ProductTensor(((((q - 1,) * n,) * n,) * n)), ct, ct)
+    got = hom_mul(ch, ProductTensor(q, (((1,) * n, ((q - 1,) * n,) * n),)), ct, ct)
     weight = (2 - n * n * (q - 1)) % q
     assert [list(part.coeffs) for part in got.c] == [[weight * c % q for c in want]] * n
     assert list(got.cprime.coeffs) == want

@@ -31,7 +31,8 @@ from aces.refresh import (
 )
 from aces.rings import RingPoly, lift
 
-from oracles import floor_dot_over_q, margin_fraction, public_search_reference, refresh_reference
+from oracles import (floor_dot_over_q, margin_fraction, planes, public_search_reference,
+                     refresh_reference)
 
 TINY = dict(p=2, q=15, omega=1, u=(-1, 0, 1), n=2, big_n=1, k0=1)
 
@@ -503,14 +504,14 @@ def _polys(data, ch, count):
 
 
 def _symmetric_tensor(data, ch):
+    """The all-(q-1) tensor as its one layer, or a drawn symmetric cube as
+    one layer per plane."""
     n, top = ch.n, ch.q - 1
     if data.draw(st.booleans(), label="all q-1"):
-        return ProductTensor(((((top,) * n),) * n,) * n)
+        return ProductTensor(ch.q, (((1,) * n, ((top,) * n,) * n),))
     rnd = random.Random(data.draw(st.integers(0, 2**32 - 1), label="tensor seed"))
     t = [[[rnd.randrange(ch.q) for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    return ProductTensor(tuple(
-        tuple(tuple(t[min(i, j)][max(i, j)]) for j in range(n)) for i in range(n)
-    ))
+    return planes([[t[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)], ch.q)
 
 
 # (p, q) pairs with p not dividing q in the second.
