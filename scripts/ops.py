@@ -1,17 +1,21 @@
 """Per-operation timings of ``aces`` at the benchmark's three channels.
 
-    python3 scripts/ops.py --out BENCH_16.json
-    python3 scripts/ops.py --out BENCH_16.json --base OTHER/src --rounds 3
+    python3 scripts/ops.py --out BENCH_17.json
+    python3 scripts/ops.py --out BENCH_17.json --base OTHER/src --rounds 3
 
 At desk, mid and large (``bench/workloads.py``) it times ``Ring.unpack`` of
 11 outputs (the layout of ``hom_mul``'s last pass), ``PackedRows.combine``
 (the public-key rows by a mask), ``encrypt``, ``decrypt``, ``hom_mul`` of two
 ciphertexts and of one by itself, ``public_from_dict`` of the public file
 followed by one ``hom_mul`` with the loaded tensor (what each ``aces eval``
-process pays before its circuit), ``RingPoly.__mul__``, ``sample_mask`` and
-``keygen``.  Calls run in batches of about ``--batch-ms``; each batch is one
-span scaled to the reference host by ``bench/hostspeed.py``, and a figure is
-the median over batches of the scaled time per call, in microseconds.
+process pays before its circuit), ``RingPoly.__mul__``, ``sample_mask``,
+``keygen``, and one whole in-process ``aces encrypt`` and ``aces decrypt``
+(``aces.cli.main`` on files in a temporary directory, standard output
+captured; the rows call nothing but ``main``, so any base checkout is timed
+the same way).  Calls run in batches of about ``--batch-ms``; each batch is
+one span scaled to the reference host by ``bench/hostspeed.py``, and a
+figure is the median over batches of the scaled time per call, in
+microseconds.
 
 With ``--base`` (the ``src`` directory of another checkout) every round
 times this checkout's ``src`` and the base, each in a fresh process, and
@@ -22,20 +26,24 @@ script is not part of the test suite.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 OUTPUTS = 11
 
 
-def _operations(channel):
-    """Name -> zero-argument callable, for one channel's fixed inputs."""
-    from aces import serial
+def _operations(channel, work: Path):
+    """Name -> zero-argument callable, for one channel's fixed inputs; the
+    command rows read and write files under ``work``."""
+    from aces import cli, serial
     from aces.channel import RandomSource
     from aces.cipher import decrypt, encrypt, sample_mask
     from aces.homo import hom_mul
@@ -53,6 +61,19 @@ def _operations(channel):
     packed = ring.pack([ch.random_poly(rng) for _ in range(2 * OUTPUTS)], layout)
     sums = [[s * t for s, t in zip(p[:OUTPUTS], p[OUTPUTS:])] for p in packed]
     public = json.loads(json.dumps(serial.public_to_dict(bundle)))
+
+    def aces(*argv):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([str(arg) for arg in argv])
+        if code:
+            raise RuntimeError(f"aces {argv[0]} exited {code}")
+
+    keys, ct = work / f"keys-{channel.degree}", work / f"ct-{channel.degree}.json"
+    aces("keygen", *channel.keygen_args(), "--seed", seed.hex(), "--out", keys)
+    files = ("--channel", keys / "channel.json")
+    encrypt_argv = ("encrypt", "--pub", keys / "public.json", *files, "--message", "1",
+                    "--seed", "0a", "--out", ct)
+    aces(*encrypt_argv)
     return {
         f"Ring.unpack ({OUTPUTS} outputs)": lambda: ring.unpack(sums, layout),
         "PackedRows.combine": lambda: bundle.public.rows.combine(mask),
@@ -65,6 +86,8 @@ def _operations(channel):
         "RingPoly.__mul__": lambda: x * y,
         "sample_mask": lambda: sample_mask(ch, rng),
         "keygen": lambda: keygen(ch, RandomSource(seed)),
+        "aces encrypt": lambda: aces(*encrypt_argv),
+        "aces decrypt": lambda: aces("decrypt", "--secret", keys / "secret.json", *files, "--ct", ct),
     }
 
 
@@ -76,17 +99,18 @@ def _worker(src: str, batch_s: float, batches: int) -> dict:
 
     clock = HostClock()
     out = {}
-    for name, channel in (("desk", DESK), ("mid", MID), ("large", LARGE)):
-        out[name] = {}
-        for op, fn in _operations(channel).items():
-            clock.calibrate()
-            spans = []
-            clock.span(spans, fn)  # warm-up, and the size of a batch
-            calls = max(1, round(batch_s / (spans[0][1] - spans[0][0])))
-            spans = []
-            for _ in range(batches):
-                clock.span(spans, lambda: [fn() for _ in range(calls)])
-            out[name][op] = [clock.seconds([span]) / calls for span in spans]
+    with tempfile.TemporaryDirectory() as work:
+        for name, channel in (("desk", DESK), ("mid", MID), ("large", LARGE)):
+            out[name] = {}
+            for op, fn in _operations(channel, Path(work)).items():
+                clock.calibrate()
+                spans = []
+                clock.span(spans, fn)  # warm-up, and the size of a batch
+                calls = max(1, round(batch_s / (spans[0][1] - spans[0][0])))
+                spans = []
+                for _ in range(batches):
+                    clock.span(spans, lambda: [fn() for _ in range(calls)])
+                out[name][op] = [clock.seconds([span]) / calls for span in spans]
     out["calibration_ms"] = 1e3 * statistics.median(clock.samples)
     return out
 

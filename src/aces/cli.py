@@ -3,14 +3,21 @@
 Subcommands: keygen, encrypt, decrypt, eval, refresh, inspect.  Exit codes:
 0 on success, 1 on usage errors, 2 when a cryptographic guard refuses the
 operation (noise budget, invalid parameters, unverifiable refresh).
+
+A flag is written ``--flag value`` or ``--flag=value``, spelled in full (no
+prefix abbreviations), and given at most once, except ``eval --input``.  A
+separate value may start with ``-`` only as a negative integer, so
+``u = X^4 - 1`` is ``--u=-1,0,0,0,1``.  ``eval --secret`` and ``refresh
+--secret`` take the key owner's secret file and certify refreshability
+exactly instead of by the public test.
 """
 
 from __future__ import annotations
 
-import argparse
 import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import serial
 from .channel import ArithmeticChannel, RandomSource
@@ -25,24 +32,80 @@ class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
+_REQUIRED = object()  # the default of a flag that must be given
 
 
-def _build_parser(argv) -> _Parser:
-    """The ``aces`` parser; only the command ``argv[0]`` names gets its flags,
-    since a subparser costs more to build than a parse.  Any other ``argv``
-    (help, empty, unknown) gets every command by name and help alone."""
-    parser = _Parser(prog="aces", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    chosen = argv[0] if argv and argv[0] in _COMMANDS else None
-    for name, (_, summary, add_arguments) in _COMMANDS.items():
-        if chosen is None:
-            sub.add_parser(name, help=summary)
-        elif name == chosen:
-            add_arguments(sub.add_parser(name, help=summary))
-    return parser
+def _parse(argv) -> SimpleNamespace:
+    """``argv`` read in one pass against its command's row of ``_COMMANDS``:
+    the command's name as ``command`` and each flag's value, or its default,
+    as the attribute ``--lambda-in-pub`` -> ``lambda_in_pub``."""
+    if not argv:
+        raise _UsageError("the following arguments are required: command")
+    command = argv[0]
+    if command in ("-h", "--help"):
+        _help()
+    if command not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        raise _UsageError(f"argument command: invalid choice: {command!r} (choose from {choices})")
+    flags = _COMMANDS[command][2]
+    values = {}
+    rest = iter(argv[1:])
+    for arg in rest:
+        if arg in ("-h", "--help"):
+            _help(command)
+        flag, eq, text = arg.partition("=")
+        if flag not in flags:
+            raise _UsageError(f"unrecognized arguments: {arg}")
+        convert, default, _ = flags[flag]
+        if convert is None:
+            if eq:
+                raise _UsageError(f"argument {flag}: ignored explicit argument {text!r}")
+            value = True
+        else:
+            if not eq:
+                text = next(rest, None)
+                if text is None or text.startswith("-") and not text[1:].isdecimal():
+                    raise _UsageError(f"argument {flag}: expected one argument")
+            try:
+                value = convert(text)
+            except ValueError:
+                raise _UsageError(
+                    f"argument {flag}: invalid {convert.__name__} value: {text!r}") from None
+            except _UsageError as exc:
+                raise _UsageError(f"argument {flag}: {exc}") from None
+        if type(default) is tuple:
+            value = values.get(flag, ()) + (value,)
+        elif flag in values:
+            raise _UsageError(f"argument {flag}: given more than once")
+        values[flag] = value
+    missing = [flag for flag, (_, default, _) in flags.items()
+               if default is _REQUIRED and flag not in values]
+    if missing:
+        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+    return SimpleNamespace(command=command, **{
+        flag[2:].replace("-", "_"): values[flag] if flag in values
+        else convert(default) if type(default) is str else default
+        for flag, (convert, default, _) in flags.items()})
+
+
+def _help(command=None):
+    """Print ``aces -h`` or ``aces COMMAND -h`` from ``_COMMANDS`` and exit 0."""
+    if command is None:
+        lines = [f"usage: aces {{{','.join(_COMMANDS)}}} ...", "", __doc__.strip(), "", "commands:"]
+        lines += [f"  {name:<8} {summary}" for name, (_, summary, _) in _COMMANDS.items()]
+    else:
+        _, summary, flags = _COMMANDS[command]
+        lines = [f"usage: aces {command} [flags]", "", summary, "", "flags:",
+                 f"  {'-h, --help':<20} print this help and exit"]
+        for flag, (convert, default, text) in flags.items():
+            spec = flag if convert is None else f"{flag} {flag[2:].upper()}"
+            note = ("required" if default is _REQUIRED else "repeatable" if type(default) is tuple
+                    else None if default in (None, False) else f"default {default}")
+            if note:
+                text = f"{text} ({note})"
+            lines.append(f"  {spec:<20} {text}")
+    print("\n".join(lines))
+    raise SystemExit(0)
 
 
 def _load_channel(path) -> ArithmeticChannel:
@@ -57,8 +120,15 @@ def _load_keys(args) -> EvalKeys:
 def _coefficients(text: str) -> tuple[int, ...]:
     """``--u``: integers separated by commas alone, low to high."""
     if not re.fullmatch(r"-?[0-9]+(,-?[0-9]+)*", text):
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+        raise _UsageError(f"expected comma-separated integers, got {text!r}")
     return tuple(map(int, text.split(",")))
+
+
+def _mode(text: str) -> str:
+    """``--refresh``: auto or off."""
+    if text not in ("auto", "off"):
+        raise _UsageError(f"invalid choice: {text!r} (choose from 'auto', 'off')")
+    return text
 
 
 def _seed(text: str) -> RandomSource:
@@ -66,22 +136,7 @@ def _seed(text: str) -> RandomSource:
     try:
         return RandomSource.from_hex(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected hex digits in pairs, got {text!r}") from None
-
-
-def _keygen_arguments(p) -> None:
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--bigN", type=int, required=True)
-    p.add_argument("--k0", type=int, required=True)
-    p.add_argument("--seed", type=_seed, required=True, help="hex seed for deterministic output")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--omega", type=int, default=1)
-    p.add_argument("--u", type=_coefficients, default=None,
-                   help="comma-separated coefficients, low to high, no blanks; write a "
-                        "leading minus as --u=-1,0,...,1 (default X^degree - 1)")
+        raise _UsageError(f"expected hex digits in pairs, got {text!r}") from None
 
 
 def _cmd_keygen(args) -> int:
@@ -102,26 +157,12 @@ def _cmd_keygen(args) -> int:
     return 0
 
 
-def _encrypt_arguments(p) -> None:
-    p.add_argument("--pub", required=True)
-    p.add_argument("--channel", required=True)
-    p.add_argument("--message", type=int, required=True)
-    p.add_argument("--seed", type=_seed, required=True)
-    p.add_argument("--out", required=True)
-
-
 def _cmd_encrypt(args) -> int:
     keys = _load_keys(args)
     ct = encrypt(keys.public, keys.channel, args.message, args.seed)
     serial.dump(serial.ciphertext_to_dict(ct), args.out)
     print(f"wrote {args.out} (level {ct.level})")
     return 0
-
-
-def _decrypt_arguments(p) -> None:
-    p.add_argument("--secret", required=True)
-    p.add_argument("--channel", required=True)
-    p.add_argument("--ct", required=True)
 
 
 def _cmd_decrypt(args) -> int:
@@ -132,19 +173,17 @@ def _cmd_decrypt(args) -> int:
     return 0
 
 
-def _eval_arguments(p) -> None:
-    p.add_argument("--pub", required=True)
-    p.add_argument("--channel", required=True)
-    p.add_argument("--lambda-in-pub", action="store_true",
-                   help="read the multiplication tensor from the public file (the default and only layout)")
-    p.add_argument("--circuit", required=True)
-    p.add_argument("--input", action="append", default=[], metavar="NAME=FILE")
-    p.add_argument("--refresh", choices=("auto", "off"), default="auto")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=_seed, default="00", help="hex seed for refresh randomness")
+def _checker(args, ch):
+    """The key owner's exact refreshability checker when ``--secret`` is
+    given, else None: the public test."""
+    if args.secret is None:
+        return None
+    return secret_refresh_checker(serial.secret_from_dict(ch, serial.load(args.secret)), ch)
 
 
 def _cmd_eval(args) -> int:
+    if args.secret is not None and args.refresh == "off":
+        raise _UsageError("--secret checks refreshes, which --refresh off disables")
     keys = _load_keys(args)
     circuit = parse_circuit(Path(args.circuit).read_text(encoding="utf-8"))
     for name in circuit.outputs:
@@ -161,7 +200,7 @@ def _cmd_eval(args) -> int:
         if name in env:
             raise _UsageError(f"--input {name!r} is given more than once")
         env[name] = serial.ciphertext_from_dict(keys.channel, serial.load(path))
-    policy = RefreshPolicy(mode=args.refresh)
+    policy = RefreshPolicy(mode=args.refresh, checker=_checker(args, keys.channel))
     outputs, report = evaluate(circuit, env, keys, policy, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -181,22 +220,11 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _refresh_arguments(p) -> None:
-    p.add_argument("--pub", required=True)
-    p.add_argument("--channel", required=True)
-    p.add_argument("--ct", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=_seed, default="00")
-    p.add_argument("--secret", default=None,
-                   help="the key owner's secret.json: certify refreshability exactly")
-
-
 def _cmd_refresh(args) -> int:
     keys = _load_keys(args)
     ch = keys.channel
     ct = serial.ciphertext_from_dict(ch, serial.load(args.ct))
-    checker = (RefreshPolicy().resolve_checker(keys) if args.secret is None else
-               secret_refresh_checker(serial.secret_from_dict(ch, serial.load(args.secret)), ch))
+    checker = RefreshPolicy(checker=_checker(args, ch)).resolve_checker(keys)
     rng = args.seed
     ct = make_refreshable(ct, checker, keys.public, ch, rng)
     if ct is None:
@@ -208,12 +236,6 @@ def _cmd_refresh(args) -> int:
     serial.dump(serial.ciphertext_to_dict(fresh), args.out)
     print(f"wrote {args.out} (level {fresh.level})")
     return 0
-
-
-def _inspect_arguments(p) -> None:
-    p.add_argument("--ct", required=True)
-    p.add_argument("--channel", default=None)
-    p.add_argument("--pub", default=None)
 
 
 def _cmd_inspect(args) -> int:
@@ -241,25 +263,74 @@ def _cmd_inspect(args) -> int:
     return 0
 
 
-# name -> (handler, help, add_arguments): the one list of subcommands.
+# Flags: flag -> (convert, default, help).  ``convert`` reads the flag's one
+# value; None makes the flag a switch that takes none.  A str default is
+# converted on each call that omits the flag, and a tuple default makes the
+# flag repeatable, its values collected in order.  Any other flag may be
+# given at most once.
+_KEYS = {
+    "--pub": (str, _REQUIRED, "public.json from keygen"),
+    "--channel": (str, _REQUIRED, "channel.json from keygen"),
+}
+
+# name -> (handler, help, flags): the one list of subcommands.
 _COMMANDS = {
-    "keygen": (_cmd_keygen, "generate channel, public, and secret files", _keygen_arguments),
-    "encrypt": (_cmd_encrypt, "encrypt one plaintext residue", _encrypt_arguments),
-    "decrypt": (_cmd_decrypt, "decrypt a ciphertext and print the residue", _decrypt_arguments),
-    "eval": (_cmd_eval, "evaluate a circuit over ciphertexts", _eval_arguments),
-    "refresh": (_cmd_refresh, "refresh a ciphertext to the fixed post-refresh level", _refresh_arguments),
-    "inspect": (_cmd_inspect, "print level and divisibility diagnostics", _inspect_arguments),
+    "keygen": (_cmd_keygen, "generate channel, public, and secret files", {
+        "--p": (int, _REQUIRED, "plaintext modulus"),
+        "--q": (int, _REQUIRED, "ciphertext modulus"),
+        "--degree": (int, _REQUIRED, "degree of u"),
+        "--n": (int, _REQUIRED, "secret-key length"),
+        "--bigN": (int, _REQUIRED, "public-key rows"),
+        "--k0": (int, _REQUIRED, "slack in q >= k0 p^2 N + 1"),
+        "--seed": (_seed, _REQUIRED, "hex seed for deterministic output"),
+        "--out": (str, _REQUIRED, "output directory"),
+        "--omega": (int, 1, "evaluation point, a root of u mod q"),
+        "--u": (_coefficients, None,
+                "comma-separated coefficients, low to high, no blanks; write a "
+                "leading minus as --u=-1,0,...,1 (default X^degree - 1)"),
+    }),
+    "encrypt": (_cmd_encrypt, "encrypt one plaintext residue", {
+        **_KEYS,
+        "--message": (int, _REQUIRED, "residue mod p"),
+        "--seed": (_seed, _REQUIRED, "hex seed for the encryption randomness"),
+        "--out": (str, _REQUIRED, "ciphertext file to write"),
+    }),
+    "decrypt": (_cmd_decrypt, "decrypt a ciphertext and print the residue", {
+        "--secret": (str, _REQUIRED, "secret.json from keygen"),
+        "--channel": _KEYS["--channel"],
+        "--ct": (str, _REQUIRED, "ciphertext file"),
+    }),
+    "eval": (_cmd_eval, "evaluate a circuit over ciphertexts", {
+        **_KEYS,
+        "--lambda-in-pub": (None, False,
+                            "read the multiplication tensor from the public file "
+                            "(the default and only layout)"),
+        "--circuit": (str, _REQUIRED, "circuit file"),
+        "--input": (str, (), "NAME=FILE, one per circuit input"),
+        "--refresh": (_mode, "auto", "auto or off"),
+        "--out": (str, _REQUIRED, "output directory"),
+        "--seed": (_seed, "00", "hex seed for refresh randomness"),
+        "--secret": (str, None, "the key owner's secret.json: certify refreshability exactly"),
+    }),
+    "refresh": (_cmd_refresh, "refresh a ciphertext to the fixed post-refresh level", {
+        **_KEYS,
+        "--ct": (str, _REQUIRED, "ciphertext file"),
+        "--out": (str, _REQUIRED, "ciphertext file to write"),
+        "--seed": (_seed, "00", "hex seed for refresh randomness"),
+        "--secret": (str, None, "the key owner's secret.json: certify refreshability exactly"),
+    }),
+    "inspect": (_cmd_inspect, "print level and divisibility diagnostics", {
+        "--ct": (str, _REQUIRED, "ciphertext file"),
+        "--channel": (str, None, "channel.json, given with --pub"),
+        "--pub": (str, None, "public.json, given with --channel"),
+    }),
 }
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser(argv).parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = _parse(argv)
         return _COMMANDS[args.command][0](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

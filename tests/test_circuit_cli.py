@@ -360,7 +360,7 @@ CLI_SURFACE = {
         "-h", "--help", "--secret", "--channel", "--ct"]),
     "eval": ("evaluate a circuit over ciphertexts", [
         "-h", "--help", "--pub", "--channel", "--lambda-in-pub", "--circuit", "--input",
-        "--refresh", "--out", "--seed"]),
+        "--refresh", "--out", "--seed", "--secret"]),
     "refresh": ("refresh a ciphertext to the fixed post-refresh level", [
         "-h", "--help", "--pub", "--channel", "--ct", "--out", "--seed",
         "--secret"]),
@@ -642,3 +642,130 @@ def test_cli_module_reads_the_command_from_sys_argv(cli_keys, tmp_path):
     proc = _run_module("bogus")
     assert proc.returncode == 1
     assert "invalid choice: 'bogus'" in proc.stderr
+
+
+# -- reading flags ----------------------------------------------------------
+
+# ``{k}`` is the key directory and ``{t}`` a scratch directory; each argv is
+# split on blanks before they are filled in.
+_PUB = "--pub {k}/public.json --channel {k}/channel.json"
+_KEYGEN = "keygen --p 2 --q 15015 --degree 4 --n 3 --bigN 2 --k0 1 --seed 00ff --out {t}/k"
+_DECRYPT = "decrypt --secret {k}/secret.json --channel {k}/channel.json"
+_EVAL = f"eval {_PUB} --circuit {{t}}/circ.txt --input a={{t}}/a.json --out {{t}}/out"
+
+
+@pytest.mark.parametrize("argv, code, prefix", [
+    (f"encrypt {_PUB} --message=1 --seed=0a --out={{t}}/m.json", 0, ""),
+    (f"encrypt {_PUB} --message 1 --seed 0a --out {{t}}/m.json", 0, ""),
+    (f"encrypt {_PUB} --message -1 --seed 0a --out {{t}}/m.json", 2, "guard failure"),
+    (f"{_KEYGEN} --omega -1", 0, ""),
+    (f"{_KEYGEN} --u=-1,0,0,0,1", 0, ""),
+    (f"{_KEYGEN} --u -1,0,0,0,1", 1, "usage error: argument --u: expected one argument"),
+    (f"{_DECRYPT} --ct", 1, "usage error: argument --ct: expected one argument"),
+    (f"{_DECRYPT} --ct --ct", 1, "usage error: argument --ct: expected one argument"),
+    (f"{_DECRYPT} --ct {{t}}/a.json --bogus 1", 1, "usage error: unrecognized arguments: --bogus"),
+    (f"{_DECRYPT} --ct {{t}}/a.json {{t}}/a.json", 1, "usage error: unrecognized arguments: "),
+    (f"encrypt {_PUB} --mess 1 --seed 0a --out {{t}}/m.json", 1,
+     "usage error: unrecognized arguments: --mess"),
+    (f"encrypt {_PUB} --message one --seed 0a --out {{t}}/m.json", 1,
+     "usage error: argument --message: invalid int value: 'one'"),
+    (f"{_EVAL} --refresh bogus", 1,
+     "usage error: argument --refresh: invalid choice: 'bogus' (choose from 'auto', 'off')"),
+    (f"{_EVAL} --lambda-in-pub=yes", 1,
+     "usage error: argument --lambda-in-pub: ignored explicit argument 'yes'"),
+    (f"{_EVAL} --refresh off --secret {{k}}/secret.json", 1, "usage error: --secret"),
+    ("encrypt --message 1", 1,
+     "usage error: the following arguments are required: --pub, --channel, --seed, --out"),
+    ("bogus", 1, "usage error: argument command: invalid choice: 'bogus'"),
+    ("", 1, "usage error: the following arguments are required: command"),
+])
+def test_cli_reads_flags_as_before(cli_keys, tmp_path, capsys, argv, code, prefix):
+    """``--flag value`` and ``--flag=value`` parse alike; a separate value
+    may start with ``-`` only as a negative integer; unknown, abbreviated,
+    valueless and missing flags are usage errors (exit 1) with the messages
+    argparse gave."""
+    (tmp_path / "circ.txt").write_text("in a\nout a\n")
+    assert main(["encrypt", "--pub", str(cli_keys / "public.json"),
+                 "--channel", str(cli_keys / "channel.json"),
+                 "--message", "1", "--seed", "01", "--out", str(tmp_path / "a.json")]) == 0
+    capsys.readouterr()
+    assert main([arg.format(k=cli_keys, t=tmp_path) for arg in argv.split()]) == code
+    assert capsys.readouterr().err.startswith(prefix)
+    if code:
+        assert not (tmp_path / "m.json").exists() and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (f"encrypt {_PUB} --message 1 --seed 01 --seed 02 --out {{t}}/m.json", "--seed"),
+    (f"encrypt {_PUB} --message 1 --seed 01 --out {{t}}/m.json --out={{t}}/n.json", "--out"),
+    (f"encrypt {_PUB} --pub {{k}}/public.json --message 1 --seed 01 --out {{t}}/m.json", "--pub"),
+    (f"{_EVAL} --lambda-in-pub --lambda-in-pub", "--lambda-in-pub"),
+    (f"{_EVAL} --refresh auto --refresh off", "--refresh"),
+    (f"{_DECRYPT} --ct {{t}}/a.json --secret {{k}}/secret.json", "--secret"),
+])
+def test_cli_refuses_a_repeated_flag(cli_keys, tmp_path, capsys, argv, flag):
+    """Every flag but ``eval --input`` is given at most once: a repeat is a
+    usage error (exit 1), not the last value silently kept."""
+    (tmp_path / "circ.txt").write_text("in a\nout a\n")
+    assert main(["encrypt", "--pub", str(cli_keys / "public.json"),
+                 "--channel", str(cli_keys / "channel.json"),
+                 "--message", "1", "--seed", "01", "--out", str(tmp_path / "a.json")]) == 0
+    capsys.readouterr()
+    assert main([arg.format(k=cli_keys, t=tmp_path) for arg in argv.split()]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"usage error: argument {flag}: given more than once")
+    assert captured.out == ""
+    assert not any((tmp_path / name).exists() for name in ("m.json", "n.json", "out"))
+
+
+def test_cli_help_after_other_flags_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["encrypt", "--pub", "p.json", "--message=1", "-h", "--bogus"])
+    assert exit_.value.code == 0
+    assert "--message MESSAGE" in capsys.readouterr().out
+
+
+def test_cli_imports_no_argparse():
+    src = str(Path(aces.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    subprocess.run([sys.executable, "-c",
+                    "import sys, aces.cli; assert 'argparse' not in sys.modules"],
+                   check=True, env=env)
+
+
+# ``t1 = a*a``, then ``t_i = t_(i-1)*a``: a^11, which refreshes at the desk
+# channel (as the ``chain-desk`` benchmark workload does).
+POWER_CHAIN = "in a\n" + "".join(
+    f"t{i} = mul {'a' if i == 1 else f't{i - 1}'} a\n" for i in range(1, 11)) + "out t10\n"
+
+
+def test_cli_eval_refreshes_with_the_secret_key(cli_keys, tmp_path, capsys):
+    """``eval --secret`` certifies each refresh with the key owner's exact
+    checker: the chain refreshes and decrypts to its plain value.  Without a
+    ``--seed`` two calls draw the same refresh randomness.  Without
+    ``--secret`` the public test certifies no refresh, so the chain runs out
+    of budget: exit 2 and no file."""
+    circ = tmp_path / "chain.txt"
+    circ.write_text(POWER_CHAIN)
+    files = ["--pub", str(cli_keys / "public.json"), "--channel", str(cli_keys / "channel.json")]
+    assert main(["encrypt", *files, "--message", "1", "--seed", "0c",
+                 "--out", str(tmp_path / "a.json")]) == 0
+    argv = ["eval", *files, "--circuit", str(circ), "--input", f"a={tmp_path / 'a.json'}",
+            "--refresh", "auto"]
+    secret = ["--secret", str(cli_keys / "secret.json")]
+    outs = [tmp_path / "one", tmp_path / "two"]
+    for out in outs:
+        assert main([*argv, *secret, "--out", str(out)]) == 0
+    assert json.loads((outs[0] / "report.json").read_text())["refresh_events"]
+    for name in ("t10.json", "report.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    capsys.readouterr()
+    assert main(["decrypt", *secret, "--channel", str(cli_keys / "channel.json"),
+                 "--ct", str(outs[0] / "t10.json")]) == 0
+    want = eval_plain(parse_circuit(POWER_CHAIN), {"a": 1}, 2)["t10"]
+    assert capsys.readouterr().out.strip() == str(want)
+    public = tmp_path / "public"
+    assert main([*argv, "--out", str(public)]) == 2
+    assert "noise budget" in capsys.readouterr().err
+    assert not public.exists()
