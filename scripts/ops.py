@@ -1,14 +1,15 @@
 """Per-operation timings of ``aces`` at the benchmark's three channels.
 
-    python3 scripts/ops.py --out BENCH_17.json
-    python3 scripts/ops.py --out BENCH_17.json --base OTHER/src --rounds 3
+    python3 scripts/ops.py --out BENCH_18.json
+    python3 scripts/ops.py --out BENCH_18.json --base OTHER/src --rounds 3
 
 At desk, mid and large (``bench/workloads.py``) it times ``Ring.unpack`` of
 11 outputs (the layout of ``hom_mul``'s last pass), ``PackedRows.combine``
 (the public-key rows by a mask), ``encrypt``, ``decrypt``, ``hom_mul`` of two
 ciphertexts and of one by itself, ``public_from_dict`` of the public file
 followed by one ``hom_mul`` with the loaded tensor (what each ``aces eval``
-process pays before its circuit), ``RingPoly.__mul__``, ``sample_mask``,
+process pays before its circuit), ``RingPoly.__mul__``, ``RingPoly.make``
+of ``2d - 1`` drawn coefficients (a reduction by ``u``), ``sample_mask``,
 ``keygen``, and one whole in-process ``aces encrypt`` and ``aces decrypt``
 (``aces.cli.main`` on files in a temporary directory, standard output
 captured; the rows call nothing but ``main``, so any base checkout is timed
@@ -48,6 +49,7 @@ def _operations(channel, work: Path):
     from aces.cipher import decrypt, encrypt, sample_mask
     from aces.homo import hom_mul
     from aces.keygen import keygen
+    from aces.rings import RingPoly
 
     ch = channel.build()
     seed = f"ops/{channel.degree}".encode()
@@ -56,6 +58,7 @@ def _operations(channel, work: Path):
     ring = ch.ring
     a, b = encrypt(bundle.public, ch, 1, rng), encrypt(bundle.public, ch, 0, rng)
     x, y = ch.random_poly(rng), ch.random_poly(rng)
+    long = x.coeffs + y.coeffs[1:]
     mask = sample_mask(ch, rng)
     layout = ring.width(3)
     packed = ring.pack([ch.random_poly(rng) for _ in range(2 * OUTPUTS)], layout)
@@ -84,6 +87,7 @@ def _operations(channel, work: Path):
         "public_from_dict + hom_mul": lambda: hom_mul(
             ch, serial.public_from_dict(ch, public).tensor, a, b),
         "RingPoly.__mul__": lambda: x * y,
+        "RingPoly.make (2d - 1 coefficients)": lambda: RingPoly.make(ch.q, ch.u, long),
         "sample_mask": lambda: sample_mask(ch, rng),
         "keygen": lambda: keygen(ch, RandomSource(seed)),
         "aces encrypt": lambda: aces(*encrypt_argv),

@@ -52,6 +52,8 @@ class Ciphertext:
     level: int
 
     def __post_init__(self):
+        if type(self.level) is not int:
+            raise ParameterError(f"noise level must be an integer, got {self.level!r}")
         if self.level < 0:
             raise ParameterError("noise level cannot be negative")
 

@@ -17,9 +17,9 @@ Three layers live in this module:
   ``+-2^(8w')`` with half-width slots, where two big-integer multiplies of
   half the size cost less than one of the full size (D. Harvey,
   "Faster polynomial multiplication via multipoint Kronecker
-  substitution", J. Symbolic Comput. 44, 2009).  The decode folds a
-  binomial ``u`` into the packed halves before it reads a slot, and reads
-  slots of 8, 16 or 24 bytes as 8-byte words,
+  substitution", J. Symbolic Comput. 44, 2009).  Reduction by ``u`` is a
+  long division, and a decode folds the part from degree ``d`` up by one
+  rule at either layout,
 * repartitions: assignments of the prime factors of ``q`` to key slots.
 """
 
@@ -146,8 +146,8 @@ def _int_coeffs(coeffs, what: str = "polynomial coefficients") -> tuple[int, ...
 
 
 # One Ring per (q, u), built and validated on first use.  Interning is what
-# lets polynomials compare rings by identity; a Ring never changes value (its
-# power table is a cache derived from q and u), so sharing it is safe.
+# lets polynomials compare rings by identity; nothing is written to a Ring
+# after ``_setup``, so sharing it is safe.
 _RINGS: dict = {}
 
 
@@ -173,13 +173,15 @@ class Ring:
       (``unpack``).  Each product then multiplies integers of half the
       size: cheaper above the switch, and dearer below it, where packing
       and decoding twice cost more than the smaller multiplies save.
-    * Reduction by ``u``: a binomial ``u = X^d + u_0`` folds the part above
-      degree ``d - 1`` in as ``lo[i] - u_0 * hi[i]`` (at two points on the
-      packed halves: one big-integer add each for a cyclic ``u``); any other
-      ``u`` adds ``hi[k] * (X^(d+k) mod u)`` from a table grown on demand.
+    * Reduction by ``u``: ``reduce`` divides by ``u`` top-down, one
+      multiply-add per nonzero lower coefficient of ``u`` mod q.  A decode
+      (``unpack``) cuts each output at degree ``d`` and folds the high part
+      by one rule at either layout: onto the low part as big integers for a
+      cyclic ``u``, slot by slot as ``lo[i] - u_0 * hi[i]`` for another
+      binomial ``X^d + u_0``, and through ``reduce`` for any other ``u``.
     """
 
-    __slots__ = ("q", "u", "d", "_fold", "_powers", "_radix")
+    __slots__ = ("q", "u", "d", "_tail", "_fold", "_radix")
 
     def __new__(cls, q: int, u):
         u = _int_coeffs(u)
@@ -199,9 +201,9 @@ class Ring:
             raise ParameterError("modulus polynomial must be monic")
         d = len(u) - 1
         self.q, self.u, self.d = q, u, d
-        binomial = all(c % q == 0 for c in u[1:d])
-        self._fold = (-u[0]) % q if binomial else None
-        self._powers: list[list[int]] = []  # X^(d+k) mod u, k = 0, 1, ...
+        # X^d mod (q, u): a term c * X^i for each nonzero lower coefficient of u.
+        self._tail = tuple([(i, (-c) % q) for i, c in enumerate(u[:d]) if c % q])
+        self._fold = (-u[0]) % q if all(i == 0 for i, _ in self._tail) else None
         self._radix = (pow(2, 64, q), pow(2, 128, q))  # word weights in ``_read``
 
     def __repr__(self) -> str:
@@ -232,45 +234,17 @@ class Ring:
         """The element with arbitrary integer coefficients, reduced."""
         return _wrap(self, self.reduce(_int_coeffs(coeffs)))
 
-    def reduce(self, coeffs: list[int]) -> tuple[int, ...]:
-        """Canonical coefficients of an integer polynomial of any length."""
-        d, q = self.d, self.q
-        work = list(coeffs)
-        if len(work) > d:
-            if self._fold is not None:
-                fold = self._fold
-                # X^(d+i) = fold * X^i; top-down, so a folded term that still
-                # sits at degree >= d is folded again.
-                for i in range(len(work) - 1, d - 1, -1):
-                    work[i - d] += fold * work[i]
-            else:
-                for high, power in zip(work[d:], self._power_table(len(work) - d)):
-                    if high:
-                        for i, c in enumerate(power):
-                            work[i] += high * c
-            del work[d:]
-        else:
-            work += [0] * (d - len(work))
+    def reduce(self, coeffs) -> tuple[int, ...]:
+        """Canonical coefficients of an integer polynomial of any length: long
+        division by ``u``, top-down, each ``X^(d+k)`` replaced by ``X^k``
+        times ``X^d mod u``."""
+        d, q, tail, work = self.d, self.q, self._tail, list(coeffs)
+        while len(work) > d:
+            top, base = work.pop() % q, len(work) - d
+            for i, c in tail:
+                work[base + i] += c * top
+        work += [0] * (d - len(work))
         return tuple([c % q for c in work])
-
-    def _power_table(self, count: int) -> list[list[int]]:
-        """``X^(d+k) mod u`` for ``k < count``, each as ``d`` coefficients."""
-        q, d, u, powers = self.q, self.d, self.u, self._powers
-        if len(powers) < count:
-            # Extend a copy and publish it whole: the ring is shared, and a
-            # reader must never see a half-built table.
-            powers = list(powers)
-            while len(powers) < count:
-                if powers:
-                    # X * X^(d+k-1): shift up, then replace X^d by -(u_0 + ...).
-                    prev = powers[-1]
-                    top = prev[-1]
-                    row = [(c - top * uc) % q for c, uc in zip([0] + prev[:-1], u)]
-                else:
-                    row = [(-c) % q for c in u[:d]]
-                powers.append(row)
-            self._powers = powers
-        return powers
 
     def pack(self, polys, layout: tuple[int, int]) -> list[list[int]]:
         """Per point of ``layout``, the packed value of each element of ``polys``.
@@ -301,44 +275,49 @@ class Ring:
 
         At two points ``S(x)`` and ``S(-x)`` give ``(S(x) + S(-x)) / 2``, the
         even-index coefficients, and ``(S(x) - S(-x)) / 2x``, the odd-index
-        ones, each in slots of ``2w`` bytes, as ``x^2 = 2^(16w)``.  A binomial
-        ``u`` is folded on those halves before a slot is read, ``X^(d+i)``
-        onto ``X^i`` (in the other half for an odd ``d``); a cyclic ``u``
-        adds them as big integers, which cannot overflow a slot: ``width``
-        bounds a cyclic coefficient, a sum of ``d`` products.
+        ones, each in slots of ``2w`` bytes, as ``x^2 = 2^(16w)``.  Each
+        output is cut at degree ``d`` (the halves' cuts cross over for an odd
+        ``d``).  A cyclic ``u`` adds high onto low as big integers before a
+        slot is read, which cannot overflow a slot: ``width`` bounds a cyclic
+        coefficient, a sum of ``d`` products.  Another binomial reads both
+        and folds each slot; any other ``u`` reads both and calls ``reduce``.
         """
         points, width = layout
         d, fold, q = self.d, self._fold, self.q
-        if points == 1 and fold is not None:
-            # Small operands: shift each slot out, folding X^(d+i) = fold * X^i.
-            step, mask = 8 * width, (1 << 8 * width) - 1
-            shifts, top = range(0, d * step, step), d * step
-            return tuple([_wrap(self, tuple([((v >> s & mask) + fold * (hi >> s & mask)) % q
-                                             for s in shifts]))
-                          for v, hi in zip(sums[0], [v >> top for v in sums[0]])])
         if points == 1:
-            return tuple([_wrap(self, self.reduce(self._read([v], 2 * d - 1, width)))
-                          for v in sums[0]])
-        shift, wide, read = 8 * width + 1, 2 * width, self._read
-        halves = [h for plus, minus in zip(*sums)
-                  for h in ((plus + minus) >> 1, (plus - minus) >> shift)]
-        if fold is None:
-            half, size, slots = d, 2 * d - 1, read(halves, d, wide)
+            cut = 8 * width * d
+            lows, highs = [v & (1 << cut) - 1 for v in sums[0]], [v >> cut for v in sums[0]]
         else:
-            half, size = (d + 1) // 2, d  # half: how many even indices lie below d
-            cuts = [8 * wide * half, 8 * wide * (d - half)] * len(sums[0])
+            shift, width = 8 * width + 1, 2 * width
+            halves = [h for plus, minus in zip(*sums)
+                      for h in ((plus + minus) >> 1, (plus - minus) >> shift)]
+            half = (d + 1) // 2  # how many even indices lie below d
+            cuts = [8 * width * half, 8 * width * (d - half)] * len(sums[0])
             lows = [h & (1 << cut) - 1 for h, cut in zip(halves, cuts)]
             highs = [halves[i ^ d % 2] >> cuts[i ^ d % 2] for i in range(len(halves))]
-            if fold == 1:
-                slots = read(list(map(operator.add, lows, highs)), half, wide)
-            else:
-                slots = [(a + fold * b) % q
-                         for a, b in zip(read(lows, half, wide), read(highs, half, wide))]
-        coeffs, out = [0] * size, []
+        if fold == 1:
+            return tuple([_wrap(self, c)
+                          for c in self._slots(map(operator.add, lows, highs), points, width)])
+        pairs = zip(self._slots(lows, points, width), self._slots(highs, points, width))
+        if fold is None:
+            return tuple([_wrap(self, self.reduce(lo + hi)) for lo, hi in pairs])
+        return tuple([_wrap(self, tuple([(a + fold * b) % q for a, b in zip(lo, hi)]))
+                      for lo, hi in pairs])
+
+    def _slots(self, parts, points: int, width: int) -> list[tuple[int, ...]]:
+        """Per output, the ``d`` slots of its packed part mod q: shifted out
+        at one point, read from the two halves and interleaved at two."""
+        d, q = self.d, self.q
+        if points == 1:
+            step, mask = 8 * width, (1 << 8 * width) - 1
+            shifts = range(0, d * step, step)
+            return [tuple([(v >> s & mask) % q for s in shifts]) for v in parts]
+        half = (d + 1) // 2
+        slots, coeffs, out = self._read(parts, half, width), [0] * d, []
         for i in range(0, len(slots), 2 * half):
-            coeffs[0::2], coeffs[1::2] = slots[i:i + half], slots[i + half:i + size]
-            out.append(_wrap(self, self.reduce(coeffs) if fold is None else tuple(coeffs)))
-        return tuple(out)
+            coeffs[0::2], coeffs[1::2] = slots[i:i + half], slots[i + half:i + d]
+            out.append(tuple(coeffs))
+        return out
 
     def _read(self, values, per: int, width: int) -> list[int]:
         """``per`` slots of ``width`` bytes of each of ``values``, mod q, in one list;
@@ -384,7 +363,7 @@ class RingPoly:
 
     def __init__(self, q: int, u, coeffs):
         ring = Ring(q, u)
-        coeffs = tuple(coeffs)
+        coeffs = _int_coeffs(coeffs)
         if len(coeffs) != ring.d:
             raise ParameterError(f"expected {ring.d} coefficients, got {len(coeffs)}")
         if min(coeffs) < 0 or max(coeffs) >= q:

@@ -103,6 +103,15 @@ def test_identity_ciphertext_decrypts_directly(desk_bundle):
         assert decrypt(desk_bundle.secret, ch, ct) == m
 
 
+@pytest.mark.parametrize("level", [4.5, 4.0, True, "4", None], ids=repr)
+def test_ciphertext_refuses_a_non_integer_level(desk_channel, level):
+    """A level of 4.5 was accepted and ``hom_mul`` of it with itself
+    certified level 58.5; ``True`` read as 1 and ``"4"`` raised TypeError."""
+    ch = desk_channel
+    with pytest.raises(ParameterError, match="noise level must be an integer"):
+        Ciphertext(tuple(ch.ring.zero() for _ in range(ch.n)), ch.ring.poly([1]), level)
+
+
 def test_decrypt_refuses_past_budget(desk_bundle):
     ch = desk_bundle.channel
     ct = Ciphertext(tuple(ch.ring.zero() for _ in range(ch.n)), ch.ring.poly([1]), ch.max_noise_level() + 1)

@@ -53,13 +53,19 @@ SWITCH = ((LARGE_Q, 34), (LARGE_Q, 35))
 
 @st.composite
 def rings(draw, degrees=DEGREES):
-    """(q, u) with u cyclic, negacyclic or a general monic polynomial."""
+    """(q, u) with u cyclic, negacyclic, another binomial or a general monic
+    polynomial.  The binomial ``X^d + u_0`` is one only mod q: its middle
+    coefficients are nonzero multiples of q, which the fold and the long
+    division must both see as zero."""
     q, d = draw(st.sampled_from([(q, d) for q in MODULI for d in degrees] + list(SWITCH)))
-    kind = draw(st.sampled_from(("cyclic", "negacyclic", "general")))
+    kind = draw(st.sampled_from(("cyclic", "negacyclic", "binomial", "general")))
     if kind == "cyclic":
         u = [-1] + [0] * (d - 1) + [1]
     elif kind == "negacyclic":
         u = [1] + [0] * (d - 1) + [1]
+    elif kind == "binomial":
+        middle = draw(st.lists(st.sampled_from((-2, -1, 1, 2)), min_size=d - 1, max_size=d - 1))
+        u = [draw(st.integers(-q, q))] + [k * q for k in middle] + [1]
     else:
         u = draw(st.lists(st.integers(-q, q), min_size=d, max_size=d)) + [1]
         if all(c % q == 0 for c in u[1:d]):
@@ -559,3 +565,30 @@ def test_two_point_decode_of_a_binomial_never_reduces(monkeypatch, layouts, d, k
     assert [list(part.coeffs) for part in got.c] == [[weight * c % q for c in want]] * n
     assert list(got.cprime.coeffs) == want
     assert set(layouts) == {(2, 8), (2, 12)}
+
+
+@pytest.mark.parametrize("u_0", [-1, 1, -3], ids=["cyclic", "negacyclic", "X^d-3"])
+@pytest.mark.parametrize("d", [4, 5])
+def test_one_point_decode_of_a_binomial_never_reduces(monkeypatch, layouts, d, u_0):
+    """At desk size a binomial u is folded on the packed low and high parts
+    at one point: ``Ring.reduce`` is not called by a product, a row
+    combination or either pass of ``hom_mul``."""
+    q, u = DESK_Q, tuple([u_0] + [0] * (d - 1) + [1])
+    x = RingPoly(q, u, [q - 1] * d)
+    want = reduce_poly(conv_mul([q - 1] * d, [q - 1] * d), list(u), q)
+
+    def refuse(ring, coeffs):
+        raise AssertionError("reduce called")
+
+    monkeypatch.setattr(Ring, "reduce", refuse)
+    assert list((x * x).coeffs) == want
+    (got,) = PackedRows([(x,)] * 3).combine((x,) * 3)
+    assert list(got.coeffs) == [3 * c % q for c in want]
+    n = 3
+    ch = ArithmeticChannel(p=2, q=q, omega=1, u=u, n=n, big_n=2, k0=1)
+    ct = _ciphertext(q, u, [[q - 1] * d] * n, [q - 1] * d)
+    got = hom_mul(ch, ProductTensor(q, (((1,) * n, ((q - 1,) * n,) * n),)), ct, ct)
+    weight = (2 - n * n * (q - 1)) % q
+    assert [list(part.coeffs) for part in got.c] == [[weight * c % q for c in want]] * n
+    assert list(got.cprime.coeffs) == want
+    assert len(layouts) == 4 and {points for points, _ in layouts} == {1}

@@ -152,6 +152,16 @@ def test_poly_scale_refuses_a_non_integer_scalar(value):
         x.scale(value)
 
 
+@pytest.mark.parametrize("coeffs", [[1.5, 2, 3, 4], [1.0, 2, 3, 4], [True, 2, 3, 4],
+                                    ["1", 2, 3, 4], [Fraction(1), 2, 3, 4]], ids=repr)
+def test_poly_constructor_refuses_non_integer_coefficients(coeffs):
+    """A float coefficient was kept as a float, so ``x + x`` returned float
+    coefficients and ``x * x`` raised AttributeError from packing; ``True``
+    read as 1."""
+    with pytest.raises(ParameterError, match="expected integers"):
+        RingPoly(15015, (-1, 0, 0, 0, 1), coeffs)
+
+
 def test_poly_channel_mismatch_rejected():
     a = RingPoly.make(15, U15, [1, 2])
     b = RingPoly.make(21, U15, [1, 2])
