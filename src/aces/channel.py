@@ -38,7 +38,8 @@ class RandomSource:
 
     Identical seeds yield identical draw sequences, which is what makes key
     bundles and ciphertext files byte-reproducible.  Not a cryptographic
-    generator; swap one in behind the same two methods for production use.
+    generator; swap one in behind ``draws``, which every other draw goes
+    through, for production use.
     """
 
     def __init__(self, seed: bytes):
@@ -51,12 +52,11 @@ class RandomSource:
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n)."""
-        if n <= 0:
-            raise ParameterError("upper bound must be positive")
-        return self._rng.randrange(n)
+        return self.draws(n, 1)[0]
 
     def draws(self, n: int, count: int) -> list[int]:
-        """The values of ``count`` calls of ``below(n)``, drawn as ``randrange`` draws them."""
+        """``count`` uniform integers in [0, n), drawn as ``randrange(n)`` draws
+        them: ``n.bit_length()``-bit words, each below ``n`` kept."""
         if n <= 0:
             raise ParameterError("upper bound must be positive")
         bits, k, out = self._rng.getrandbits, n.bit_length(), []

@@ -11,7 +11,8 @@ The circuit format is a line-oriented DSL::
 Gates execute in file order, so operands are always declared inputs or
 earlier gate outputs.  The evaluator tracks every wire's noise level and,
 when a gate would leave too little headroom, tries to refresh its operands
-before failing; every decision lands in the report.
+(``refresh.refresh_certified``) before failing; every refresh lands in the
+report.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .channel import RandomSource
 from .cipher import Ciphertext, level_after, post_refresh_level
 from .errors import CircuitError, NoiseBudgetError, ParameterError
 from .homo import hom_add, hom_mul
-from .refresh import EvalKeys, make_refreshable, publicly_refreshable, refresh_ct
+from .refresh import EvalKeys, refresh_certified
 
 __all__ = [
     "Gate",
@@ -105,11 +106,11 @@ def eval_plain(circuit: Circuit, env: dict[str, int], p: int) -> dict[str, int]:
 class RefreshPolicy:
     """When and how the evaluator refreshes.
 
-    ``checker`` is a predicate Ciphertext -> bool certifying refreshability;
-    the default uses the published locator database, which is sound but
-    frequently inconclusive.  A key owner can pass a secret-side checker
-    instead.  ``mode`` is "auto" or "off", which disables refreshing
-    entirely; any other mode is refused.
+    ``mode`` is "auto" or "off", which disables refreshing entirely; any
+    other mode is refused.  ``checker`` is a predicate Ciphertext -> bool
+    certifying refreshability, or None for the public test on the published
+    locator database (``refresh.refresh_certified``), which is sound but
+    frequently inconclusive; a key owner can pass a secret-side checker.
     """
 
     mode: str = "auto"
@@ -118,11 +119,6 @@ class RefreshPolicy:
     def __post_init__(self):
         if self.mode not in ("auto", "off"):
             raise ParameterError(f"refresh mode must be 'auto' or 'off', got {self.mode!r}")
-
-    def resolve_checker(self, keys: EvalKeys):
-        if self.checker is not None:
-            return self.checker
-        return lambda ct: publicly_refreshable(keys.locators, keys.channel, ct)
 
 
 @dataclass
@@ -140,8 +136,12 @@ def evaluate(
 ) -> tuple[dict[str, Ciphertext], EvalReport]:
     """Run the circuit over ciphertexts with level bookkeeping.
 
-    Raises NoiseBudgetError if a gate cannot proceed even after refreshing;
-    a wire is never silently emitted past the decryption bound.
+    In auto mode a gate whose output would leave less headroom than the
+    post-refresh level has its operands refreshed in order, until it fits;
+    a gate past the budget even with every operand at the post-refresh
+    level is not worth a refresh.  The gate's own budget guard is the only
+    refusal: NoiseBudgetError, naming the gate and its operand levels.  A
+    wire is never silently emitted past the decryption bound.
     """
     policy = policy or RefreshPolicy()
     ch = keys.channel
@@ -152,44 +152,35 @@ def evaluate(
     values = dict(env)
     refreshed = post_refresh_level(ch, keys.refresher)
     threshold = ch.max_noise_level() - refreshed
-    checker = policy.resolve_checker(keys)
-
-    def try_refresh(wire: str) -> bool:
-        ct = values[wire]
-        if ct.level <= refreshed:
-            return False  # refreshing cannot lower this wire further
-        ready = make_refreshable(ct, checker, keys.public, ch, rng)
-        if ready is None:
-            return False
-        fresh = refresh_ct(keys, ready, rng)
-        report.refresh_events.append((wire, ct.level, fresh.level))
-        values[wire] = fresh
-        return True
-
-    def gate_level(gate: Gate):
-        return level_after(gate.op, values[gate.left].level, values[gate.right].level, ch)
 
     for gate in circuit.gates:
-        out_level = gate_level(gate)
-        if policy.mode == "auto" and (out_level is None or out_level > threshold):
+        for wire in dict.fromkeys((gate.left, gate.right)) if policy.mode == "auto" else ():
+            k1, k2 = values[gate.left].level, values[gate.right].level
+            out_level = level_after(gate.op, k1, k2, ch)
+            if out_level is not None and out_level <= threshold:
+                break
+            if level_after(gate.op, min(k1, refreshed), min(k2, refreshed), ch) is None:
+                break  # no refresh lowers a wire below the post-refresh level
             if rng is None:
                 raise CircuitError("auto refresh needs a random source")
-            for wire in dict.fromkeys((gate.left, gate.right)):
-                if try_refresh(wire):
-                    out_level = gate_level(gate)
-                    if out_level is not None and out_level <= threshold:
-                        break
-        if out_level is None:
+            ct = values[wire]
+            if ct.level <= refreshed:
+                continue  # refreshing cannot lower this wire further
+            fresh = refresh_certified(keys, ct, policy.checker, rng)
+            if fresh is not None:
+                report.refresh_events.append((wire, ct.level, fresh.level))
+                values[wire] = fresh
+        left, right = values[gate.left], values[gate.right]
+        try:
+            if gate.op == "add":
+                values[gate.out] = hom_add(ch, left, right)
+            else:
+                values[gate.out] = hom_mul(ch, keys.tensor, left, right)
+        except NoiseBudgetError as exc:
             raise NoiseBudgetError(
                 f"gate {gate.out!r} ({gate.op} {gate.left} {gate.right}) "
-                f"exceeds the noise budget at levels "
-                f"{values[gate.left].level}, {values[gate.right].level}"
-            )
-        left, right = values[gate.left], values[gate.right]
-        if gate.op == "add":
-            values[gate.out] = hom_add(ch, left, right)
-        else:
-            values[gate.out] = hom_mul(ch, keys.tensor, left, right)
+                f"exceeds the noise budget at levels {left.level}, {right.level}"
+            ) from exc
 
     report.levels = {name: ct.level for name, ct in values.items()}
     return {name: values[name] for name in circuit.outputs}, report

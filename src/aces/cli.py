@@ -25,7 +25,7 @@ from .cipher import decrypt, encrypt, evals, within_budget
 from .circuit import EvalKeys, RefreshPolicy, evaluate, parse_circuit
 from .errors import AcesError, CircuitError, NoiseBudgetError, ParameterError
 from .keygen import keygen
-from .refresh import make_refreshable, refresh_ct, secret_refresh_checker
+from .refresh import refresh_certified, secret_refresh_checker
 
 
 class _UsageError(Exception):
@@ -224,15 +224,12 @@ def _cmd_refresh(args) -> int:
     keys = _load_keys(args)
     ch = keys.channel
     ct = serial.ciphertext_from_dict(ch, serial.load(args.ct))
-    checker = RefreshPolicy(checker=_checker(args, ch)).resolve_checker(keys)
-    rng = args.seed
-    ct = make_refreshable(ct, checker, keys.public, ch, rng)
-    if ct is None:
+    fresh = refresh_certified(keys, ct, _checker(args, ch), args.seed)
+    if fresh is None:
         raise NoiseBudgetError(
             "could not publicly verify refreshability (the public test rarely certifies a "
             "ciphertext); the key owner can pass --secret to check it exactly"
             if args.secret is None else "no re-randomization within the budget was refreshable")
-    fresh = refresh_ct(keys, ct, rng)
     serial.dump(serial.ciphertext_to_dict(fresh), args.out)
     print(f"wrote {args.out} (level {fresh.level})")
     return 0

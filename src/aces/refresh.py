@@ -51,11 +51,14 @@ __all__ = [
     "EvalKeys",
     "refresh_ct",
     "make_refreshable",
+    "refresh_certified",
     "secret_refresh_checker",
 ]
 
 # Most directors the public search combines with one locator.
 SEARCH_BUDGET = 2
+# Locators and directors ``sample_locator_db`` certifies for publication.
+DB_LOCATORS, DB_DIRECTORS = 4, 6
 # Rejection draws allowed when sampling the locator database.
 LOCATOR_DRAWS = 4096
 # Encryptions of zero ``make_refreshable`` adds before it gives up.
@@ -195,20 +198,13 @@ def publicly_refreshable(db, ch: ArithmeticChannel, ct: Ciphertext) -> bool:
     return verdict.verified and has_refresh_headroom(ch, ct.level, verdict.margin)
 
 
-def sample_locator_db(
-    sk,
-    ch: ArithmeticChannel,
-    rng: RandomSource,
-    n_locators: int = 4,
-    n_directors: int = 6,
-) -> list[LocatorEntry]:
-    """Rejection-sample random vectors and certify them with the secret key.
-
-    Margins and indices are stored exactly; what to publish (and how much)
-    is the key owner's deployment decision.
-    """
+def sample_locator_db(sk, ch: ArithmeticChannel, rng: RandomSource) -> list[LocatorEntry]:
+    """Rejection-sample random vectors and certify them with the secret key:
+    ``DB_LOCATORS`` locators and ``DB_DIRECTORS`` directors, or fewer once
+    ``LOCATOR_DRAWS`` draws are spent.  Margins and indices are stored
+    exactly."""
     entries: list[LocatorEntry] = []
-    want_loc, want_dir = n_locators, n_directors
+    want_loc, want_dir = DB_LOCATORS, DB_DIRECTORS
     secret = evals(ch, sk.polys)
     draws = 0
     while (want_loc > 0 or want_dir > 0) and draws < LOCATOR_DRAWS:
@@ -312,3 +308,14 @@ def make_refreshable(ct: Ciphertext, checker, pk, ch: ArithmeticChannel, rng: Ra
         except NoiseBudgetError:
             return None
     return None
+
+
+def refresh_certified(keys: EvalKeys, ct: Ciphertext, checker, rng: RandomSource):
+    """``ct`` re-randomized until ``checker`` certifies it
+    (``make_refreshable``) and then refreshed (``refresh_ct``), or None when
+    no attempt checks out.  A ``checker`` of None is the public test on
+    ``keys.locators``."""
+    if checker is None:
+        checker = lambda c: publicly_refreshable(keys.locators, keys.channel, c)
+    ready = make_refreshable(ct, checker, keys.public, keys.channel, rng)
+    return None if ready is None else refresh_ct(keys, ready, rng)

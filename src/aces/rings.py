@@ -18,8 +18,8 @@ Three layers live in this module:
   half the size cost less than one of the full size (D. Harvey,
   "Faster polynomial multiplication via multipoint Kronecker
   substitution", J. Symbolic Comput. 44, 2009).  Reduction by ``u`` is a
-  long division, and a decode folds the part from degree ``d`` up by one
-  rule at either layout,
+  long division, and a decode folds the part from degree ``d`` up by the
+  same two rules at either layout,
 * repartitions: assignments of the prime factors of ``q`` to key slots.
 """
 
@@ -176,12 +176,11 @@ class Ring:
     * Reduction by ``u``: ``reduce`` divides by ``u`` top-down, one
       multiply-add per nonzero lower coefficient of ``u`` mod q.  A decode
       (``unpack``) cuts each output at degree ``d`` and folds the high part
-      by one rule at either layout: onto the low part as big integers for a
-      cyclic ``u``, slot by slot as ``lo[i] - u_0 * hi[i]`` for another
-      binomial ``X^d + u_0``, and through ``reduce`` for any other ``u``.
+      by one of two rules at either layout: onto the low part as big
+      integers for a cyclic ``u``, and through ``reduce`` for any other.
     """
 
-    __slots__ = ("q", "u", "d", "_tail", "_fold", "_radix")
+    __slots__ = ("q", "u", "d", "_tail", "_cyclic", "_radix")
 
     def __new__(cls, q: int, u):
         u = _int_coeffs(u)
@@ -203,7 +202,7 @@ class Ring:
         self.q, self.u, self.d = q, u, d
         # X^d mod (q, u): a term c * X^i for each nonzero lower coefficient of u.
         self._tail = tuple([(i, (-c) % q) for i, c in enumerate(u[:d]) if c % q])
-        self._fold = (-u[0]) % q if all(i == 0 for i, _ in self._tail) else None
+        self._cyclic = self._tail == ((0, 1),)  # X^d = 1
         self._radix = (pow(2, 64, q), pow(2, 128, q))  # word weights in ``_read``
 
     def __repr__(self) -> str:
@@ -279,11 +278,11 @@ class Ring:
         output is cut at degree ``d`` (the halves' cuts cross over for an odd
         ``d``).  A cyclic ``u`` adds high onto low as big integers before a
         slot is read, which cannot overflow a slot: ``width`` bounds a cyclic
-        coefficient, a sum of ``d`` products.  Another binomial reads both
-        and folds each slot; any other ``u`` reads both and calls ``reduce``.
+        coefficient, a sum of ``d`` products.  Any other ``u`` reads both and
+        calls ``reduce``.
         """
         points, width = layout
-        d, fold, q = self.d, self._fold, self.q
+        d = self.d
         if points == 1:
             cut = 8 * width * d
             lows, highs = [v & (1 << cut) - 1 for v in sums[0]], [v >> cut for v in sums[0]]
@@ -295,14 +294,11 @@ class Ring:
             cuts = [8 * width * half, 8 * width * (d - half)] * len(sums[0])
             lows = [h & (1 << cut) - 1 for h, cut in zip(halves, cuts)]
             highs = [halves[i ^ d % 2] >> cuts[i ^ d % 2] for i in range(len(halves))]
-        if fold == 1:
+        if self._cyclic:
             return tuple([_wrap(self, c)
                           for c in self._slots(map(operator.add, lows, highs), points, width)])
         pairs = zip(self._slots(lows, points, width), self._slots(highs, points, width))
-        if fold is None:
-            return tuple([_wrap(self, self.reduce(lo + hi)) for lo, hi in pairs])
-        return tuple([_wrap(self, tuple([(a + fold * b) % q for a, b in zip(lo, hi)]))
-                      for lo, hi in pairs])
+        return tuple([_wrap(self, self.reduce(lo + hi)) for lo, hi in pairs])
 
     def _slots(self, parts, points: int, width: int) -> list[tuple[int, ...]]:
         """Per output, the ``d`` slots of its packed part mod q: shifted out
@@ -321,15 +317,13 @@ class Ring:
 
     def _read(self, values, per: int, width: int) -> list[int]:
         """``per`` slots of ``width`` bytes of each of ``values``, mod q, in one list;
-        8-, 16- and 24-byte slots as 8-byte words, ``sum_t w_t * (2^(64t) mod q)``."""
+        16- and 24-byte slots as 8-byte words, ``sum_t w_t * (2^(64t) mod q)``."""
         q, data = self.q, b"".join([v.to_bytes(per * width, "little") for v in values])
-        if width % 8 or width > 24:
+        if width not in (16, 24):
             return [int.from_bytes(data[i:i + width], "little") % q
                     for i in range(0, len(data), width)]
         words = struct.unpack(f"<{len(data) // 8}Q", data)
         r1, r2 = self._radix
-        if width == 8:
-            return [w % q for w in words]
         if width == 16:
             return [(a + b * r1) % q for a, b in zip(words[0::2], words[1::2])]
         return [(a + b * r1 + c * r2) % q

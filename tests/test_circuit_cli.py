@@ -12,8 +12,8 @@ import pytest
 
 import aces
 from aces import serial
-from aces.channel import RandomSource
-from aces.cipher import Ciphertext, decrypt, encrypt
+from aces.channel import ArithmeticChannel, RandomSource
+from aces.cipher import Ciphertext, decrypt, encrypt, post_refresh_level
 from aces.circuit import (
     EvalKeys,
     RefreshPolicy,
@@ -23,6 +23,7 @@ from aces.circuit import (
 )
 from aces.cli import main
 from aces.errors import CircuitError, NoiseBudgetError, ParameterError
+from aces.keygen import keygen
 from aces.refresh import secret_refresh_checker
 
 # -- parsing ----------------------------------------------------------------
@@ -143,6 +144,25 @@ def test_mul_chain_succeeds_with_refresh(desk_bundle, rng):
         assert post == 60
     assert decrypt(desk_bundle.secret, ch, outputs["t3"]) == 1
     assert outputs["t3"].level <= ch.max_noise_level()
+
+
+def test_gate_past_the_budget_at_the_post_refresh_level_refreshes_nothing():
+    """At p=3, q=5005 the budget is 1667 and the post-refresh level 127, so
+    ``mul`` of a level-144 product with a fresh level-6 wire is over budget
+    even with the product refreshed ((127 + 6 + 762) * 3 = 2685): the gate
+    is refused at its operands' own levels before any refresh attempt."""
+    ch = ArithmeticChannel(p=3, q=5005, omega=1, u=(-1, 0, 0, 0, 1), n=3, big_n=2, k0=1)
+    bundle = keygen(ch.require_valid(), RandomSource(b"found-50"))
+    keys, rng = EvalKeys.from_bundle(bundle), RandomSource(b"found-50/run")
+    assert (post_refresh_level(ch, keys.refresher), ch.max_noise_level()) == (127, 1667)
+    exact, checked = secret_refresh_checker(bundle.secret, ch), []
+    policy = RefreshPolicy(checker=lambda ct: checked.append(ct.level) or exact(ct))
+    env = {m: encrypt(bundle.public, ch, 1, rng) for m in "ab"}
+    circuit = parse_circuit("in a b\nt = mul a b\ns = mul t a\nout s")
+    with pytest.raises(NoiseBudgetError,
+                       match=r"gate 's' \(mul t a\) exceeds the noise budget at levels 144, 6$"):
+        evaluate(circuit, env, keys, policy, rng)
+    assert checked == []
 
 
 def _random_circuit(rng, n_inputs, n_gates):

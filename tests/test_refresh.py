@@ -229,15 +229,17 @@ def test_search_depth_zero_match(desk_bundle):
     assert verdict.margin == Fraction(entry.margin_num, ch.q)
 
 
-def test_search_derived_combinations_match_secret_oracle(desk_channel):
+def test_search_derived_combinations_match_secret_oracle(desk_channel, monkeypatch):
     """Every verified +/- combination agrees with the secret-side index and
-    margin, across several keys."""
+    margin, across several keys (databases of 5 locators and 8 directors)."""
     ch = desk_channel
+    monkeypatch.setattr(refresh, "DB_LOCATORS", 5)
+    monkeypatch.setattr(refresh, "DB_DIRECTORS", 8)
     checked = 0
     for seed in range(6):
         rng = RandomSource(b"combo" + bytes([seed]))
         bundle = keygen(ch, rng)
-        db = sample_locator_db(bundle.secret, ch, rng, 5, 8)
+        db = sample_locator_db(bundle.secret, ch, rng)
         locs = [e for e in db if e.kind == "locator"]
         dirs = [e for e in db if e.kind == "director"]
         for loc in locs:
@@ -358,6 +360,28 @@ def test_make_refreshable_with_secret_checker(desk_bundle, rng):
         assert decrypt(desk_bundle.secret, ch, ready) == m
         fresh = refresh_ct(desk_bundle.eval_keys, ready, rng)
         assert decrypt(desk_bundle.secret, ch, fresh) == m
+
+
+def test_refresh_certified_defaults_to_the_public_test(desk_bundle, rng, monkeypatch):
+    """A ``checker`` of None is ``publicly_refreshable`` on the evaluation
+    keys' locators: with the key owner's exact check in its place a desk
+    ciphertext is refreshed, and with the real one a random ciphertext is
+    not certified within the attempt budget."""
+    ch, keys = desk_bundle.channel, desk_bundle.eval_keys
+    exact, dbs = secret_refresh_checker(desk_bundle.secret, ch), []
+    real = refresh.publicly_refreshable
+    monkeypatch.setattr(refresh, "publicly_refreshable",
+                        lambda db, channel, ct: dbs.append(db) or exact(ct))
+    for m in range(ch.p):
+        fresh = refresh.refresh_certified(keys, encrypt(desk_bundle.public, ch, m, rng), None, rng)
+        assert fresh.level == post_refresh_level(ch, keys.refresher)
+        assert decrypt(desk_bundle.secret, ch, fresh) == m
+    assert dbs and all(db is keys.locators for db in dbs)
+    monkeypatch.setattr(refresh, "publicly_refreshable", real)
+    ring = ch.ring
+    ct = Ciphertext(tuple(ring.poly(rng.draws(ch.q, ch.degree)) for _ in range(ch.n)),
+                    ring.poly(rng.draws(ch.q, ch.degree)), 4)
+    assert refresh.refresh_certified(keys, ct, None, rng) is None
 
 
 def test_publicly_refreshable_is_sound(desk_bundle, rng):
