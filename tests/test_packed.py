@@ -540,30 +540,53 @@ def test_codec_branches_match_the_oracles(layouts, name, kind):
     assert [list(part.coeffs) for part in got] == want
 
 
+def _decode_products(monkeypatch, q, u, d, p, big_n):
+    """A product, a row combination and both passes of ``hom_mul`` on
+    all-(q-1) operands equal the oracles; returns how often each called
+    ``Ring.reduce``."""
+    x = RingPoly(q, u, [q - 1] * d)
+    want = reduce_poly(conv_mul([q - 1] * d, [q - 1] * d), list(u), q)
+    calls, reduce = [], Ring.reduce
+
+    def spy(ring, coeffs):
+        calls[-1] += 1
+        return reduce(ring, coeffs)
+
+    monkeypatch.setattr(Ring, "reduce", spy)
+    calls.append(0)
+    assert list((x * x).coeffs) == want
+    calls.append(0)
+    (got,) = PackedRows([(x,)] * 3).combine((x,) * 3)
+    assert list(got.coeffs) == [3 * c % q for c in want]
+    n = 3
+    ch = ArithmeticChannel(p=p, q=q, omega=1, u=u, n=n, big_n=big_n, k0=1)
+    ct = _ciphertext(q, u, [[q - 1] * d] * n, [q - 1] * d)
+    calls.append(0)
+    got = hom_mul(ch, ProductTensor(q, (((1,) * n, ((q - 1,) * n,) * n),)), ct, ct)
+    weight = (2 - n * n * (q - 1)) % q
+    assert [list(part.coeffs) for part in got.c] == [[weight * c % q for c in want]] * n
+    assert list(got.cprime.coeffs) == want
+    return calls
+
+
 @pytest.mark.parametrize("kind", ["cyclic"])
 @pytest.mark.parametrize("d", [64, 65])
 def test_two_point_decode_of_a_binomial_never_reduces(monkeypatch, layouts, d, kind):
     """A cyclic u is folded on the packed halves: ``Ring.reduce`` is not
     called by a product, a row combination or either pass of ``hom_mul``
-    (16- and 24-byte slots).  Any other u decodes through ``reduce``."""
-    q, u = LARGE_Q, _codec_u(d, kind)
-    x = RingPoly(q, u, [q - 1] * d)
-    want = reduce_poly(conv_mul([q - 1] * d, [q - 1] * d), list(u), q)
+    (16- and 24-byte slots)."""
+    assert _decode_products(monkeypatch, LARGE_Q, _codec_u(d, kind), d, 3, 8) == [0, 0, 0]
+    assert set(layouts) == {(2, 8), (2, 12)}
 
-    def refuse(ring, coeffs):
-        raise AssertionError("reduce called")
 
-    monkeypatch.setattr(Ring, "reduce", refuse)
-    assert list((x * x).coeffs) == want
-    (got,) = PackedRows([(x,)] * 3).combine((x,) * 3)
-    assert list(got.coeffs) == [3 * c % q for c in want]
-    n = 3
-    ch = ArithmeticChannel(p=3, q=q, omega=1, u=u, n=n, big_n=8, k0=1)
-    ct = _ciphertext(q, u, [[q - 1] * d] * n, [q - 1] * d)
-    got = hom_mul(ch, ProductTensor(q, (((1,) * n, ((q - 1,) * n,) * n),)), ct, ct)
-    weight = (2 - n * n * (q - 1)) % q
-    assert [list(part.coeffs) for part in got.c] == [[weight * c % q for c in want]] * n
-    assert list(got.cprime.coeffs) == want
+@pytest.mark.parametrize("kind", ["negacyclic"])
+@pytest.mark.parametrize("d", [64, 65])
+def test_two_point_decode_of_a_non_cyclic_binomial_reduces(monkeypatch, layouts, d, kind):
+    """Any u but a cyclic one decodes through ``Ring.reduce`` on the packed
+    halves, once per output: a product, a row combination, and ``hom_mul``'s
+    one-layer B then its c_0..c_2 and c' (16- and 24-byte slots)."""
+    calls = _decode_products(monkeypatch, LARGE_Q, _codec_u(d, kind), d, 3, 8)
+    assert calls == [1, 1, 5]
     assert set(layouts) == {(2, 8), (2, 12)}
 
 
@@ -573,22 +596,17 @@ def test_one_point_decode_of_a_binomial_never_reduces(monkeypatch, layouts, d, u
     """At desk size a cyclic u is folded on the packed low and high parts
     at one point: ``Ring.reduce`` is not called by a product, a row
     combination or either pass of ``hom_mul``."""
-    q, u = DESK_Q, tuple([u_0] + [0] * (d - 1) + [1])
-    x = RingPoly(q, u, [q - 1] * d)
-    want = reduce_poly(conv_mul([q - 1] * d, [q - 1] * d), list(u), q)
+    u = tuple([u_0] + [0] * (d - 1) + [1])
+    assert _decode_products(monkeypatch, DESK_Q, u, d, 2, 2) == [0, 0, 0]
+    assert len(layouts) == 4 and {points for points, _ in layouts} == {1}
 
-    def refuse(ring, coeffs):
-        raise AssertionError("reduce called")
 
-    monkeypatch.setattr(Ring, "reduce", refuse)
-    assert list((x * x).coeffs) == want
-    (got,) = PackedRows([(x,)] * 3).combine((x,) * 3)
-    assert list(got.coeffs) == [3 * c % q for c in want]
-    n = 3
-    ch = ArithmeticChannel(p=2, q=q, omega=1, u=u, n=n, big_n=2, k0=1)
-    ct = _ciphertext(q, u, [[q - 1] * d] * n, [q - 1] * d)
-    got = hom_mul(ch, ProductTensor(q, (((1,) * n, ((q - 1,) * n,) * n),)), ct, ct)
-    weight = (2 - n * n * (q - 1)) % q
-    assert [list(part.coeffs) for part in got.c] == [[weight * c % q for c in want]] * n
-    assert list(got.cprime.coeffs) == want
+@pytest.mark.parametrize("u_0", [1, -3], ids=["negacyclic", "X^d-3"])
+@pytest.mark.parametrize("d", [4, 5])
+def test_one_point_decode_of_a_non_cyclic_binomial_reduces(monkeypatch, layouts, d, u_0):
+    """At desk size any u but a cyclic one decodes through ``Ring.reduce``
+    at one point, once per output: a product, a row combination, and
+    ``hom_mul``'s one-layer B then its c_0..c_2 and c'."""
+    u = tuple([u_0] + [0] * (d - 1) + [1])
+    assert _decode_products(monkeypatch, DESK_Q, u, d, 2, 2) == [1, 1, 5]
     assert len(layouts) == 4 and {points for points, _ in layouts} == {1}
