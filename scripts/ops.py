@@ -1,7 +1,7 @@
 """Per-operation timings of ``aces`` at the benchmark's three channels.
 
-    python3 scripts/ops.py --out BENCH_18.json
-    python3 scripts/ops.py --out BENCH_18.json --base OTHER/src --rounds 3
+    python3 scripts/ops.py --out BENCH_20.json
+    python3 scripts/ops.py --out BENCH_20.json --base OTHER/src --rounds 3
 
 At desk, mid and large (``bench/workloads.py``) it times ``Ring.unpack`` of
 11 outputs (the layout of ``hom_mul``'s last pass), ``PackedRows.combine``
@@ -10,13 +10,15 @@ ciphertexts and of one by itself, ``public_from_dict`` of the public file
 followed by one ``hom_mul`` with the loaded tensor (what each ``aces eval``
 process pays before its circuit), ``RingPoly.__mul__``, ``RingPoly.make``
 of ``2d - 1`` drawn coefficients (a reduction by ``u``), ``sample_mask``,
-``keygen``, and one whole in-process ``aces encrypt`` and ``aces decrypt``
-(``aces.cli.main`` on files in a temporary directory, standard output
-captured; the rows call nothing but ``main``, so any base checkout is timed
-the same way).  Calls run in batches of about ``--batch-ms``; each batch is
-one span scaled to the reference host by ``bench/hostspeed.py``, and a
-figure is the median over batches of the scaled time per call, in
-microseconds.
+``keygen``, ``refresh_certified`` with the public checker on a ciphertext
+it never certifies (every attempt of ``make_refreshable`` spent), and one
+whole in-process ``aces encrypt``, ``aces decrypt`` and ``aces refresh``
+without ``--secret`` on that miss, which exits 2 (``aces.cli.main`` on files
+in a temporary directory, standard output and error captured; the rows call
+nothing but ``main``, so any base checkout is timed the same way).  Calls
+run in batches of about ``--batch-ms``; each batch is one span scaled to the
+reference host by ``bench/hostspeed.py``, and a figure is the median over
+batches of the scaled time per call, in microseconds.
 
 With ``--base`` (the ``src`` directory of another checkout) every round
 times this checkout's ``src`` and the base, each in a fresh process, and
@@ -49,6 +51,7 @@ def _operations(channel, work: Path):
     from aces.cipher import decrypt, encrypt, sample_mask
     from aces.homo import hom_mul
     from aces.keygen import keygen
+    from aces.refresh import refresh_certified
     from aces.rings import RingPoly
 
     ch = channel.build()
@@ -65,10 +68,10 @@ def _operations(channel, work: Path):
     sums = [[s * t for s, t in zip(p[:OUTPUTS], p[OUTPUTS:])] for p in packed]
     public = json.loads(json.dumps(serial.public_to_dict(bundle)))
 
-    def aces(*argv):
-        with contextlib.redirect_stdout(io.StringIO()):
+    def aces(*argv, expect=0):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main([str(arg) for arg in argv])
-        if code:
+        if code != expect:
             raise RuntimeError(f"aces {argv[0]} exited {code}")
 
     keys, ct = work / f"keys-{channel.degree}", work / f"ct-{channel.degree}.json"
@@ -77,6 +80,8 @@ def _operations(channel, work: Path):
     encrypt_argv = ("encrypt", "--pub", keys / "public.json", *files, "--message", "1",
                     "--seed", "0a", "--out", ct)
     aces(*encrypt_argv)
+    refresh_argv = ("refresh", "--pub", keys / "public.json", *files, "--ct", ct,
+                    "--out", work / "fresh.json")
     return {
         f"Ring.unpack ({OUTPUTS} outputs)": lambda: ring.unpack(sums, layout),
         "PackedRows.combine": lambda: bundle.public.rows.combine(mask),
@@ -90,8 +95,10 @@ def _operations(channel, work: Path):
         "RingPoly.make (2d - 1 coefficients)": lambda: RingPoly.make(ch.q, ch.u, long),
         "sample_mask": lambda: sample_mask(ch, rng),
         "keygen": lambda: keygen(ch, RandomSource(seed)),
+        "refresh_certified (public miss)": lambda: refresh_certified(bundle.eval_keys, a, None, rng),
         "aces encrypt": lambda: aces(*encrypt_argv),
         "aces decrypt": lambda: aces("decrypt", "--secret", keys / "secret.json", *files, "--ct", ct),
+        "aces refresh (public miss, exit 2)": lambda: aces(*refresh_argv, expect=2),
     }
 
 

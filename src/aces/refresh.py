@@ -11,8 +11,10 @@ never through ring products.
 Two test routes exist.  With the secret key the defining identity is checked
 exactly, and a sufficient margin condition gives a cheaper certificate.
 Without the secret key, a published database of locator and director vectors
-(with their exact margins) supports a best-effort affine-decomposition test:
-it can verify refreshability but never refute it.
+(with their exact margins) certifies the targets that bounded +/- director
+combinations of a locator reach.  ``EvalKeys`` builds that table once
+(``public_certificates``), and a public check is one lookup: it can verify
+refreshability but never refute it.
 
 The refresh itself encrypts the mod-p digits of the shadow with the public
 key and contracts each against its refresher ciphertext, adding an
@@ -45,7 +47,7 @@ __all__ = [
     "locator_index",
     "refreshable_index",
     "margin_test",
-    "public_locator_search",
+    "public_certificates",
     "publicly_refreshable",
     "sample_locator_db",
     "EvalKeys",
@@ -61,7 +63,8 @@ SEARCH_BUDGET = 2
 DB_LOCATORS, DB_DIRECTORS = 4, 6
 # Rejection draws allowed when sampling the locator database.
 LOCATOR_DRAWS = 4096
-# Encryptions of zero ``make_refreshable`` adds before it gives up.
+# Checks ``make_refreshable`` makes before it gives up, with one encryption of
+# zero added between each two.
 REFRESH_ATTEMPTS = 32
 
 
@@ -134,68 +137,39 @@ def margin_test(sk, ch: ArithmeticChannel, ct: Ciphertext) -> bool:
 # -- public-side test -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PublicVerdict:
-    """Outcome of the affine-decomposition search.
-
-    ``verified`` verdicts are sound certificates; an unverified outcome means
-    only that the bounded search found nothing.
-    """
-
-    verified: bool
-    k: int | None = None
-    margin: Fraction | None = None
-
-
-UNKNOWN = PublicVerdict(False)
-
-
-def _certify(ch: ArithmeticChannel, loc: LocatorEntry, steps) -> PublicVerdict | None:
-    """The combination rule's verdict on a decomposition equal to the
-    (canonical) target, or None when the combined margin misses every window
-    [p*k', p*k'+1) or the index goes negative."""
-    num, index = loc.margin_num, loc.k
-    for entry, sign, _ in steps:
-        num += sign * entry.margin_num
-        index -= sign * entry.k
-    whole, rest = divmod(num, ch.q)
-    index -= whole // ch.p
-    if num < 0 or whole % ch.p != 0 or index < 0:
-        return None
-    return PublicVerdict(True, index, Fraction(rest, ch.q))
-
-
-def public_locator_search(db, ch: ArithmeticChannel, target: tuple[int, ...]) -> PublicVerdict:
-    """Search bounded +/- director combinations of published locators.
-
-    Tries ``target = locator +/- d1 +/- ... +/- dr`` for r up to
-    ``SEARCH_BUDGET`` and certifies only a match: the combination rule yields
-    the located index and the exact combined margin.  Both are fixed by the
-    target's lifted dot product with the secret, so every certified match
-    gives the same verdict, whatever the search order.  A target that is not
-    ``n`` canonical residues is never hit.  Exhausting the search is not a
-    negative claim.
-    """
-    target = tuple(target)
-    if len(target) != ch.n or not all(0 <= v < ch.q for v in target):
-        return UNKNOWN
-    signed = [(e, s, tuple(s * v for v in e.vec))
-              for e in db if e.kind == "director" for s in (1, -1)]
-    needs = [(tuple(t - v for t, v in zip(target, e.vec)), e) for e in db if e.kind == "locator"]
-    zero = (0,) * ch.n
+def public_certificates(db, ch: ArithmeticChannel) -> dict:
+    """Every target the bounded public search certifies, mapped to its
+    ``(k, margin)``: a canonical ``locator +/- d1 +/- ... +/- dr`` (r up to
+    ``SEARCH_BUDGET``) whose combined margin falls in a window [p*k', p*k'+1)
+    with k' >= 0 and whose index stays non-negative.  Both values are fixed
+    by the target's lifted dot product with the secret, so every certified
+    decomposition gives the same pair; the first in search order is kept."""
+    signed = [(e, s) for e in db if e.kind == "director" for s in (1, -1)]
+    locators = [e for e in db if e.kind == "locator"]
+    table = {}
     for r in range(SEARCH_BUDGET + 1):
         for steps in combinations_with_replacement(signed, r):
-            offset = tuple(map(sum, zip(zero, *[vec for _, _, vec in steps])))
-            for need, loc in needs:
-                if offset == need and (verdict := _certify(ch, loc, steps)) is not None:
-                    return verdict
-    return UNKNOWN
+            offset = [sum(s * e.vec[i] for e, s in steps) for i in range(ch.n)]
+            num = sum(s * e.margin_num for e, s in steps)
+            index = -sum(s * e.k for e, s in steps)
+            for loc in locators:
+                target = tuple(map(sum, zip(loc.vec, offset)))
+                if target in table or not all(0 <= v < ch.q for v in target):
+                    continue
+                whole, rest = divmod(loc.margin_num + num, ch.q)
+                k = loc.k + index - whole // ch.p
+                if whole >= 0 and whole % ch.p == 0 and k >= 0:
+                    table[target] = (k, Fraction(rest, ch.q))
+    return table
 
 
-def publicly_refreshable(db, ch: ArithmeticChannel, ct: Ciphertext) -> bool:
-    """Best-effort public refreshability certificate for a ciphertext."""
-    verdict = public_locator_search(db, ch, evals(ch, ct.c))
-    return verdict.verified and has_refresh_headroom(ch, ct.level, verdict.margin)
+def publicly_refreshable(keys: EvalKeys, ct: Ciphertext) -> bool:
+    """Best-effort public refreshability certificate for a ciphertext: its
+    vector evaluations are a target of ``keys.public_certificates`` and its
+    level leaves headroom below the certified margin.  A miss is never a
+    negative claim."""
+    found = keys.public_certificates.get(evals(keys.channel, ct.c))
+    return found is not None and has_refresh_headroom(keys.channel, ct.level, found[1])
 
 
 def sample_locator_db(sk, ch: ArithmeticChannel, rng: RandomSource) -> list[LocatorEntry]:
@@ -259,6 +233,12 @@ class EvalKeys:
             (*(_product(self.tensor, row, r) for r in rho for row in pk), *pk, *rho)
         )
 
+    @cached_property
+    def public_certificates(self) -> dict:
+        """``public_certificates`` of the locator database, built on the
+        first public check."""
+        return public_certificates(self.locators, self.channel)
+
 
 def refresh_ct(keys: EvalKeys, ct: Ciphertext, rng: RandomSource) -> Ciphertext:
     """Rebuild a refreshable ciphertext at the fixed post-refresh level.
@@ -296,26 +276,27 @@ def make_refreshable(ct: Ciphertext, checker, pk, ch: ArithmeticChannel, rng: Ra
 
     ``checker`` is any refreshability predicate (secret-side exact test or
     the public database test).  Returns the refreshable ciphertext, or None
-    once ``REFRESH_ATTEMPTS`` attempts are spent or further randomization
-    would overflow; each attempt adds one fresh level step.
+    once ``REFRESH_ATTEMPTS`` checks have failed or further randomization
+    would overflow; each encryption adds one fresh level step, and none
+    follows the last check.
     """
     current = ct
-    for _ in range(REFRESH_ATTEMPTS):
+    for _ in range(REFRESH_ATTEMPTS - 1):
         if checker(current):
             return current
         try:
             current = hom_add(ch, current, encrypt(pk, ch, 0, rng))
         except NoiseBudgetError:
             return None
-    return None
+    return current if checker(current) else None
 
 
 def refresh_certified(keys: EvalKeys, ct: Ciphertext, checker, rng: RandomSource):
     """``ct`` re-randomized until ``checker`` certifies it
     (``make_refreshable``) and then refreshed (``refresh_ct``), or None when
-    no attempt checks out.  A ``checker`` of None is the public test on
-    ``keys.locators``."""
+    no attempt checks out.  A ``checker`` of None is the public test,
+    ``publicly_refreshable`` on ``keys``."""
     if checker is None:
-        checker = lambda c: publicly_refreshable(keys.locators, keys.channel, c)
+        checker = lambda c: publicly_refreshable(keys, c)
     ready = make_refreshable(ct, checker, keys.public, keys.channel, rng)
     return None if ready is None else refresh_ct(keys, ready, rng)

@@ -21,7 +21,7 @@ from itertools import combinations_with_replacement, product
 from aces.cipher import encrypt, shadow
 from aces.homo import hom_add, scalar_product
 from aces.keygen import ProductTensor
-from aces.refresh import SEARCH_BUDGET, UNKNOWN, PublicVerdict
+from aces.refresh import SEARCH_BUDGET
 
 
 def conv_mul(a: list[int], b: list[int]) -> list[int]:
@@ -208,7 +208,8 @@ def refresh_reference(keys, ct, rng):
 def public_search_reference(db, ch, target):
     """The public locator search as first written: every candidate
     decomposition is combined and bounds-checked, its margin summed as exact
-    rationals, and only then compared with the target."""
+    rationals, and only then compared with the target.  Returns the first
+    match's ``(k, margin)``, or None."""
 
     def combine(loc, dirs, signs):
         vec = list(loc.vec)
@@ -236,15 +237,15 @@ def public_search_reference(db, ch, target):
     directors = [e for e in db if e.kind == "director"]
     for loc in locators:
         if loc.vec == target:
-            return PublicVerdict(True, loc.k, Fraction(loc.margin_num, ch.q))
+            return loc.k, Fraction(loc.margin_num, ch.q)
     for r in range(1, SEARCH_BUDGET + 1):
         for loc in locators:
             for dirs in combinations_with_replacement(directors, r):
                 for signs in product((1, -1), repeat=r):
                     combo = combine(loc, dirs, signs)
                     if combo is not None and combo[0] == target:
-                        return PublicVerdict(True, combo[1], combo[2])
-    return UNKNOWN
+                        return combo[1:]
+    return None
 
 
 def _decimal_words(text: str, q: int) -> list[str]:

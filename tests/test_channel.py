@@ -178,3 +178,9 @@ def test_samplers_require_invertible_omega():
     assert any("invertible" in v for v in ch.violations())
     with pytest.raises(ParameterError):
         sample_noise(ch, 1, RandomSource(b"x"))
+
+
+def test_eval_refuses_a_polynomial_of_another_ring(desk_channel):
+    other = Ring(desk_channel.q, (-1, 0, 1))
+    with pytest.raises(ParameterError, match="does not belong to this channel's ring"):
+        desk_channel.eval(other.poly([1, 2]))

@@ -191,3 +191,11 @@ def test_packed_public_rows_are_built_on_first_encryption(desk_channel):
     loaded = PublicKey(bundle.public.f0, bundle.public.fprime)
     assert "rows" not in vars(loaded)
     assert loaded == bundle.public  # the cache is not part of the key's value
+
+
+def test_decrypt_refuses_a_ciphertext_of_the_wrong_length(desk_bundle, rng):
+    ch = desk_bundle.channel
+    ct = encrypt(desk_bundle.public, ch, 1, rng)
+    for c in (ct.c[:2], ct.c + ct.c[:1]):
+        with pytest.raises(ParameterError, match=f"ciphertext has {len(c)} vector parts"):
+            decrypt(desk_bundle.secret, ch, Ciphertext(c, ct.cprime, ct.level))

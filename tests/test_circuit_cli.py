@@ -146,6 +146,12 @@ def test_mul_chain_succeeds_with_refresh(desk_bundle, rng):
     assert outputs["t3"].level <= ch.max_noise_level()
 
 
+def test_auto_refresh_without_a_random_source_is_refused(desk_bundle, rng):
+    env = {"a": encrypt(desk_bundle.public, desk_bundle.channel, 1, rng)}
+    with pytest.raises(CircuitError, match="auto refresh needs a random source"):
+        evaluate(parse_circuit(DEPTH3), env, desk_bundle.eval_keys, _secret_policy(desk_bundle))
+
+
 def test_gate_past_the_budget_at_the_post_refresh_level_refreshes_nothing():
     """At p=3, q=5005 the budget is 1667 and the post-refresh level 127, so
     ``mul`` of a level-144 product with a fresh level-6 wire is over budget
@@ -321,6 +327,34 @@ def _eval_with_inputs(cli_keys, tmp_path, inputs, output="t"):
         "--channel", str(cli_keys / "channel.json"), "--circuit", str(circ),
         *args, "--refresh", "off", "--out", str(tmp_path / "out"),
     ])
+
+
+def test_cli_eval_refuses_an_input_without_a_file(cli_keys, tmp_path, capsys):
+    (tmp_path / "circ.txt").write_text("in a\nt = mul a a\nout t\n")
+    assert main([
+        "eval", "--pub", str(cli_keys / "public.json"),
+        "--channel", str(cli_keys / "channel.json"), "--circuit", str(tmp_path / "circ.txt"),
+        "--input", "a", "--refresh", "off", "--out", str(tmp_path / "out"),
+    ]) == 1
+    assert "--input expects NAME=FILE, got 'a'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_eval_of_a_malformed_circuit_is_exit_1(cli_keys, tmp_path, capsys):
+    (tmp_path / "circ.txt").write_text("in a\nt = frob a a\nout t\n")
+    assert main([
+        "encrypt", "--pub", str(cli_keys / "public.json"),
+        "--channel", str(cli_keys / "channel.json"),
+        "--message", "1", "--seed", "0a", "--out", str(tmp_path / "a.json"),
+    ]) == 0
+    capsys.readouterr()
+    assert main([
+        "eval", "--pub", str(cli_keys / "public.json"),
+        "--channel", str(cli_keys / "channel.json"), "--circuit", str(tmp_path / "circ.txt"),
+        "--input", f"a={tmp_path / 'a.json'}", "--refresh", "off", "--out", str(tmp_path / "out"),
+    ]) == 1
+    assert "circuit error: line 2: malformed statement" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_eval_refuses_an_undeclared_input(cli_keys, tmp_path):

@@ -5,9 +5,9 @@ import pytest
 from aces.channel import sample_message_carrier
 from aces.cipher import decrypt, encrypt, encrypt_with_secret, in_encryption_space
 from aces.errors import NoiseBudgetError, ParameterError
-from aces.homo import hom_add, hom_mul, scalar_product, tensor_contract
+from aces.homo import _product, hom_add, hom_mul, scalar_product, tensor_contract
 from aces.keygen import ProductTensor
-from aces.rings import lift
+from aces.rings import Ring, lift
 
 from oracles import planes, poly_vector_dot, rank_one
 
@@ -319,3 +319,13 @@ def test_key_tensor_layers_contract_like_the_planes(desk_bundle, rng):
             for j in range(ch.n):
                 want = want + (v1[i] * v2[j]).scale(by_planes.layers[k][1][i][j])
         assert part == want
+
+
+@pytest.mark.parametrize("side", ["first", "second"])
+def test_product_refuses_an_operand_of_another_ring(desk_bundle, rng, side):
+    ch = desk_bundle.channel
+    ct = encrypt(desk_bundle.public, ch, 1, rng)
+    good = (*ct.c, ct.cprime)
+    bad = (*ct.c[:-1], Ring(ch.q, (-1, 0, 1)).poly([1]), ct.cprime)
+    with pytest.raises(ParameterError, match="different rings"):
+        _product(desk_bundle.tensor, *((bad, good) if side == "first" else (good, bad)))

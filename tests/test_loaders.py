@@ -268,6 +268,23 @@ def test_a_file_of_another_format_is_exit_2(desk_files, tmp_path, capsys, kind, 
     assert out == "" and "regenerate the keys" in err
 
 
+@pytest.mark.parametrize("kind", list(FILE_KINDS))
+@pytest.mark.parametrize("text, code, message", [
+    ("[1, 2]\n", 1, "expected a JSON object"),
+    ('{"format": 3,\n', 2, "not valid JSON"),
+], ids=["not-an-object", "not-json"])
+def test_a_file_that_is_not_a_json_object_is_refused(desk_files, tmp_path, capsys, kind, text,
+                                                     code, message):
+    """A top level other than an object is exit 1 (a malformed file); text
+    that does not parse as JSON is exit 2."""
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in FILE_KINDS[kind][2]]
+    (tmp_path / "bad.json").write_text(text)
+    capsys.readouterr()
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+
+
 @pytest.mark.parametrize("command", ["encrypt", "decrypt", "eval", "refresh", "inspect",
                                      "inspect-with-keys"])
 def test_a_format_1_key_directory_is_exit_2(desk_files, tmp_path, capsys, command):

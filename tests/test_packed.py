@@ -610,3 +610,11 @@ def test_one_point_decode_of_a_non_cyclic_binomial_reduces(monkeypatch, layouts,
     u = tuple([u_0] + [0] * (d - 1) + [1])
     assert _decode_products(monkeypatch, DESK_Q, u, d, 2, 2) == [1, 1, 5]
     assert len(layouts) == 4 and {points for points, _ in layouts} == {1}
+
+
+def test_combine_refuses_a_weight_of_another_ring(desk_bundle):
+    rows = desk_bundle.public.rows
+    weights = [desk_bundle.channel.ring.poly([1])] * rows.row_count
+    weights[-1] = Ring(desk_bundle.channel.q, (-1, 0, 1)).poly([1])
+    with pytest.raises(ParameterError, match="different rings"):
+        rows.combine(weights)

@@ -22,7 +22,7 @@ from aces.refresh import (
     make_refreshable,
     margin,
     margin_test,
-    public_locator_search,
+    public_certificates,
     publicly_refreshable,
     refresh_ct,
     refreshable_index,
@@ -217,21 +217,22 @@ def test_refreshable_digit_identity(desk_bundle, rng):
 
 def test_search_empty_db_is_unknown(desk_bundle):
     ch = desk_bundle.channel
-    assert not public_locator_search([], ch, (1,) * ch.n).verified
+    assert public_certificates([], ch) == {}
+    keys = EvalKeys(ch, desk_bundle.public, desk_bundle.tensor, desk_bundle.refresher)
+    ct = Ciphertext(tuple(ch.ring.poly([1]) for _ in range(ch.n)), ch.ring.poly([1]), 0)
+    assert not publicly_refreshable(keys, ct)
 
 
 def test_search_depth_zero_match(desk_bundle):
     ch = desk_bundle.channel
     entry = next(e for e in desk_bundle.locators if e.kind == "locator")
-    verdict = public_locator_search(desk_bundle.locators, ch, entry.vec)
-    assert verdict.verified
-    assert verdict.k == entry.k
-    assert verdict.margin == Fraction(entry.margin_num, ch.q)
+    table = public_certificates(desk_bundle.locators, ch)
+    assert table[entry.vec] == (entry.k, Fraction(entry.margin_num, ch.q))
 
 
 def test_search_derived_combinations_match_secret_oracle(desk_channel, monkeypatch):
-    """Every verified +/- combination agrees with the secret-side index and
-    margin, across several keys (databases of 5 locators and 8 directors)."""
+    """Every certified target agrees with the secret-side index and margin,
+    across several keys (databases of 5 locators and 8 directors)."""
     ch = desk_channel
     monkeypatch.setattr(refresh, "DB_LOCATORS", 5)
     monkeypatch.setattr(refresh, "DB_DIRECTORS", 8)
@@ -240,55 +241,66 @@ def test_search_derived_combinations_match_secret_oracle(desk_channel, monkeypat
         rng = RandomSource(b"combo" + bytes([seed]))
         bundle = keygen(ch, rng)
         db = sample_locator_db(bundle.secret, ch, rng)
-        locs = [e for e in db if e.kind == "locator"]
-        dirs = [e for e in db if e.kind == "director"]
-        for loc in locs:
-            for d in dirs:
-                for sign in (1, -1):
-                    vec = tuple(a + sign * b for a, b in zip(loc.vec, d.vec))
-                    if any(not 0 <= v < ch.q for v in vec):
-                        continue
-                    verdict = public_locator_search(db, ch, vec)
-                    if not verdict.verified:
-                        continue
-                    checked += 1
-                    assert locator_index(bundle.secret, ch, vec) == verdict.k
-                    assert margin(bundle.secret, ch, vec) == verdict.margin
+        for vec, (k, marg) in public_certificates(db, ch).items():
+            checked += 1
+            assert locator_index(bundle.secret, ch, vec) == k
+            assert margin(bundle.secret, ch, vec) == marg
     assert checked > 10
 
 
-@pytest.mark.parametrize("params", [
-    dict(p=2, q=15015, omega=1, u=(-1, 0, 0, 0, 1), n=3, big_n=2, k0=1),
-    dict(p=3, q=5 * 7 * 11 * 13, omega=1, u=(-1, 0, 0, 0, 1), n=3, big_n=2, k0=1),
-], ids=["desk", "p3"])
-def test_search_matches_reference_on_hits_and_misses(params):
-    """Comparing before certifying gives the verdicts of the search that
-    certified every candidate: on ``loc +/- d1 +/- d2`` built from the
-    database (in and out of range), on random vectors and on a vector of the
-    wrong length."""
+# Keys are seeded ``search-reference/<i>`` for i below the count.  At desk,
+# key 3 also has a decomposition that passes the window and index tests with
+# a negative combined margin, which the search refuses.
+@pytest.mark.parametrize("params, keys", [
+    (dict(p=2, q=15015, omega=1, u=(-1, 0, 0, 0, 1), n=3, big_n=2, k0=1), 4),
+    (dict(p=3, q=5 * 7 * 11 * 13, omega=1, u=(-1, 0, 0, 0, 1), n=3, big_n=2, k0=1), 4),
+    (dict(p=2, q=3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37, omega=1,
+          u=(-1,) + (0,) * 15 + (1,), n=6, big_n=4, k0=1), 1),
+], ids=["desk", "p3", "mid"])
+def test_search_matches_reference_on_hits_and_misses(params, keys):
+    """The table gives the verdicts of the search that certified every
+    candidate: on ``loc +/- d1 +/- d2`` built from the database (in and out
+    of range), on random vectors and on a vector of the wrong length."""
     ch = ArithmeticChannel(**params).require_valid()
-    db = keygen(ch, RandomSource(b"search-reference")).locators
-    locs = [e for e in db if e.kind == "locator"]
-    dirs = [e for e in db if e.kind == "director"]
-    targets = []
-    for loc in locs:
-        for r in range(3):
-            for combo in combinations_with_replacement(dirs, r):
-                for signs in product((1, -1), repeat=r):
-                    vec = tuple(v + sum(s * e.vec[i] for s, e in zip(signs, combo))
-                                for i, v in enumerate(loc.vec))
-                    if all(0 <= v < ch.q for v in vec):
-                        targets.append(vec)
-    rng = RandomSource(b"search-reference/miss")
-    targets += [tuple(rng.below(ch.q) for _ in range(ch.n)) for _ in range(20)]
-    vec = locs[0].vec
-    targets += [(vec[0] + ch.q,) + vec[1:], (vec[0] - ch.q,) + vec[1:], vec + (0,)]
-    hits = 0
-    for target in targets:
-        verdict = public_locator_search(db, ch, target)
-        assert verdict == public_search_reference(db, ch, target)
-        hits += verdict.verified
-    assert 0 < hits < len(targets)
+    for seed in range(keys):
+        db = keygen(ch, RandomSource(b"search-reference/%d" % seed)).locators
+        locs = [e for e in db if e.kind == "locator"]
+        dirs = [e for e in db if e.kind == "director"]
+        targets = []
+        for loc in locs:
+            for r in range(3):
+                for combo in combinations_with_replacement(dirs, r):
+                    for signs in product((1, -1), repeat=r):
+                        vec = tuple(v + sum(s * e.vec[i] for s, e in zip(signs, combo))
+                                    for i, v in enumerate(loc.vec))
+                        if all(0 <= v < ch.q for v in vec):
+                            targets.append(vec)
+        rng = RandomSource(b"search-reference/miss")
+        targets += [tuple(rng.below(ch.q) for _ in range(ch.n)) for _ in range(20)]
+        vec = locs[0].vec
+        targets += [(vec[0] + ch.q,) + vec[1:], (vec[0] - ch.q,) + vec[1:], vec + (0,)]
+        table = public_certificates(db, ch)
+        for target in targets:
+            assert table.get(target) == public_search_reference(db, ch, target)
+        hits = set(table).intersection(targets)
+        assert 0 < len(hits) < len(set(targets))
+        assert hits == set(table)
+
+
+def test_public_certificates_are_built_once(desk_bundle, monkeypatch):
+    """Two public checks with one ``EvalKeys`` build its table once."""
+    b, ch = desk_bundle, desk_bundle.channel
+    keys = EvalKeys(ch, b.public, b.tensor, b.refresher, b.locators)
+    builds = []
+    monkeypatch.setattr(refresh, "public_certificates",
+                        lambda *args: builds.append(args) or public_certificates(*args))
+    assert "public_certificates" not in vars(keys)
+    loc = next(e for e in b.locators if e.kind == "locator")
+    hit = Ciphertext(tuple(ch.ring.poly([v]) for v in loc.vec), ch.ring.poly([0]), 0)
+    miss = encrypt(b.public, ch, 1, RandomSource(b"built-once"))
+    assert publicly_refreshable(keys, hit)
+    assert not publicly_refreshable(keys, miss)
+    assert builds == [(b.locators, ch)]
 
 
 def test_sampled_db_entries_verify(desk_bundle):
@@ -364,19 +376,19 @@ def test_make_refreshable_with_secret_checker(desk_bundle, rng):
 
 def test_refresh_certified_defaults_to_the_public_test(desk_bundle, rng, monkeypatch):
     """A ``checker`` of None is ``publicly_refreshable`` on the evaluation
-    keys' locators: with the key owner's exact check in its place a desk
+    keys: with the key owner's exact check in its place a desk
     ciphertext is refreshed, and with the real one a random ciphertext is
     not certified within the attempt budget."""
     ch, keys = desk_bundle.channel, desk_bundle.eval_keys
-    exact, dbs = secret_refresh_checker(desk_bundle.secret, ch), []
+    exact, seen = secret_refresh_checker(desk_bundle.secret, ch), []
     real = refresh.publicly_refreshable
     monkeypatch.setattr(refresh, "publicly_refreshable",
-                        lambda db, channel, ct: dbs.append(db) or exact(ct))
+                        lambda checked, ct: seen.append(checked) or exact(ct))
     for m in range(ch.p):
         fresh = refresh.refresh_certified(keys, encrypt(desk_bundle.public, ch, m, rng), None, rng)
         assert fresh.level == post_refresh_level(ch, keys.refresher)
         assert decrypt(desk_bundle.secret, ch, fresh) == m
-    assert dbs and all(db is keys.locators for db in dbs)
+    assert seen and all(checked is keys for checked in seen)
     monkeypatch.setattr(refresh, "publicly_refreshable", real)
     ring = ch.ring
     ct = Ciphertext(tuple(ring.poly(rng.draws(ch.q, ch.degree)) for _ in range(ch.n)),
@@ -399,7 +411,7 @@ def test_publicly_refreshable_is_sound(desk_bundle, rng):
         graft = Ciphertext(
             tuple(ch.ring.poly([v]) for v in e.vec), ct.cprime, 0
         )
-        if publicly_refreshable(desk_bundle.locators, ch, graft):
+        if publicly_refreshable(desk_bundle.eval_keys, graft):
             verified += 1
             assert locator_index(desk_bundle.secret, ch, e.vec) is not None
     assert verified > 0
@@ -458,6 +470,31 @@ def test_make_refreshable_gives_up_after_the_attempt_budget(desk_bundle, rng):
                             desk_bundle.public, ch, rng) is None
     assert len(calls) == REFRESH_ATTEMPTS
     assert calls == [ct.level * (1 + i) for i in range(REFRESH_ATTEMPTS)]
+
+
+def test_make_refreshable_encrypts_only_between_checks(desk_bundle, rng, monkeypatch):
+    """An exhausted budget is 32 checks and the 31 encryptions of zero
+    between them: no encryption follows the last check."""
+    from aces.refresh import REFRESH_ATTEMPTS
+
+    ch, encryptions, checks = desk_bundle.channel, [], []
+    real = refresh.encrypt
+    monkeypatch.setattr(refresh, "encrypt", lambda *args: encryptions.append(args) or real(*args))
+    ct = encrypt(desk_bundle.public, ch, 1, rng)
+    assert make_refreshable(ct, lambda c: checks.append(c) and False,
+                            desk_bundle.public, ch, rng) is None
+    assert (len(checks), len(encryptions)) == (REFRESH_ATTEMPTS, REFRESH_ATTEMPTS - 1)
+
+
+def test_make_refreshable_stops_at_the_noise_budget(desk_bundle, rng):
+    """A failed check at a level that no encryption of zero can join within
+    the budget gives up at once."""
+    ch, checks = desk_bundle.channel, []
+    ct = encrypt(desk_bundle.public, ch, 1, rng)
+    top = Ciphertext(ct.c, ct.cprime, ch.max_noise_level() - ct.level + 1)
+    assert make_refreshable(top, lambda c: checks.append(c.level) and False,
+                            desk_bundle.public, ch, rng) is None
+    assert checks == [top.level]
 
 
 # -- wrong-length vectors ----------------------------------------------------

@@ -315,3 +315,14 @@ def test_eval_matches_nonneg_embedding_oracle(rng):
         else:
             with pytest.raises(ParameterError):
                 ch.eval(poly)
+
+
+@pytest.mark.parametrize("coeffs, message", [
+    ([1, 2, 3], "expected 4 coefficients, got 3"),
+    ([1, 2, 3, 4, 5], "expected 4 coefficients, got 5"),
+    ([1, 2, 3, 15015], "canonical residues mod 15015"),
+    ([1, -1, 0, 0], "canonical residues mod 15015"),
+])
+def test_ring_poly_refuses_a_wrong_length_or_non_canonical_coefficients(coeffs, message):
+    with pytest.raises(ParameterError, match=message):
+        RingPoly(15015, (-1, 0, 0, 0, 1), coeffs)
