@@ -1,7 +1,7 @@
 """Per-operation timings of ``aces`` at the benchmark's three channels.
 
-    python3 scripts/ops.py --out BENCH_20.json
-    python3 scripts/ops.py --out BENCH_20.json --base OTHER/src --rounds 3
+    python3 scripts/ops.py --out BENCH_21.json
+    python3 scripts/ops.py --out BENCH_21.json --base OTHER/src --rounds 3
 
 At desk, mid and large (``bench/workloads.py``) it times ``Ring.unpack`` of
 11 outputs (the layout of ``hom_mul``'s last pass), ``PackedRows.combine``
@@ -10,10 +10,12 @@ ciphertexts and of one by itself, ``public_from_dict`` of the public file
 followed by one ``hom_mul`` with the loaded tensor (what each ``aces eval``
 process pays before its circuit), ``RingPoly.__mul__``, ``RingPoly.make``
 of ``2d - 1`` drawn coefficients (a reduction by ``u``), ``sample_mask``,
-``keygen``, ``refresh_certified`` with the public checker on a ciphertext
-it never certifies (every attempt of ``make_refreshable`` spent), and one
-whole in-process ``aces encrypt``, ``aces decrypt`` and ``aces refresh``
-without ``--secret`` on that miss, which exits 2 (``aces.cli.main`` on files
+``keygen``, the one-time build of ``EvalKeys.refresh_rows`` (on a fresh
+``EvalKeys`` per call), ``refresh_certified`` with the public checker on a
+ciphertext it never certifies (every attempt of ``make_refreshable`` spent),
+and one whole in-process ``aces encrypt``, ``aces decrypt``, ``aces refresh``
+without ``--secret`` on that miss, which exits 2, and ``aces refresh
+--secret``, which builds the matrix and refreshes (``aces.cli.main`` on files
 in a temporary directory, standard output and error captured; the rows call
 nothing but ``main``, so any base checkout is timed the same way).  Calls
 run in batches of about ``--batch-ms``; each batch is one span scaled to the
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import platform
@@ -95,10 +98,12 @@ def _operations(channel, work: Path):
         "RingPoly.make (2d - 1 coefficients)": lambda: RingPoly.make(ch.q, ch.u, long),
         "sample_mask": lambda: sample_mask(ch, rng),
         "keygen": lambda: keygen(ch, RandomSource(seed)),
+        "EvalKeys.refresh_rows (build)": lambda: dataclasses.replace(bundle.eval_keys).refresh_rows,
         "refresh_certified (public miss)": lambda: refresh_certified(bundle.eval_keys, a, None, rng),
         "aces encrypt": lambda: aces(*encrypt_argv),
         "aces decrypt": lambda: aces("decrypt", "--secret", keys / "secret.json", *files, "--ct", ct),
         "aces refresh (public miss, exit 2)": lambda: aces(*refresh_argv, expect=2),
+        "aces refresh --secret": lambda: aces(*refresh_argv, "--secret", keys / "secret.json"),
     }
 
 

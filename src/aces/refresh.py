@@ -141,9 +141,16 @@ def public_certificates(db, ch: ArithmeticChannel) -> dict:
     """Every target the bounded public search certifies, mapped to its
     ``(k, margin)``: a canonical ``locator +/- d1 +/- ... +/- dr`` (r up to
     ``SEARCH_BUDGET``) whose combined margin falls in a window [p*k', p*k'+1)
-    with k' >= 0 and whose index stays non-negative.  Both values are fixed
-    by the target's lifted dot product with the secret, so every certified
-    decomposition gives the same pair; the first in search order is kept."""
+    with k' >= 0.  Both values are fixed by the target's lifted dot product
+    with the secret, so every certified decomposition gives the same pair;
+    the first in search order is kept.
+
+    The index needs no test of its own: ``k`` is the target's locator index
+    ``(sum(s) - whole) / p``, with ``s`` the canonical secret evaluations and
+    ``whole`` the target's lifted dot product over q, rounded down.  Every
+    target entry lies in [0, q), so that product is at most
+    ``(q - 1) * sum(s)`` and ``whole`` at most ``sum(s) - 1`` (0 when
+    ``sum(s)`` is 0): ``k >= 0``."""
     signed = [(e, s) for e in db if e.kind == "director" for s in (1, -1)]
     locators = [e for e in db if e.kind == "locator"]
     table = {}
@@ -158,7 +165,7 @@ def public_certificates(db, ch: ArithmeticChannel) -> dict:
                     continue
                 whole, rest = divmod(loc.margin_num + num, ch.q)
                 k = loc.k + index - whole // ch.p
-                if whole >= 0 and whole % ch.p == 0 and k >= 0:
+                if whole >= 0 and whole % ch.p == 0:
                     table[target] = (k, Fraction(rest, ch.q))
     return table
 

@@ -17,9 +17,11 @@ Three layers live in this module:
   ``+-2^(8w')`` with half-width slots, where two big-integer multiplies of
   half the size cost less than one of the full size (D. Harvey,
   "Faster polynomial multiplication via multipoint Kronecker
-  substitution", J. Symbolic Comput. 44, 2009).  Reduction by ``u`` is a
-  long division, and a decode folds the part from degree ``d`` up by the
-  same two rules at either layout,
+  substitution", J. Symbolic Comput. 44, 2009), each cut further, for
+  ``u = X^d - 1`` of even degree, into residues mod ``2^m + 1`` and
+  ``2^(m/2) +- 1`` (the radix-2 step of Schoenhage and Strassen, Computing
+  7, 1971).  Reduction by ``u`` is a long division, and a decode folds the
+  part from degree ``d`` up by the same two rules at every layout,
 * repartitions: assignments of the prime factors of ``q`` to key slots.
 """
 
@@ -37,13 +39,14 @@ from .errors import ParameterError
 # trial division: every benchmark modulus is a product of such primes.
 FACTOR_CAP, _TRIAL = 1 << 62, 1 << 10
 
-# One-point operand size (d slots, in bytes) from which a kernel evaluates
-# at two points, +-2^(8w) with half-width slots, instead of at one.  Time at
-# two points over time at one, CPython 3.11 on a 2-vCPU Xeon, best of 15
-# interleaved runs at d = 16, 32, 64 and q of 14 to 57 bits:
-# ``tensor_contract`` (n = 7) and ``PackedRows.combine`` (5 x 7) 0.88-1.18
-# below 512 B and 0.80-0.90 from it; ``RingPoly.__mul__`` 0.93-1.34 below
-# 512 B and 0.85-0.97 from it.
+# One-point operand size (d slots, in bytes) from which a kernel evaluates at
+# two points, +-2^(8w) with half-width slots, or at their six residues for
+# X^d - 1 of even degree, instead of at one.  Six points over one and over two,
+# CPython 3.11 on a 2-vCPU Xeon, median of 21 interleaved batches at d = 32/40
+# (57-bit q) and 40/48 (42-bit), either side of 512 B: ``PackedRows.combine``
+# (5 x 7) 0.60-0.82 and 0.81-0.92, ``RingPoly.__mul__`` 1.09-1.34 and
+# 1.00-1.06, ``tensor_contract`` (n = 7) 0.96-1.29 and 1.03-1.16; at d = 64
+# and 57 bits 0.52 and 0.67, 0.84 and 0.93, 0.80 and 0.98.
 TWO_POINT_BYTES = 512
 
 
@@ -166,13 +169,14 @@ class Ring:
       big-integer arithmetic on the packed integers, with no carry crossing
       a slot boundary.  ``width`` picks the layout per kernel call: this one
       point while the packed operand is below ``TWO_POINT_BYTES``, else the
-      two points ``x`` and ``-x`` with ``w`` about half as wide.  A kernel
-      runs its arithmetic once per point; since evaluation at any point is a
-      ring homomorphism of Z[X], the two results give the even- and the
-      odd-index coefficients of the result, each in slots of ``2w`` bytes
-      (``unpack``).  Each product then multiplies integers of half the
-      size: cheaper above the switch, and dearer below it, where packing
-      and decoding twice cost more than the smaller multiplies save.
+      two points ``x`` and ``-x`` with ``w`` about half as wide, or for a
+      cyclic ``u`` of even degree their six residues (``pack``).  A kernel
+      runs its arithmetic once per point; since each is a ring homomorphism
+      of Z[X], the results give the even- and the odd-index coefficients of
+      the result, each in slots of ``2w`` bytes (``unpack``).  Each product
+      then multiplies integers of half (or a quarter of) the size: cheaper
+      above the switch, and dearer below it, where packing and decoding
+      more than once cost more than the smaller multiplies save.
     * Reduction by ``u``: ``reduce`` divides by ``u`` top-down, one
       multiply-add per nonzero lower coefficient of ``u`` mod q.  A decode
       (``unpack``) cuts each output at degree ``d`` and folds the high part
@@ -180,7 +184,7 @@ class Ring:
       integers for a cyclic ``u``, and through ``reduce`` for any other.
     """
 
-    __slots__ = ("q", "u", "d", "_tail", "_cyclic", "_radix")
+    __slots__ = ("q", "u", "d", "_tail", "_cyclic", "_radix", "_points")
 
     def __new__(cls, q: int, u):
         u = _int_coeffs(u)
@@ -203,6 +207,7 @@ class Ring:
         # X^d mod (q, u): a term c * X^i for each nonzero lower coefficient of u.
         self._tail = tuple([(i, (-c) % q) for i, c in enumerate(u[:d]) if c % q])
         self._cyclic = self._tail == ((0, 1),)  # X^d = 1
+        self._points = 6 if self._cyclic and d % 2 == 0 else 2  # above the switch
         self._radix = (pow(2, 64, q), pow(2, 128, q))  # word weights in ``_read``
 
     def __repr__(self) -> str:
@@ -214,17 +219,23 @@ class Ring:
     def width(self, terms: int) -> tuple[int, int]:
         """The Kronecker layout ``(points, slot bytes)`` for a sum of ``terms``
         products of canonical polynomials, each coefficient of one at most
-        ``d(q-1)^2``.
+        ``d(q-1)^2``: a bound ``B`` of ``bits`` bits.
 
         One point while the packed operand, ``d`` slots of the bytes that
-        hold that bound, is below ``TWO_POINT_BYTES``; above it two points,
-        with half slots of ``ceil(bits/16)`` bytes (see ``unpack``).
+        hold ``B``, is below ``TWO_POINT_BYTES``; above it half slots of
+        ``w = ceil(bits/16)`` bytes at two points, or at six for a cyclic
+        ``u`` of even degree.  Either way ``unpack`` reads coefficients at
+        most ``B`` (for a cyclic ``u``, each a sum of ``d`` products) in
+        slots of base ``z = 2^(16w) > B``.  The six-point decode reads them
+        from residues mod ``z^(d/2) - 1``, which is exact: each half holds
+        ``d/2`` of them, none ``z - 1`` (``B`` is even, as ``d`` is), so
+        its value lies below that modulus.  No slot needs more room.
         """
         bits = (terms * self.d * (self.q - 1) ** 2).bit_length()
         width = (bits + 7) // 8
         if self.d * width < TWO_POINT_BYTES:
             return 1, width
-        return 2, (bits + 15) // 16
+        return self._points, (bits + 15) // 16
 
     def zero(self) -> "RingPoly":
         return _wrap(self, (0,) * self.d)
@@ -251,7 +262,10 @@ class Ring:
         The first point is ``x = 2^(8w)`` for ``w``-byte slots: the canonical
         coefficients, byte-aligned (8-byte words padded to the slot, if they
         fit).  The second is ``-x``: the value there is the first one minus
-        twice its odd-index coefficients, which a byte mask picks out.
+        twice its odd-index coefficients, which a byte mask picks out.  At
+        six, each value ``V = lo + hi 2^m`` (``2m`` bits) gives ``lo - hi``
+        (mod ``2^m + 1``), and ``W = lo + hi`` cut the same way at ``m/2``
+        gives ``W_lo - W_hi`` and ``W_lo + W_hi`` (mod ``2^(m/2) +- 1``).
         """
         points, width = layout
         size = self.d * width
@@ -264,7 +278,22 @@ class Ring:
         if points == 1:
             return [plus]
         odd = int.from_bytes((bytes(width) + b"\xff" * width) * (self.d // 2), "little")
-        return [plus, [v - ((v & odd) << 1) for v in plus]]
+        signs = [plus, [v - ((v & odd) << 1) for v in plus]]
+        if points == 2:
+            return signs
+        m, maps = 4 * size, []
+        low, quarter = (1 << m) - 1, (1 << m // 2) - 1
+        for values in signs:
+            split = [], [], []  # mod 2^m + 1, 2^(m/2) + 1 and 2^(m/2) - 1
+            for v in values:
+                lo, hi = v & low, v >> m
+                w = lo + hi
+                w_lo, w_hi = w & quarter, w >> m // 2
+                split[0].append(lo - hi)
+                split[1].append(w_lo - w_hi)
+                split[2].append(w_lo + w_hi)
+            maps += split
+        return maps
 
     def unpack(self, sums, layout: tuple[int, int]) -> tuple["RingPoly", ...]:
         """The elements whose unreduced coefficients ``sums`` holds, per point
@@ -280,9 +309,22 @@ class Ring:
         slot is read, which cannot overflow a slot: ``width`` bounds a cyclic
         coefficient, a sum of ``d`` products.  Any other ``u`` reads both and
         calls ``reduce``.
+
+        At six, two CRT steps (``_crt``) give ``S(+-x)`` mod ``2^(2m) - 1 =
+        x^d - 1``, the output folded by ``X^d = 1``; half the sum of the signs
+        and their difference over ``2x`` (``_rotate``) are its two halves.
         """
         points, width = layout
         d = self.d
+        if points == 6:
+            m, shift, parts = 4 * width * d, 8 * width + 1, []
+            quarter, half, full = [(1 << k) - 1 for k in (m // 2, m, 2 * m)]
+            for p1, p2, p3, n1, n2, n3 in zip(*sums):
+                plus = _crt(_crt(p3, p2, m // 2, quarter), p1, m, half)
+                minus = _crt(_crt(n3, n2, m // 2, quarter), n1, m, half)
+                parts += [_rotate(plus + minus, 1, 2 * m, full),
+                          _rotate(plus - minus, shift, 2 * m, full)]
+            return tuple([_wrap(self, c) for c in self._slots(parts, 2, 2 * width)])
         if points == 1:
             cut = 8 * width * d
             lows, highs = [v & (1 << cut) - 1 for v in sums[0]], [v >> cut for v in sums[0]]
@@ -328,6 +370,24 @@ class Ring:
             return [(a + b * r1) % q for a, b in zip(words[0::2], words[1::2])]
         return [(a + b * r1 + c * r2) % q
                 for a, b, c in zip(words[0::3], words[1::3], words[2::3])]
+
+
+def _crt(a: int, b: int, k: int, mask: int) -> int:
+    """An integer congruent to ``a`` mod ``2^k - 1`` (``mask``) and to ``b``
+    mod ``2^k + 1``, from any representatives: ``b + (2^k + 1) t`` with ``t =
+    (a - b) / 2`` mod ``2^k - 1``, in which ``2^k + 1`` is 2; ``t`` folded once."""
+    t = a - b
+    t = (t & mask) + (t >> k)
+    t = (t + mask if t & 1 else t) >> 1
+    return b + t + (t << k)
+
+
+def _rotate(v: int, r: int, k: int, mask: int) -> int:
+    """``v / 2^r`` mod ``2^k - 1`` (``mask``), canonical: a fold, then a rotation."""
+    while hi := v >> k:
+        v = (v & mask) + hi
+    v = v >> r | (v & (1 << r) - 1) << k - r
+    return 0 if v == mask else v
 
 
 _new = object.__new__

@@ -8,11 +8,16 @@ All-(q-1) operands and tensors reach that largest value, so a slot one
 byte too narrow shows up here as a wrong coefficient.
 
 ``Ring.width`` evaluates at one point, or at two (``+-2^(8w)``, half-width
-slots) once the packed operand reaches ``TWO_POINT_BYTES``.  Odd degrees
+slots) once the packed operand reaches ``TWO_POINT_BYTES``; for ``u = X^d -
+1`` of even degree each of the two values is cut into its residues mod
+``2^m + 1``, ``2^(m/2) + 1`` and ``2^(m/2) - 1``, six points.  Odd degrees
 give the even/odd split of the two-point decode an odd coefficient count,
-two rings sit either side of the switch, and the large-channel worst cases
-run on two points; the layouts each kernel picks are asserted, so moving
-the switch cannot silently drop the two-point path from these tests.
+two rings sit either side of the switch, degrees 40 to 72 put the six
+points at ``d/2`` odd and even, and the large-channel worst cases run on
+six points; all-(q-1) operands put every slot at its bound, and operands at
+q-1 on one half or on alternate quarters and 0 elsewhere drive the
+``+ 1`` residues negative.  The layouts each kernel picks are asserted, so
+moving the switch cannot silently drop a layout from these tests.
 
 The contraction reads the tensor's layers, ``ProductTensor.layers``: one
 layer ``alpha (x) beta`` for every key's tensor; drawn cubes are given as
@@ -45,7 +50,7 @@ DESK_Q = 15015
 MID_Q = math.prod((3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
 LARGE_Q = math.prod((5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47))  # 57 bits
 MODULI = (DESK_Q, MID_Q, LARGE_Q)
-DEGREES = (4, 5, 16, 33, 64, 65)
+DEGREES = (4, 5, 16, 33, 40, 64, 65, 66, 68, 72)
 # The 57-bit q at degrees 34 and 35: a product's packed operand is 34 and 35
 # slots of 15 bytes, 510 and 525 bytes, either side of TWO_POINT_BYTES.
 SWITCH = ((LARGE_Q, 34), (LARGE_Q, 35))
@@ -95,6 +100,19 @@ def test_the_switch_rings_straddle_two_point_bytes():
     (q, below), (_, above) = SWITCH
     assert Ring(q, _cyclic(below)).width(1) == (1, 15)
     assert Ring(q, _cyclic(above)).width(1) == (2, 8)
+
+
+def test_the_layouts_at_the_57_bit_modulus():
+    """One point below TWO_POINT_BYTES (d = 32: 480 bytes); above it six
+    points for a cyclic u of even degree, and two for an odd degree or any
+    other u."""
+    q = LARGE_Q
+    assert Ring(q, _cyclic(32)).width(1) == (1, 15)
+    for d in (40, 64, 66, 68, 72):
+        assert Ring(q, _cyclic(d)).width(1) == (6, 8)
+    assert Ring(q, _cyclic(65)).width(1) == (2, 8)
+    assert Ring(q, _codec_u(40, "negacyclic")).width(1) == (2, 8)
+    assert Ring(q, _codec_u(68, "general")).width(1) == (2, 8)
 
 
 @pytest.fixture()
@@ -191,7 +209,7 @@ def test_tensor_contract_worst_case_at_the_large_channel(layouts):
     """n = 10, d = 64, 57-bit q, every operand coefficient and every pair
     weight at q - 1.  Each product is the same polynomial P, so the
     contraction is sum_ij lam[i][j][k] * P, computed here with the oracle.
-    Both of its packed passes (the layer sums, then the weights) run on two
+    Both of its packed passes (the layer sums, then the weights) run on six
     points."""
     q, n, d = LARGE_Q, 10, 64
     u = tuple([-1] + [0] * (d - 1) + [1])
@@ -201,7 +219,7 @@ def test_tensor_contract_worst_case_at_the_large_channel(layouts):
     product = reduce_poly(conv_mul(top, top), list(u), q)
     vec = tuple(RingPoly(q, u, top) for _ in range(n))
     got = tensor_contract(planes(lam, q), vec, vec)
-    assert [points for points, _ in layouts] == [2, 2]
+    assert [points for points, _ in layouts] == [6, 6]
     for k, part in enumerate(got):
         weight = sum(lam[i][j][k] for i in range(n) for j in range(n))
         assert list(part.coeffs) == [(weight * c) % q for c in product]
@@ -305,7 +323,7 @@ def test_hom_mul_worst_case_at_the_large_channel(layouts):
     ct = _ciphertext(q, u, [top] * n, top)
     ch = ArithmeticChannel(p=3, q=q, omega=1, u=u, n=n, big_n=8, k0=1)
     got = hom_mul(ch, planes(lam, q), ct, ct)
-    assert [points for points, _ in layouts] == [2, 2]
+    assert [points for points, _ in layouts] == [6, 6]
     for k, part in enumerate(got.c):
         weight = 2 - sum(lam[i][j][k] for i in range(n) for j in range(n))
         assert list(part.coeffs) == [(weight * c) % q for c in product]
@@ -321,7 +339,7 @@ def test_mul_worst_case_at_the_large_channel(layouts, square):
     top = [q - 1] * d
     x = RingPoly(q, u, top)
     got = x * (x if square else RingPoly(q, u, top))
-    assert layouts == [(2, 8)]
+    assert layouts == [(6, 8)]
     assert list(got.coeffs) == reduce_poly(conv_mul(top, top), list(u), q)
 
 
@@ -336,9 +354,35 @@ def test_packed_rows_worst_case_at_the_large_channel(layouts, big_n):
     x = RingPoly(q, u, top)
     matrix = PackedRows([(x, x)] * big_n)
     got = matrix.combine((x,) * big_n)
-    assert [points for points, _ in layouts] == [2] and matrix.layout[0] == 2
+    assert [points for points, _ in layouts] == [6] and matrix.layout[0] == 6
     product = reduce_poly(conv_mul(top, top), list(u), q)
     assert [list(part.coeffs) for part in got] == [[(big_n * c) % q for c in product]] * 2
+
+
+def _halves(q, d):
+    """Operands at q-1 on one half, or on alternate quarters, and 0 elsewhere:
+    their reductions mod ``X^(d/2) + 1`` and (for ``4 | d``) ``X^(d/4) + 1``
+    reach ``-(q-1)``, a signed extreme that all-(q-1) operands never give."""
+    half, quarter = d // 2, d // 4
+    return [[q - 1] * half + [0] * (d - half), [0] * half + [q - 1] * (d - half),
+            [q - 1 if i // quarter % 2 else 0 for i in range(d)]]
+
+
+@pytest.mark.parametrize("d", [40, 64, 66])
+def test_signed_worst_cases_on_six_points(layouts, d):
+    """Every product and square of the half and quarter operands, and their
+    row combinations, equal the oracles at the 57-bit q."""
+    q, u = LARGE_Q, _cyclic(d)
+    ops = _halves(q, d)
+    for a in ops:
+        for b in ops:
+            got = RingPoly(q, u, a) * RingPoly(q, u, b)
+            assert list(got.coeffs) == reduce_poly(conv_mul(a, b), list(u), q)
+    matrix = PackedRows([tuple(RingPoly(q, u, a) for a in ops)] * 3)
+    got = matrix.combine(tuple(RingPoly(q, u, a) for a in ops))
+    assert [list(part.coeffs) for part in got] == [
+        _oracle_sum([(w, a) for w in ops], u, q) for a in ops]
+    assert {points for points, _ in layouts} == {6}
 
 
 # The bench channels' parameters: desk, mid and large.
@@ -405,20 +449,36 @@ def test_every_desk_kernel_runs_on_one_point(layouts):
     assert layouts and {points for points, _ in layouts} == {1}
 
 
+def test_every_mid_kernel_runs_on_one_point(layouts):
+    """The same at the mid channel: its packed operands stay below
+    TWO_POINT_BYTES too."""
+    ch = _channel("mid")
+    bundle = keygen(ch, RandomSource(b"mid/one point"))
+    rng = RandomSource(b"mid/one point/run")
+    a = encrypt(bundle.public, ch, 1, rng)
+    b = hom_mul(ch, bundle.tensor, a, a)
+    checker = secret_refresh_checker(bundle.secret, ch)
+    ready = make_refreshable(b, checker, bundle.public, ch, rng)
+    fresh = refresh_ct(bundle.eval_keys, ready, rng)
+    assert decrypt(bundle.secret, ch, fresh) == 1
+    assert (a.c[0] * a.c[1]).ring is ch.ring
+    assert layouts and {points for points, _ in layouts} == {1}
+
+
 def test_the_large_channel_contraction_and_rows_run_on_two_points(layouts):
     """At the large channel ``encrypt`` (``PublicKey.rows``), both passes of
     ``hom_mul`` (the layer sum in 12-byte half slots, then the pass that
     folds it in with 8-byte ones) and the refresh matrix all pick the
-    two-point layout."""
+    six residues of the two points."""
     ch = _channel("large")
     bundle = keygen(ch, RandomSource(b"large/two points"))
     del layouts[:]
     rng = RandomSource(b"large/two points/run")
     a = encrypt(bundle.public, ch, 1, rng)
-    assert [points for points, _ in layouts] == [2]
+    assert [points for points, _ in layouts] == [6]
     b = hom_mul(ch, bundle.tensor, a, a)
-    assert layouts[1:] == [(2, 12), (2, 8)]
-    assert bundle.eval_keys.refresh_rows.layout[0] == 2
+    assert layouts[1:] == [(6, 12), (6, 8)]
+    assert bundle.eval_keys.refresh_rows.layout[0] == 6
     assert decrypt(bundle.secret, ch, b) == 1
 
 
@@ -482,15 +542,17 @@ def test_rank_one_worst_case_at_the_large_channel(layouts, square):
     ch = ArithmeticChannel(p=3, q=q, omega=1, u=u, n=n, big_n=8, k0=1)
     ct = _ciphertext(q, u, [top] * n, top)
     got = hom_mul(ch, tensor, ct, ct if square else _ciphertext(q, u, [top] * n, top))
-    assert layouts == [(2, 12), (2, 8)]
+    assert layouts == [(6, 12), (6, 8)]
     weight = (2 - n * n * (q - 1)) % q
     assert [list(part.coeffs) for part in got.c] == [[weight * c % q for c in product]] * n
     assert list(got.cprime.coeffs) == product
 
 
-# The two-point decode's branches: slots a whole number of 8-byte words or
-# not, an odd degree (the folded slots change halves), and moduli past 2^64,
-# which ``Ring.pack`` writes with ``int.to_bytes`` instead of ``struct`` words.
+# The two- and six-point decodes' branches: slots a whole number of 8-byte
+# words or not, an odd degree (the folded slots change halves), and moduli
+# past 2^64, which ``Ring.pack`` writes with ``int.to_bytes`` instead of
+# ``struct`` words.  Each layout is the one of a non-cyclic u: for a cyclic u
+# of even degree the two points become six (``_codec_layout``).
 BIG_Q = 2**65 + 13
 CODEC_RINGS = {
     "large-d64": (LARGE_Q, 64, (2, 8)),   # 16-byte slots: two words
@@ -511,9 +573,15 @@ def _codec_u(d, kind):
     return tuple([3, 1] + [0] * (d - 2) + [1])  # X^d + X + 3: not a binomial
 
 
+def _codec_layout(name, kind):
+    _, d, (points, width) = CODEC_RINGS[name]
+    return 6 if points == 2 and kind == "cyclic" and d % 2 == 0 else points, width
+
+
 def test_the_codec_rings_pick_their_layouts():
-    for q, d, layout in CODEC_RINGS.values():
-        assert Ring(q, _cyclic(d)).width(1) == layout
+    for name, (q, d, _) in CODEC_RINGS.items():
+        for kind in ("cyclic", "negacyclic", "general"):
+            assert Ring(q, _codec_u(d, kind)).width(1) == _codec_layout(name, kind)
 
 
 @pytest.mark.parametrize("kind", ["cyclic", "negacyclic", "general"])
@@ -522,7 +590,7 @@ def test_codec_branches_match_the_oracles(layouts, name, kind):
     """A product, a square and a combination of packed rows, with all-(q-1)
     operands (every slot at its bound) and drawn ones, equal the schoolbook
     ``conv_mul``/``reduce_poly`` oracles."""
-    q, d, layout = CODEC_RINGS[name]
+    q, d, _ = CODEC_RINGS[name]
     u = _codec_u(d, kind)
     rnd = random.Random(f"codec/{name}/{kind}")
     top = [q - 1] * d
@@ -531,13 +599,34 @@ def test_codec_branches_match_the_oracles(layouts, name, kind):
         x, y = RingPoly(q, u, a), RingPoly(q, u, b)
         assert list((x * y).coeffs) == reduce_poly(conv_mul(a, b), list(u), q)
         assert list((x * x).coeffs) == reduce_poly(conv_mul(a, a), list(u), q)
-    assert set(layouts) == {layout}
+    assert set(layouts) == {_codec_layout(name, kind)}
     rows = [[top, drawn[2]], [drawn[3], top], [top, top]]
     weights = [top, drawn[0], drawn[1]]
     matrix = PackedRows(tuple(RingPoly(q, u, c) for c in row) for row in rows)
     got = matrix.combine(tuple(RingPoly(q, u, w) for w in weights))
     want = [_oracle_sum([(weights[i], rows[i][j]) for i in range(3)], u, q) for j in range(2)]
     assert [list(part.coeffs) for part in got] == want
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_six_point_decode_takes_any_representatives(data):
+    """``unpack`` reads each residue through any representative: a product's
+    six values shifted by multiples of their moduli, negative ones included,
+    decode to the same element, and the moduli themselves (each a
+    representative of zero) to zero."""
+    d = data.draw(st.sampled_from((40, 64, 66)))
+    q, u = LARGE_Q, _cyclic(d)
+    ring = Ring(q, u)
+    layout = ring.width(1)
+    m = 4 * layout[1] * d
+    moduli = [(1 << m) + 1, (1 << m // 2) + 1, (1 << m // 2) - 1] * 2
+    a, b = coefficient_vectors(data.draw, q, d, 2)
+    packed = ring.pack((RingPoly(q, u, a), RingPoly(q, u, b)), layout)
+    shifts = data.draw(st.lists(st.integers(-3, 3), min_size=6, max_size=6))
+    sums = [[x * y + k * modulus] for (x, y), k, modulus in zip(packed, shifts, moduli)]
+    assert list(ring.unpack(sums, layout)[0].coeffs) == reduce_poly(conv_mul(a, b), list(u), q)
+    assert ring.unpack([[modulus] for modulus in moduli], layout) == (ring.zero(),)
 
 
 def _decode_products(monkeypatch, q, u, d, p, big_n):
@@ -572,11 +661,13 @@ def _decode_products(monkeypatch, q, u, d, p, big_n):
 @pytest.mark.parametrize("kind", ["cyclic"])
 @pytest.mark.parametrize("d", [64, 65])
 def test_two_point_decode_of_a_binomial_never_reduces(monkeypatch, layouts, d, kind):
-    """A cyclic u is folded on the packed halves: ``Ring.reduce`` is not
+    """A cyclic u is folded on the packed halves, or by the six points'
+    residues mod ``x^d - 1`` at an even degree: ``Ring.reduce`` is not
     called by a product, a row combination or either pass of ``hom_mul``
     (16- and 24-byte slots)."""
     assert _decode_products(monkeypatch, LARGE_Q, _codec_u(d, kind), d, 3, 8) == [0, 0, 0]
-    assert set(layouts) == {(2, 8), (2, 12)}
+    points = 6 if d % 2 == 0 else 2
+    assert set(layouts) == {(points, 8), (points, 12)}
 
 
 @pytest.mark.parametrize("kind", ["negacyclic"])

@@ -598,13 +598,13 @@ def test_refresh_matches_the_encrypt_and_fold_reference(n, big_n, degree, data):
 @settings(max_examples=3, deadline=None)
 def test_refresh_matches_the_reference_at_the_large_channel(data):
     """The same at the large channel (d = 64, 57-bit q, n = 10, N = 8),
-    where the refresh matrix, ``encrypt`` and ``hom_mul`` evaluate at two
+    where the refresh matrix, ``encrypt`` and ``hom_mul`` evaluate at six
     points."""
     q = 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43 * 47
     ch = ArithmeticChannel(p=3, q=q, omega=1, u=(-1,) + (0,) * 63 + (1,),
                            n=10, big_n=8, k0=1).require_valid()
     keys = _check_against_reference(ch, data)
-    assert keys.refresh_rows.layout[0] == 2
+    assert keys.refresh_rows.layout[0] == 6
 
 
 def _check_against_reference(ch, data):
