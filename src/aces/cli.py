@@ -240,7 +240,7 @@ def _cmd_inspect(args) -> int:
         raise _UsageError("--channel and --pub must be given together")
     data = serial.load(args.ct)
     if args.channel is None:
-        serial._format(data, "ciphertext")
+        serial._format(data, "ciphertext", serial._CIPHERTEXT)
         if type(data["c"]) is not list:
             raise TypeError("ciphertext vector: expected a list")
         print(f"level: {serial._ints(data['level'], 'ciphertext level')}")

@@ -12,16 +12,17 @@ Three layers live in this module:
 * the quotient ring ``Z_q[X]/(u)`` for a monic ``u`` (one shared ``Ring``
   object per ``(q, u)``) and its elements; products are computed exactly
   by Kronecker substitution on packed integers, and a fixed matrix is kept
-  packed (``PackedRows``) for the combinations of its rows.  Small operands
-  are packed at one point, ``2^(8w)``; large ones at the two points
-  ``+-2^(8w')`` with half-width slots, where two big-integer multiplies of
-  half the size cost less than one of the full size (D. Harvey,
-  "Faster polynomial multiplication via multipoint Kronecker
-  substitution", J. Symbolic Comput. 44, 2009), each cut further, for
-  ``u = X^d - 1`` of even degree, into residues mod ``2^m + 1`` and
-  ``2^(m/2) +- 1`` (the radix-2 step of Schoenhage and Strassen, Computing
-  7, 1971).  Reduction by ``u`` is a long division, and a decode folds the
-  part from degree ``d`` up by the same two rules at every layout,
+  packed (``PackedRows``) for the combinations of its rows.  Operands are
+  packed at one point, ``2^(8w)``, except large ones for ``u = X^d - 1`` of
+  even degree: those are evaluated at the two points ``+-2^(8w')`` with
+  half-width slots (D. Harvey, "Faster polynomial multiplication via
+  multipoint Kronecker substitution", J. Symbolic Comput. 44, 2009), each
+  cut into its residues mod ``2^m + 1`` and ``2^(m/2) +- 1`` (the radix-2
+  step of Schoenhage and Strassen, Computing 7, 1971): six points, three
+  per sign, whose moduli multiply to ``x^d - 1``.  Reduction by ``u`` is a
+  long division.  The one-point decode folds the part from degree ``d`` up
+  onto the low part for a cyclic ``u`` and through that division for any
+  other; the six-point decode rebuilds the output already folded,
 * repartitions: assignments of the prime factors of ``q`` to key slots.
 """
 
@@ -39,15 +40,14 @@ from .errors import ParameterError
 # trial division: every benchmark modulus is a product of such primes.
 FACTOR_CAP, _TRIAL = 1 << 62, 1 << 10
 
-# One-point operand size (d slots, in bytes) from which a kernel evaluates at
-# two points, +-2^(8w) with half-width slots, or at their six residues for
-# X^d - 1 of even degree, instead of at one.  Six points over one and over two,
-# CPython 3.11 on a 2-vCPU Xeon, median of 21 interleaved batches at d = 32/40
-# (57-bit q) and 40/48 (42-bit), either side of 512 B: ``PackedRows.combine``
-# (5 x 7) 0.60-0.82 and 0.81-0.92, ``RingPoly.__mul__`` 1.09-1.34 and
-# 1.00-1.06, ``tensor_contract`` (n = 7) 0.96-1.29 and 1.03-1.16; at d = 64
-# and 57 bits 0.52 and 0.67, 0.84 and 0.93, 0.80 and 0.98.
-TWO_POINT_BYTES = 512
+# One-point operand size (d slots, in bytes) from which a kernel of a cyclic
+# u of even degree evaluates at six points instead of one.  Six points over
+# one, CPython 3.11 on a 2-vCPU Xeon, median of 21 interleaved batches at
+# d = 32/40 (57-bit q) and 40/48 (42-bit), either side of 512 B:
+# ``PackedRows.combine`` (5 x 7) 0.60-0.82, ``RingPoly.__mul__`` 1.09-1.34,
+# ``tensor_contract`` (n = 7) 0.96-1.29; at d = 64 and 57 bits 0.52, 0.84
+# and 0.80.
+SIX_POINT_BYTES = 512
 
 
 def lift(m: int, value: int) -> int:
@@ -168,26 +168,26 @@ class Ring:
       a polynomial product, or a whole weighted sum of products, is exact
       big-integer arithmetic on the packed integers, with no carry crossing
       a slot boundary.  ``width`` picks the layout per kernel call: this one
-      point while the packed operand is below ``TWO_POINT_BYTES``, else the
-      two points ``x`` and ``-x`` with ``w`` about half as wide, or for a
-      cyclic ``u`` of even degree their six residues (``pack``).  A kernel
-      runs its arithmetic once per point; since each is a ring homomorphism
-      of Z[X], the results give the even- and the odd-index coefficients of
-      the result, each in slots of ``2w`` bytes (``unpack``).  Each product
-      then multiplies integers of half (or a quarter of) the size: cheaper
-      above the switch, and dearer below it, where packing and decoding
-      more than once cost more than the smaller multiplies save.
+      point, except for a cyclic ``u`` of even degree once the packed
+      operand reaches ``SIX_POINT_BYTES``: then the six residues of the two
+      points ``x`` and ``-x``, with ``w`` about half as wide (``pack``).  A
+      kernel runs its arithmetic once per point, each a ring homomorphism
+      of Z[X], and every product multiplies integers of a half and a
+      quarter of the size: cheaper above the switch, and dearer below it,
+      where packing and decoding six times cost more than the smaller
+      multiplies save.
     * Reduction by ``u``: ``reduce`` divides by ``u`` top-down, one
-      multiply-add per nonzero lower coefficient of ``u`` mod q.  A decode
-      (``unpack``) cuts each output at degree ``d`` and folds the high part
-      by one of two rules at either layout: onto the low part as big
-      integers for a cyclic ``u``, and through ``reduce`` for any other.
+      multiply-add per nonzero lower coefficient of ``u`` mod q.  The
+      one-point decode (``unpack``) cuts each output at degree ``d`` and
+      folds the high part onto the low part as big integers for a cyclic
+      ``u``, and through ``reduce`` for any other; the six points give the
+      output already folded by ``X^d = 1``.
     """
 
-    __slots__ = ("q", "u", "d", "_tail", "_cyclic", "_radix", "_points")
+    __slots__ = ("q", "u", "d", "_tail", "_cyclic", "_radix")
 
     def __new__(cls, q: int, u):
-        u = _int_coeffs(u)
+        (q,), u = _int_coeffs((q,), "coefficient modulus"), _int_coeffs(u)
         ring = _RINGS.get((q, u))
         if ring is None:
             ring = super().__new__(cls)
@@ -207,7 +207,6 @@ class Ring:
         # X^d mod (q, u): a term c * X^i for each nonzero lower coefficient of u.
         self._tail = tuple([(i, (-c) % q) for i, c in enumerate(u[:d]) if c % q])
         self._cyclic = self._tail == ((0, 1),)  # X^d = 1
-        self._points = 6 if self._cyclic and d % 2 == 0 else 2  # above the switch
         self._radix = (pow(2, 64, q), pow(2, 128, q))  # word weights in ``_read``
 
     def __repr__(self) -> str:
@@ -221,21 +220,22 @@ class Ring:
         products of canonical polynomials, each coefficient of one at most
         ``d(q-1)^2``: a bound ``B`` of ``bits`` bits.
 
-        One point while the packed operand, ``d`` slots of the bytes that
-        hold ``B``, is below ``TWO_POINT_BYTES``; above it half slots of
-        ``w = ceil(bits/16)`` bytes at two points, or at six for a cyclic
-        ``u`` of even degree.  Either way ``unpack`` reads coefficients at
-        most ``B`` (for a cyclic ``u``, each a sum of ``d`` products) in
-        slots of base ``z = 2^(16w) > B``.  The six-point decode reads them
-        from residues mod ``z^(d/2) - 1``, which is exact: each half holds
-        ``d/2`` of them, none ``z - 1`` (``B`` is even, as ``d`` is), so
-        its value lies below that modulus.  No slot needs more room.
+        One point, with slots of ``w = ceil(bits/8)`` bytes, unless ``u`` is
+        cyclic of even degree and the packed operand, ``d`` such slots,
+        reaches ``SIX_POINT_BYTES``: then six points, with half slots of
+        ``w = ceil(bits/16)`` bytes.  Either way ``unpack`` reads
+        coefficients at most ``B`` (for a cyclic ``u``, each a sum of ``d``
+        products): at one point in slots of ``w`` bytes, at six from
+        residues mod ``z^(d/2) - 1`` in slots of base ``z = 2^(16w) > B``,
+        which is exact: each half holds ``d/2`` of them, none ``z - 1``
+        (``B`` is even, as ``d`` is), so its value lies below that modulus.
+        No slot needs more room.
         """
         bits = (terms * self.d * (self.q - 1) ** 2).bit_length()
         width = (bits + 7) // 8
-        if self.d * width < TWO_POINT_BYTES:
-            return 1, width
-        return self._points, (bits + 15) // 16
+        if self.d * width >= SIX_POINT_BYTES and self._cyclic and self.d % 2 == 0:
+            return 6, (bits + 15) // 16
+        return 1, width
 
     def zero(self) -> "RingPoly":
         return _wrap(self, (0,) * self.d)
@@ -259,13 +259,14 @@ class Ring:
     def pack(self, polys, layout: tuple[int, int]) -> list[list[int]]:
         """Per point of ``layout``, the packed value of each element of ``polys``.
 
-        The first point is ``x = 2^(8w)`` for ``w``-byte slots: the canonical
+        At one point, ``x = 2^(8w)`` for ``w``-byte slots: the canonical
         coefficients, byte-aligned (8-byte words padded to the slot, if they
-        fit).  The second is ``-x``: the value there is the first one minus
-        twice its odd-index coefficients, which a byte mask picks out.  At
-        six, each value ``V = lo + hi 2^m`` (``2m`` bits) gives ``lo - hi``
-        (mod ``2^m + 1``), and ``W = lo + hi`` cut the same way at ``m/2``
-        gives ``W_lo - W_hi`` and ``W_lo + W_hi`` (mod ``2^(m/2) +- 1``).
+        fit).  At six, that value and the one at ``-x``, the first minus
+        twice its odd-index coefficients (which a byte mask picks out), are
+        each cut into three residues: ``V = lo + hi 2^m`` (``2m`` bits) gives
+        ``lo - hi`` (mod ``2^m + 1``), and ``W = lo + hi`` cut the same way
+        at ``m/2`` gives ``W_lo - W_hi`` and ``W_lo + W_hi`` (mod
+        ``2^(m/2) +- 1``).
         """
         points, width = layout
         size = self.d * width
@@ -279,8 +280,6 @@ class Ring:
             return [plus]
         odd = int.from_bytes((bytes(width) + b"\xff" * width) * (self.d // 2), "little")
         signs = [plus, [v - ((v & odd) << 1) for v in plus]]
-        if points == 2:
-            return signs
         m, maps = 4 * size, []
         low, quarter = (1 << m) - 1, (1 << m // 2) - 1
         for values in signs:
@@ -301,18 +300,15 @@ class Ring:
         packed values, or a sum of them, with every coefficient of the result
         non-negative and within its slot.  Each output is reduced once.
 
-        At two points ``S(x)`` and ``S(-x)`` give ``(S(x) + S(-x)) / 2``, the
-        even-index coefficients, and ``(S(x) - S(-x)) / 2x``, the odd-index
-        ones, each in slots of ``2w`` bytes, as ``x^2 = 2^(16w)``.  Each
-        output is cut at degree ``d`` (the halves' cuts cross over for an odd
-        ``d``).  A cyclic ``u`` adds high onto low as big integers before a
-        slot is read, which cannot overflow a slot: ``width`` bounds a cyclic
-        coefficient, a sum of ``d`` products.  Any other ``u`` reads both and
-        calls ``reduce``.
+        At one point each output is cut at degree ``d``.  A cyclic ``u`` adds
+        high onto low as big integers before a slot is read, which cannot
+        overflow a slot: ``width`` bounds a cyclic coefficient, a sum of
+        ``d`` products.  Any other ``u`` reads both and calls ``reduce``.
 
         At six, two CRT steps (``_crt``) give ``S(+-x)`` mod ``2^(2m) - 1 =
         x^d - 1``, the output folded by ``X^d = 1``; half the sum of the signs
-        and their difference over ``2x`` (``_rotate``) are its two halves.
+        and their difference over ``2x`` (``_rotate``) hold its even- and its
+        odd-index coefficients, in slots of ``2w`` bytes as ``x^2 = 2^(16w)``.
         """
         points, width = layout
         d = self.d
@@ -324,43 +320,30 @@ class Ring:
                 minus = _crt(_crt(n3, n2, m // 2, quarter), n1, m, half)
                 parts += [_rotate(plus + minus, 1, 2 * m, full),
                           _rotate(plus - minus, shift, 2 * m, full)]
-            return tuple([_wrap(self, c) for c in self._slots(parts, 2, 2 * width)])
-        if points == 1:
-            cut = 8 * width * d
-            lows, highs = [v & (1 << cut) - 1 for v in sums[0]], [v >> cut for v in sums[0]]
-        else:
-            shift, width = 8 * width + 1, 2 * width
-            halves = [h for plus, minus in zip(*sums)
-                      for h in ((plus + minus) >> 1, (plus - minus) >> shift)]
-            half = (d + 1) // 2  # how many even indices lie below d
-            cuts = [8 * width * half, 8 * width * (d - half)] * len(sums[0])
-            lows = [h & (1 << cut) - 1 for h, cut in zip(halves, cuts)]
-            highs = [halves[i ^ d % 2] >> cuts[i ^ d % 2] for i in range(len(halves))]
+            slots, coeffs, out = self._read(parts, 2 * width), [0] * d, []
+            for i in range(0, len(slots), d):  # the even-index half, then the odd
+                coeffs[0::2], coeffs[1::2] = slots[i:i + d // 2], slots[i + d // 2:i + d]
+                out.append(_wrap(self, tuple(coeffs)))
+            return tuple(out)
+        cut = 8 * width * d
+        lows, highs = [v & (1 << cut) - 1 for v in sums[0]], [v >> cut for v in sums[0]]
         if self._cyclic:
             return tuple([_wrap(self, c)
-                          for c in self._slots(map(operator.add, lows, highs), points, width)])
-        pairs = zip(self._slots(lows, points, width), self._slots(highs, points, width))
+                          for c in self._slots(map(operator.add, lows, highs), width)])
+        pairs = zip(self._slots(lows, width), self._slots(highs, width))
         return tuple([_wrap(self, self.reduce(lo + hi)) for lo, hi in pairs])
 
-    def _slots(self, parts, points: int, width: int) -> list[tuple[int, ...]]:
-        """Per output, the ``d`` slots of its packed part mod q: shifted out
-        at one point, read from the two halves and interleaved at two."""
-        d, q = self.d, self.q
-        if points == 1:
-            step, mask = 8 * width, (1 << 8 * width) - 1
-            shifts = range(0, d * step, step)
-            return [tuple([(v >> s & mask) % q for s in shifts]) for v in parts]
-        half = (d + 1) // 2
-        slots, coeffs, out = self._read(parts, half, width), [0] * d, []
-        for i in range(0, len(slots), 2 * half):
-            coeffs[0::2], coeffs[1::2] = slots[i:i + half], slots[i + half:i + d]
-            out.append(tuple(coeffs))
-        return out
+    def _slots(self, parts, width: int) -> list[tuple[int, ...]]:
+        """Per one-point output, the ``d`` slots of its packed part mod q."""
+        q, step, mask = self.q, 8 * width, (1 << 8 * width) - 1
+        shifts = range(0, self.d * step, step)
+        return [tuple([(v >> s & mask) % q for s in shifts]) for v in parts]
 
-    def _read(self, values, per: int, width: int) -> list[int]:
-        """``per`` slots of ``width`` bytes of each of ``values``, mod q, in one list;
+    def _read(self, values, width: int) -> list[int]:
+        """``d/2`` slots of ``width`` bytes of each of ``values``, mod q, in one list;
         16- and 24-byte slots as 8-byte words, ``sum_t w_t * (2^(64t) mod q)``."""
-        q, data = self.q, b"".join([v.to_bytes(per * width, "little") for v in values])
+        size = self.d // 2 * width
+        q, data = self.q, b"".join([v.to_bytes(size, "little") for v in values])
         if width not in (16, 24):
             return [int.from_bytes(data[i:i + width], "little") % q
                     for i in range(0, len(data), width)]

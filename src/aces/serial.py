@@ -62,9 +62,17 @@ def _word(q: int) -> tuple[str, int]:
     raise ParameterError(f"q = {q} is above 2**64: no file word holds its residues")
 
 
-def _format(data, what: str) -> None:
+# The top-level fields of each kind of file.
+_CHANNEL = frozenset({"format", "p", "q", "omega", "u", "n", "N", "k0"})
+_CIPHERTEXT = frozenset({"format", "c", "cprime", "level"})
+_PUBLIC = frozenset({"format", "f0", "fprime", "sigma", "lambda", "refresher", "locators"})
+_SECRET = frozenset({"format", "secret"})
+
+
+def _format(data, what: str, fields: frozenset) -> None:
     """Refuse a file that is not format 3 (an older file, or not a file of
-    this package)."""
+    this package), and one whose top-level fields are not ``fields``: a
+    missing field is malformed input (KeyError), an unknown one is refused."""
     if type(data) is not dict:
         raise TypeError(f"{what}: expected a JSON object")
     found = data.get("format")
@@ -72,6 +80,10 @@ def _format(data, what: str) -> None:
         raise ParameterError(
             f"{what}: file format {found!r}, expected {FORMAT}; "
             "regenerate the keys (and re-encrypt) with this version of aces")
+    if missing := fields - data.keys():
+        raise KeyError(f"{what}: missing field {', '.join(sorted(map(repr, missing)))}")
+    if unknown := data.keys() - fields:
+        raise ParameterError(f"{what}: unknown field {', '.join(sorted(map(repr, unknown)))}")
 
 
 def _leaves(data, what: str, shape) -> list:
@@ -198,7 +210,7 @@ def channel_to_dict(ch: ArithmeticChannel) -> dict:
 
 
 def channel_from_dict(data: dict) -> ArithmeticChannel:
-    _format(data, "channel")
+    _format(data, "channel", _CHANNEL)
     p, q, n, big_n, k0 = _ints([data[k] for k in ("p", "q", "n", "N", "k0")], "channel", (5,))
     return ArithmeticChannel(
         p=p, q=q, n=n, big_n=big_n, k0=k0,
@@ -227,7 +239,7 @@ def ciphertext_to_dict(ct: Ciphertext) -> dict:
 
 
 def ciphertext_from_dict(ch: ArithmeticChannel, data: dict) -> Ciphertext:
-    _format(data, "ciphertext")
+    _format(data, "ciphertext", _CIPHERTEXT)
     return _ciphertexts(ch, [data], "ciphertext")[0]
 
 
@@ -261,7 +273,7 @@ def public_to_dict(keys) -> dict:
 
 def public_from_dict(ch: ArithmeticChannel, data: dict) -> EvalKeys:
     """The public file as the evaluation keys it publishes."""
-    _format(data, "public key")
+    _format(data, "public key", _PUBLIC)
     n, sigma, fresh = ch.n, data["sigma"], data["refresher"]
     f0 = _words(ch.q, data["f0"], "f0", (ch.big_n, n), ch.degree)
     public = PublicKey(tuple(tuple(_wrap(ch.ring, c) for c in row) for row in f0),
@@ -300,7 +312,7 @@ def secret_to_dict(sk: SecretKey) -> dict:
 
 
 def secret_from_dict(ch: ArithmeticChannel, data: dict) -> SecretKey:
-    _format(data, "secret key")
+    _format(data, "secret key", _SECRET)
     return SecretKey(_polys(ch, data["secret"], "secret", ch.n))
 
 

@@ -269,6 +269,25 @@ def test_a_file_of_another_format_is_exit_2(desk_files, tmp_path, capsys, kind, 
 
 
 @pytest.mark.parametrize("kind", list(FILE_KINDS))
+def test_a_file_with_an_unknown_top_level_field_is_exit_2(desk_files, tmp_path, capsys, kind):
+    """A field the format does not define is refused, not ignored: before,
+    ``decrypt`` printed the message and ``encrypt`` wrote a file."""
+    ch, _, _ = desk_files
+    rel, read, argv = FILE_KINDS[kind]
+    data = serial.load(tmp_path / rel)
+    data["extra"] = 1
+    with pytest.raises(ParameterError, match="unknown field 'extra'"):
+        read(ch, data)
+    serial.dump(data, tmp_path / "bad.json")
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    capsys.readouterr()
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unknown field 'extra'" in err
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("kind", list(FILE_KINDS))
 @pytest.mark.parametrize("text, code, message", [
     ("[1, 2]\n", 1, "expected a JSON object"),
     ('{"format": 3,\n', 2, "not valid JSON"),

@@ -7,17 +7,17 @@ slot width is derived from the largest possible result coefficient.
 All-(q-1) operands and tensors reach that largest value, so a slot one
 byte too narrow shows up here as a wrong coefficient.
 
-``Ring.width`` evaluates at one point, or at two (``+-2^(8w)``, half-width
-slots) once the packed operand reaches ``TWO_POINT_BYTES``; for ``u = X^d -
-1`` of even degree each of the two values is cut into its residues mod
-``2^m + 1``, ``2^(m/2) + 1`` and ``2^(m/2) - 1``, six points.  Odd degrees
-give the even/odd split of the two-point decode an odd coefficient count,
-two rings sit either side of the switch, degrees 40 to 72 put the six
-points at ``d/2`` odd and even, and the large-channel worst cases run on
-six points; all-(q-1) operands put every slot at its bound, and operands at
-q-1 on one half or on alternate quarters and 0 elsewhere drive the
-``+ 1`` residues negative.  The layouts each kernel picks are asserted, so
-moving the switch cannot silently drop a layout from these tests.
+``Ring.width`` evaluates at one point, or, for ``u = X^d - 1`` of even
+degree once the packed operand reaches ``SIX_POINT_BYTES``, at six: the
+values at ``+-2^(8w)`` (half-width slots), each cut into its residues mod
+``2^m + 1``, ``2^(m/2) + 1`` and ``2^(m/2) - 1``.  Every other ring, odd
+degrees and large non-cyclic ones included, runs on one point.  Two cyclic
+rings sit either side of the switch, degrees 40 to 72 put the six points at
+``d/2`` odd and even, and the large-channel worst cases run on six points;
+all-(q-1) operands put every slot at its bound, and operands at q-1 on one
+half or on alternate quarters and 0 elsewhere drive the ``+ 1`` residues
+negative.  The layouts each kernel picks are asserted, so moving the switch
+cannot silently drop a layout from these tests.
 
 The contraction reads the tensor's layers, ``ProductTensor.layers``: one
 layer ``alpha (x) beta`` for every key's tensor; drawn cubes are given as
@@ -42,7 +42,7 @@ from aces.errors import ParameterError
 from aces.homo import hom_mul, tensor_contract
 from aces.keygen import ProductTensor, keygen
 from aces.refresh import make_refreshable, refresh_ct, secret_refresh_checker
-from aces.rings import TWO_POINT_BYTES, PackedRows, Ring, RingPoly
+from aces.rings import SIX_POINT_BYTES, PackedRows, Ring, RingPoly
 
 from oracles import conv_mul, naive_contract, planes, rank_one, reduce_poly, ring_op
 
@@ -51,9 +51,9 @@ MID_Q = math.prod((3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
 LARGE_Q = math.prod((5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47))  # 57 bits
 MODULI = (DESK_Q, MID_Q, LARGE_Q)
 DEGREES = (4, 5, 16, 33, 40, 64, 65, 66, 68, 72)
-# The 57-bit q at degrees 34 and 35: a product's packed operand is 34 and 35
-# slots of 15 bytes, 510 and 525 bytes, either side of TWO_POINT_BYTES.
-SWITCH = ((LARGE_Q, 34), (LARGE_Q, 35))
+# The 57-bit q at degrees 34 and 36: a product's packed operand is 34 and 36
+# slots of 15 bytes, 510 and 540 bytes, either side of SIX_POINT_BYTES.
+SWITCH = ((LARGE_Q, 34), (LARGE_Q, 36))
 
 
 @st.composite
@@ -95,24 +95,24 @@ def _cyclic(d):
     return tuple([-1] + [0] * (d - 1) + [1])
 
 
-def test_the_switch_rings_straddle_two_point_bytes():
-    assert TWO_POINT_BYTES == 512
+def test_the_switch_rings_straddle_six_point_bytes():
+    assert SIX_POINT_BYTES == 512
     (q, below), (_, above) = SWITCH
     assert Ring(q, _cyclic(below)).width(1) == (1, 15)
-    assert Ring(q, _cyclic(above)).width(1) == (2, 8)
+    assert Ring(q, _cyclic(above)).width(1) == (6, 8)
 
 
 def test_the_layouts_at_the_57_bit_modulus():
-    """One point below TWO_POINT_BYTES (d = 32: 480 bytes); above it six
-    points for a cyclic u of even degree, and two for an odd degree or any
-    other u."""
+    """One point below SIX_POINT_BYTES (d = 32: 480 bytes); above it six
+    points for a cyclic u of even degree, and still one for an odd degree or
+    any other u."""
     q = LARGE_Q
     assert Ring(q, _cyclic(32)).width(1) == (1, 15)
     for d in (40, 64, 66, 68, 72):
         assert Ring(q, _cyclic(d)).width(1) == (6, 8)
-    assert Ring(q, _cyclic(65)).width(1) == (2, 8)
-    assert Ring(q, _codec_u(40, "negacyclic")).width(1) == (2, 8)
-    assert Ring(q, _codec_u(68, "general")).width(1) == (2, 8)
+    assert Ring(q, _cyclic(65)).width(1) == (1, 15)
+    assert Ring(q, _codec_u(40, "negacyclic")).width(1) == (1, 15)
+    assert Ring(q, _codec_u(68, "general")).width(1) == (1, 15)
 
 
 @pytest.fixture()
@@ -435,7 +435,7 @@ def test_hom_mul_of_a_ciphertext_by_itself_squares(monkeypatch, name, top):
 
 def test_every_desk_kernel_runs_on_one_point(layouts):
     """Key generation, encryption, products, refresh and decryption at the
-    desk channel: the packed operands stay far below TWO_POINT_BYTES."""
+    desk channel: the packed operands stay far below SIX_POINT_BYTES."""
     ch = _channel("desk")
     bundle = keygen(ch, RandomSource(b"desk/one point"))
     rng = RandomSource(b"desk/one point/run")
@@ -451,7 +451,7 @@ def test_every_desk_kernel_runs_on_one_point(layouts):
 
 def test_every_mid_kernel_runs_on_one_point(layouts):
     """The same at the mid channel: its packed operands stay below
-    TWO_POINT_BYTES too."""
+    SIX_POINT_BYTES too."""
     ch = _channel("mid")
     bundle = keygen(ch, RandomSource(b"mid/one point"))
     rng = RandomSource(b"mid/one point/run")
@@ -465,11 +465,11 @@ def test_every_mid_kernel_runs_on_one_point(layouts):
     assert layouts and {points for points, _ in layouts} == {1}
 
 
-def test_the_large_channel_contraction_and_rows_run_on_two_points(layouts):
+def test_the_large_channel_contraction_and_rows_run_on_six_points(layouts):
     """At the large channel ``encrypt`` (``PublicKey.rows``), both passes of
     ``hom_mul`` (the layer sum in 12-byte half slots, then the pass that
-    folds it in with 8-byte ones) and the refresh matrix all pick the
-    six residues of the two points."""
+    folds it in with 8-byte ones) and the refresh matrix all pick six
+    points."""
     ch = _channel("large")
     bundle = keygen(ch, RandomSource(b"large/two points"))
     del layouts[:]
@@ -548,20 +548,20 @@ def test_rank_one_worst_case_at_the_large_channel(layouts, square):
     assert list(got.cprime.coeffs) == product
 
 
-# The two- and six-point decodes' branches: slots a whole number of 8-byte
-# words or not, an odd degree (the folded slots change halves), and moduli
-# past 2^64, which ``Ring.pack`` writes with ``int.to_bytes`` instead of
-# ``struct`` words.  Each layout is the one of a non-cyclic u: for a cyclic u
-# of even degree the two points become six (``_codec_layout``).
+# The decodes' branches: six-point slots (twice the half width) a whole
+# number of 8-byte words or not, large odd-degree and non-cyclic rings on one
+# point, and moduli past 2^64, which ``Ring.pack`` writes with
+# ``int.to_bytes`` instead of ``struct`` words.  Each ring's layouts are the
+# one of a non-cyclic u, then the one of a cyclic u (``_codec_layout``).
 BIG_Q = 2**65 + 13
 CODEC_RINGS = {
-    "large-d64": (LARGE_Q, 64, (2, 8)),   # 16-byte slots: two words
-    "mid-d64": (MID_Q, 64, (2, 6)),       # 12-byte slots: no whole words
-    "large-d65": (LARGE_Q, 65, (2, 8)),   # odd d: even and odd halves swap
-    "2^64-d64": (2**64, 64, (2, 9)),      # the largest q that pack writes as words
-    "big-d4": (BIG_Q, 4, (1, 17)),
-    "big-d64": (BIG_Q, 64, (2, 9)),
-    "big-d65": (BIG_Q, 65, (2, 9)),
+    "large-d64": (LARGE_Q, 64, (1, 15), (6, 8)),   # 16-byte slots: two words
+    "mid-d64": (MID_Q, 64, (1, 12), (6, 6)),       # 12-byte slots: no whole words
+    "large-d65": (LARGE_Q, 65, (1, 15), (1, 15)),  # odd d: one point for every u
+    "2^64-d64": (2**64, 64, (1, 17), (6, 9)),      # the largest q that pack writes as words
+    "big-d4": (BIG_Q, 4, (1, 17), (1, 17)),
+    "big-d64": (BIG_Q, 64, (1, 18), (6, 9)),
+    "big-d65": (BIG_Q, 65, (1, 18), (1, 18)),
 }
 
 
@@ -574,12 +574,11 @@ def _codec_u(d, kind):
 
 
 def _codec_layout(name, kind):
-    _, d, (points, width) = CODEC_RINGS[name]
-    return 6 if points == 2 and kind == "cyclic" and d % 2 == 0 else points, width
+    return CODEC_RINGS[name][3 if kind == "cyclic" else 2]
 
 
 def test_the_codec_rings_pick_their_layouts():
-    for name, (q, d, _) in CODEC_RINGS.items():
+    for name, (q, d, *_) in CODEC_RINGS.items():
         for kind in ("cyclic", "negacyclic", "general"):
             assert Ring(q, _codec_u(d, kind)).width(1) == _codec_layout(name, kind)
 
@@ -590,7 +589,7 @@ def test_codec_branches_match_the_oracles(layouts, name, kind):
     """A product, a square and a combination of packed rows, with all-(q-1)
     operands (every slot at its bound) and drawn ones, equal the schoolbook
     ``conv_mul``/``reduce_poly`` oracles."""
-    q, d, _ = CODEC_RINGS[name]
+    q, d, *_ = CODEC_RINGS[name]
     u = _codec_u(d, kind)
     rnd = random.Random(f"codec/{name}/{kind}")
     top = [q - 1] * d
@@ -658,48 +657,35 @@ def _decode_products(monkeypatch, q, u, d, p, big_n):
     return calls
 
 
-@pytest.mark.parametrize("kind", ["cyclic"])
-@pytest.mark.parametrize("d", [64, 65])
-def test_two_point_decode_of_a_binomial_never_reduces(monkeypatch, layouts, d, kind):
-    """A cyclic u is folded on the packed halves, or by the six points'
-    residues mod ``x^d - 1`` at an even degree: ``Ring.reduce`` is not
-    called by a product, a row combination or either pass of ``hom_mul``
-    (16- and 24-byte slots)."""
-    assert _decode_products(monkeypatch, LARGE_Q, _codec_u(d, kind), d, 3, 8) == [0, 0, 0]
-    points = 6 if d % 2 == 0 else 2
-    assert set(layouts) == {(points, 8), (points, 12)}
-
-
-@pytest.mark.parametrize("kind", ["negacyclic"])
-@pytest.mark.parametrize("d", [64, 65])
-def test_two_point_decode_of_a_non_cyclic_binomial_reduces(monkeypatch, layouts, d, kind):
-    """Any u but a cyclic one decodes through ``Ring.reduce`` on the packed
-    halves, once per output: a product, a row combination, and ``hom_mul``'s
-    one-layer B then its c_0..c_2 and c' (16- and 24-byte slots)."""
-    calls = _decode_products(monkeypatch, LARGE_Q, _codec_u(d, kind), d, 3, 8)
-    assert calls == [1, 1, 5]
-    assert set(layouts) == {(2, 8), (2, 12)}
+def test_six_point_decode_of_a_cyclic_u_never_reduces(monkeypatch, layouts):
+    """The six points' residues mod ``x^d - 1`` give the output folded:
+    ``Ring.reduce`` is not called by a product, a row combination or either
+    pass of ``hom_mul`` (16- and 24-byte slots)."""
+    assert _decode_products(monkeypatch, LARGE_Q, _cyclic(64), 64, 3, 8) == [0, 0, 0]
+    assert set(layouts) == {(6, 8), (6, 12)}
 
 
 @pytest.mark.parametrize("u_0", [-1], ids=["cyclic"])
-@pytest.mark.parametrize("d", [4, 5])
-def test_one_point_decode_of_a_binomial_never_reduces(monkeypatch, layouts, d, u_0):
-    """At desk size a cyclic u is folded on the packed low and high parts
-    at one point: ``Ring.reduce`` is not called by a product, a row
-    combination or either pass of ``hom_mul``."""
+@pytest.mark.parametrize("q, d", [(DESK_Q, 4), (DESK_Q, 5), (LARGE_Q, 65)],
+                         ids=["4", "5", "large-65"])
+def test_one_point_decode_of_a_binomial_never_reduces(monkeypatch, layouts, q, d, u_0):
+    """At desk size, and at an odd degree at any size, a cyclic u is folded
+    on the packed low and high parts at one point: ``Ring.reduce`` is not
+    called by a product, a row combination or either pass of ``hom_mul``."""
     u = tuple([u_0] + [0] * (d - 1) + [1])
-    assert _decode_products(monkeypatch, DESK_Q, u, d, 2, 2) == [0, 0, 0]
+    assert _decode_products(monkeypatch, q, u, d, 2, 2) == [0, 0, 0]
     assert len(layouts) == 4 and {points for points, _ in layouts} == {1}
 
 
 @pytest.mark.parametrize("u_0", [1, -3], ids=["negacyclic", "X^d-3"])
-@pytest.mark.parametrize("d", [4, 5])
-def test_one_point_decode_of_a_non_cyclic_binomial_reduces(monkeypatch, layouts, d, u_0):
-    """At desk size any u but a cyclic one decodes through ``Ring.reduce``
-    at one point, once per output: a product, a row combination, and
+@pytest.mark.parametrize("q, d", [(DESK_Q, 4), (DESK_Q, 5), (LARGE_Q, 64), (LARGE_Q, 65)],
+                         ids=["4", "5", "large-64", "large-65"])
+def test_one_point_decode_of_a_non_cyclic_binomial_reduces(monkeypatch, layouts, q, d, u_0):
+    """Any u but a cyclic one decodes through ``Ring.reduce`` at one point,
+    at every size, once per output: a product, a row combination, and
     ``hom_mul``'s one-layer B then its c_0..c_2 and c'."""
     u = tuple([u_0] + [0] * (d - 1) + [1])
-    assert _decode_products(monkeypatch, DESK_Q, u, d, 2, 2) == [1, 1, 5]
+    assert _decode_products(monkeypatch, q, u, d, 2, 2) == [1, 1, 5]
     assert len(layouts) == 4 and {points for points, _ in layouts} == {1}
 
 

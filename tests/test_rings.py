@@ -162,6 +162,17 @@ def test_poly_constructor_refuses_non_integer_coefficients(coeffs):
         RingPoly(15015, (-1, 0, 0, 0, 1), coeffs)
 
 
+@pytest.mark.parametrize("q", [15015.0, 15017.0, "15015", True, Fraction(15015)], ids=repr)
+def test_ring_refuses_a_non_integer_modulus(q):
+    """``Ring(15015.0, u)`` returned the interned ring of 15015, a float q of
+    a new ring raised a bare TypeError from ``pow`` and ``"15015"`` one
+    from ``<``."""
+    u = (-1, 0, 0, 0, 1)
+    Ring(15015, u)
+    with pytest.raises(ParameterError, match="coefficient modulus: expected integers"):
+        Ring(q, u)
+
+
 def test_poly_channel_mismatch_rejected():
     a = RingPoly.make(15, U15, [1, 2])
     b = RingPoly.make(21, U15, [1, 2])
