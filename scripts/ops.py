@@ -1,14 +1,16 @@
 """Per-operation timings of ``aces`` at the benchmark's three channels.
 
-    python3 scripts/ops.py --out BENCH_21.json
-    python3 scripts/ops.py --out BENCH_21.json --base OTHER/src --rounds 3
+    python3 scripts/ops.py --out BENCH_23.json
+    python3 scripts/ops.py --out BENCH_23.json --base OTHER/src --rounds 3
 
 At desk, mid and large (``bench/workloads.py``) it times ``Ring.unpack`` of
-11 outputs (the layout of ``hom_mul``'s last pass), ``PackedRows.combine``
-(the public-key rows by a mask), ``encrypt``, ``decrypt``, ``hom_mul`` of two
-ciphertexts and of one by itself, ``public_from_dict`` of the public file
-followed by one ``hom_mul`` with the loaded tensor (what each ``aces eval``
-process pays before its circuit), ``RingPoly.__mul__``, ``RingPoly.make``
+11 outputs at the layouts of ``hom_mul``'s last pass and of its first pass,
+``width(n*n*(q-1))`` (between them every slot width the benchmark's
+workloads read), ``PackedRows.combine`` (the public-key rows by a mask),
+``encrypt``, ``decrypt``, ``hom_mul`` of two ciphertexts and of one by
+itself, ``public_from_dict`` of the public file followed by one ``hom_mul``
+with the loaded tensor (what each ``aces eval`` process pays before its
+circuit), ``RingPoly.__mul__``, ``RingPoly.make``
 of ``2d - 1`` drawn coefficients (a reduction by ``u``), ``sample_mask``,
 ``keygen``, the one-time build of ``EvalKeys.refresh_rows`` (on a fresh
 ``EvalKeys`` per call), ``refresh_certified`` with the public checker on a
@@ -66,9 +68,14 @@ def _operations(channel, work: Path):
     x, y = ch.random_poly(rng), ch.random_poly(rng)
     long = x.coeffs + y.coeffs[1:]
     mask = sample_mask(ch, rng)
-    layout = ring.width(3)
-    packed = ring.pack([ch.random_poly(rng) for _ in range(2 * OUTPUTS)], layout)
-    sums = [[s * t for s, t in zip(p[:OUTPUTS], p[OUTPUTS:])] for p in packed]
+
+    def unpack(terms):
+        """``Ring.unpack`` of OUTPUTS products at the layout ``width(terms)``."""
+        layout = ring.width(terms)
+        packed = ring.pack([ch.random_poly(rng) for _ in range(2 * OUTPUTS)], layout)
+        sums = [[s * t for s, t in zip(p[:OUTPUTS], p[OUTPUTS:])] for p in packed]
+        return lambda: ring.unpack(sums, layout)
+
     public = json.loads(json.dumps(serial.public_to_dict(bundle)))
 
     def aces(*argv, expect=0):
@@ -86,7 +93,8 @@ def _operations(channel, work: Path):
     refresh_argv = ("refresh", "--pub", keys / "public.json", *files, "--ct", ct,
                     "--out", work / "fresh.json")
     return {
-        f"Ring.unpack ({OUTPUTS} outputs)": lambda: ring.unpack(sums, layout),
+        f"Ring.unpack ({OUTPUTS} outputs)": unpack(3),
+        f"Ring.unpack ({OUTPUTS} outputs, pass-1 layout)": unpack(ch.n * ch.n * (ch.q - 1)),
         "PackedRows.combine": lambda: bundle.public.rows.combine(mask),
         "encrypt": lambda: encrypt(bundle.public, ch, 1, rng),
         "decrypt": lambda: decrypt(bundle.secret, ch, a),

@@ -332,8 +332,8 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"missing file: {exc}", file=sys.stderr)
+    except OSError as exc:  # a missing file, a directory, a path under a file
+        print(f"file error: {exc}", file=sys.stderr)
         return 1
     except (KeyError, TypeError, ValueError) as exc:
         print(f"malformed input file: {exc!r}", file=sys.stderr)

@@ -184,7 +184,7 @@ class Ring:
       output already folded by ``X^d = 1``.
     """
 
-    __slots__ = ("q", "u", "d", "_tail", "_cyclic", "_radix")
+    __slots__ = ("q", "u", "d", "_tail", "_cyclic")
 
     def __new__(cls, q: int, u):
         (q,), u = _int_coeffs((q,), "coefficient modulus"), _int_coeffs(u)
@@ -207,7 +207,6 @@ class Ring:
         # X^d mod (q, u): a term c * X^i for each nonzero lower coefficient of u.
         self._tail = tuple([(i, (-c) % q) for i, c in enumerate(u[:d]) if c % q])
         self._cyclic = self._tail == ((0, 1),)  # X^d = 1
-        self._radix = (pow(2, 64, q), pow(2, 128, q))  # word weights in ``_read``
 
     def __repr__(self) -> str:
         return f"Ring(q={self.q}, u={self.u})"
@@ -308,7 +307,8 @@ class Ring:
         At six, two CRT steps (``_crt``) give ``S(+-x)`` mod ``2^(2m) - 1 =
         x^d - 1``, the output folded by ``X^d = 1``; half the sum of the signs
         and their difference over ``2x`` (``_rotate``) hold its even- and its
-        odd-index coefficients, in slots of ``2w`` bytes as ``x^2 = 2^(16w)``.
+        odd-index coefficients in slots of ``2w`` bytes (``x^2 = 2^(16w)``), read by
+        ``_slots`` as at one point and then interleaved.
         """
         points, width = layout
         d = self.d
@@ -320,39 +320,25 @@ class Ring:
                 minus = _crt(_crt(n3, n2, m // 2, quarter), n1, m, half)
                 parts += [_rotate(plus + minus, 1, 2 * m, full),
                           _rotate(plus - minus, shift, 2 * m, full)]
-            slots, coeffs, out = self._read(parts, 2 * width), [0] * d, []
-            for i in range(0, len(slots), d):  # the even-index half, then the odd
-                coeffs[0::2], coeffs[1::2] = slots[i:i + d // 2], slots[i + d // 2:i + d]
+            slots, coeffs, out = self._slots(parts, 2 * width, d // 2), [0] * d, []
+            for even, odd in zip(slots[0::2], slots[1::2]):
+                coeffs[0::2], coeffs[1::2] = even, odd
                 out.append(_wrap(self, tuple(coeffs)))
             return tuple(out)
         cut = 8 * width * d
         lows, highs = [v & (1 << cut) - 1 for v in sums[0]], [v >> cut for v in sums[0]]
         if self._cyclic:
             return tuple([_wrap(self, c)
-                          for c in self._slots(map(operator.add, lows, highs), width)])
-        pairs = zip(self._slots(lows, width), self._slots(highs, width))
+                          for c in self._slots(map(operator.add, lows, highs), width, d)])
+        pairs = zip(self._slots(lows, width, d), self._slots(highs, width, d))
         return tuple([_wrap(self, self.reduce(lo + hi)) for lo, hi in pairs])
 
-    def _slots(self, parts, width: int) -> list[tuple[int, ...]]:
-        """Per one-point output, the ``d`` slots of its packed part mod q."""
+    def _slots(self, parts, width: int, count: int) -> list[tuple[int, ...]]:
+        """Per value of ``parts``, its lowest ``count`` slots of ``width`` bytes,
+        each shifted out and reduced mod q: ``d`` at one point, ``d/2`` at six."""
         q, step, mask = self.q, 8 * width, (1 << 8 * width) - 1
-        shifts = range(0, self.d * step, step)
+        shifts = range(0, count * step, step)
         return [tuple([(v >> s & mask) % q for s in shifts]) for v in parts]
-
-    def _read(self, values, width: int) -> list[int]:
-        """``d/2`` slots of ``width`` bytes of each of ``values``, mod q, in one list;
-        16- and 24-byte slots as 8-byte words, ``sum_t w_t * (2^(64t) mod q)``."""
-        size = self.d // 2 * width
-        q, data = self.q, b"".join([v.to_bytes(size, "little") for v in values])
-        if width not in (16, 24):
-            return [int.from_bytes(data[i:i + width], "little") % q
-                    for i in range(0, len(data), width)]
-        words = struct.unpack(f"<{len(data) // 8}Q", data)
-        r1, r2 = self._radix
-        if width == 16:
-            return [(a + b * r1) % q for a, b in zip(words[0::2], words[1::2])]
-        return [(a + b * r1 + c * r2) % q
-                for a, b, c in zip(words[0::3], words[1::3], words[2::3])]
 
 
 def _crt(a: int, b: int, k: int, mask: int) -> int:

@@ -71,8 +71,7 @@ _SECRET = frozenset({"format", "secret"})
 
 def _format(data, what: str, fields: frozenset) -> None:
     """Refuse a file that is not format 3 (an older file, or not a file of
-    this package), and one whose top-level fields are not ``fields``: a
-    missing field is malformed input (KeyError), an unknown one is refused."""
+    this package), and one whose top-level fields are not ``fields``."""
     if type(data) is not dict:
         raise TypeError(f"{what}: expected a JSON object")
     found = data.get("format")
@@ -80,9 +79,18 @@ def _format(data, what: str, fields: frozenset) -> None:
         raise ParameterError(
             f"{what}: file format {found!r}, expected {FORMAT}; "
             "regenerate the keys (and re-encrypt) with this version of aces")
-    if missing := fields - data.keys():
+    _fields([data], what, fields)
+
+
+def _fields(objects, what: str, fields) -> None:
+    """Refuse JSON objects that lack a field of the set ``fields`` (KeyError)
+    or have one outside it (ParameterError); a non-object is a TypeError."""
+    if not set(map(type, objects)) <= {dict}:
+        raise TypeError(f"{what}: expected JSON objects")
+    found = set(map(frozenset, objects))
+    if missing := fields - fields.intersection(*found):
         raise KeyError(f"{what}: missing field {', '.join(sorted(map(repr, missing)))}")
-    if unknown := data.keys() - fields:
+    if unknown := fields.union(*found) - fields:
         raise ParameterError(f"{what}: unknown field {', '.join(sorted(map(repr, unknown)))}")
 
 
@@ -275,6 +283,8 @@ def public_from_dict(ch: ArithmeticChannel, data: dict) -> EvalKeys:
     """The public file as the evaluation keys it publishes."""
     _format(data, "public key", _PUBLIC)
     n, sigma, fresh = ch.n, data["sigma"], data["refresher"]
+    _fields([sigma], "sigma", {"map", "primes"})
+    _fields([fresh], "refresher", {"kappa", "rho"})
     f0 = _words(ch.q, data["f0"], "f0", (ch.big_n, n), ch.degree)
     public = PublicKey(tuple(tuple(_wrap(ch.ring, c) for c in row) for row in f0),
                        _polys(ch, data["fprime"], "fprime", ch.big_n))
@@ -283,16 +293,19 @@ def public_from_dict(ch: ArithmeticChannel, data: dict) -> EvalKeys:
                       _ints(sigma["map"], "sigma map", (n,)))
     # ProductTensor itself refuses an empty layer list and a beta that is not symmetric.
     layers = data["lambda"]
+    _fields(layers, "lambda layer", {"alpha", "beta"})
     tensor = ProductTensor(ch.q, tuple(zip(
         _words(ch.q, [e["alpha"] for e in layers], "lambda alpha", (None,), n),
         _words(ch.q, [e["beta"] for e in layers], "lambda beta", (None, n), n))))
     if len(fresh["rho"]) != n:
         raise ParameterError(f"refresher: expected {n} ciphertexts, got {len(fresh['rho'])}")
+    _fields(fresh["rho"], "refresher ciphertext", _CIPHERTEXT - {"format"})
     kappa = _ints(fresh["kappa"], "refresher levels", (n,))
     refresher = Refresher(_ciphertexts(ch, fresh["rho"], "refresher"))
     if kappa != refresher.kappa:
         raise ParameterError(f"refresher: kappa {kappa} is not the rho levels {refresher.kappa}")
     entries = data["locators"]
+    _fields(entries, "locator", {"vec", "kind", "k", "margin_num"})
     kinds = [e["kind"] for e in entries]
     if not set(kinds) <= {"locator", "director"}:
         raise ParameterError(f"locator kinds must be locator or director, got {kinds}")

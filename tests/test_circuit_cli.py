@@ -510,6 +510,39 @@ def test_cli_missing_file_is_exit_1(tmp_path):
     ]) == 1
 
 
+_KEY_FLAGS = ["--pub", "{K}/public.json", "--channel", "{K}/channel.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["decrypt", "--secret", "{K}/secret.json", "--channel", "{T}/dir", "--ct", "{T}/ct.json"],
+    ["encrypt", "--pub", "{T}/dir", "--channel", "{K}/channel.json", "--message", "1",
+     "--seed", "01", "--out", "{T}/out.json"],
+    ["eval", *_KEY_FLAGS, "--circuit", "{T}/dir", "--input", "a={T}/ct.json",
+     "--out", "{T}/outdir"],
+    ["keygen", "--p", "2", "--q", "15015", "--degree", "4", "--n", "3", "--bigN", "2",
+     "--k0", "1", "--seed", "00ff", "--out", "{T}/file/sub"],
+    ["encrypt", *_KEY_FLAGS, "--message", "1", "--seed", "01", "--out", "{T}/file/out.json"],
+    ["eval", *_KEY_FLAGS, "--circuit", "{T}/circ.txt", "--input", "a={T}/ct.json",
+     "--out", "{T}/file/sub"],
+], ids=["decrypt-dir", "encrypt-dir", "eval-dir", "keygen-under-file", "encrypt-under-file",
+        "eval-under-file"])
+def test_cli_unusable_path_is_exit_1(cli_keys, tmp_path, capsys, argv):
+    """A directory where a file is read, or an output path under a regular
+    file, is one message line and exit 1, not a traceback; nothing is written."""
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("keep\n")
+    (tmp_path / "circ.txt").write_text("in a\nt = mul a a\nout t\n")
+    assert main(["encrypt", *[a.format(K=cli_keys) for a in _KEY_FLAGS], "--message", "1",
+                 "--seed", "0a", "--out", str(tmp_path / "ct.json")]) == 0
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    assert main([a.format(K=cli_keys, T=tmp_path) for a in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("file error: ") and err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == before
+    assert (tmp_path / "file").read_text() == "keep\n" and not any((tmp_path / "dir").iterdir())
+
+
 def test_cli_wrong_file_shape_is_exit_1(cli_keys):
     # a public bundle is not a ciphertext
     assert main(["inspect", "--ct", str(cli_keys / "public.json")]) == 1

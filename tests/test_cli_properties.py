@@ -7,15 +7,23 @@ refresh --secret``, at the desk channel and at ``p = 3, q = 5*7*11*13``
 through ``aces decrypt``, to the plain result (``eval_plain``, or the
 message).  Otherwise the command exits 2, a guard's refusal, and writes no
 ciphertext and no ``report.json``.  Keys are made once per module.
+
+A desk channel, public, secret or ciphertext file with one mutation (a
+field dropped or added at any depth, a hex word narrower or wider, a
+residue set to q, a structural integer of another type, a truncated hex
+string) is read by ``encrypt``, ``eval``, ``refresh --secret`` or
+``decrypt``: each exits 1 or 2 and writes nothing, or exits 0 with outputs
+that decrypt to the plain result.
 """
 
 import contextlib
 import io
+import json
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from aces.circuit import eval_plain, parse_circuit
@@ -129,3 +137,115 @@ def test_refresh_writes_only_ciphertexts_that_decrypt(keys, name, multiplied, da
             assert not fresh.exists()
             return
         assert _decrypt(path, fresh) == str(want)
+
+
+# The mutation test: one change to one file of a desk key directory or to a
+# ciphertext of 1, then one command that reads that file.
+CIRCUIT = "in a\nt = mul a a\nout t\n"
+READERS = {  # file kind -> the commands that read it
+    "channel": ("encrypt", "eval", "refresh", "decrypt"),
+    "public": ("encrypt", "eval", "refresh"),
+    "secret": ("refresh", "decrypt"),
+    "ciphertext": ("eval", "refresh", "decrypt"),
+}
+# A string under one of these fields is a word string; a value under one of
+# the others is a structural integer (a level among them).
+WORD_FIELDS = {"f0", "fprime", "alpha", "beta", "c", "cprime", "vec", "margin_num", "secret"}
+INT_FIELDS = {"format", "level", "kappa", "k", "map", "primes", "p", "q", "omega", "u", "n",
+              "N", "k0"}
+
+
+@pytest.fixture(scope="module")
+def files(keys, tmp_path_factory):
+    """Per file kind, its path: the desk key files and a ciphertext of 1."""
+    _, path = keys["desk"]
+    ct = tmp_path_factory.mktemp("ct") / "ct.json"
+    assert _aces("encrypt", *_public(path), "--message", 1, "--seed", "01", "--out", ct)[0] == 0
+    return {"channel": path / "channel.json", "public": path / "public.json",
+            "secret": path / "secret.json", "ciphertext": ct}
+
+
+def _nodes(tree, path=()):
+    """Every ``(path, value)`` of a JSON tree, containers included."""
+    yield path, tree
+    if isinstance(tree, (dict, list)):
+        for key, value in (tree.items() if isinstance(tree, dict) else enumerate(tree)):
+            yield from _nodes(value, (*path, key))
+
+
+def _field(path) -> str:
+    return next((key for key in reversed(path) if isinstance(key, str)), "")
+
+
+def _mutate(draw, tree, q: int) -> None:
+    """Apply one drawn mutation to ``tree`` in place."""
+    nodes = list(_nodes(tree))
+    dicts = [v for _, v in nodes if isinstance(v, dict) and v]
+    words = [(path, v) for path, v in nodes if isinstance(v, str) and _field(path) in WORD_FIELDS]
+    ints = [(path, v) for path, v in nodes
+            if not isinstance(v, (dict, list)) and _field(path) in INT_FIELDS]
+    kind = draw(st.sampled_from(["drop", "add"] + ["retype"] * bool(ints) + [
+        "narrower", "wider", "residue q", "truncate"] * bool(words)), label="mutation")
+    if kind in ("drop", "add"):
+        obj = draw(st.sampled_from(dicts), label="object")
+        if kind == "drop":
+            del obj[draw(st.sampled_from(sorted(obj)), label="field")]
+        else:
+            obj[draw(st.sampled_from([k for k in ("extra", "level", "vec") if k not in obj]),
+                     label="field")] = 1
+        return
+    path, v = draw(st.sampled_from(ints if kind == "retype" else words), label="target")
+    digits = 2 * next(w for w in (1, 2, 4, 8) if q - 1 < 256**w)  # per word
+    if kind == "retype":
+        new = draw(st.sampled_from(
+            [float(int(v)), bool(int(v)), None, [v], str(v) if type(v) is int else int(v)]))
+    elif kind == "truncate":
+        new = v[:draw(st.integers(0, len(v) - 1))]
+    else:
+        i = draw(st.integers(0, len(v) // digits - 1)) * digits  # one word's start
+        new = {"narrower": v[:i] + v[i + 2:], "wider": v[:i + digits] + "00" + v[i + digits:],
+               "residue q": v[:i] + q.to_bytes(digits // 2, "little").hex() + v[i + digits:],
+               }[kind]
+    parent = tree
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = new
+
+
+@given(kind=st.sampled_from(list(READERS)), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_a_mutated_file_is_refused_or_runs_right(keys, files, kind, data):
+    """Every command that reads the mutated file either exits 1 or 2 and
+    writes nothing, or exits 0 with outputs that decrypt to the plain result
+    under the intact key."""
+    p, path = keys["desk"]
+    tree = json.loads(files[kind].read_text())
+    _mutate(data.draw, tree, int(json.loads(files["channel"].read_text())["q"]))
+    command = data.draw(st.sampled_from(READERS[kind]), label="command")
+    with tempfile.TemporaryDirectory() as work:
+        work = Path(work)
+        given_files = {**files, kind: work / f"{kind}.json"}
+        given_files[kind].write_text(json.dumps(tree))
+        (work / "circ.txt").write_text(CIRCUIT)
+        keys_flags = ("--pub", given_files["public"], "--channel", given_files["channel"])
+        out = work / "out"
+        argv = {
+            "encrypt": ("encrypt", *keys_flags, "--message", 1, "--seed", "02", "--out", out),
+            "eval": ("eval", *keys_flags, "--circuit", work / "circ.txt",
+                     "--input", f"a={given_files['ciphertext']}", "--out", out),
+            "refresh": ("refresh", *keys_flags, "--ct", given_files["ciphertext"],
+                        "--secret", given_files["secret"], "--seed", "03", "--out", out),
+            "decrypt": ("decrypt", "--secret", given_files["secret"],
+                        "--channel", given_files["channel"], "--ct", given_files["ciphertext"]),
+        }[command]
+        code, printed = _aces(*argv)
+        event(f"exit {code}")
+        if code:
+            assert code in (1, 2)
+            assert printed == "" and not out.exists()
+            return
+        want = eval_plain(parse_circuit(CIRCUIT), {"a": 1}, p)["t"] if command == "eval" else 1
+        if command == "decrypt":
+            assert printed.strip() == str(want)
+        else:
+            assert _decrypt(path, out / "t.json" if command == "eval" else out) == str(want)

@@ -287,6 +287,45 @@ def test_a_file_with_an_unknown_top_level_field_is_exit_2(desk_files, tmp_path, 
     assert not (tmp_path / "out.json").exists()
 
 
+# The objects inside the public file, each with the name a refusal gives it.
+NESTED = {
+    "sigma": (lambda pub: pub["sigma"], "sigma"),
+    "refresher": (lambda pub: pub["refresher"], "refresher"),
+    "rho": (lambda pub: pub["refresher"]["rho"][1], "refresher ciphertext"),
+    "lambda": (lambda pub: pub["lambda"][0], "lambda layer"),
+    "locator": (lambda pub: pub["locators"][-1], "locator"),
+}
+
+
+@pytest.mark.parametrize("place", list(NESTED))
+@pytest.mark.parametrize("added", [True, False], ids=["unknown", "missing"])
+def test_a_field_inside_the_public_file_is_checked(desk_files, tmp_path, capsys, place, added):
+    """No field is ignored at any depth: an unknown one is exit 2 (before,
+    each of these objects loaded with ``"extra": 1`` in it and ``encrypt``
+    wrote a file) and a missing one malformed input, exit 1, each named
+    with its object."""
+    ch, keys, _ = desk_files
+    find, what = NESTED[place]
+    data = serial.load(keys / "public.json")
+    obj = find(data)
+    if added:
+        obj["extra"] = 1
+        error, code, message = ParameterError, 2, f"{what}: unknown field 'extra'"
+    else:
+        field = sorted(obj)[0]
+        del obj[field]
+        error, code, message = KeyError, 1, f"{what}: missing field '{field}'"
+    with pytest.raises(error, match=message):
+        serial.public_from_dict(ch, data)
+    serial.dump(data, tmp_path / "bad.json")
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in FILE_KINDS["public"][2]]
+    capsys.readouterr()
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+    assert not (tmp_path / "out.json").exists()
+
+
 @pytest.mark.parametrize("kind", list(FILE_KINDS))
 @pytest.mark.parametrize("text, code, message", [
     ("[1, 2]\n", 1, "expected a JSON object"),

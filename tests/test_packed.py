@@ -548,15 +548,16 @@ def test_rank_one_worst_case_at_the_large_channel(layouts, square):
     assert list(got.cprime.coeffs) == product
 
 
-# The decodes' branches: six-point slots (twice the half width) a whole
-# number of 8-byte words or not, large odd-degree and non-cyclic rings on one
-# point, and moduli past 2^64, which ``Ring.pack`` writes with
-# ``int.to_bytes`` instead of ``struct`` words.  Each ring's layouts are the
-# one of a non-cyclic u, then the one of a cyclic u (``_codec_layout``).
+# The codecs' branches: six-point half slots that ``Ring.pack`` writes as
+# ``struct`` words (8 bytes or more) or not, large odd-degree and non-cyclic
+# rings on one point, and moduli past 2^64, which ``Ring.pack`` writes with
+# ``int.to_bytes`` instead of ``struct`` words.
+# Each ring's layouts are the one of a non-cyclic u, then the one of a cyclic
+# u (``_codec_layout``).  Both decodes read every slot with ``Ring._slots``.
 BIG_Q = 2**65 + 13
 CODEC_RINGS = {
-    "large-d64": (LARGE_Q, 64, (1, 15), (6, 8)),   # 16-byte slots: two words
-    "mid-d64": (MID_Q, 64, (1, 12), (6, 6)),       # 12-byte slots: no whole words
+    "large-d64": (LARGE_Q, 64, (1, 15), (6, 8)),   # 8-byte half slots: words
+    "mid-d64": (MID_Q, 64, (1, 12), (6, 6)),       # 6-byte half slots: no words
     "large-d65": (LARGE_Q, 65, (1, 15), (1, 15)),  # odd d: one point for every u
     "2^64-d64": (2**64, 64, (1, 17), (6, 9)),      # the largest q that pack writes as words
     "big-d4": (BIG_Q, 4, (1, 17), (1, 17)),
