@@ -7,7 +7,7 @@ auto-refresh policy keeps the chain alive.
 
 from aces import ArithmeticChannel, RandomSource, encrypt, keygen
 from aces.cipher import fresh_level, level_after, post_refresh_level
-from aces.circuit import EvalKeys, RefreshPolicy, evaluate, parse_circuit
+from aces.circuit import RefreshPolicy, evaluate, parse_circuit
 from aces.refresh import secret_refresh_checker
 
 
@@ -33,11 +33,10 @@ def main():
         for i in range(1, depth + 1)
     ] + [f"out t{depth}"]
     circuit = parse_circuit("\n".join(lines))
-    keys = EvalKeys.from_bundle(bundle)
     policy = RefreshPolicy(mode="auto",
                            checker=secret_refresh_checker(bundle.secret, ch))
     env = {"a": encrypt(bundle.public, ch, 1, rng)}
-    outputs, report = evaluate(circuit, env, keys, policy, rng)
+    outputs, report = evaluate(circuit, env, bundle.eval_keys, policy, rng)
     print(f"depth-{depth} chain with auto refresh:")
     for wire, pre, post in report.refresh_events:
         print(f"  refreshed {wire}: {pre} -> {post}")

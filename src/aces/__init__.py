@@ -7,11 +7,11 @@ an arithmetic-circuit evaluator with automatic refresh scheduling.
 
 from .channel import ArithmeticChannel, RandomSource
 from .cipher import Ciphertext, decrypt, encrypt, encrypt_with_secret, level_after
-from .circuit import Circuit, EvalKeys, RefreshPolicy, evaluate, parse_circuit
+from .circuit import Circuit, RefreshPolicy, evaluate, parse_circuit
 from .errors import AcesError, CircuitError, GenerationError, NoiseBudgetError, ParameterError
 from .homo import hom_add, hom_mul, scalar_product, tensor_contract
 from .keygen import KeyBundle, keygen
-from .refresh import refresh_ct
+from .refresh import EvalKeys, refresh_ct
 from .rings import Repartition, Ring, RingPoly
 
 __all__ = [

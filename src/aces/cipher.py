@@ -5,7 +5,8 @@ slot) plus a scalar part ``cprime``, together with a tracked noise level.
 The level is a certificate: the pair is claimed to sit in the encryption
 space of its message at that level, and every operation in the package
 updates it by the exact closed-form rules, all defined in this module,
-rather than re-deriving it from data.
+rather than re-deriving it from data.  So is the evaluator's rule for when
+to refresh a wire, ``refresh_due``.
 
 This is also the one module where secret-side code reads ciphertexts and
 keys, and it reads them only through the channel's evaluation map, a ring
@@ -38,6 +39,7 @@ __all__ = [
     "fresh_level",
     "post_refresh_level",
     "checked_refresh_level",
+    "refresh_due",
     "has_refresh_headroom",
     "sample_mask",
     "sample_divisible_vector",
@@ -195,6 +197,18 @@ def _refresh_levels(ch: ArithmeticChannel, refresher) -> tuple[int, int]:
 def post_refresh_level(ch: ArithmeticChannel, refresher) -> int:
     """Exact output level of a refresh; it does not depend on the input."""
     return _refresh_levels(ch, refresher)[1]
+
+
+def refresh_due(ch: ArithmeticChannel, post: int, op: str, k1: int, k2: int, k: int) -> bool:
+    """The evaluator's refresh rule: whether to refresh the operand at level
+    ``k`` of an ``op`` gate on levels ``k1``, ``k2``, given the post-refresh
+    level ``post`` (``post_refresh_level``, computed once by the caller).
+    Due when the gate would leave less headroom than ``post``, the operand
+    is above ``post``, and the gate fits the budget with its operands at
+    ``post``: past it, no refresh makes the gate fit."""
+    out = level_after(op, k1, k2, ch)
+    return ((out is None or ch.max_noise_level() - out < post) and k > post
+            and level_after(op, min(k1, post), min(k2, post), ch) is not None)
 
 
 def checked_refresh_level(ch: ArithmeticChannel, refresher, level: int) -> int:

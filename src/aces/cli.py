@@ -14,6 +14,8 @@ exactly instead of by the public test.
 
 from __future__ import annotations
 
+import errno
+import os
 import re
 import sys
 from pathlib import Path
@@ -22,10 +24,10 @@ from types import SimpleNamespace
 from . import serial
 from .channel import ArithmeticChannel, RandomSource
 from .cipher import decrypt, encrypt, evals, within_budget
-from .circuit import EvalKeys, RefreshPolicy, evaluate, parse_circuit
+from .circuit import RefreshPolicy, evaluate, parse_circuit
 from .errors import AcesError, CircuitError, NoiseBudgetError, ParameterError
 from .keygen import keygen
-from .refresh import refresh_certified, secret_refresh_checker
+from .refresh import EvalKeys, refresh_certified, secret_refresh_checker
 
 
 class _UsageError(Exception):
@@ -139,6 +141,17 @@ def _seed(text: str) -> RandomSource:
         raise _UsageError(f"expected hex digits in pairs, got {text!r}") from None
 
 
+def _dump_all(files) -> None:
+    """``serial.dump`` each ``(data, path)`` of ``files`` in order, after
+    refusing any path that is an existing directory with the error opening
+    it would raise, so a command writes all of its files or none."""
+    for _, path in files:
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    for data, path in files:
+        serial.dump(data, path)
+
+
 def _cmd_keygen(args) -> int:
     if args.u is not None and len(args.u) - 1 != args.degree:
         raise _UsageError(f"--u has degree {len(args.u) - 1}, --degree is {args.degree}")
@@ -150,9 +163,9 @@ def _cmd_keygen(args) -> int:
     bundle = keygen(ch, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    serial.dump(serial.channel_to_dict(ch), out / "channel.json")
-    serial.dump(serial.public_to_dict(bundle), out / "public.json")
-    serial.dump(serial.secret_to_dict(bundle.secret), out / "secret.json")
+    _dump_all([(serial.channel_to_dict(ch), out / "channel.json"),
+               (serial.public_to_dict(bundle), out / "public.json"),
+               (serial.secret_to_dict(bundle.secret), out / "secret.json")])
     print(f"wrote channel.json, public.json, secret.json to {out}")
     return 0
 
@@ -204,18 +217,10 @@ def _cmd_eval(args) -> int:
     outputs, report = evaluate(circuit, env, keys, policy, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for name, ct in outputs.items():
-        serial.dump(serial.ciphertext_to_dict(ct), out / f"{name}.json")
-    serial.dump(
-        {
-            "levels": report.levels,
-            "refresh_events": [
-                {"wire": w, "pre": pre, "post": post}
-                for w, pre, post in report.refresh_events
-            ],
-        },
-        out / "report.json",
-    )
+    events = [{"wire": w, "pre": pre, "post": post} for w, pre, post in report.refresh_events]
+    files = [(serial.ciphertext_to_dict(ct), out / f"{name}.json") for name, ct in outputs.items()]
+    files.append(({"levels": report.levels, "refresh_events": events}, out / "report.json"))
+    _dump_all(files)
     print(f"wrote {len(outputs)} output(s) and report.json to {out}")
     return 0
 

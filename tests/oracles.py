@@ -5,7 +5,9 @@ integer lists and a monomial-substitution reduction, deliberately not
 sharing code or algorithm shape with the package under test.  The one
 exception is ``refresh_reference``, which composes the package's own
 encryption and homomorphic operations (each checked against the oracles
-above) into the refresh as it is defined.  ``render_v2`` renders a file of
+above) into the refresh as it is defined, and ``evaluate_reference``, the
+auto-refresh evaluator with its refresh rule written inline, on the
+package's level rules, refresh and gates.  ``render_v2`` renders a file of
 the current wire format in the layout of file format 2, and ``render_v1``
 a file of format 2 in that of format 1, so digests recorded under either
 still pin every value.
@@ -18,10 +20,11 @@ import math
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
-from aces.cipher import encrypt, shadow
-from aces.homo import hom_add, scalar_product
+from aces.cipher import encrypt, level_after, post_refresh_level, shadow
+from aces.errors import NoiseBudgetError
+from aces.homo import hom_add, hom_mul, scalar_product
 from aces.keygen import ProductTensor
-from aces.refresh import SEARCH_BUDGET
+from aces.refresh import SEARCH_BUDGET, refresh_certified
 
 
 def conv_mul(a: list[int], b: list[int]) -> list[int]:
@@ -203,6 +206,47 @@ def refresh_reference(keys, ct, rng):
     digits = tuple(encrypt(keys.public, ch, v % ch.p, rng) for v in ps.v)
     scalar = encrypt(keys.public, ch, ps.vprime % ch.p, rng)
     return hom_add(ch, scalar, scalar_product(ch, keys.tensor, digits, keys.refresher.rho))
+
+
+def evaluate_reference(circuit, env, keys, checker, rng):
+    """The auto-refresh evaluator with its rule inline: before each gate,
+    for each distinct operand in order, stop when the gate leaves at least
+    the post-refresh level of headroom or overflows even at that level,
+    skip an operand already at or below it, else refresh it.  Returns the
+    outputs, the refresh events and every wire's level, or raises the
+    gate's NoiseBudgetError as ``evaluate`` words it."""
+    ch = keys.channel
+    values, events = dict(env), []
+    refreshed = post_refresh_level(ch, keys.refresher)
+    threshold = ch.max_noise_level() - refreshed
+    for gate in circuit.gates:
+        for wire in dict.fromkeys((gate.left, gate.right)):
+            k1, k2 = values[gate.left].level, values[gate.right].level
+            out_level = level_after(gate.op, k1, k2, ch)
+            if out_level is not None and out_level <= threshold:
+                break
+            if level_after(gate.op, min(k1, refreshed), min(k2, refreshed), ch) is None:
+                break
+            ct = values[wire]
+            if ct.level <= refreshed:
+                continue
+            fresh = refresh_certified(keys, ct, checker, rng)
+            if fresh is not None:
+                events.append((wire, ct.level, fresh.level))
+                values[wire] = fresh
+        left, right = values[gate.left], values[gate.right]
+        try:
+            if gate.op == "add":
+                values[gate.out] = hom_add(ch, left, right)
+            else:
+                values[gate.out] = hom_mul(ch, keys.tensor, left, right)
+        except NoiseBudgetError as exc:
+            raise NoiseBudgetError(
+                f"gate {gate.out!r} ({gate.op} {gate.left} {gate.right}) "
+                f"exceeds the noise budget at levels {left.level}, {right.level}"
+            ) from exc
+    levels = {name: ct.level for name, ct in values.items()}
+    return {name: values[name] for name in circuit.outputs}, events, levels
 
 
 def public_search_reference(db, ch, target):

@@ -20,16 +20,12 @@ def test_every_export_resolves_and_is_listed_once(name):
     assert sorted(x for x in set(exported) if exported.count(x) > 1) == []
 
 
-# ``bench/workloads.py`` imports ``EvalKeys`` from ``aces.circuit``.
-REEXPORTS = {("aces.circuit", "EvalKeys")}
-
-
 @pytest.mark.parametrize("name", MODULES[1:])
 def test_no_module_re_exports_another_modules_name(name):
     module = importlib.import_module(name)
     foreign = []
     for x in getattr(module, "__all__", ()):
         owner = getattr(getattr(module, x), "__module__", name)
-        if owner.startswith("aces.") and owner != name and (name, x) not in REEXPORTS:
+        if owner.startswith("aces.") and owner != name:
             foreign.append(f"{x} from {owner}")
     assert foreign == []

@@ -50,6 +50,19 @@ def test_validation_rejects_degree_one_modulus():
     assert any("degree" in v for v in ch.violations())
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("p", 1, "p must be >= 2, got 1"),
+    ("n", 0, "n must be positive, got 0"),
+    ("big_n", 0, "N must be positive, got 0"),
+    ("k0", 0, "k0 must be positive, got 0"),
+])
+def test_validation_names_a_field_below_its_minimum(field, value, message):
+    ch = ArithmeticChannel(**{**DESK, field: value})
+    assert ch.violations() == [message]
+    with pytest.raises(ParameterError, match=message):
+        ch.require_valid()
+
+
 @pytest.mark.parametrize("top", [1.9, 1.0, True])
 def test_non_integer_u_coefficient_is_refused(top):
     """A float or a bool in ``u``, or in the coefficients ``Ring.poly`` is
@@ -110,6 +123,11 @@ def test_noise_sampler_hits_the_level_set(desk_channel, rng):
         e = sample_noise(ch, k, rng)
         assert in_noise_space(ch, e, k)
         assert lift(ch.q, ch.eval(e)) % ch.p == 0
+
+
+def test_noise_sampler_refuses_a_negative_level(desk_channel, rng):
+    with pytest.raises(ParameterError, match="noise level must be non-negative"):
+        sample_noise(desk_channel, -1, rng)
 
 
 def test_noise_sampler_level_zero_evaluates_to_zero(desk_channel, rng):

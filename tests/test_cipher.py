@@ -2,7 +2,7 @@
 
 import pytest
 
-from aces.channel import RandomSource, in_noise_space, sample_message_carrier
+from aces.channel import ArithmeticChannel, RandomSource, in_noise_space, sample_message_carrier
 from aces.cipher import (
     Ciphertext,
     decrypt,
@@ -11,6 +11,8 @@ from aces.cipher import (
     fresh_level,
     in_encryption_space,
     level_after,
+    post_refresh_level,
+    refresh_due,
     sample_mask,
 )
 from aces.errors import NoiseBudgetError, ParameterError
@@ -112,6 +114,12 @@ def test_ciphertext_refuses_a_non_integer_level(desk_channel, level):
         Ciphertext(tuple(ch.ring.zero() for _ in range(ch.n)), ch.ring.poly([1]), level)
 
 
+def test_ciphertext_refuses_a_negative_level(desk_channel):
+    ch = desk_channel
+    with pytest.raises(ParameterError, match="noise level cannot be negative"):
+        Ciphertext(tuple(ch.ring.zero() for _ in range(ch.n)), ch.ring.poly([1]), -1)
+
+
 def test_decrypt_refuses_past_budget(desk_bundle):
     ch = desk_bundle.channel
     ct = Ciphertext(tuple(ch.ring.zero() for _ in range(ch.n)), ch.ring.poly([1]), ch.max_noise_level() + 1)
@@ -199,3 +207,41 @@ def test_decrypt_refuses_a_ciphertext_of_the_wrong_length(desk_bundle, rng):
     for c in (ct.c[:2], ct.c + ct.c[:1]):
         with pytest.raises(ParameterError, match=f"ciphertext has {len(c)} vector parts"):
             decrypt(desk_bundle.secret, ch, Ciphertext(c, ct.cprime, ct.level))
+
+
+def test_refresh_is_due_when_the_headroom_falls_below_the_post_refresh_level(desk_bundle):
+    """At desk the budget is 7506 and a refresh lands at 60: an ``add``
+    reaching 7446 leaves exactly 60 of headroom, one more step leaves 59."""
+    ch = desk_bundle.channel
+    assert (ch.max_noise_level(), post_refresh_level(ch, desk_bundle.refresher)) == (7506, 60)
+    assert not refresh_due(ch, 60, "add", 3723, 3723, 3723)
+    assert refresh_due(ch, 60, "add", 3723, 3724, 3723)
+    assert refresh_due(ch, 60, "add", 3723, 3724, 3724)
+    assert refresh_due(ch, 60, "mul", 60, 61, 61)  # (60 + 61 + 3660) * 2 = 7562: overflow
+
+
+def test_refresh_is_due_only_where_the_gate_fits_at_the_post_refresh_level():
+    """At p=3, q=5005 the budget is 1667 and a refresh lands at 127, where a
+    ``mul`` of two such wires already overflows: (127 + 127 + 127^2) * 3 =
+    49149, so no refresh is due for it."""
+    ch = ArithmeticChannel(p=3, q=5005, omega=1, u=(-1, 0, 0, 0, 1), n=3, big_n=2, k0=1)
+    assert level_after("mul", 127, 127, ch) is None
+    for k1, k2 in [(128, 128), (200, 1000), (1667, 128)]:
+        assert not refresh_due(ch, 127, "mul", k1, k2, k1)
+        assert not refresh_due(ch, 127, "mul", k1, k2, k2)
+    assert refresh_due(ch, 127, "add", 1000, 1000, 1000)  # 254 fits where 2000 does not
+    # An operand below the post-refresh level keeps its own level in the
+    # probe: (2 + 127 + 254) * 3 = 1149 fits.
+    assert refresh_due(ch, 127, "mul", 2, 600, 600)
+    assert not refresh_due(ch, 127, "mul", 2, 600, 2)
+
+
+@pytest.mark.parametrize("k", [0, 1, 59, 60])
+@pytest.mark.parametrize("op", ["add", "mul"])
+def test_refresh_is_never_due_for_an_operand_at_or_below_the_post_refresh_level(
+        desk_channel, op, k):
+    ch = desk_channel
+    budget = ch.max_noise_level()
+    assert refresh_due(ch, 60, op, budget, k, budget)
+    assert not refresh_due(ch, 60, op, budget, k, k)
+    assert not refresh_due(ch, 60, op, k, budget, k)

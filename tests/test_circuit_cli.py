@@ -6,14 +6,17 @@ import os
 import re
 import subprocess
 import sys
+from functools import cache
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import aces
 from aces import serial
 from aces.channel import ArithmeticChannel, RandomSource
-from aces.cipher import Ciphertext, decrypt, encrypt, post_refresh_level
+from aces.cipher import Ciphertext, decrypt, encrypt, encrypt_with_secret, post_refresh_level
 from aces.circuit import (
     EvalKeys,
     RefreshPolicy,
@@ -25,6 +28,8 @@ from aces.cli import main
 from aces.errors import CircuitError, NoiseBudgetError, ParameterError
 from aces.keygen import keygen
 from aces.refresh import secret_refresh_checker
+
+from oracles import dumps, evaluate_reference
 
 # -- parsing ----------------------------------------------------------------
 
@@ -62,6 +67,18 @@ def test_parse_duplicate_name():
 def test_parse_requires_output():
     with pytest.raises(CircuitError):
         parse_circuit("in a\nt = add a a")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("in\nout", "line 1: 'in' needs at least one name"),
+    ("in a\nout", "line 2: 'out' needs at least one name"),
+    ("in a\nout b", "line 2: unknown output 'b'"),
+    ("in a\nt = add a a\nt = mul a a\nout t", "line 3: duplicate name 't'"),
+], ids=["in-without-names", "out-without-names", "unknown-output", "duplicate-gate-output"])
+def test_parse_refuses_a_statement(text, message):
+    with pytest.raises(CircuitError) as err:
+        parse_circuit(text)
+    assert str(err.value) == message
 
 
 def test_parse_malformed_line():
@@ -152,13 +169,20 @@ def test_auto_refresh_without_a_random_source_is_refused(desk_bundle, rng):
         evaluate(parse_circuit(DEPTH3), env, desk_bundle.eval_keys, _secret_policy(desk_bundle))
 
 
+@cache
+def _p3_bundle():
+    """Keys at p=3, q=5005: budget 1667, post-refresh level 127."""
+    ch = ArithmeticChannel(p=3, q=5005, omega=1, u=(-1, 0, 0, 0, 1), n=3, big_n=2, k0=1)
+    return keygen(ch.require_valid(), RandomSource(b"found-50"))
+
+
 def test_gate_past_the_budget_at_the_post_refresh_level_refreshes_nothing():
     """At p=3, q=5005 the budget is 1667 and the post-refresh level 127, so
     ``mul`` of a level-144 product with a fresh level-6 wire is over budget
     even with the product refreshed ((127 + 6 + 762) * 3 = 2685): the gate
     is refused at its operands' own levels before any refresh attempt."""
-    ch = ArithmeticChannel(p=3, q=5005, omega=1, u=(-1, 0, 0, 0, 1), n=3, big_n=2, k0=1)
-    bundle = keygen(ch.require_valid(), RandomSource(b"found-50"))
+    bundle = _p3_bundle()
+    ch = bundle.channel
     keys, rng = EvalKeys.from_bundle(bundle), RandomSource(b"found-50/run")
     assert (post_refresh_level(ch, keys.refresher), ch.max_noise_level()) == (127, 1667)
     exact, checked = secret_refresh_checker(bundle.secret, ch), []
@@ -169,6 +193,71 @@ def test_gate_past_the_budget_at_the_post_refresh_level_refreshes_nothing():
                        match=r"gate 's' \(mul t a\) exceeds the noise budget at levels 144, 6$"):
         evaluate(circuit, env, keys, policy, rng)
     assert checked == []
+
+
+def test_a_gate_whose_operands_are_at_or_below_the_post_refresh_level_needs_no_rng():
+    """At p=3, q=5005 ``mul`` of levels 78 and 6 reaches 1656: past the
+    threshold 1667 - 127 = 1540, but both operands are already below the
+    post-refresh level 127, so no refresh is due and none is attempted."""
+    bundle = _p3_bundle()
+    ch = bundle.channel
+    env = {"a": encrypt(bundle.public, ch, 1, RandomSource(b"no-refresh-due"))}
+    circuit = parse_circuit("in a\nt1 = add a a\nt2 = add t1 t1\nt3 = add t2 t2\n"
+                            "t4 = add t3 t2\nt5 = add t4 a\ns = mul t5 a\nout s")
+    outputs, report = evaluate(circuit, env, bundle.eval_keys)
+    assert report.refresh_events == []
+    assert (report.levels["t5"], report.levels["s"]) == (78, 1656)
+    assert decrypt(bundle.secret, ch, outputs["s"]) == 13 % ch.p
+
+
+@given(data=st.data(), seed=st.binary(min_size=1, max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_evaluate_refreshes_as_the_inline_rule_did(desk_bundle, data, seed):
+    """On random add/mul circuits at desk and at p=3, q=5005, with the exact
+    checker, ``evaluate`` gives the outputs, refresh events, levels and
+    refusals of ``oracles.evaluate_reference`` and draws as much randomness."""
+    bundle = desk_bundle if data.draw(st.booleans(), label="desk") else _p3_bundle()
+    ch = bundle.channel
+    names = [f"i{k}" for k in range(data.draw(st.integers(1, 3), label="inputs"))]
+    lines = ["in " + " ".join(names)]
+    for g in range(data.draw(st.integers(1, 10), label="gates")):
+        # Operands count back from the newest wire, so chains run deep, and
+        # adds outnumber muls: at p=3 a mul of two wires past level 22 overflows.
+        op, i, j = data.draw(st.tuples(st.sampled_from(["add", "add", "mul"]),
+                                       st.integers(1, len(names)), st.integers(1, len(names))))
+        lines.append(f"g{g} = {op} {names[-i]} {names[-j]}")
+        names.append(f"g{g}")
+    circuit = parse_circuit("\n".join(lines + ["out " + " ".join(names)]))
+    # The key owner encrypts each input at a level drawn from either end of
+    # the budget or where an add of two meets the refresh threshold.
+    budget, post = ch.max_noise_level(), post_refresh_level(ch, bundle.refresher)
+    a_level = (st.integers(0, budget) | st.integers(0, budget).map(lambda k: budget - k)
+               | st.integers(-1, 1).map(lambda d: (budget - post) // 2 + d))
+    levels = data.draw(st.lists(a_level, min_size=len(circuit.inputs),
+                                max_size=len(circuit.inputs)), label="levels")
+    checker = secret_refresh_checker(bundle.secret, ch)
+
+    def run(evaluator):
+        rng = RandomSource(seed)
+        env = {name: encrypt_with_secret(bundle.secret, bundle.repartition, ch,
+                                         rng.below(ch.p), level, rng)
+               for name, level in zip(circuit.inputs, levels)}
+        try:
+            outputs, *report = evaluator(env, rng)
+        except NoiseBudgetError as exc:
+            return str(exc), rng.below(2**64)
+        return ({name: dumps(serial.ciphertext_to_dict(ct)) for name, ct in outputs.items()},
+                *report, rng.below(2**64))
+
+    def new(env, rng):
+        policy = RefreshPolicy(checker=checker)
+        outputs, report = evaluate(circuit, env, bundle.eval_keys, policy, rng)
+        return outputs, report.refresh_events, report.levels
+
+    def old(env, rng):
+        return evaluate_reference(circuit, env, bundle.eval_keys, checker, rng)
+
+    assert run(new) == run(old)
 
 
 def _random_circuit(rng, n_inputs, n_gates):
@@ -501,6 +590,43 @@ def test_cli_refuses_a_malformed_seed_as_usage(cli_keys, tmp_path, capsys, comma
     err = capsys.readouterr().err
     assert err.startswith("usage error: argument --seed") and "malformed input file" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, blocked", [("keygen", "public.json"), ("eval", "report.json")])
+def test_cli_writes_no_file_when_a_later_target_is_a_directory(cli_keys, tmp_path, capsys,
+                                                                command, blocked):
+    """keygen writes channel.json before public.json, and eval each output
+    before report.json: a later target that is a directory is refused before
+    the earlier files are written, with the one ``file error:`` line."""
+    keys = ["--pub", str(cli_keys / "public.json"), "--channel", str(cli_keys / "channel.json")]
+    assert main(["encrypt", *keys, "--message", "1", "--seed", "0a",
+                 "--out", str(tmp_path / "a.json")]) == 0
+    (tmp_path / "circ.txt").write_text("in a\nt = mul a a\nout t\n")
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    argv = {
+        "keygen": ["keygen", "--p", "2", "--q", "15015", "--degree", "4", "--n", "3",
+                   "--bigN", "2", "--k0", "1", "--seed", "00ff"],
+        "eval": ["eval", *keys, "--circuit", str(tmp_path / "circ.txt"),
+                 "--input", f"a={tmp_path / 'a.json'}", "--refresh", "off"],
+    }[command]
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith("file error: ") and err.count("\n") == 1
+    assert f"Is a directory: '{out / blocked}'" in err
+    assert [path.name for path in out.iterdir()] == [blocked]
+
+
+def test_cli_keygen_generation_failure_is_exit_2(tmp_path, capsys):
+    """At q=11, u=X^2-1 every repartition draw leaves a tensor slot with only
+    degenerate rows: keygen's GenerationError is one ``error:`` line."""
+    out = tmp_path / "keys"
+    assert main(["keygen", "--p", "2", "--q", "11", "--degree", "2", "--n", "2", "--bigN", "2",
+                 "--k0", "1", "--seed", "00", "--out", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith("error: key generation failed: ")
+    assert err.count("\n") == 1 and not out.exists()
 
 
 def test_cli_missing_file_is_exit_1(tmp_path):

@@ -183,6 +183,19 @@ def test_scalar_product_single_term_equals_mul(desk_bundle, rng):
     )
 
 
+@pytest.mark.parametrize("lengths, message", [
+    ((2, 1), "scalar product needs equal-length tuples"),
+    ((0, 1), "scalar product needs equal-length tuples"),
+    ((0, 0), "scalar product of empty tuples"),
+])
+def test_scalar_product_refuses_unequal_or_empty_tuples(desk_bundle, rng, lengths, message):
+    ch = desk_bundle.channel
+    ct = encrypt(desk_bundle.public, ch, 1, rng)
+    gamma, rho = ((ct,) * n for n in lengths)
+    with pytest.raises(ParameterError, match=message):
+        scalar_product(ch, desk_bundle.tensor, gamma, rho)
+
+
 def test_scalar_product_zero_vector(desk_bundle, rng):
     ch = desk_bundle.channel
     zeros = tuple(encrypt(desk_bundle.public, ch, 0, rng) for _ in range(3))

@@ -287,14 +287,34 @@ def test_a_file_with_an_unknown_top_level_field_is_exit_2(desk_files, tmp_path, 
     assert not (tmp_path / "out.json").exists()
 
 
-# The objects inside the public file, each with the name a refusal gives it.
+# The objects inside the public file, each as its container, its key there
+# and the name a refusal gives it.
 NESTED = {
-    "sigma": (lambda pub: pub["sigma"], "sigma"),
-    "refresher": (lambda pub: pub["refresher"], "refresher"),
-    "rho": (lambda pub: pub["refresher"]["rho"][1], "refresher ciphertext"),
-    "lambda": (lambda pub: pub["lambda"][0], "lambda layer"),
-    "locator": (lambda pub: pub["locators"][-1], "locator"),
+    "sigma": (lambda pub: pub, "sigma", "sigma"),
+    "refresher": (lambda pub: pub, "refresher", "refresher"),
+    "rho": (lambda pub: pub["refresher"]["rho"], 1, "refresher ciphertext"),
+    "lambda": (lambda pub: pub["lambda"], 0, "lambda layer"),
+    "locator": (lambda pub: pub["locators"], -1, "locator"),
 }
+
+
+@pytest.mark.parametrize("place", list(NESTED))
+def test_a_non_object_inside_the_public_file_is_malformed(desk_files, tmp_path, capsys, place):
+    """A list where one of the public file's objects belongs is a TypeError
+    naming the object: malformed input, exit 1."""
+    ch, keys, _ = desk_files
+    container, key, what = NESTED[place]
+    data = serial.load(keys / "public.json")
+    container(data)[key] = [container(data)[key]]
+    with pytest.raises(TypeError, match=f"^{what}: expected JSON objects$"):
+        serial.public_from_dict(ch, data)
+    serial.dump(data, tmp_path / "bad.json")
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in FILE_KINDS["public"][2]]
+    capsys.readouterr()
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and f"{what}: expected JSON objects" in err
+    assert not (tmp_path / "out.json").exists()
 
 
 @pytest.mark.parametrize("place", list(NESTED))
@@ -305,9 +325,9 @@ def test_a_field_inside_the_public_file_is_checked(desk_files, tmp_path, capsys,
     wrote a file) and a missing one malformed input, exit 1, each named
     with its object."""
     ch, keys, _ = desk_files
-    find, what = NESTED[place]
+    container, key, what = NESTED[place]
     data = serial.load(keys / "public.json")
-    obj = find(data)
+    obj = container(data)[key]
     if added:
         obj["extra"] = 1
         error, code, message = ParameterError, 2, f"{what}: unknown field 'extra'"

@@ -263,6 +263,9 @@ def test_packed_rows_combination_matches_oracle(data):
 def test_packed_rows_refuse_mismatched_shapes():
     q, u = DESK_Q, (-1, 0, 0, 0, 1)
     x = RingPoly(q, u, [1, 2, 3, 4])
+    for empty in ((), [()]):
+        with pytest.raises(ParameterError, match="at least one row and one column"):
+            PackedRows(empty)
     with pytest.raises(ParameterError):
         PackedRows([(x, x), (x,)])
     with pytest.raises(ParameterError):

@@ -50,6 +50,18 @@ def test_lift_rejects_non_canonical():
         lift(5, -1)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: lift(1, 0), "modulus must be >= 2, got 1"),
+    (lambda: reduce_mod(1, 5), "modulus must be >= 2, got 1"),
+    (lambda: reduce_mod(0, 5), "modulus must be >= 2, got 0"),
+    (lambda: lift_divmod(7, 5, 3), "expected p <= q, got p=7 q=5"),
+    (lambda: Ring(1, (-1, 0, 1)), "coefficient modulus must be >= 2, got 1"),
+], ids=["lift-m1", "reduce-m1", "reduce-m0", "lift-divmod-p-above-q", "ring-q1"])
+def test_a_modulus_out_of_range_is_refused(call, message):
+    with pytest.raises(ParameterError, match=message):
+        call()
+
+
 def test_reduce_examples():
     assert reduce_mod(5, 12) == 2
     assert reduce_mod(5, 0) == 0
