@@ -1,12 +1,14 @@
 """Per-operation timings of ``aces`` at the benchmark's three channels.
 
-    python3 scripts/ops.py --out BENCH_23.json
-    python3 scripts/ops.py --out BENCH_23.json --base OTHER/src --rounds 3
+    python3 scripts/ops.py --out BENCH_25.json
+    python3 scripts/ops.py --out BENCH_25.json --base OTHER/src --rounds 3
 
 At desk, mid and large (``bench/workloads.py``) it times ``Ring.unpack`` of
 11 outputs at the layouts of ``hom_mul``'s last pass and of its first pass,
 ``width(n*n*(q-1))`` (between them every slot width the benchmark's
-workloads read), ``PackedRows.combine`` (the public-key rows by a mask),
+workloads read), ``Ring.pack`` of the ``2n + 3`` operands of ``hom_mul``'s
+last pass (two ciphertexts and one layer's sum) at its layout,
+``PackedRows.combine`` (the public-key rows by a mask),
 ``encrypt``, ``decrypt``, ``hom_mul`` of two ciphertexts and of one by
 itself, ``public_from_dict`` of the public file followed by one ``hom_mul``
 with the loaded tensor (what each ``aces eval`` process pays before its
@@ -68,6 +70,7 @@ def _operations(channel, work: Path):
     x, y = ch.random_poly(rng), ch.random_poly(rng)
     long = x.coeffs + y.coeffs[1:]
     mask = sample_mask(ch, rng)
+    last, last_layout = (*a.c, a.cprime, *b.c, b.cprime, x), ring.width(3)
 
     def unpack(terms):
         """``Ring.unpack`` of OUTPUTS products at the layout ``width(terms)``."""
@@ -95,6 +98,7 @@ def _operations(channel, work: Path):
     return {
         f"Ring.unpack ({OUTPUTS} outputs)": unpack(3),
         f"Ring.unpack ({OUTPUTS} outputs, pass-1 layout)": unpack(ch.n * ch.n * (ch.q - 1)),
+        "Ring.pack (hom_mul's last pass)": lambda: ring.pack(last, last_layout),
         "PackedRows.combine": lambda: bundle.public.rows.combine(mask),
         "encrypt": lambda: encrypt(bundle.public, ch, 1, rng),
         "decrypt": lambda: decrypt(bundle.secret, ch, a),

@@ -38,10 +38,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Gate:
+    """``out = op left right``, with ``op`` either ``add`` or ``mul``; any
+    other op is refused here, so the evaluator never runs one."""
+
     out: str
     op: str
     left: str
     right: str
+
+    def __post_init__(self):
+        if self.op not in ("add", "mul"):
+            raise CircuitError(f"unknown operation {self.op!r} for gate {self.out!r}")
 
 
 @dataclass(frozen=True)

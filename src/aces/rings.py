@@ -49,6 +49,9 @@ FACTOR_CAP, _TRIAL = 1 << 62, 1 << 10
 # and 0.80.
 SIX_POINT_BYTES = 512
 
+# Residue word width in bytes -> its struct code (little-endian, unsigned).
+_WORDS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
 
 def lift(m: int, value: int) -> int:
     """Lift a canonical residue mod ``m`` to a plain integer.
@@ -163,7 +166,10 @@ class Ring:
     two kernels every product goes through:
 
     * Kronecker packing: a coefficient vector becomes one integer with a
-      byte-aligned slot per coefficient, its value at ``x = 2^(8w)``.  When
+      byte-aligned slot per coefficient, its value at ``x = 2^(8w)``; each
+      slot starts with the coefficient's residue word (``word``), the
+      smallest of 1, 2, 4 or 8 bytes that holds ``q - 1``, which is also
+      the word ``serial`` writes to files, so ``q`` is at most ``2**64``.  When
       the slots are wide enough for the largest coefficient of the result,
       a polynomial product, or a whole weighted sum of products, is exact
       big-integer arithmetic on the packed integers, with no carry crossing
@@ -184,7 +190,7 @@ class Ring:
       output already folded by ``X^d = 1``.
     """
 
-    __slots__ = ("q", "u", "d", "_tail", "_cyclic")
+    __slots__ = ("q", "u", "d", "word", "_tail", "_cyclic")
 
     def __new__(cls, q: int, u):
         (q,), u = _int_coeffs((q,), "coefficient modulus"), _int_coeffs(u)
@@ -198,12 +204,16 @@ class Ring:
     def _setup(self, q: int, u: tuple[int, ...]) -> None:
         if q < 2:
             raise ParameterError(f"coefficient modulus must be >= 2, got {q}")
+        if q > 1 << 64:
+            raise ParameterError(f"q = {q} is above 2**64: no word holds its residues")
         if len(u) < 3:
             raise ParameterError("modulus polynomial must have degree >= 2")
         if u[-1] != 1:
             raise ParameterError("modulus polynomial must be monic")
         d = len(u) - 1
         self.q, self.u, self.d = q, u, d
+        # The struct code and byte width of one residue.
+        self.word = next((code, size) for size, code in _WORDS.items() if q - 1 < 1 << 8 * size)
         # X^d mod (q, u): a term c * X^i for each nonzero lower coefficient of u.
         self._tail = tuple([(i, (-c) % q) for i, c in enumerate(u[:d]) if c % q])
         self._cyclic = self._tail == ((0, 1),)  # X^d = 1
@@ -222,18 +232,25 @@ class Ring:
         One point, with slots of ``w = ceil(bits/8)`` bytes, unless ``u`` is
         cyclic of even degree and the packed operand, ``d`` such slots,
         reaches ``SIX_POINT_BYTES``: then six points, with half slots of
-        ``w = ceil(bits/16)`` bytes.  Either way ``unpack`` reads
+        ``w = max(ceil(bits/16), word)`` bytes.  Either way ``unpack`` reads
         coefficients at most ``B`` (for a cyclic ``u``, each a sum of ``d``
         products): at one point in slots of ``w`` bytes, at six from
         residues mod ``z^(d/2) - 1`` in slots of base ``z = 2^(16w) > B``,
         which is exact: each half holds ``d/2`` of them, none ``z - 1``
         (``B`` is even, as ``d`` is), so its value lies below that modulus.
         No slot needs more room.
+
+        Every slot holds a residue word (``pack``).  At six points the
+        ``max`` sees to it.  At one point it always does: for a ``b``-bit
+        ``q - 1``, ``B >= 2 (q-1)^2 >= 2^(2b-1)`` (``d >= 2``), so ``bits >=
+        2b`` and ``w >= ceil(b/4)``.  That is at least 1, 3, 5 or 9 bytes
+        where the word is 1 (``b <= 8``), 2 (``b <= 16``), 4 (``b <= 32``)
+        or 8 bytes (``b <= 64``): never less than the word.
         """
         bits = (terms * self.d * (self.q - 1) ** 2).bit_length()
         width = (bits + 7) // 8
         if self.d * width >= SIX_POINT_BYTES and self._cyclic and self.d % 2 == 0:
-            return 6, (bits + 15) // 16
+            return 6, max((bits + 15) // 16, self.word[1])
         return 1, width
 
     def zero(self) -> "RingPoly":
@@ -259,21 +276,19 @@ class Ring:
         """Per point of ``layout``, the packed value of each element of ``polys``.
 
         At one point, ``x = 2^(8w)`` for ``w``-byte slots: the canonical
-        coefficients, byte-aligned (8-byte words padded to the slot, if they
-        fit).  At six, that value and the one at ``-x``, the first minus
-        twice its odd-index coefficients (which a byte mask picks out), are
-        each cut into three residues: ``V = lo + hi 2^m`` (``2m`` bits) gives
-        ``lo - hi`` (mod ``2^m + 1``), and ``W = lo + hi`` cut the same way
-        at ``m/2`` gives ``W_lo - W_hi`` and ``W_lo + W_hi`` (mod
-        ``2^(m/2) +- 1``).
+        coefficients, each its residue word (``word``) zero-padded to the
+        slot, which ``width`` makes at least a word wide, all written by one
+        ``struct.pack``.  At six, that value and the one at ``-x``, the
+        first minus twice its odd-index coefficients (which a byte mask
+        picks out), are each cut into three residues: ``V = lo + hi 2^m``
+        (``2m`` bits) gives ``lo - hi`` (mod ``2^m + 1``), and ``W = lo +
+        hi`` cut the same way at ``m/2`` gives ``W_lo - W_hi`` and ``W_lo +
+        W_hi`` (mod ``2^(m/2) +- 1``).
         """
         points, width = layout
-        size = self.d * width
-        if width >= 8 and self.q <= 1 << 64:
-            data = struct.pack("<" + f"Q{width - 8}x" * (len(polys) * self.d),
-                               *[c for x in polys for c in x.coeffs])
-        else:
-            data = b"".join([c.to_bytes(width, "little") for x in polys for c in x.coeffs])
+        (code, word), size = self.word, self.d * width
+        data = struct.pack("<" + f"{code}{width - word}x" * (len(polys) * self.d),
+                           *[c for x in polys for c in x.coeffs])
         plus = [int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size)]
         if points == 1:
             return [plus]
@@ -299,10 +314,11 @@ class Ring:
         packed values, or a sum of them, with every coefficient of the result
         non-negative and within its slot.  Each output is reduced once.
 
-        At one point each output is cut at degree ``d``.  A cyclic ``u`` adds
+        At one point a cyclic ``u`` cuts each output at degree ``d`` and adds
         high onto low as big integers before a slot is read, which cannot
         overflow a slot: ``width`` bounds a cyclic coefficient, a sum of
-        ``d`` products.  Any other ``u`` reads both and calls ``reduce``.
+        ``d`` products.  Any other ``u`` reads the ``2d - 1`` slots of the
+        uncut output and calls ``reduce``.
 
         At six, two CRT steps (``_crt``) give ``S(+-x)`` mod ``2^(2m) - 1 =
         x^d - 1``, the output folded by ``X^d = 1``; half the sum of the signs
@@ -325,17 +341,16 @@ class Ring:
                 coeffs[0::2], coeffs[1::2] = even, odd
                 out.append(_wrap(self, tuple(coeffs)))
             return tuple(out)
-        cut = 8 * width * d
-        lows, highs = [v & (1 << cut) - 1 for v in sums[0]], [v >> cut for v in sums[0]]
         if self._cyclic:
-            return tuple([_wrap(self, c)
-                          for c in self._slots(map(operator.add, lows, highs), width, d)])
-        pairs = zip(self._slots(lows, width, d), self._slots(highs, width, d))
-        return tuple([_wrap(self, self.reduce(lo + hi)) for lo, hi in pairs])
+            cut = 8 * width * d
+            folded = [(v & (1 << cut) - 1) + (v >> cut) for v in sums[0]]
+            return tuple([_wrap(self, c) for c in self._slots(folded, width, d)])
+        return tuple([_wrap(self, self.reduce(c)) for c in self._slots(sums[0], width, 2 * d - 1)])
 
     def _slots(self, parts, width: int, count: int) -> list[tuple[int, ...]]:
         """Per value of ``parts``, its lowest ``count`` slots of ``width`` bytes,
-        each shifted out and reduced mod q: ``d`` at one point, ``d/2`` at six."""
+        each shifted out and reduced mod q: ``d`` at one point (``2d - 1``
+        for an output ``reduce`` folds), ``d/2`` at six."""
         q, step, mask = self.q, 8 * width, (1 << 8 * width) - 1
         shifts = range(0, count * step, step)
         return [tuple([(v >> s & mask) % q for s in shifts]) for v in parts]

@@ -5,9 +5,10 @@ it, or with any other value, is refused, with a message to regenerate the
 keys.  There is one reader per kind of value and no reader of older files.
 
 * A polynomial in ``Z_q[X]/(u)`` is one lowercase hex string of its
-  ``deg(u)`` canonical coefficients, each a little-endian word of the
-  smallest of 1, 2, 4 or 8 bytes that holds ``q - 1`` (``_WORDS``); a ``q``
-  above ``2**64`` has no word and is refused.  The multiplication tensor
+  ``deg(u)`` canonical coefficients, each a little-endian residue word of
+  its ring, ``Ring.word``: the smallest of 1, 2, 4 or 8 bytes that holds
+  ``q - 1``, the word ``Ring.pack`` writes too (``Ring(q, u)`` refuses a
+  ``q`` above ``2**64``, which no word holds).  The multiplication tensor
   is a list of layers, each ``alpha`` (one string of ``n`` words) and
   ``beta`` (``n`` strings of ``n`` words, a symmetric matrix); the locator
   vectors and the locator margins are word strings in the same way.
@@ -33,7 +34,7 @@ from .cipher import Ciphertext
 from .errors import ParameterError
 from .keygen import ProductTensor, PublicKey, Refresher, SecretKey
 from .refresh import EvalKeys, LocatorEntry
-from .rings import Repartition, RingPoly, _wrap
+from .rings import Repartition, Ring, RingPoly, _wrap
 
 __all__ = [
     "channel_to_dict",
@@ -49,18 +50,6 @@ __all__ = [
 ]
 
 FORMAT = 3
-
-# Word width in bytes -> its struct code (little-endian, unsigned).
-_WORDS = {1: "B", 2: "H", 4: "I", 8: "Q"}
-
-
-def _word(q: int) -> tuple[str, int]:
-    """The struct code and byte width of one residue mod ``q``."""
-    for width, code in _WORDS.items():
-        if q - 1 < 1 << 8 * width:
-            return code, width
-    raise ParameterError(f"q = {q} is above 2**64: no file word holds its residues")
-
 
 # The top-level fields of each kind of file.
 _CHANNEL = frozenset({"format", "p", "q", "omega", "u", "n", "N", "k0"})
@@ -143,10 +132,11 @@ def _ints(data, what: str, shape=(), signed: bool = False):
     return _nest(values, shape) if shape else values[0]
 
 
-def _words(q: int, data, what: str, shape, count: int) -> tuple:
-    """The residues mod ``q`` of ``data``: nested lists of ``shape`` whose
-    leaves are word strings of ``count`` words each, as nested tuples whose
-    innermost tuples hold one string's words.
+def _words(ring: Ring, data, what: str, shape, count: int) -> tuple:
+    """The residues mod ``q`` of ``ring`` in ``data``: nested lists of
+    ``shape`` whose leaves are word strings of ``count`` words each
+    (``Ring.word``), as nested tuples whose innermost tuples hold one
+    string's words.
 
     A leaf must be a string of exactly ``count`` words in canonical
     lowercase hex (no whitespace, no uppercase), and every word must be
@@ -154,7 +144,7 @@ def _words(q: int, data, what: str, shape, count: int) -> tuple:
     truncated, except that a list where a string belongs is a TypeError,
     as a wrong container is.  Every check covers the whole field in C.
     """
-    code, width = _word(q)
+    q, (code, width) = ring.q, ring.word
     items = _leaves(data, what, shape)
     kinds = set(map(type, items))
     if not kinds <= {str}:
@@ -176,13 +166,13 @@ def _words(q: int, data, what: str, shape, count: int) -> tuple:
     return _nest(values, (*shape, count))
 
 
-def _words_out(q: int, rows) -> list[str]:
+def _words_out(ring: Ring, rows) -> list[str]:
     """One word string per row of ``rows`` (equal-length rows of residues
-    mod ``q``), all packed in one call."""
+    mod ``q`` of ``ring``), all packed in one call."""
     rows = list(rows)
     if not rows:
         return []
-    code, width = _word(q)
+    code, width = ring.word
     flat = list(chain.from_iterable(rows))
     text = struct.pack(f"<{len(flat)}{code}", *flat).hex()
     step = 2 * width * len(rows[0])
@@ -191,12 +181,12 @@ def _words_out(q: int, rows) -> list[str]:
 
 def _polys(ch: ArithmeticChannel, data, what: str, count: int) -> tuple[RingPoly, ...]:
     """``count`` polynomials; nothing is reduced."""
-    return tuple(_wrap(ch.ring, c) for c in _words(ch.q, data, what, (count,), ch.degree))
+    return tuple(_wrap(ch.ring, c) for c in _words(ch.ring, data, what, (count,), ch.degree))
 
 
 def _polys_out(polys) -> list[str]:
     """One word string per polynomial of the non-empty ``polys``."""
-    return _words_out(polys[0].ring.q, [p.coeffs for p in polys])
+    return _words_out(polys[0].ring, [p.coeffs for p in polys])
 
 
 def _rows(items: list, count: int) -> list[list]:
@@ -234,10 +224,10 @@ def _ciphertext_out(ct: Ciphertext) -> dict:
 def _ciphertexts(ch: ArithmeticChannel, items, what: str) -> tuple[Ciphertext, ...]:
     """The ciphertexts ``items`` (objects of ``c``, ``cprime`` and
     ``level``), each field of them all read in one call."""
-    c = _words(ch.q, [e["c"] for e in items], f"{what} vector", (None, ch.n), ch.degree)
-    cprime = _words(ch.q, [e["cprime"] for e in items], f"{what} scalar part", (None,), ch.degree)
-    levels = _ints([e["level"] for e in items], f"{what} level", (None,))
     ring = ch.ring
+    c = _words(ring, [e["c"] for e in items], f"{what} vector", (None, ch.n), ch.degree)
+    cprime = _words(ring, [e["cprime"] for e in items], f"{what} scalar part", (None,), ch.degree)
+    levels = _ints([e["level"] for e in items], f"{what} level", (None,))
     return tuple(Ciphertext(tuple(_wrap(ring, x) for x in v), _wrap(ring, y), k)
                  for v, y, k in zip(c, cprime, levels))
 
@@ -255,7 +245,7 @@ def public_to_dict(keys) -> dict:
     """Everything publishable from a key bundle or its ``EvalKeys``; never
     the secret."""
     ch, rep, locators = keys.channel, keys.repartition, keys.locators
-    q, n, layers = ch.q, ch.n, keys.tensor.layers
+    ring, n, layers = ch.ring, ch.n, keys.tensor.layers
     return {
         "format": FORMAT,
         "f0": _rows(_polys_out([p for row in keys.public.f0 for p in row]), n),
@@ -265,16 +255,16 @@ def public_to_dict(keys) -> dict:
             "primes": [str(p) for p in rep.primes],
         },
         "lambda": [{"alpha": a, "beta": b} for a, b in zip(
-            _words_out(q, (a for a, _ in layers)),
-            _rows(_words_out(q, chain.from_iterable(b for _, b in layers)), n))],
+            _words_out(ring, (a for a, _ in layers)),
+            _rows(_words_out(ring, chain.from_iterable(b for _, b in layers)), n))],
         "refresher": {
             "kappa": list(keys.refresher.kappa),
             "rho": [_ciphertext_out(ct) for ct in keys.refresher.rho],
         },
         "locators": [
             {"vec": vec, "kind": e.kind, "k": e.k, "margin_num": margin}
-            for e, vec, margin in zip(locators, _words_out(q, (e.vec for e in locators)),
-                                      _words_out(q, ((e.margin_num,) for e in locators)))
+            for e, vec, margin in zip(locators, _words_out(ring, (e.vec for e in locators)),
+                                      _words_out(ring, ((e.margin_num,) for e in locators)))
         ],
     }
 
@@ -285,7 +275,7 @@ def public_from_dict(ch: ArithmeticChannel, data: dict) -> EvalKeys:
     n, sigma, fresh = ch.n, data["sigma"], data["refresher"]
     _fields([sigma], "sigma", {"map", "primes"})
     _fields([fresh], "refresher", {"kappa", "rho"})
-    f0 = _words(ch.q, data["f0"], "f0", (ch.big_n, n), ch.degree)
+    f0 = _words(ch.ring, data["f0"], "f0", (ch.big_n, n), ch.degree)
     public = PublicKey(tuple(tuple(_wrap(ch.ring, c) for c in row) for row in f0),
                        _polys(ch, data["fprime"], "fprime", ch.big_n))
     # Repartition itself rejects primes other than the prime factors of q.
@@ -295,8 +285,8 @@ def public_from_dict(ch: ArithmeticChannel, data: dict) -> EvalKeys:
     layers = data["lambda"]
     _fields(layers, "lambda layer", {"alpha", "beta"})
     tensor = ProductTensor(ch.q, tuple(zip(
-        _words(ch.q, [e["alpha"] for e in layers], "lambda alpha", (None,), n),
-        _words(ch.q, [e["beta"] for e in layers], "lambda beta", (None, n), n))))
+        _words(ch.ring, [e["alpha"] for e in layers], "lambda alpha", (None,), n),
+        _words(ch.ring, [e["beta"] for e in layers], "lambda beta", (None, n), n))))
     if len(fresh["rho"]) != n:
         raise ParameterError(f"refresher: expected {n} ciphertexts, got {len(fresh['rho'])}")
     _fields(fresh["rho"], "refresher ciphertext", _CIPHERTEXT - {"format"})
@@ -311,10 +301,10 @@ def public_from_dict(ch: ArithmeticChannel, data: dict) -> EvalKeys:
         raise ParameterError(f"locator kinds must be locator or director, got {kinds}")
     locators = map(
         LocatorEntry,
-        _words(ch.q, [e["vec"] for e in entries], "locator vec", (None,), n),
+        _words(ch.ring, [e["vec"] for e in entries], "locator vec", (None,), n),
         kinds,
         _ints([e["k"] for e in entries], "locator k", (None,)),
-        chain.from_iterable(_words(ch.q, [e["margin_num"] for e in entries],
+        chain.from_iterable(_words(ch.ring, [e["margin_num"] for e in entries],
                                    "locator margin", (None,), 1)),
     )
     return EvalKeys(ch, public, tensor, refresher, tuple(locators), rep)

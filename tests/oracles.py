@@ -36,6 +36,17 @@ def conv_mul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
+def kronecker(coeffs: list[int], width: int, sign: int = 1) -> int:
+    """The value of a polynomial at ``x = sign * 2^(8 width)``, its
+    coefficients written one at a time with ``int.to_bytes``, which refuses
+    a coefficient wider than ``width`` bytes: the even-index ones at their
+    slots, plus ``sign`` times the odd-index ones at theirs."""
+    gap = bytes(width)
+    even = b"".join(c.to_bytes(width, "little") + gap for c in coeffs[0::2])
+    odd = b"".join(gap + c.to_bytes(width, "little") for c in coeffs[1::2])
+    return int.from_bytes(even, "little") + sign * int.from_bytes(odd, "little")
+
+
 def monomial_table(u: list[int], q: int, top: int) -> list[list[int]]:
     """X^k reduced by the monic u, for k = 0..top, via the substitution
     X^d -> -(u_0 + ... + u_{d-1} X^{d-1})."""

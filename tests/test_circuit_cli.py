@@ -19,6 +19,7 @@ from aces.channel import ArithmeticChannel, RandomSource
 from aces.cipher import Ciphertext, decrypt, encrypt, encrypt_with_secret, post_refresh_level
 from aces.circuit import (
     EvalKeys,
+    Gate,
     RefreshPolicy,
     eval_plain,
     evaluate,
@@ -85,6 +86,16 @@ def test_parse_malformed_line():
     with pytest.raises(CircuitError) as err:
         parse_circuit("in a\nt = xor a a\nout t")
     assert "line 2" in str(err.value)
+
+
+@pytest.mark.parametrize("op", ["xor", "Add", ""])
+def test_a_gate_built_directly_refuses_an_unknown_operation(op):
+    """Not only the parser: a ``Gate`` itself refuses an op other than
+    ``add`` or ``mul``, so neither ``evaluate`` nor ``eval_plain`` can run
+    one as a product."""
+    with pytest.raises(CircuitError) as err:
+        Gate("t", op, "a", "a")
+    assert str(err.value) == f"unknown operation {op!r} for gate 't'"
 
 
 # -- evaluation -------------------------------------------------------------
@@ -768,6 +779,23 @@ def test_cli_bare_inspect(cli_keys, tmp_path, capsys):
     capsys.readouterr()
     assert main(["inspect", "--ct", str(ct)]) == 0
     assert "level: 4" in capsys.readouterr().out
+
+
+def test_cli_bare_inspect_refuses_a_vector_that_is_not_a_list(cli_keys, tmp_path, capsys):
+    ct = tmp_path / "ct.json"
+    assert main([
+        "encrypt", "--pub", str(cli_keys / "public.json"),
+        "--channel", str(cli_keys / "channel.json"),
+        "--message", "0", "--seed", "55", "--out", str(ct),
+    ]) == 0
+    data = serial.load(ct)
+    data["c"] = data["cprime"]
+    serial.dump(data, ct)
+    capsys.readouterr()
+    assert main(["inspect", "--ct", str(ct)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("malformed input file: TypeError('ciphertext vector: expected a list')")
 
 
 @pytest.mark.parametrize("flag", ["--channel", "--pub"])

@@ -75,6 +75,17 @@ def test_rsa_rejects_non_invertible_exponent():
         rsa_keygen(3, 5, 2)  # shares a factor with the totient
 
 
+def test_the_toy_schemes_refuse_input_outside_their_groups():
+    with pytest.raises(ParameterError, match="12 has no multiplicative order mod 14"):
+        ToyGroupParams.make(14, 12)  # gcd 2: no power of 12 is 1 mod 14
+    with pytest.raises(ParameterError, match="message 46 is not in the group mod 23"):
+        elgamal_encrypt(G23, elgamal_keygen(G23, 6), 46, 3)
+    n, e, _ = rsa_keygen(3, 5, 3)
+    for m in (-1, n):
+        with pytest.raises(ParameterError, match=f"message {m} out of range"):
+            rsa_encrypt(n, e, m)
+
+
 def test_rsa_exhaustive_roundtrip():
     scheme = RsaScheme(5, 11, 3)
     rng = RandomSource(b"rsa")

@@ -9,6 +9,7 @@ is refused with ParameterError (CLI exit 2).  A wrong container type is
 malformed input (CLI exit 1).
 """
 
+import dataclasses
 import json
 import math
 
@@ -22,6 +23,7 @@ from aces.cipher import Ciphertext
 from aces.cli import main
 from aces.errors import ParameterError
 from aces.keygen import keygen
+from aces.rings import Ring
 from oracles import render_v1, render_v2
 
 
@@ -233,6 +235,16 @@ def test_public_file_round_trips_through_eval_keys(params):
     assert keys.repartition == bundle.repartition
 
 
+def test_a_public_file_with_no_locators_round_trips(desk_bundle):
+    """An empty locator database is written as an empty list and read back
+    as one: no word string at all, not an empty one."""
+    keys = dataclasses.replace(desk_bundle.eval_keys, locators=())
+    data = json.loads(json.dumps(serial.public_to_dict(keys)))
+    assert data["locators"] == []
+    back = serial.public_from_dict(desk_bundle.channel, data)
+    assert back.locators == () and serial.public_to_dict(back) == data
+
+
 # kind -> (file, reader, a command line that reads the file as bad.json and
 # the other files intact; each .json argument is relative to the test's tmp_path)
 FILE_KINDS = {
@@ -414,11 +426,20 @@ def test_word_strings_round_trip_at_every_word_width(q, data):
     assert serial.ciphertext_from_dict(ch, text) == ct
 
 
-def test_a_modulus_above_2_to_the_64_has_no_word():
+def test_a_ring_above_2_to_the_64_has_no_word():
+    """The word rule is the ring's: the largest q takes 8-byte words, and a
+    larger one is refused when its ring is built."""
+    assert Ring(2**64, (-1, 0, 1)).word == ("Q", 8)
+    with pytest.raises(ParameterError, match="q = 18446744073709551617 is above 2\\*\\*64"):
+        Ring(2**64 + 1, (-1, 0, 1))
+
+
+def test_a_file_over_a_modulus_above_2_to_the_64_is_refused():
+    """A channel above ``2^64`` is valid, but no polynomial of it can be
+    read: the file readers meet the ring's refusal."""
     ch = ArithmeticChannel(p=2, q=2**64 + 1, omega=1, u=(-1, 0, 1), n=1, big_n=1, k0=1).require_valid()
-    one = ch.ring.poly([1])
-    with pytest.raises(ParameterError, match="2\\*\\*64"):
-        serial.ciphertext_to_dict(Ciphertext((one,), one, 0))
     with pytest.raises(ParameterError, match="2\\*\\*64"):
         serial.ciphertext_from_dict(ch, {"format": serial.FORMAT, "c": ["00" * 16], "cprime": "00" * 16,
                                          "level": 0})
+    with pytest.raises(ParameterError, match="2\\*\\*64"):
+        serial.secret_from_dict(ch, {"format": serial.FORMAT, "secret": ["00" * 16]})

@@ -28,6 +28,7 @@ reached by all-(q-1) operands and ``beta``; ``hom_mul`` then folds
 layer, so both layer shapes meet the oracles.
 """
 
+import copy
 import math
 import pickle
 import random
@@ -44,7 +45,7 @@ from aces.keygen import ProductTensor, keygen
 from aces.refresh import make_refreshable, refresh_ct, secret_refresh_checker
 from aces.rings import SIX_POINT_BYTES, PackedRows, Ring, RingPoly
 
-from oracles import conv_mul, naive_contract, planes, rank_one, reduce_poly, ring_op
+from oracles import conv_mul, kronecker, naive_contract, planes, rank_one, reduce_poly, ring_op
 
 DESK_Q = 15015
 MID_Q = math.prod((3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
@@ -231,6 +232,19 @@ def test_ring_elements_pickle_into_the_shared_ring_and_stay_immutable():
     assert y == x and y.ring is x.ring
     with pytest.raises(AttributeError):
         x.coeffs = (0, 0, 0, 0)
+
+
+def test_a_ring_pickles_and_copies_into_the_interned_ring():
+    ring = Ring(DESK_Q, (-1, 0, 0, 0, 1))
+    assert pickle.loads(pickle.dumps(ring)) is ring
+    assert copy.deepcopy(ring) is ring and copy.copy(ring) is ring
+
+
+def test_ring_elements_equal_only_ring_elements_and_hash_by_value():
+    x = RingPoly.make(DESK_Q, (-1, 0, 0, 0, 1), [3])
+    y = RingPoly.make(DESK_Q, (-1, 0, 0, 0, 1), [3 + DESK_Q, 0, 0, 0, DESK_Q])
+    assert (x == 3) is False and x != 3
+    assert x == y and x is not y and hash(x) == hash(y) and len({x, y}) == 1
 
 
 def _oracle_sum(pairs, u, q):
@@ -551,21 +565,15 @@ def test_rank_one_worst_case_at_the_large_channel(layouts, square):
     assert list(got.cprime.coeffs) == product
 
 
-# The codecs' branches: six-point half slots that ``Ring.pack`` writes as
-# ``struct`` words (8 bytes or more) or not, large odd-degree and non-cyclic
-# rings on one point, and moduli past 2^64, which ``Ring.pack`` writes with
-# ``int.to_bytes`` instead of ``struct`` words.
+# The codecs' branches: six-point half slots of exactly a word or wider,
+# large odd-degree and non-cyclic rings on one point, and the largest q.
 # Each ring's layouts are the one of a non-cyclic u, then the one of a cyclic
 # u (``_codec_layout``).  Both decodes read every slot with ``Ring._slots``.
-BIG_Q = 2**65 + 13
 CODEC_RINGS = {
-    "large-d64": (LARGE_Q, 64, (1, 15), (6, 8)),   # 8-byte half slots: words
-    "mid-d64": (MID_Q, 64, (1, 12), (6, 6)),       # 6-byte half slots: no words
+    "large-d64": (LARGE_Q, 64, (1, 15), (6, 8)),   # 8-byte half slots: one word
+    "mid-d64": (MID_Q, 64, (1, 12), (6, 8)),       # ceil(bits/16) = 6 bytes, widened to the word
     "large-d65": (LARGE_Q, 65, (1, 15), (1, 15)),  # odd d: one point for every u
-    "2^64-d64": (2**64, 64, (1, 17), (6, 9)),      # the largest q that pack writes as words
-    "big-d4": (BIG_Q, 4, (1, 17), (1, 17)),
-    "big-d64": (BIG_Q, 64, (1, 18), (6, 9)),
-    "big-d65": (BIG_Q, 65, (1, 18), (1, 18)),
+    "2^64-d64": (2**64, 64, (1, 17), (6, 9)),      # the largest q a ring takes
 }
 
 
@@ -609,6 +617,52 @@ def test_codec_branches_match_the_oracles(layouts, name, kind):
     got = matrix.combine(tuple(RingPoly(q, u, w) for w in weights))
     want = [_oracle_sum([(weights[i], rows[i][j]) for i in range(3)], u, q) for j in range(2)]
     assert [list(part.coeffs) for part in got] == want
+
+
+def test_a_modulus_above_2_to_the_64_is_refused_at_every_degree():
+    """No residue word holds ``q - 1`` past ``2^64``: ``Ring`` refuses such a
+    q for every u, as files do."""
+    for d in (4, 64, 65):
+        for kind in ("cyclic", "negacyclic", "general"):
+            with pytest.raises(ParameterError, match="q = 36893488147419103245 is above 2\\*\\*64"):
+                Ring(2**65 + 13, _codec_u(d, kind))
+
+
+# q at each side of every residue word width, and the largest q.
+WORD_EDGE_Q = (256, 257, 65536, 65537, 2**32, 2**32 + 1, 2**64)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_every_slot_holds_a_residue_word(data):
+    """At every word edge, in both layouts, each slot ``Ring.width`` returns
+    is at least a residue word wide (the fewest of 1, 2, 4 or 8 bytes that
+    hold q - 1), and ``Ring.pack`` equals the per-coefficient ``to_bytes``
+    values (``oracles.kronecker``): exactly at one point, and mod each of
+    the six moduli at six, where a product still meets the schoolbook
+    oracle."""
+    assert {Ring(q, _cyclic(d)).width(1)[0] for q in WORD_EDGE_Q for d in (2, 256)} == {1, 6}
+    q = data.draw(st.sampled_from(WORD_EDGE_Q))
+    d = data.draw(st.sampled_from((2, 5, 64, 256, 258)))
+    u = data.draw(st.sampled_from((_cyclic(d), _codec_u(d, "negacyclic"))))
+    ring, n = Ring(q, u), data.draw(st.integers(1, 4))
+    points, width = layout = ring.width(data.draw(st.sampled_from((1, 3, 4 * n, n * n * (q - 1)))))
+    assert width >= next(w for w in (1, 2, 4, 8) if q - 1 < 256**w)
+    rnd = random.Random(data.draw(st.integers(0, 2**32)))
+    pick = data.draw(st.sampled_from((lambda: q - 1, lambda: rnd.choice((0, 1, q - 1)),
+                                      lambda: rnd.randrange(q))))
+    coeffs = [[pick() for _ in range(d)] for _ in range(3)]
+    packed = ring.pack([RingPoly(q, u, c) for c in coeffs], layout)
+    if points == 1:
+        assert packed == [[kronecker(c, width) for c in coeffs]]
+        return
+    m = 4 * width * d
+    moduli = [(1 << m) + 1, (1 << m // 2) + 1, (1 << m // 2) - 1]
+    for values, sign, modulus in zip(packed, (1, 1, 1, -1, -1, -1), moduli * 2):
+        assert [v % modulus for v in values] == [kronecker(c, width, sign) % modulus
+                                                 for c in coeffs]
+    x, y = (RingPoly(q, u, c) for c in coeffs[:2])
+    assert list((x * y).coeffs) == reduce_poly(conv_mul(coeffs[0], coeffs[1]), list(u), q)
 
 
 @given(st.data())
