@@ -1,7 +1,7 @@
 """Per-operation timings of ``aces`` at the benchmark's three channels.
 
-    python3 scripts/ops.py --out BENCH_25.json
-    python3 scripts/ops.py --out BENCH_25.json --base OTHER/src --rounds 3
+    python3 scripts/ops.py --out BENCH_26.json
+    python3 scripts/ops.py --out BENCH_26.json --base OTHER/src --rounds 3
 
 At desk, mid and large (``bench/workloads.py``) it times ``Ring.unpack`` of
 11 outputs at the layouts of ``hom_mul``'s last pass and of its first pass,
@@ -10,9 +10,10 @@ workloads read), ``Ring.pack`` of the ``2n + 3`` operands of ``hom_mul``'s
 last pass (two ciphertexts and one layer's sum) at its layout,
 ``PackedRows.combine`` (the public-key rows by a mask),
 ``encrypt``, ``decrypt``, ``hom_mul`` of two ciphertexts and of one by
-itself, ``public_from_dict`` of the public file followed by one ``hom_mul``
-with the loaded tensor (what each ``aces eval`` process pays before its
-circuit), ``RingPoly.__mul__``, ``RingPoly.make``
+itself, ``public_from_dict`` of the public file alone and followed by one
+``hom_mul`` with the loaded tensor (what each ``aces eval`` process pays
+before its circuit), ``ciphertext_from_dict``, ``serial.dump`` of a
+ciphertext over an existing file, ``RingPoly.__mul__``, ``RingPoly.make``
 of ``2d - 1`` drawn coefficients (a reduction by ``u``), ``sample_mask``,
 ``keygen``, the one-time build of ``EvalKeys.refresh_rows`` (on a fresh
 ``EvalKeys`` per call), ``refresh_certified`` with the public checker on a
@@ -24,7 +25,9 @@ in a temporary directory, standard output and error captured; the rows call
 nothing but ``main``, so any base checkout is timed the same way).  Calls
 run in batches of about ``--batch-ms``; each batch is one span scaled to the
 reference host by ``bench/hostspeed.py``, and a figure is the median over
-batches of the scaled time per call, in microseconds.
+batches of the scaled time per call, in microseconds.  The file also holds
+the bytes of the ``public.json`` and of the ciphertext file that ``aces
+keygen`` and ``aces encrypt`` write at each channel.
 
 With ``--base`` (the ``src`` directory of another checkout) every round
 times this checkout's ``src`` and the base, each in a fresh process, and
@@ -51,8 +54,9 @@ OUTPUTS = 11
 
 
 def _operations(channel, work: Path):
-    """Name -> zero-argument callable, for one channel's fixed inputs; the
-    command rows read and write files under ``work``."""
+    """Name -> zero-argument callable, for one channel's fixed inputs (the
+    command rows read and write files under ``work``), and the bytes of the
+    public and ciphertext files the commands write."""
     from aces import cli, serial
     from aces.channel import RandomSource
     from aces.cipher import decrypt, encrypt, sample_mask
@@ -80,6 +84,7 @@ def _operations(channel, work: Path):
         return lambda: ring.unpack(sums, layout)
 
     public = json.loads(json.dumps(serial.public_to_dict(bundle)))
+    ciphertext = json.loads(json.dumps(serial.ciphertext_to_dict(a)))
 
     def aces(*argv, expect=0):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -95,6 +100,9 @@ def _operations(channel, work: Path):
     aces(*encrypt_argv)
     refresh_argv = ("refresh", "--pub", keys / "public.json", *files, "--ct", ct,
                     "--out", work / "fresh.json")
+    sizes = {"public.json": (keys / "public.json").stat().st_size, "ciphertext": ct.stat().st_size}
+    dumped = work / "dumped.json"
+    serial.dump(ciphertext, dumped)
     return {
         f"Ring.unpack ({OUTPUTS} outputs)": unpack(3),
         f"Ring.unpack ({OUTPUTS} outputs, pass-1 layout)": unpack(ch.n * ch.n * (ch.q - 1)),
@@ -104,8 +112,11 @@ def _operations(channel, work: Path):
         "decrypt": lambda: decrypt(bundle.secret, ch, a),
         "hom_mul": lambda: hom_mul(ch, bundle.tensor, a, b),
         "hom_mul(ct, ct)": lambda: hom_mul(ch, bundle.tensor, a, a),
+        "public_from_dict": lambda: serial.public_from_dict(ch, public),
         "public_from_dict + hom_mul": lambda: hom_mul(
             ch, serial.public_from_dict(ch, public).tensor, a, b),
+        "ciphertext_from_dict": lambda: serial.ciphertext_from_dict(ch, ciphertext),
+        "serial.dump (ciphertext, over a file)": lambda: serial.dump(ciphertext, dumped),
         "RingPoly.__mul__": lambda: x * y,
         "RingPoly.make (2d - 1 coefficients)": lambda: RingPoly.make(ch.q, ch.u, long),
         "sample_mask": lambda: sample_mask(ch, rng),
@@ -116,7 +127,7 @@ def _operations(channel, work: Path):
         "aces decrypt": lambda: aces("decrypt", "--secret", keys / "secret.json", *files, "--ct", ct),
         "aces refresh (public miss, exit 2)": lambda: aces(*refresh_argv, expect=2),
         "aces refresh --secret": lambda: aces(*refresh_argv, "--secret", keys / "secret.json"),
-    }
+    }, sizes
 
 
 def _worker(src: str, batch_s: float, batches: int) -> dict:
@@ -126,11 +137,12 @@ def _worker(src: str, batch_s: float, batches: int) -> dict:
     from workloads import DESK, LARGE, MID
 
     clock = HostClock()
-    out = {}
+    out = {"bytes": {}}
     with tempfile.TemporaryDirectory() as work:
         for name, channel in (("desk", DESK), ("mid", MID), ("large", LARGE)):
             out[name] = {}
-            for op, fn in _operations(channel, Path(work)).items():
+            ops, out["bytes"][name] = _operations(channel, Path(work))
+            for op, fn in ops.items():
                 clock.calibrate()
                 spans = []
                 clock.span(spans, fn)  # warm-up, and the size of a batch
@@ -167,9 +179,9 @@ def main(argv=None) -> int:
         order = list(trees) if round_ % 2 == 0 else list(trees)[::-1]
         for label in order:
             samples[label].append(_run(trees[label], args))
-    ops = {}
+    ops, sizes = {}, {}
     for channel in ("desk", "mid", "large"):
-        ops[channel] = {}
+        ops[channel], sizes[channel] = {}, {}
         for op in samples["change"][0][channel]:
             row = {label: round(1e6 * statistics.median(
                        [t for run in runs for t in run[channel][op]]), 2)
@@ -177,6 +189,11 @@ def main(argv=None) -> int:
             if "base" in row:
                 row["ratio"] = round(row["change"] / row["base"], 3)
             ops[channel][op] = row
+        for kind in samples["change"][0]["bytes"][channel]:  # the same in every run
+            row = {label: runs[0]["bytes"][channel][kind] for label, runs in samples.items()}
+            if "base" in row:
+                row["ratio"] = round(row["change"] / row["base"], 3)
+            sizes[channel][kind] = row
     result = {
         "unit": "us per call on the reference host (bench/hostspeed.py), median over batches",
         "python": platform.python_version(),
@@ -185,6 +202,7 @@ def main(argv=None) -> int:
         "calibration_ms": {label: round(statistics.median(r["calibration_ms"] for r in runs), 3)
                            for label, runs in samples.items()},
         "ops": ops,
+        "bytes": sizes,
     }
     text = json.dumps(result, indent=1) + "\n"
     if args.out:

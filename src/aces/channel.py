@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ParameterError
-from .rings import Ring, RingPoly, _int_coeffs, _wrap, factorize, is_leveled_multiple, lift
+from .rings import MAX_Q, Ring, RingPoly, _int_coeffs, _wrap, factorize, is_leveled_multiple, lift
 
 __all__ = [
     "ArithmeticChannel",
@@ -48,7 +48,12 @@ class RandomSource:
 
     @staticmethod
     def from_hex(text: str) -> "RandomSource":
-        return RandomSource(bytes.fromhex(text))
+        """The source seeded by ``text``: hex digits in pairs and nothing
+        else, or a ValueError (``bytes.fromhex`` alone skips whitespace)."""
+        seed = bytes.fromhex(text)
+        if seed.hex() != text.lower():
+            raise ValueError(f"expected hex digits in pairs, got {text!r}")
+        return RandomSource(seed)
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n)."""
@@ -102,6 +107,8 @@ class ArithmeticChannel:
         out = []
         if not self.p < self.q:
             out.append(f"p < q violated: p={self.p}, q={self.q}")
+        if self.q > MAX_Q:
+            out.append(f"q <= 2**64 violated: q={self.q}; no word holds its residues")
         if self.p < 2:
             out.append(f"p must be >= 2, got {self.p}")
         if len(self.u) < 3 or self.u[-1] != 1:

@@ -1,18 +1,21 @@
-"""JSON wire formats, file format 3.
+"""JSON wire formats, file format 4.
 
-Every file but ``report.json`` starts with ``"format": 3``; a file without
+Every file but ``report.json`` starts with ``"format": 4``; a file without
 it, or with any other value, is refused, with a message to regenerate the
 keys.  There is one reader per kind of value and no reader of older files.
+``dump`` writes every file, ``report.json`` included, as compact JSON
+(no spaces, no indentation) with a final newline.
 
-* A polynomial in ``Z_q[X]/(u)`` is one lowercase hex string of its
-  ``deg(u)`` canonical coefficients, each a little-endian residue word of
-  its ring, ``Ring.word``: the smallest of 1, 2, 4 or 8 bytes that holds
-  ``q - 1``, the word ``Ring.pack`` writes too (``Ring(q, u)`` refuses a
-  ``q`` above ``2**64``, which no word holds).  The multiplication tensor
-  is a list of layers, each ``alpha`` (one string of ``n`` words) and
-  ``beta`` (``n`` strings of ``n`` words, a symmetric matrix); the locator
-  vectors and the locator margins are word strings in the same way.
-  ``_words`` reads them all back or refuses.
+* A polynomial in ``Z_q[X]/(u)`` is one string of its ``deg(u)``
+  canonical coefficients, each a little-endian residue word of its ring,
+  ``Ring.word``: the smallest of 1, 2, 4 or 8 bytes that holds ``q - 1``,
+  the word ``Ring.pack`` writes too (``Ring(q, u)`` refuses a ``q`` above
+  ``2**64``, which no word holds).  The words' bytes are written in
+  standard, padded base64 (RFC 4648, section 4).  The multiplication
+  tensor is a list of layers, each ``alpha`` (one string of ``n`` words)
+  and ``beta`` (``n`` strings of ``n`` words, a symmetric matrix); the
+  locator vectors and the locator margins are word strings in the same
+  way.  ``_words`` reads them all back or refuses.
 * Structural integers (levels, ``kappa``, the repartition map, locator
   indices) are JSON integers; channel parameters and the repartition's
   primes are decimal strings, so they stay exact at any width.  ``_ints``
@@ -27,7 +30,10 @@ from __future__ import annotations
 
 import json
 import struct
+from binascii import a2b_base64, b2a_base64
+from functools import partial
 from itertools import chain
+from operator import itemgetter
 
 from .channel import ArithmeticChannel
 from .cipher import Ciphertext
@@ -49,7 +55,7 @@ __all__ = [
     "load",
 ]
 
-FORMAT = 3
+FORMAT = 4
 
 # The top-level fields of each kind of file.
 _CHANNEL = frozenset({"format", "p", "q", "omega", "u", "n", "N", "k0"})
@@ -59,12 +65,12 @@ _SECRET = frozenset({"format", "secret"})
 
 
 def _format(data, what: str, fields: frozenset) -> None:
-    """Refuse a file that is not format 3 (an older file, or not a file of
+    """Refuse a file that is not format 4 (an older file, or not a file of
     this package), and one whose top-level fields are not ``fields``."""
     if type(data) is not dict:
         raise TypeError(f"{what}: expected a JSON object")
     found = data.get("format")
-    if type(found) is not int or found != FORMAT:  # 3.0 is not 3
+    if type(found) is not int or found != FORMAT:  # 4.0 is not 4
         raise ParameterError(
             f"{what}: file format {found!r}, expected {FORMAT}; "
             "regenerate the keys (and re-encrypt) with this version of aces")
@@ -132,35 +138,49 @@ def _ints(data, what: str, shape=(), signed: bool = False):
     return _nest(values, shape) if shape else values[0]
 
 
+# One word string's bytes from and to base64.  ``_decode`` takes the standard
+# alphabet and its padding alone: no other character, no missing or excess
+# padding.  The last data character of a string padded with ``=`` carries two
+# pad bits, and of one padded with ``==`` four; ``_encode`` writes them zero,
+# which leaves these characters.
+_decode = partial(a2b_base64, strict_mode=True)
+_encode = partial(b2a_base64, newline=False)
+_PAD_ENDS = {1: frozenset("AEIMQUYcgkosw048"), 2: frozenset("AQgw")}
+
+
 def _words(ring: Ring, data, what: str, shape, count: int) -> tuple:
     """The residues mod ``q`` of ``ring`` in ``data``: nested lists of
     ``shape`` whose leaves are word strings of ``count`` words each
     (``Ring.word``), as nested tuples whose innermost tuples hold one
     string's words.
 
-    A leaf must be a string of exactly ``count`` words in canonical
-    lowercase hex (no whitespace, no uppercase), and every word must be
-    below ``q``; anything else is a ParameterError, never reduced or
-    truncated, except that a list where a string belongs is a TypeError,
-    as a wrong container is.  Every check covers the whole field in C.
+    A leaf must be the canonical base64 of exactly ``count`` words, the
+    string ``_encode`` writes for them: its length is ``4 * ceil(count *
+    width / 3)``, it decodes in strict mode (the standard alphabet only, no
+    whitespace) to ``count`` words, so its padding is exactly the canonical
+    one, and its pad bits are zero.  Every word must be below ``q``.
+    Anything else is a ParameterError, never reduced or truncated, except
+    that a list where a string belongs is a TypeError, as a wrong container
+    is.  Each leaf is decoded on its own, since each carries its own
+    padding; every other check covers the whole field at once.
     """
     q, (code, width) = ring.q, ring.word
     items = _leaves(data, what, shape)
     kinds = set(map(type, items))
     if not kinds <= {str}:
         error = TypeError if kinds & {list, dict} else ParameterError
-        raise error(f"{what}: expected hex word strings")
-    size = 2 * width * count
-    if not set(map(len, items)) <= {size}:
+        raise error(f"{what}: expected base64 word strings")
+    size, pad = count * width, -count * width % 3
+    if not set(map(len, items)) <= {4 * -(-size // 3)}:
         raise ParameterError(f"{what}: expected strings of {count} words of {width} bytes")
-    text = "".join(items)
     try:
-        raw = bytes.fromhex(text)
-    except ValueError:  # not hex, or not ASCII
-        raw = b""
-    if raw.hex() != text:  # also refuses whitespace and uppercase, which fromhex accepts
-        raise ParameterError(f"{what}: expected lowercase hex digits only")
-    values = struct.unpack(f"<{len(items) * count}{code}", raw)
+        raws = list(map(_decode, items))
+    except ValueError:  # binascii.Error, or a character that is not ASCII
+        raws = None
+    if raws is None or not set(map(len, raws)) <= {size} or pad and not set(
+            map(itemgetter(-1 - pad), items)) <= _PAD_ENDS[pad]:
+        raise ParameterError(f"{what}: expected canonical base64 of {count} words of {width} bytes")
+    values = struct.unpack(f"<{len(items) * count}{code}", b"".join(raws))
     if max(values, default=0) >= q:
         raise ParameterError(f"{what}: expected words below q = {q}")
     return _nest(values, (*shape, count))
@@ -174,9 +194,9 @@ def _words_out(ring: Ring, rows) -> list[str]:
         return []
     code, width = ring.word
     flat = list(chain.from_iterable(rows))
-    text = struct.pack(f"<{len(flat)}{code}", *flat).hex()
-    step = 2 * width * len(rows[0])
-    return [text[i:i + step] for i in range(0, len(text), step)]
+    raw = struct.pack(f"<{len(flat)}{code}", *flat)
+    step = width * len(rows[0])
+    return [_encode(raw[i:i + step]).decode("ascii") for i in range(0, len(raw), step)]
 
 
 def _polys(ch: ArithmeticChannel, data, what: str, count: int) -> tuple[RingPoly, ...]:
@@ -320,9 +340,9 @@ def secret_from_dict(ch: ArithmeticChannel, data: dict) -> SecretKey:
 
 
 def dump(data: dict, path) -> None:
-    """Write ``data`` as indented JSON in one write."""
+    """Write ``data`` as compact JSON and a final newline, in one write."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(data, indent=2) + "\n")
+        fh.write(json.dumps(data, separators=(",", ":")) + "\n")
 
 
 def load(path) -> dict:

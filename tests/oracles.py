@@ -7,14 +7,16 @@ exception is ``refresh_reference``, which composes the package's own
 encryption and homomorphic operations (each checked against the oracles
 above) into the refresh as it is defined, and ``evaluate_reference``, the
 auto-refresh evaluator with its refresh rule written inline, on the
-package's level rules, refresh and gates.  ``render_v2`` renders a file of
-the current wire format in the layout of file format 2, and ``render_v1``
-a file of format 2 in that of format 1, so digests recorded under either
-still pin every value.
+package's level rules, refresh and gates.  ``render_v3`` renders a file of
+the current wire format as file format 3 wrote it, ``render_v2`` a file of
+format 3 in the layout of format 2, and ``render_v1`` a file of format 2 in
+that of format 1, so digests recorded under any of them still pin every
+value.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from fractions import Fraction
@@ -334,8 +336,40 @@ def render_v2(data: dict, q: int) -> dict:
 
 
 def dumps(data: dict) -> bytes:
-    """``data`` as ``serial.dump`` writes it: indented JSON, a final newline."""
+    """``data`` as file formats 1 to 3 were written: indented JSON, a final
+    newline."""
     return (json.dumps(data, indent=2) + "\n").encode()
+
+
+def render_v3(data: dict) -> bytes:
+    """The bytes file format 3 held for the same values as the format-4
+    document ``data`` (a channel, ciphertext, public, secret or report
+    file): ``"format": 3`` where a format field is, every word string in
+    lowercase hex instead of base64, and ``dumps``' indented layout."""
+
+    def hexed(value):
+        if isinstance(value, list):
+            return [hexed(v) for v in value]
+        return base64.b64decode(value, validate=True).hex()
+
+    def v3(doc: dict) -> dict:
+        out = dict(doc)
+        if "format" in out:
+            out["format"] = 3
+        for key in ("c", "cprime", "f0", "fprime", "secret"):
+            if key in out:
+                out[key] = hexed(out[key])
+        if "lambda" in out:
+            out["lambda"] = [{"alpha": hexed(e["alpha"]), "beta": hexed(e["beta"])}
+                             for e in out["lambda"]]
+        if "refresher" in out:
+            out["refresher"] = {**out["refresher"], "rho": [v3(ct) for ct in out["refresher"]["rho"]]}
+        if "locators" in out:
+            out["locators"] = [{**e, "vec": hexed(e["vec"]), "margin_num": hexed(e["margin_num"])}
+                               for e in out["locators"]]
+        return out
+
+    return dumps(v3(data))
 
 
 def render_v1(data: dict, q: int) -> bytes:

@@ -14,7 +14,7 @@ from aces.channel import (
     sample_noise,
 )
 from aces.errors import ParameterError
-from aces.rings import Ring, lift
+from aces.rings import MAX_Q, Ring, lift
 
 
 def test_desk_channel_is_valid(desk_channel):
@@ -61,6 +61,16 @@ def test_validation_names_a_field_below_its_minimum(field, value, message):
     assert ch.violations() == [message]
     with pytest.raises(ParameterError, match=message):
         ch.require_valid()
+
+
+@pytest.mark.parametrize("q, problems", [
+    (MAX_Q, []),
+    (MAX_Q + 1, ["q <= 2**64 violated: q=18446744073709551617; no word holds its residues"]),
+])
+def test_validation_names_a_modulus_above_the_largest(q, problems):
+    """The largest q is the word rule's, ``rings.MAX_Q = 2**64``, which
+    ``Ring`` and ``factorize`` keep too."""
+    assert ArithmeticChannel(p=2, q=q, omega=1, u=(-1, 0, 1), n=1, big_n=1, k0=1).violations() == problems
 
 
 @pytest.mark.parametrize("top", [1.9, 1.0, True])

@@ -320,7 +320,7 @@ def test_ciphertext_roundtrip(desk_bundle, rng, tmp_path):
     serial.dump(serial.ciphertext_to_dict(ct), path)
     assert serial.ciphertext_from_dict(ch, serial.load(path)) == ct
     data = serial.load(path)
-    assert data["format"] == 3
+    assert data["format"] == 4
     assert isinstance(data["level"], int)
     assert isinstance(data["cprime"], str) and all(isinstance(c, str) for c in data["c"])
 
@@ -577,12 +577,13 @@ def test_cli_keygen_refuses_a_malformed_u_as_usage(tmp_path, capsys, u):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("seed", ["0", "xyz"])
+@pytest.mark.parametrize("seed", ["0", "xyz", "0a 0b", " 0a0b", "0a0b\n"])
 @pytest.mark.parametrize("command", ["keygen", "encrypt", "eval", "refresh"])
 def test_cli_refuses_a_malformed_seed_as_usage(cli_keys, tmp_path, capsys, command, seed):
-    """``--seed`` is parsed as the flag's value: an odd digit count or a
-    non-hex digit is a usage error naming ``--seed``, not a malformed file,
-    and nothing is written."""
+    """``--seed`` is parsed as the flag's value: an odd digit count, a
+    non-hex digit or whitespace (which ``bytes.fromhex`` alone skips, so
+    ``"0a 0b"`` once seeded as ``0a0b`` did) is a usage error naming
+    ``--seed``, not a malformed file, and nothing is written."""
     keys = ["--pub", str(cli_keys / "public.json"), "--channel", str(cli_keys / "channel.json")]
     ct = tmp_path / "a.json"
     assert main(["encrypt", *keys, "--message", "1", "--seed", "0a", "--out", str(ct)]) == 0
@@ -601,6 +602,20 @@ def test_cli_refuses_a_malformed_seed_as_usage(cli_keys, tmp_path, capsys, comma
     err = capsys.readouterr().err
     assert err.startswith("usage error: argument --seed") and "malformed input file" not in err
     assert not out.exists()
+
+
+def test_cli_keygen_takes_a_modulus_up_to_2_to_the_64(tmp_path, capsys):
+    """``factorize`` takes every q a word holds: ``q = 2**63 + 1`` makes a
+    key whose encryption of 1 decrypts to 1."""
+    keys, ct = tmp_path / "keys", tmp_path / "a.json"
+    files = ["--channel", str(keys / "channel.json")]
+    assert main(["keygen", "--p", "2", "--q", "9223372036854775809", "--degree", "4", "--n", "3",
+                 "--bigN", "2", "--k0", "1", "--seed", "01", "--out", str(keys)]) == 0
+    assert main(["encrypt", "--pub", str(keys / "public.json"), *files, "--message", "1",
+                 "--seed", "02", "--out", str(ct)]) == 0
+    capsys.readouterr()
+    assert main(["decrypt", "--secret", str(keys / "secret.json"), *files, "--ct", str(ct)]) == 0
+    assert capsys.readouterr().out.strip() == "1"
 
 
 @pytest.mark.parametrize("command, blocked", [("keygen", "public.json"), ("eval", "report.json")])

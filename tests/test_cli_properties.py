@@ -9,13 +9,16 @@ message).  Otherwise the command exits 2, a guard's refusal, and writes no
 ciphertext and no ``report.json``.  Keys are made once per module.
 
 A desk channel, public, secret or ciphertext file with one mutation (a
-field dropped or added at any depth, a hex word narrower or wider, a
-residue set to q, a structural integer of another type, a truncated hex
-string) is read by ``encrypt``, ``eval``, ``refresh --secret`` or
-``decrypt``: each exits 1 or 2 and writes nothing, or exits 0 with outputs
-that decrypt to the plain result.
+field dropped or added at any depth, a structural integer of another type,
+or in a base64 word string: a word a byte narrower or wider, a residue set
+to q, the string truncated, a pad bit set, the padding dropped, a URL-safe
+character, a space or newline, or format 3's hex in its place) is read by
+``encrypt``, ``eval``, ``refresh --secret`` or ``decrypt``: each exits 1
+or 2 and writes nothing, or exits 0 with outputs that decrypt to the plain
+result.
 """
 
+import base64
 import contextlib
 import io
 import json
@@ -148,6 +151,8 @@ READERS = {  # file kind -> the commands that read it
     "secret": ("refresh", "decrypt"),
     "ciphertext": ("eval", "refresh", "decrypt"),
 }
+# The standard base64 alphabet, in the order of the values it encodes.
+B64 = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 # A string under one of these fields is a word string; a value under one of
 # the others is a structural integer (a level among them).
 WORD_FIELDS = {"f0", "fprime", "alpha", "beta", "c", "cprime", "vec", "margin_num", "secret"}
@@ -185,7 +190,8 @@ def _mutate(draw, tree, q: int) -> None:
     ints = [(path, v) for path, v in nodes
             if not isinstance(v, (dict, list)) and _field(path) in INT_FIELDS]
     kind = draw(st.sampled_from(["drop", "add"] + ["retype"] * bool(ints) + [
-        "narrower", "wider", "residue q", "truncate"] * bool(words)), label="mutation")
+        "narrower", "wider", "residue q", "truncate", "pad bit", "unpadded", "url-safe",
+        "whitespace", "hex"] * bool(words)), label="mutation")
     if kind in ("drop", "add"):
         obj = draw(st.sampled_from(dicts), label="object")
         if kind == "drop":
@@ -195,17 +201,30 @@ def _mutate(draw, tree, q: int) -> None:
                      label="field")] = 1
         return
     path, v = draw(st.sampled_from(ints if kind == "retype" else words), label="target")
-    digits = 2 * next(w for w in (1, 2, 4, 8) if q - 1 < 256**w)  # per word
+    width = next(w for w in (1, 2, 4, 8) if q - 1 < 256**w)  # bytes per word
     if kind == "retype":
         new = draw(st.sampled_from(
             [float(int(v)), bool(int(v)), None, [v], str(v) if type(v) is int else int(v)]))
     elif kind == "truncate":
         new = v[:draw(st.integers(0, len(v) - 1))]
-    else:
-        i = draw(st.integers(0, len(v) // digits - 1)) * digits  # one word's start
-        new = {"narrower": v[:i] + v[i + 2:], "wider": v[:i + digits] + "00" + v[i + digits:],
-               "residue q": v[:i] + q.to_bytes(digits // 2, "little").hex() + v[i + digits:],
-               }[kind]
+    elif kind in ("narrower", "wider", "residue q"):
+        raw = base64.b64decode(v)
+        i = draw(st.integers(0, len(raw) // width - 1)) * width  # one word's start
+        new = base64.b64encode({
+            "narrower": raw[:i] + raw[i + 1:], "wider": raw[:i + width] + b"\0" + raw[i + width:],
+            "residue q": raw[:i] + q.to_bytes(width, "little") + raw[i + width:],
+        }[kind]).decode()
+    elif kind == "pad bit":  # the last data character's low bit: a pad bit when padded
+        j = len(v.rstrip("=")) - 1
+        new = v[:j] + B64[B64.index(v[j]) | 1] + v[j + 1:]
+    elif kind == "unpadded":
+        new = v.rstrip("=")
+    elif kind == "hex":
+        new = base64.b64decode(v).hex()
+    else:  # one character replaced by a URL-safe one, or whitespace inserted
+        j = draw(st.integers(0, len(v) - 1), label="at")
+        new = (v[:j] + draw(st.sampled_from("-_")) + v[j + 1:] if kind == "url-safe"
+               else v[:j] + draw(st.sampled_from(" \n")) + v[j:])
     parent = tree
     for key in path[:-1]:
         parent = parent[key]

@@ -6,14 +6,17 @@ These digests were recorded once and are compared against every build: a
 refactor that claims "same behaviour" must keep them unchanged.  If a change
 alters the outputs on purpose, it must say why and re-record the digests.
 
-Each file is pinned three times.  The ``*_V1`` tables hold the digests of
+Each file is pinned four times.  The ``*_V1`` tables hold the digests of
 its rendering in file format 1 (``oracles.render_v1`` of
-``oracles.render_v2``), recorded before format 2 existed, and the ``*_V2``
-tables those of its rendering in format 2 (``oracles.render_v2``), recorded
-before format 3 existed; so they show that no value and no draw moved with
-either format.  The ``*_V3`` tables hold the digests of the files as
-written.  ``report.json`` has one layout in every format, so its digests
-are equal.
+``oracles.render_v2`` of ``oracles.render_v3``), recorded before format 2
+existed, the ``*_V2`` tables those of its rendering in format 2
+(``oracles.render_v2`` of ``oracles.render_v3``), recorded before format 3
+existed, and the ``*_V3`` tables those of its rendering in format 3
+(``oracles.render_v3``), recorded before format 4 existed; so they show
+that no value and no draw moved with any format.  The ``*_V4`` tables hold
+the digests of the files as written.  ``report.json`` has the same fields
+in every format, so its digests are equal up to format 3, whose indented
+layout its rendering keeps.
 """
 
 import hashlib
@@ -31,7 +34,7 @@ from aces.cli import main
 from aces.homo import hom_mul
 from aces.keygen import keygen
 from aces.refresh import secret_refresh_checker
-from oracles import dumps, render_v1, render_v2
+from oracles import dumps, render_v1, render_v2, render_v3
 
 DESK_ARGS = ["--p", "2", "--q", "15015", "--degree", "4", "--n", "3", "--bigN", "2", "--k0", "1"]
 MID_Q = math.prod((3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
@@ -194,17 +197,68 @@ GOLDEN_ODD_ROWS_V3 = {
 }
 
 
+GOLDEN_CLI_V4 = {
+    "desk": {
+        "keys/channel.json": "133bd1ed8f9f54ac909fb728ff46b5d381de4f8d2fce9d6fb39556a7a2b163fe",
+        "keys/public.json": "0c5fe65ce589b13f186c4fb7d1432c8536825942d8a39766746fd7d07880d784",
+        "keys/secret.json": "35b3153489a08e6b4e2dcfd9808bdc55646405ffa5bd67d3c75f545ee330e443",
+        "a.json": "b1f917a38dcca6443855695883fab0dc2078d6c38db9270fbf449706d95fa313",
+        "b.json": "66d1e0392dba3f259d8d580c9213ff92995d1ace17715889b1ab227a7961c4c3",
+        "out/r.json": "8d6871a50939830de503d5eceaec64db4ac7a2e015c69b805210a8b1ef60563c",
+        "out/s.json": "a1038a563bfdcf2ce8aa47525591182ed7cfaaf059a9527a18f7f812e9bc4ef5",
+        "out/report.json": "b047491480042efee2373c3b191104158ba1f4e1db07bfe4250d5c947d5fdb11",
+    },
+    "mid": {
+        "keys/channel.json": "b6bdc43643725460fe82aab8b8b67366b1979b6955b0fa0538c5b6672d4fe18c",
+        "keys/public.json": "8998d6a0ce56822a02a38a8ae6c4a12eed85e9489f44043d300692785e68eee7",
+        "keys/secret.json": "7bec92aaa01fcb0ba97ccc1f585eb6913adf2ea2fedf77384585d578469257f7",
+        "a.json": "739bb79a86f2150ab8e2680b84c091c48bfcc33a9857ad9030c5322ec6443560",
+        "b.json": "b5b63b8701c6715fd0344d5c2287e3014f512d5ef241410a24c5d24cddf20082",
+        "out/r.json": "b929df0ebcd762a8cafee159ca34eb4dd4696e7d959a81fc66e2f4a6a10885a3",
+        "out/s.json": "ef9a4fe770af913f0ef09422131564e9521225ee8e0307016989ae9b631323d0",
+        "out/report.json": "a798832f4fd826e9ac3487fbf32577960d7577e2730e16f71bf2fbe54463af6d",
+    },
+}
+GOLDEN_DESK_REFRESH_V4 = {
+    "t6.json": "8319f9c2b4e7b403f635fe690aa3496dcb79a52cf8ef11cb6f245f7d00818991",
+    "report.json": "d1a053782000336889d7be0f5b4c845a6ff4b381e9ab47308413d222fcbac04f",
+}
+GOLDEN_CLI_REFRESH_V4 = {
+    "mid": {
+        "keys/public.json": "48d1cc1ecdbc8f252ed65d7621731d84d1bee2c205b96094be3151cbcd5849d3",
+        "keys/secret.json": "3a4acd8d6d9616682c94cd0958e48a3f2ad4cb531b0ce83eff0855e295bb87c3",
+        "a.json": "0fb4ce6cd093cc1ccddbd12c84685760d1daa54442ad7702c2542712980b475b",
+        "fresh.json": "3d141bcd5fc970a257b49d741992bdc86e74f8917de09910b4eaac5d7c6668ad",
+    },
+    "odd": {
+        "keys/public.json": "c208d3b291045f786874ce3b8ee29f9b4f471821882cd879d3b5ecf845e39867",
+        "keys/secret.json": "6b14d39669bfc039961bc0efc74c47b749fbc86f005af08431fcc37d986b31ed",
+        "a.json": "943880b67eeccee29cd7c6f8b6f4db1e37cb25ad32453846d8bd52487aa3d177",
+        "fresh.json": "1017ce81fbf828f4494f0c1c80e9acbef4471bb188ce98a4d264c76a847160bb",
+    },
+}
+GOLDEN_LARGE_MUL_V4 = "59b1b916ffa54d19c4efe1706431a7fc38cb42e0b7d5cfe2a970ae1cc8fb0c82"
+GOLDEN_ODD_ROWS_V4 = {
+    "public.json": "76d675895a00f2b6bb43a11277ffd45753a1d5bc2271658346d91a298930a0c5",
+    "secret.json": "f07778f79a47dcbdbb8dd3a21eb63e54cd5f5252c673460480198efa053d8c54",
+    "a.json": "c64c3bf1af9461729c5629e98827be930782a0956ba46cf0e08663ebd6ad4df3",
+    "b.json": "c5955b13b9a2621be04313d030a7663b6f6fe2d8803e044307c0b9a8dedb4636",
+    "ab.json": "0325d60240557a532a962a010ea94af10fc66376f10a9a0e48a32b4a12172901",
+}
+
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _digests(root: Path, rels, q: int) -> tuple[dict, dict, dict]:
-    """The format-1 and format-2 rendering digests and the file digest of
-    each file."""
+def _digests(root: Path, rels, q: int) -> tuple[dict, dict, dict, dict]:
+    """The format-1, format-2 and format-3 rendering digests and the file
+    digest of each file."""
     files = {rel: (root / rel).read_bytes() for rel in rels}
-    v2 = {rel: render_v2(json.loads(data), q) for rel, data in files.items()}
+    v3 = {rel: render_v3(json.loads(data)) for rel, data in files.items()}
+    v2 = {rel: render_v2(json.loads(data), q) for rel, data in v3.items()}
     return ({rel: _digest(render_v1(doc, q)) for rel, doc in v2.items()},
             {rel: _digest(dumps(doc)) for rel, doc in v2.items()},
+            {rel: _digest(data) for rel, data in v3.items()},
             {rel: _digest(data) for rel, data in files.items()})
 
 
@@ -224,10 +278,11 @@ def test_cli_outputs_match_golden_digests(tmp_path, name, params):
           "--circuit", tmp_path / "c.txt", "--input", f"a={tmp_path / 'a.json'}",
           "--input", f"b={tmp_path / 'b.json'}", "--refresh", "off",
           "--out", tmp_path / "out"])
-    v1, v2, v3 = _digests(tmp_path, GOLDEN_CLI_V1[name], CHANNEL_Q[name])
+    v1, v2, v3, v4 = _digests(tmp_path, GOLDEN_CLI_V1[name], CHANNEL_Q[name])
     assert v1 == GOLDEN_CLI_V1[name]
     assert v2 == GOLDEN_CLI_V2[name]
     assert v3 == GOLDEN_CLI_V3[name]
+    assert v4 == GOLDEN_CLI_V4[name]
 
 
 @pytest.mark.parametrize("name,params", [("mid", MID_ARGS), ("odd", ODD_ARGS)])
@@ -239,10 +294,11 @@ def test_cli_refresh_matches_golden_digests(tmp_path, capsys, name, params):
     _run(["encrypt", *files, "--message", message, "--seed", seed, "--out", tmp_path / "a.json"])
     _run(["refresh", *files, "--ct", tmp_path / "a.json", "--seed", "f1",
           "--secret", keys / "secret.json", "--out", tmp_path / "fresh.json"])
-    v1, v2, v3 = _digests(tmp_path, golden, CHANNEL_Q[name])
+    v1, v2, v3, v4 = _digests(tmp_path, golden, CHANNEL_Q[name])
     assert v1 == golden
     assert v2 == GOLDEN_CLI_REFRESH_V2[name]
     assert v3 == GOLDEN_CLI_REFRESH_V3[name]
+    assert v4 == GOLDEN_CLI_REFRESH_V4[name]
     capsys.readouterr()
     _run(["decrypt", "--secret", keys / "secret.json", "--channel", keys / "channel.json",
           "--ct", tmp_path / "fresh.json"])
@@ -265,10 +321,11 @@ def test_desk_auto_refresh_matches_golden_digests(tmp_path, desk_channel):
     serial.dump({"levels": report.levels,
                  "refresh_events": [list(e) for e in report.refresh_events]},
                 tmp_path / "report.json")
-    v1, v2, v3 = _digests(tmp_path, GOLDEN_DESK_REFRESH_V1, ch.q)
+    v1, v2, v3, v4 = _digests(tmp_path, GOLDEN_DESK_REFRESH_V1, ch.q)
     assert v1 == GOLDEN_DESK_REFRESH_V1
     assert v2 == GOLDEN_DESK_REFRESH_V2
     assert v3 == GOLDEN_DESK_REFRESH_V3
+    assert v4 == GOLDEN_DESK_REFRESH_V4
 
 
 def test_large_hom_mul_matches_golden_digest(tmp_path):
@@ -279,10 +336,11 @@ def test_large_hom_mul_matches_golden_digest(tmp_path):
     a = encrypt(bundle.public, ch, 2, rng)
     b = encrypt(bundle.public, ch, 2, rng)
     serial.dump(serial.ciphertext_to_dict(hom_mul(ch, bundle.tensor, a, b)), tmp_path / "ab.json")
-    v1, v2, v3 = _digests(tmp_path, ["ab.json"], ch.q)
+    v1, v2, v3, v4 = _digests(tmp_path, ["ab.json"], ch.q)
     assert v1["ab.json"] == GOLDEN_LARGE_MUL_V1
     assert v2["ab.json"] == GOLDEN_LARGE_MUL_V2
     assert v3["ab.json"] == GOLDEN_LARGE_MUL_V3
+    assert v4["ab.json"] == GOLDEN_LARGE_MUL_V4
 
 
 def test_odd_row_count_matches_golden_digests(tmp_path):
@@ -298,7 +356,8 @@ def test_odd_row_count_matches_golden_digests(tmp_path):
     serial.dump(serial.secret_to_dict(bundle.secret), tmp_path / "secret.json")
     for name, ct in (("a", a), ("b", b), ("ab", hom_mul(ch, bundle.tensor, a, b))):
         serial.dump(serial.ciphertext_to_dict(ct), tmp_path / f"{name}.json")
-    v1, v2, v3 = _digests(tmp_path, GOLDEN_ODD_ROWS_V1, ch.q)
+    v1, v2, v3, v4 = _digests(tmp_path, GOLDEN_ODD_ROWS_V1, ch.q)
     assert v1 == GOLDEN_ODD_ROWS_V1
     assert v2 == GOLDEN_ODD_ROWS_V2
     assert v3 == GOLDEN_ODD_ROWS_V3
+    assert v4 == GOLDEN_ODD_ROWS_V4

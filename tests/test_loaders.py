@@ -3,15 +3,18 @@
 Nothing read from a file is silently reduced or truncated; a malformed
 polynomial or tensor layer (an ``alpha`` that is not ``n`` words, a
 ``beta`` that is not ``n`` rows of ``n`` words or not symmetric), a word
-string that is not exactly its words in lowercase hex, a word not below q,
-a float or boolean where an integer belongs, or a file of another format
-is refused with ParameterError (CLI exit 2).  A wrong container type is
-malformed input (CLI exit 1).
+string that is not exactly the canonical base64 of its words, a word not
+below q, a float or boolean where an integer belongs, or a file of another
+format is refused with ParameterError (CLI exit 2).  A wrong container type
+is malformed input (CLI exit 1).
 """
 
+import base64
 import dataclasses
 import json
 import math
+import struct
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +27,7 @@ from aces.cli import main
 from aces.errors import ParameterError
 from aces.keygen import keygen
 from aces.rings import Ring
-from oracles import render_v1, render_v2
+from oracles import render_v1, render_v2, render_v3
 
 
 @pytest.fixture()
@@ -40,19 +43,38 @@ def desk_files(tmp_path):
     return ch, keys, ct
 
 
-def _digits(ch) -> int:
-    """Hex digits per word: the fewest of 1, 2, 4 or 8 bytes that hold q - 1."""
-    return next(2 * w for w in (1, 2, 4, 8) if ch.q - 1 < 256**w)
+def _width(ch) -> int:
+    """Bytes per word: the fewest of 1, 2, 4 or 8 that hold q - 1."""
+    return next(w for w in (1, 2, 4, 8) if ch.q - 1 < 256**w)
 
 
 def _word(ch, text: str, i: int) -> int:
-    w = _digits(ch)
-    return int.from_bytes(bytes.fromhex(text[i * w:(i + 1) * w]), "little")
+    w = _width(ch)
+    return int.from_bytes(base64.b64decode(text)[i * w:(i + 1) * w], "little")
 
 
 def _set_word(ch, text: str, i: int, value: int) -> str:
-    w = _digits(ch)
-    return text[:i * w] + value.to_bytes(w // 2, "little").hex() + text[(i + 1) * w:]
+    w, raw = _width(ch), base64.b64decode(text)
+    return base64.b64encode(raw[:i * w] + value.to_bytes(w, "little") + raw[(i + 1) * w:]).decode()
+
+
+def _resize(ch, text: str, words: int) -> str:
+    """The word string with ``words`` zero words appended, or as many of
+    its last words dropped when negative: canonical base64 either way."""
+    raw = base64.b64decode(text)
+    raw = raw + bytes(_width(ch) * words) if words > 0 else raw[:_width(ch) * words]
+    return base64.b64encode(raw).decode()
+
+
+# The standard base64 alphabet, in the order of the values it encodes.
+B64 = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+
+def _pad_bits(text: str) -> str:
+    """The word string with a pad bit set: the character before the padding
+    ends in zero bits in canonical base64; the decoded bytes are the same."""
+    i = text.index("=") - 1
+    return text[:i] + B64[B64.index(text[i]) | 1] + text[i + 1:]
 
 
 def _edit(obj, key, change) -> None:
@@ -66,16 +88,23 @@ def _decrypt(keys, ct):
 
 @pytest.mark.parametrize("corrupt", [
     lambda ch, d: _edit(d, "cprime", lambda t: _set_word(ch, t, 0, _word(ch, t, 0) + ch.q)),  # q + c
-    lambda ch, d: _edit(d, "cprime", lambda t: "-" + t[1:]),  # a minus sign
-    lambda ch, d: _edit(d["c"], 0, lambda t: t + "0" * _digits(ch)),  # one word long
-    lambda ch, d: _edit(d["c"], 1, lambda t: t[:-_digits(ch)]),  # one word short
+    lambda ch, d: _edit(d, "cprime", lambda t: "-" + t[1:]),  # a minus sign, or URL-safe base64
+    lambda ch, d: _edit(d, "cprime", lambda t: "_" + t[1:]),  # URL-safe base64
+    lambda ch, d: _edit(d["c"], 0, lambda t: _resize(ch, t, 1)),  # one word long
+    lambda ch, d: _edit(d["c"], 1, lambda t: _resize(ch, t, -1)),  # one word short
     lambda ch, d: d["c"].pop(),  # a missing vector slot
     lambda ch, d: d.__setitem__("level", ch.max_noise_level() + 0.5),  # 7506.5, past the budget
     lambda ch, d: d.__setitem__("level", True),
     lambda ch, d: d["c"].__setitem__(0, 4539.75),  # a number for a word string
-    lambda ch, d: _edit(d, "cprime", lambda t: _set_word(ch, t, 0, 0xab).upper()),  # uppercase
-    lambda ch, d: _edit(d, "cprime", lambda t: t[:4] + "  " + t[6:]),  # whitespace fromhex skips
-    lambda ch, d: _edit(d, "cprime", lambda t: t[:-1]),  # odd length
+    lambda ch, d: _edit(d, "cprime", lambda t: t[:4] + "  " + t[6:]),  # whitespace
+    lambda ch, d: _edit(d, "cprime", lambda t: t[:4] + "\n" + t[5:]),  # an embedded newline
+    lambda ch, d: _edit(d, "cprime", lambda t: "\u00e9" + t[1:]),  # not ASCII
+    lambda ch, d: _edit(d, "cprime", lambda t: t[:-1]),  # one character short
+    lambda ch, d: _edit(d, "cprime", lambda t: t + "A"),  # one character long
+    lambda ch, d: _edit(d, "cprime", lambda t: t.replace("=", "")),  # a missing "="
+    lambda ch, d: _edit(d, "cprime", lambda t: t.replace("=", "A")),  # "=" read as data
+    lambda ch, d: _edit(d, "cprime", _pad_bits),  # non-zero pad bits, the same bytes
+    lambda ch, d: _edit(d, "cprime", lambda t: base64.b64decode(t).hex()),  # format 3's hex
     lambda ch, d: _edit(d, "cprime", lambda t: _set_word(ch, t, 0, ch.q)),  # a word equal to q
 ])
 def test_corrupted_ciphertext_is_refused(desk_files, tmp_path, corrupt):
@@ -93,11 +122,11 @@ def test_corrupted_ciphertext_is_refused(desk_files, tmp_path, corrupt):
 @pytest.mark.parametrize("corrupt", [
     lambda ch, lam: lam[0]["beta"].pop(),  # a missing row of beta
     lambda ch, lam: lam.pop(),  # no layer
-    lambda ch, lam: _edit(lam[0]["beta"], 0, lambda t: t[:-_digits(ch)]),  # short row of beta
+    lambda ch, lam: _edit(lam[0]["beta"], 0, lambda t: _resize(ch, t, -1)),  # short row of beta
     lambda ch, lam: _edit(lam[0]["beta"], 0, lambda t: _set_word(ch, t, 0, ch.q)),  # a word equal to q
     lambda ch, lam: _edit(lam[0]["beta"], 0,  # beta[0][1] != beta[1][0]: not symmetric
                           lambda t: _set_word(ch, t, 1, (_word(ch, t, 1) + 1) % ch.q)),
-    lambda ch, lam: _edit(lam[0], "alpha", lambda t: t[:-_digits(ch)]),  # short alpha
+    lambda ch, lam: _edit(lam[0], "alpha", lambda t: _resize(ch, t, -1)),  # short alpha
     lambda ch, lam: _edit(lam[0], "alpha", lambda t: _set_word(ch, t, 0, ch.q)),  # a word equal to q
     lambda ch, lam: lam.append({"alpha": lam[0]["alpha"], "beta": lam[0]["beta"][:-1]}),  # n - 1 rows
 ])
@@ -139,8 +168,8 @@ def test_channel_poly_stays_lenient_in_library_code(desk_files):
     lambda ch, d: d["refresher"]["kappa"].__setitem__(0, -1),
     lambda ch, d: d["refresher"]["rho"].pop(),
     lambda ch, d: d["refresher"]["rho"].append(d["refresher"]["rho"][0]),
-    lambda ch, d: _edit(d["locators"][0], "vec", lambda t: t[:-_digits(ch)]),
-    lambda ch, d: _edit(d["locators"][0], "vec", lambda t: t + "0" * _digits(ch)),
+    lambda ch, d: _edit(d["locators"][0], "vec", lambda t: _resize(ch, t, -1)),
+    lambda ch, d: _edit(d["locators"][0], "vec", lambda t: _resize(ch, t, 1)),
     lambda ch, d: _edit(d["locators"][0], "vec", lambda t: _set_word(ch, t, 0, ch.q)),
     lambda ch, d: _edit(d["locators"][0], "vec", lambda t: "-" + t[1:]),
     lambda ch, d: d["locators"][0].__setitem__("kind", "detector"),
@@ -152,6 +181,8 @@ def test_channel_poly_stays_lenient_in_library_code(desk_files):
     lambda ch, d: d["locators"][0].__setitem__("k", d["locators"][0]["k"] + 0.5),
     lambda ch, d: d["locators"][0].__setitem__("k", -1),
     lambda ch, d: _edit(d["locators"][0], "margin_num", lambda t: _set_word(ch, t, 0, ch.q)),
+    lambda ch, d: _edit(d["locators"][0], "margin_num", _pad_bits),
+    lambda ch, d: _edit(d["fprime"], 0, lambda t: t[:-1] + "\n"),
 ])
 def test_malformed_public_material_is_refused(desk_files, tmp_path, corrupt):
     ch, keys, ct = desk_files
@@ -191,9 +222,10 @@ def test_channel_numbers_are_never_truncated(desk_files, tmp_path, field, value)
 def test_a_string_for_a_coefficient_list_is_exit_1(desk_files, tmp_path):
     """A wrong container type is malformed input, never read character by
     character: a string where the list of polynomials belongs, and a list
-    where a polynomial's word string belongs."""
+    where a polynomial's word string belongs, even one holding that string."""
     ch, keys, ct = desk_files
-    for field, value in (("c", "1000"), ("cprime", ["1000"])):
+    for field, value in (("c", "1000"), ("cprime", ["1000"]),
+                         ("cprime", [serial.load(ct)["cprime"]])):
         data = serial.load(ct)
         data[field] = value
         with pytest.raises(TypeError):
@@ -375,6 +407,11 @@ def test_a_file_that_is_not_a_json_object_is_refused(desk_files, tmp_path, capsy
     assert out == "" and message in err
 
 
+def _render_v1(path, q: int) -> bytes:
+    """The file at ``path`` as format 1 held it."""
+    return render_v1(render_v2(json.loads(render_v3(serial.load(path))), q), q)
+
+
 @pytest.mark.parametrize("command", ["encrypt", "decrypt", "eval", "refresh", "inspect",
                                      "inspect-with-keys"])
 def test_a_format_1_key_directory_is_exit_2(desk_files, tmp_path, capsys, command):
@@ -384,8 +421,8 @@ def test_a_format_1_key_directory_is_exit_2(desk_files, tmp_path, capsys, comman
     old = tmp_path / "v1"
     old.mkdir()
     for name in ("channel.json", "public.json", "secret.json"):
-        (old / name).write_bytes(render_v1(render_v2(serial.load(keys / name), ch.q), ch.q))
-    (old / "ct.json").write_bytes(render_v1(render_v2(serial.load(ct), ch.q), ch.q))
+        (old / name).write_bytes(_render_v1(keys / name, ch.q))
+    (old / "ct.json").write_bytes(_render_v1(ct, ch.q))
     assert b'"format"' not in (old / "public.json").read_bytes()
     files = ["--pub", str(old / "public.json"), "--channel", str(old / "channel.json")]
     circuit = tmp_path / "c.txt"
@@ -407,7 +444,53 @@ def test_a_format_1_key_directory_is_exit_2(desk_files, tmp_path, capsys, comman
     assert out == "" and "regenerate the keys" in err
 
 
-# q at each side of every word width, and one just under the factoring cap.
+# Each command that reads a file of the kind, as arguments relative to the
+# test's tmp_path; each writes, if anything, under out.
+READERS_OF = {
+    "channel": ["encrypt", "decrypt", "eval", "refresh", "inspect-with-keys"],
+    "public": ["encrypt", "eval", "refresh", "inspect-with-keys"],
+    "secret": ["decrypt", "refresh"],
+    "ciphertext": ["decrypt", "eval", "refresh", "inspect", "inspect-with-keys"],
+}
+
+
+def _command(name: str, files: dict) -> list[str]:
+    keys = ["--pub", files["public"], "--channel", files["channel"]]
+    return {
+        "encrypt": ["encrypt", *keys, "--message", "1", "--seed", "01", "--out", "out/o.json"],
+        "decrypt": ["decrypt", "--secret", files["secret"], "--channel", files["channel"],
+                    "--ct", files["ciphertext"]],
+        "eval": ["eval", *keys, "--circuit", "c.txt", "--input", f"a={files['ciphertext']}",
+                 "--out", "out/eval"],
+        "refresh": ["refresh", *keys, "--ct", files["ciphertext"], "--secret", files["secret"],
+                    "--seed", "01", "--out", "out/r.json"],
+        "inspect": ["inspect", "--ct", files["ciphertext"]],
+        "inspect-with-keys": ["inspect", "--ct", files["ciphertext"], *keys],
+    }[name]
+
+
+@pytest.mark.parametrize("kind, command", [(kind, command) for kind, commands in READERS_OF.items()
+                                           for command in commands])
+def test_a_format_3_file_is_exit_2(desk_files, tmp_path, capsys, monkeypatch, kind, command):
+    """A file as format 3 wrote it (hex word strings, indented), the other
+    files intact: every command that reads it exits 2 with the message to
+    regenerate the keys, prints nothing and writes no file."""
+    ch, _, _ = desk_files
+    monkeypatch.chdir(tmp_path)
+    files = {k: rel for k, (rel, _, _) in FILE_KINDS.items()}
+    old = render_v3(serial.load(files[kind]))
+    assert b'"format": 3' in old
+    Path("v3.json").write_bytes(old)
+    Path("c.txt").write_text("in a\nt = mul a a\nout t\n")
+    Path("out").mkdir()
+    capsys.readouterr()
+    assert main(_command(command, {**files, kind: "v3.json"})) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "file format 3, expected 4; regenerate the keys" in err
+    assert not any(Path("out").iterdir())
+
+
+# q at each side of every word width, a composite near 2^62, and the largest q.
 WORD_EDGES = {256: 1, 257: 2, 65536: 2, 65537: 4, 2**32: 4, 2**32 + 1: 8, (1 << 62) - 57: 8, 2**64: 8}
 
 
@@ -422,8 +505,38 @@ def test_word_strings_round_trip_at_every_word_width(q, data):
     polys = [ch.ring.poly(data.draw(st.lists(residue, min_size=3, max_size=3))) for _ in range(3)]
     ct = Ciphertext(tuple(polys[:2]), polys[2], data.draw(st.integers(0, 10**6)))
     text = json.loads(json.dumps(serial.ciphertext_to_dict(ct)))
-    assert {len(t) for t in (*text["c"], text["cprime"])} == {2 * 3 * WORD_EDGES[q]}
+    assert {len(t) for t in (*text["c"], text["cprime"])} == {4 * WORD_EDGES[q]}  # 3 words
     assert serial.ciphertext_from_dict(ch, text) == ct
+
+
+@pytest.mark.parametrize("q", [256, 2**64], ids=["1-byte", "8-byte"])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_a_word_string_is_read_exactly_when_it_is_canonical(q, data):
+    """``_words`` reads a leaf exactly when the stdlib's strict decoding of
+    it has the string's bytes and encodes back to it; every padding occurs
+    (1 to 4 words).  Leaves are canonical ones with up to two characters
+    replaced, by base64 characters, the padding, URL-safe ones or
+    whitespace."""
+    ring = Ring(q, (-1, 0, 1))
+    count = data.draw(st.integers(1, 4), label="count")
+    size = count * ring.word[1]
+    leaf = list(base64.b64encode(data.draw(st.binary(min_size=size, max_size=size))).decode())
+    for _ in range(data.draw(st.integers(0, 2), label="edits")):
+        leaf[data.draw(st.integers(0, len(leaf) - 1))] = data.draw(st.sampled_from(B64 + "=-_ \n"))
+    leaf = "".join(leaf)
+    try:
+        raw = base64.b64decode(leaf, validate=True)
+        canonical = len(raw) == size and base64.b64encode(raw).decode() == leaf
+    except ValueError:
+        canonical = False
+    try:
+        words = serial._words(ring, [leaf], "leaf", (None,), count)
+    except ParameterError:
+        words = None
+    assert (words is not None) == canonical
+    if canonical:
+        assert words == (struct.unpack(f"<{count}{ring.word[0]}", raw),)
 
 
 def test_a_ring_above_2_to_the_64_has_no_word():
@@ -435,11 +548,13 @@ def test_a_ring_above_2_to_the_64_has_no_word():
 
 
 def test_a_file_over_a_modulus_above_2_to_the_64_is_refused():
-    """A channel above ``2^64`` is valid, but no polynomial of it can be
-    read: the file readers meet the ring's refusal."""
-    ch = ArithmeticChannel(p=2, q=2**64 + 1, omega=1, u=(-1, 0, 1), n=1, big_n=1, k0=1).require_valid()
+    """A channel above ``2^64`` is invalid (``violations()`` names it), and
+    a file of one built without the check is refused too: the file readers
+    meet the ring's refusal."""
+    ch = ArithmeticChannel(p=2, q=2**64 + 1, omega=1, u=(-1, 0, 1), n=1, big_n=1, k0=1)
+    word_string = "A" * 22 + "=="  # two 8-byte words
     with pytest.raises(ParameterError, match="2\\*\\*64"):
-        serial.ciphertext_from_dict(ch, {"format": serial.FORMAT, "c": ["00" * 16], "cprime": "00" * 16,
-                                         "level": 0})
+        serial.ciphertext_from_dict(ch, {"format": serial.FORMAT, "c": [word_string],
+                                         "cprime": word_string, "level": 0})
     with pytest.raises(ParameterError, match="2\\*\\*64"):
-        serial.secret_from_dict(ch, {"format": serial.FORMAT, "secret": ["00" * 16]})
+        serial.secret_from_dict(ch, {"format": serial.FORMAT, "secret": [word_string]})

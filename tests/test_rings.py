@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from aces.channel import ArithmeticChannel
 from aces.errors import ParameterError
 from aces.rings import (
-    FACTOR_CAP,
+    MAX_Q,
     Repartition,
     Ring,
     RingPoly,
@@ -289,7 +289,7 @@ def test_factorize_large_moduli(q, primes):
     assert factorize(q) == primes
 
 
-@pytest.mark.parametrize("q", [1, 0, -15, FACTOR_CAP])
+@pytest.mark.parametrize("q", [1, 0, -15, MAX_Q + 1])
 def test_factorize_refuses_moduli_out_of_range(q):
     with pytest.raises(ParameterError):
         factorize(q)
