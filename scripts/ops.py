@@ -1,13 +1,13 @@
 """Per-operation timings of ``aces`` at the benchmark's three channels.
 
-    python3 scripts/ops.py --out BENCH_26.json
-    python3 scripts/ops.py --out BENCH_26.json --base OTHER/src --rounds 3
+    python3 scripts/ops.py --out BENCH_28.json
+    python3 scripts/ops.py --out BENCH_28.json --base OTHER/src --rounds 3
 
-At desk, mid and large (``bench/workloads.py``) it times ``Ring.unpack`` of
-11 outputs at the layouts of ``hom_mul``'s last pass and of its first pass,
-``width(n*n*(q-1))`` (between them every slot width the benchmark's
-workloads read), ``Ring.pack`` of the ``2n + 3`` operands of ``hom_mul``'s
-last pass (two ciphertexts and one layer's sum) at its layout,
+At desk, mid and large (``bench/workloads.py``) it times ``Layout.unpack``
+of 11 outputs at the layouts of ``hom_mul``'s last pass and of its first
+pass, ``Ring.layout(n*n*(q-1))`` (between them every slot width the
+benchmark's workloads read), ``Layout.pack`` of the ``2n + 3`` operands of
+``hom_mul``'s last pass (two ciphertexts and one layer's sum) at its layout,
 ``PackedRows.combine`` (the public-key rows by a mask),
 ``encrypt``, ``decrypt``, ``hom_mul`` of two ciphertexts and of one by
 itself, ``public_from_dict`` of the public file alone and followed by one
@@ -31,8 +31,10 @@ keygen`` and ``aces encrypt`` write at each channel.
 
 With ``--base`` (the ``src`` directory of another checkout) every round
 times this checkout's ``src`` and the base, each in a fresh process, and
-alternates which goes first; the file then holds both and their ratio.  The
-script is not part of the test suite.
+alternates which goes first; the file then holds both and their ratio.  A
+base whose ``Ring`` has no ``layout`` (``Ring.width``, ``Ring.pack`` and
+``Ring.unpack`` taking the layout tuple) is timed through those, so the
+rows compare.  The script is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -74,14 +76,24 @@ def _operations(channel, work: Path):
     x, y = ch.random_poly(rng), ch.random_poly(rng)
     long = x.coeffs + y.coeffs[1:]
     mask = sample_mask(ch, rng)
-    last, last_layout = (*a.c, a.cprime, *b.c, b.cprime, x), ring.width(3)
+
+    def codec(terms):
+        """The ``pack`` and ``unpack`` of the layout for ``terms``, also in a
+        tree from before ``Ring.layout``, whose ``Ring`` methods take it."""
+        if hasattr(ring, "layout"):
+            layout = ring.layout(terms)
+            return layout.pack, layout.unpack
+        layout = ring.width(terms)
+        return lambda polys: ring.pack(polys, layout), lambda sums: ring.unpack(sums, layout)
+
+    last, pack_last = (*a.c, a.cprime, *b.c, b.cprime, x), codec(3)[0]
 
     def unpack(terms):
-        """``Ring.unpack`` of OUTPUTS products at the layout ``width(terms)``."""
-        layout = ring.width(terms)
-        packed = ring.pack([ch.random_poly(rng) for _ in range(2 * OUTPUTS)], layout)
+        """``Layout.unpack`` of OUTPUTS products at the layout for ``terms``."""
+        pack, unpack = codec(terms)
+        packed = pack([ch.random_poly(rng) for _ in range(2 * OUTPUTS)])
         sums = [[s * t for s, t in zip(p[:OUTPUTS], p[OUTPUTS:])] for p in packed]
-        return lambda: ring.unpack(sums, layout)
+        return lambda: unpack(sums)
 
     public = json.loads(json.dumps(serial.public_to_dict(bundle)))
     ciphertext = json.loads(json.dumps(serial.ciphertext_to_dict(a)))
@@ -104,9 +116,9 @@ def _operations(channel, work: Path):
     dumped = work / "dumped.json"
     serial.dump(ciphertext, dumped)
     return {
-        f"Ring.unpack ({OUTPUTS} outputs)": unpack(3),
-        f"Ring.unpack ({OUTPUTS} outputs, pass-1 layout)": unpack(ch.n * ch.n * (ch.q - 1)),
-        "Ring.pack (hom_mul's last pass)": lambda: ring.pack(last, last_layout),
+        f"Layout.unpack ({OUTPUTS} outputs)": unpack(3),
+        f"Layout.unpack ({OUTPUTS} outputs, pass-1 layout)": unpack(ch.n * ch.n * (ch.q - 1)),
+        "Layout.pack (hom_mul's last pass)": lambda: pack_last(last),
         "PackedRows.combine": lambda: bundle.public.rows.combine(mask),
         "encrypt": lambda: encrypt(bundle.public, ch, 1, rng),
         "decrypt": lambda: decrypt(bundle.secret, ch, a),

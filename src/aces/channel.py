@@ -111,13 +111,15 @@ class ArithmeticChannel:
             out.append(f"q <= 2**64 violated: q={self.q}; no word holds its residues")
         if self.p < 2:
             out.append(f"p must be >= 2, got {self.p}")
+        if self.q < 2:  # and no residue mod q to check omega or u(omega) against
+            out.append(f"q must be >= 2, got {self.q}")
         if len(self.u) < 3 or self.u[-1] != 1:
             out.append("u must be monic of degree >= 2")
-        else:
+        elif self.q >= 2:
             u_at_omega = sum(c * self.omega**i for i, c in enumerate(self.u))
             if u_at_omega % self.q != 0:
                 out.append(f"u(omega) != 0 mod q: u({self.omega}) = {u_at_omega % self.q}")
-        if math.gcd(self.omega % self.q, self.q) != 1:
+        if self.q >= 2 and math.gcd(self.omega % self.q, self.q) != 1:
             out.append(f"omega={self.omega} is not invertible mod q={self.q}")
         if self.n < 1:
             out.append(f"n must be positive, got {self.n}")

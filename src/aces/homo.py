@@ -52,20 +52,17 @@ def _product(lam, v1: tuple, v2: tuple) -> tuple:
     q = ring.q
     if lam.q != q:
         raise ParameterError(f"tensor modulus {lam.q} is not the ring's q = {q}")
-    # A coefficient of B is at most n * n * d * (q-1)^3 before reduction.
-    layout = ring.width(n * n * (q - 1))
-    sums = []
-    for packed in ring.pack(v1[:n] if square else (*v1[:n], *v2[:n]), layout):
+
+    def layer_sums(packed):
         a, b = packed[:n], packed[-n:]
-        sums.append([sum(map(operator.mul, a, [sum(map(operator.mul, row, b)) for row in beta]))
-                     for _, beta in layers])
-    sums = ring.unpack(sums, layout)
+        return [sum(map(operator.mul, a, [sum(map(operator.mul, row, b)) for row in beta]))
+                for _, beta in layers]
+
+    # A coefficient of B is at most n * n * d * (q-1)^3 before reduction.
+    sums = ring.layout(n * n * (q - 1)).run(v1[:n] if square else (*v1[:n], *v2[:n]), layer_sums)
     weights = list(zip(*[[-a % q for a in alpha] for alpha, _ in layers]))
-    # Two products of canonical polynomials, and per layer a canonical B
-    # times a weight below q.
-    layout = ring.width(2 + len(layers))
-    out = []
-    for p in ring.pack((*v1, *sums) if square else (*v1, *v2, *sums), layout):
+
+    def fold(p):
         c1, p1, b = p[:n], p[n], p[len(p) - len(sums):]
         if square:
             p2, twice = p1, p1 + p1
@@ -73,8 +70,11 @@ def _product(lam, v1: tuple, v2: tuple) -> tuple:
         else:
             p2 = p[2 * n + 1]
             cross = [p2 * x + p1 * y for x, y in zip(c1, p[n + 1:2 * n + 1])]
-        out.append([x + sum(map(operator.mul, w, b)) for x, w in zip(cross, weights)] + [p1 * p2])
-    return ring.unpack(out, layout)
+        return [x + sum(map(operator.mul, w, b)) for x, w in zip(cross, weights)] + [p1 * p2]
+
+    # Two products of canonical polynomials, and per layer a canonical B
+    # times a weight below q.
+    return ring.layout(2 + len(layers)).run((*v1, *sums) if square else (*v1, *v2, *sums), fold)
 
 
 _OVERFLOW = {"add": "addition overflows the noise budget: levels {} + {}",

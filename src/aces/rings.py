@@ -10,7 +10,9 @@ Three layers live in this module:
 * the lift/reduce maps between ``Z_m`` and ``Z`` (and the quotient/remainder
   split of a lifted decryption residual),
 * the quotient ring ``Z_q[X]/(u)`` for a monic ``u`` (one shared ``Ring``
-  object per ``(q, u)``) and its elements; products are computed exactly
+  object per ``(q, u)``) and its elements, and the ring's Kronecker layouts
+  (``Layout``, from ``Ring.layout``): each owns a kernel's packing, its
+  arithmetic per point and its decoding, so products are computed exactly
   by Kronecker substitution on packed integers, and a fixed matrix is kept
   packed (``PackedRows``) for the combinations of its rows.  Operands are
   packed at one point, ``2^(8w)``, except large ones for ``u = X^d - 1`` of
@@ -33,6 +35,7 @@ import operator
 import struct
 from dataclasses import dataclass
 from itertools import count
+from typing import NamedTuple
 
 from .errors import ParameterError
 
@@ -166,32 +169,18 @@ class Ring:
 
     ``Ring(q, u)`` validates ``(q, u)`` once and returns the same object for
     every later call with equal arguments, so two polynomials belong to the
-    same ring exactly when they hold the same ``Ring``.  The ring owns the
-    two kernels every product goes through:
+    same ring exactly when they hold the same ``Ring``.  It holds the
+    residue word (``word``): the smallest of 1, 2, 4 or 8 bytes that holds
+    ``q - 1``, which every Kronecker slot (``Layout``) and every file
+    (``serial``) start from, so ``q`` is at most ``2**64``.  ``layout``
+    picks the Kronecker layout a kernel call runs on.
 
-    * Kronecker packing: a coefficient vector becomes one integer with a
-      byte-aligned slot per coefficient, its value at ``x = 2^(8w)``; each
-      slot starts with the coefficient's residue word (``word``), the
-      smallest of 1, 2, 4 or 8 bytes that holds ``q - 1``, which is also
-      the word ``serial`` writes to files, so ``q`` is at most ``2**64``.  When
-      the slots are wide enough for the largest coefficient of the result,
-      a polynomial product, or a whole weighted sum of products, is exact
-      big-integer arithmetic on the packed integers, with no carry crossing
-      a slot boundary.  ``width`` picks the layout per kernel call: this one
-      point, except for a cyclic ``u`` of even degree once the packed
-      operand reaches ``SIX_POINT_BYTES``: then the six residues of the two
-      points ``x`` and ``-x``, with ``w`` about half as wide (``pack``).  A
-      kernel runs its arithmetic once per point, each a ring homomorphism
-      of Z[X], and every product multiplies integers of a half and a
-      quarter of the size: cheaper above the switch, and dearer below it,
-      where packing and decoding six times cost more than the smaller
-      multiplies save.
-    * Reduction by ``u``: ``reduce`` divides by ``u`` top-down, one
-      multiply-add per nonzero lower coefficient of ``u`` mod q.  The
-      one-point decode (``unpack``) cuts each output at degree ``d`` and
-      folds the high part onto the low part as big integers for a cyclic
-      ``u``, and through ``reduce`` for any other; the six points give the
-      output already folded by ``X^d = 1``.
+    Reduction by ``u``: ``reduce`` divides by ``u`` top-down, one
+    multiply-add per nonzero lower coefficient of ``u`` mod q.  The
+    one-point decode (``Layout.unpack``) cuts each output at degree ``d``
+    and folds the high part onto the low part as big integers for a cyclic
+    ``u``, and through ``reduce`` for any other; the six points give the
+    output already folded by ``X^d = 1``.
     """
 
     __slots__ = ("q", "u", "d", "word", "_tail", "_cyclic")
@@ -228,23 +217,23 @@ class Ring:
     def __reduce__(self):
         return Ring, (self.q, self.u)
 
-    def width(self, terms: int) -> tuple[int, int]:
-        """The Kronecker layout ``(points, slot bytes)`` for a sum of ``terms``
-        products of canonical polynomials, each coefficient of one at most
-        ``d(q-1)^2``: a bound ``B`` of ``bits`` bits.
+    def layout(self, terms: int) -> "Layout":
+        """The Kronecker layout for a sum of ``terms`` products of canonical
+        polynomials, each coefficient of one at most ``d(q-1)^2``: a bound
+        ``B`` of ``bits`` bits.
 
         One point, with slots of ``w = ceil(bits/8)`` bytes, unless ``u`` is
         cyclic of even degree and the packed operand, ``d`` such slots,
         reaches ``SIX_POINT_BYTES``: then six points, with half slots of
-        ``w = max(ceil(bits/16), word)`` bytes.  Either way ``unpack`` reads
-        coefficients at most ``B`` (for a cyclic ``u``, each a sum of ``d``
-        products): at one point in slots of ``w`` bytes, at six from
+        ``w = max(ceil(bits/16), word)`` bytes.  Either way ``Layout.unpack``
+        reads coefficients at most ``B`` (for a cyclic ``u``, each a sum of
+        ``d`` products): at one point in slots of ``w`` bytes, at six from
         residues mod ``z^(d/2) - 1`` in slots of base ``z = 2^(16w) > B``,
         which is exact: each half holds ``d/2`` of them, none ``z - 1``
         (``B`` is even, as ``d`` is), so its value lies below that modulus.
         No slot needs more room.
 
-        Every slot holds a residue word (``pack``).  At six points the
+        Every slot holds a residue word (``Layout.pack``).  At six points the
         ``max`` sees to it.  At one point it always does: for a ``b``-bit
         ``q - 1``, ``B >= 2 (q-1)^2 >= 2^(2b-1)`` (``d >= 2``), so ``bits >=
         2b`` and ``w >= ceil(b/4)``.  That is at least 1, 3, 5 or 9 bytes
@@ -254,8 +243,8 @@ class Ring:
         bits = (terms * self.d * (self.q - 1) ** 2).bit_length()
         width = (bits + 7) // 8
         if self.d * width >= SIX_POINT_BYTES and self._cyclic and self.d % 2 == 0:
-            return 6, max((bits + 15) // 16, self.word[1])
-        return 1, width
+            return _layout(Layout, (self, 6, max((bits + 15) // 16, self.word[1])))
+        return _layout(Layout, (self, 1, width))
 
     def zero(self) -> "RingPoly":
         return _wrap(self, (0,) * self.d)
@@ -276,27 +265,59 @@ class Ring:
         work += [0] * (d - len(work))
         return tuple([c % q for c in work])
 
-    def pack(self, polys, layout: tuple[int, int]) -> list[list[int]]:
-        """Per point of ``layout``, the packed value of each element of ``polys``.
+
+class Layout(NamedTuple):
+    """A Kronecker layout of ``ring`` (``Ring.layout``): ``points``, 1 or 6,
+    and slot bytes ``width``.  It owns a kernel's packing, its arithmetic per
+    point and its decoding (``run``).
+
+    Kronecker packing: a coefficient vector becomes one integer with a
+    byte-aligned slot per coefficient, its value at ``x = 2^(8w)``; each slot
+    starts with the coefficient's residue word (``Ring.word``).  When the
+    slots are wide enough for the largest coefficient of the result, a
+    polynomial product, or a whole weighted sum of products, is exact
+    big-integer arithmetic on the packed integers, with no carry crossing a
+    slot boundary.  The layout has this one point, except for a cyclic ``u``
+    of even degree once the packed operand reaches ``SIX_POINT_BYTES``: then
+    the six residues of the two points ``x`` and ``-x``, with ``w`` about
+    half as wide (``pack``).  A kernel runs its arithmetic once per point,
+    each a ring homomorphism of Z[X], and every product multiplies integers
+    of a half and a quarter of the size: cheaper above the switch, and
+    dearer below it, where packing and decoding six times cost more than the
+    smaller multiplies save.
+    """
+
+    ring: Ring
+    points: int
+    width: int
+
+    def run(self, polys, kernel, *per_point) -> tuple["RingPoly", ...]:
+        """The outputs of a kernel on ``polys``: ``kernel`` maps the packed
+        values of ``polys`` at one point (and that point's item of each
+        ``per_point``) to its packed outputs, and ``unpack`` decodes them."""
+        return self.unpack(list(map(kernel, self.pack(polys), *per_point)))
+
+    def pack(self, polys) -> list[list[int]]:
+        """Per point, the packed value of each element of ``polys``.
 
         At one point, ``x = 2^(8w)`` for ``w``-byte slots: the canonical
-        coefficients, each its residue word (``word``) zero-padded to the
-        slot, which ``width`` makes at least a word wide, all written by one
-        ``struct.pack``.  At six, that value and the one at ``-x``, the
-        first minus twice its odd-index coefficients (which a byte mask
-        picks out), are each cut into three residues: ``V = lo + hi 2^m``
-        (``2m`` bits) gives ``lo - hi`` (mod ``2^m + 1``), and ``W = lo +
-        hi`` cut the same way at ``m/2`` gives ``W_lo - W_hi`` and ``W_lo +
-        W_hi`` (mod ``2^(m/2) +- 1``).
+        coefficients, each its residue word (``Ring.word``) zero-padded to
+        the slot, which ``Ring.layout`` makes at least a word wide, all
+        written by one ``struct.pack``.  At six, that value and the one at
+        ``-x``, the first minus twice its odd-index coefficients (which a
+        byte mask picks out), are each cut into three residues: ``V = lo +
+        hi 2^m`` (``2m`` bits) gives ``lo - hi`` (mod ``2^m + 1``), and ``W
+        = lo + hi`` cut the same way at ``m/2`` gives ``W_lo - W_hi`` and
+        ``W_lo + W_hi`` (mod ``2^(m/2) +- 1``).
         """
-        points, width = layout
-        (code, word), size = self.word, self.d * width
-        data = struct.pack("<" + f"{code}{width - word}x" * (len(polys) * self.d),
+        ring, points, width = self
+        (code, word), size = ring.word, ring.d * width
+        data = struct.pack("<" + f"{code}{width - word}x" * (len(polys) * ring.d),
                            *[c for x in polys for c in x.coeffs])
         plus = [int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size)]
         if points == 1:
             return [plus]
-        odd = int.from_bytes((bytes(width) + b"\xff" * width) * (self.d // 2), "little")
+        odd = int.from_bytes((bytes(width) + b"\xff" * width) * (ring.d // 2), "little")
         signs = [plus, [v - ((v & odd) << 1) for v in plus]]
         m, maps = 4 * size, []
         low, quarter = (1 << m) - 1, (1 << m // 2) - 1
@@ -312,17 +333,17 @@ class Ring:
             maps += split
         return maps
 
-    def unpack(self, sums, layout: tuple[int, int]) -> tuple["RingPoly", ...]:
+    def unpack(self, sums) -> tuple["RingPoly", ...]:
         """The elements whose unreduced coefficients ``sums`` holds, per point
-        of ``layout`` one packed value for each output: each a product of
-        packed values, or a sum of them, with every coefficient of the result
-        non-negative and within its slot.  Each output is reduced once.
+        one packed value for each output: each a product of packed values,
+        or a sum of them, with every coefficient of the result non-negative
+        and within its slot.  Each output is reduced once.
 
         At one point a cyclic ``u`` cuts each output at degree ``d`` and adds
         high onto low as big integers before a slot is read, which cannot
-        overflow a slot: ``width`` bounds a cyclic coefficient, a sum of
-        ``d`` products.  Any other ``u`` reads the ``2d - 1`` slots of the
-        uncut output and calls ``reduce``.
+        overflow a slot: ``Ring.layout`` bounds a cyclic coefficient, a sum
+        of ``d`` products.  Any other ``u`` reads the ``2d - 1`` slots of the
+        uncut output and calls ``Ring.reduce``.
 
         At six, two CRT steps (``_crt``) give ``S(+-x)`` mod ``2^(2m) - 1 =
         x^d - 1``, the output folded by ``X^d = 1``; half the sum of the signs
@@ -330,8 +351,8 @@ class Ring:
         odd-index coefficients in slots of ``2w`` bytes (``x^2 = 2^(16w)``), read by
         ``_slots`` as at one point and then interleaved.
         """
-        points, width = layout
-        d = self.d
+        ring, points, width = self
+        d = ring.d
         if points == 6:
             m, shift, parts = 4 * width * d, 8 * width + 1, []
             quarter, half, full = [(1 << k) - 1 for k in (m // 2, m, 2 * m)]
@@ -343,19 +364,19 @@ class Ring:
             slots, coeffs, out = self._slots(parts, 2 * width, d // 2), [0] * d, []
             for even, odd in zip(slots[0::2], slots[1::2]):
                 coeffs[0::2], coeffs[1::2] = even, odd
-                out.append(_wrap(self, tuple(coeffs)))
+                out.append(_wrap(ring, tuple(coeffs)))
             return tuple(out)
-        if self._cyclic:
+        if ring._cyclic:
             cut = 8 * width * d
             folded = [(v & (1 << cut) - 1) + (v >> cut) for v in sums[0]]
-            return tuple([_wrap(self, c) for c in self._slots(folded, width, d)])
-        return tuple([_wrap(self, self.reduce(c)) for c in self._slots(sums[0], width, 2 * d - 1)])
+            return tuple([_wrap(ring, c) for c in self._slots(folded, width, d)])
+        return tuple([_wrap(ring, ring.reduce(c)) for c in self._slots(sums[0], width, 2 * d - 1)])
 
     def _slots(self, parts, width: int, count: int) -> list[tuple[int, ...]]:
         """Per value of ``parts``, its lowest ``count`` slots of ``width`` bytes,
         each shifted out and reduced mod q: ``d`` at one point (``2d - 1``
-        for an output ``reduce`` folds), ``d/2`` at six."""
-        q, step, mask = self.q, 8 * width, (1 << 8 * width) - 1
+        for an output ``Ring.reduce`` folds), ``d/2`` at six."""
+        q, step, mask = self.ring.q, 8 * width, (1 << 8 * width) - 1
         shifts = range(0, count * step, step)
         return [tuple([(v >> s & mask) % q for s in shifts]) for v in parts]
 
@@ -380,6 +401,7 @@ def _rotate(v: int, r: int, k: int, mask: int) -> int:
 
 _new = object.__new__
 _set = object.__setattr__
+_layout = tuple.__new__  # a Layout from its fields, skipping NamedTuple's __new__
 
 
 def _wrap(ring: Ring, coeffs: tuple[int, ...]) -> "RingPoly":
@@ -468,10 +490,8 @@ class RingPoly:
         """Kronecker substitution: one big-integer multiply per point (a
         square when ``other`` is ``self``), reduced once."""
         self._check_same_ring(other)
-        ring = self.ring
-        layout = ring.width(1)
-        packed = ring.pack((self,) if other is self else (self, other), layout)
-        return ring.unpack([[p[0] * p[-1]] for p in packed], layout)[0]
+        polys = (self,) if other is self else (self, other)
+        return self.ring.layout(1).run(polys, lambda p: [p[0] * p[-1]])[0]
 
     def scale(self, value: int) -> "RingPoly":
         """Multiply by an integer scalar; a non-``int`` is refused."""
@@ -493,14 +513,14 @@ class PackedRows:
     where an odd row count pairs the last row with a zero row and a zero
     weight.  That is ``ceil(N/2)`` products per column plus ``floor(N/2)``
     for ``eta``, instead of ``N`` per column.  Packing is evaluation at a
-    point of ``Ring.width``'s layout, a ring homomorphism on Z[X], so the
+    point of ``layout`` (``Ring.layout``), a ring homomorphism on Z[X], so the
     identity holds on the packed integers at each point; the slots are sized
     for the sum before the subtractions, whose coefficients are non-negative
     and bound every term, so the differences unpack to the exact unreduced
     combination.
     """
 
-    __slots__ = ("ring", "layout", "row_count", "_columns")
+    __slots__ = ("layout", "row_count", "_columns")
 
     def __init__(self, rows):
         rows = tuple(tuple(row) for row in rows)
@@ -514,13 +534,13 @@ class PackedRows:
         big_n = len(rows)
         # A pair product of sums of two canonical polynomials weighs four
         # products; the odd row's product with a zero row and weight, one.
-        layout = ring.width(4 * (big_n // 2) + big_n % 2)
-        self.ring, self.layout, self.row_count = ring, layout, big_n
+        layout = ring.layout(4 * (big_n // 2) + big_n % 2)
+        self.layout, self.row_count = layout, big_n
         # Per point, then per column: its even-row entries, its odd-row
         # entries, and xi.
         cols = len(rows[0])
         self._columns = []
-        for flat in ring.pack([x for row in rows for x in row], layout):
+        for flat in layout.pack([x for row in rows for x in row]):
             packed = [flat[i:i + cols] for i in range(0, len(flat), cols)]
             if big_n % 2:
                 packed.append([0] * cols)
@@ -531,22 +551,23 @@ class PackedRows:
 
     def combine(self, weights) -> tuple[RingPoly, ...]:
         """``sum_i weights[i] * rows[i][j]`` for every column ``j``."""
-        ring = self.ring
+        layout = self.layout
         if len(weights) != self.row_count:
             raise ParameterError(f"expected {self.row_count} weights, got {len(weights)}")
-        if any(w.ring is not ring for w in weights):
+        if any(w.ring is not layout.ring for w in weights):
             raise ParameterError("polynomials belong to different rings")
-        sums = []
-        for w, columns in zip(ring.pack(weights, self.layout), self._columns):
-            if len(w) % 2:
-                w.append(0)
-            even, odd = w[0::2], w[1::2]
-            eta = sum(map(operator.mul, even, odd))
-            sums.append([
-                sum([(a + y) * (b + x) for a, b, x, y in zip(r_even, r_odd, even, odd)]) - xi - eta
-                for r_even, r_odd, xi in columns
-            ])
-        return ring.unpack(sums, self.layout)
+        return layout.run(weights, _combine, self._columns)
+
+
+def _combine(w, columns) -> list[int]:
+    """``PackedRows.combine`` at one point: the packed weights ``w`` and the
+    matrix's ``columns`` there."""
+    if len(w) % 2:
+        w.append(0)
+    even, odd = w[0::2], w[1::2]
+    eta = sum(map(operator.mul, even, odd))
+    return [sum([(a + y) * (b + x) for a, b, x, y in zip(r_even, r_odd, even, odd)]) - xi - eta
+            for r_even, r_odd, xi in columns]
 
 
 @dataclass(frozen=True)

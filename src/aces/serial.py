@@ -9,7 +9,7 @@ keys.  There is one reader per kind of value and no reader of older files.
 * A polynomial in ``Z_q[X]/(u)`` is one string of its ``deg(u)``
   canonical coefficients, each a little-endian residue word of its ring,
   ``Ring.word``: the smallest of 1, 2, 4 or 8 bytes that holds ``q - 1``,
-  the word ``Ring.pack`` writes too (``Ring(q, u)`` refuses a ``q`` above
+  the word ``Layout.pack`` writes too (``Ring(q, u)`` refuses a ``q`` above
   ``2**64``, which no word holds).  The words' bytes are written in
   standard, padded base64 (RFC 4648, section 4).  The multiplication
   tensor is a list of layers, each ``alpha`` (one string of ``n`` words)

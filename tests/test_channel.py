@@ -73,6 +73,17 @@ def test_validation_names_a_modulus_above_the_largest(q, problems):
     assert ArithmeticChannel(p=2, q=q, omega=1, u=(-1, 0, 1), n=1, big_n=1, k0=1).violations() == problems
 
 
+@pytest.mark.parametrize("q", [1, 0, -1])
+def test_validation_names_a_modulus_below_2(q):
+    """A q below 2 is one violation among those it breaks, named, and the
+    checks mod q that it leaves meaningless are skipped, never a
+    ZeroDivisionError."""
+    ch = ArithmeticChannel(**{**DESK, "q": q})
+    assert f"q must be >= 2, got {q}" in ch.violations()
+    with pytest.raises(ParameterError, match="q must be >= 2"):
+        ch.require_valid()
+
+
 @pytest.mark.parametrize("top", [1.9, 1.0, True])
 def test_non_integer_u_coefficient_is_refused(top):
     """A float or a bool in ``u``, or in the coefficients ``Ring.poly`` is

@@ -914,6 +914,8 @@ _EVAL = f"eval {_PUB} --circuit {{t}}/circ.txt --input a={{t}}/a.json --out {{t}
     (f"encrypt {_PUB} --message=1 --seed=0a --out={{t}}/m.json", 0, ""),
     (f"encrypt {_PUB} --message 1 --seed 0a --out {{t}}/m.json", 0, ""),
     (f"encrypt {_PUB} --message -1 --seed 0a --out {{t}}/m.json", 2, "guard failure"),
+    ("keygen --p 2 --q 0 --degree 4 --n 3 --bigN 2 --k0 1 --seed 01 --out {t}/out", 2,
+     "guard failure: p < q violated: p=2, q=0; q must be >= 2, got 0"),
     (f"{_KEYGEN} --omega -1", 0, ""),
     (f"{_KEYGEN} --u=-1,0,0,0,1", 0, ""),
     (f"{_KEYGEN} --u -1,0,0,0,1", 1, "usage error: argument --u: expected one argument"),

@@ -490,6 +490,27 @@ def test_a_format_3_file_is_exit_2(desk_files, tmp_path, capsys, monkeypatch, ki
     assert not any(Path("out").iterdir())
 
 
+@pytest.mark.parametrize("q", ["0", 0], ids=["str", "int"])
+@pytest.mark.parametrize("command", READERS_OF["channel"])
+def test_a_channel_of_modulus_0_is_exit_2(desk_files, tmp_path, capsys, monkeypatch, command, q):
+    """A channel file whose ``q`` is 0, as a decimal string or, with ``p``,
+    ``n``, ``N`` and ``k0``, as a JSON integer: every command that reads it
+    exits 2 with a guard failure, prints nothing and writes no file."""
+    monkeypatch.chdir(tmp_path)
+    files = {k: rel for k, (rel, _, _) in FILE_KINDS.items()}
+    data = serial.load(files["channel"])
+    fields = ("p", "n", "N", "k0") if type(q) is int else ()
+    data.update({"q": q, **{k: int(data[k]) for k in fields}})
+    serial.dump(data, Path("q0.json"))
+    Path("c.txt").write_text("in a\nt = mul a a\nout t\n")
+    Path("out").mkdir()
+    capsys.readouterr()
+    assert main(_command(command, {**files, "channel": "q0.json"})) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("guard failure")
+    assert not any(Path("out").iterdir())
+
+
 # q at each side of every word width, a composite near 2^62, and the largest q.
 WORD_EDGES = {256: 1, 257: 2, 65536: 2, 65537: 4, 2**32: 4, 2**32 + 1: 8, (1 << 62) - 57: 8, 2**64: 8}
 

@@ -7,7 +7,7 @@ slot width is derived from the largest possible result coefficient.
 All-(q-1) operands and tensors reach that largest value, so a slot one
 byte too narrow shows up here as a wrong coefficient.
 
-``Ring.width`` evaluates at one point, or, for ``u = X^d - 1`` of even
+``Ring.layout`` evaluates at one point, or, for ``u = X^d - 1`` of even
 degree once the packed operand reaches ``SIX_POINT_BYTES``, at six: the
 values at ``+-2^(8w)`` (half-width slots), each cut into its residues mod
 ``2^m + 1``, ``2^(m/2) + 1`` and ``2^(m/2) - 1``.  Every other ring, odd
@@ -16,8 +16,9 @@ rings sit either side of the switch, degrees 40 to 72 put the six points at
 ``d/2`` odd and even, and the large-channel worst cases run on six points;
 all-(q-1) operands put every slot at its bound, and operands at q-1 on one
 half or on alternate quarters and 0 elsewhere drive the ``+ 1`` residues
-negative.  The layouts each kernel picks are asserted, so moving the switch
-cannot silently drop a layout from these tests.
+negative.  The layouts each kernel picks are asserted as ``(points,
+width)``, so moving the switch cannot silently drop a layout from these
+tests.
 
 The contraction reads the tensor's layers, ``ProductTensor.layers``: one
 layer ``alpha (x) beta`` for every key's tensor; drawn cubes are given as
@@ -43,7 +44,7 @@ from aces.errors import ParameterError
 from aces.homo import hom_mul, tensor_contract
 from aces.keygen import ProductTensor, keygen
 from aces.refresh import make_refreshable, refresh_ct, secret_refresh_checker
-from aces.rings import SIX_POINT_BYTES, PackedRows, Ring, RingPoly
+from aces.rings import SIX_POINT_BYTES, Layout, PackedRows, Ring, RingPoly
 
 from oracles import conv_mul, kronecker, naive_contract, planes, rank_one, reduce_poly, ring_op
 
@@ -99,8 +100,8 @@ def _cyclic(d):
 def test_the_switch_rings_straddle_six_point_bytes():
     assert SIX_POINT_BYTES == 512
     (q, below), (_, above) = SWITCH
-    assert Ring(q, _cyclic(below)).width(1) == (1, 15)
-    assert Ring(q, _cyclic(above)).width(1) == (6, 8)
+    assert Ring(q, _cyclic(below)).layout(1)[1:] == (1, 15)
+    assert Ring(q, _cyclic(above)).layout(1)[1:] == (6, 8)
 
 
 def test_the_layouts_at_the_57_bit_modulus():
@@ -108,24 +109,26 @@ def test_the_layouts_at_the_57_bit_modulus():
     points for a cyclic u of even degree, and still one for an odd degree or
     any other u."""
     q = LARGE_Q
-    assert Ring(q, _cyclic(32)).width(1) == (1, 15)
+    assert Ring(q, _cyclic(32)).layout(1)[1:] == (1, 15)
     for d in (40, 64, 66, 68, 72):
-        assert Ring(q, _cyclic(d)).width(1) == (6, 8)
-    assert Ring(q, _cyclic(65)).width(1) == (1, 15)
-    assert Ring(q, _codec_u(40, "negacyclic")).width(1) == (1, 15)
-    assert Ring(q, _codec_u(68, "general")).width(1) == (1, 15)
+        assert Ring(q, _cyclic(d)).layout(1)[1:] == (6, 8)
+    assert Ring(q, _cyclic(65)).layout(1)[1:] == (1, 15)
+    assert Ring(q, _codec_u(40, "negacyclic")).layout(1)[1:] == (1, 15)
+    assert Ring(q, _codec_u(68, "general")).layout(1)[1:] == (1, 15)
 
 
 @pytest.fixture()
 def layouts(monkeypatch):
-    """Every layout ``Ring.width`` returns while the test runs."""
-    seen, width = [], Ring.width
+    """The ``(points, width)`` of every layout ``Ring.layout`` returns while
+    the test runs."""
+    seen, layout = [], Ring.layout
 
     def spy(ring, terms):
-        seen.append(width(ring, terms))
-        return seen[-1]
+        made = layout(ring, terms)
+        seen.append((made.points, made.width))
+        return made
 
-    monkeypatch.setattr(Ring, "width", spy)
+    monkeypatch.setattr(Ring, "layout", spy)
     return seen
 
 
@@ -371,7 +374,7 @@ def test_packed_rows_worst_case_at_the_large_channel(layouts, big_n):
     x = RingPoly(q, u, top)
     matrix = PackedRows([(x, x)] * big_n)
     got = matrix.combine((x,) * big_n)
-    assert [points for points, _ in layouts] == [6] and matrix.layout[0] == 6
+    assert [points for points, _ in layouts] == [6] and matrix.layout.points == 6
     product = reduce_poly(conv_mul(top, top), list(u), q)
     assert [list(part.coeffs) for part in got] == [[(big_n * c) % q for c in product]] * 2
 
@@ -422,8 +425,8 @@ def test_hom_mul_of_a_ciphertext_by_itself_squares(monkeypatch, name, top):
     """``hom_mul(ct, ct)`` packs its operand once per pass (the layer sums,
     then the pass that folds them in) and squares; it equals the product
     with a distinct, equal-valued copy, and the defining formula."""
-    packed, pack = [], Ring.pack
-    monkeypatch.setattr(Ring, "pack", lambda ring, *args: packed.append(args) or pack(ring, *args))
+    packed, pack = [], Layout.pack
+    monkeypatch.setattr(Layout, "pack", lambda layout, polys: packed.append(polys) or pack(layout, polys))
     ch = _channel(name)
     q, u, n, d = ch.q, ch.u, ch.n, ch.degree
     rnd = random.Random(f"square/{name}")
@@ -441,9 +444,9 @@ def test_hom_mul_of_a_ciphertext_by_itself_squares(monkeypatch, name, top):
     assert ct == copy and ct.c[0] is not copy.c[0]
     layers = len(tensor.layers)
     got = hom_mul(ch, tensor, ct, ct)
-    assert [len(polys) for polys, _ in packed] == [n, n + 1 + layers]
+    assert [len(polys) for polys in packed] == [n, n + 1 + layers]
     assert got == hom_mul(ch, tensor, ct, copy)
-    assert [len(polys) for polys, _ in packed[2:]] == [2 * n, 2 * n + 2 + layers]
+    assert [len(polys) for polys in packed[2:]] == [2 * n, 2 * n + 2 + layers]
     if name != "large":  # the oracle's n^3 schoolbook products take seconds there
         vector, scalar = _hom_mul_oracle(lam, c, p, c, p, u, q)
         assert [list(part.coeffs) for part in got.c] == vector
@@ -495,7 +498,7 @@ def test_the_large_channel_contraction_and_rows_run_on_six_points(layouts):
     assert [points for points, _ in layouts] == [6]
     b = hom_mul(ch, bundle.tensor, a, a)
     assert layouts[1:] == [(6, 12), (6, 8)]
-    assert bundle.eval_keys.refresh_rows.layout[0] == 6
+    assert bundle.eval_keys.refresh_rows.layout.points == 6
     assert decrypt(bundle.secret, ch, b) == 1
 
 
@@ -568,7 +571,7 @@ def test_rank_one_worst_case_at_the_large_channel(layouts, square):
 # The codecs' branches: six-point half slots of exactly a word or wider,
 # large odd-degree and non-cyclic rings on one point, and the largest q.
 # Each ring's layouts are the one of a non-cyclic u, then the one of a cyclic
-# u (``_codec_layout``).  Both decodes read every slot with ``Ring._slots``.
+# u (``_codec_layout``).  Both decodes read every slot with ``Layout._slots``.
 CODEC_RINGS = {
     "large-d64": (LARGE_Q, 64, (1, 15), (6, 8)),   # 8-byte half slots: one word
     "mid-d64": (MID_Q, 64, (1, 12), (6, 8)),       # ceil(bits/16) = 6 bytes, widened to the word
@@ -592,7 +595,7 @@ def _codec_layout(name, kind):
 def test_the_codec_rings_pick_their_layouts():
     for name, (q, d, *_) in CODEC_RINGS.items():
         for kind in ("cyclic", "negacyclic", "general"):
-            assert Ring(q, _codec_u(d, kind)).width(1) == _codec_layout(name, kind)
+            assert Ring(q, _codec_u(d, kind)).layout(1)[1:] == _codec_layout(name, kind)
 
 
 @pytest.mark.parametrize("kind", ["cyclic", "negacyclic", "general"])
@@ -635,24 +638,25 @@ WORD_EDGE_Q = (256, 257, 65536, 65537, 2**32, 2**32 + 1, 2**64)
 @given(st.data())
 @settings(max_examples=80, deadline=None)
 def test_every_slot_holds_a_residue_word(data):
-    """At every word edge, in both layouts, each slot ``Ring.width`` returns
+    """At every word edge, in both layouts, each slot ``Ring.layout`` gives
     is at least a residue word wide (the fewest of 1, 2, 4 or 8 bytes that
-    hold q - 1), and ``Ring.pack`` equals the per-coefficient ``to_bytes``
+    hold q - 1), and ``Layout.pack`` equals the per-coefficient ``to_bytes``
     values (``oracles.kronecker``): exactly at one point, and mod each of
     the six moduli at six, where a product still meets the schoolbook
     oracle."""
-    assert {Ring(q, _cyclic(d)).width(1)[0] for q in WORD_EDGE_Q for d in (2, 256)} == {1, 6}
+    assert {Ring(q, _cyclic(d)).layout(1).points for q in WORD_EDGE_Q for d in (2, 256)} == {1, 6}
     q = data.draw(st.sampled_from(WORD_EDGE_Q))
     d = data.draw(st.sampled_from((2, 5, 64, 256, 258)))
     u = data.draw(st.sampled_from((_cyclic(d), _codec_u(d, "negacyclic"))))
     ring, n = Ring(q, u), data.draw(st.integers(1, 4))
-    points, width = layout = ring.width(data.draw(st.sampled_from((1, 3, 4 * n, n * n * (q - 1)))))
+    terms = data.draw(st.sampled_from((1, 3, 4 * n, n * n * (q - 1))))
+    _, points, width = layout = ring.layout(terms)
     assert width >= next(w for w in (1, 2, 4, 8) if q - 1 < 256**w)
     rnd = random.Random(data.draw(st.integers(0, 2**32)))
     pick = data.draw(st.sampled_from((lambda: q - 1, lambda: rnd.choice((0, 1, q - 1)),
                                       lambda: rnd.randrange(q))))
     coeffs = [[pick() for _ in range(d)] for _ in range(3)]
-    packed = ring.pack([RingPoly(q, u, c) for c in coeffs], layout)
+    packed = layout.pack([RingPoly(q, u, c) for c in coeffs])
     if points == 1:
         assert packed == [[kronecker(c, width) for c in coeffs]]
         return
@@ -675,15 +679,15 @@ def test_six_point_decode_takes_any_representatives(data):
     d = data.draw(st.sampled_from((40, 64, 66)))
     q, u = LARGE_Q, _cyclic(d)
     ring = Ring(q, u)
-    layout = ring.width(1)
-    m = 4 * layout[1] * d
+    layout = ring.layout(1)
+    m = 4 * layout.width * d
     moduli = [(1 << m) + 1, (1 << m // 2) + 1, (1 << m // 2) - 1] * 2
     a, b = coefficient_vectors(data.draw, q, d, 2)
-    packed = ring.pack((RingPoly(q, u, a), RingPoly(q, u, b)), layout)
+    packed = layout.pack((RingPoly(q, u, a), RingPoly(q, u, b)))
     shifts = data.draw(st.lists(st.integers(-3, 3), min_size=6, max_size=6))
     sums = [[x * y + k * modulus] for (x, y), k, modulus in zip(packed, shifts, moduli)]
-    assert list(ring.unpack(sums, layout)[0].coeffs) == reduce_poly(conv_mul(a, b), list(u), q)
-    assert ring.unpack([[modulus] for modulus in moduli], layout) == (ring.zero(),)
+    assert list(layout.unpack(sums)[0].coeffs) == reduce_poly(conv_mul(a, b), list(u), q)
+    assert layout.unpack([[modulus] for modulus in moduli]) == (ring.zero(),)
 
 
 def _decode_products(monkeypatch, q, u, d, p, big_n):

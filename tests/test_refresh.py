@@ -604,7 +604,7 @@ def test_refresh_matches_the_reference_at_the_large_channel(data):
     ch = ArithmeticChannel(p=3, q=q, omega=1, u=(-1,) + (0,) * 63 + (1,),
                            n=10, big_n=8, k0=1).require_valid()
     keys = _check_against_reference(ch, data)
-    assert keys.refresh_rows.layout[0] == 6
+    assert keys.refresh_rows.layout.points == 6
 
 
 def _check_against_reference(ch, data):
