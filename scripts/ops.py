@@ -1,7 +1,7 @@
 """Per-operation timings of ``aces`` at the benchmark's three channels.
 
-    python3 scripts/ops.py --out BENCH_28.json
-    python3 scripts/ops.py --out BENCH_28.json --base OTHER/src --rounds 3
+    python3 scripts/ops.py --out BENCH_29.json
+    python3 scripts/ops.py --out BENCH_29.json --base OTHER/src --rounds 3
 
 At desk, mid and large (``bench/workloads.py``) it times ``Layout.unpack``
 of 11 outputs at the layouts of ``hom_mul``'s last pass and of its first
@@ -12,13 +12,18 @@ benchmark's workloads read), ``Layout.pack`` of the ``2n + 3`` operands of
 ``encrypt``, ``decrypt``, ``hom_mul`` of two ciphertexts and of one by
 itself, ``public_from_dict`` of the public file alone and followed by one
 ``hom_mul`` with the loaded tensor (what each ``aces eval`` process pays
-before its circuit), ``ciphertext_from_dict``, ``serial.dump`` of a
+before its circuit), the first read of ``PublicKey.f0`` and of
+``Refresher.rho`` on keys loaded from the public file (the expansion of
+each seed; on a fresh copy of the loaded key per call, so a tree that
+reads the parts in full from the file times a copy and an attribute
+read), ``ciphertext_from_dict``, ``serial.dump`` of a
 ciphertext over an existing file, ``RingPoly.__mul__``, ``RingPoly.make``
 of ``2d - 1`` drawn coefficients (a reduction by ``u``), ``sample_mask``,
 ``keygen``, the one-time build of ``EvalKeys.refresh_rows`` (on a fresh
 ``EvalKeys`` per call), ``refresh_certified`` with the public checker on a
 ciphertext it never certifies (every attempt of ``make_refreshable`` spent),
-and one whole in-process ``aces encrypt``, ``aces decrypt``, ``aces refresh``
+and one whole in-process ``aces encrypt``, ``aces decrypt``, ``aces eval``
+of one product with no refresh due, ``aces refresh``
 without ``--secret`` on that miss, which exits 2, and ``aces refresh
 --secret``, which builds the matrix and refreshes (``aces.cli.main`` on files
 in a temporary directory, standard output and error captured; the rows call
@@ -96,6 +101,7 @@ def _operations(channel, work: Path):
         return lambda: unpack(sums)
 
     public = json.loads(json.dumps(serial.public_to_dict(bundle)))
+    loaded = serial.public_from_dict(ch, public)
     ciphertext = json.loads(json.dumps(serial.ciphertext_to_dict(a)))
 
     def aces(*argv, expect=0):
@@ -112,6 +118,9 @@ def _operations(channel, work: Path):
     aces(*encrypt_argv)
     refresh_argv = ("refresh", "--pub", keys / "public.json", *files, "--ct", ct,
                     "--out", work / "fresh.json")
+    (work / "circuit.txt").write_text("in a b\nt = mul a b\nout t\n")
+    eval_argv = ("eval", "--pub", keys / "public.json", *files, "--circuit", work / "circuit.txt",
+                 "--input", f"a={ct}", "--input", f"b={ct}", "--out", work / "eval")
     sizes = {"public.json": (keys / "public.json").stat().st_size, "ciphertext": ct.stat().st_size}
     dumped = work / "dumped.json"
     serial.dump(ciphertext, dumped)
@@ -127,6 +136,8 @@ def _operations(channel, work: Path):
         "public_from_dict": lambda: serial.public_from_dict(ch, public),
         "public_from_dict + hom_mul": lambda: hom_mul(
             ch, serial.public_from_dict(ch, public).tensor, a, b),
+        "PublicKey.f0 expansion": lambda: dataclasses.replace(loaded.public).f0,
+        "Refresher.rho expansion": lambda: dataclasses.replace(loaded.refresher).rho,
         "ciphertext_from_dict": lambda: serial.ciphertext_from_dict(ch, ciphertext),
         "serial.dump (ciphertext, over a file)": lambda: serial.dump(ciphertext, dumped),
         "RingPoly.__mul__": lambda: x * y,
@@ -137,6 +148,7 @@ def _operations(channel, work: Path):
         "refresh_certified (public miss)": lambda: refresh_certified(bundle.eval_keys, a, None, rng),
         "aces encrypt": lambda: aces(*encrypt_argv),
         "aces decrypt": lambda: aces("decrypt", "--secret", keys / "secret.json", *files, "--ct", ct),
+        "aces eval": lambda: aces(*eval_argv),
         "aces refresh (public miss, exit 2)": lambda: aces(*refresh_argv, expect=2),
         "aces refresh --secret": lambda: aces(*refresh_argv, "--secret", keys / "secret.json"),
     }, sizes

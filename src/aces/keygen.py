@@ -5,6 +5,13 @@ initializer matrix and masked key vector, the prime repartition, the
 relinearization 3-tensor built from a Bezout identity over the secret
 evaluations, the refresher (encryptions of the secret's mod-p digits), and
 a published locator/director database for the public refreshability test.
+
+Two parts of the public material depend on no secret: the initializer
+``f0`` and the vector parts of the refresher's ciphertexts.  Each is drawn
+from its own ``SEED_BYTES``-byte seed, which ``keygen`` draws from its
+stream once the repartition, secret and tensor are final; ``PublicKey`` and
+``Refresher`` hold the seed and expand it, over their repartition, on first
+use.  A file publishes the seeds instead of the parts.
 """
 
 from __future__ import annotations
@@ -14,8 +21,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
-from .channel import ArithmeticChannel, RandomSource, sample_noise
-from .cipher import Ciphertext, encrypt_with_secret, evals, sample_divisible_vector
+from .channel import ArithmeticChannel, RandomSource, sample_message_carrier, sample_noise
+from .cipher import Ciphertext, evals, sample_divisible_vector
 from .errors import GenerationError, ParameterError
 from .refresh import EvalKeys, LocatorEntry, sample_locator_db
 from .rings import PackedRows, RingPoly, Repartition, _int_coeffs
@@ -37,6 +44,8 @@ __all__ = [
 SECRET_ATTEMPTS = 256
 REPARTITION_ATTEMPTS = 16
 REFRESHER_LEVEL = 1
+# Bytes of each seed the public material is drawn from.
+SEED_BYTES = 16
 
 
 @dataclass(frozen=True)
@@ -53,8 +62,23 @@ class SecretKey:
 
 @dataclass(frozen=True)
 class PublicKey:
-    f0: tuple[tuple[RingPoly, ...], ...]
+    """The initializer ``f0`` (``N`` rows of ``n`` entries, column ``j``
+    evaluating to multiples of slot ``j``'s prime) and the masked key vector
+    ``fprime``, one entry per row.
+
+    ``f0`` is ``gen_initializer`` drawn from ``RandomSource(seed)`` over
+    ``repartition``; the key holds the seed and expands it on first use.
+    """
+
+    seed: bytes
     fprime: tuple[RingPoly, ...]
+    channel: ArithmeticChannel
+    repartition: Repartition
+
+    @cached_property
+    def f0(self) -> tuple[tuple[RingPoly, ...], ...]:
+        """The initializer, expanded from ``seed`` on first use."""
+        return gen_initializer(self.channel, self.repartition, RandomSource(self.seed))
 
     @cached_property
     def extended_rows(self) -> tuple[tuple[RingPoly, ...], ...]:
@@ -107,14 +131,27 @@ class ProductTensor:
 
 @dataclass(frozen=True)
 class Refresher:
-    """Encryptions of the secret key's mod-p digits."""
+    """Encryptions ``rho`` of the secret key's mod-p digits, at the levels
+    ``kappa``.
 
-    rho: tuple[Ciphertext, ...]
+    Their vector parts are ``sample_divisible_vector`` drawn slot by slot
+    from one ``RandomSource(seed)`` over ``repartition``; the refresher holds
+    the seed, the scalar parts ``cprime`` and the levels, and builds ``rho``
+    on first use.  ``kappa`` expands nothing.
+    """
 
-    @property
-    def kappa(self) -> tuple[int, ...]:
-        """The refresher's levels: those its ciphertexts carry."""
-        return tuple(ct.level for ct in self.rho)
+    seed: bytes
+    cprime: tuple[RingPoly, ...]
+    kappa: tuple[int, ...]
+    channel: ArithmeticChannel
+    repartition: Repartition
+
+    @cached_property
+    def rho(self) -> tuple[Ciphertext, ...]:
+        """The ciphertexts, their vector parts expanded from ``seed``."""
+        ch, rep, rng = self.channel, self.repartition, RandomSource(self.seed)
+        return tuple(Ciphertext(sample_divisible_vector(ch, rep, rng), y, k)
+                     for y, k in zip(self.cprime, self.kappa))
 
 
 @dataclass(frozen=True)
@@ -133,6 +170,11 @@ class KeyBundle:
         its refresh matrix is built once per bundle."""
         return EvalKeys(self.channel, self.public, self.tensor, self.refresher, self.locators,
                         self.repartition)
+
+
+def _seed(rng: RandomSource) -> bytes:
+    """A seed of ``SEED_BYTES`` uniform bytes drawn from ``rng``."""
+    return rng.below(1 << 8 * SEED_BYTES).to_bytes(SEED_BYTES, "little")
 
 
 def _weighted_evals(ch: ArithmeticChannel, rep: Repartition, sk: SecretKey) -> list[int]:
@@ -187,13 +229,19 @@ def gen_initializer(ch: ArithmeticChannel, rep: Repartition, rng: RandomSource):
     return tuple(sample_divisible_vector(ch, rep, rng) for _ in range(ch.big_n))
 
 
-def gen_public(ch: ArithmeticChannel, sk: SecretKey, f0, rng: RandomSource) -> PublicKey:
-    """Mask each row's secret contraction with channel noise at the slack
-    level k0."""
+def gen_public(
+    ch: ArithmeticChannel, rep: Repartition, sk: SecretKey, seed: bytes, rng: RandomSource
+) -> PublicKey:
+    """Draw ``f0`` from ``seed`` and mask each row's secret contraction with
+    channel noise at the slack level k0, drawn from ``rng``.  The key keeps
+    the expanded ``f0``."""
+    f0 = gen_initializer(ch, rep, RandomSource(seed))
     fprime = tuple(
         sk.rows.combine(row)[0] + sample_noise(ch, ch.k0, rng) for row in f0
     )
-    return PublicKey(f0, fprime)
+    pk = PublicKey(seed, fprime, ch, rep)
+    vars(pk)["f0"] = f0  # what the cached property would expand
+    return pk
 
 
 def gen_tensor(
@@ -263,18 +311,26 @@ def _published_layers(ch: ArithmeticChannel, alpha, beta) -> tuple:
 
 
 def gen_refresher(
-    ch: ArithmeticChannel, rep: Repartition, sk: SecretKey, rng: RandomSource
+    ch: ArithmeticChannel, rep: Repartition, sk: SecretKey, seed: bytes, rng: RandomSource
 ) -> Refresher:
-    """Encrypt each secret slot's mod-p digit with the secret formula.
+    """Encrypt each secret slot's mod-p digit with the secret formula of
+    ``encrypt_with_secret``, the vector parts drawn from ``seed`` (as
+    ``Refresher.rho`` expands them) and each carrier and noise from ``rng``.
+    The refresher keeps the ciphertexts.
 
     The smallest nonzero level keeps post-refresh noise minimal while still
     masking the digit.
     """
-    rho = tuple(
-        encrypt_with_secret(sk, rep, ch, e % ch.p, REFRESHER_LEVEL, rng)
-        for e in evals(ch, sk.polys)
-    )
-    return Refresher(rho)
+    vectors = RandomSource(seed)
+    rho = []
+    for e in evals(ch, sk.polys):
+        c = sample_divisible_vector(ch, rep, vectors)
+        carrier = sample_message_carrier(ch, e % ch.p, rng)
+        noise = sample_noise(ch, REFRESHER_LEVEL, rng)
+        rho.append(Ciphertext(c, carrier + sk.rows.combine(c)[0] + noise, REFRESHER_LEVEL))
+    refresher = Refresher(seed, tuple(ct.cprime for ct in rho), (REFRESHER_LEVEL,) * ch.n, ch, rep)
+    vars(refresher)["rho"] = tuple(rho)  # what the cached property would build
+    return refresher
 
 
 def keygen(ch: ArithmeticChannel, rng: RandomSource) -> KeyBundle:
@@ -282,7 +338,10 @@ def keygen(ch: ArithmeticChannel, rng: RandomSource) -> KeyBundle:
 
     The repartition is drawn uniformly; if a draw makes the secret's gcd
     condition unattainable (every slot tied to one common prime), a fresh
-    repartition is drawn rather than burning the whole budget.
+    repartition is drawn rather than burning the whole budget.  The two
+    public seeds, of ``f0`` and of the refresher's vector parts, are drawn
+    after the attempt that succeeds, so they expand over the final
+    repartition.
     """
     ch.require_valid()
     last_error = None
@@ -296,9 +355,9 @@ def keygen(ch: ArithmeticChannel, rng: RandomSource) -> KeyBundle:
             # degenerate rows): resample the repartition and secret.
             last_error = exc
             continue
-        f0 = gen_initializer(ch, rep, rng)
-        pk = gen_public(ch, sk, f0, rng)
-        refresher = gen_refresher(ch, rep, sk, rng)
+        f0_seed, rho_seed = _seed(rng), _seed(rng)
+        pk = gen_public(ch, rep, sk, f0_seed, rng)
+        refresher = gen_refresher(ch, rep, sk, rho_seed, rng)
         locators = tuple(sample_locator_db(sk, ch, rng))
         return KeyBundle(ch, sk, pk, rep, tensor, refresher, locators)
     raise GenerationError(f"key generation failed: {last_error}")

@@ -1,6 +1,6 @@
-"""JSON wire formats, file format 4.
+"""JSON wire formats, file format 5.
 
-Every file but ``report.json`` starts with ``"format": 4``; a file without
+Every file but ``report.json`` starts with ``"format": 5``; a file without
 it, or with any other value, is refused, with a message to regenerate the
 keys.  There is one reader per kind of value and no reader of older files.
 ``dump`` writes every file, ``report.json`` included, as compact JSON
@@ -16,10 +16,17 @@ keys.  There is one reader per kind of value and no reader of older files.
   and ``beta`` (``n`` strings of ``n`` words, a symmetric matrix); the
   locator vectors and the locator margins are word strings in the same
   way.  ``_words`` reads them all back or refuses.
+* The public file holds no random part that depends on no secret, only
+  its seed: ``f0`` is the seed of the initializer (``PublicKey``) and the
+  refresher's ``c`` the seed of its ciphertexts' vector parts
+  (``Refresher``), each ``SEED_BYTES`` bytes in the same base64, so 24
+  characters; any bytes are a seed.  ``_seed`` reads them back or refuses.
+  The loaded keys expand each seed, over the file's ``sigma``, on first
+  use.
 * Structural integers (levels, ``kappa``, the repartition map, locator
   indices) are JSON integers; channel parameters and the repartition's
   primes are decimal strings, so they stay exact at any width.  ``_ints``
-  reads them all back or refuses.
+  reads either kind wherever an integer belongs, or refuses.
 
 Field order is fixed, which makes output files byte-stable under a fixed
 seed.  The secret key always lives in its own file and is never written by
@@ -38,7 +45,7 @@ from operator import itemgetter
 from .channel import ArithmeticChannel
 from .cipher import Ciphertext
 from .errors import ParameterError
-from .keygen import ProductTensor, PublicKey, Refresher, SecretKey
+from .keygen import SEED_BYTES, ProductTensor, PublicKey, Refresher, SecretKey
 from .refresh import EvalKeys, LocatorEntry
 from .rings import Repartition, Ring, RingPoly, _wrap
 
@@ -55,7 +62,7 @@ __all__ = [
     "load",
 ]
 
-FORMAT = 4
+FORMAT = 5
 
 # The top-level fields of each kind of file.
 _CHANNEL = frozenset({"format", "p", "q", "omega", "u", "n", "N", "k0"})
@@ -65,12 +72,12 @@ _SECRET = frozenset({"format", "secret"})
 
 
 def _format(data, what: str, fields: frozenset) -> None:
-    """Refuse a file that is not format 4 (an older file, or not a file of
+    """Refuse a file that is not format 5 (an older file, or not a file of
     this package), and one whose top-level fields are not ``fields``."""
     if type(data) is not dict:
         raise TypeError(f"{what}: expected a JSON object")
     found = data.get("format")
-    if type(found) is not int or found != FORMAT:  # 4.0 is not 4
+    if type(found) is not int or found != FORMAT:  # 5.0 is not 5
         raise ParameterError(
             f"{what}: file format {found!r}, expected {FORMAT}; "
             "regenerate the keys (and re-encrypt) with this version of aces")
@@ -114,25 +121,21 @@ def _nest(values: tuple, shape) -> tuple:
 def _ints(data, what: str, shape=(), signed: bool = False):
     """The structural integers of ``data``: one, or nested lists of ``shape``.
 
-    An integer is a JSON integer (not a boolean) or a decimal string, with a
-    leading minus only when ``signed``.  Anything else (a float, a boolean,
-    a negative value where none belongs) is refused with ParameterError,
-    never truncated.
+    Each integer is a JSON integer (not a boolean) or a decimal string, with
+    a leading minus only when ``signed``; one list may hold both kinds.
+    Anything else (a float, a boolean, a negative value where none belongs)
+    is refused with ParameterError, never truncated.
     """
     items = _leaves(data, what, shape)
-    ok, values = False, ()
-    if items and type(items[0]) is int:  # JSON integers; a boolean is not one
-        ok = set(map(type, items)) == {int} and (signed or min(items) >= 0)
-        values = tuple(items)
-    else:
-        try:  # non-empty strings of ASCII digits; int() refuses a misplaced minus
-            text = "".join(items)
-            ok = not items or all(items) and (
-                text.replace("-", "") if signed else text).encode("ascii").isdigit()
-            values = tuple(map(int, items)) if ok else ()
-        except (TypeError, ValueError):  # a float, a boolean, None, not ASCII, "1-"
-            ok = False
-    if not ok:
+    texts = [x for x in items if type(x) is not int]  # a boolean is not an int
+    try:  # non-empty strings of ASCII digits; int() refuses a misplaced minus
+        text = "".join(texts)
+        ok = all(texts) and (not texts or (
+            text.replace("-", "") if signed else text).encode("ascii").isdigit())
+        values = tuple(x if type(x) is int else int(x) for x in items) if ok else ()
+    except (TypeError, ValueError):  # a float, a boolean, None, not ASCII, "1-"
+        ok = False
+    if not ok or not signed and min(values, default=0) < 0:
         raise ParameterError(f"{what}: expected " + (
             "integers" if signed else "non-negative integers"))
     return _nest(values, shape) if shape else values[0]
@@ -148,42 +151,55 @@ _encode = partial(b2a_base64, newline=False)
 _PAD_ENDS = {1: frozenset("AEIMQUYcgkosw048"), 2: frozenset("AQgw")}
 
 
-def _words(ring: Ring, data, what: str, shape, count: int) -> tuple:
-    """The residues mod ``q`` of ``ring`` in ``data``: nested lists of
-    ``shape`` whose leaves are word strings of ``count`` words each
-    (``Ring.word``), as nested tuples whose innermost tuples hold one
-    string's words.
-
-    A leaf must be the canonical base64 of exactly ``count`` words, the
-    string ``_encode`` writes for them: its length is ``4 * ceil(count *
-    width / 3)``, it decodes in strict mode (the standard alphabet only, no
-    whitespace) to ``count`` words, so its padding is exactly the canonical
-    one, and its pad bits are zero.  Every word must be below ``q``.
-    Anything else is a ParameterError, never reduced or truncated, except
-    that a list where a string belongs is a TypeError, as a wrong container
-    is.  Each leaf is decoded on its own, since each carries its own
-    padding; every other check covers the whole field at once.
+def _base64(items: list, what: str, size: int, noun: str) -> list[bytes]:
+    """The bytes of each leaf of ``items``, which must be the canonical
+    base64 of exactly ``size`` bytes, the string ``_encode`` writes for
+    them: its length is ``4 * ceil(size / 3)``, it decodes in strict mode
+    (the standard alphabet only, no whitespace) to ``size`` bytes, so its
+    padding is exactly the canonical one, and its pad bits are zero.
+    Anything else is a ParameterError naming ``noun``, the bytes of one
+    leaf, except that a list where a string belongs is a TypeError, as a
+    wrong container is.  Each leaf is decoded on its own, since each carries
+    its own padding; every other check covers all of them at once.
     """
-    q, (code, width) = ring.q, ring.word
-    items = _leaves(data, what, shape)
     kinds = set(map(type, items))
     if not kinds <= {str}:
         error = TypeError if kinds & {list, dict} else ParameterError
-        raise error(f"{what}: expected base64 word strings")
-    size, pad = count * width, -count * width % 3
+        raise error(f"{what}: expected base64 strings of {noun}")
+    pad = -size % 3
     if not set(map(len, items)) <= {4 * -(-size // 3)}:
-        raise ParameterError(f"{what}: expected strings of {count} words of {width} bytes")
+        raise ParameterError(f"{what}: expected strings of {noun}")
     try:
         raws = list(map(_decode, items))
     except ValueError:  # binascii.Error, or a character that is not ASCII
         raws = None
     if raws is None or not set(map(len, raws)) <= {size} or pad and not set(
             map(itemgetter(-1 - pad), items)) <= _PAD_ENDS[pad]:
-        raise ParameterError(f"{what}: expected canonical base64 of {count} words of {width} bytes")
+        raise ParameterError(f"{what}: expected canonical base64 of {noun}")
+    return raws
+
+
+def _words(ring: Ring, data, what: str, shape, count: int) -> tuple:
+    """The residues mod ``q`` of ``ring`` in ``data``: nested lists of
+    ``shape`` whose leaves are word strings of ``count`` words each
+    (``Ring.word``), as nested tuples whose innermost tuples hold one
+    string's words.  A leaf must be canonical base64 (``_base64``) and
+    every word below ``q``; anything else is refused, never reduced or
+    truncated.
+    """
+    q, (code, width) = ring.q, ring.word
+    items = _leaves(data, what, shape)
+    raws = _base64(items, what, count * width, f"{count} words of {width} bytes")
     values = struct.unpack(f"<{len(items) * count}{code}", b"".join(raws))
     if max(values, default=0) >= q:
         raise ParameterError(f"{what}: expected words below q = {q}")
     return _nest(values, (*shape, count))
+
+
+def _seed(data, what: str) -> bytes:
+    """A seed: the canonical base64 (``_base64``) of exactly ``SEED_BYTES``
+    bytes, each of any value."""
+    return _base64([data], what, SEED_BYTES, f"{SEED_BYTES} bytes")[0]
 
 
 def _words_out(ring: Ring, rows) -> list[str]:
@@ -237,38 +253,26 @@ def channel_from_dict(data: dict) -> ArithmeticChannel:
     )
 
 
-def _ciphertext_out(ct: Ciphertext) -> dict:
-    return {"c": _polys_out(ct.c), "cprime": _polys_out([ct.cprime])[0], "level": ct.level}
-
-
-def _ciphertexts(ch: ArithmeticChannel, items, what: str) -> tuple[Ciphertext, ...]:
-    """The ciphertexts ``items`` (objects of ``c``, ``cprime`` and
-    ``level``), each field of them all read in one call."""
-    ring = ch.ring
-    c = _words(ring, [e["c"] for e in items], f"{what} vector", (None, ch.n), ch.degree)
-    cprime = _words(ring, [e["cprime"] for e in items], f"{what} scalar part", (None,), ch.degree)
-    levels = _ints([e["level"] for e in items], f"{what} level", (None,))
-    return tuple(Ciphertext(tuple(_wrap(ring, x) for x in v), _wrap(ring, y), k)
-                 for v, y, k in zip(c, cprime, levels))
-
-
 def ciphertext_to_dict(ct: Ciphertext) -> dict:
-    return {"format": FORMAT, **_ciphertext_out(ct)}
+    return {"format": FORMAT, "c": _polys_out(ct.c), "cprime": _polys_out([ct.cprime])[0],
+            "level": ct.level}
 
 
 def ciphertext_from_dict(ch: ArithmeticChannel, data: dict) -> Ciphertext:
     _format(data, "ciphertext", _CIPHERTEXT)
-    return _ciphertexts(ch, [data], "ciphertext")[0]
+    return Ciphertext(_polys(ch, data["c"], "ciphertext vector", ch.n),
+                      _polys(ch, [data["cprime"]], "ciphertext scalar part", 1)[0],
+                      _ints(data["level"], "ciphertext level"))
 
 
 def public_to_dict(keys) -> dict:
     """Everything publishable from a key bundle or its ``EvalKeys``; never
     the secret."""
     ch, rep, locators = keys.channel, keys.repartition, keys.locators
-    ring, n, layers = ch.ring, ch.n, keys.tensor.layers
+    ring, n, layers, refresher = ch.ring, ch.n, keys.tensor.layers, keys.refresher
     return {
         "format": FORMAT,
-        "f0": _rows(_polys_out([p for row in keys.public.f0 for p in row]), n),
+        "f0": _encode(keys.public.seed).decode("ascii"),
         "fprime": _polys_out(keys.public.fprime),
         "sigma": {
             "map": list(rep.assignment),
@@ -278,8 +282,10 @@ def public_to_dict(keys) -> dict:
             _words_out(ring, (a for a, _ in layers)),
             _rows(_words_out(ring, chain.from_iterable(b for _, b in layers)), n))],
         "refresher": {
-            "kappa": list(keys.refresher.kappa),
-            "rho": [_ciphertext_out(ct) for ct in keys.refresher.rho],
+            "kappa": list(refresher.kappa),
+            "c": _encode(refresher.seed).decode("ascii"),
+            "rho": [{"cprime": y, "level": k}
+                    for y, k in zip(_polys_out(refresher.cprime), refresher.kappa)],
         },
         "locators": [
             {"vec": vec, "kind": e.kind, "k": e.k, "margin_num": margin}
@@ -294,26 +300,29 @@ def public_from_dict(ch: ArithmeticChannel, data: dict) -> EvalKeys:
     _format(data, "public key", _PUBLIC)
     n, sigma, fresh = ch.n, data["sigma"], data["refresher"]
     _fields([sigma], "sigma", {"map", "primes"})
-    _fields([fresh], "refresher", {"kappa", "rho"})
-    f0 = _words(ch.ring, data["f0"], "f0", (ch.big_n, n), ch.degree)
-    public = PublicKey(tuple(tuple(_wrap(ch.ring, c) for c in row) for row in f0),
-                       _polys(ch, data["fprime"], "fprime", ch.big_n))
+    _fields([fresh], "refresher", {"kappa", "c", "rho"})
     # Repartition itself rejects primes other than the prime factors of q.
     rep = Repartition(ch.q, _ints(sigma["primes"], "sigma primes", (None,)),
                       _ints(sigma["map"], "sigma map", (n,)))
+    public = PublicKey(_seed(data["f0"], "f0"), _polys(ch, data["fprime"], "fprime", ch.big_n),
+                       ch, rep)
     # ProductTensor itself refuses an empty layer list and a beta that is not symmetric.
     layers = data["lambda"]
     _fields(layers, "lambda layer", {"alpha", "beta"})
     tensor = ProductTensor(ch.q, tuple(zip(
         _words(ch.ring, [e["alpha"] for e in layers], "lambda alpha", (None,), n),
         _words(ch.ring, [e["beta"] for e in layers], "lambda beta", (None, n), n))))
-    if len(fresh["rho"]) != n:
-        raise ParameterError(f"refresher: expected {n} ciphertexts, got {len(fresh['rho'])}")
-    _fields(fresh["rho"], "refresher ciphertext", _CIPHERTEXT - {"format"})
+    rho = fresh["rho"]
+    if len(rho) != n:
+        raise ParameterError(f"refresher: expected {n} ciphertexts, got {len(rho)}")
+    _fields(rho, "refresher ciphertext", {"cprime", "level"})
     kappa = _ints(fresh["kappa"], "refresher levels", (n,))
-    refresher = Refresher(_ciphertexts(ch, fresh["rho"], "refresher"))
-    if kappa != refresher.kappa:
-        raise ParameterError(f"refresher: kappa {kappa} is not the rho levels {refresher.kappa}")
+    levels = _ints([e["level"] for e in rho], "refresher level", (n,))
+    if kappa != levels:
+        raise ParameterError(f"refresher: kappa {kappa} is not the rho levels {levels}")
+    refresher = Refresher(_seed(fresh["c"], "refresher vector seed"),
+                          _polys(ch, [e["cprime"] for e in rho], "refresher scalar part", n),
+                          kappa, ch, rep)
     entries = data["locators"]
     _fields(entries, "locator", {"vec", "kind", "k", "margin_num"})
     kinds = [e["kind"] for e in entries]

@@ -7,11 +7,14 @@ exception is ``refresh_reference``, which composes the package's own
 encryption and homomorphic operations (each checked against the oracles
 above) into the refresh as it is defined, and ``evaluate_reference``, the
 auto-refresh evaluator with its refresh rule written inline, on the
-package's level rules, refresh and gates.  ``render_v3`` renders a file of
-the current wire format as file format 3 wrote it, ``render_v2`` a file of
-format 3 in the layout of format 2, and ``render_v1`` a file of format 2 in
-that of format 1, so digests recorded under any of them still pin every
-value.
+package's level rules, refresh and gates.  ``render_v4`` renders a file of
+the current wire format as file format 4 wrote it, ``render_v3`` a file of
+format 4 as format 3 wrote it, ``render_v2`` a file of format 3 in the
+layout of format 2, and ``render_v1`` a file of format 2 in that of format
+1, so digests recorded under any of them still pin every value.
+``render_v4`` expands the public file's seeds with the package's own
+``PublicKey.f0`` and ``Refresher.rho``, as ``refresh_reference`` composes
+the package's operations.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import math
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
+from aces import serial
 from aces.cipher import encrypt, level_after, post_refresh_level, shadow
 from aces.errors import NoiseBudgetError
 from aces.homo import hom_add, hom_mul, scalar_product
@@ -370,6 +374,38 @@ def render_v3(data: dict) -> bytes:
         return out
 
     return dumps(v3(data))
+
+
+def _word_string(poly, q: int) -> str:
+    """A polynomial's coefficients as one base64 string of little-endian
+    words, each the fewest of 1, 2, 4 or 8 bytes that hold q - 1."""
+    width = next(w for w in (1, 2, 4, 8) if q - 1 < 256**w)
+    return base64.b64encode(b"".join(c.to_bytes(width, "little") for c in poly.coeffs)).decode()
+
+
+def render_v4(data: dict, ch) -> dict:
+    """The format-4 document for the same values as the format-5 document
+    ``data`` (a channel, ciphertext, public, secret or report file over the
+    channel ``ch``): ``"format": 4`` where a format field is, and in a
+    public file ``f0`` and each refresher ciphertext's ``c`` as the word
+    strings their seeds expand to (over the file's ``sigma``), where format
+    4 held them."""
+    out = dict(data)
+    if "format" in out:
+        out["format"] = 4
+    if "refresher" in out:
+        keys = serial.public_from_dict(ch, data)
+        out["f0"] = [[_word_string(x, ch.q) for x in row] for row in keys.public.f0]
+        out["refresher"] = {"kappa": data["refresher"]["kappa"], "rho": [
+            {"c": [_word_string(x, ch.q) for x in ct.c], **e}
+            for ct, e in zip(keys.refresher.rho, data["refresher"]["rho"])]}
+    return out
+
+
+def dumps_compact(data: dict) -> bytes:
+    """``data`` as file formats 4 and 5 are written: compact JSON, a final
+    newline."""
+    return (json.dumps(data, separators=(",", ":")) + "\n").encode()
 
 
 def render_v1(data: dict, q: int) -> bytes:

@@ -196,9 +196,10 @@ def test_packed_public_rows_are_built_on_first_encryption(desk_channel):
     rows = vars(bundle.public)["rows"]
     encrypt(bundle.public, desk_channel, 0, RandomSource(b"lazy-rows/enc"))
     assert bundle.public.rows is rows
-    loaded = PublicKey(bundle.public.f0, bundle.public.fprime)
-    assert "rows" not in vars(loaded)
+    loaded = PublicKey(bundle.public.seed, bundle.public.fprime, desk_channel, bundle.repartition)
+    assert "rows" not in vars(loaded) and "f0" not in vars(loaded)  # nor is f0 expanded
     assert loaded == bundle.public  # the cache is not part of the key's value
+    assert loaded.f0 == bundle.public.f0
 
 
 def test_decrypt_refuses_a_ciphertext_of_the_wrong_length(desk_bundle, rng):

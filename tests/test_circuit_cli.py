@@ -320,7 +320,7 @@ def test_ciphertext_roundtrip(desk_bundle, rng, tmp_path):
     serial.dump(serial.ciphertext_to_dict(ct), path)
     assert serial.ciphertext_from_dict(ch, serial.load(path)) == ct
     data = serial.load(path)
-    assert data["format"] == 4
+    assert data["format"] == 5
     assert isinstance(data["level"], int)
     assert isinstance(data["cprime"], str) and all(isinstance(c, str) for c in data["c"])
 
@@ -763,7 +763,7 @@ def test_cli_refresh_writes_only_certified_ciphertexts(tmp_path, capsys, seed):
     q = 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37
     keys = tmp_path / "keys"
     assert main(["keygen", "--p", "2", "--q", str(q), "--degree", "16", "--n", "6",
-                 "--bigN", "4", "--k0", "1", "--seed", "7e57", "--out", str(keys)]) == 0
+                 "--bigN", "4", "--k0", "1", "--seed", "7e74", "--out", str(keys)]) == 0
     files = ["--pub", str(keys / "public.json"), "--channel", str(keys / "channel.json")]
     ct = tmp_path / "a.json"
     assert main(["encrypt", *files, "--message", "1", "--seed", seed, "--out", str(ct)]) == 0

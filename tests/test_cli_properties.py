@@ -10,12 +10,13 @@ ciphertext and no ``report.json``.  Keys are made once per module.
 
 A desk channel, public, secret or ciphertext file with one mutation (a
 field dropped or added at any depth, a structural integer of another type,
-or in a base64 word string: a word a byte narrower or wider, a residue set
-to q, the string truncated, a pad bit set, the padding dropped, a URL-safe
-character, a space or newline, or format 3's hex in its place) is read by
-``encrypt``, ``eval``, ``refresh --secret`` or ``decrypt``: each exits 1
-or 2 and writes nothing, or exits 0 with outputs that decrypt to the plain
-result.
+or in a base64 word string or one of the public file's two seeds: a word
+a byte narrower or wider, a residue set to q (word strings only: any bytes
+are a seed), the string truncated, a pad bit set, the padding dropped, a
+URL-safe character, a space or newline, or format 3's hex in its place) is
+read by ``encrypt``, ``eval``, ``refresh --secret`` or ``decrypt``: each
+exits 1 or 2 and writes nothing, or exits 0 with outputs that decrypt to
+the plain result.
 """
 
 import base64
@@ -153,9 +154,11 @@ READERS = {  # file kind -> the commands that read it
 }
 # The standard base64 alphabet, in the order of the values it encodes.
 B64 = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
-# A string under one of these fields is a word string; a value under one of
-# the others is a structural integer (a level among them).
+# A string under one of these fields is a word string, or a seed at one of
+# SEED_PATHS; a value under one of the others is a structural integer (a level
+# among them).
 WORD_FIELDS = {"f0", "fprime", "alpha", "beta", "c", "cprime", "vec", "margin_num", "secret"}
+SEED_PATHS = {("f0",), ("refresher", "c")}
 INT_FIELDS = {"format", "level", "kappa", "k", "map", "primes", "p", "q", "omega", "u", "n",
               "N", "k0"}
 
@@ -200,8 +203,11 @@ def _mutate(draw, tree, q: int) -> None:
             obj[draw(st.sampled_from([k for k in ("extra", "level", "vec") if k not in obj]),
                      label="field")] = 1
         return
-    path, v = draw(st.sampled_from(ints if kind == "retype" else words), label="target")
-    width = next(w for w in (1, 2, 4, 8) if q - 1 < 256**w)  # bytes per word
+    residues = [(path, v) for path, v in words if path not in SEED_PATHS]  # any bytes are a seed
+    path, v = draw(st.sampled_from(
+        {"retype": ints, "residue q": residues}.get(kind, words)), label="target")
+    # Bytes per word; a seed's bytes are its words.
+    width = 1 if path in SEED_PATHS else next(w for w in (1, 2, 4, 8) if q - 1 < 256**w)
     if kind == "retype":
         new = draw(st.sampled_from(
             [float(int(v)), bool(int(v)), None, [v], str(v) if type(v) is int else int(v)]))
@@ -210,10 +216,10 @@ def _mutate(draw, tree, q: int) -> None:
     elif kind in ("narrower", "wider", "residue q"):
         raw = base64.b64decode(v)
         i = draw(st.integers(0, len(raw) // width - 1)) * width  # one word's start
-        new = base64.b64encode({
-            "narrower": raw[:i] + raw[i + 1:], "wider": raw[:i + width] + b"\0" + raw[i + width:],
-            "residue q": raw[:i] + q.to_bytes(width, "little") + raw[i + width:],
-        }[kind]).decode()
+        new = base64.b64encode(
+            raw[:i] + raw[i + 1:] if kind == "narrower"
+            else raw[:i + width] + b"\0" + raw[i + width:] if kind == "wider"
+            else raw[:i] + q.to_bytes(width, "little") + raw[i + width:]).decode()
     elif kind == "pad bit":  # the last data character's low bit: a pad bit when padded
         j = len(v.rstrip("=")) - 1
         new = v[:j] + B64[B64.index(v[j]) | 1] + v[j + 1:]

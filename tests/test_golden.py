@@ -6,17 +6,19 @@ These digests were recorded once and are compared against every build: a
 refactor that claims "same behaviour" must keep them unchanged.  If a change
 alters the outputs on purpose, it must say why and re-record the digests.
 
-Each file is pinned four times.  The ``*_V1`` tables hold the digests of
-its rendering in file format 1 (``oracles.render_v1`` of
-``oracles.render_v2`` of ``oracles.render_v3``), recorded before format 2
-existed, the ``*_V2`` tables those of its rendering in format 2
-(``oracles.render_v2`` of ``oracles.render_v3``), recorded before format 3
-existed, and the ``*_V3`` tables those of its rendering in format 3
-(``oracles.render_v3``), recorded before format 4 existed; so they show
-that no value and no draw moved with any format.  The ``*_V4`` tables hold
-the digests of the files as written.  ``report.json`` has the same fields
-in every format, so its digests are equal up to format 3, whose indented
-layout its rendering keeps.
+Each file is pinned five times.  The ``*_V1`` to ``*_V4`` tables hold the
+digests of its renderings in file formats 1 to 4: ``oracles.render_v4``
+renders it in format 4 (the public file's seeds expanded into the word
+strings format 4 held), ``oracles.render_v3`` that in format 3,
+``oracles.render_v2`` that in format 2 and ``oracles.render_v1`` that in
+format 1.  The ``*_V5`` tables hold the digests of the files as written.
+Each older table was first recorded before the next format existed, so
+they showed that no value and no draw moved with a format; all were
+re-recorded with format 5, whose keygen draws the public seeds from its
+stream in place of ``f0`` and the refresher's vector parts, so every key
+moved.  ``report.json`` has the same fields in every format, so its
+digests are equal up to format 3, whose indented layout its rendering
+keeps.
 """
 
 import hashlib
@@ -34,7 +36,7 @@ from aces.cli import main
 from aces.homo import hom_mul
 from aces.keygen import keygen
 from aces.refresh import secret_refresh_checker
-from oracles import dumps, render_v1, render_v2, render_v3
+from oracles import dumps, dumps_compact, render_v1, render_v2, render_v3, render_v4
 
 DESK_ARGS = ["--p", "2", "--q", "15015", "--degree", "4", "--n", "3", "--bigN", "2", "--k0", "1"]
 MID_Q = math.prod((3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
@@ -42,34 +44,33 @@ MID_ARGS = ["--p", "2", "--q", str(MID_Q), "--degree", "16", "--n", "6", "--bigN
 ODD_Q = math.prod((5, 7, 11, 13, 17, 19))
 ODD_ARGS = ["--p", "3", "--q", str(ODD_Q), "--degree", "8", "--n", "4", "--bigN", "5", "--k0", "1"]
 LARGE_Q = math.prod((5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47))
-CHANNEL_Q = {"desk": 15015, "mid": MID_Q, "odd": ODD_Q}
 
 CIRCUIT = "in a b\nt = mul a b\ns = add t b\nr = mul s a\nout r s\n"
 
 GOLDEN_CLI_V1 = {
     "desk": {
         "keys/channel.json": "97032fd81ac66cb2f889a71d0774af04ce5f8da18f0da5b7f3564ef7ebb60c17",
-        "keys/public.json": "f947523d5a95c96685154dc2a04b178b32d5242b50a4c188abcb07fe53f2f83e",
+        "keys/public.json": "82dd29c0944dcd3001b8f68dcbda48cd6250ada4b2f81f6d3146b4befae43e27",
         "keys/secret.json": "b44cd727abd0a9ddf21417b4f758df3b498716ff7d89d8f1613ccd05a6a7f0e8",
-        "a.json": "e9200e46a52794fa7f9c67f18f7933f0a662c6e2a2600d599efbf3decaaf1593",
-        "b.json": "6143c5769115cd95291cd71f5657274d45c2bbcfbddfd418bd98b288254bd55f",
-        "out/r.json": "f42a21f22f3da50dc3406bde75300587cc7cbe321d77fe6590f26e6a35465e6a",
-        "out/s.json": "df183691112a1151cddfbc6f36da08d5ce17cd4a24dc040c5bda41eb30c0c246",
+        "a.json": "74c53bd1b2c6c07a417663ae6f065bb398ee532f19c4b3e14fd92923b7fb9f68",
+        "b.json": "5342ce72cba1a82fa0c71bf3e9fecc36ce3b96516361a4a82bf56ac115a4c310",
+        "out/r.json": "9dd7c237c27e22144357aaf33c0cf9b70568538d5b35fdcdc40226f773cbfc47",
+        "out/s.json": "01344d590368f903a1a7a80b01c9e7d1aea02e90c4a3e7ba31947ec27bad37b5",
         "out/report.json": "a1cf5732c40e00c1ea21e1e80046fc5f7995a2d97ff66434efb624a2399176de",
     },
     "mid": {
         "keys/channel.json": "09146a750167b79a7bfae297964a48dc76426e9b800b1c58e0a870954d4b8ff1",
-        "keys/public.json": "9adb84deb4b5ce9f38a5280b0d78324baff4287b13943fa26ca47847cf7b952f",
+        "keys/public.json": "edf86bf65806fa7ce0aaa9e63e76d6e37bd97e7143bed72c22ef3ef30f2eaf96",
         "keys/secret.json": "716d5017b147d49809d0b206eb9ff9909f49ecc32caaa52eef5895cc12125523",
-        "a.json": "6aeb6c18a57346e6fa5f89739cec6273ebaf96992a93cc23a8b9312c3bef3afa",
-        "b.json": "7df84e01e91c9490c6b6810343441495ac748fc9bcbf0ee30ab0b2b398f1d3db",
-        "out/r.json": "93a619c1f27fb1f1308deabf6a08cfcff850a6f4b225e239b247a214a01b1c4e",
-        "out/s.json": "9cf16a437e35ad2539cdef17177ab7dca2a7d164fda64dc3dfb6815ff794e0e9",
+        "a.json": "4b28b390e861638320e4bb6609da9d86a214864ce2f7932fbfe00951fb45bd70",
+        "b.json": "066fc44ac110eda7a2a1d7b94fac46820711302c75a006186e2cbee9a9df3b62",
+        "out/r.json": "3a852559924f05a7b66b6d7b4f21f600141eb667ce6884eda4cb8895d317fda6",
+        "out/s.json": "63762db7f2cb86856bf50e2e69b29afc5bc089f54151ded887b662e18f90b81f",
         "out/report.json": "134af46bb3285e765c65593541cab81fbab6dcd8f330c770d23ab2268ffa9164",
     },
 }
 GOLDEN_DESK_REFRESH_V1 = {
-    "t6.json": "dd88e5f979e4f2f12a4798cacb5554e24775260d0121902148ea03370df49827",
+    "t6.json": "aa1e1e168edf0048b612386ec6d74dbb616e030f296a53e46023d78e188c9c3d",
     "report.json": "b91b86242d6542c2a25f5d44f2b0e6ff66413e1cd5c7728e21877c963835d6cb",
 }
 # CLI keygen (seed 7e57), encrypt, then refresh --secret (seed f1), at mid
@@ -78,188 +79,244 @@ GOLDEN_DESK_REFRESH_V1 = {
 # and the refreshed file decrypts to the message.
 GOLDEN_CLI_REFRESH_V1 = {
     "mid": ("e4", 1, {
-        "keys/public.json": "b10bbe7797ecd97554596375ae0f55845afeb5f9f6d9582fd698df2fca350f11",
+        "keys/public.json": "c1f48f7ddb05ad571bf708191fd4e6d155d7db4d3e965e65a2fe2fa4ce6c9f87",
         "keys/secret.json": "c45191c3ffae1546ade31a55131290da41de2086d3c9589a4c7907d812251466",
-        "a.json": "d1d4cb42d5d2ce838a654deebc77e26ac046c3bf86e08887c8fa341afb88c25e",
-        "fresh.json": "100e764bd75a97f6f35ae1c9ca5ad720adf1834e387ef38517c188ac711d98d5",
+        "a.json": "b856bfd503199cd7d3092f8b39108800745102286df801d9d57807cb9a0a0db3",
+        "fresh.json": "25994e247acfa3fcc818573d5410931ecd010c17553950b0eec078f5b4f3c692",
     }),
     "odd": ("e1", 2, {
-        "keys/public.json": "45aea8053f3fb1a5761ec5bfdd9b6759d2e240d6498170617c7d00900eeca41a",
+        "keys/public.json": "f625937d19c8d3c89f9c80d914659e292a60de9614e7e918f8e9143a37776c92",
         "keys/secret.json": "9411abd3cb105e24ae6545e0503ec4ceb1c7b90e0074a24ee51d78e8bbbace57",
-        "a.json": "6dfd16f2190aacf37c1e1ed7c6938bd44e7257ecca2950774b53c7160a9b8571",
-        "fresh.json": "f615cf5dd39e7b14d4b4d593d90abb9577c8f4fce3cd1349b51bf880a6015d82",
+        "a.json": "1cf0b6a9b275c5f287b14a821962416c8fa54eea6bac426990c55ee4024f5112",
+        "fresh.json": "689d4f97cb17f47ebcc2cf480bb7e5b74c54fcda054b6652391b7b59f52764af",
     }),
 }
-GOLDEN_LARGE_MUL_V1 = "3a839708e9c4b82bb88a10c1dd459c4744d2a42524fee0b7a1ffe14140515e7d"
+GOLDEN_LARGE_MUL_V1 = "1e76c4b35d8781139246f1bfe8e444c435edcf31fd04fa4a392eb841e46de645"
 GOLDEN_ODD_ROWS_V1 = {
-    "public.json": "07bb8b79679aef284c780eb73d8d56cba0b5e649427a6141b2b9bf7d9b7ebb29",
+    "public.json": "a51ace238a20eab993a93f40ce9da595b8324d54b0aed07dd1da9d47b6c9bbfa",
     "secret.json": "a0dd2a8c456ff8232ff1aeb71ed8c1c12368f4900413f47bd93be4b2095ea9ec",
-    "a.json": "9374b17b18d11b2fbfde068fd1747cd9220b9ebdd882a10ddd3b17cdaf8a0d9b",
-    "b.json": "d97a0e6d2f29d71b2d6dee29ce4f0288529d032fa2984c4f693246ffb7cc9d6e",
-    "ab.json": "b1aea759a9b63b95f9abd97a77711e182032836ec194749f91bd525a038d0f53",
+    "a.json": "31566fc0fb684e3e1bc07581f27f528f48688f2bfa1f1fa5134ffb8cc188d276",
+    "b.json": "fb3e60c957761121b9747448c6a1f5ebbe29155c6de892b1cebc2f5ca8ac9250",
+    "ab.json": "d059671df5153d3f348b60be64ba1040d9a6fa8858247fa3764c31aed122c0af",
 }
 GOLDEN_CLI_V2 = {
     "desk": {
         "keys/channel.json": "999f5c9b8d8457c5e09edc274313eb7a1feb77e3be2b7b9c25dfa4caf2e6d85c",
-        "keys/public.json": "6a740b55b99b2b7e062d0d42343a5ac5d16fcbe8cd69068ed8b8c289644f5800",
+        "keys/public.json": "e3f5a48c433b54040964a5c3d5d711c6fb5fa96ffe37fe0a975747fa38b9e8df",
         "keys/secret.json": "089fc1b6f8bd2b001ef28f91004966b94977640f6a3b511d9d87960012a67299",
-        "a.json": "2d5c49ed12b175dd85350c21036758206f8efeee84f5b636e62da4bc6bd8d417",
-        "b.json": "bee4f2319226eb99387ef11cfb612a7efc481b073121ddbf566efb2fb665c3f1",
-        "out/r.json": "05990d3f7d1979c11d56f092252fadcb83fa276dfdd1995e5970818a3f5a9c8e",
-        "out/s.json": "ec8074aa590b83f0837dedf67ec71588e5945ae92f77211ab2abcb8f1d4a6721",
+        "a.json": "ae51c4ff8a70eb80b8cafcf583383886cad580109e955758809db2d18ca6d10a",
+        "b.json": "1aeb3977792b8d4f1ee74d39b290b50532149181aef2b0d6961307136227228a",
+        "out/r.json": "1023a6bbf2d9cca2b9be4a75731718f18eddc52c60aa637c0c4ab3c85b35e699",
+        "out/s.json": "18890ef9d2252fed3a346e37120fb8f16c679602ee3cd9498a2c74b989bf3114",
         "out/report.json": "a1cf5732c40e00c1ea21e1e80046fc5f7995a2d97ff66434efb624a2399176de",
     },
     "mid": {
         "keys/channel.json": "0c35ef8be689bc6744a0007848331fd454eee7706c1c56f0a84e50a461d5d13f",
-        "keys/public.json": "8eb424bec97cc109dd4bad16204da46d917a2ad0d3d15d02aac2421e2eac9e08",
+        "keys/public.json": "76fb43c53f65ff4796fbd18f9ac358539df518e9e46aa7087a231a229e1fc274",
         "keys/secret.json": "b4c7f6ea5633a91587ea41472256756e18318478c5474c293fff3220bda64c92",
-        "a.json": "9475f65da48384f045281828b90dc4848fda6d43e47a1b62ae9045b0ce53a6b8",
-        "b.json": "895a984bb97aadd9b2b3d486f802cd5f4da6cce263f63677d5c708a1d6a43f99",
-        "out/r.json": "cd00348d6048ebb993bc117e3c7e59675184ed0ab95871ee72551089748e60ba",
-        "out/s.json": "a133982a5011ba816cbf69aca25bf2c87793e4f7f7da44bb859515af2de89213",
+        "a.json": "9e5f2ed03a4e30a9c9013438d14704f1252c47a6ae65a0b07eb5f74d3fc8770e",
+        "b.json": "dd88022e7ca67cfa3314fa4cf8b293c4386977fccd6563d77faa80fe09c6c6c3",
+        "out/r.json": "297174e768c216a7474351717359084b8305db648cd3673f3f00f18aecdeaaad",
+        "out/s.json": "c673a7b461ad6df73c560769a90238eef1f1fa23892a19c37ed9f61487c192ab",
         "out/report.json": "134af46bb3285e765c65593541cab81fbab6dcd8f330c770d23ab2268ffa9164",
     },
 }
 GOLDEN_DESK_REFRESH_V2 = {
-    "t6.json": "02ad28adc9ad7ab9153c917152085866ffd2e9bc952ff07a70e4d75be11940b4",
+    "t6.json": "f0498271ad1ee581becb553f5130c74215b87cfa5e353d748559cd9e0b12b109",
     "report.json": "b91b86242d6542c2a25f5d44f2b0e6ff66413e1cd5c7728e21877c963835d6cb",
 }
 GOLDEN_CLI_REFRESH_V2 = {
     "mid": {
-        "keys/public.json": "007b1e7224813981a1c654e89699f8b82807fe7fa95cf09441ab14d661ae9365",
+        "keys/public.json": "61ea452c4ca066c861569e71f3e74e8aee961bfa8d5148b62835271e72c65c0d",
         "keys/secret.json": "9382e17ee91b03a34ce8bc159dc225de60313cbae2a529ab323a67dc6e51a026",
-        "a.json": "473e95ed101998bde65d25c19984cbd1c4828479e23193d8e85a57c1862d563d",
-        "fresh.json": "54bd1291087ded86200694e0788238842639e4f8924f343913f807b4bf79e47d",
+        "a.json": "79f25c65a9fa2265f155a4321077dfa0cd5a829f2151e3926dc8c7ac54dbc223",
+        "fresh.json": "2178e4a3cbf9272b57b02d9eba448505898a9860c172b1e20c29a8a37b5d2ad9",
     },
     "odd": {
-        "keys/public.json": "cae9940f1b963223b3bc83a7639d54ef92384e03d7465fc57e9405b28efde780",
+        "keys/public.json": "609daf493bdbd1931158a2e766e2774a5511d31866596d291bdcd8df240d9a1b",
         "keys/secret.json": "ff40dca7ca9809a308ff53c7fa3ddf1ee89a60e302fa203cdda6c6b293544548",
-        "a.json": "7097a456d2f0f879f29cc37cbfb14085efa76e2e05876fbeaf59798b9d4911a6",
-        "fresh.json": "34db01cbbc4b72aff27b9626774833452da90ebe559fe9a6c14deb665f88d6c0",
+        "a.json": "e82acf01c77e9a39446787aa3c5b1d265e3692e77dd0eaf6b7c35fdf5cb2482a",
+        "fresh.json": "1b7d49b46a5e6119739071fb1eec9b06dd3be6f75a151b63ab22efa8b893aba3",
     },
 }
-GOLDEN_LARGE_MUL_V2 = "a0caffbd7032babbf322d9fb826b3c23fee95977defa248b52d4db0468a1ed9d"
+GOLDEN_LARGE_MUL_V2 = "f52f6beb6efd2423be0d9af25e4029d3272c0bb4e60c3cf4a60f761906fc7a59"
 GOLDEN_ODD_ROWS_V2 = {
-    "public.json": "a7d253106b77b1d7e0dd26866f0b65a1ee990f47ad0213294c05e2fe054c2534",
+    "public.json": "dfbaad1f8329b2c73278fbc63a076a27d63a796d7cd863ed55a8d0a847d5411e",
     "secret.json": "3d6082bc5ba673bf5dab96203f965cdf020c86cc391617653cf7ade1155dbba3",
-    "a.json": "d9c6fc8bf355391865408c4828b72bc90aed246c93d9d58c07a5c8566af684cc",
-    "b.json": "e5aa7a371fe9fa4bc1dd1e570b82200dec54b07ad33e1cf4f0c0e265ca16f030",
-    "ab.json": "200c6451460b0ff9ad2b415160ff8ae5ddb470b111680ba43f670fa968ec13f2",
+    "a.json": "aab82155ad9b0110e9eef1e2658b554863e2641e6c4969029e991509edf1d2ad",
+    "b.json": "a7f9db1858b6d80bdd4d5cbb17b11a728031d8fe4bc34b626bf04c30de94860e",
+    "ab.json": "ca5ecfd6086a6404edf59099954a1a1fa389e54f9fb284065cf1d4163d689911",
 }
 
 GOLDEN_CLI_V3 = {
     "desk": {
         "keys/channel.json": "514b1a56b5666d6b20020faa1eb47835e779a0c8bf10732a7c9cce77a210426d",
-        "keys/public.json": "08cd3ca431dce6ee32827e62a1fe4dd334c84c4b44d83b41490d7eb04ba70086",
+        "keys/public.json": "ae714d7ebfe3ca260128f6295741c9df76c7e97015fa9061ae5ada8b2ab32e51",
         "keys/secret.json": "c57b6717b0011282e9b4b07731404e34c5eb2bbc913eba764e73bb5860e972f4",
-        "a.json": "25c83d9b9b8349207c87b3e9e47936dc3ed791bacdc21801747790559a6a12b5",
-        "b.json": "f62f8d7f76086fe97c32920ea6aa9cf972664b8206defd47eac47470a82e36c2",
-        "out/r.json": "4c16f78d8966cb6915dea9ebdbb7cc1942a540d42724e119199abb4f6b3f1167",
-        "out/s.json": "8963b03ab7cdc651f162feff614dd763eb74d127bbbb6cea4230b83590e5cd94",
+        "a.json": "0c62be5608f35a3ba99da650d7f003f84c441fab2649b76030cbb527d1924fa9",
+        "b.json": "0c922119569e973a1d03b86f0494e494a7bd35cf4db4340b56c9f734f99151b2",
+        "out/r.json": "ba6906a2347f6e9cf4edf110341e6a07d88204d003c0dd32420c093e8de56fd0",
+        "out/s.json": "6ba76030b724224f3da1a1f278b1e7d32b8f81f4b9ec2b1ac8b2c58287ed9ddc",
         "out/report.json": "a1cf5732c40e00c1ea21e1e80046fc5f7995a2d97ff66434efb624a2399176de",
     },
     "mid": {
         "keys/channel.json": "bda35e954a1928a618da4314e78f0f97c86086be1d92f9093cdd7ea5722152fe",
-        "keys/public.json": "acf69b8debbaddbe789684abb9fa2251c3f0a0ad3aa56faa1cc96c2320e23d8d",
+        "keys/public.json": "b06f2b8028a2a6ad10083d98f02ae74b91ff4b0a9f48f134f6e46350b0379584",
         "keys/secret.json": "853d9d9e31628e1618551170f5a90a13bddc716128429d4c33cacf1693c76d05",
-        "a.json": "0627ce1c712c9b5a6199be7b2b6e3320ccd5cee450428d4419b87a440ed40d9a",
-        "b.json": "0c5a4dcb50cb580a5238106b3eec3349909389e1b939d9a01498ffe0b8a78f65",
-        "out/r.json": "2c41d3a5d530246dcc939a38756d5f6281960a604bb99d7f32d9427591ba744b",
-        "out/s.json": "0415db1bc3169e54e8a838cdeeaaa2a8754b06d2560d4137c689b0393346e05e",
+        "a.json": "532fc5d99f4a4d1147fd94527fbdf8a45d8bd5a336108875eb239b5d4972acc2",
+        "b.json": "55d200914e34444bea983847cee12e1b71e189dd1d046eb1b39e7d7eca9d8902",
+        "out/r.json": "23998dd715d4e2b81dc9fc3ac10154fdadf3050ca28e891749eaee590789fd39",
+        "out/s.json": "d0406f9eedeef8d55b6d2dd969ddf04eb0ab0855cd3718bf191a95facce12dba",
         "out/report.json": "134af46bb3285e765c65593541cab81fbab6dcd8f330c770d23ab2268ffa9164",
     },
 }
 GOLDEN_DESK_REFRESH_V3 = {
-    "t6.json": "a32b1c1d85b0618007443d8f8f72e08407f1946a00dad02fc7824341e09b8583",
+    "t6.json": "8e098481000553a53fb66e62daea2ddbab68574df97ab86bd1348d28bc74ae67",
     "report.json": "b91b86242d6542c2a25f5d44f2b0e6ff66413e1cd5c7728e21877c963835d6cb",
 }
 GOLDEN_CLI_REFRESH_V3 = {
     "mid": {
-        "keys/public.json": "4f3a160b60d9fef0a93764013b7d8382e933cf3047b517a729501636f78aab0e",
+        "keys/public.json": "18b355dcb2431ff5b42648a64c4eb59f2171cb894a6026e388b4eebd00edd031",
         "keys/secret.json": "31c89f07407751f3f7c0552971fef6ce54c84d10dc7286ea81d303b103e6428b",
-        "a.json": "cbd4f6237d71a41d2df67454a86c821c3b83148e85375657d7a2427e480329ea",
-        "fresh.json": "8455ca5560c45d5690bb4423227465429b4781fb99b9664220c84de1becf0044",
+        "a.json": "a0715733f5b73dcc98bd2c19790cda5409695ab049c2c82d269f0c1682d0a04b",
+        "fresh.json": "98e6bb9bf530ac5aaa8c9c026ac7910c7863ad41f42e9edee2e2abc766afd343",
     },
     "odd": {
-        "keys/public.json": "b637a3c10083ba515ab1951f38a543c6b5f56b3e37d1416961e6820344ad4767",
+        "keys/public.json": "00048d0010cf963a1644b0d06ae4e9df89f80de0e0e219c7f1734973ffd8eeaa",
         "keys/secret.json": "7323f5ea4d25a462a08e4899d32b480be829f495c5533ea2e59fbaa096968a08",
-        "a.json": "3bf066098b1af0e97e5995ab93467ea96400de0192f78349ad96be3605449688",
-        "fresh.json": "f5b79f5c77d54085c52b6e800374969abe76eeb61c5ae1ece4a0cbf8893bf3e5",
+        "a.json": "bea73f35b524341b13a113f6891ada4e7c8d3a8351a9a15efe08386cd8132180",
+        "fresh.json": "8c89769e113c5482907df7459201cbdd59a23c8ef70303f2e9f871eac42bab44",
     },
 }
-GOLDEN_LARGE_MUL_V3 = "993e6adff8aec7b00b599c4190435dbbdb43aad11aaa94159465eb5e74f66206"
+GOLDEN_LARGE_MUL_V3 = "3e07e0bd613f6ddfc3f03adad550243106d8ebc86039fd7f2bd9ca9fee5a6eb3"
 GOLDEN_ODD_ROWS_V3 = {
-    "public.json": "fc469ca3d6fdf3f25586bc98217265abeb2261a0a24bf77d3380bcbb6c603e4f",
+    "public.json": "f560eb8497bfe4c21dd08c23df2f04088b462ab7d93b5780c744c7c7d9dd8edf",
     "secret.json": "7ea6648753caee5e5065e453a88af65b009217c89ad148bb13997e93dd75cc68",
-    "a.json": "aa9729bba757bde2e235839582a2d8966391108e711443a28a890ff3b451b80c",
-    "b.json": "01082f41b3ffb0465a9d863479d468da3e6de46591cc80662b234c15716ae05c",
-    "ab.json": "1f81fca6414927a13aee77201611b250c81a57f183cec26d049cb17e6ef05951",
+    "a.json": "cc9a829ee9f7293d557cb951e0c5568d01722a0896749acbc4b3f036cd7f6cc9",
+    "b.json": "153af8eb45ba4407341cfa2e676ac55de961edf2008d5699e476005d3444bb87",
+    "ab.json": "1fa0b737dbb4f4b5e306353c5b4d8bccfa0f571b4d99218435d3f4c88c23d822",
 }
 
 
 GOLDEN_CLI_V4 = {
     "desk": {
         "keys/channel.json": "133bd1ed8f9f54ac909fb728ff46b5d381de4f8d2fce9d6fb39556a7a2b163fe",
-        "keys/public.json": "0c5fe65ce589b13f186c4fb7d1432c8536825942d8a39766746fd7d07880d784",
+        "keys/public.json": "eae48d2b21937728e54570a6864b7639985fa75cf54e804f41fcbe81f8f42caa",
         "keys/secret.json": "35b3153489a08e6b4e2dcfd9808bdc55646405ffa5bd67d3c75f545ee330e443",
-        "a.json": "b1f917a38dcca6443855695883fab0dc2078d6c38db9270fbf449706d95fa313",
-        "b.json": "66d1e0392dba3f259d8d580c9213ff92995d1ace17715889b1ab227a7961c4c3",
-        "out/r.json": "8d6871a50939830de503d5eceaec64db4ac7a2e015c69b805210a8b1ef60563c",
-        "out/s.json": "a1038a563bfdcf2ce8aa47525591182ed7cfaaf059a9527a18f7f812e9bc4ef5",
+        "a.json": "0e168642f956f070c69cdf840892e991291c055cf1369dc9d0d6baae00008802",
+        "b.json": "3eefd8ebc5f978cf8825780b85e4b097633f40c0c371124ed4959d2275006569",
+        "out/r.json": "67e4e4267344f150bd6b1ecd73e5fd856439ec3da8455bcca5b8fd4a38988510",
+        "out/s.json": "dedbdb9e6ac0cde74b15c9c9ab1d8c43856c0a84cc499eb6b882f493162010a7",
         "out/report.json": "b047491480042efee2373c3b191104158ba1f4e1db07bfe4250d5c947d5fdb11",
     },
     "mid": {
         "keys/channel.json": "b6bdc43643725460fe82aab8b8b67366b1979b6955b0fa0538c5b6672d4fe18c",
-        "keys/public.json": "8998d6a0ce56822a02a38a8ae6c4a12eed85e9489f44043d300692785e68eee7",
+        "keys/public.json": "c3d56365c1c42ddaeff7a82eb1f29eb3b4cfb52ed5f2e67ddc9064e74e216da1",
         "keys/secret.json": "7bec92aaa01fcb0ba97ccc1f585eb6913adf2ea2fedf77384585d578469257f7",
-        "a.json": "739bb79a86f2150ab8e2680b84c091c48bfcc33a9857ad9030c5322ec6443560",
-        "b.json": "b5b63b8701c6715fd0344d5c2287e3014f512d5ef241410a24c5d24cddf20082",
-        "out/r.json": "b929df0ebcd762a8cafee159ca34eb4dd4696e7d959a81fc66e2f4a6a10885a3",
-        "out/s.json": "ef9a4fe770af913f0ef09422131564e9521225ee8e0307016989ae9b631323d0",
+        "a.json": "0dd574dab5a1980e7ea05365f17ebb251f4b583c3de2057921824f5f331bb64d",
+        "b.json": "19a9b871202466e77a172ac60b0c2ba88d197eb2f9d7dc48098ca101db347dc7",
+        "out/r.json": "79d827abea222bf476d902ba17d7f28c0db72df1beb428ec80a239fd2b9fd2f6",
+        "out/s.json": "5166f0c68165eabad05f09432aa6a2bd88b0fe6edccdce6bfd6553b6c12c2cc4",
         "out/report.json": "a798832f4fd826e9ac3487fbf32577960d7577e2730e16f71bf2fbe54463af6d",
     },
 }
 GOLDEN_DESK_REFRESH_V4 = {
-    "t6.json": "8319f9c2b4e7b403f635fe690aa3496dcb79a52cf8ef11cb6f245f7d00818991",
+    "t6.json": "df08d4037fa2aaa22d2ca4b9eb16379fac1a5f998758e3392babee0eb85a697a",
     "report.json": "d1a053782000336889d7be0f5b4c845a6ff4b381e9ab47308413d222fcbac04f",
 }
 GOLDEN_CLI_REFRESH_V4 = {
     "mid": {
-        "keys/public.json": "48d1cc1ecdbc8f252ed65d7621731d84d1bee2c205b96094be3151cbcd5849d3",
+        "keys/public.json": "fb9685b7105c6b58b4c109e32db2a1a1eff2d0a354995ef1736d831c55635f41",
         "keys/secret.json": "3a4acd8d6d9616682c94cd0958e48a3f2ad4cb531b0ce83eff0855e295bb87c3",
-        "a.json": "0fb4ce6cd093cc1ccddbd12c84685760d1daa54442ad7702c2542712980b475b",
-        "fresh.json": "3d141bcd5fc970a257b49d741992bdc86e74f8917de09910b4eaac5d7c6668ad",
+        "a.json": "41486ef901ef4835e18bf3aa2b7e7d0537a100d125dbb19d6b548a23b4605dab",
+        "fresh.json": "d2576e4968198fd5dadb99345a790919c758341113b33020667f6631cb9e5145",
     },
     "odd": {
-        "keys/public.json": "c208d3b291045f786874ce3b8ee29f9b4f471821882cd879d3b5ecf845e39867",
+        "keys/public.json": "a119f3f7628528b9c11a5d813e2071d5c7a045b05e155a0fd312872184855d0e",
         "keys/secret.json": "6b14d39669bfc039961bc0efc74c47b749fbc86f005af08431fcc37d986b31ed",
-        "a.json": "943880b67eeccee29cd7c6f8b6f4db1e37cb25ad32453846d8bd52487aa3d177",
-        "fresh.json": "1017ce81fbf828f4494f0c1c80e9acbef4471bb188ce98a4d264c76a847160bb",
+        "a.json": "dd35d799bb1a71f28885b2a404024086b3387999abcddf8f6995c2862dabad03",
+        "fresh.json": "09e433b4a4a5db370b0c9da580da45995a603322305ab0c19a023e4e920b8021",
     },
 }
-GOLDEN_LARGE_MUL_V4 = "59b1b916ffa54d19c4efe1706431a7fc38cb42e0b7d5cfe2a970ae1cc8fb0c82"
+GOLDEN_LARGE_MUL_V4 = "369e97555b6eddbffd57f4dc4ed0d086b0ba617c83ee724eae6335e5b237bbba"
 GOLDEN_ODD_ROWS_V4 = {
-    "public.json": "76d675895a00f2b6bb43a11277ffd45753a1d5bc2271658346d91a298930a0c5",
+    "public.json": "716910beca8029b747dac599686e2be81838fc9dcd24f7a020ca2b4dd79f8ba9",
     "secret.json": "f07778f79a47dcbdbb8dd3a21eb63e54cd5f5252c673460480198efa053d8c54",
-    "a.json": "c64c3bf1af9461729c5629e98827be930782a0956ba46cf0e08663ebd6ad4df3",
-    "b.json": "c5955b13b9a2621be04313d030a7663b6f6fe2d8803e044307c0b9a8dedb4636",
-    "ab.json": "0325d60240557a532a962a010ea94af10fc66376f10a9a0e48a32b4a12172901",
+    "a.json": "9ff68c696688a1c54cd85c212fafd7286646aa0061c294dbcbb516af311876ae",
+    "b.json": "816601846c24e9747c7711c070ec96b0418dbaf75a253b5ac2b1ec3c5b9df2cc",
+    "ab.json": "36646f50158721df4d86989df0ee6f40aee8e00d89b46e10d36c652bfdace112",
 }
+
+GOLDEN_CLI_V5 = {
+    "desk": {
+        "keys/channel.json": "6206af7ead18964545e378cf9062a8094f055f9e9e286ef2c9a42384753f563f",
+        "keys/public.json": "402ef3206edf63e2ad5861500d9698dba4e4cc1e435c74a9e8874f5c9700c850",
+        "keys/secret.json": "019073e40155c1becba5131f6d9d4f481da127afe3d2a3f5ba9b09fa3c32fe61",
+        "a.json": "7f5b3ebb033a505e7174d81589372e06160531fb00f979af919201d588847370",
+        "b.json": "de6844a874e5b98412bf3ba699f7a14d8421f0559f967ee57899e725bd45701a",
+        "out/r.json": "22ee3e2c1dbff0c4d2baea36c5c46a451c04337a19509ed7d1a5078390c6174c",
+        "out/s.json": "8077917d36de53d4feb60dd057985e9b2e6ddd7cd124b27bec4173565778d4d3",
+        "out/report.json": "b047491480042efee2373c3b191104158ba1f4e1db07bfe4250d5c947d5fdb11",
+    },
+    "mid": {
+        "keys/channel.json": "9bc0ec4a34e74c97a0f6c4918f828257415dbf91e4b511b268e5450c97d4bf15",
+        "keys/public.json": "bdd5fd10d88fc7b94f1dbd5b1f3662ddc4d367c02824420b61210f95b62cbb9a",
+        "keys/secret.json": "527875f3e7b1f37f34dda8f9288ddceb3b9909bb94635bc1f306d0162d84b07a",
+        "a.json": "0106580f3f50f96f9e68aef28127b489593d89c2523e99cfc473b80d9127cdc6",
+        "b.json": "7ae3a0e25154cab65be4df9c4be4f424f29eddba10e64071938c9bfb1e91322d",
+        "out/r.json": "ac94a42885814347052e12383eaffcad4566e093146bd6339229cda35e9e2b76",
+        "out/s.json": "f9fecfb07b3c41f74ba507cd77382051c776f2a2f5d527b645be180be70c4bcd",
+        "out/report.json": "a798832f4fd826e9ac3487fbf32577960d7577e2730e16f71bf2fbe54463af6d",
+    },
+}
+GOLDEN_DESK_REFRESH_V5 = {
+    "t6.json": "2f116a53507d7c4f83e3e79d7cd4e91f60d249fe58547ee9d0867f9cbd1f514b",
+    "report.json": "d1a053782000336889d7be0f5b4c845a6ff4b381e9ab47308413d222fcbac04f",
+}
+GOLDEN_CLI_REFRESH_V5 = {
+    "mid": {
+        "keys/public.json": "172501cd5fdffbac0b731512b77a595946041be74140c4efcb8690369f8b09c0",
+        "keys/secret.json": "5bfdc8d8344cf2cceab968f871e712e48dc940bb057e3f85169802a030af22d3",
+        "a.json": "2bfc717809ff8217f45dba0313386b812375adccc7063204cec12abdfc792ad8",
+        "fresh.json": "40640b58d9ff12fba80adb3ad6ae5db49f3a9c7f439afee68b20eb01acdf792c",
+    },
+    "odd": {
+        "keys/public.json": "6037bd7b86532480daaab135cc516008056db0898041b5bcab22056fc71e0b58",
+        "keys/secret.json": "02b935c5f8c1b2026a1fb5fb1f7228ba7063d9e36d8406f45c3f61568bacfe63",
+        "a.json": "cbc7b4f6b5531df10d327ed96c882ca4ede7380984b2ea86c35c7e128dd675ae",
+        "fresh.json": "860002ebce3305051e9a9f0d6ef2ec41426f9a2c700abedf9675dcaaf9d622b0",
+    },
+}
+GOLDEN_LARGE_MUL_V5 = "4b7a02f594a0fc7f43c00bc50625ee61ef3cdd7e012f16739ed3910220659ced"
+GOLDEN_ODD_ROWS_V5 = {
+    "public.json": "4f549805f0127737695998dee65dd5bc535c21e1018d6333f28adda9c642e31d",
+    "secret.json": "d749e6ab29aab38500cf29428f679d6fcdbb2a18c735dab66f067a3a4c3bb0c7",
+    "a.json": "4e973501755816bd0cac92510768a2f856915064d11bb952a8e16ef81f39757d",
+    "b.json": "67efc8246110d5603de9700092a343831aeb4a2aa21422adc5dbe1e867d631c6",
+    "ab.json": "211555821a2278657cfeb39a63870f213ce028d37ffaf9f9ea43752f7ced88af",
+}
+
 
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _digests(root: Path, rels, q: int) -> tuple[dict, dict, dict, dict]:
-    """The format-1, format-2 and format-3 rendering digests and the file
-    digest of each file."""
+def _digests(root: Path, rels, ch) -> tuple[dict, dict, dict, dict, dict]:
+    """The format-1 to format-4 rendering digests and the file digest of
+    each file, over the channel ``ch``."""
     files = {rel: (root / rel).read_bytes() for rel in rels}
-    v3 = {rel: render_v3(json.loads(data)) for rel, data in files.items()}
-    v2 = {rel: render_v2(json.loads(data), q) for rel, data in v3.items()}
-    return ({rel: _digest(render_v1(doc, q)) for rel, doc in v2.items()},
+    v4 = {rel: render_v4(json.loads(data), ch) for rel, data in files.items()}
+    v3 = {rel: render_v3(doc) for rel, doc in v4.items()}
+    v2 = {rel: render_v2(json.loads(data), ch.q) for rel, data in v3.items()}
+    return ({rel: _digest(render_v1(doc, ch.q)) for rel, doc in v2.items()},
             {rel: _digest(dumps(doc)) for rel, doc in v2.items()},
             {rel: _digest(data) for rel, data in v3.items()},
+            {rel: _digest(dumps_compact(doc)) for rel, doc in v4.items()},
             {rel: _digest(data) for rel, data in files.items()})
+
+
+def _channel(keys: Path):
+    return serial.channel_from_dict(serial.load(keys / "channel.json"))
 
 
 def _run(argv):
@@ -278,11 +335,12 @@ def test_cli_outputs_match_golden_digests(tmp_path, name, params):
           "--circuit", tmp_path / "c.txt", "--input", f"a={tmp_path / 'a.json'}",
           "--input", f"b={tmp_path / 'b.json'}", "--refresh", "off",
           "--out", tmp_path / "out"])
-    v1, v2, v3, v4 = _digests(tmp_path, GOLDEN_CLI_V1[name], CHANNEL_Q[name])
+    v1, v2, v3, v4, v5 = _digests(tmp_path, GOLDEN_CLI_V1[name], _channel(keys))
     assert v1 == GOLDEN_CLI_V1[name]
     assert v2 == GOLDEN_CLI_V2[name]
     assert v3 == GOLDEN_CLI_V3[name]
     assert v4 == GOLDEN_CLI_V4[name]
+    assert v5 == GOLDEN_CLI_V5[name]
 
 
 @pytest.mark.parametrize("name,params", [("mid", MID_ARGS), ("odd", ODD_ARGS)])
@@ -294,11 +352,12 @@ def test_cli_refresh_matches_golden_digests(tmp_path, capsys, name, params):
     _run(["encrypt", *files, "--message", message, "--seed", seed, "--out", tmp_path / "a.json"])
     _run(["refresh", *files, "--ct", tmp_path / "a.json", "--seed", "f1",
           "--secret", keys / "secret.json", "--out", tmp_path / "fresh.json"])
-    v1, v2, v3, v4 = _digests(tmp_path, golden, CHANNEL_Q[name])
+    v1, v2, v3, v4, v5 = _digests(tmp_path, golden, _channel(keys))
     assert v1 == golden
     assert v2 == GOLDEN_CLI_REFRESH_V2[name]
     assert v3 == GOLDEN_CLI_REFRESH_V3[name]
     assert v4 == GOLDEN_CLI_REFRESH_V4[name]
+    assert v5 == GOLDEN_CLI_REFRESH_V5[name]
     capsys.readouterr()
     _run(["decrypt", "--secret", keys / "secret.json", "--channel", keys / "channel.json",
           "--ct", tmp_path / "fresh.json"])
@@ -321,11 +380,12 @@ def test_desk_auto_refresh_matches_golden_digests(tmp_path, desk_channel):
     serial.dump({"levels": report.levels,
                  "refresh_events": [list(e) for e in report.refresh_events]},
                 tmp_path / "report.json")
-    v1, v2, v3, v4 = _digests(tmp_path, GOLDEN_DESK_REFRESH_V1, ch.q)
+    v1, v2, v3, v4, v5 = _digests(tmp_path, GOLDEN_DESK_REFRESH_V1, ch)
     assert v1 == GOLDEN_DESK_REFRESH_V1
     assert v2 == GOLDEN_DESK_REFRESH_V2
     assert v3 == GOLDEN_DESK_REFRESH_V3
     assert v4 == GOLDEN_DESK_REFRESH_V4
+    assert v5 == GOLDEN_DESK_REFRESH_V5
 
 
 def test_large_hom_mul_matches_golden_digest(tmp_path):
@@ -336,11 +396,12 @@ def test_large_hom_mul_matches_golden_digest(tmp_path):
     a = encrypt(bundle.public, ch, 2, rng)
     b = encrypt(bundle.public, ch, 2, rng)
     serial.dump(serial.ciphertext_to_dict(hom_mul(ch, bundle.tensor, a, b)), tmp_path / "ab.json")
-    v1, v2, v3, v4 = _digests(tmp_path, ["ab.json"], ch.q)
+    v1, v2, v3, v4, v5 = _digests(tmp_path, ["ab.json"], ch)
     assert v1["ab.json"] == GOLDEN_LARGE_MUL_V1
     assert v2["ab.json"] == GOLDEN_LARGE_MUL_V2
     assert v3["ab.json"] == GOLDEN_LARGE_MUL_V3
     assert v4["ab.json"] == GOLDEN_LARGE_MUL_V4
+    assert v5["ab.json"] == GOLDEN_LARGE_MUL_V5
 
 
 def test_odd_row_count_matches_golden_digests(tmp_path):
@@ -356,8 +417,9 @@ def test_odd_row_count_matches_golden_digests(tmp_path):
     serial.dump(serial.secret_to_dict(bundle.secret), tmp_path / "secret.json")
     for name, ct in (("a", a), ("b", b), ("ab", hom_mul(ch, bundle.tensor, a, b))):
         serial.dump(serial.ciphertext_to_dict(ct), tmp_path / f"{name}.json")
-    v1, v2, v3, v4 = _digests(tmp_path, GOLDEN_ODD_ROWS_V1, ch.q)
+    v1, v2, v3, v4, v5 = _digests(tmp_path, GOLDEN_ODD_ROWS_V1, ch)
     assert v1 == GOLDEN_ODD_ROWS_V1
     assert v2 == GOLDEN_ODD_ROWS_V2
     assert v3 == GOLDEN_ODD_ROWS_V3
     assert v4 == GOLDEN_ODD_ROWS_V4
+    assert v5 == GOLDEN_ODD_ROWS_V5

@@ -4,9 +4,12 @@ Nothing read from a file is silently reduced or truncated; a malformed
 polynomial or tensor layer (an ``alpha`` that is not ``n`` words, a
 ``beta`` that is not ``n`` rows of ``n`` words or not symmetric), a word
 string that is not exactly the canonical base64 of its words, a word not
-below q, a float or boolean where an integer belongs, or a file of another
-format is refused with ParameterError (CLI exit 2).  A wrong container type
-is malformed input (CLI exit 1).
+below q, a seed that is not exactly the canonical base64 of 16 bytes, a
+float or boolean where an integer belongs, or a file of another format is
+refused with ParameterError (CLI exit 2).  A wrong container type is
+malformed input (CLI exit 1).  A written public file loads as keys whose
+seeds expand to the parts of the bundle it was written from, and each
+command expands only the parts it uses.
 """
 
 import base64
@@ -14,6 +17,7 @@ import dataclasses
 import json
 import math
 import struct
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,12 +26,13 @@ from hypothesis import strategies as st
 
 from aces import serial
 from aces.channel import ArithmeticChannel, RandomSource
-from aces.cipher import Ciphertext
+from aces.cipher import Ciphertext, encrypt
 from aces.cli import main
 from aces.errors import ParameterError
-from aces.keygen import keygen
-from aces.rings import Ring
-from oracles import render_v1, render_v2, render_v3
+from aces.keygen import PublicKey, keygen
+from aces.refresh import refresh_certified, secret_refresh_checker
+from aces.rings import Repartition, Ring
+from oracles import dumps_compact, render_v1, render_v2, render_v3, render_v4
 
 
 @pytest.fixture()
@@ -148,7 +153,7 @@ def test_malformed_tensor_is_refused(desk_files, tmp_path, corrupt):
 def test_public_key_rows_must_match_the_channel(desk_files, tmp_path):
     ch, keys, _ = desk_files
     data = serial.load(keys / "public.json")
-    data["f0"][0].pop()
+    data["fprime"].pop()
     with pytest.raises(ParameterError):
         serial.public_from_dict(ch, data)
 
@@ -183,6 +188,16 @@ def test_channel_poly_stays_lenient_in_library_code(desk_files):
     lambda ch, d: _edit(d["locators"][0], "margin_num", lambda t: _set_word(ch, t, 0, ch.q)),
     lambda ch, d: _edit(d["locators"][0], "margin_num", _pad_bits),
     lambda ch, d: _edit(d["fprime"], 0, lambda t: t[:-1] + "\n"),
+    lambda ch, d: _edit(d, "f0", lambda t: base64.b64encode(base64.b64decode(t)[:-1]).decode()),
+    lambda ch, d: _edit(d, "f0", lambda t: base64.b64encode(base64.b64decode(t) + b"\0").decode()),
+    lambda ch, d: _edit(d, "f0", _pad_bits),
+    lambda ch, d: _edit(d, "f0", lambda t: t.rstrip("=")),
+    lambda ch, d: _edit(d, "f0", lambda t: base64.b64decode(t).hex()),  # format 3's hex
+    lambda ch, d: d.__setitem__("f0", 7),
+    lambda ch, d: _edit(d["refresher"], "c", lambda t: "_" + t[1:]),  # URL-safe base64
+    lambda ch, d: _edit(d["refresher"], "c", lambda t: t[:4] + " " + t[5:]),
+    lambda ch, d: _edit(d["refresher"], "c", _pad_bits),
+    lambda ch, d: d["refresher"]["rho"][0].__setitem__("level", 2),  # kappa says 1
 ])
 def test_malformed_public_material_is_refused(desk_files, tmp_path, corrupt):
     ch, keys, ct = desk_files
@@ -275,6 +290,98 @@ def test_a_public_file_with_no_locators_round_trips(desk_bundle):
     assert data["locators"] == []
     back = serial.public_from_dict(desk_bundle.channel, data)
     assert back.locators == () and serial.public_to_dict(back) == data
+
+
+# Channels whose public files round-trip through their seeds, by name; the
+# keygen seeds, 2 bytes each, include four at desk (38, 87, 104, 142) whose
+# keygen redraws the repartition.
+SEEDED_CHANNELS = {
+    "desk": dict(p=2, q=15015, omega=1, u=(-1, 0, 0, 0, 1), n=3, big_n=2, k0=1),
+    "odd": dict(p=3, q=math.prod((5, 7, 11, 13, 17, 19)), omega=1, u=(-1,) + (0,) * 7 + (1,),
+                n=4, big_n=5, k0=1),
+    "mid": dict(p=2, q=math.prod((3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)), omega=1,
+                u=(-1,) + (0,) * 15 + (1,), n=6, big_n=4, k0=1),
+}
+KEYGEN_SEEDS = [*range(50), 87, 104, 142]
+
+
+def _keygen_flags(ch) -> list[str]:
+    return ["--p", str(ch.p), "--q", str(ch.q), "--degree", str(ch.degree), "--n", str(ch.n),
+            "--bigN", str(ch.big_n), "--k0", str(ch.k0)]
+
+
+@pytest.mark.parametrize("name", list(SEEDED_CHANNELS))
+def test_a_written_public_file_expands_to_the_bundles_parts(name, tmp_path, capsys, monkeypatch):
+    """For each keygen seed: the public file read back expands ``f0`` and
+    the refresher's ciphertexts, on first use, to the bundle's own, and
+    ``aces encrypt`` and ``aces refresh --secret`` on the files ``aces
+    keygen`` writes give the bytes of the library calls on the bundle."""
+    ch = ArithmeticChannel(**SEEDED_CHANNELS[name]).require_valid()
+    sample = Repartition.sample
+    draws = []
+    monkeypatch.setattr(Repartition, "sample",
+                        staticmethod(lambda ch, rng: draws.append(1) or sample(ch, rng)))
+    redrawn = 0
+    for i in KEYGEN_SEEDS:
+        seed = i.to_bytes(2, "little")
+        draws.clear()
+        bundle = keygen(ch, RandomSource(seed))
+        redrawn += len(draws) > 1
+        keys = serial.public_from_dict(ch, json.loads(json.dumps(serial.public_to_dict(bundle))))
+        assert "f0" not in vars(keys.public) and "rho" not in vars(keys.refresher)
+        assert keys.public.f0 == bundle.public.f0
+        assert keys.refresher.rho == bundle.refresher.rho
+        assert keys.repartition == bundle.repartition
+
+        out = tmp_path / seed.hex()
+        files = ["--pub", str(out / "public.json"), "--channel", str(out / "channel.json")]
+        assert main(["keygen", *_keygen_flags(ch), "--seed", seed.hex(), "--out", str(out)]) == 0
+        m = i % ch.p
+        assert main(["encrypt", *files, "--message", str(m), "--seed", "e1",
+                     "--out", str(out / "a.json")]) == 0
+        ct = encrypt(bundle.public, ch, m, RandomSource.from_hex("e1"))
+        assert (out / "a.json").read_bytes() == dumps_compact(serial.ciphertext_to_dict(ct))
+        fresh = refresh_certified(bundle.eval_keys, ct, secret_refresh_checker(bundle.secret, ch),
+                                  RandomSource.from_hex("f1"))
+        code = main(["refresh", *files, "--ct", str(out / "a.json"), "--seed", "f1",
+                     "--secret", str(out / "secret.json"), "--out", str(out / "fresh.json")])
+        if fresh is None:
+            assert code == 2 and not (out / "fresh.json").exists()
+        else:
+            assert code == 0
+            assert (out / "fresh.json").read_bytes() == dumps_compact(serial.ciphertext_to_dict(fresh))
+    assert redrawn >= 4 if name == "desk" else redrawn == 0
+    capsys.readouterr()
+
+
+def test_each_command_expands_only_the_parts_it_uses(desk_files, tmp_path, monkeypatch):
+    """A spy on the samplers the seeds expand through: ``aces encrypt``
+    expands ``f0`` alone (N divisible vectors), ``aces eval`` with no
+    refresh due expands nothing, and ``aces refresh --secret`` expands
+    ``f0`` and the refresher's vector parts (n more)."""
+    ch, keys, ct = desk_files
+    module = sys.modules[PublicKey.__module__]
+    initializers, vectors = [], []
+    for name, calls in (("gen_initializer", initializers), ("sample_divisible_vector", vectors)):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, real=real, calls=calls: calls.append(1) or real(*args))
+    files = ["--pub", str(keys / "public.json"), "--channel", str(keys / "channel.json")]
+    (tmp_path / "c.txt").write_text("in a\nt = mul a a\nout t\n")
+    for argv, want in (
+        (["encrypt", *files, "--message", "1", "--seed", "01", "--out", str(tmp_path / "b.json")],
+         (1, ch.big_n)),
+        (["eval", *files, "--circuit", str(tmp_path / "c.txt"), "--input", f"a={ct}",
+          "--refresh", "off", "--out", str(tmp_path / "off")], (0, 0)),
+        (["eval", *files, "--circuit", str(tmp_path / "c.txt"), "--input", f"a={ct}",
+          "--out", str(tmp_path / "auto")], (0, 0)),
+        (["refresh", *files, "--ct", str(ct), "--secret", str(keys / "secret.json"),
+          "--out", str(tmp_path / "r.json")], (1, ch.big_n + ch.n)),
+    ):
+        initializers.clear()
+        vectors.clear()
+        assert main(argv) == 0
+        assert (len(initializers), len(vectors)) == want, argv[0]
 
 
 # kind -> (file, reader, a command line that reads the file as bad.json and
@@ -407,9 +514,10 @@ def test_a_file_that_is_not_a_json_object_is_refused(desk_files, tmp_path, capsy
     assert out == "" and message in err
 
 
-def _render_v1(path, q: int) -> bytes:
-    """The file at ``path`` as format 1 held it."""
-    return render_v1(render_v2(json.loads(render_v3(serial.load(path))), q), q)
+def _render_v1(path, ch) -> bytes:
+    """The file at ``path``, over the channel ``ch``, as format 1 held it."""
+    v3 = render_v3(render_v4(serial.load(path), ch))
+    return render_v1(render_v2(json.loads(v3), ch.q), ch.q)
 
 
 @pytest.mark.parametrize("command", ["encrypt", "decrypt", "eval", "refresh", "inspect",
@@ -421,8 +529,8 @@ def test_a_format_1_key_directory_is_exit_2(desk_files, tmp_path, capsys, comman
     old = tmp_path / "v1"
     old.mkdir()
     for name in ("channel.json", "public.json", "secret.json"):
-        (old / name).write_bytes(_render_v1(keys / name, ch.q))
-    (old / "ct.json").write_bytes(_render_v1(ct, ch.q))
+        (old / name).write_bytes(_render_v1(keys / name, ch))
+    (old / "ct.json").write_bytes(_render_v1(ct, ch))
     assert b'"format"' not in (old / "public.json").read_bytes()
     files = ["--pub", str(old / "public.json"), "--channel", str(old / "channel.json")]
     circuit = tmp_path / "c.txt"
@@ -472,22 +580,25 @@ def _command(name: str, files: dict) -> list[str]:
 @pytest.mark.parametrize("kind, command", [(kind, command) for kind, commands in READERS_OF.items()
                                            for command in commands])
 def test_a_format_3_file_is_exit_2(desk_files, tmp_path, capsys, monkeypatch, kind, command):
-    """A file as format 3 wrote it (hex word strings, indented), the other
-    files intact: every command that reads it exits 2 with the message to
-    regenerate the keys, prints nothing and writes no file."""
+    """A file as format 4 wrote it (the public file with ``f0`` and the
+    refresher's vector parts in full) and one as format 3 wrote it (hex
+    word strings, indented), the other files intact: every command that
+    reads it exits 2 with the message to regenerate the keys, prints
+    nothing and writes no file."""
     ch, _, _ = desk_files
     monkeypatch.chdir(tmp_path)
     files = {k: rel for k, (rel, _, _) in FILE_KINDS.items()}
-    old = render_v3(serial.load(files[kind]))
-    assert b'"format": 3' in old
-    Path("v3.json").write_bytes(old)
+    v4 = render_v4(serial.load(files[kind]), ch)
     Path("c.txt").write_text("in a\nt = mul a a\nout t\n")
     Path("out").mkdir()
-    capsys.readouterr()
-    assert main(_command(command, {**files, kind: "v3.json"})) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and "file format 3, expected 4; regenerate the keys" in err
-    assert not any(Path("out").iterdir())
+    for found, old in ((4, dumps_compact(v4)), (3, render_v3(v4))):
+        assert json.loads(old)["format"] == found
+        Path(f"v{found}.json").write_bytes(old)
+        capsys.readouterr()
+        assert main(_command(command, {**files, kind: f"v{found}.json"})) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"file format {found}, expected 5; regenerate the keys" in err
+        assert not any(Path("out").iterdir())
 
 
 @pytest.mark.parametrize("q", ["0", 0], ids=["str", "int"])
@@ -509,6 +620,28 @@ def test_a_channel_of_modulus_0_is_exit_2(desk_files, tmp_path, capsys, monkeypa
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("guard failure")
     assert not any(Path("out").iterdir())
+
+
+@pytest.mark.parametrize("command", READERS_OF["channel"])
+def test_a_channel_may_mix_integers_and_decimal_strings(desk_files, tmp_path, capsys, monkeypatch,
+                                                        command):
+    """A structural integer is a JSON integer or a decimal string wherever
+    one belongs, also beside integers of the other kind: a channel file
+    with ``"q": 15015`` beside string scalars, and ``u`` mixing both, is
+    the desk channel to every command that reads it."""
+    ch, _, _ = desk_files
+    monkeypatch.chdir(tmp_path)
+    files = {k: rel for k, (rel, _, _) in FILE_KINDS.items()}
+    data = serial.load(files["channel"])
+    data["q"] = int(data["q"])
+    data["u"] = [int(c) if i % 2 else c for i, c in enumerate(data["u"])]
+    assert serial.channel_from_dict(data) == ch
+    serial.dump(data, Path("mixed.json"))
+    Path("c.txt").write_text("in a\nt = mul a a\nout t\n")
+    Path("out").mkdir()
+    capsys.readouterr()
+    assert main(_command(command, {**files, "channel": "mixed.json"})) == 0
+    assert capsys.readouterr().err == ""
 
 
 # q at each side of every word width, a composite near 2^62, and the largest q.

@@ -1,5 +1,6 @@
 """Tests for refreshability testing and the refresh operation."""
 
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
@@ -186,7 +187,7 @@ def test_margin_inequality_direction(desk_bundle, rng):
 
 def test_refresh_refuses_oversized_refresher(desk_bundle, rng):
     ch = desk_bundle.channel
-    bloated = Refresher(tuple(Ciphertext(r.c, r.cprime, 3000) for r in desk_bundle.refresher.rho))
+    bloated = dataclasses.replace(desk_bundle.refresher, kappa=(3000,) * ch.n)
     ct = encrypt(desk_bundle.public, ch, 1, rng)
     with pytest.raises(NoiseBudgetError, match="accumulated"):
         refresh_ct(EvalKeys(ch, desk_bundle.public, desk_bundle.tensor, bloated), ct, rng)
@@ -424,7 +425,7 @@ def test_refresh_refuses_an_accumulated_level_past_the_budget(rng):
     ch.require_valid()
     assert ch.max_noise_level() == 57
     ct = Ciphertext(tuple(ch.ring.zero() for _ in range(ch.n)), ch.ring.poly([1]), 0)
-    keys = EvalKeys(ch, None, None, Refresher((Ciphertext(ct.c, ch.ring.zero(), 1),) * 3))
+    keys = EvalKeys(ch, None, None, Refresher(bytes(16), (ch.ring.zero(),) * 3, (1,) * 3, ch, None))
     with pytest.raises(NoiseBudgetError, match="accumulated level 58"):
         refresh_ct(keys, ct, rng)
     assert "refresh_rows" not in vars(keys)
@@ -611,8 +612,11 @@ def _check_against_reference(ch, data):
     n, big_n = ch.n, ch.big_n
     f0 = tuple(_polys(data, ch, n) for _ in range(big_n))
     rho = tuple(Ciphertext(_polys(data, ch, n), *_polys(data, ch, 1), 1) for _ in range(n))
-    keys = EvalKeys(ch, PublicKey(f0, _polys(data, ch, big_n)), _symmetric_tensor(data, ch),
-                    Refresher(rho))
+    # Arbitrary parts, not drawn from a seed: each is set as its expansion.
+    public = PublicKey(bytes(16), _polys(data, ch, big_n), ch, None)
+    refresher = Refresher(bytes(16), tuple(r.cprime for r in rho), (1,) * n, ch, None)
+    vars(public)["f0"], vars(refresher)["rho"] = f0, rho
+    keys = EvalKeys(ch, public, _symmetric_tensor(data, ch), refresher)
     ct = Ciphertext(_polys(data, ch, n), *_polys(data, ch, 1), 0)
     seed = data.draw(st.binary(max_size=8), label="refresh seed")
     got = refresh_ct(keys, ct, RandomSource(seed))
