@@ -16,7 +16,7 @@ def main():
     rng = RandomSource(b"levels")
     bundle = keygen(ch, rng)
     budget = ch.max_noise_level()
-    refreshed = post_refresh_level(ch, bundle.refresher)
+    refreshed = post_refresh_level(ch)
     print(f"budget {budget}, post-refresh level {refreshed}\n")
 
     print("squaring chain without refresh:")

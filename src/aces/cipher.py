@@ -46,6 +46,10 @@ __all__ = [
     "in_encryption_space",
 ]
 
+# The level of every refresher ciphertext: the smallest nonzero level keeps
+# the post-refresh level minimal while still masking the digit.
+REFRESHER_LEVEL = 1
+
 
 @dataclass(frozen=True)
 class Ciphertext:
@@ -145,11 +149,16 @@ def encrypt_with_secret(
     the divisibility-constrained module and the scalar part is built from
     the secret key itself.  Used for the refresher and for tests.
     """
-    c = sample_divisible_vector(ch, rep, rng)
+    return _secret_formula(sk, ch, sample_divisible_vector(ch, rep, rng), m, k, rng)
+
+
+def _secret_formula(sk, ch: ArithmeticChannel, c, m: int, k: int, rng: RandomSource) -> Ciphertext:
+    """The ciphertext of ``m`` at level ``k`` on the vector part ``c``: its
+    scalar part is a carrier of ``m``, then level-``k`` noise, drawn from
+    ``rng`` in that order, plus ``<c, x>`` for the secret ``x``."""
     carrier = sample_message_carrier(ch, m, rng)
     noise = sample_noise(ch, k, rng)
-    cprime = carrier + sk.rows.combine(c)[0] + noise
-    return Ciphertext(c, cprime, k)
+    return Ciphertext(c, carrier + sk.rows.combine(c)[0] + noise, k)
 
 
 def decrypt(sk, ch: ArithmeticChannel, ct: Ciphertext) -> int:
@@ -181,22 +190,24 @@ def level_after(op: str, k1: int, k2: int, ch: ArithmeticChannel):
     return level if within_budget(ch, level) else None
 
 
-def _refresh_levels(ch: ArithmeticChannel, refresher) -> tuple[int, int]:
+def _refresh_levels(ch: ArithmeticChannel) -> tuple[int, int]:
     """Accumulated and post-refresh level of a refresh, from the closed forms.
 
-    Every digit encryption carries the fresh public level; the contraction
-    against the refresher and the final addition accumulate by the
-    ``level_after`` forms, and the post-refresh level adds the digit-sum
-    correction floor(((p-1) + n(p-1)^2) / p).
+    Every digit encryption carries the fresh public level ``k_d = N*p*k0``
+    and every refresher ciphertext ``REFRESHER_LEVEL``, 1; the n products of
+    the contraction and the final addition accumulate by the ``level_after``
+    forms to ``k_d + n*p*(1 + 2*k_d)``, and the post-refresh level adds the
+    digit-sum correction floor(((p-1) + n(p-1)^2) / p).  Both depend on the
+    channel alone.
     """
-    k_digit = fresh_level(ch)
-    k_star = k_digit + sum(ch.p * (k + k_digit + k * k_digit) for k in refresher.kappa)
+    k, k_digit = REFRESHER_LEVEL, fresh_level(ch)
+    k_star = k_digit + ch.n * ch.p * (k + k_digit + k * k_digit)
     return k_star, k_star + ((ch.p - 1) + ch.n * (ch.p - 1) ** 2) // ch.p
 
 
-def post_refresh_level(ch: ArithmeticChannel, refresher) -> int:
+def post_refresh_level(ch: ArithmeticChannel) -> int:
     """Exact output level of a refresh; it does not depend on the input."""
-    return _refresh_levels(ch, refresher)[1]
+    return _refresh_levels(ch)[1]
 
 
 def refresh_due(ch: ArithmeticChannel, post: int, op: str, k1: int, k2: int, k: int) -> bool:
@@ -211,10 +222,10 @@ def refresh_due(ch: ArithmeticChannel, post: int, op: str, k1: int, k2: int, k: 
             and level_after(op, min(k1, post), min(k2, post), ch) is not None)
 
 
-def checked_refresh_level(ch: ArithmeticChannel, refresher, level: int) -> int:
+def checked_refresh_level(ch: ArithmeticChannel, level: int) -> int:
     """The post-refresh level for a level-``level`` input, refused (with
     NoiseBudgetError) when the input or the output is past the budget."""
-    k_star, out = _refresh_levels(ch, refresher)
+    k_star, out = _refresh_levels(ch)
     if not within_budget(ch, max(level, out)):
         raise NoiseBudgetError(
             f"refresh refused: input level {level}, accumulated level {k_star}, "

@@ -155,7 +155,7 @@ def evaluate(
         raise CircuitError(f"unbound circuit inputs: {missing}")
     report = EvalReport()
     values = dict(env)
-    post = post_refresh_level(ch, keys.refresher)
+    post = post_refresh_level(ch)
 
     for gate in circuit.gates:
         for wire in dict.fromkeys((gate.left, gate.right)) if policy.mode == "auto" else ():

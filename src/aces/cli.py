@@ -252,7 +252,7 @@ def _cmd_inspect(args) -> int:
         print(f"vector parts: {len(data['c'])}")
         return 0
     keys = _load_keys(args)
-    ch, rep = keys.channel, keys.repartition
+    ch, rep = keys.channel, keys.public.repartition
     ct = serial.ciphertext_from_dict(ch, data)
     print(f"level: {ct.level}")
     print(f"vector parts: {len(ct.c)}")

@@ -21,8 +21,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
-from .channel import ArithmeticChannel, RandomSource, sample_message_carrier, sample_noise
-from .cipher import Ciphertext, evals, sample_divisible_vector
+from .channel import ArithmeticChannel, RandomSource, sample_noise
+from .cipher import (
+    REFRESHER_LEVEL, Ciphertext, _secret_formula, evals, sample_divisible_vector,
+)
 from .errors import GenerationError, ParameterError
 from .refresh import EvalKeys, LocatorEntry, sample_locator_db
 from .rings import PackedRows, RingPoly, Repartition, _int_coeffs
@@ -43,7 +45,6 @@ __all__ = [
 
 SECRET_ATTEMPTS = 256
 REPARTITION_ATTEMPTS = 16
-REFRESHER_LEVEL = 1
 # Bytes of each seed the public material is drawn from.
 SEED_BYTES = 16
 
@@ -131,18 +132,17 @@ class ProductTensor:
 
 @dataclass(frozen=True)
 class Refresher:
-    """Encryptions ``rho`` of the secret key's mod-p digits, at the levels
-    ``kappa``.
+    """Encryptions ``rho`` of the secret key's mod-p digits, each at the
+    level ``cipher.REFRESHER_LEVEL``.
 
     Their vector parts are ``sample_divisible_vector`` drawn slot by slot
     from one ``RandomSource(seed)`` over ``repartition``; the refresher holds
-    the seed, the scalar parts ``cprime`` and the levels, and builds ``rho``
-    on first use.  ``kappa`` expands nothing.
+    the seed and the scalar parts ``cprime``, and builds ``rho`` on first
+    use.
     """
 
     seed: bytes
     cprime: tuple[RingPoly, ...]
-    kappa: tuple[int, ...]
     channel: ArithmeticChannel
     repartition: Repartition
 
@@ -150,8 +150,8 @@ class Refresher:
     def rho(self) -> tuple[Ciphertext, ...]:
         """The ciphertexts, their vector parts expanded from ``seed``."""
         ch, rep, rng = self.channel, self.repartition, RandomSource(self.seed)
-        return tuple(Ciphertext(sample_divisible_vector(ch, rep, rng), y, k)
-                     for y, k in zip(self.cprime, self.kappa))
+        return tuple(Ciphertext(sample_divisible_vector(ch, rep, rng), y, REFRESHER_LEVEL)
+                     for y in self.cprime)
 
 
 @dataclass(frozen=True)
@@ -168,8 +168,7 @@ class KeyBundle:
     def eval_keys(self) -> EvalKeys:
         """The public part as one ``EvalKeys``, made on first use and kept, so
         its refresh matrix is built once per bundle."""
-        return EvalKeys(self.channel, self.public, self.tensor, self.refresher, self.locators,
-                        self.repartition)
+        return EvalKeys(self.channel, self.public, self.tensor, self.refresher, self.locators)
 
 
 def _seed(rng: RandomSource) -> bytes:
@@ -313,23 +312,16 @@ def _published_layers(ch: ArithmeticChannel, alpha, beta) -> tuple:
 def gen_refresher(
     ch: ArithmeticChannel, rep: Repartition, sk: SecretKey, seed: bytes, rng: RandomSource
 ) -> Refresher:
-    """Encrypt each secret slot's mod-p digit with the secret formula of
-    ``encrypt_with_secret``, the vector parts drawn from ``seed`` (as
-    ``Refresher.rho`` expands them) and each carrier and noise from ``rng``.
-    The refresher keeps the ciphertexts.
-
-    The smallest nonzero level keeps post-refresh noise minimal while still
-    masking the digit.
+    """Encrypt each secret slot's mod-p digit at ``REFRESHER_LEVEL`` with
+    the secret formula of ``encrypt_with_secret``, the vector parts drawn
+    from ``seed`` (as ``Refresher.rho`` expands them) and each carrier and
+    noise from ``rng``.  The refresher keeps the ciphertexts.
     """
     vectors = RandomSource(seed)
-    rho = []
-    for e in evals(ch, sk.polys):
-        c = sample_divisible_vector(ch, rep, vectors)
-        carrier = sample_message_carrier(ch, e % ch.p, rng)
-        noise = sample_noise(ch, REFRESHER_LEVEL, rng)
-        rho.append(Ciphertext(c, carrier + sk.rows.combine(c)[0] + noise, REFRESHER_LEVEL))
-    refresher = Refresher(seed, tuple(ct.cprime for ct in rho), (REFRESHER_LEVEL,) * ch.n, ch, rep)
-    vars(refresher)["rho"] = tuple(rho)  # what the cached property would build
+    rho = tuple(_secret_formula(sk, ch, sample_divisible_vector(ch, rep, vectors), e % ch.p,
+                                REFRESHER_LEVEL, rng) for e in evals(ch, sk.polys))
+    refresher = Refresher(seed, tuple(ct.cprime for ct in rho), ch, rep)
+    vars(refresher)["rho"] = rho  # what the cached property would build
     return refresher
 
 

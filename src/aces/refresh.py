@@ -207,14 +207,14 @@ def sample_locator_db(sk, ch: ArithmeticChannel, rng: RandomSource) -> list[Loca
 @dataclass(frozen=True)
 class EvalKeys:
     """Evaluation-side material: everything public, nothing secret; what
-    ``serial.public_from_dict`` loads (the repartition serves inspection)."""
+    ``serial.public_from_dict`` loads.  The repartition is
+    ``public.repartition``."""
 
     channel: ArithmeticChannel
     public: object
     tensor: object
     refresher: object
     locators: tuple = ()
-    repartition: object = None
 
     @staticmethod
     def from_bundle(bundle) -> "EvalKeys":
@@ -257,7 +257,7 @@ def refresh_ct(keys: EvalKeys, ct: Ciphertext, rng: RandomSource) -> Ciphertext:
     digit: per digit, a mask and then a carrier.
     """
     ch = keys.channel
-    level = checked_refresh_level(ch, keys.refresher, ct.level)
+    level = checked_refresh_level(ch, ct.level)
     if len(ct.c) != ch.n:
         raise ParameterError(f"ciphertext has {len(ct.c)} vector parts, the channel {ch.n}")
     ps = shadow(ch, ct)

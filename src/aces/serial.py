@@ -1,6 +1,6 @@
-"""JSON wire formats, file format 5.
+"""JSON wire formats, file format 6.
 
-Every file but ``report.json`` starts with ``"format": 5``; a file without
+Every file but ``report.json`` starts with ``"format": 6``; a file without
 it, or with any other value, is refused, with a message to regenerate the
 keys.  There is one reader per kind of value and no reader of older files.
 ``dump`` writes every file, ``report.json`` included, as compact JSON
@@ -16,17 +16,20 @@ keys.  There is one reader per kind of value and no reader of older files.
   and ``beta`` (``n`` strings of ``n`` words, a symmetric matrix); the
   locator vectors and the locator margins are word strings in the same
   way.  ``_words`` reads them all back or refuses.
-* The public file holds no random part that depends on no secret, only
-  its seed: ``f0`` is the seed of the initializer (``PublicKey``) and the
-  refresher's ``c`` the seed of its ciphertexts' vector parts
-  (``Refresher``), each ``SEED_BYTES`` bytes in the same base64, so 24
-  characters; any bytes are a seed.  ``_seed`` reads them back or refuses.
-  The loaded keys expand each seed, over the file's ``sigma``, on first
-  use.
-* Structural integers (levels, ``kappa``, the repartition map, locator
-  indices) are JSON integers; channel parameters and the repartition's
-  primes are decimal strings, so they stay exact at any width.  ``_ints``
-  reads either kind wherever an integer belongs, or refuses.
+* The public file holds nothing the reader can work out.  ``f0`` is the
+  seed of the initializer (``PublicKey``) and the refresher's ``c`` the
+  seed of its ciphertexts' vector parts (``Refresher``), each
+  ``SEED_BYTES`` bytes in the same base64, so 24 characters; any bytes are
+  a seed.  ``_seed`` reads them back or refuses.  The loaded keys expand
+  each seed, over the file's ``sigma``, on first use.  ``sigma`` is the
+  repartition map alone, since its primes are the prime factors of the
+  channel's q, and the refresher holds its seed and its ``n`` scalar parts
+  alone, since every refresher ciphertext sits at
+  ``cipher.REFRESHER_LEVEL``.
+* Structural integers (levels, the repartition map, locator indices) are
+  JSON integers; channel parameters are decimal strings, so they stay
+  exact at any width.  ``_ints`` reads either kind wherever an integer
+  belongs, or refuses.
 
 Field order is fixed, which makes output files byte-stable under a fixed
 seed.  The secret key always lives in its own file and is never written by
@@ -62,7 +65,7 @@ __all__ = [
     "load",
 ]
 
-FORMAT = 5
+FORMAT = 6
 
 # The top-level fields of each kind of file.
 _CHANNEL = frozenset({"format", "p", "q", "omega", "u", "n", "N", "k0"})
@@ -72,12 +75,12 @@ _SECRET = frozenset({"format", "secret"})
 
 
 def _format(data, what: str, fields: frozenset) -> None:
-    """Refuse a file that is not format 5 (an older file, or not a file of
+    """Refuse a file that is not format 6 (an older file, or not a file of
     this package), and one whose top-level fields are not ``fields``."""
     if type(data) is not dict:
         raise TypeError(f"{what}: expected a JSON object")
     found = data.get("format")
-    if type(found) is not int or found != FORMAT:  # 5.0 is not 5
+    if type(found) is not int or found != FORMAT:  # 6.0 is not 6
         raise ParameterError(
             f"{what}: file format {found!r}, expected {FORMAT}; "
             "regenerate the keys (and re-encrypt) with this version of aces")
@@ -268,24 +271,19 @@ def ciphertext_from_dict(ch: ArithmeticChannel, data: dict) -> Ciphertext:
 def public_to_dict(keys) -> dict:
     """Everything publishable from a key bundle or its ``EvalKeys``; never
     the secret."""
-    ch, rep, locators = keys.channel, keys.repartition, keys.locators
+    ch, public, locators = keys.channel, keys.public, keys.locators
     ring, n, layers, refresher = ch.ring, ch.n, keys.tensor.layers, keys.refresher
     return {
         "format": FORMAT,
-        "f0": _encode(keys.public.seed).decode("ascii"),
-        "fprime": _polys_out(keys.public.fprime),
-        "sigma": {
-            "map": list(rep.assignment),
-            "primes": [str(p) for p in rep.primes],
-        },
+        "f0": _encode(public.seed).decode("ascii"),
+        "fprime": _polys_out(public.fprime),
+        "sigma": list(public.repartition.assignment),
         "lambda": [{"alpha": a, "beta": b} for a, b in zip(
             _words_out(ring, (a for a, _ in layers)),
             _rows(_words_out(ring, chain.from_iterable(b for _, b in layers)), n))],
         "refresher": {
-            "kappa": list(refresher.kappa),
             "c": _encode(refresher.seed).decode("ascii"),
-            "rho": [{"cprime": y, "level": k}
-                    for y, k in zip(_polys_out(refresher.cprime), refresher.kappa)],
+            "cprime": _polys_out(refresher.cprime),
         },
         "locators": [
             {"vec": vec, "kind": e.kind, "k": e.k, "margin_num": margin}
@@ -299,11 +297,10 @@ def public_from_dict(ch: ArithmeticChannel, data: dict) -> EvalKeys:
     """The public file as the evaluation keys it publishes."""
     _format(data, "public key", _PUBLIC)
     n, sigma, fresh = ch.n, data["sigma"], data["refresher"]
-    _fields([sigma], "sigma", {"map", "primes"})
-    _fields([fresh], "refresher", {"kappa", "c", "rho"})
-    # Repartition itself rejects primes other than the prime factors of q.
-    rep = Repartition(ch.q, _ints(sigma["primes"], "sigma primes", (None,)),
-                      _ints(sigma["map"], "sigma map", (n,)))
+    if type(sigma) is dict:  # format 5's {"map", "primes"} in a file that says 6
+        raise ParameterError("sigma: expected the repartition map alone, as format 6 writes it")
+    # Repartition itself rejects a map entry past the prime factors of q.
+    rep = Repartition(ch.q, ch.primes, _ints(sigma, "sigma map", (n,)))
     public = PublicKey(_seed(data["f0"], "f0"), _polys(ch, data["fprime"], "fprime", ch.big_n),
                        ch, rep)
     # ProductTensor itself refuses an empty layer list and a beta that is not symmetric.
@@ -312,17 +309,9 @@ def public_from_dict(ch: ArithmeticChannel, data: dict) -> EvalKeys:
     tensor = ProductTensor(ch.q, tuple(zip(
         _words(ch.ring, [e["alpha"] for e in layers], "lambda alpha", (None,), n),
         _words(ch.ring, [e["beta"] for e in layers], "lambda beta", (None, n), n))))
-    rho = fresh["rho"]
-    if len(rho) != n:
-        raise ParameterError(f"refresher: expected {n} ciphertexts, got {len(rho)}")
-    _fields(rho, "refresher ciphertext", {"cprime", "level"})
-    kappa = _ints(fresh["kappa"], "refresher levels", (n,))
-    levels = _ints([e["level"] for e in rho], "refresher level", (n,))
-    if kappa != levels:
-        raise ParameterError(f"refresher: kappa {kappa} is not the rho levels {levels}")
+    _fields([fresh], "refresher", {"c", "cprime"})
     refresher = Refresher(_seed(fresh["c"], "refresher vector seed"),
-                          _polys(ch, [e["cprime"] for e in rho], "refresher scalar part", n),
-                          kappa, ch, rep)
+                          _polys(ch, fresh["cprime"], "refresher scalar part", n), ch, rep)
     entries = data["locators"]
     _fields(entries, "locator", {"vec", "kind", "k", "margin_num"})
     kinds = [e["kind"] for e in entries]
@@ -336,7 +325,7 @@ def public_from_dict(ch: ArithmeticChannel, data: dict) -> EvalKeys:
         chain.from_iterable(_words(ch.ring, [e["margin_num"] for e in entries],
                                    "locator margin", (None,), 1)),
     )
-    return EvalKeys(ch, public, tensor, refresher, tuple(locators), rep)
+    return EvalKeys(ch, public, tensor, refresher, tuple(locators))
 
 
 def secret_to_dict(sk: SecretKey) -> dict:

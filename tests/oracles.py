@@ -7,14 +7,15 @@ exception is ``refresh_reference``, which composes the package's own
 encryption and homomorphic operations (each checked against the oracles
 above) into the refresh as it is defined, and ``evaluate_reference``, the
 auto-refresh evaluator with its refresh rule written inline, on the
-package's level rules, refresh and gates.  ``render_v4`` renders a file of
-the current wire format as file format 4 wrote it, ``render_v3`` a file of
-format 4 as format 3 wrote it, ``render_v2`` a file of format 3 in the
-layout of format 2, and ``render_v1`` a file of format 2 in that of format
-1, so digests recorded under any of them still pin every value.
-``render_v4`` expands the public file's seeds with the package's own
-``PublicKey.f0`` and ``Refresher.rho``, as ``refresh_reference`` composes
-the package's operations.
+package's level rules, refresh and gates.  ``render_v5`` renders a file of
+the current wire format as file format 5 wrote it, ``render_v4`` a file of
+format 5 as format 4 wrote it, ``render_v3`` a file of format 4 as format
+3 wrote it, ``render_v2`` a file of format 3 in the layout of format 2, and
+``render_v1`` a file of format 2 in that of format 1, so digests recorded
+under any of them still pin every value.  ``render_v4`` expands the public
+file's seeds with the package's own ``PublicKey.f0`` and
+``Refresher.rho``, as ``refresh_reference`` composes the package's
+operations.
 """
 
 from __future__ import annotations
@@ -25,12 +26,12 @@ import math
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
-from aces import serial
-from aces.cipher import encrypt, level_after, post_refresh_level, shadow
+from aces.cipher import REFRESHER_LEVEL, encrypt, level_after, post_refresh_level, shadow
 from aces.errors import NoiseBudgetError
 from aces.homo import hom_add, hom_mul, scalar_product
-from aces.keygen import ProductTensor
+from aces.keygen import ProductTensor, PublicKey, Refresher
 from aces.refresh import SEARCH_BUDGET, refresh_certified
+from aces.rings import Repartition
 
 
 def conv_mul(a: list[int], b: list[int]) -> list[int]:
@@ -234,7 +235,7 @@ def evaluate_reference(circuit, env, keys, checker, rng):
     gate's NoiseBudgetError as ``evaluate`` words it."""
     ch = keys.channel
     values, events = dict(env), []
-    refreshed = post_refresh_level(ch, keys.refresher)
+    refreshed = post_refresh_level(ch)
     threshold = ch.max_noise_level() - refreshed
     for gate in circuit.gates:
         for wire in dict.fromkeys((gate.left, gate.right)):
@@ -383,6 +384,25 @@ def _word_string(poly, q: int) -> str:
     return base64.b64encode(b"".join(c.to_bytes(width, "little") for c in poly.coeffs)).decode()
 
 
+def render_v5(data: dict, q: int) -> dict:
+    """The format-5 document for the same values as the format-6 document
+    ``data`` (a channel, ciphertext, public, secret or report file over the
+    modulus ``q``): ``"format": 5`` where a format field is, and in a public
+    file ``sigma`` as its map beside the decimal prime factors of q, and
+    the refresher as its ``kappa``, its seed and one ``{cprime, level}`` per
+    ciphertext, every level ``REFRESHER_LEVEL``, where format 5 held
+    them."""
+    out = dict(data)
+    if "format" in out:
+        out["format"] = 5
+    if "refresher" in out:
+        out["sigma"] = {"map": data["sigma"], "primes": [str(r) for r in trial_factorize(q)]}
+        cprime = data["refresher"]["cprime"]
+        out["refresher"] = {"kappa": [REFRESHER_LEVEL] * len(cprime), "c": data["refresher"]["c"],
+                            "rho": [{"cprime": y, "level": REFRESHER_LEVEL} for y in cprime]}
+    return out
+
+
 def render_v4(data: dict, ch) -> dict:
     """The format-4 document for the same values as the format-5 document
     ``data`` (a channel, ciphertext, public, secret or report file over the
@@ -394,16 +414,20 @@ def render_v4(data: dict, ch) -> dict:
     if "format" in out:
         out["format"] = 4
     if "refresher" in out:
-        keys = serial.public_from_dict(ch, data)
-        out["f0"] = [[_word_string(x, ch.q) for x in row] for row in keys.public.f0]
-        out["refresher"] = {"kappa": data["refresher"]["kappa"], "rho": [
+        sigma, fresh = data["sigma"], data["refresher"]
+        rep = Repartition(ch.q, tuple(map(int, sigma["primes"])), tuple(sigma["map"]))
+        f0 = PublicKey(base64.b64decode(data["f0"]), (), ch, rep).f0
+        # Only the vector parts are read, so no scalar part is decoded.
+        rho = Refresher(base64.b64decode(fresh["c"]), (None,) * len(fresh["rho"]), ch, rep).rho
+        out["f0"] = [[_word_string(x, ch.q) for x in row] for row in f0]
+        out["refresher"] = {"kappa": fresh["kappa"], "rho": [
             {"c": [_word_string(x, ch.q) for x in ct.c], **e}
-            for ct, e in zip(keys.refresher.rho, data["refresher"]["rho"])]}
+            for ct, e in zip(rho, fresh["rho"])]}
     return out
 
 
 def dumps_compact(data: dict) -> bytes:
-    """``data`` as file formats 4 and 5 are written: compact JSON, a final
+    """``data`` as file formats 4 to 6 are written: compact JSON, a final
     newline."""
     return (json.dumps(data, separators=(",", ":")) + "\n").encode()
 

@@ -214,7 +214,7 @@ def test_refresh_is_due_when_the_headroom_falls_below_the_post_refresh_level(des
     """At desk the budget is 7506 and a refresh lands at 60: an ``add``
     reaching 7446 leaves exactly 60 of headroom, one more step leaves 59."""
     ch = desk_bundle.channel
-    assert (ch.max_noise_level(), post_refresh_level(ch, desk_bundle.refresher)) == (7506, 60)
+    assert (ch.max_noise_level(), post_refresh_level(ch)) == (7506, 60)
     assert not refresh_due(ch, 60, "add", 3723, 3723, 3723)
     assert refresh_due(ch, 60, "add", 3723, 3724, 3723)
     assert refresh_due(ch, 60, "add", 3723, 3724, 3724)

@@ -195,7 +195,7 @@ def test_gate_past_the_budget_at_the_post_refresh_level_refreshes_nothing():
     bundle = _p3_bundle()
     ch = bundle.channel
     keys, rng = EvalKeys.from_bundle(bundle), RandomSource(b"found-50/run")
-    assert (post_refresh_level(ch, keys.refresher), ch.max_noise_level()) == (127, 1667)
+    assert (post_refresh_level(ch), ch.max_noise_level()) == (127, 1667)
     exact, checked = secret_refresh_checker(bundle.secret, ch), []
     policy = RefreshPolicy(checker=lambda ct: checked.append(ct.level) or exact(ct))
     env = {m: encrypt(bundle.public, ch, 1, rng) for m in "ab"}
@@ -241,7 +241,7 @@ def test_evaluate_refreshes_as_the_inline_rule_did(desk_bundle, data, seed):
     circuit = parse_circuit("\n".join(lines + ["out " + " ".join(names)]))
     # The key owner encrypts each input at a level drawn from either end of
     # the budget or where an add of two meets the refresh threshold.
-    budget, post = ch.max_noise_level(), post_refresh_level(ch, bundle.refresher)
+    budget, post = ch.max_noise_level(), post_refresh_level(ch)
     a_level = (st.integers(0, budget) | st.integers(0, budget).map(lambda k: budget - k)
                | st.integers(-1, 1).map(lambda d: (budget - post) // 2 + d))
     levels = data.draw(st.lists(a_level, min_size=len(circuit.inputs),
@@ -320,7 +320,7 @@ def test_ciphertext_roundtrip(desk_bundle, rng, tmp_path):
     serial.dump(serial.ciphertext_to_dict(ct), path)
     assert serial.ciphertext_from_dict(ch, serial.load(path)) == ct
     data = serial.load(path)
-    assert data["format"] == 5
+    assert data["format"] == 6
     assert isinstance(data["level"], int)
     assert isinstance(data["cprime"], str) and all(isinstance(c, str) for c in data["c"])
 
@@ -331,7 +331,7 @@ def test_public_bundle_roundtrip(desk_bundle, tmp_path):
     serial.dump(serial.public_to_dict(desk_bundle), path)
     keys = serial.public_from_dict(ch, serial.load(path))
     assert keys.public == desk_bundle.public
-    assert keys.repartition == desk_bundle.repartition
+    assert keys.public.repartition == desk_bundle.repartition
     assert keys.tensor == desk_bundle.tensor
     assert keys.refresher == desk_bundle.refresher
     assert keys.locators == desk_bundle.locators

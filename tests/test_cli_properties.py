@@ -159,8 +159,7 @@ B64 = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 # among them).
 WORD_FIELDS = {"f0", "fprime", "alpha", "beta", "c", "cprime", "vec", "margin_num", "secret"}
 SEED_PATHS = {("f0",), ("refresher", "c")}
-INT_FIELDS = {"format", "level", "kappa", "k", "map", "primes", "p", "q", "omega", "u", "n",
-              "N", "k0"}
+INT_FIELDS = {"format", "level", "k", "sigma", "p", "q", "omega", "u", "n", "N", "k0"}
 
 
 @pytest.fixture(scope="module")

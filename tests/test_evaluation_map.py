@@ -78,7 +78,7 @@ def test_scheme_end_to_end_at_omega_two(name):
         ready = make_refreshable(product, secret_refresh_checker(sk, ch), pk, ch, rng)
         assert ready is not None
         fresh = refresh_ct(bundle.eval_keys, ready, rng)
-        assert fresh.level == post_refresh_level(ch, bundle.refresher)
+        assert fresh.level == post_refresh_level(ch)
         assert decrypt(sk, ch, fresh) == m1 * m2 % ch.p
 
 

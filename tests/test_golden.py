@@ -6,19 +6,21 @@ These digests were recorded once and are compared against every build: a
 refactor that claims "same behaviour" must keep them unchanged.  If a change
 alters the outputs on purpose, it must say why and re-record the digests.
 
-Each file is pinned five times.  The ``*_V1`` to ``*_V4`` tables hold the
-digests of its renderings in file formats 1 to 4: ``oracles.render_v4``
-renders it in format 4 (the public file's seeds expanded into the word
-strings format 4 held), ``oracles.render_v3`` that in format 3,
-``oracles.render_v2`` that in format 2 and ``oracles.render_v1`` that in
-format 1.  The ``*_V5`` tables hold the digests of the files as written.
-Each older table was first recorded before the next format existed, so
-they showed that no value and no draw moved with a format; all were
+Each file is pinned six times.  The ``*_V1`` to ``*_V5`` tables hold the
+digests of its renderings in file formats 1 to 5: ``oracles.render_v5``
+renders it in format 5 (the public file's ``sigma`` primes and refresher
+levels put back), ``oracles.render_v4`` that in format 4 (the public
+file's seeds expanded into the word strings format 4 held),
+``oracles.render_v3`` that in format 3, ``oracles.render_v2`` that in
+format 2 and ``oracles.render_v1`` that in format 1.  The ``*_V6`` tables
+hold the digests of the files as written.  Each older table was first
+recorded before the next format existed, so they showed that no value and
+no draw moved with a format; the ``*_V1`` to ``*_V5`` tables were
 re-recorded with format 5, whose keygen draws the public seeds from its
 stream in place of ``f0`` and the refresher's vector parts, so every key
-moved.  ``report.json`` has the same fields in every format, so its
-digests are equal up to format 3, whose indented layout its rendering
-keeps.
+moved, and hold unchanged through format 6.  ``report.json`` has the same
+fields in every format, so its digests are equal up to format 3, whose
+indented layout its rendering keeps, and again from format 4 on.
 """
 
 import hashlib
@@ -36,7 +38,7 @@ from aces.cli import main
 from aces.homo import hom_mul
 from aces.keygen import keygen
 from aces.refresh import secret_refresh_checker
-from oracles import dumps, dumps_compact, render_v1, render_v2, render_v3, render_v4
+from oracles import dumps, dumps_compact, render_v1, render_v2, render_v3, render_v4, render_v5
 
 DESK_ARGS = ["--p", "2", "--q", "15015", "--degree", "4", "--n", "3", "--bigN", "2", "--k0", "1"]
 MID_Q = math.prod((3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
@@ -296,22 +298,73 @@ GOLDEN_ODD_ROWS_V5 = {
     "ab.json": "211555821a2278657cfeb39a63870f213ce028d37ffaf9f9ea43752f7ced88af",
 }
 
+GOLDEN_CLI_V6 = {
+    "desk": {
+        "keys/channel.json": "efaf0b0308d65ce28658aed014c398e931d3e80dc1d64a477bacea75d96ab6b2",
+        "keys/public.json": "d4bc60eaa1709756438bacd6c4c172e4139619e674b61eb80cb6b5b78b31ff13",
+        "keys/secret.json": "55155a50fe5d99e420bee1c00db68a26d8bc1f7e6704197760fd4b8d338cb443",
+        "a.json": "a484b4dc32ec6f3d9e787cc904fddef765326613b03beeafa1c06ac8de66f200",
+        "b.json": "cf77af18368ed5b1317bfbf4eaccd32085a6a0b1891423029dac2b9a6dc45f95",
+        "out/r.json": "9f62f4dafc516b440f6d55469656fca8a7e70c1ecd82739133a7bc3c475940d7",
+        "out/s.json": "38e68cdf5d3e64dabb979ab326a3549926e8570bcefd2714759babd4a0769869",
+        "out/report.json": "b047491480042efee2373c3b191104158ba1f4e1db07bfe4250d5c947d5fdb11",
+    },
+    "mid": {
+        "keys/channel.json": "8322d16d0534b0c6a8c9515e39cc6bf655943179ae5a270175d924fc68f24356",
+        "keys/public.json": "89ee576199f87c70787fedf96506034a65cba92a5b3978966ceea3d2dd66a414",
+        "keys/secret.json": "229af1ab727148cc46b50fe0f2e27d5bf632551b067311bdeeeba88207da3e91",
+        "a.json": "ca03257a3b5b92d4930aa6b190bf1286040536995e80c60d939dc29d0ec4f0c4",
+        "b.json": "56501cd16f8094cb7df38da29ca007e42ebfb08a047c4597742843ed801aae9c",
+        "out/r.json": "12695ca62f74ddf054babd8856aaf9a7c2572ed214612f1ad5108fc9d0971290",
+        "out/s.json": "be9841cbffb3d53affd5f66542b03b0c52783d2c4db79914f8d4e3d64e9e1071",
+        "out/report.json": "a798832f4fd826e9ac3487fbf32577960d7577e2730e16f71bf2fbe54463af6d",
+    },
+}
+GOLDEN_DESK_REFRESH_V6 = {
+    "t6.json": "2218871b2ab100bb1e15bf92ddbf05ac142aa3d82e3adafc681a3f09488fa64f",
+    "report.json": "d1a053782000336889d7be0f5b4c845a6ff4b381e9ab47308413d222fcbac04f",
+}
+GOLDEN_CLI_REFRESH_V6 = {
+    "mid": {
+        "keys/public.json": "b7fbfeca9632504e90e3edeaeb31d731289363df3729491c34a8270ed6201a89",
+        "keys/secret.json": "0e5da7dda1fd17b820595ce06628f533728b30e6e1cdddc502d827a835110142",
+        "a.json": "590b4651fc53c8b2bace74c5711d634a5c867c1624606d60e50467cb8fffbf0e",
+        "fresh.json": "6ba1470b877461845d3789d1c8f4ee89ea29bb9e00c9d3ef46624105364affb4",
+    },
+    "odd": {
+        "keys/public.json": "ff73f96a69240a6914fb671fe7970c884c383db51992aa42651eec6937b2d1eb",
+        "keys/secret.json": "1fc132485b03abaadf82c07f82aebb6a800776d0f8209e4b9d39056fef9e4848",
+        "a.json": "235b840d4b9be7334b1010389e15bef19c9e676271fbcd2ebb8b026bc57e0e4b",
+        "fresh.json": "be0b9a50d8e489ef8c96da73f2ecb4b6f3c5fb4055647513babbd1b403a960b4",
+    },
+}
+GOLDEN_LARGE_MUL_V6 = "5667a8f3f2b9e620c6866cb54a1bf19fecd8253c31829040ffbcbc30edb7c2d2"
+GOLDEN_ODD_ROWS_V6 = {
+    "public.json": "422e4a57af85d832a996cf0371adc6e1e92186491de269a726ddada19a8b7605",
+    "secret.json": "28a7b576b5d71e759e103f50fbae479b2bae3242e8671fa99f6db2a0f2b79b8b",
+    "a.json": "dd5d104a953e85a6e6d9126d62ff41b568d15bf0b2924e76fbf8e443b0297640",
+    "b.json": "432bd83a71ab23ae6c5b0e07d0bb1d281bd4d1f0037024066eed81abc401b03a",
+    "ab.json": "118e3495a3272bda7060de795e24113f69c92887cdcad3cd64c9f29adce28b52",
+}
+
 
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _digests(root: Path, rels, ch) -> tuple[dict, dict, dict, dict, dict]:
-    """The format-1 to format-4 rendering digests and the file digest of
+def _digests(root: Path, rels, ch) -> tuple[dict, dict, dict, dict, dict, dict]:
+    """The format-1 to format-5 rendering digests and the file digest of
     each file, over the channel ``ch``."""
     files = {rel: (root / rel).read_bytes() for rel in rels}
-    v4 = {rel: render_v4(json.loads(data), ch) for rel, data in files.items()}
+    v5 = {rel: render_v5(json.loads(data), ch.q) for rel, data in files.items()}
+    v4 = {rel: render_v4(doc, ch) for rel, doc in v5.items()}
     v3 = {rel: render_v3(doc) for rel, doc in v4.items()}
     v2 = {rel: render_v2(json.loads(data), ch.q) for rel, data in v3.items()}
     return ({rel: _digest(render_v1(doc, ch.q)) for rel, doc in v2.items()},
             {rel: _digest(dumps(doc)) for rel, doc in v2.items()},
             {rel: _digest(data) for rel, data in v3.items()},
             {rel: _digest(dumps_compact(doc)) for rel, doc in v4.items()},
+            {rel: _digest(dumps_compact(doc)) for rel, doc in v5.items()},
             {rel: _digest(data) for rel, data in files.items()})
 
 
@@ -335,12 +388,13 @@ def test_cli_outputs_match_golden_digests(tmp_path, name, params):
           "--circuit", tmp_path / "c.txt", "--input", f"a={tmp_path / 'a.json'}",
           "--input", f"b={tmp_path / 'b.json'}", "--refresh", "off",
           "--out", tmp_path / "out"])
-    v1, v2, v3, v4, v5 = _digests(tmp_path, GOLDEN_CLI_V1[name], _channel(keys))
+    v1, v2, v3, v4, v5, v6 = _digests(tmp_path, GOLDEN_CLI_V1[name], _channel(keys))
     assert v1 == GOLDEN_CLI_V1[name]
     assert v2 == GOLDEN_CLI_V2[name]
     assert v3 == GOLDEN_CLI_V3[name]
     assert v4 == GOLDEN_CLI_V4[name]
     assert v5 == GOLDEN_CLI_V5[name]
+    assert v6 == GOLDEN_CLI_V6[name]
 
 
 @pytest.mark.parametrize("name,params", [("mid", MID_ARGS), ("odd", ODD_ARGS)])
@@ -352,12 +406,13 @@ def test_cli_refresh_matches_golden_digests(tmp_path, capsys, name, params):
     _run(["encrypt", *files, "--message", message, "--seed", seed, "--out", tmp_path / "a.json"])
     _run(["refresh", *files, "--ct", tmp_path / "a.json", "--seed", "f1",
           "--secret", keys / "secret.json", "--out", tmp_path / "fresh.json"])
-    v1, v2, v3, v4, v5 = _digests(tmp_path, golden, _channel(keys))
+    v1, v2, v3, v4, v5, v6 = _digests(tmp_path, golden, _channel(keys))
     assert v1 == golden
     assert v2 == GOLDEN_CLI_REFRESH_V2[name]
     assert v3 == GOLDEN_CLI_REFRESH_V3[name]
     assert v4 == GOLDEN_CLI_REFRESH_V4[name]
     assert v5 == GOLDEN_CLI_REFRESH_V5[name]
+    assert v6 == GOLDEN_CLI_REFRESH_V6[name]
     capsys.readouterr()
     _run(["decrypt", "--secret", keys / "secret.json", "--channel", keys / "channel.json",
           "--ct", tmp_path / "fresh.json"])
@@ -380,12 +435,13 @@ def test_desk_auto_refresh_matches_golden_digests(tmp_path, desk_channel):
     serial.dump({"levels": report.levels,
                  "refresh_events": [list(e) for e in report.refresh_events]},
                 tmp_path / "report.json")
-    v1, v2, v3, v4, v5 = _digests(tmp_path, GOLDEN_DESK_REFRESH_V1, ch)
+    v1, v2, v3, v4, v5, v6 = _digests(tmp_path, GOLDEN_DESK_REFRESH_V1, ch)
     assert v1 == GOLDEN_DESK_REFRESH_V1
     assert v2 == GOLDEN_DESK_REFRESH_V2
     assert v3 == GOLDEN_DESK_REFRESH_V3
     assert v4 == GOLDEN_DESK_REFRESH_V4
     assert v5 == GOLDEN_DESK_REFRESH_V5
+    assert v6 == GOLDEN_DESK_REFRESH_V6
 
 
 def test_large_hom_mul_matches_golden_digest(tmp_path):
@@ -396,12 +452,13 @@ def test_large_hom_mul_matches_golden_digest(tmp_path):
     a = encrypt(bundle.public, ch, 2, rng)
     b = encrypt(bundle.public, ch, 2, rng)
     serial.dump(serial.ciphertext_to_dict(hom_mul(ch, bundle.tensor, a, b)), tmp_path / "ab.json")
-    v1, v2, v3, v4, v5 = _digests(tmp_path, ["ab.json"], ch)
+    v1, v2, v3, v4, v5, v6 = _digests(tmp_path, ["ab.json"], ch)
     assert v1["ab.json"] == GOLDEN_LARGE_MUL_V1
     assert v2["ab.json"] == GOLDEN_LARGE_MUL_V2
     assert v3["ab.json"] == GOLDEN_LARGE_MUL_V3
     assert v4["ab.json"] == GOLDEN_LARGE_MUL_V4
     assert v5["ab.json"] == GOLDEN_LARGE_MUL_V5
+    assert v6["ab.json"] == GOLDEN_LARGE_MUL_V6
 
 
 def test_odd_row_count_matches_golden_digests(tmp_path):
@@ -417,9 +474,10 @@ def test_odd_row_count_matches_golden_digests(tmp_path):
     serial.dump(serial.secret_to_dict(bundle.secret), tmp_path / "secret.json")
     for name, ct in (("a", a), ("b", b), ("ab", hom_mul(ch, bundle.tensor, a, b))):
         serial.dump(serial.ciphertext_to_dict(ct), tmp_path / f"{name}.json")
-    v1, v2, v3, v4, v5 = _digests(tmp_path, GOLDEN_ODD_ROWS_V1, ch)
+    v1, v2, v3, v4, v5, v6 = _digests(tmp_path, GOLDEN_ODD_ROWS_V1, ch)
     assert v1 == GOLDEN_ODD_ROWS_V1
     assert v2 == GOLDEN_ODD_ROWS_V2
     assert v3 == GOLDEN_ODD_ROWS_V3
     assert v4 == GOLDEN_ODD_ROWS_V4
     assert v5 == GOLDEN_ODD_ROWS_V5
+    assert v6 == GOLDEN_ODD_ROWS_V6

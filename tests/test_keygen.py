@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from aces import channel, rings
 from aces.channel import ArithmeticChannel, RandomSource, in_noise_space
-from aces.cipher import decrypt, in_encryption_space
+from aces.cipher import REFRESHER_LEVEL, decrypt, in_encryption_space
 from aces.errors import GenerationError
 from aces.keygen import _bezout, gen_secret, keygen
 from aces.rings import Repartition, lift
@@ -154,16 +154,12 @@ def test_keygen_publishes_planes_under_a_q_that_is_not_squarefree():
 
 def test_refresher_decrypts_to_secret_digits(desk_bundle):
     ch = desk_bundle.channel
-    for x, kappa, ct in zip(
-        desk_bundle.secret.polys,
-        desk_bundle.refresher.kappa,
-        desk_bundle.refresher.rho,
-    ):
+    for x, ct in zip(desk_bundle.secret.polys, desk_bundle.refresher.rho, strict=True):
         digit = lift(ch.q, ch.eval(x)) % ch.p
-        assert ct.level == kappa == 1
+        assert ct.level == REFRESHER_LEVEL == 1
         assert decrypt(desk_bundle.secret, ch, ct) == digit
         assert in_encryption_space(
-            desk_bundle.secret, desk_bundle.repartition, ch, ct, digit, kappa
+            desk_bundle.secret, desk_bundle.repartition, ch, ct, digit, REFRESHER_LEVEL
         )
 
 

@@ -39,7 +39,7 @@ def test_edge_channels_sit_between_the_refresh_levels():
     for name in ("edge p=2", "edge p=3"):
         bundle = _bundle(name)
         ch = bundle.channel
-        assert post_refresh_level(ch, bundle.refresher) > ch.max_noise_level()
+        assert post_refresh_level(ch) > ch.max_noise_level()
         assert ch.q % ch.p != 0
 
 

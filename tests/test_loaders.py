@@ -26,13 +26,13 @@ from hypothesis import strategies as st
 
 from aces import serial
 from aces.channel import ArithmeticChannel, RandomSource
-from aces.cipher import Ciphertext, encrypt
+from aces.cipher import REFRESHER_LEVEL, Ciphertext, encrypt
 from aces.cli import main
 from aces.errors import ParameterError
 from aces.keygen import PublicKey, keygen
 from aces.refresh import refresh_certified, secret_refresh_checker
 from aces.rings import Repartition, Ring
-from oracles import dumps_compact, render_v1, render_v2, render_v3, render_v4
+from oracles import dumps_compact, render_v1, render_v2, render_v3, render_v4, render_v5
 
 
 @pytest.fixture()
@@ -164,25 +164,25 @@ def test_channel_poly_stays_lenient_in_library_code(desk_files):
 
 
 @pytest.mark.parametrize("corrupt", [
-    lambda ch, d: d["sigma"]["primes"].pop(),  # a prime factor of q missing
-    lambda ch, d: d["sigma"]["primes"].append("17"),  # a prime that does not divide q
-    lambda ch, d: d["sigma"]["primes"].reverse(),  # out of order
-    lambda ch, d: d["sigma"]["map"].pop(),  # one slot unassigned
-    lambda ch, d: d["sigma"]["map"].append(0),  # a surplus slot
-    lambda ch, d: d["refresher"]["kappa"].pop(),
-    lambda ch, d: d["refresher"]["kappa"].__setitem__(0, -1),
-    lambda ch, d: d["refresher"]["rho"].pop(),
-    lambda ch, d: d["refresher"]["rho"].append(d["refresher"]["rho"][0]),
+    lambda ch, d: d["sigma"].pop(),  # one slot unassigned
+    lambda ch, d: d["sigma"].append(0),  # a surplus slot
+    lambda ch, d: d["sigma"].__setitem__(0, len(ch.primes) + 1),  # past the primes of q
+    lambda ch, d: d["sigma"].__setitem__(0, -1),
+    lambda ch, d: d["refresher"]["cprime"].pop(),  # one ciphertext short
+    lambda ch, d: d["refresher"]["cprime"].append(d["refresher"]["cprime"][0]),
     lambda ch, d: _edit(d["locators"][0], "vec", lambda t: _resize(ch, t, -1)),
     lambda ch, d: _edit(d["locators"][0], "vec", lambda t: _resize(ch, t, 1)),
     lambda ch, d: _edit(d["locators"][0], "vec", lambda t: _set_word(ch, t, 0, ch.q)),
     lambda ch, d: _edit(d["locators"][0], "vec", lambda t: "-" + t[1:]),
     lambda ch, d: d["locators"][0].__setitem__("kind", "detector"),
     lambda ch, d: d["lambda"][0].__setitem__("alpha", 0.25),  # a number for a word string
-    lambda ch, d: d["sigma"]["map"].__setitem__(0, float(d["sigma"]["map"][0])),
-    lambda ch, d: d["refresher"]["kappa"].__setitem__(0, 1.5),
-    lambda ch, d: d["refresher"]["kappa"].__setitem__(0, True),
-    lambda ch, d: d["refresher"].__setitem__("kappa", [0] * ch.n),  # rho sits at level 1
+    lambda ch, d: d["sigma"].__setitem__(0, float(d["sigma"][0])),
+    lambda ch, d: d["sigma"].__setitem__(0, True),
+    lambda ch, d: d.__setitem__("sigma", {"map": d["sigma"], "primes": list(map(str, ch.primes))}),
+    lambda ch, d: d["refresher"].__setitem__("kappa", [1] * ch.n),  # format 5's levels
+    lambda ch, d: _edit(d["refresher"]["cprime"], 0, lambda t: _set_word(ch, t, 0, ch.q)),
+    lambda ch, d: _edit(d["refresher"]["cprime"], 0, lambda t: _resize(ch, t, -1)),
+    lambda ch, d: d["refresher"]["cprime"].__setitem__(0, 0.25),
     lambda ch, d: d["locators"][0].__setitem__("k", d["locators"][0]["k"] + 0.5),
     lambda ch, d: d["locators"][0].__setitem__("k", -1),
     lambda ch, d: _edit(d["locators"][0], "margin_num", lambda t: _set_word(ch, t, 0, ch.q)),
@@ -197,7 +197,7 @@ def test_channel_poly_stays_lenient_in_library_code(desk_files):
     lambda ch, d: _edit(d["refresher"], "c", lambda t: "_" + t[1:]),  # URL-safe base64
     lambda ch, d: _edit(d["refresher"], "c", lambda t: t[:4] + " " + t[5:]),
     lambda ch, d: _edit(d["refresher"], "c", _pad_bits),
-    lambda ch, d: d["refresher"]["rho"][0].__setitem__("level", 2),  # kappa says 1
+    lambda ch, d: d["refresher"].__setitem__("c", d["refresher"]["cprime"][0]),  # a word string
 ])
 def test_malformed_public_material_is_refused(desk_files, tmp_path, corrupt):
     ch, keys, ct = desk_files
@@ -217,7 +217,8 @@ def test_intact_public_material_loads_whole(desk_files):
     data = serial.load(keys / "public.json")
     keys = serial.public_from_dict(ch, data)
     refresher = keys.refresher
-    assert len(keys.repartition.assignment) == len(refresher.kappa) == len(refresher.rho) == ch.n
+    assert len(keys.public.repartition.assignment) == len(refresher.cprime) == ch.n
+    assert [ct.level for ct in refresher.rho] == [REFRESHER_LEVEL] * ch.n
     assert {e.kind for e in keys.locators} == {"locator", "director"}
 
 
@@ -279,7 +280,7 @@ def test_public_file_round_trips_through_eval_keys(params):
     data = json.loads(json.dumps(serial.public_to_dict(bundle)))
     keys = serial.public_from_dict(ch, data)
     assert serial.public_to_dict(keys) == data
-    assert keys.repartition == bundle.repartition
+    assert keys.public.repartition == bundle.repartition
 
 
 def test_a_public_file_with_no_locators_round_trips(desk_bundle):
@@ -331,7 +332,7 @@ def test_a_written_public_file_expands_to_the_bundles_parts(name, tmp_path, caps
         assert "f0" not in vars(keys.public) and "rho" not in vars(keys.refresher)
         assert keys.public.f0 == bundle.public.f0
         assert keys.refresher.rho == bundle.refresher.rho
-        assert keys.repartition == bundle.repartition
+        assert keys.public.repartition == bundle.repartition
 
         out = tmp_path / seed.hex()
         files = ["--pub", str(out / "public.json"), "--channel", str(out / "channel.json")]
@@ -441,9 +442,7 @@ def test_a_file_with_an_unknown_top_level_field_is_exit_2(desk_files, tmp_path, 
 # The objects inside the public file, each as its container, its key there
 # and the name a refusal gives it.
 NESTED = {
-    "sigma": (lambda pub: pub, "sigma", "sigma"),
     "refresher": (lambda pub: pub, "refresher", "refresher"),
-    "rho": (lambda pub: pub["refresher"]["rho"], 1, "refresher ciphertext"),
     "lambda": (lambda pub: pub["lambda"], 0, "lambda layer"),
     "locator": (lambda pub: pub["locators"], -1, "locator"),
 }
@@ -516,7 +515,7 @@ def test_a_file_that_is_not_a_json_object_is_refused(desk_files, tmp_path, capsy
 
 def _render_v1(path, ch) -> bytes:
     """The file at ``path``, over the channel ``ch``, as format 1 held it."""
-    v3 = render_v3(render_v4(serial.load(path), ch))
+    v3 = render_v3(render_v4(render_v5(serial.load(path), ch.q), ch))
     return render_v1(render_v2(json.loads(v3), ch.q), ch.q)
 
 
@@ -580,24 +579,26 @@ def _command(name: str, files: dict) -> list[str]:
 @pytest.mark.parametrize("kind, command", [(kind, command) for kind, commands in READERS_OF.items()
                                            for command in commands])
 def test_a_format_3_file_is_exit_2(desk_files, tmp_path, capsys, monkeypatch, kind, command):
-    """A file as format 4 wrote it (the public file with ``f0`` and the
-    refresher's vector parts in full) and one as format 3 wrote it (hex
-    word strings, indented), the other files intact: every command that
-    reads it exits 2 with the message to regenerate the keys, prints
-    nothing and writes no file."""
+    """A file as format 5 wrote it (the public file with ``sigma``'s primes
+    and the refresher's levels), one as format 4 wrote it (the public file
+    with ``f0`` and the refresher's vector parts in full) and one as format
+    3 wrote it (hex word strings, indented), the other files intact: every
+    command that reads it exits 2 with the message to regenerate the keys,
+    prints nothing and writes no file."""
     ch, _, _ = desk_files
     monkeypatch.chdir(tmp_path)
     files = {k: rel for k, (rel, _, _) in FILE_KINDS.items()}
-    v4 = render_v4(serial.load(files[kind]), ch)
+    v5 = render_v5(serial.load(files[kind]), ch.q)
+    v4 = render_v4(v5, ch)
     Path("c.txt").write_text("in a\nt = mul a a\nout t\n")
     Path("out").mkdir()
-    for found, old in ((4, dumps_compact(v4)), (3, render_v3(v4))):
+    for found, old in ((5, dumps_compact(v5)), (4, dumps_compact(v4)), (3, render_v3(v4))):
         assert json.loads(old)["format"] == found
         Path(f"v{found}.json").write_bytes(old)
         capsys.readouterr()
         assert main(_command(command, {**files, kind: f"v{found}.json"})) == 2
         out, err = capsys.readouterr()
-        assert out == "" and f"file format {found}, expected 5; regenerate the keys" in err
+        assert out == "" and f"file format {found}, expected 6; regenerate the keys" in err
         assert not any(Path("out").iterdir())
 
 

@@ -1,6 +1,5 @@
 """Tests for refreshability testing and the refresh operation."""
 
-import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
@@ -185,14 +184,6 @@ def test_margin_inequality_direction(desk_bundle, rng):
     assert not margin_test(desk_bundle.secret, ch, Ciphertext(ct.c, ct.cprime, flip))
 
 
-def test_refresh_refuses_oversized_refresher(desk_bundle, rng):
-    ch = desk_bundle.channel
-    bloated = dataclasses.replace(desk_bundle.refresher, kappa=(3000,) * ch.n)
-    ct = encrypt(desk_bundle.public, ch, 1, rng)
-    with pytest.raises(NoiseBudgetError, match="accumulated"):
-        refresh_ct(EvalKeys(ch, desk_bundle.public, desk_bundle.tensor, bloated), ct, rng)
-
-
 def test_refreshable_digit_identity(desk_bundle, rng):
     """For refreshable ciphertexts the mod-p digits of the shadow decrypt
     the message directly."""
@@ -317,10 +308,21 @@ def test_sampled_db_entries_verify(desk_bundle):
 # -- the refresh operation --------------------------------------------------
 
 
-def test_post_refresh_level_closed_form(desk_bundle):
-    # p=2, n=3, N=2, unit refresher levels: 4 + 3*2*(1+4+4) = 58, plus
-    # floor((1 + 3) / 2) = 2.
-    assert post_refresh_level(desk_bundle.channel, desk_bundle.refresher) == 60
+def test_post_refresh_level_closed_form():
+    """The level depends on the channel alone, so no key is made: with the
+    fresh level k_d = N*p*k0 and unit refresher levels it is k_d +
+    n*p*(1 + 2*k_d) plus floor(((p-1) + n(p-1)^2) / p).  At desk (p=2,
+    n=3, N=2) that is 4 + 3*2*9 + 2 = 60, at mid (p=2, n=6, N=4) 8 + 6*2*17
+    + 3 = 215 and at large (p=3, n=10, N=8) 24 + 10*3*49 + 14 = 1508."""
+    channels = {
+        60: (2, 15015, 4, 3, 2),
+        215: (2, 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37, 16, 6, 4),
+        1508: (3, 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43 * 47, 64, 10, 8),
+    }
+    for want, (p, q, degree, n, big_n) in channels.items():
+        ch = ArithmeticChannel(p=p, q=q, omega=1, u=(-1,) + (0,) * (degree - 1) + (1,),
+                               n=n, big_n=big_n, k0=1).require_valid()
+        assert post_refresh_level(ch) == want
 
 
 def test_refresh_preserves_plaintext(desk_bundle, rng):
@@ -387,7 +389,7 @@ def test_refresh_certified_defaults_to_the_public_test(desk_bundle, rng, monkeyp
                         lambda checked, ct: seen.append(checked) or exact(ct))
     for m in range(ch.p):
         fresh = refresh.refresh_certified(keys, encrypt(desk_bundle.public, ch, m, rng), None, rng)
-        assert fresh.level == post_refresh_level(ch, keys.refresher)
+        assert fresh.level == post_refresh_level(ch)
         assert decrypt(desk_bundle.secret, ch, fresh) == m
     assert seen and all(checked is keys for checked in seen)
     monkeypatch.setattr(refresh, "publicly_refreshable", real)
@@ -425,7 +427,7 @@ def test_refresh_refuses_an_accumulated_level_past_the_budget(rng):
     ch.require_valid()
     assert ch.max_noise_level() == 57
     ct = Ciphertext(tuple(ch.ring.zero() for _ in range(ch.n)), ch.ring.poly([1]), 0)
-    keys = EvalKeys(ch, None, None, Refresher(bytes(16), (ch.ring.zero(),) * 3, (1,) * 3, ch, None))
+    keys = EvalKeys(ch, None, None, Refresher(bytes(16), (ch.ring.zero(),) * 3, ch, None))
     with pytest.raises(NoiseBudgetError, match="accumulated level 58"):
         refresh_ct(keys, ct, rng)
     assert "refresh_rows" not in vars(keys)
@@ -440,7 +442,7 @@ def test_refresh_refuses_a_post_refresh_level_past_the_budget(q):
     ch.require_valid()
     rng = RandomSource(b"edge")
     bundle = keygen(ch, rng)
-    assert ch.max_noise_level() < post_refresh_level(ch, bundle.refresher) == 60
+    assert ch.max_noise_level() < post_refresh_level(ch) == 60
     ct = encrypt(bundle.public, ch, 1, rng)
     ready = make_refreshable(ct, secret_refresh_checker(bundle.secret, ch), bundle.public, ch, rng)
     assert ready is not None
@@ -453,7 +455,7 @@ def test_refresh_at_a_budget_equal_to_the_post_refresh_level():
     ch.require_valid()
     rng = RandomSource(b"edge")
     bundle = keygen(ch, rng)
-    assert ch.max_noise_level() == post_refresh_level(ch, bundle.refresher) == 60
+    assert ch.max_noise_level() == post_refresh_level(ch) == 60
     ct = encrypt(bundle.public, ch, 1, rng)
     ready = make_refreshable(ct, secret_refresh_checker(bundle.secret, ch), bundle.public, ch, rng)
     fresh = refresh_ct(bundle.eval_keys, ready, rng)
@@ -614,7 +616,7 @@ def _check_against_reference(ch, data):
     rho = tuple(Ciphertext(_polys(data, ch, n), *_polys(data, ch, 1), 1) for _ in range(n))
     # Arbitrary parts, not drawn from a seed: each is set as its expansion.
     public = PublicKey(bytes(16), _polys(data, ch, big_n), ch, None)
-    refresher = Refresher(bytes(16), tuple(r.cprime for r in rho), (1,) * n, ch, None)
+    refresher = Refresher(bytes(16), tuple(r.cprime for r in rho), ch, None)
     vars(public)["f0"], vars(refresher)["rho"] = f0, rho
     keys = EvalKeys(ch, public, _symmetric_tensor(data, ch), refresher)
     ct = Ciphertext(_polys(data, ch, n), *_polys(data, ch, 1), 0)
@@ -622,5 +624,5 @@ def _check_against_reference(ch, data):
     got = refresh_ct(keys, ct, RandomSource(seed))
     want = refresh_reference(keys, ct, RandomSource(seed))
     assert (got.c, got.cprime) == (want.c, want.cprime)
-    assert got.level == post_refresh_level(ch, keys.refresher)
+    assert got.level == post_refresh_level(ch)
     return keys
