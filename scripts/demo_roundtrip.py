@@ -2,7 +2,8 @@
 """End-to-end walkthrough: keygen, encrypt, compute, refresh, decrypt."""
 
 from aces import ArithmeticChannel, RandomSource, decrypt, encrypt, hom_add, hom_mul, keygen
-from aces.refresh import refresh_ct, refreshable_index, make_refreshable, secret_refresh_checker
+from aces.cipher import shadow
+from aces.refresh import make_refreshable, refresh_ct, refreshable_index, secret_refresh_checker
 
 
 def main():
@@ -25,13 +26,15 @@ def main():
     print(f"1 + 1 -> {decrypt(bundle.secret, ch, total)} (level {total.level})")
     print(f"1 * 1 -> {decrypt(bundle.secret, ch, product)} (level {product.level})")
 
+    # The refresh reads only the product's integer shadow: re-randomize it
+    # until the key owner's check passes, then rebuild it at a fixed level.
     checker = secret_refresh_checker(bundle.secret, ch)
-    ready = make_refreshable(product, checker, bundle.public, ch, rng)
+    ready = make_refreshable(shadow(ch, product), checker, bundle.public, ch, rng)
     fresh = refresh_ct(bundle.eval_keys, ready, rng)
     print(f"\nrefreshed the product: level {product.level} -> {fresh.level}, "
           f"still decrypts to {decrypt(bundle.secret, ch, fresh)}")
     print(f"refreshable index of the fresh ciphertext: "
-          f"{refreshable_index(bundle.secret, ch, fresh)}")
+          f"{refreshable_index(bundle.secret, ch, shadow(ch, fresh))}")
 
 
 if __name__ == "__main__":

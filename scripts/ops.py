@@ -21,8 +21,9 @@ ciphertext over an existing file, ``RingPoly.__mul__``, ``RingPoly.make``
 of ``2d - 1`` drawn coefficients (a reduction by ``u``), ``sample_mask``,
 ``keygen``, the one-time build of ``EvalKeys.refresh_rows`` (on a fresh
 ``EvalKeys`` per call), ``refresh_certified`` with the public checker on a
-ciphertext it never certifies (every attempt of ``make_refreshable`` spent),
-and one whole in-process ``aces encrypt``, ``aces decrypt``, ``aces eval``
+ciphertext it never certifies (every attempt of ``make_refreshable`` spent)
+and with the key owner's exact checker on a ``hom_mul`` product (what each
+refresh of the ``chain-desk`` workload runs), and one whole in-process ``aces encrypt``, ``aces decrypt``, ``aces eval``
 of one product with no refresh due, ``aces refresh``
 without ``--secret`` on that miss, which exits 2, and ``aces refresh
 --secret``, which builds the matrix and refreshes (``aces.cli.main`` on files
@@ -69,7 +70,7 @@ def _operations(channel, work: Path):
     from aces.cipher import decrypt, encrypt, sample_mask
     from aces.homo import hom_mul
     from aces.keygen import keygen
-    from aces.refresh import refresh_certified
+    from aces.refresh import refresh_certified, secret_refresh_checker
     from aces.rings import RingPoly
 
     ch = channel.build()
@@ -81,6 +82,7 @@ def _operations(channel, work: Path):
     x, y = ch.random_poly(rng), ch.random_poly(rng)
     long = x.coeffs + y.coeffs[1:]
     mask = sample_mask(ch, rng)
+    product, owner = hom_mul(ch, bundle.tensor, a, b), secret_refresh_checker(bundle.secret, ch)
 
     def codec(terms):
         """The ``pack`` and ``unpack`` of the layout for ``terms``, also in a
@@ -146,6 +148,8 @@ def _operations(channel, work: Path):
         "keygen": lambda: keygen(ch, RandomSource(seed)),
         "EvalKeys.refresh_rows (build)": lambda: dataclasses.replace(bundle.eval_keys).refresh_rows,
         "refresh_certified (public miss)": lambda: refresh_certified(bundle.eval_keys, a, None, rng),
+        "refresh_certified (key owner, hom_mul product)": lambda: refresh_certified(
+            bundle.eval_keys, product, owner, rng),
         "aces encrypt": lambda: aces(*encrypt_argv),
         "aces decrypt": lambda: aces("decrypt", "--secret", keys / "secret.json", *files, "--ct", ct),
         "aces eval": lambda: aces(*eval_argv),

@@ -22,7 +22,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ParameterError
-from .rings import MAX_Q, Ring, RingPoly, _int_coeffs, _wrap, factorize, is_leveled_multiple, lift
+from .rings import (
+    MAX_Q, Ring, RingPoly, _int_coeffs, _wrap, is_leveled_multiple, lift, prime_factors,
+)
 
 __all__ = [
     "ArithmeticChannel",
@@ -146,11 +148,12 @@ class ArithmeticChannel:
         """The shared ``Ring(q, u)`` every polynomial of this channel lives in."""
         return Ring(self.q, self.u)
 
-    @cached_property
+    @property
     def primes(self) -> tuple[int, ...]:
         """The distinct prime factors of q in increasing order, factorized
-        once per channel; repartitions are drawn over them."""
-        return tuple(factorize(self.q))
+        once per process (``rings.prime_factors``); repartitions are drawn
+        over them."""
+        return prime_factors(self.q)
 
     def random_poly(self, rng: RandomSource) -> RingPoly:
         return _wrap(self.ring, tuple(rng.draws(self.q, self.degree)))

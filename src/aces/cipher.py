@@ -19,6 +19,7 @@ refreshability index are integer arithmetic on it, with no ring product.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -67,10 +68,12 @@ class Ciphertext:
 @dataclass(frozen=True)
 class Pseudociphertext:
     """Integer shadow of a ciphertext: negated vector evaluations plus the
-    scalar evaluation, all canonical residues mod q."""
+    scalar evaluation, all canonical residues mod q, and the ciphertext's
+    level.  It is all that the refresh layer reads."""
 
     v: tuple[int, ...]
     vprime: int
+    level: int
 
 
 def evals(ch: ArithmeticChannel, polys) -> tuple[int, ...]:
@@ -79,18 +82,19 @@ def evals(ch: ArithmeticChannel, polys) -> tuple[int, ...]:
 
 
 def shadow(ch: ArithmeticChannel, ct: Ciphertext) -> Pseudociphertext:
-    return Pseudociphertext(tuple((-v) % ch.q for v in evals(ch, ct.c)), ch.eval(ct.cprime))
+    return Pseudociphertext(
+        tuple((-v) % ch.q for v in evals(ch, ct.c)), ch.eval(ct.cprime), ct.level
+    )
 
 
-def _lifted_sum(sk, ch: ArithmeticChannel, ct: Ciphertext) -> int:
-    """``v' + <v, s>`` over Z, for the shadow ``(v, v')`` of ``ct`` and the
+def _lifted_sum(secret: tuple[int, ...], ps: Pseudociphertext) -> int:
+    """``v' + <v, s>`` over Z, for the shadow ``ps = (v, v')`` and the
     secret evaluations ``s``: congruent to ``eval(c' - <c, x>)`` mod q."""
-    if len(ct.c) != len(sk.polys):
+    if len(ps.v) != len(secret):
         raise ParameterError(
-            f"ciphertext has {len(ct.c)} vector parts, the secret key {len(sk.polys)}"
+            f"ciphertext has {len(ps.v)} vector parts, the secret key {len(secret)}"
         )
-    ps = shadow(ch, ct)
-    return ps.vprime + sum(v * s for v, s in zip(ps.v, evals(ch, sk.polys)))
+    return ps.vprime + sum(map(operator.mul, ps.v, secret))
 
 
 def within_budget(ch: ArithmeticChannel, level: int) -> bool:
@@ -171,7 +175,7 @@ def decrypt(sk, ch: ArithmeticChannel, ct: Ciphertext) -> int:
         raise NoiseBudgetError(
             f"noise budget exceeded: level {ct.level} > {ch.max_noise_level()}"
         )
-    return _lifted_sum(sk, ch, ct) % ch.q % ch.p
+    return _lifted_sum(evals(ch, sk.polys), shadow(ch, ct)) % ch.q % ch.p
 
 
 def level_after(op: str, k1: int, k2: int, ch: ArithmeticChannel):
@@ -249,5 +253,5 @@ def in_encryption_space(sk, rep, ch: ArithmeticChannel, ct: Ciphertext, m: int, 
     for j, value in enumerate(evals(ch, ct.c)):
         if value % rep.prime_of(j) != 0:
             return False
-    residual = _lifted_sum(sk, ch, ct) % ch.q
+    residual = _lifted_sum(evals(ch, sk.polys), shadow(ch, ct)) % ch.q
     return is_leveled_multiple(ch.p, k, (residual - m) % ch.q)

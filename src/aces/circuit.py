@@ -113,10 +113,11 @@ class RefreshPolicy:
     """When and how the evaluator refreshes.
 
     ``mode`` is "auto" or "off", which disables refreshing entirely; any
-    other mode is refused.  ``checker`` is a predicate Ciphertext -> bool
-    certifying refreshability, or None for the public test on the published
-    locator database (``refresh.refresh_certified``), which is sound but
-    frequently inconclusive; a key owner can pass a secret-side checker.
+    other mode is refused.  ``checker`` is a predicate Pseudociphertext ->
+    bool certifying refreshability of a wire's shadow (``cipher.shadow``),
+    or None for the public test on the published locator database
+    (``refresh.refresh_certified``), which is sound but frequently
+    inconclusive; a key owner can pass ``refresh.secret_refresh_checker``.
     """
 
     mode: str = "auto"

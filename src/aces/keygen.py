@@ -23,7 +23,7 @@ from itertools import chain
 
 from .channel import ArithmeticChannel, RandomSource, sample_noise
 from .cipher import (
-    REFRESHER_LEVEL, Ciphertext, _secret_formula, evals, sample_divisible_vector,
+    REFRESHER_LEVEL, Ciphertext, _secret_formula, evals, sample_divisible_vector, shadow,
 )
 from .errors import GenerationError, ParameterError
 from .refresh import EvalKeys, LocatorEntry, sample_locator_db
@@ -91,6 +91,16 @@ class PublicKey:
     def rows(self) -> PackedRows:
         """``extended_rows`` packed once for ``encrypt``."""
         return PackedRows(self.extended_rows)
+
+    @cached_property
+    def shadows(self) -> tuple:
+        """The integer shadow (``cipher.shadow``) of each row ``(f0[r],
+        fprime[r])``, an encryption of zero at level k0, built on first use
+        for ``refresh.make_refreshable``; an encryption of zero with the mask
+        ``b`` has the shadow ``sum_r eval(b[r]) * shadows[r]``."""
+        ch = self.channel
+        return tuple(shadow(ch, Ciphertext(row, masked, ch.k0))
+                     for row, masked in zip(self.f0, self.fprime))
 
 
 @dataclass(frozen=True)

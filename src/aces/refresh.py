@@ -1,12 +1,20 @@
 """Refreshability testing and the noise-reset operation.
 
 A ciphertext's integer shadow is the pair of evaluations
-``(eval<-c>, eval(c'))`` (``cipher.shadow``).  The shadow is refreshable
-when the lifted dot product against the secret evaluations differs from its
-reduced form by an exact non-negative multiple of p*q; refreshable
-ciphertexts can have their noise rebuilt from scratch without decrypting.
-The secret key is read only through its evaluations (``cipher.evals``),
-never through ring products.
+``(eval<-c>, eval(c'))`` with its level (``cipher.shadow``), and the whole
+refresh layer reads nothing else: ``refresh_certified`` is the one place a
+ciphertext becomes its shadow.  The shadow is refreshable when the lifted
+dot product against the secret evaluations differs from its reduced form by
+an exact non-negative multiple of p*q; refreshable ciphertexts can have
+their noise rebuilt from scratch without decrypting.  The secret key is
+read only through its evaluations (``cipher.evals``), never through ring
+products.
+
+A shadow that does not check out is re-randomized on the shadow too
+(``make_refreshable``): the evaluation map is a ring homomorphism, so the
+shadow of an encryption of zero is a combination of the public key's row
+shadows (``PublicKey.shadows``) weighted by the evaluations of its mask.
+An attempt draws what ``encrypt`` draws and multiplies no polynomials.
 
 Two test routes exist.  With the secret key the defining identity is checked
 exactly, and a sufficient margin condition gives a cheaper certificate.
@@ -27,6 +35,7 @@ and ``EvalKeys`` keeps it for every later one.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -34,11 +43,11 @@ from itertools import combinations_with_replacement
 
 from .channel import ArithmeticChannel, RandomSource, sample_message_carrier
 from .cipher import (
-    Ciphertext, _lifted_sum, checked_refresh_level, encrypt, evals, has_refresh_headroom,
-    sample_mask, shadow, within_budget,
+    Ciphertext, Pseudociphertext, _lifted_sum, checked_refresh_level, evals, fresh_level,
+    has_refresh_headroom, level_after, sample_mask, shadow, within_budget,
 )
-from .errors import NoiseBudgetError, ParameterError
-from .homo import _product, hom_add
+from .errors import ParameterError
+from .homo import _product
 from .rings import PackedRows, lift
 
 __all__ = [
@@ -63,8 +72,8 @@ SEARCH_BUDGET = 2
 DB_LOCATORS, DB_DIRECTORS = 4, 6
 # Rejection draws allowed when sampling the locator database.
 LOCATOR_DRAWS = 4096
-# Checks ``make_refreshable`` makes before it gives up, with one encryption of
-# zero added between each two.
+# Checks ``make_refreshable`` makes before it gives up, with the shadow of one
+# encryption of zero added between each two.
 REFRESH_ATTEMPTS = 32
 
 
@@ -112,26 +121,36 @@ def director_index(sk, ch: ArithmeticChannel, vec: tuple[int, ...]):
     return _split(ch, evals(ch, sk.polys), vec)[1]
 
 
-def refreshable_index(sk, ch: ArithmeticChannel, ct: Ciphertext):
-    """Exact secret-side refreshability test.
+def _vector(ch: ArithmeticChannel, ps: Pseudociphertext) -> tuple[int, ...]:
+    """The evaluations of the vector part ``c`` that ``ps`` is the shadow of."""
+    return tuple((-v) % ch.q for v in ps.v)
+
+
+def _index(ch: ArithmeticChannel, secret: tuple[int, ...], ps: Pseudociphertext):
+    """``refreshable_index`` on the secret evaluations ``secret``."""
+    # The lifted sum minus its reduction is q times its whole part.
+    whole = _lifted_sum(secret, ps) // ch.q
+    return whole // ch.p if whole % ch.p == 0 else None
+
+
+def refreshable_index(sk, ch: ArithmeticChannel, ps: Pseudociphertext):
+    """Exact secret-side refreshability test of a shadow.
 
     Returns the index k for which the lifted dot-product identity holds with
     an exact offset of k*p*q, or None when no non-negative k works.
     """
-    # The lifted sum minus its reduction is q times its whole part.
-    whole = _lifted_sum(sk, ch, ct) // ch.q
-    return whole // ch.p if whole % ch.p == 0 else None
+    return _index(ch, evals(ch, sk.polys), ps)
 
 
-def margin_test(sk, ch: ArithmeticChannel, ct: Ciphertext) -> bool:
+def margin_test(sk, ch: ArithmeticChannel, ps: Pseudociphertext) -> bool:
     """Sufficient refreshability certificate from the margin inequality.
 
     True when the vector of evaluations of ``c`` is a locator and the
-    ciphertext's level leaves enough headroom below the margin, decided in
+    shadow's level leaves enough headroom below the margin, decided in
     exact rational arithmetic.
     """
-    loc, _, num = _split(ch, evals(ch, sk.polys), evals(ch, ct.c))
-    return loc is not None and has_refresh_headroom(ch, ct.level, Fraction(num, ch.q))
+    loc, _, num = _split(ch, evals(ch, sk.polys), _vector(ch, ps))
+    return loc is not None and has_refresh_headroom(ch, ps.level, Fraction(num, ch.q))
 
 
 # -- public-side test -----------------------------------------------------
@@ -170,13 +189,13 @@ def public_certificates(db, ch: ArithmeticChannel) -> dict:
     return table
 
 
-def publicly_refreshable(keys: EvalKeys, ct: Ciphertext) -> bool:
-    """Best-effort public refreshability certificate for a ciphertext: its
-    vector evaluations are a target of ``keys.public_certificates`` and its
-    level leaves headroom below the certified margin.  A miss is never a
-    negative claim."""
-    found = keys.public_certificates.get(evals(keys.channel, ct.c))
-    return found is not None and has_refresh_headroom(keys.channel, ct.level, found[1])
+def publicly_refreshable(keys: EvalKeys, ps: Pseudociphertext) -> bool:
+    """Best-effort public refreshability certificate for a shadow: its
+    vector evaluations, ``(-v) mod q``, are a target of
+    ``keys.public_certificates`` and its level leaves headroom below the
+    certified margin.  A miss is never a negative claim."""
+    found = keys.public_certificates.get(_vector(keys.channel, ps))
+    return found is not None and has_refresh_headroom(keys.channel, ps.level, found[1])
 
 
 def sample_locator_db(sk, ch: ArithmeticChannel, rng: RandomSource) -> list[LocatorEntry]:
@@ -247,8 +266,9 @@ class EvalKeys:
         return public_certificates(self.locators, self.channel)
 
 
-def refresh_ct(keys: EvalKeys, ct: Ciphertext, rng: RandomSource) -> Ciphertext:
-    """Rebuild a refreshable ciphertext at the fixed post-refresh level.
+def refresh_ct(keys: EvalKeys, ps: Pseudociphertext, rng: RandomSource) -> Ciphertext:
+    """Rebuild the ciphertext of a refreshable shadow at the fixed
+    post-refresh level.
 
     Refreshability itself must have been verified (or is asserted) by the
     caller; this routine checks only the level preconditions it can see
@@ -257,10 +277,9 @@ def refresh_ct(keys: EvalKeys, ct: Ciphertext, rng: RandomSource) -> Ciphertext:
     digit: per digit, a mask and then a carrier.
     """
     ch = keys.channel
-    level = checked_refresh_level(ch, ct.level)
-    if len(ct.c) != ch.n:
-        raise ParameterError(f"ciphertext has {len(ct.c)} vector parts, the channel {ch.n}")
-    ps = shadow(ch, ct)
+    level = checked_refresh_level(ch, ps.level)
+    if len(ps.v) != ch.n:
+        raise ParameterError(f"ciphertext has {len(ps.v)} vector parts, the channel {ch.n}")
     masks, carriers = [], []
     for v in (*ps.v, ps.vprime):
         masks += sample_mask(ch, rng)
@@ -270,40 +289,65 @@ def refresh_ct(keys: EvalKeys, ct: Ciphertext, rng: RandomSource) -> Ciphertext:
 
 
 def secret_refresh_checker(sk, ch: ArithmeticChannel):
-    """Exact refreshability predicate for the key owner.
+    """Exact refreshability predicate on a shadow, for the key owner.
 
     Plaintext preservation under refresh needs the identity to hold and the
     level to sit inside the decryption budget; both are checked exactly.
+    The secret is evaluated once, here.
     """
-    return lambda ct: within_budget(ch, ct.level) and refreshable_index(sk, ch, ct) is not None
+    secret = evals(ch, sk.polys)
+    return lambda ps: within_budget(ch, ps.level) and _index(ch, secret, ps) is not None
 
 
-def make_refreshable(ct: Ciphertext, checker, pk, ch: ArithmeticChannel, rng: RandomSource):
-    """Randomize a ciphertext with encryptions of zero until it checks out.
+def _plus_zero(ps: Pseudociphertext, pk, ch: ArithmeticChannel, rng: RandomSource):
+    """``ps`` plus the shadow of the encryption of zero that ``encrypt(pk,
+    ch, 0, rng)`` would draw: a mask ``b``, then a carrier of 0, which
+    evaluates to 0, so the shadow is ``sum_r eval(b[r]) * pk.shadows[r]``
+    mod q.  None when the sum's level passes the budget, decided after the
+    draws, as ``hom_add`` refuses the sum of the encryption."""
+    mask = evals(ch, sample_mask(ch, rng))
+    sample_message_carrier(ch, 0, rng)
+    level = level_after("add", ps.level, fresh_level(ch), ch)
+    if level is None:
+        return None
+    q, rows = ch.q, pk.shadows
 
-    ``checker`` is any refreshability predicate (secret-side exact test or
-    the public database test).  Returns the refreshable ciphertext, or None
-    once ``REFRESH_ATTEMPTS`` checks have failed or further randomization
-    would overflow; each encryption adds one fresh level step, and none
-    follows the last check.
+    def plus(x, parts):
+        return (x + sum(map(operator.mul, mask, parts))) % q
+
+    v = tuple(map(plus, ps.v, zip(*(row.v for row in rows))))
+    return Pseudociphertext(v, plus(ps.vprime, [row.vprime for row in rows]), level)
+
+
+def make_refreshable(ps: Pseudociphertext, checker, pk, ch: ArithmeticChannel,
+                     rng: RandomSource):
+    """Re-randomize a shadow with encryptions of zero until it checks out.
+
+    ``checker`` is any refreshability predicate on a shadow (the
+    secret-side exact test or the public database test).  Returns the
+    refreshable shadow, or None once ``REFRESH_ATTEMPTS`` checks have
+    failed or further randomization would overflow.  Each attempt adds the
+    shadow of one encryption of zero (``_plus_zero``), one fresh level step,
+    and none follows the last check.
     """
-    current = ct
+    if len(ps.v) != ch.n:
+        raise ParameterError(f"ciphertext has {len(ps.v)} vector parts, the channel {ch.n}")
+    current = ps
     for _ in range(REFRESH_ATTEMPTS - 1):
         if checker(current):
             return current
-        try:
-            current = hom_add(ch, current, encrypt(pk, ch, 0, rng))
-        except NoiseBudgetError:
+        current = _plus_zero(current, pk, ch, rng)
+        if current is None:
             return None
     return current if checker(current) else None
 
 
 def refresh_certified(keys: EvalKeys, ct: Ciphertext, checker, rng: RandomSource):
-    """``ct`` re-randomized until ``checker`` certifies it
+    """``ct``'s shadow re-randomized until ``checker`` certifies it
     (``make_refreshable``) and then refreshed (``refresh_ct``), or None when
     no attempt checks out.  A ``checker`` of None is the public test,
     ``publicly_refreshable`` on ``keys``."""
     if checker is None:
-        checker = lambda c: publicly_refreshable(keys, c)
-    ready = make_refreshable(ct, checker, keys.public, keys.channel, rng)
+        checker = lambda ps: publicly_refreshable(keys, ps)
+    ready = make_refreshable(shadow(keys.channel, ct), checker, keys.public, keys.channel, rng)
     return None if ready is None else refresh_ct(keys, ready, rng)

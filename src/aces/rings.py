@@ -158,6 +158,20 @@ def _int_coeffs(coeffs, what: str = "polynomial coefficients") -> tuple[int, ...
     return coeffs
 
 
+# The prime factors of each q, factorized on first use (``prime_factors``).
+# ``factorize`` is pure for every q it takes, and a refusal raises before
+# anything is stored.
+_PRIMES: dict = {}
+
+
+def prime_factors(q: int) -> tuple[int, ...]:
+    """``factorize(q)`` as a tuple, factorized once per process."""
+    primes = _PRIMES.get(q)
+    if primes is None:
+        primes = _PRIMES[q] = tuple(factorize(q))
+    return primes
+
+
 # One Ring per (q, u), built and validated on first use.  Interning is what
 # lets polynomials compare rings by identity; nothing is written to a Ring
 # after ``_setup``, so sharing it is safe.
@@ -584,9 +598,10 @@ class Repartition:
     assignment: tuple[int, ...]
 
     def __post_init__(self):
-        factors = factorize(self.q)
-        if list(self.primes) != factors:
-            raise ParameterError(f"repartition primes must be the prime factors of q, {factors}")
+        factors = prime_factors(self.q)
+        if tuple(self.primes) != factors:
+            raise ParameterError(
+                f"repartition primes must be the prime factors of q, {list(factors)}")
         for v in self.assignment:
             if not 0 <= v <= len(self.primes):
                 raise ParameterError(f"assignment value {v} out of range")

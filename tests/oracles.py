@@ -5,9 +5,11 @@ integer lists and a monomial-substitution reduction, deliberately not
 sharing code or algorithm shape with the package under test.  The one
 exception is ``refresh_reference``, which composes the package's own
 encryption and homomorphic operations (each checked against the oracles
-above) into the refresh as it is defined, and ``evaluate_reference``, the
-auto-refresh evaluator with its refresh rule written inline, on the
-package's level rules, refresh and gates.  ``render_v5`` renders a file of
+above) into the refresh as it is defined, ``make_refreshable_reference``,
+the re-randomization on whole ciphertexts with the package's ``encrypt``
+and ``hom_add``, and ``evaluate_reference``, the auto-refresh evaluator
+with its refresh rule written inline, on the package's level rules,
+refresh and gates.  ``render_v5`` renders a file of
 the current wire format as file format 5 wrote it, ``render_v4`` a file of
 format 5 as format 4 wrote it, ``render_v3`` a file of format 4 as format
 3 wrote it, ``render_v2`` a file of format 3 in the layout of format 2, and
@@ -30,7 +32,7 @@ from aces.cipher import REFRESHER_LEVEL, encrypt, level_after, post_refresh_leve
 from aces.errors import NoiseBudgetError
 from aces.homo import hom_add, hom_mul, scalar_product
 from aces.keygen import ProductTensor, PublicKey, Refresher
-from aces.refresh import SEARCH_BUDGET, refresh_certified
+from aces.refresh import REFRESH_ATTEMPTS, SEARCH_BUDGET, refresh_certified
 from aces.rings import Repartition
 
 
@@ -224,6 +226,23 @@ def refresh_reference(keys, ct, rng):
     digits = tuple(encrypt(keys.public, ch, v % ch.p, rng) for v in ps.v)
     scalar = encrypt(keys.public, ch, ps.vprime % ch.p, rng)
     return hom_add(ch, scalar, scalar_product(ch, keys.tensor, digits, keys.refresher.rho))
+
+
+def make_refreshable_reference(ct, checker, pk, ch, rng):
+    """The re-randomization on whole ciphertexts: ``checker`` reads a
+    ``Ciphertext``, and between each two checks a public-key encryption of
+    zero is added with ``hom_add``, which refuses a sum past the budget
+    after the encryption's draws.  Returns the ciphertext that checks out,
+    or None."""
+    current = ct
+    for _ in range(REFRESH_ATTEMPTS - 1):
+        if checker(current):
+            return current
+        try:
+            current = hom_add(ch, current, encrypt(pk, ch, 0, rng))
+        except NoiseBudgetError:
+            return None
+    return current if checker(current) else None
 
 
 def evaluate_reference(circuit, env, keys, checker, rng):

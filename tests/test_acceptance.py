@@ -14,6 +14,7 @@ from aces.cipher import (
     decrypt,
     encrypt,
     encrypt_with_secret,
+    shadow,
 )
 from aces.circuit import EvalKeys, RefreshPolicy, evaluate, parse_circuit
 from aces.classic import (
@@ -156,9 +157,9 @@ def test_07_refresh_correctness(desk_bundle):
         while refreshed < 100:
             m = rng.below(ch.p)
             ct = encrypt(desk_bundle.public, ch, m, rng)
-            if refreshable_index(desk_bundle.secret, ch, ct) is None:
+            if refreshable_index(desk_bundle.secret, ch, shadow(ch, ct)) is None:
                 continue
-            fresh = refresh_ct(desk_bundle.eval_keys, ct, rng)
+            fresh = refresh_ct(desk_bundle.eval_keys, shadow(ch, ct), rng)
             assert fresh.level == 60
             assert decrypt(desk_bundle.secret, ch, fresh) == decrypt(
                 desk_bundle.secret, ch, ct
@@ -197,9 +198,9 @@ def test_08_refreshability_test_soundness(desk_bundle):
                     desk_bundle.secret, desk_bundle.repartition, ch,
                     rng.below(ch.p), rng.below(60), rng,
                 )
-            if margin_test(desk_bundle.secret, ch, ct):
+            if margin_test(desk_bundle.secret, ch, shadow(ch, ct)):
                 certified += 1
-                assert refreshable_index(desk_bundle.secret, ch, ct) is not None
+                assert refreshable_index(desk_bundle.secret, ch, shadow(ch, ct)) is not None
         assert certified > 0
 
 

@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 import aces
 from aces import serial
 from aces.channel import ArithmeticChannel, RandomSource
-from aces.cipher import Ciphertext, decrypt, encrypt, encrypt_with_secret, post_refresh_level
+from aces.cipher import (
+    Ciphertext, decrypt, encrypt, encrypt_with_secret, post_refresh_level, shadow,
+)
 from aces.circuit import (
     EvalKeys,
     Gate,
@@ -720,7 +722,7 @@ def test_cli_refresh_with_the_secret_key(cli_keys, tmp_path, capsys):
     while True:
         rng = RandomSource(seed.to_bytes(2, "big"))
         ct = encrypt(pk, ch, 1, rng)
-        if secret_refresh_checker(sk, ch)(ct):
+        if secret_refresh_checker(sk, ch)(shadow(ch, ct)):
             break
         seed += 1
     src = tmp_path / "refreshable.json"
@@ -769,7 +771,8 @@ def test_cli_refresh_writes_only_certified_ciphertexts(tmp_path, capsys, seed):
     assert main(["encrypt", *files, "--message", "1", "--seed", seed, "--out", str(ct)]) == 0
     ch = serial.channel_from_dict(serial.load(keys / "channel.json"))
     sk = serial.secret_from_dict(ch, serial.load(keys / "secret.json"))
-    assert not secret_refresh_checker(sk, ch)(serial.ciphertext_from_dict(ch, serial.load(ct)))
+    assert not secret_refresh_checker(sk, ch)(
+        shadow(ch, serial.ciphertext_from_dict(ch, serial.load(ct))))
     refresh = ["refresh", *files, "--ct", str(ct), "--seed", "f1"]
     public = tmp_path / "public-fresh.json"
     capsys.readouterr()

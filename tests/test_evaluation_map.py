@@ -24,6 +24,7 @@ from aces.cipher import (
     fresh_level,
     in_encryption_space,
     post_refresh_level,
+    shadow,
 )
 from aces.homo import hom_add, hom_mul
 from aces.keygen import SecretKey, keygen
@@ -75,7 +76,7 @@ def test_scheme_end_to_end_at_omega_two(name):
         assert decrypt(sk, ch, hom_add(ch, a, b)) == (m1 + m2) % ch.p
         product = hom_mul(ch, bundle.tensor, a, b)
         assert decrypt(sk, ch, product) == m1 * m2 % ch.p
-        ready = make_refreshable(product, secret_refresh_checker(sk, ch), pk, ch, rng)
+        ready = make_refreshable(shadow(ch, product), secret_refresh_checker(sk, ch), pk, ch, rng)
         assert ready is not None
         fresh = refresh_ct(bundle.eval_keys, ready, rng)
         assert fresh.level == post_refresh_level(ch)

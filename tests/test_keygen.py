@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aces import channel, rings
+from aces import rings
 from aces.channel import ArithmeticChannel, RandomSource, in_noise_space
 from aces.cipher import REFRESHER_LEVEL, decrypt, in_encryption_space
-from aces.errors import GenerationError
+from aces.errors import GenerationError, ParameterError
 from aces.keygen import _bezout, gen_secret, keygen
 from aces.rings import Repartition, lift
 from aces.serial import public_to_dict, secret_to_dict
@@ -218,17 +218,32 @@ def test_gen_secret_refuses_a_tied_repartition_before_drawing():
     assert rng.below(2**64) == RandomSource(b"tied").below(2**64)
 
 
-def test_keygen_factorizes_q_once_per_repartition_draw(monkeypatch):
-    """The channel factorizes q once and every draw reads its primes; the
-    only other factorization is the check each new repartition makes."""
-    ch = ArithmeticChannel(p=2, q=105, omega=1, u=(-1, 0, 1), n=2, big_n=1, k0=1).require_valid()
+def test_keygen_factorizes_q_once_per_process(monkeypatch):
+    """Each q is factorized once per process: every channel built on it,
+    every repartition draw and every repartition's own check of its primes
+    read the first factorization."""
+    params = dict(p=2, q=105, omega=1, u=(-1, 0, 1), n=2, big_n=1, k0=1)
     calls, draws = [], []
     factorize, sample = rings.factorize, Repartition.sample
+    monkeypatch.setattr(rings, "_PRIMES", {})
     monkeypatch.setattr(rings, "factorize", lambda q: calls.append(q) or factorize(q))
-    monkeypatch.setattr(channel, "factorize", rings.factorize)
     monkeypatch.setattr(Repartition, "sample",
                         staticmethod(lambda *args: draws.append(args) or sample(*args)))
     for seed in range(8):  # micro seeds redraw unusable repartitions
-        keygen(ch, RandomSource(seed.to_bytes(2, "big")))
+        keygen(ArithmeticChannel(**params).require_valid(), RandomSource(seed.to_bytes(2, "big")))
     assert len(draws) > 8
-    assert len(calls) == len(draws) + 1
+    assert calls == [105]
+
+
+def test_a_refused_factorization_is_not_kept(monkeypatch):
+    """A q that ``factorize`` refuses is refused again on the next call,
+    and a repartition whose primes are not q's is refused though q's are
+    known."""
+    monkeypatch.setattr(rings, "_PRIMES", {})
+    for _ in range(2):
+        with pytest.raises(ParameterError, match="cannot factor 1"):
+            rings.prime_factors(1)
+    assert rings._PRIMES == {}
+    assert rings.prime_factors(15) == (3, 5)
+    with pytest.raises(ParameterError, match=r"prime factors of q, \[3, 5\]"):
+        Repartition(15, (3,), (0,))

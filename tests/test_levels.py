@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aces.channel import ArithmeticChannel, RandomSource
-from aces.cipher import decrypt, encrypt, post_refresh_level
+from aces.cipher import decrypt, encrypt, post_refresh_level, shadow
 from aces.errors import NoiseBudgetError
 from aces.homo import hom_add, hom_mul
 from aces.keygen import keygen
@@ -68,7 +68,7 @@ def test_emitted_levels_stay_within_the_budget(name, messages, ops, seed):
             elif op == "mul":
                 ct, m = hom_mul(ch, bundle.tensor, a, b), (ma * mb) % ch.p
             else:
-                ready = make_refreshable(a, checker, pk, ch, rng)
+                ready = make_refreshable(shadow(ch, a), checker, pk, ch, rng)
                 if ready is None:
                     continue
                 ct, m = refresh_ct(bundle.eval_keys, ready, rng), ma

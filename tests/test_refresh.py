@@ -1,5 +1,6 @@
 """Tests for refreshability testing and the refresh operation."""
 
+import functools
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 from aces import refresh, serial
 from aces.channel import ArithmeticChannel, RandomSource
 from aces.cipher import (
-    Ciphertext, decrypt, encrypt, encrypt_with_secret, post_refresh_level, shadow,
+    Ciphertext, _lifted_sum, decrypt, encrypt, encrypt_with_secret, evals, fresh_level,
+    post_refresh_level, shadow,
 )
 from aces.errors import NoiseBudgetError, ParameterError
 from aces.keygen import ProductTensor, PublicKey, Refresher, SecretKey, keygen
@@ -29,10 +31,10 @@ from aces.refresh import (
     sample_locator_db,
     secret_refresh_checker,
 )
-from aces.rings import RingPoly, lift
+from aces.rings import PackedRows, RingPoly, lift
 
-from oracles import (floor_dot_over_q, margin_fraction, planes, public_search_reference,
-                     refresh_reference)
+from oracles import (floor_dot_over_q, make_refreshable_reference, margin_fraction, planes,
+                     public_search_reference, refresh_reference)
 
 TINY = dict(p=2, q=15, omega=1, u=(-1, 0, 1), n=2, big_n=1, k0=1)
 
@@ -131,7 +133,7 @@ def test_director_index_against_definition(desk_bundle, rng):
 def test_plain_ciphertext_is_refreshable_at_zero(desk_bundle):
     ch = desk_bundle.channel
     ct = Ciphertext(tuple(ch.ring.zero() for _ in range(ch.n)), ch.ring.poly([5]), 0)
-    assert refreshable_index(desk_bundle.secret, ch, ct) == 0
+    assert refreshable_index(desk_bundle.secret, ch, shadow(ch, ct)) == 0
 
 
 def test_some_ciphertexts_are_not_refreshable(desk_bundle, rng):
@@ -139,7 +141,7 @@ def test_some_ciphertexts_are_not_refreshable(desk_bundle, rng):
     seen_absent = False
     for _ in range(200):
         ct = encrypt(desk_bundle.public, ch, rng.below(ch.p), rng)
-        if refreshable_index(desk_bundle.secret, ch, ct) is None:
+        if refreshable_index(desk_bundle.secret, ch, shadow(ch, ct)) is None:
             seen_absent = True
             break
     assert seen_absent
@@ -157,9 +159,10 @@ def test_margin_test_soundness(desk_bundle, rng):
                 desk_bundle.secret, desk_bundle.repartition, ch,
                 rng.below(ch.p), rng.below(60), rng,
             )
-        if margin_test(desk_bundle.secret, ch, ct):
+        ps = shadow(ch, ct)
+        if margin_test(desk_bundle.secret, ch, ps):
             certified += 1
-            assert refreshable_index(desk_bundle.secret, ch, ct) is not None
+            assert refreshable_index(desk_bundle.secret, ch, ps) is not None
     assert certified > 100  # the certificate must not be vacuous
 
 
@@ -180,8 +183,8 @@ def test_margin_inequality_direction(desk_bundle, rng):
         )
         if flip > 0:
             break
-    assert margin_test(desk_bundle.secret, ch, Ciphertext(ct.c, ct.cprime, flip - 1))
-    assert not margin_test(desk_bundle.secret, ch, Ciphertext(ct.c, ct.cprime, flip))
+    assert margin_test(desk_bundle.secret, ch, shadow(ch, Ciphertext(ct.c, ct.cprime, flip - 1)))
+    assert not margin_test(desk_bundle.secret, ch, shadow(ch, Ciphertext(ct.c, ct.cprime, flip)))
 
 
 def test_refreshable_digit_identity(desk_bundle, rng):
@@ -192,11 +195,10 @@ def test_refreshable_digit_identity(desk_bundle, rng):
     checked = 0
     for _ in range(300):
         m = rng.below(ch.p)
-        ct = encrypt(desk_bundle.public, ch, m, rng)
-        if refreshable_index(desk_bundle.secret, ch, ct) is None:
+        ps = shadow(ch, encrypt(desk_bundle.public, ch, m, rng))
+        if refreshable_index(desk_bundle.secret, ch, ps) is None:
             continue
         checked += 1
-        ps = shadow(ch, ct)
         got = (ps.vprime % ch.p + sum(
             (v % ch.p) * (x % ch.p) for v, x in zip(ps.v, evals)
         )) % ch.p
@@ -212,7 +214,7 @@ def test_search_empty_db_is_unknown(desk_bundle):
     assert public_certificates([], ch) == {}
     keys = EvalKeys(ch, desk_bundle.public, desk_bundle.tensor, desk_bundle.refresher)
     ct = Ciphertext(tuple(ch.ring.poly([1]) for _ in range(ch.n)), ch.ring.poly([1]), 0)
-    assert not publicly_refreshable(keys, ct)
+    assert not publicly_refreshable(keys, shadow(ch, ct))
 
 
 def test_search_depth_zero_match(desk_bundle):
@@ -290,8 +292,8 @@ def test_public_certificates_are_built_once(desk_bundle, monkeypatch):
     loc = next(e for e in b.locators if e.kind == "locator")
     hit = Ciphertext(tuple(ch.ring.poly([v]) for v in loc.vec), ch.ring.poly([0]), 0)
     miss = encrypt(b.public, ch, 1, RandomSource(b"built-once"))
-    assert publicly_refreshable(keys, hit)
-    assert not publicly_refreshable(keys, miss)
+    assert publicly_refreshable(keys, shadow(ch, hit))
+    assert not publicly_refreshable(keys, shadow(ch, miss))
     assert builds == [(b.locators, ch)]
 
 
@@ -330,10 +332,10 @@ def test_refresh_preserves_plaintext(desk_bundle, rng):
     done = 0
     while done < 60:
         m = rng.below(ch.p)
-        ct = encrypt(desk_bundle.public, ch, m, rng)
-        if not margin_test(desk_bundle.secret, ch, ct):
+        ps = shadow(ch, encrypt(desk_bundle.public, ch, m, rng))
+        if not margin_test(desk_bundle.secret, ch, ps):
             continue
-        fresh = refresh_ct(desk_bundle.eval_keys, ct, rng)
+        fresh = refresh_ct(desk_bundle.eval_keys, ps, rng)
         assert fresh.level == 60
         assert decrypt(desk_bundle.secret, ch, fresh) == m
         done += 1
@@ -343,12 +345,12 @@ def test_refresh_level_is_input_independent(desk_bundle, rng):
     """Refreshing an already-refreshed ciphertext lands on the same level."""
     ch = desk_bundle.channel
     while True:
-        ct = encrypt(desk_bundle.public, ch, 1, rng)
-        if margin_test(desk_bundle.secret, ch, ct):
+        ps = shadow(ch, encrypt(desk_bundle.public, ch, 1, rng))
+        if margin_test(desk_bundle.secret, ch, ps):
             break
-    once = refresh_ct(desk_bundle.eval_keys, ct, rng)
+    once = refresh_ct(desk_bundle.eval_keys, ps, rng)
     ready = make_refreshable(
-        once, lambda c: margin_test(desk_bundle.secret, ch, c),
+        shadow(ch, once), lambda c: margin_test(desk_bundle.secret, ch, c),
         desk_bundle.public, ch, rng,
     )
     twice = refresh_ct(desk_bundle.eval_keys, ready, rng)
@@ -362,7 +364,7 @@ def test_refresh_refuses_past_budget(desk_bundle, rng):
         tuple(ch.ring.zero() for _ in range(ch.n)), ch.ring.poly([1]), ch.max_noise_level() + 1
     )
     with pytest.raises(NoiseBudgetError):
-        refresh_ct(desk_bundle.eval_keys, ct, rng)
+        refresh_ct(desk_bundle.eval_keys, shadow(ch, ct), rng)
 
 
 def test_make_refreshable_with_secret_checker(desk_bundle, rng):
@@ -370,9 +372,9 @@ def test_make_refreshable_with_secret_checker(desk_bundle, rng):
     checker = lambda c: margin_test(desk_bundle.secret, ch, c)
     for m in range(ch.p):
         ct = encrypt(desk_bundle.public, ch, m, rng)
-        ready = make_refreshable(ct, checker, desk_bundle.public, ch, rng)
+        ready = make_refreshable(shadow(ch, ct), checker, desk_bundle.public, ch, rng)
         assert ready is not None
-        assert decrypt(desk_bundle.secret, ch, ready) == m
+        assert _lifted_sum(evals(ch, desk_bundle.secret.polys), ready) % ch.q % ch.p == m
         fresh = refresh_ct(desk_bundle.eval_keys, ready, rng)
         assert decrypt(desk_bundle.secret, ch, fresh) == m
 
@@ -414,7 +416,7 @@ def test_publicly_refreshable_is_sound(desk_bundle, rng):
         graft = Ciphertext(
             tuple(ch.ring.poly([v]) for v in e.vec), ct.cprime, 0
         )
-        if publicly_refreshable(desk_bundle.eval_keys, graft):
+        if publicly_refreshable(desk_bundle.eval_keys, shadow(ch, graft)):
             verified += 1
             assert locator_index(desk_bundle.secret, ch, e.vec) is not None
     assert verified > 0
@@ -429,7 +431,7 @@ def test_refresh_refuses_an_accumulated_level_past_the_budget(rng):
     ct = Ciphertext(tuple(ch.ring.zero() for _ in range(ch.n)), ch.ring.poly([1]), 0)
     keys = EvalKeys(ch, None, None, Refresher(bytes(16), (ch.ring.zero(),) * 3, ch, None))
     with pytest.raises(NoiseBudgetError, match="accumulated level 58"):
-        refresh_ct(keys, ct, rng)
+        refresh_ct(keys, shadow(ch, ct), rng)
     assert "refresh_rows" not in vars(keys)
 
 
@@ -444,7 +446,8 @@ def test_refresh_refuses_a_post_refresh_level_past_the_budget(q):
     bundle = keygen(ch, rng)
     assert ch.max_noise_level() < post_refresh_level(ch) == 60
     ct = encrypt(bundle.public, ch, 1, rng)
-    ready = make_refreshable(ct, secret_refresh_checker(bundle.secret, ch), bundle.public, ch, rng)
+    ready = make_refreshable(shadow(ch, ct), secret_refresh_checker(bundle.secret, ch),
+                             bundle.public, ch, rng)
     assert ready is not None
     with pytest.raises(NoiseBudgetError, match="accumulated level 58"):
         refresh_ct(bundle.eval_keys, ready, rng)
@@ -457,7 +460,8 @@ def test_refresh_at_a_budget_equal_to_the_post_refresh_level():
     bundle = keygen(ch, rng)
     assert ch.max_noise_level() == post_refresh_level(ch) == 60
     ct = encrypt(bundle.public, ch, 1, rng)
-    ready = make_refreshable(ct, secret_refresh_checker(bundle.secret, ch), bundle.public, ch, rng)
+    ready = make_refreshable(shadow(ch, ct), secret_refresh_checker(bundle.secret, ch),
+                             bundle.public, ch, rng)
     fresh = refresh_ct(bundle.eval_keys, ready, rng)
     assert fresh.level == 60
     assert decrypt(bundle.secret, ch, fresh) == 1
@@ -469,7 +473,7 @@ def test_make_refreshable_gives_up_after_the_attempt_budget(desk_bundle, rng):
     ch = desk_bundle.channel
     calls = []
     ct = encrypt(desk_bundle.public, ch, 1, rng)
-    assert make_refreshable(ct, lambda c: calls.append(c.level) and False,
+    assert make_refreshable(shadow(ch, ct), lambda c: calls.append(c.level) and False,
                             desk_bundle.public, ch, rng) is None
     assert len(calls) == REFRESH_ATTEMPTS
     assert calls == [ct.level * (1 + i) for i in range(REFRESH_ATTEMPTS)]
@@ -477,16 +481,39 @@ def test_make_refreshable_gives_up_after_the_attempt_budget(desk_bundle, rng):
 
 def test_make_refreshable_encrypts_only_between_checks(desk_bundle, rng, monkeypatch):
     """An exhausted budget is 32 checks and the 31 encryptions of zero
-    between them: no encryption follows the last check."""
+    between them, each drawing one mask: no encryption follows the last
+    check."""
     from aces.refresh import REFRESH_ATTEMPTS
 
-    ch, encryptions, checks = desk_bundle.channel, [], []
-    real = refresh.encrypt
-    monkeypatch.setattr(refresh, "encrypt", lambda *args: encryptions.append(args) or real(*args))
+    ch, masks, checks = desk_bundle.channel, [], []
+    real = refresh.sample_mask
+    monkeypatch.setattr(refresh, "sample_mask", lambda *args: masks.append(args) or real(*args))
     ct = encrypt(desk_bundle.public, ch, 1, rng)
-    assert make_refreshable(ct, lambda c: checks.append(c) and False,
+    assert make_refreshable(shadow(ch, ct), lambda c: checks.append(c) and False,
                             desk_bundle.public, ch, rng) is None
-    assert (len(checks), len(encryptions)) == (REFRESH_ATTEMPTS, REFRESH_ATTEMPTS - 1)
+    assert (len(checks), len(masks)) == (REFRESH_ATTEMPTS, REFRESH_ATTEMPTS - 1)
+
+
+def test_a_public_miss_multiplies_nothing(desk_bundle, rng, monkeypatch):
+    """Re-randomization reads the public key's row shadows: with packed
+    products and ``encrypt`` refused, a ciphertext that the public test
+    never certifies still spends every attempt, and is not refreshed."""
+    from aces import cipher
+    from aces.refresh import REFRESH_ATTEMPTS
+
+    ch, keys, checks = desk_bundle.channel, desk_bundle.eval_keys, []
+    ct = encrypt(desk_bundle.public, ch, 1, rng)
+
+    def refused(*args):
+        raise AssertionError("a refresh attempt multiplied")
+
+    real = refresh.publicly_refreshable
+    monkeypatch.setattr(refresh, "publicly_refreshable",
+                        lambda *args: checks.append(args) or real(*args))
+    monkeypatch.setattr(PackedRows, "combine", refused)
+    monkeypatch.setattr(cipher, "encrypt", refused)
+    assert refresh.refresh_certified(keys, ct, None, rng) is None
+    assert len(checks) == REFRESH_ATTEMPTS
 
 
 def test_make_refreshable_stops_at_the_noise_budget(desk_bundle, rng):
@@ -495,9 +522,78 @@ def test_make_refreshable_stops_at_the_noise_budget(desk_bundle, rng):
     ch, checks = desk_bundle.channel, []
     ct = encrypt(desk_bundle.public, ch, 1, rng)
     top = Ciphertext(ct.c, ct.cprime, ch.max_noise_level() - ct.level + 1)
-    assert make_refreshable(top, lambda c: checks.append(c.level) and False,
+    assert make_refreshable(shadow(ch, top), lambda c: checks.append(c.level) and False,
                             desk_bundle.public, ch, rng) is None
     assert checks == [top.level]
+
+
+# Channels on which re-randomizing the shadow is checked against the
+# polynomial loop: desk, a p = 3 micro channel and mid.
+SHADOW_CHANNELS = {
+    "desk": dict(p=2, q=15015, omega=1, u=(-1, 0, 0, 0, 1), n=3, big_n=2, k0=1),
+    "p3": dict(p=3, q=5 * 7 * 11, omega=1, u=(-1, 0, 0, 0, 1), n=2, big_n=2, k0=1),
+    "mid": dict(p=2, q=3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37, omega=1,
+                u=(-1,) + (0,) * 15 + (1,), n=6, big_n=4, k0=1),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _shadow_bundle(name):
+    ch = ArithmeticChannel(**SHADOW_CHANNELS[name]).require_valid()
+    return keygen(ch, RandomSource(b"shadow/" + name.encode()))
+
+
+def _check_against_the_polynomial_loop(name, seed, start, fails):
+    """``make_refreshable`` on the shadow of an encryption at level
+    ``start``, with a checker that fails ``fails`` times, against
+    ``make_refreshable_reference`` on the ciphertext: the same outcome,
+    the shadow of the same ciphertext, the same checked shadows in the same
+    order, and the same next draw."""
+    bundle = _shadow_bundle(name)
+    ch, pk = bundle.channel, bundle.public
+    rng = RandomSource(seed)
+    made = encrypt(pk, ch, rng.below(ch.p), rng)
+    ct = Ciphertext(made.c, made.cprime, start)
+
+    def failing(seen):
+        return lambda c: seen.append(c) or len(seen) > fails
+
+    checked, want_checked = [], []
+    rng, want_rng = RandomSource(seed + b"/attempts"), RandomSource(seed + b"/attempts")
+    got = make_refreshable(shadow(ch, ct), failing(checked), pk, ch, rng)
+    want = make_refreshable_reference(ct, failing(want_checked), pk, ch, want_rng)
+    assert got == (None if want is None else shadow(ch, want))
+    assert checked == [shadow(ch, c) for c in want_checked]
+    assert rng.below(2**64) == want_rng.below(2**64)
+    return got
+
+
+@given(name=st.sampled_from(sorted(SHADOW_CHANNELS)), seed=st.binary(max_size=8),
+       data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_make_refreshable_matches_the_polynomial_loop(name, seed, data):
+    """Re-randomizing the shadow is re-randomizing the ciphertext, read
+    through its shadow, from levels near zero and near the budget."""
+    from aces.refresh import REFRESH_ATTEMPTS
+
+    ch = _shadow_bundle(name).channel
+    budget, fresh = ch.max_noise_level(), fresh_level(ch)
+    start = data.draw(st.integers(0, 3 * fresh)
+                      | st.integers(0, 3 * fresh).map(lambda k: budget - k), label="start level")
+    fails = data.draw(st.integers(0, REFRESH_ATTEMPTS), label="failed checks")
+    _check_against_the_polynomial_loop(name, seed, start, fails)
+
+
+@pytest.mark.parametrize("name", sorted(SHADOW_CHANNELS))
+def test_make_refreshable_refuses_past_the_budget_after_the_draws(name):
+    """A fresh step below the budget, one attempt fits and the next would
+    pass it: that attempt draws its encryption of zero and is then refused,
+    as ``hom_add`` refuses the sum."""
+    from aces.refresh import REFRESH_ATTEMPTS
+
+    ch = _shadow_bundle(name).channel
+    start = ch.max_noise_level() - fresh_level(ch)
+    assert _check_against_the_polynomial_loop(name, b"edge", start, REFRESH_ATTEMPTS) is None
 
 
 # -- wrong-length vectors ----------------------------------------------------
@@ -514,7 +610,7 @@ def test_secret_side_tests_refuse_wrong_length_vectors(desk_bundle, length):
             test(sk, ch, vec)
     ct = Ciphertext(tuple(ch.ring.poly([5]) for _ in range(length)), ch.ring.poly([1]), 0)
     with pytest.raises(ParameterError, match=f"vector has {length} entries"):
-        margin_test(sk, ch, ct)
+        margin_test(sk, ch, shadow(ch, ct))
 
 
 def test_refresh_refuses_a_wrong_length_ciphertext(desk_bundle, rng):
@@ -522,7 +618,9 @@ def test_refresh_refuses_a_wrong_length_ciphertext(desk_bundle, rng):
     ct = encrypt(desk_bundle.public, ch, 1, rng)
     short = Ciphertext(ct.c[:2], ct.cprime, ct.level)
     with pytest.raises(ParameterError, match="2 vector parts"):
-        refresh_ct(desk_bundle.eval_keys, short, rng)
+        refresh_ct(desk_bundle.eval_keys, shadow(ch, short), rng)
+    with pytest.raises(ParameterError, match="2 vector parts"):
+        make_refreshable(shadow(ch, short), lambda c: False, desk_bundle.public, ch, rng)
 
 
 # -- the refresh matrix --------------------------------------------------------
@@ -552,8 +650,9 @@ def test_refresh_matrix_is_built_once(desk_channel, monkeypatch):
     monkeypatch.setattr(refresh, "_product", counted)
     checker = secret_refresh_checker(bundle.secret, ch)
     for m in (1, 0):
-        ct = make_refreshable(encrypt(bundle.public, ch, m, rng), checker, bundle.public, ch, rng)
-        assert decrypt(bundle.secret, ch, refresh_ct(bundle.eval_keys, ct, rng)) == m
+        ps = make_refreshable(shadow(ch, encrypt(bundle.public, ch, m, rng)), checker,
+                              bundle.public, ch, rng)
+        assert decrypt(bundle.secret, ch, refresh_ct(bundle.eval_keys, ps, rng)) == m
     assert len(contractions) == ch.n * ch.big_n
 
 
@@ -621,7 +720,7 @@ def _check_against_reference(ch, data):
     keys = EvalKeys(ch, public, _symmetric_tensor(data, ch), refresher)
     ct = Ciphertext(_polys(data, ch, n), *_polys(data, ch, 1), 0)
     seed = data.draw(st.binary(max_size=8), label="refresh seed")
-    got = refresh_ct(keys, ct, RandomSource(seed))
+    got = refresh_ct(keys, shadow(ch, ct), RandomSource(seed))
     want = refresh_reference(keys, ct, RandomSource(seed))
     assert (got.c, got.cprime) == (want.c, want.cprime)
     assert got.level == post_refresh_level(ch)
