@@ -12,9 +12,8 @@ A desk channel, public, secret or ciphertext file with one mutation (a
 field dropped or added at any depth, a structural integer of another type,
 or in a base64 word string or one of the public file's two seeds: a word
 a byte narrower or wider, a residue set to q (word strings only: any bytes
-are a seed), the string truncated, a pad bit of a padded string set, the
-padding dropped, a URL-safe character, a space or newline, or format 3's hex
-in its place) is
+are a seed), the string truncated, a pad bit set, the padding dropped, a
+URL-safe character, a space or newline, or format 3's hex in its place) is
 read by ``encrypt``, ``eval``, ``refresh --secret`` or ``decrypt``: each
 exits 1 or 2 and writes nothing, or exits 0 with outputs that decrypt to
 the plain result.
@@ -192,13 +191,9 @@ def _mutate(draw, tree, q: int) -> None:
     words = [(path, v) for path, v in nodes if isinstance(v, str) and _field(path) in WORD_FIELDS]
     ints = [(path, v) for path, v in nodes
             if not isinstance(v, (dict, list)) and _field(path) in INT_FIELDS]
-    # Only a padded string has pad bits: in an unpadded one (a whole number of
-    # 3-byte groups) the last character's low bit is a data bit, and flipping
-    # it writes another valid word, which no check of the format can see.
-    padded = [(path, v) for path, v in words if v.endswith("=")]
     kind = draw(st.sampled_from(["drop", "add"] + ["retype"] * bool(ints) + [
-        "narrower", "wider", "residue q", "truncate", "unpadded", "url-safe",
-        "whitespace", "hex"] * bool(words) + ["pad bit"] * bool(padded)), label="mutation")
+        "narrower", "wider", "residue q", "truncate", "pad bit", "unpadded", "url-safe",
+        "whitespace", "hex"] * bool(words)), label="mutation")
     if kind in ("drop", "add"):
         obj = draw(st.sampled_from(dicts), label="object")
         if kind == "drop":
@@ -209,8 +204,7 @@ def _mutate(draw, tree, q: int) -> None:
         return
     residues = [(path, v) for path, v in words if path not in SEED_PATHS]  # any bytes are a seed
     path, v = draw(st.sampled_from(
-        {"retype": ints, "residue q": residues, "pad bit": padded}.get(kind, words)),
-        label="target")
+        {"retype": ints, "residue q": residues}.get(kind, words)), label="target")
     # Bytes per word; a seed's bytes are its words.
     width = 1 if path in SEED_PATHS else next(w for w in (1, 2, 4, 8) if q - 1 < 256**w)
     if kind == "retype":
@@ -225,7 +219,7 @@ def _mutate(draw, tree, q: int) -> None:
             raw[:i] + raw[i + 1:] if kind == "narrower"
             else raw[:i + width] + b"\0" + raw[i + width:] if kind == "wider"
             else raw[:i] + q.to_bytes(width, "little") + raw[i + width:]).decode()
-    elif kind == "pad bit":  # the last data character's low bit, a pad bit
+    elif kind == "pad bit":  # the last data character's low bit: a pad bit when padded
         j = len(v.rstrip("=")) - 1
         new = v[:j] + B64[B64.index(v[j]) | 1] + v[j + 1:]
     elif kind == "unpadded":
