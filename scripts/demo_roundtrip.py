@@ -14,8 +14,8 @@ def main():
     print(f"noise budget: levels up to {ch.max_noise_level()}")
 
     bundle = keygen(ch, rng)
-    print(f"repartition: primes {bundle.repartition.primes}, "
-          f"assignment {bundle.repartition.assignment}")
+    rep = bundle.public.repartition
+    print(f"repartition: primes {rep.primes}, assignment {rep.assignment}")
 
     a = encrypt(bundle.public, ch, 1, rng)
     b = encrypt(bundle.public, ch, 1, rng)

@@ -37,10 +37,13 @@ keygen`` and ``aces encrypt`` write at each channel.
 
 With ``--base`` (the ``src`` directory of another checkout) every round
 times this checkout's ``src`` and the base, each in a fresh process, and
-alternates which goes first; the file then holds both and their ratio.  A
-base whose ``Ring`` has no ``layout`` (``Ring.width``, ``Ring.pack`` and
-``Ring.unpack`` taking the layout tuple) is timed through those, so the
-rows compare.  The script is not part of the test suite.
+alternates which goes first; the file then holds both, their ratio, and
+``ratio_range``, the least and the greatest per-round ratio (one round's
+median for this checkout over the same round's median for the base).  A row
+whose range straddles 1 is unresolved: its rounds disagree on which tree is
+faster.  A base whose ``Ring`` has no ``layout`` (``Ring.width``,
+``Ring.pack`` and ``Ring.unpack`` taking the layout tuple) is timed through
+those, so the rows compare.  The script is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -216,6 +219,9 @@ def main(argv=None) -> int:
                    for label, runs in samples.items()}
             if "base" in row:
                 row["ratio"] = round(row["change"] / row["base"], 3)
+                rounds = [statistics.median(c[channel][op]) / statistics.median(b[channel][op])
+                          for c, b in zip(samples["change"], samples["base"])]
+                row["ratio_range"] = [round(min(rounds), 3), round(max(rounds), 3)]
             ops[channel][op] = row
         for kind in samples["change"][0]["bytes"][channel]:  # the same in every run
             row = {label: runs[0]["bytes"][channel][kind] for label, runs in samples.items()}

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .channel import ArithmeticChannel, RandomSource, sample_message_carrier, sample_noise
 from .errors import NoiseBudgetError, ParameterError
@@ -238,10 +237,11 @@ def checked_refresh_level(ch: ArithmeticChannel, level: int) -> int:
     return out
 
 
-def has_refresh_headroom(ch: ArithmeticChannel, level: int, margin: Fraction) -> bool:
-    """The margin inequality: a located ciphertext at ``level`` is
-    refreshable when ``(p(level+1) - 1)/q < 1 - margin``, decided exactly."""
-    return Fraction(ch.p * (level + 1) - 1, ch.q) < 1 - margin
+def has_refresh_headroom(ch: ArithmeticChannel, level: int, margin_num: int) -> bool:
+    """The margin inequality: a located ciphertext at ``level`` whose margin
+    is ``margin_num / q`` is refreshable when ``(p(level+1) - 1)/q < 1 -
+    margin_num/q``, decided on integers as ``p(level+1) - 1 < q - margin_num``."""
+    return ch.p * (level + 1) - 1 < ch.q - margin_num
 
 
 def in_encryption_space(sk, rep, ch: ArithmeticChannel, ct: Ciphertext, m: int, k: int) -> bool:

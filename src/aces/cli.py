@@ -245,11 +245,9 @@ def _cmd_inspect(args) -> int:
         raise _UsageError("--channel and --pub must be given together")
     data = serial.load(args.ct)
     if args.channel is None:
-        serial._format(data, "ciphertext", serial._CIPHERTEXT)
-        if type(data["c"]) is not list:
-            raise TypeError("ciphertext vector: expected a list")
-        print(f"level: {serial._ints(data['level'], 'ciphertext level')}")
-        print(f"vector parts: {len(data['c'])}")
+        level, parts = serial.ciphertext_shape(data)
+        print(f"level: {level}")
+        print(f"vector parts: {parts}")
         return 0
     keys = _load_keys(args)
     ch, rep = keys.channel, keys.public.repartition

@@ -1,7 +1,7 @@
 """Key material generation.
 
-The full bundle is: a secret vector of ring polynomials, the public
-initializer matrix and masked key vector, the prime repartition, the
+The full bundle is: a secret vector of ring polynomials, the public key (the
+initializer matrix, the masked key vector and the prime repartition), the
 relinearization 3-tensor built from a Bezout identity over the secret
 evaluations, the refresher (encryptions of the secret's mod-p digits), and
 a published locator/director database for the public refreshability test.
@@ -11,7 +11,8 @@ Two parts of the public material depend on no secret: the initializer
 from its own ``SEED_BYTES``-byte seed, which ``keygen`` draws from its
 stream once the repartition, secret and tensor are final; ``PublicKey`` and
 ``Refresher`` hold the seed and expand it, over their repartition, on first
-use.  A file publishes the seeds instead of the parts.
+use.  ``expand_seed`` is the one expansion, at keygen as on first use.  A
+file publishes the seeds instead of the parts.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ __all__ = [
     "Refresher",
     "KeyBundle",
     "gen_secret",
-    "gen_initializer",
+    "expand_seed",
     "gen_public",
     "gen_tensor",
     "gen_refresher",
@@ -67,8 +68,8 @@ class PublicKey:
     evaluating to multiples of slot ``j``'s prime) and the masked key vector
     ``fprime``, one entry per row.
 
-    ``f0`` is ``gen_initializer`` drawn from ``RandomSource(seed)`` over
-    ``repartition``; the key holds the seed and expands it on first use.
+    ``f0`` is ``expand_seed`` of ``seed`` over ``repartition``; the key
+    holds the seed and expands it on first use.
     """
 
     seed: bytes
@@ -79,7 +80,7 @@ class PublicKey:
     @cached_property
     def f0(self) -> tuple[tuple[RingPoly, ...], ...]:
         """The initializer, expanded from ``seed`` on first use."""
-        return gen_initializer(self.channel, self.repartition, RandomSource(self.seed))
+        return expand_seed(self.channel, self.repartition, self.seed, self.channel.big_n)
 
     @cached_property
     def extended_rows(self) -> tuple[tuple[RingPoly, ...], ...]:
@@ -145,10 +146,9 @@ class Refresher:
     """Encryptions ``rho`` of the secret key's mod-p digits, each at the
     level ``cipher.REFRESHER_LEVEL``.
 
-    Their vector parts are ``sample_divisible_vector`` drawn slot by slot
-    from one ``RandomSource(seed)`` over ``repartition``; the refresher holds
-    the seed and the scalar parts ``cprime``, and builds ``rho`` on first
-    use.
+    Their vector parts are ``expand_seed`` of ``seed`` over
+    ``repartition``, one per scalar part; the refresher holds the seed and
+    the scalar parts ``cprime``, and builds ``rho`` on first use.
     """
 
     seed: bytes
@@ -159,9 +159,8 @@ class Refresher:
     @cached_property
     def rho(self) -> tuple[Ciphertext, ...]:
         """The ciphertexts, their vector parts expanded from ``seed``."""
-        ch, rep, rng = self.channel, self.repartition, RandomSource(self.seed)
-        return tuple(Ciphertext(sample_divisible_vector(ch, rep, rng), y, REFRESHER_LEVEL)
-                     for y in self.cprime)
+        vectors = expand_seed(self.channel, self.repartition, self.seed, len(self.cprime))
+        return tuple(Ciphertext(c, y, REFRESHER_LEVEL) for c, y in zip(vectors, self.cprime))
 
 
 @dataclass(frozen=True)
@@ -169,7 +168,6 @@ class KeyBundle:
     channel: ArithmeticChannel
     secret: SecretKey
     public: PublicKey
-    repartition: Repartition
     tensor: ProductTensor
     refresher: Refresher
     locators: tuple[LocatorEntry, ...]
@@ -232,10 +230,13 @@ def gen_secret(ch: ArithmeticChannel, rep: Repartition, rng: RandomSource) -> Se
     )
 
 
-def gen_initializer(ch: ArithmeticChannel, rep: Repartition, rng: RandomSource):
-    """N x n matrix whose column-j entries evaluate to multiples of slot j's
-    prime, so fresh ciphertext vectors inherit the divisibility structure."""
-    return tuple(sample_divisible_vector(ch, rep, rng) for _ in range(ch.big_n))
+def expand_seed(ch: ArithmeticChannel, rep: Repartition, seed: bytes, count: int):
+    """``count`` vectors drawn from ``RandomSource(seed)``, each of ``n``
+    carriers whose slot-j entry evaluates to a multiple of slot j's prime
+    (``sample_divisible_vector``): ``f0``, so that fresh ciphertext vectors
+    inherit the divisibility structure, and the refresher's vector parts."""
+    rng = RandomSource(seed)
+    return tuple(sample_divisible_vector(ch, rep, rng) for _ in range(count))
 
 
 def gen_public(
@@ -244,7 +245,7 @@ def gen_public(
     """Draw ``f0`` from ``seed`` and mask each row's secret contraction with
     channel noise at the slack level k0, drawn from ``rng``.  The key keeps
     the expanded ``f0``."""
-    f0 = gen_initializer(ch, rep, RandomSource(seed))
+    f0 = expand_seed(ch, rep, seed, ch.big_n)
     fprime = tuple(
         sk.rows.combine(row)[0] + sample_noise(ch, ch.k0, rng) for row in f0
     )
@@ -327,9 +328,8 @@ def gen_refresher(
     from ``seed`` (as ``Refresher.rho`` expands them) and each carrier and
     noise from ``rng``.  The refresher keeps the ciphertexts.
     """
-    vectors = RandomSource(seed)
-    rho = tuple(_secret_formula(sk, ch, sample_divisible_vector(ch, rep, vectors), e % ch.p,
-                                REFRESHER_LEVEL, rng) for e in evals(ch, sk.polys))
+    rho = tuple(_secret_formula(sk, ch, c, e % ch.p, REFRESHER_LEVEL, rng)
+                for c, e in zip(expand_seed(ch, rep, seed, ch.n), evals(ch, sk.polys)))
     refresher = Refresher(seed, tuple(ct.cprime for ct in rho), ch, rep)
     vars(refresher)["rho"] = rho  # what the cached property would build
     return refresher
@@ -361,5 +361,5 @@ def keygen(ch: ArithmeticChannel, rng: RandomSource) -> KeyBundle:
         pk = gen_public(ch, rep, sk, f0_seed, rng)
         refresher = gen_refresher(ch, rep, sk, rho_seed, rng)
         locators = tuple(sample_locator_db(sk, ch, rng))
-        return KeyBundle(ch, sk, pk, rep, tensor, refresher, locators)
+        return KeyBundle(ch, sk, pk, tensor, refresher, locators)
     raise GenerationError(f"key generation failed: {last_error}")

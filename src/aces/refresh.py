@@ -48,7 +48,7 @@ from .cipher import (
 )
 from .errors import ParameterError
 from .homo import _product
-from .rings import PackedRows, lift
+from .rings import PackedRows, _int_coeffs, lift
 
 __all__ = [
     "LocatorEntry",
@@ -146,11 +146,11 @@ def margin_test(sk, ch: ArithmeticChannel, ps: Pseudociphertext) -> bool:
     """Sufficient refreshability certificate from the margin inequality.
 
     True when the vector of evaluations of ``c`` is a locator and the
-    shadow's level leaves enough headroom below the margin, decided in
-    exact rational arithmetic.
+    shadow's level leaves enough headroom below the margin, decided on the
+    margin's numerator over q.
     """
     loc, _, num = _split(ch, evals(ch, sk.polys), _vector(ch, ps))
-    return loc is not None and has_refresh_headroom(ch, ps.level, Fraction(num, ch.q))
+    return loc is not None and has_refresh_headroom(ch, ps.level, num)
 
 
 # -- public-side test -----------------------------------------------------
@@ -158,11 +158,12 @@ def margin_test(sk, ch: ArithmeticChannel, ps: Pseudociphertext) -> bool:
 
 def public_certificates(db, ch: ArithmeticChannel) -> dict:
     """Every target the bounded public search certifies, mapped to its
-    ``(k, margin)``: a canonical ``locator +/- d1 +/- ... +/- dr`` (r up to
-    ``SEARCH_BUDGET``) whose combined margin falls in a window [p*k', p*k'+1)
-    with k' >= 0.  Both values are fixed by the target's lifted dot product
-    with the secret, so every certified decomposition gives the same pair;
-    the first in search order is kept.
+    ``(k, margin_num)``, its margin being ``margin_num / q``: a canonical
+    ``locator +/- d1 +/- ... +/- dr`` (r up to ``SEARCH_BUDGET``) whose
+    combined margin falls in a window [p*k', p*k'+1) with k' >= 0.  Both
+    values are fixed by the target's lifted dot product with the secret, so
+    every certified decomposition gives the same pair; the first in search
+    order is kept.
 
     The index needs no test of its own: ``k`` is the target's locator index
     ``(sum(s) - whole) / p``, with ``s`` the canonical secret evaluations and
@@ -185,7 +186,7 @@ def public_certificates(db, ch: ArithmeticChannel) -> dict:
                 whole, rest = divmod(loc.margin_num + num, ch.q)
                 k = loc.k + index - whole // ch.p
                 if whole >= 0 and whole % ch.p == 0:
-                    table[target] = (k, Fraction(rest, ch.q))
+                    table[target] = (k, rest)
     return table
 
 
@@ -266,20 +267,33 @@ class EvalKeys:
         return public_certificates(self.locators, self.channel)
 
 
+def _check_shadow(ch: ArithmeticChannel, ps: Pseudociphertext) -> None:
+    """Refuse, with ParameterError, a shadow that no ciphertext over ``ch``
+    has: one that does not hold ``n`` entries in ``v``, each of them and
+    ``vprime`` an integer residue in [0, q), and an integer level of at
+    least 0 (a bool is none of these).  Both ways into the refresh layer,
+    ``refresh_ct`` and ``make_refreshable``, run it before any draw."""
+    if len(ps.v) != ch.n:
+        raise ParameterError(f"ciphertext has {len(ps.v)} vector parts, the channel {ch.n}")
+    *entries, level = _int_coeffs((*ps.v, ps.vprime, ps.level), "shadow")
+    if min(entries) < 0 or max(entries) >= ch.q or level < 0:
+        raise ParameterError(f"shadow: expected residues in [0, {ch.q}) and a level of at least 0")
+
+
 def refresh_ct(keys: EvalKeys, ps: Pseudociphertext, rng: RandomSource) -> Ciphertext:
     """Rebuild the ciphertext of a refreshable shadow at the fixed
     post-refresh level.
 
     Refreshability itself must have been verified (or is asserted) by the
-    caller; this routine checks only the level preconditions it can see
-    without the secret key (``checked_refresh_level``).  The draws are
-    those of encrypting each mod-p digit of the shadow and then its scalar
-    digit: per digit, a mask and then a carrier.
+    caller; this routine checks only the shadow itself (``_check_shadow``)
+    and the level preconditions it can see without the secret key
+    (``checked_refresh_level``).  The draws are those of encrypting each
+    mod-p digit of the shadow and then its scalar digit: per digit, a mask
+    and then a carrier.
     """
     ch = keys.channel
+    _check_shadow(ch, ps)
     level = checked_refresh_level(ch, ps.level)
-    if len(ps.v) != ch.n:
-        raise ParameterError(f"ciphertext has {len(ps.v)} vector parts, the channel {ch.n}")
     masks, carriers = [], []
     for v in (*ps.v, ps.vprime):
         masks += sample_mask(ch, rng)
@@ -330,8 +344,7 @@ def make_refreshable(ps: Pseudociphertext, checker, pk, ch: ArithmeticChannel,
     shadow of one encryption of zero (``_plus_zero``), one fresh level step,
     and none follows the last check.
     """
-    if len(ps.v) != ch.n:
-        raise ParameterError(f"ciphertext has {len(ps.v)} vector parts, the channel {ch.n}")
+    _check_shadow(ch, ps)
     current = ps
     for _ in range(REFRESH_ATTEMPTS - 1):
         if checker(current):

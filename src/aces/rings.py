@@ -588,20 +588,15 @@ def _combine(w, columns) -> list[int]:
 class Repartition:
     """Assignment of the prime factors of ``q`` to the ``n`` key slots.
 
-    ``primes`` are the distinct prime factors of ``q`` in increasing order,
     ``assignment[i]`` is either 0 (the conventional factor 1) or a 1-based
-    index into ``primes``.  Slot indices below are 0-based.
+    index into ``primes``, the distinct prime factors of ``q`` in increasing
+    order.  Slot indices below are 0-based.
     """
 
     q: int
-    primes: tuple[int, ...]
     assignment: tuple[int, ...]
 
     def __post_init__(self):
-        factors = prime_factors(self.q)
-        if tuple(self.primes) != factors:
-            raise ParameterError(
-                f"repartition primes must be the prime factors of q, {list(factors)}")
         for v in self.assignment:
             if not 0 <= v <= len(self.primes):
                 raise ParameterError(f"assignment value {v} out of range")
@@ -611,7 +606,12 @@ class Repartition:
         """Uniform assignment over functions [n] -> {0, ..., n0}, over the
         prime factors the channel ``ch`` holds."""
         assignment = tuple(rng.below(len(ch.primes) + 1) for _ in range(ch.n))
-        return Repartition(ch.q, ch.primes, assignment)
+        return Repartition(ch.q, assignment)
+
+    @property
+    def primes(self) -> tuple[int, ...]:
+        """The prime factors of ``q`` (``prime_factors``)."""
+        return prime_factors(self.q)
 
     @property
     def n(self) -> int:

@@ -57,6 +57,7 @@ __all__ = [
     "channel_from_dict",
     "ciphertext_to_dict",
     "ciphertext_from_dict",
+    "ciphertext_shape",
     "public_to_dict",
     "public_from_dict",
     "secret_to_dict",
@@ -261,11 +262,20 @@ def ciphertext_to_dict(ct: Ciphertext) -> dict:
             "level": ct.level}
 
 
-def ciphertext_from_dict(ch: ArithmeticChannel, data: dict) -> Ciphertext:
+def ciphertext_shape(data: dict) -> tuple[int, int]:
+    """The level and the number of vector parts of a ciphertext file, read
+    with no channel: its format, fields and level are checked, and that
+    ``c`` is a list, but no word string is read."""
     _format(data, "ciphertext", _CIPHERTEXT)
+    if type(data["c"]) is not list:
+        raise TypeError("ciphertext vector: expected a list")
+    return _ints(data["level"], "ciphertext level"), len(data["c"])
+
+
+def ciphertext_from_dict(ch: ArithmeticChannel, data: dict) -> Ciphertext:
+    level, _ = ciphertext_shape(data)
     return Ciphertext(_polys(ch, data["c"], "ciphertext vector", ch.n),
-                      _polys(ch, [data["cprime"]], "ciphertext scalar part", 1)[0],
-                      _ints(data["level"], "ciphertext level"))
+                      _polys(ch, [data["cprime"]], "ciphertext scalar part", 1)[0], level)
 
 
 def public_to_dict(keys) -> dict:
@@ -300,7 +310,7 @@ def public_from_dict(ch: ArithmeticChannel, data: dict) -> EvalKeys:
     if type(sigma) is dict:  # format 5's {"map", "primes"} in a file that says 6
         raise ParameterError("sigma: expected the repartition map alone, as format 6 writes it")
     # Repartition itself rejects a map entry past the prime factors of q.
-    rep = Repartition(ch.q, ch.primes, _ints(sigma, "sigma map", (n,)))
+    rep = Repartition(ch.q, _ints(sigma, "sigma map", (n,)))
     public = PublicKey(_seed(data["f0"], "f0"), _polys(ch, data["fprime"], "fprime", ch.big_n),
                        ch, rep)
     # ProductTensor itself refuses an empty layer list and a beta that is not symmetric.

@@ -33,7 +33,7 @@ from aces.errors import NoiseBudgetError
 from aces.homo import hom_add, hom_mul, scalar_product
 from aces.keygen import ProductTensor, PublicKey, Refresher
 from aces.refresh import REFRESH_ATTEMPTS, SEARCH_BUDGET, refresh_certified
-from aces.rings import Repartition
+from aces.rings import Repartition, prime_factors
 
 
 def conv_mul(a: list[int], b: list[int]) -> list[int]:
@@ -286,6 +286,13 @@ def evaluate_reference(circuit, env, keys, checker, rng):
     return {name: values[name] for name in circuit.outputs}, events, levels
 
 
+def headroom_reference(ch, level: int, margin: Fraction) -> bool:
+    """The margin inequality as first written, on rationals: a located
+    ciphertext at ``level`` is refreshable when ``(p(level+1) - 1)/q < 1 -
+    margin``."""
+    return Fraction(ch.p * (level + 1) - 1, ch.q) < 1 - margin
+
+
 def public_search_reference(db, ch, target):
     """The public locator search as first written: every candidate
     decomposition is combined and bounds-checked, its margin summed as exact
@@ -434,7 +441,8 @@ def render_v4(data: dict, ch) -> dict:
         out["format"] = 4
     if "refresher" in out:
         sigma, fresh = data["sigma"], data["refresher"]
-        rep = Repartition(ch.q, tuple(map(int, sigma["primes"])), tuple(sigma["map"]))
+        assert tuple(map(int, sigma["primes"])) == prime_factors(ch.q)
+        rep = Repartition(ch.q, tuple(sigma["map"]))
         f0 = PublicKey(base64.b64decode(data["f0"]), (), ch, rep).f0
         # Only the vector parts are read, so no scalar part is decoded.
         rho = Refresher(base64.b64decode(fresh["c"]), (None,) * len(fresh["rho"]), ch, rep).rho

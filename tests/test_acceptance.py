@@ -91,7 +91,7 @@ def test_04_tensor_invariants(desk_channel):
         ch = desk_channel
         for seed in range(50):
             bundle = keygen(ch, RandomSource(b"criterion-4" + bytes([seed])))
-            rep, xs = bundle.repartition, bundle.secret.polys
+            rep, xs = bundle.public.repartition, bundle.secret.polys
             evals = [lift(ch.q, ch.eval(x)) for x in xs]
             weighted = [rep.prime_of(i) * evals[i] for i in range(ch.n)]
             assert math.gcd(*weighted) == 1
@@ -114,7 +114,7 @@ def test_04_tensor_invariants(desk_channel):
 
 def test_05_contraction_identity(desk_bundle):
     with criterion(5, "tensor contraction identity", 10):
-        ch, rep = desk_bundle.channel, desk_bundle.repartition
+        ch, rep = desk_bundle.channel, desk_bundle.public.repartition
         xs = desk_bundle.secret.polys
         rng = RandomSource(b"criterion-5")
         for _ in range(1_000):
@@ -195,7 +195,7 @@ def test_08_refreshability_test_soundness(desk_bundle):
                 ct = encrypt(desk_bundle.public, ch, rng.below(ch.p), rng)
             else:
                 ct = encrypt_with_secret(
-                    desk_bundle.secret, desk_bundle.repartition, ch,
+                    desk_bundle.secret, desk_bundle.public.repartition, ch,
                     rng.below(ch.p), rng.below(60), rng,
                 )
             if margin_test(desk_bundle.secret, ch, shadow(ch, ct)):
@@ -209,7 +209,7 @@ def test_09_small_instance_oracle_equivalence(micro_bundle):
         ch = micro_bundle.channel
         assert ch.violations() == []
         rng = RandomSource(b"criterion-9")
-        sk, rep = micro_bundle.secret, micro_bundle.repartition
+        sk, rep = micro_bundle.secret, micro_bundle.public.repartition
         sk_coeffs = [list(x.coeffs) for x in sk.polys]
         budget = ch.max_noise_level()
         for _ in range(10_000):

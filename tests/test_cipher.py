@@ -46,7 +46,7 @@ def test_mask_evaluations_are_bounded(desk_channel, rng):
 
 
 def test_ciphertext_vector_divisibility(desk_bundle, rng):
-    ch, rep = desk_bundle.channel, desk_bundle.repartition
+    ch, rep = desk_bundle.channel, desk_bundle.public.repartition
     for m in range(ch.p):
         ct = encrypt(desk_bundle.public, ch, m, rng)
         for j, cj in enumerate(ct.c):
@@ -58,13 +58,13 @@ def test_public_encryptions_sit_in_their_space(desk_bundle, rng):
     for m in range(ch.p):
         ct = encrypt(desk_bundle.public, ch, m, rng)
         assert in_encryption_space(
-            desk_bundle.secret, desk_bundle.repartition, ch, ct, m, fresh_level(ch)
+            desk_bundle.secret, desk_bundle.public.repartition, ch, ct, m, fresh_level(ch)
         )
 
 
 def test_secret_formula_residual_is_leveled_noise(desk_bundle, rng):
     ch = desk_bundle.channel
-    sk, rep = desk_bundle.secret, desk_bundle.repartition
+    sk, rep = desk_bundle.secret, desk_bundle.public.repartition
     for _ in range(1000):
         m, k = rng.below(ch.q), rng.below(50)
         ct = encrypt_with_secret(sk, rep, ch, m, k, rng)
@@ -80,7 +80,7 @@ def test_message_normalization(desk_bundle, rng):
     """Full Z_q messages decrypt to their mod-p digit while the quotient
     fits in the remaining budget."""
     ch = desk_bundle.channel
-    sk, rep = desk_bundle.secret, desk_bundle.repartition
+    sk, rep = desk_bundle.secret, desk_bundle.public.repartition
     budget = ch.max_noise_level()
     for _ in range(300):
         m = rng.below(ch.q)
@@ -94,7 +94,7 @@ def test_message_normalization(desk_bundle, rng):
 
 def test_worked_normalization_case(desk_bundle, rng):
     ch = desk_bundle.channel
-    ct = encrypt_with_secret(desk_bundle.secret, desk_bundle.repartition, ch, 7, 2, rng)
+    ct = encrypt_with_secret(desk_bundle.secret, desk_bundle.public.repartition, ch, 7, 2, rng)
     assert decrypt(desk_bundle.secret, ch, ct) == 7 % ch.p == 1
 
 
@@ -196,7 +196,8 @@ def test_packed_public_rows_are_built_on_first_encryption(desk_channel):
     rows = vars(bundle.public)["rows"]
     encrypt(bundle.public, desk_channel, 0, RandomSource(b"lazy-rows/enc"))
     assert bundle.public.rows is rows
-    loaded = PublicKey(bundle.public.seed, bundle.public.fprime, desk_channel, bundle.repartition)
+    public = bundle.public
+    loaded = PublicKey(public.seed, public.fprime, desk_channel, public.repartition)
     assert "rows" not in vars(loaded) and "f0" not in vars(loaded)  # nor is f0 expanded
     assert loaded == bundle.public  # the cache is not part of the key's value
     assert loaded.f0 == bundle.public.f0

@@ -252,7 +252,7 @@ def test_evaluate_refreshes_as_the_inline_rule_did(desk_bundle, data, seed):
 
     def run(evaluator):
         rng = RandomSource(seed)
-        env = {name: encrypt_with_secret(bundle.secret, bundle.repartition, ch,
+        env = {name: encrypt_with_secret(bundle.secret, bundle.public.repartition, ch,
                                          rng.below(ch.p), level, rng)
                for name, level in zip(circuit.inputs, levels)}
         try:
@@ -333,7 +333,7 @@ def test_public_bundle_roundtrip(desk_bundle, tmp_path):
     serial.dump(serial.public_to_dict(desk_bundle), path)
     keys = serial.public_from_dict(ch, serial.load(path))
     assert keys.public == desk_bundle.public
-    assert keys.public.repartition == desk_bundle.repartition
+    assert keys.public.repartition == desk_bundle.public.repartition
     assert keys.tensor == desk_bundle.tensor
     assert keys.refresher == desk_bundle.refresher
     assert keys.locators == desk_bundle.locators

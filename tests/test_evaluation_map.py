@@ -71,7 +71,7 @@ def test_scheme_end_to_end_at_omega_two(name):
         sk, pk = bundle.secret, bundle.public
         m1, m2 = rng.below(ch.p), rng.below(ch.p)
         a, b = encrypt(pk, ch, m1, rng), encrypt(pk, ch, m2, rng)
-        assert in_encryption_space(sk, bundle.repartition, ch, a, m1, fresh_level(ch))
+        assert in_encryption_space(sk, bundle.public.repartition, ch, a, m1, fresh_level(ch))
         assert (decrypt(sk, ch, a), decrypt(sk, ch, b)) == (m1, m2)
         assert decrypt(sk, ch, hom_add(ch, a, b)) == (m1 + m2) % ch.p
         product = hom_mul(ch, bundle.tensor, a, b)
@@ -118,7 +118,7 @@ def test_membership_matches_the_polynomial_residual_form(name, data):
     ch = _channel(name)
     primes = tuple(factorize(ch.q))
     assignment = data.draw(st.lists(st.integers(0, len(primes)), min_size=ch.n, max_size=ch.n))
-    rep = Repartition(ch.q, primes, tuple(assignment))
+    rep = Repartition(ch.q, tuple(assignment))
     secret = _coefficients(data, ch, ch.n)
     vector = _coefficients(data, ch, ch.n)
     if data.draw(st.booleans(), label="divisible vector part"):

@@ -14,7 +14,7 @@ from oracles import planes, poly_vector_dot, rank_one
 
 def _constrained_vector(bundle, rng):
     """A random element of the divisibility-constrained module."""
-    ch, rep = bundle.channel, bundle.repartition
+    ch, rep = bundle.channel, bundle.public.repartition
     return tuple(
         sample_message_carrier(ch, (rep.prime_of(j) * rng.below(ch.q)) % ch.q, rng)
         for j in range(rep.n)
@@ -34,7 +34,7 @@ def test_hom_add_exhaustive(desk_bundle, rng):
 
 def test_hom_add_with_zero_is_plaintext_identity(desk_bundle, rng):
     ch = desk_bundle.channel
-    zero = encrypt_with_secret(desk_bundle.secret, desk_bundle.repartition, ch, 0, 0, rng)
+    zero = encrypt_with_secret(desk_bundle.secret, desk_bundle.public.repartition, ch, 0, 0, rng)
     for m in range(ch.p):
         ct = encrypt(desk_bundle.public, ch, m, rng)
         assert decrypt(desk_bundle.secret, ch, hom_add(ch, ct, zero)) == m
@@ -42,7 +42,7 @@ def test_hom_add_with_zero_is_plaintext_identity(desk_bundle, rng):
 
 def test_hom_add_level_arithmetic(desk_bundle, rng):
     ch = desk_bundle.channel
-    sk, rep = desk_bundle.secret, desk_bundle.repartition
+    sk, rep = desk_bundle.secret, desk_bundle.public.repartition
     a = encrypt_with_secret(sk, rep, ch, 1, 3, rng)
     b = encrypt_with_secret(sk, rep, ch, 1, 4, rng)
     assert hom_add(ch, a, b).level == 7
@@ -99,7 +99,7 @@ def test_contract_relinearization_identity(desk_bundle, rng):
 
 
 def test_contract_keeps_divisibility(desk_bundle, rng):
-    ch, rep = desk_bundle.channel, desk_bundle.repartition
+    ch, rep = desk_bundle.channel, desk_bundle.public.repartition
     v1 = _constrained_vector(desk_bundle, rng)
     v2 = _constrained_vector(desk_bundle, rng)
     for k, part in enumerate(tensor_contract(desk_bundle.tensor, v1, v2)):
@@ -121,7 +121,7 @@ def test_hom_mul_exhaustive(desk_bundle, rng):
 
 def test_hom_mul_identity_ciphertext(desk_bundle, rng):
     ch = desk_bundle.channel
-    one = encrypt_with_secret(desk_bundle.secret, desk_bundle.repartition, ch, 1, 0, rng)
+    one = encrypt_with_secret(desk_bundle.secret, desk_bundle.public.repartition, ch, 1, 0, rng)
     for m in range(ch.p):
         ct = encrypt(desk_bundle.public, ch, m, rng)
         out = hom_mul(ch, desk_bundle.tensor, ct, one)
@@ -129,7 +129,7 @@ def test_hom_mul_identity_ciphertext(desk_bundle, rng):
 
 
 def test_hom_outputs_keep_divisibility(desk_bundle, rng):
-    ch, rep = desk_bundle.channel, desk_bundle.repartition
+    ch, rep = desk_bundle.channel, desk_bundle.public.repartition
     c1 = encrypt(desk_bundle.public, ch, 1, rng)
     c2 = encrypt(desk_bundle.public, ch, 1, rng)
     for out in (hom_add(ch, c1, c2), hom_mul(ch, desk_bundle.tensor, c1, c2)):
@@ -147,7 +147,7 @@ def test_hom_outputs_stay_in_their_encryption_space(desk_bundle, rng):
     cross-term noise bound scales with the message lift.
     """
     ch = desk_bundle.channel
-    sk, rep = desk_bundle.secret, desk_bundle.repartition
+    sk, rep = desk_bundle.secret, desk_bundle.public.repartition
     for _ in range(100):
         m1, m2 = rng.below(ch.q), rng.below(ch.q)
         k1, k2 = rng.below(8), rng.below(8)
@@ -166,7 +166,7 @@ def test_hom_outputs_stay_in_their_encryption_space(desk_bundle, rng):
 
 def test_hom_ops_overflow_raises(desk_bundle, rng):
     ch = desk_bundle.channel
-    sk, rep = desk_bundle.secret, desk_bundle.repartition
+    sk, rep = desk_bundle.secret, desk_bundle.public.repartition
     big = encrypt_with_secret(sk, rep, ch, 1, 4000, rng)
     with pytest.raises(NoiseBudgetError):
         hom_add(ch, big, big)
@@ -218,7 +218,7 @@ def test_scalar_product_is_plaintext_dot_product(desk_bundle, rng):
 
 def test_scalar_product_overflow_names_the_step(desk_bundle, rng):
     ch = desk_bundle.channel
-    sk, rep = desk_bundle.secret, desk_bundle.repartition
+    sk, rep = desk_bundle.secret, desk_bundle.public.repartition
     fine = encrypt_with_secret(sk, rep, ch, 1, 0, rng)
     big = encrypt_with_secret(sk, rep, ch, 1, 4000, rng)
     with pytest.raises(NoiseBudgetError, match="step 1"):
@@ -238,7 +238,7 @@ def test_hom_ops_reject_mismatched_vector_lengths(desk_bundle, rng):
 
 def test_hom_add_refuses_the_level_past_the_budget(desk_bundle, rng):
     ch = desk_bundle.channel
-    sk, rep = desk_bundle.secret, desk_bundle.repartition
+    sk, rep = desk_bundle.secret, desk_bundle.public.repartition
     a = encrypt_with_secret(sk, rep, ch, 1, 3753, rng)
     b = encrypt_with_secret(sk, rep, ch, 1, 3754, rng)
     with pytest.raises(NoiseBudgetError):

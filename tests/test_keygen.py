@@ -18,7 +18,7 @@ from oracles import poly_vector_dot, rank_one
 
 
 def _weighted(bundle):
-    ch, rep = bundle.channel, bundle.repartition
+    ch, rep = bundle.channel, bundle.public.repartition
     return [
         rep.prime_of(i) * lift(ch.q, ch.eval(x))
         for i, x in enumerate(bundle.secret.polys)
@@ -43,7 +43,7 @@ def test_secret_polys_are_canonical(desk_bundle):
 
 
 def test_initializer_divisibility(desk_bundle):
-    ch, rep = desk_bundle.channel, desk_bundle.repartition
+    ch, rep = desk_bundle.channel, desk_bundle.public.repartition
     for row in desk_bundle.public.f0:
         for j, entry in enumerate(row):
             assert lift(ch.q, ch.eval(entry)) % rep.prime_of(j) == 0
@@ -65,7 +65,7 @@ def test_tensor_symmetry(desk_bundle):
 
 
 def test_tensor_slot_divisibility(desk_bundle):
-    rep = desk_bundle.repartition
+    rep = desk_bundle.public.repartition
     lam = desk_bundle.tensor.coeffs
     n = len(lam)
     for i in range(n):
@@ -77,7 +77,7 @@ def test_tensor_slot_divisibility(desk_bundle):
 def test_tensor_residue_condition(desk_bundle):
     """The relinearization defect of every slot pair evaluates to a multiple
     of the pair's weight."""
-    ch, rep = desk_bundle.channel, desk_bundle.repartition
+    ch, rep = desk_bundle.channel, desk_bundle.public.repartition
     xs = desk_bundle.secret.polys
     lam = desk_bundle.tensor.coeffs
     n = len(xs)
@@ -107,7 +107,7 @@ def _relinearizes(bundle) -> None:
     """Criterion 4's properties of the cube ``coeffs``: symmetric, slot k a
     multiple of prime_of(k), and every pair's relinearization defect a
     multiple of the pair's weight under evaluation."""
-    ch, rep = bundle.channel, bundle.repartition
+    ch, rep = bundle.channel, bundle.public.repartition
     lam, n = bundle.tensor.coeffs, ch.n
     s = [lift(ch.q, ch.eval(x)) for x in bundle.secret.polys]
     for i in range(n):
@@ -159,7 +159,7 @@ def test_refresher_decrypts_to_secret_digits(desk_bundle):
         assert ct.level == REFRESHER_LEVEL == 1
         assert decrypt(desk_bundle.secret, ch, ct) == digit
         assert in_encryption_space(
-            desk_bundle.secret, desk_bundle.repartition, ch, ct, digit, REFRESHER_LEVEL
+            desk_bundle.secret, desk_bundle.public.repartition, ch, ct, digit, REFRESHER_LEVEL
         )
 
 
@@ -195,7 +195,7 @@ def test_minimal_single_slot_channel():
 
 def test_gen_secret_fails_when_every_slot_shares_a_prime(desk_channel):
     """An all-same-prime assignment makes the gcd condition unattainable."""
-    rep = Repartition(desk_channel.q, (3, 5, 7, 11, 13), (1, 1, 1))
+    rep = Repartition(desk_channel.q, (1, 1, 1))
     with pytest.raises(GenerationError):
         gen_secret(desk_channel, rep, RandomSource(b"stuck"))
 
@@ -210,7 +210,7 @@ def test_keygen_retries_bad_repartitions(micro_channel):
 def test_gen_secret_refuses_a_tied_repartition_before_drawing():
     """Every slot tied to the prime 3 makes gcd 1 unattainable: gen_secret
     must raise at once, leaving the random stream untouched."""
-    rep = Repartition(15015, (3, 5, 7, 11, 13), (1, 1, 1))
+    rep = Repartition(15015, (1, 1, 1))
     ch = ArithmeticChannel(p=2, q=15015, omega=1, u=(-1, 0, 0, 0, 1), n=3, big_n=2, k0=1)
     rng = RandomSource(b"tied")
     with pytest.raises(GenerationError):
@@ -220,8 +220,8 @@ def test_gen_secret_refuses_a_tied_repartition_before_drawing():
 
 def test_keygen_factorizes_q_once_per_process(monkeypatch):
     """Each q is factorized once per process: every channel built on it,
-    every repartition draw and every repartition's own check of its primes
-    read the first factorization."""
+    every repartition draw and every repartition's primes read the first
+    factorization."""
     params = dict(p=2, q=105, omega=1, u=(-1, 0, 1), n=2, big_n=1, k0=1)
     calls, draws = [], []
     factorize, sample = rings.factorize, Repartition.sample
@@ -236,14 +236,10 @@ def test_keygen_factorizes_q_once_per_process(monkeypatch):
 
 
 def test_a_refused_factorization_is_not_kept(monkeypatch):
-    """A q that ``factorize`` refuses is refused again on the next call,
-    and a repartition whose primes are not q's is refused though q's are
-    known."""
+    """A q that ``factorize`` refuses is refused again on the next call."""
     monkeypatch.setattr(rings, "_PRIMES", {})
     for _ in range(2):
         with pytest.raises(ParameterError, match="cannot factor 1"):
             rings.prime_factors(1)
     assert rings._PRIMES == {}
     assert rings.prime_factors(15) == (3, 5)
-    with pytest.raises(ParameterError, match=r"prime factors of q, \[3, 5\]"):
-        Repartition(15, (3,), (0,))

@@ -280,7 +280,7 @@ def test_public_file_round_trips_through_eval_keys(params):
     data = json.loads(json.dumps(serial.public_to_dict(bundle)))
     keys = serial.public_from_dict(ch, data)
     assert serial.public_to_dict(keys) == data
-    assert keys.public.repartition == bundle.repartition
+    assert keys.public.repartition == bundle.public.repartition
 
 
 def test_a_public_file_with_no_locators_round_trips(desk_bundle):
@@ -332,7 +332,7 @@ def test_a_written_public_file_expands_to_the_bundles_parts(name, tmp_path, caps
         assert "f0" not in vars(keys.public) and "rho" not in vars(keys.refresher)
         assert keys.public.f0 == bundle.public.f0
         assert keys.refresher.rho == bundle.refresher.rho
-        assert keys.public.repartition == bundle.repartition
+        assert keys.public.repartition == bundle.public.repartition
 
         out = tmp_path / seed.hex()
         files = ["--pub", str(out / "public.json"), "--channel", str(out / "channel.json")]
@@ -356,14 +356,15 @@ def test_a_written_public_file_expands_to_the_bundles_parts(name, tmp_path, caps
 
 
 def test_each_command_expands_only_the_parts_it_uses(desk_files, tmp_path, monkeypatch):
-    """A spy on the samplers the seeds expand through: ``aces encrypt``
-    expands ``f0`` alone (N divisible vectors), ``aces eval`` with no
-    refresh due expands nothing, and ``aces refresh --secret`` expands
-    ``f0`` and the refresher's vector parts (n more)."""
+    """A spy on the seed expansion and the sampler it draws through: ``aces
+    encrypt`` expands ``f0`` alone (one seed, N divisible vectors), ``aces
+    eval`` with no refresh due expands nothing, and ``aces refresh
+    --secret`` expands ``f0`` and the refresher's vector parts (two seeds,
+    n more vectors)."""
     ch, keys, ct = desk_files
     module = sys.modules[PublicKey.__module__]
-    initializers, vectors = [], []
-    for name, calls in (("gen_initializer", initializers), ("sample_divisible_vector", vectors)):
+    expansions, vectors = [], []
+    for name, calls in (("expand_seed", expansions), ("sample_divisible_vector", vectors)):
         real = getattr(module, name)
         monkeypatch.setattr(module, name,
                             lambda *args, real=real, calls=calls: calls.append(1) or real(*args))
@@ -377,12 +378,12 @@ def test_each_command_expands_only_the_parts_it_uses(desk_files, tmp_path, monke
         (["eval", *files, "--circuit", str(tmp_path / "c.txt"), "--input", f"a={ct}",
           "--out", str(tmp_path / "auto")], (0, 0)),
         (["refresh", *files, "--ct", str(ct), "--secret", str(keys / "secret.json"),
-          "--out", str(tmp_path / "r.json")], (1, ch.big_n + ch.n)),
+          "--out", str(tmp_path / "r.json")], (2, ch.big_n + ch.n)),
     ):
-        initializers.clear()
+        expansions.clear()
         vectors.clear()
         assert main(argv) == 0
-        assert (len(initializers), len(vectors)) == want, argv[0]
+        assert (len(expansions), len(vectors)) == want, argv[0]
 
 
 # kind -> (file, reader, a command line that reads the file as bad.json and

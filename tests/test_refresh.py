@@ -1,5 +1,6 @@
 """Tests for refreshability testing and the refresh operation."""
 
+import dataclasses
 import functools
 import random
 from fractions import Fraction
@@ -13,7 +14,7 @@ from aces import refresh, serial
 from aces.channel import ArithmeticChannel, RandomSource
 from aces.cipher import (
     Ciphertext, _lifted_sum, decrypt, encrypt, encrypt_with_secret, evals, fresh_level,
-    post_refresh_level, shadow,
+    has_refresh_headroom, post_refresh_level, shadow,
 )
 from aces.errors import NoiseBudgetError, ParameterError
 from aces.keygen import ProductTensor, PublicKey, Refresher, SecretKey, keygen
@@ -33,8 +34,9 @@ from aces.refresh import (
 )
 from aces.rings import PackedRows, RingPoly, lift
 
-from oracles import (floor_dot_over_q, make_refreshable_reference, margin_fraction, planes,
-                     public_search_reference, refresh_reference)
+from conftest import MICRO
+from oracles import (floor_dot_over_q, headroom_reference, make_refreshable_reference,
+                     margin_fraction, planes, public_search_reference, refresh_reference)
 
 TINY = dict(p=2, q=15, omega=1, u=(-1, 0, 1), n=2, big_n=1, k0=1)
 
@@ -156,7 +158,7 @@ def test_margin_test_soundness(desk_bundle, rng):
             ct = encrypt(desk_bundle.public, ch, rng.below(ch.p), rng)
         else:
             ct = encrypt_with_secret(
-                desk_bundle.secret, desk_bundle.repartition, ch,
+                desk_bundle.secret, desk_bundle.public.repartition, ch,
                 rng.below(ch.p), rng.below(60), rng,
             )
         ps = shadow(ch, ct)
@@ -185,6 +187,20 @@ def test_margin_inequality_direction(desk_bundle, rng):
             break
     assert margin_test(desk_bundle.secret, ch, shadow(ch, Ciphertext(ct.c, ct.cprime, flip - 1)))
     assert not margin_test(desk_bundle.secret, ch, shadow(ch, Ciphertext(ct.c, ct.cprime, flip)))
+
+
+@pytest.mark.parametrize("params", [
+    MICRO, dict(p=3, q=35, omega=1, u=(-1, 0, 1), n=2, big_n=1, k0=1),
+], ids=["micro", "p3-micro"])
+def test_integer_headroom_matches_the_rational_inequality(params):
+    """``has_refresh_headroom`` on the margin's numerator over q decides as
+    the rational inequality does, at every level from 0 to one past the
+    budget and every numerator from 0 to q - 1."""
+    ch = ArithmeticChannel(**params).require_valid()
+    for level in range(ch.max_noise_level() + 2):
+        for num in range(ch.q):
+            want = headroom_reference(ch, level, Fraction(num, ch.q))
+            assert has_refresh_headroom(ch, level, num) == want, (level, num)
 
 
 def test_refreshable_digit_identity(desk_bundle, rng):
@@ -220,8 +236,8 @@ def test_search_empty_db_is_unknown(desk_bundle):
 def test_search_depth_zero_match(desk_bundle):
     ch = desk_bundle.channel
     entry = next(e for e in desk_bundle.locators if e.kind == "locator")
-    table = public_certificates(desk_bundle.locators, ch)
-    assert table[entry.vec] == (entry.k, Fraction(entry.margin_num, ch.q))
+    k, num = public_certificates(desk_bundle.locators, ch)[entry.vec]
+    assert (k, Fraction(num, ch.q)) == (entry.k, Fraction(entry.margin_num, ch.q))
 
 
 def test_search_derived_combinations_match_secret_oracle(desk_channel, monkeypatch):
@@ -235,10 +251,10 @@ def test_search_derived_combinations_match_secret_oracle(desk_channel, monkeypat
         rng = RandomSource(b"combo" + bytes([seed]))
         bundle = keygen(ch, rng)
         db = sample_locator_db(bundle.secret, ch, rng)
-        for vec, (k, marg) in public_certificates(db, ch).items():
+        for vec, (k, num) in public_certificates(db, ch).items():
             checked += 1
             assert locator_index(bundle.secret, ch, vec) == k
-            assert margin(bundle.secret, ch, vec) == marg
+            assert margin(bundle.secret, ch, vec) == Fraction(num, ch.q)
     assert checked > 10
 
 
@@ -275,7 +291,9 @@ def test_search_matches_reference_on_hits_and_misses(params, keys):
         targets += [(vec[0] + ch.q,) + vec[1:], (vec[0] - ch.q,) + vec[1:], vec + (0,)]
         table = public_certificates(db, ch)
         for target in targets:
-            assert table.get(target) == public_search_reference(db, ch, target)
+            found = table.get(target)
+            rational = None if found is None else (found[0], Fraction(found[1], ch.q))
+            assert rational == public_search_reference(db, ch, target)
         hits = set(table).intersection(targets)
         assert 0 < len(hits) < len(set(targets))
         assert hits == set(table)
@@ -621,6 +639,44 @@ def test_refresh_refuses_a_wrong_length_ciphertext(desk_bundle, rng):
         refresh_ct(desk_bundle.eval_keys, shadow(ch, short), rng)
     with pytest.raises(ParameterError, match="2 vector parts"):
         make_refreshable(shadow(ch, short), lambda c: False, desk_bundle.public, ch, rng)
+
+
+# Shadows that no ciphertext over the channel has, by name: each is the
+# shadow ``ps`` of a desk encryption with one field edited.
+MALFORMED_SHADOWS = {
+    "short": lambda ps, q: dataclasses.replace(ps, v=ps.v[:-1]),
+    "long": lambda ps, q: dataclasses.replace(ps, v=ps.v + (0,)),
+    "v shifted by q": lambda ps, q: dataclasses.replace(ps, v=tuple(x + q for x in ps.v)),
+    "v entry q": lambda ps, q: dataclasses.replace(ps, v=(q,) + ps.v[1:]),
+    "v entry -1": lambda ps, q: dataclasses.replace(ps, v=(-1,) + ps.v[1:]),
+    "v entry bool": lambda ps, q: dataclasses.replace(ps, v=(True,) + ps.v[1:]),
+    "v entry float": lambda ps, q: dataclasses.replace(ps, v=(1.0,) + ps.v[1:]),
+    "vprime q": lambda ps, q: dataclasses.replace(ps, vprime=q),
+    "vprime -1": lambda ps, q: dataclasses.replace(ps, vprime=-1),
+    "vprime bool": lambda ps, q: dataclasses.replace(ps, vprime=False),
+    "vprime str": lambda ps, q: dataclasses.replace(ps, vprime="1"),
+    "level -5": lambda ps, q: dataclasses.replace(ps, level=-5),
+    "level bool": lambda ps, q: dataclasses.replace(ps, level=True),
+    "level float": lambda ps, q: dataclasses.replace(ps, level=4.0),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_SHADOWS))
+def test_a_malformed_shadow_is_refused_before_any_draw(desk_bundle, name):
+    """``refresh_ct`` and ``make_refreshable`` refuse a shadow with entries
+    outside [0, q), of the wrong length or type, or with a level that is not
+    a non-negative integer, with ParameterError and before their first draw;
+    the shadow it is edited from is refreshed."""
+    ch, keys = desk_bundle.channel, desk_bundle.eval_keys
+    ps = shadow(ch, encrypt(desk_bundle.public, ch, 1, RandomSource(b"malformed/enc")))
+    bad = MALFORMED_SHADOWS[name](ps, ch.q)
+    for call in (lambda rng: refresh_ct(keys, bad, rng),
+                 lambda rng: make_refreshable(bad, lambda c: True, desk_bundle.public, ch, rng)):
+        rng = RandomSource(b"malformed")
+        with pytest.raises(ParameterError):
+            call(rng)
+        assert rng.below(2**64) == RandomSource(b"malformed").below(2**64)
+    assert refresh_ct(keys, ps, RandomSource(b"malformed")).level == post_refresh_level(ch)
 
 
 # -- the refresh matrix --------------------------------------------------------

@@ -296,34 +296,30 @@ def test_factorize_refuses_moduli_out_of_range(q):
 
 
 def test_repartition_weights():
-    rep = Repartition(15, (3, 5), (1, 2))
+    rep = Repartition(15, (1, 2))
     assert rep.weight(0, 1) == 1  # 15 / (3 * 5)
     assert rep.weight(0, 0) == 5  # 15 / 3
-    rep105 = Repartition(105, (3, 5, 7), (2, 3))
+    rep105 = Repartition(105, (2, 3))
     assert rep105.weight(0, 1) == 3  # 105 / (5 * 7)
     assert rep105.weight(1, 1) == 15  # 105 / 7
 
 
 def test_repartition_zero_slot_uses_unit_factor():
-    rep = Repartition(15, (3, 5), (0, 0))
+    rep = Repartition(15, (0, 0))
     assert rep.prime_of(0) == 1
     assert rep.weight(0, 1) == 15
     assert rep.weight(0, 0) == 15
 
 
 def test_repartition_index_out_of_range():
-    rep = Repartition(15, (3, 5), (1, 2))
+    rep = Repartition(15, (1, 2))
     with pytest.raises(ParameterError):
         rep.weight(0, 2)
 
 
 def test_repartition_validates_primes():
     with pytest.raises(ParameterError):
-        Repartition(15, (3, 7), (1, 1))
-    with pytest.raises(ParameterError):
-        Repartition(15, (3, 5), (3,))
-    with pytest.raises(ParameterError):
-        Repartition(15015, (3, 5), (1, 2))  # divides q, but not all its primes
+        Repartition(15, (3,))
 
 
 def test_eval_matches_nonneg_embedding_oracle(rng):
