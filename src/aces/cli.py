@@ -8,8 +8,8 @@ A flag is written ``--flag value`` or ``--flag=value``, spelled in full (no
 prefix abbreviations), and given at most once, except ``eval --input``.  A
 separate value may start with ``-`` only as a negative integer, so
 ``u = X^4 - 1`` is ``--u=-1,0,0,0,1``.  ``eval --secret`` and ``refresh
---secret`` take the key owner's secret file and certify refreshability
-exactly instead of by the public test.
+--secret`` take the key owner's secret file, refuse a public file it does
+not own, and certify refreshability exactly instead of by the public test.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .channel import ArithmeticChannel, RandomSource
 from .cipher import decrypt, encrypt, evals, within_budget
 from .circuit import RefreshPolicy, evaluate, parse_circuit
 from .errors import AcesError, CircuitError, NoiseBudgetError, ParameterError
-from .keygen import keygen
+from .keygen import keygen, owns
 from .refresh import EvalKeys, refresh_certified, secret_refresh_checker
 
 
@@ -186,12 +186,18 @@ def _cmd_decrypt(args) -> int:
     return 0
 
 
-def _checker(args, ch):
+def _checker(args, keys: EvalKeys):
     """The key owner's exact refreshability checker when ``--secret`` is
-    given, else None: the public test."""
+    given, else None: the public test.  The secret must own the public
+    material (``keygen.owns``); another key's public file, or one with a
+    word changed, is refused before any arithmetic on it."""
     if args.secret is None:
         return None
-    return secret_refresh_checker(serial.secret_from_dict(ch, serial.load(args.secret)), ch)
+    ch = keys.channel
+    sk = serial.secret_from_dict(ch, serial.load(args.secret))
+    if not owns(sk, keys):
+        raise ParameterError("the public file is not the secret file's key")
+    return secret_refresh_checker(sk, ch)
 
 
 def _cmd_eval(args) -> int:
@@ -213,7 +219,7 @@ def _cmd_eval(args) -> int:
         if name in env:
             raise _UsageError(f"--input {name!r} is given more than once")
         env[name] = serial.ciphertext_from_dict(keys.channel, serial.load(path))
-    policy = RefreshPolicy(mode=args.refresh, checker=_checker(args, keys.channel))
+    policy = RefreshPolicy(mode=args.refresh, checker=_checker(args, keys))
     outputs, report = evaluate(circuit, env, keys, policy, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -229,7 +235,7 @@ def _cmd_refresh(args) -> int:
     keys = _load_keys(args)
     ch = keys.channel
     ct = serial.ciphertext_from_dict(ch, serial.load(args.ct))
-    fresh = refresh_certified(keys, ct, _checker(args, ch), args.seed)
+    fresh = refresh_certified(keys, ct, _checker(args, keys), args.seed)
     if fresh is None:
         raise NoiseBudgetError(
             "could not publicly verify refreshability (the public test rarely certifies a "

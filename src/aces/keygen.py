@@ -18,13 +18,15 @@ file publishes the seeds instead of the parts.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
 from .channel import ArithmeticChannel, RandomSource, sample_noise
 from .cipher import (
-    REFRESHER_LEVEL, Ciphertext, _secret_formula, evals, sample_divisible_vector, shadow,
+    REFRESHER_LEVEL, Ciphertext, _secret_formula, evals, in_encryption_space,
+    sample_divisible_vector, shadow,
 )
 from .errors import GenerationError, ParameterError
 from .refresh import EvalKeys, LocatorEntry, sample_locator_db
@@ -131,6 +133,17 @@ class ProductTensor:
                 raise ParameterError(f"tensor entries must be residues in [0, {self.q})")
             if any(beta[i][j] != beta[j][i] for i in range(n) for j in range(i)):
                 raise ParameterError("tensor must be symmetric in its first two indices")
+
+    def fits(self, rep: Repartition) -> bool:
+        """Whether every layer's ``beta`` has the vanishing 2x2 minors that
+        ``gen_tensor`` gives it: modulo ``weight(i, j)``, which divides
+        ``weight(i, i)`` and ``weight(j, j)``, ``beta[i][j]`` is one scale
+        times ``s_i * s_j``, so ``beta[i][j]**2 - beta[i][i] * beta[j][j]``
+        is 0 there.  A public check: it catches a changed entry, not a
+        forged tensor."""
+        n = len(self.layers[0][0])
+        return all((beta[i][j] ** 2 - beta[i][i] * beta[j][j]) % rep.weight(i, j) == 0
+                   for _, beta in self.layers for i in range(n) for j in range(i))
 
     @property
     def coeffs(self) -> tuple:
@@ -333,6 +346,33 @@ def gen_refresher(
     refresher = Refresher(seed, tuple(ct.cprime for ct in rho), ch, rep)
     vars(refresher)["rho"] = rho  # what the cached property would build
     return refresher
+
+
+def owns(sk: SecretKey, keys) -> bool:
+    """Whether the public material of ``keys`` (an ``EvalKeys`` or a
+    ``KeyBundle``) is ``sk``'s, as far as the secret can tell: each public
+    row an encryption of 0 at level k0, every slot pair's relinearization
+    defect under the tensor a multiple of the pair's weight, and each
+    refresher ciphertext an encryption of its slot's digit at
+    ``REFRESHER_LEVEL``.  The public material of another key, or with one
+    word changed, fails it; a forged key need not."""
+    pk, ch, layers = keys.public, keys.channel, keys.tensor.layers
+    rep, q = pk.repartition, ch.q
+    secret = evals(ch, sk.polys)
+    # sum_k lambda[i][j][k] * s_k is sum_s beta_s[i][j] * <alpha_s, s>.
+    scales = [sum(map(operator.mul, alpha, secret)) % q for alpha, _ in layers]
+
+    def relinearizes(i: int, j: int) -> bool:
+        combo = sum(scale * beta[i][j] for scale, (_, beta) in zip(scales, layers))
+        return (secret[i] * secret[j] - combo) % q % rep.weight(i, j) == 0
+
+    return (
+        all(in_encryption_space(sk, rep, ch, Ciphertext(row, masked, ch.k0), 0, ch.k0)
+            for row, masked in zip(pk.f0, pk.fprime, strict=True))
+        and all(relinearizes(i, j) for i in range(ch.n) for j in range(i, ch.n))
+        and all(in_encryption_space(sk, rep, ch, ct, e % ch.p, REFRESHER_LEVEL)
+                for ct, e in zip(keys.refresher.rho, secret, strict=True))
+    )
 
 
 def keygen(ch: ArithmeticChannel, rng: RandomSource) -> KeyBundle:

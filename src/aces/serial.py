@@ -319,6 +319,8 @@ def public_from_dict(ch: ArithmeticChannel, data: dict) -> EvalKeys:
     tensor = ProductTensor(ch.q, tuple(zip(
         _words(ch.ring, [e["alpha"] for e in layers], "lambda alpha", (None,), n),
         _words(ch.ring, [e["beta"] for e in layers], "lambda beta", (None, n), n))))
+    if not tensor.fits(rep):
+        raise ParameterError("lambda beta: a 2x2 minor is not 0 modulo its slot pair's weight")
     _fields([fresh], "refresher", {"c", "cprime"})
     refresher = Refresher(_seed(fresh["c"], "refresher vector seed"),
                           _polys(ch, fresh["cprime"], "refresher scalar part", n), ch, rep)

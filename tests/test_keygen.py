@@ -10,7 +10,7 @@ from aces import rings
 from aces.channel import ArithmeticChannel, RandomSource, in_noise_space
 from aces.cipher import REFRESHER_LEVEL, decrypt, in_encryption_space
 from aces.errors import GenerationError, ParameterError
-from aces.keygen import _bezout, gen_secret, keygen
+from aces.keygen import _bezout, gen_secret, keygen, owns
 from aces.rings import Repartition, lift
 from aces.serial import public_to_dict, secret_to_dict
 
@@ -106,7 +106,9 @@ def test_tensor_avoids_degenerate_rows(desk_bundle):
 def _relinearizes(bundle) -> None:
     """Criterion 4's properties of the cube ``coeffs``: symmetric, slot k a
     multiple of prime_of(k), and every pair's relinearization defect a
-    multiple of the pair's weight under evaluation."""
+    multiple of the pair's weight under evaluation; the published layers
+    pass the loader's minor check, and the secret owns the public
+    material."""
     ch, rep = bundle.channel, bundle.public.repartition
     lam, n = bundle.tensor.coeffs, ch.n
     s = [lift(ch.q, ch.eval(x)) for x in bundle.secret.polys]
@@ -116,6 +118,8 @@ def _relinearizes(bundle) -> None:
             assert all(lam[i][j][k] % rep.prime_of(k) == 0 for k in range(n))
             defect = (s[i] * s[j] - sum(lam[i][j][k] * s[k] for k in range(n))) % ch.q
             assert lift(ch.q, defect) % rep.weight(i, j) == 0
+    assert bundle.tensor.fits(rep)
+    assert owns(bundle.secret, bundle.eval_keys)
 
 
 # desk, and p = 3 with p not dividing q.

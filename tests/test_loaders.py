@@ -2,14 +2,16 @@
 
 Nothing read from a file is silently reduced or truncated; a malformed
 polynomial or tensor layer (an ``alpha`` that is not ``n`` words, a
-``beta`` that is not ``n`` rows of ``n`` words or not symmetric), a word
+``beta`` that is not ``n`` rows of ``n`` words, not symmetric, or with a
+2x2 minor that is not 0 modulo its slot pair's weight), a word
 string that is not exactly the canonical base64 of its words, a word not
 below q, a seed that is not exactly the canonical base64 of 16 bytes, a
 float or boolean where an integer belongs, or a file of another format is
 refused with ParameterError (CLI exit 2).  A wrong container type is
 malformed input (CLI exit 1).  A written public file loads as keys whose
 seeds expand to the parts of the bundle it was written from, and each
-command expands only the parts it uses.
+command expands only the parts it uses.  ``refresh --secret`` and ``eval
+--secret`` refuse a public file that the secret does not own.
 """
 
 import base64
@@ -134,6 +136,7 @@ def test_corrupted_ciphertext_is_refused(desk_files, tmp_path, corrupt):
     lambda ch, lam: _edit(lam[0], "alpha", lambda t: _resize(ch, t, -1)),  # short alpha
     lambda ch, lam: _edit(lam[0], "alpha", lambda t: _set_word(ch, t, 0, ch.q)),  # a word equal to q
     lambda ch, lam: lam.append({"alpha": lam[0]["alpha"], "beta": lam[0]["beta"][:-1]}),  # n - 1 rows
+    lambda ch, lam: _edit(lam[0]["beta"], 2, lambda t: _moved(ch, t, 2)),  # a minor not 0 mod its weight
 ])
 def test_malformed_tensor_is_refused(desk_files, tmp_path, corrupt):
     ch, keys, ct = desk_files
@@ -384,6 +387,53 @@ def test_each_command_expands_only_the_parts_it_uses(desk_files, tmp_path, monke
         vectors.clear()
         assert main(argv) == 0
         assert (len(expansions), len(vectors)) == want, argv[0]
+
+
+def _moved(ch, text: str, i: int) -> str:
+    """``text`` with word ``i`` moved by 1 mod q."""
+    return _set_word(ch, text, i, (_word(ch, text, i) + 1) % ch.q)
+
+
+def test_the_key_owner_refuses_a_public_file_that_is_not_the_secrets(desk_files, tmp_path):
+    """``refresh --secret`` and ``eval --secret`` check the public file
+    against the secret (``keygen.owns``): a public row, a tensor weight or
+    a refresher scalar part with one word moved by 1, or the public file of
+    another key, exits 2 and writes nothing.  The public loader accepts
+    each of them (``encrypt`` exits 0), and the intact file passes."""
+    ch, keys, ct = desk_files
+    public = json.loads((keys / "public.json").read_text())
+    assert main(["keygen", *_keygen_flags(ch), "--seed", "0c0d", "--out", str(tmp_path / "other")]) == 0
+    variants = {"intact": public,
+                "another key": json.loads((tmp_path / "other" / "public.json").read_text())}
+    for r in range(ch.big_n):
+        variants[f"fprime {r}"] = data = json.loads(json.dumps(public))
+        data["fprime"][r] = _moved(ch, data["fprime"][r], 0)
+    for k in range(ch.n):
+        variants[f"alpha {k}"] = data = json.loads(json.dumps(public))
+        data["lambda"][0]["alpha"] = _moved(ch, data["lambda"][0]["alpha"], k)
+        variants[f"cprime {k}"] = data = json.loads(json.dumps(public))
+        data["refresher"]["cprime"][k] = _moved(ch, data["refresher"]["cprime"][k], 0)
+    (tmp_path / "c.txt").write_text("in a\nt = mul a a\nout t\n")
+    for name, data in variants.items():
+        work = tmp_path / name.replace(" ", "-")
+        work.mkdir()
+        (work / "public.json").write_text(json.dumps(data))
+        files = ["--pub", str(work / "public.json"), "--channel", str(keys / "channel.json")]
+        secret = ["--secret", str(keys / "secret.json")]
+        assert main(["encrypt", *files, "--message", "1", "--seed", "01",
+                     "--out", str(work / "e.json")]) == 0, name
+        for argv, out in (
+            (["refresh", *files, "--ct", str(ct), *secret, "--out", str(work / "r.json")],
+             work / "r.json"),
+            (["eval", *files, "--circuit", str(tmp_path / "c.txt"), "--input", f"a={ct}",
+              *secret, "--out", str(work / "out")], work / "out"),
+        ):
+            if name == "intact":
+                assert main(argv) == 0 and out.exists(), argv[0]
+            else:
+                assert main(argv) == 2, (name, argv[0])
+                assert not out.exists(), (name, argv[0])
+
 
 
 # kind -> (file, reader, a command line that reads the file as bad.json and
