@@ -23,12 +23,15 @@ of ``2d - 1`` drawn coefficients (a reduction by ``u``), ``sample_mask``,
 ``EvalKeys`` per call), ``refresh_certified`` with the public checker on a
 ciphertext it never certifies (every attempt of ``make_refreshable`` spent)
 and with the key owner's exact checker on a ``hom_mul`` product (what each
-refresh of the ``chain-desk`` workload runs), and one whole in-process ``aces encrypt``, ``aces decrypt``, ``aces eval``
-of one product with no refresh due, ``aces refresh``
-without ``--secret`` on that miss, which exits 2, and ``aces refresh
---secret``, which builds the matrix and refreshes (``aces.cli.main`` on files
-in a temporary directory, standard output and error captured; the rows call
-nothing but ``main``, so any base checkout is timed the same way).  Calls
+refresh of the ``chain-desk`` workload runs), ``evaluate`` of the workloads'
+10-gate power chain with the key owner's checker (the refresh matrix built
+before timing), and one whole in-process ``aces encrypt``, ``aces
+decrypt``, ``aces eval`` of one product with no refresh due, ``aces
+refresh`` without ``--secret`` on that miss, which exits 2, and ``aces
+refresh --secret``, which builds the matrix and refreshes
+(``aces.cli.main`` on files in a temporary directory, standard output and
+error captured; the rows call nothing but ``main``, so any base checkout is
+timed the same way).  Calls
 run in batches of about ``--batch-ms``; each batch is one span scaled to the
 reference host by ``bench/hostspeed.py``, and a figure is the median over
 batches of the scaled time per call, in microseconds.  The file also holds
@@ -37,13 +40,14 @@ keygen`` and ``aces encrypt`` write at each channel.
 
 With ``--base`` (the ``src`` directory of another checkout) every round
 times this checkout's ``src`` and the base, each in a fresh process, and
-alternates which goes first; the file then holds both, their ratio, and
-``ratio_range``, the least and the greatest per-round ratio (one round's
-median for this checkout over the same round's median for the base).  A row
-whose range straddles 1 is unresolved: its rounds disagree on which tree is
-faster.  A base whose ``Ring`` has no ``layout`` (``Ring.width``,
-``Ring.pack`` and ``Ring.unpack`` taking the layout tuple) is timed through
-those, so the rows compare.  The script is not part of the test suite.
+alternates which goes first; the file then holds both, ``ratio``, the
+median of the per-round ratios (one round's median for this checkout over
+the same round's median for the base), and ``ratio_range``, the least and
+the greatest of them.  A row whose range straddles 1 is unresolved: its
+rounds disagree on which tree is faster.  A base whose ``Ring`` has no
+``layout`` (``Ring.width``, ``Ring.pack`` and ``Ring.unpack`` taking the
+layout tuple) is timed through those, so the rows compare.  The script is
+not part of the test suite.
 """
 
 from __future__ import annotations
@@ -71,10 +75,12 @@ def _operations(channel, work: Path):
     from aces import cli, serial
     from aces.channel import RandomSource
     from aces.cipher import decrypt, encrypt, sample_mask
+    from aces.circuit import RefreshPolicy, evaluate, parse_circuit
     from aces.homo import hom_mul
     from aces.keygen import keygen
     from aces.refresh import refresh_certified, secret_refresh_checker
     from aces.rings import RingPoly
+    from workloads import WORKLOADS
 
     ch = channel.build()
     seed = f"ops/{channel.degree}".encode()
@@ -86,6 +92,9 @@ def _operations(channel, work: Path):
     long = x.coeffs + y.coeffs[1:]
     mask = sample_mask(ch, rng)
     product, owner = hom_mul(ch, bundle.tensor, a, b), secret_refresh_checker(bundle.secret, ch)
+    chain = parse_circuit(WORKLOADS["chain-desk"].circuit.text())
+    policy = RefreshPolicy(checker=owner)
+    bundle.eval_keys.refresh_rows  # built once per key, before timing
 
     def codec(terms):
         """The ``pack`` and ``unpack`` of the layout for ``terms``, also in a
@@ -153,6 +162,8 @@ def _operations(channel, work: Path):
         "refresh_certified (public miss)": lambda: refresh_certified(bundle.eval_keys, a, None, rng),
         "refresh_certified (key owner, hom_mul product)": lambda: refresh_certified(
             bundle.eval_keys, product, owner, rng),
+        "evaluate (power chain, key owner)": lambda: evaluate(
+            chain, {"a": a}, bundle.eval_keys, policy, rng),
         "aces encrypt": lambda: aces(*encrypt_argv),
         "aces decrypt": lambda: aces("decrypt", "--secret", keys / "secret.json", *files, "--ct", ct),
         "aces eval": lambda: aces(*eval_argv),
@@ -218,9 +229,9 @@ def main(argv=None) -> int:
                        [t for run in runs for t in run[channel][op]]), 2)
                    for label, runs in samples.items()}
             if "base" in row:
-                row["ratio"] = round(row["change"] / row["base"], 3)
                 rounds = [statistics.median(c[channel][op]) / statistics.median(b[channel][op])
                           for c, b in zip(samples["change"], samples["base"])]
+                row["ratio"] = round(statistics.median(rounds), 3)
                 row["ratio_range"] = [round(min(rounds), 3), round(max(rounds), 3)]
             ops[channel][op] = row
         for kind in samples["change"][0]["bytes"][channel]:  # the same in every run

@@ -11,8 +11,15 @@ The circuit format is a line-oriented DSL::
 Gates execute in file order, so operands are always declared inputs or
 earlier gate outputs.  The evaluator tracks every wire's noise level and,
 when a gate would leave too little headroom, tries to refresh its operands
-(``refresh.refresh_certified``) before failing; every refresh lands in the
+(``refresh.draw_certified``) before failing; every refresh lands in the
 report.
+
+A refresh reads only its operand's integer shadow (``cipher.shadow``), and
+the shadow of a sum or product is integer arithmetic on its operands'
+shadows (``homo.shadow_add``, ``homo.shadow_mul``).  So the evaluator
+records each gate and each refresh as a node, checks levels and draws
+refreshes at the gate, and computes polynomials only for the nodes that a
+circuit output reads; a wire that feeds only refreshes never gets them.
 """
 
 from __future__ import annotations
@@ -20,10 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .channel import RandomSource
-from .cipher import Ciphertext, post_refresh_level, refresh_due
+from .cipher import Ciphertext, post_refresh_level, refresh_due, shadow
 from .errors import CircuitError, NoiseBudgetError, ParameterError
-from .homo import hom_add, hom_mul
-from .refresh import EvalKeys, refresh_certified
+from .homo import _output_level, hom_add, hom_mul, shadow_add, shadow_mul
+from .refresh import EvalKeys, draw_certified
 
 __all__ = [
     "Gate",
@@ -134,6 +141,22 @@ class EvalReport:
     refresh_events: list[tuple[str, int, int]] = field(default_factory=list)
 
 
+def _check_inputs(keys: EvalKeys, env: dict[str, Ciphertext]) -> None:
+    """Refuse, with ParameterError, a tensor or an input ciphertext that no
+    gate could take: the tensor must have the channel's q and n, and each
+    input n vector parts and a scalar part over the channel's ring."""
+    ch, lam = keys.channel, keys.tensor
+    if lam.q != ch.q or len(lam.layers[0][0]) != ch.n:
+        raise ParameterError(f"tensor has q = {lam.q} and n = {len(lam.layers[0][0])}, "
+                             f"the channel q = {ch.q} and n = {ch.n}")
+    for name, ct in env.items():
+        if len(ct.c) != ch.n:
+            raise ParameterError(
+                f"input {name!r} has {len(ct.c)} vector parts, the channel {ch.n}")
+        if any(x.ring is not ch.ring for x in (*ct.c, ct.cprime)):
+            raise ParameterError(f"input {name!r} is not over the channel's ring")
+
+
 def evaluate(
     circuit: Circuit,
     env: dict[str, Ciphertext],
@@ -147,40 +170,93 @@ def evaluate(
     when ``cipher.refresh_due`` says so, against the post-refresh level
     computed once per call.  The gate's own budget guard is the only
     refusal: NoiseBudgetError, naming the gate and its operand levels.  A
-    wire is never silently emitted past the decryption bound.
+    wire is never silently emitted past the decryption bound.  Every input
+    is checked (``_check_inputs``) before any draw.
+
+    Each wire version is one node, in gate order: an input, a gate over two
+    earlier nodes, or a drawn refresh of an earlier node.  Levels, refusals
+    and draws happen at the gate; a node's shadow is computed only when a
+    refresh asks for one.  At the end a backward pass marks the nodes an
+    output reads (a refresh reads only its operand's shadow), and a forward
+    pass computes their ciphertexts in gate order.  With no refresh, every
+    gate that an output depends on runs, in gate order.
     """
     policy = policy or RefreshPolicy()
     ch = keys.channel
     missing = [name for name in circuit.inputs if name not in env]
     if missing:
         raise CircuitError(f"unbound circuit inputs: {missing}")
+    _check_inputs(keys, env)
     report = EvalReport()
-    values = dict(env)
     post = post_refresh_level(ch)
+    # Per node: (op, left, right) for a gate, (None, ciphertext) for an
+    # input, ("refresh", drawn refresh); its level; its shadow once
+    # computed, shadows being filled in creation order.
+    nodes, levels, shadows = [], [], []
+    current = {}  # wire name -> its newest node
+    for name, ct in env.items():
+        current[name] = len(nodes)
+        nodes.append((None, ct))
+        levels.append(ct.level)
+
+    def shadow_of(i: int):
+        for node in nodes[len(shadows):i + 1]:
+            op = node[0]
+            if op is None:
+                shadows.append(shadow(ch, node[1]))
+            elif op == "refresh":
+                shadows.append(node[1].shadow(keys))
+            elif op == "add":
+                shadows.append(shadow_add(ch, shadows[node[1]], shadows[node[2]]))
+            else:
+                shadows.append(shadow_mul(ch, keys.tensor, shadows[node[1]], shadows[node[2]]))
+        return shadows[i]
 
     for gate in circuit.gates:
         for wire in dict.fromkeys((gate.left, gate.right)) if policy.mode == "auto" else ():
-            ct = values[wire]
-            if not refresh_due(ch, post, gate.op, values[gate.left].level,
-                               values[gate.right].level, ct.level):
+            i = current[wire]
+            if not refresh_due(ch, post, gate.op, levels[current[gate.left]],
+                               levels[current[gate.right]], levels[i]):
                 continue
             if rng is None:
                 raise CircuitError("auto refresh needs a random source")
-            fresh = refresh_certified(keys, ct, policy.checker, rng)
-            if fresh is not None:
-                report.refresh_events.append((wire, ct.level, fresh.level))
-                values[wire] = fresh
-        left, right = values[gate.left], values[gate.right]
+            drawn = draw_certified(keys, shadow_of(i), policy.checker, rng)
+            if drawn is not None:
+                report.refresh_events.append((wire, levels[i], drawn.level))
+                current[wire] = len(nodes)
+                nodes.append(("refresh", drawn))
+                levels.append(drawn.level)
+        left, right = current[gate.left], current[gate.right]
         try:
-            if gate.op == "add":
-                values[gate.out] = hom_add(ch, left, right)
-            else:
-                values[gate.out] = hom_mul(ch, keys.tensor, left, right)
+            level = _output_level(ch, gate.op, levels[left], levels[right])
         except NoiseBudgetError as exc:
             raise NoiseBudgetError(
                 f"gate {gate.out!r} ({gate.op} {gate.left} {gate.right}) "
-                f"exceeds the noise budget at levels {left.level}, {right.level}"
+                f"exceeds the noise budget at levels {levels[left]}, {levels[right]}"
             ) from exc
+        current[gate.out] = len(nodes)
+        nodes.append((gate.op, left, right))
+        levels.append(level)
 
-    report.levels = {name: ct.level for name, ct in values.items()}
-    return {name: values[name] for name in circuit.outputs}, report
+    read = [False] * len(nodes)
+    for name in circuit.outputs:
+        read[current[name]] = True
+    for i in range(len(nodes) - 1, -1, -1):
+        if read[i] and nodes[i][0] in ("add", "mul"):
+            read[nodes[i][1]] = read[nodes[i][2]] = True
+    cts = [None] * len(nodes)
+    for i, node in enumerate(nodes):
+        if not read[i]:
+            continue
+        op = node[0]
+        if op is None:
+            cts[i] = node[1]
+        elif op == "refresh":
+            cts[i] = node[1].ciphertext(keys)
+        elif op == "add":
+            cts[i] = hom_add(ch, cts[node[1]], cts[node[2]])
+        else:
+            cts[i] = hom_mul(ch, keys.tensor, cts[node[1]], cts[node[2]])
+
+    report.levels = {name: levels[i] for name, i in current.items()}
+    return {name: cts[current[name]] for name in circuit.outputs}, report

@@ -178,12 +178,22 @@ class Refresher:
 
 @dataclass(frozen=True)
 class KeyBundle:
+    """A whole key.  The public key and the refresher expand their seeds
+    over the bundle's channel and one repartition, so parts that disagree
+    are refused on construction."""
+
     channel: ArithmeticChannel
     secret: SecretKey
     public: PublicKey
     tensor: ProductTensor
     refresher: Refresher
     locators: tuple[LocatorEntry, ...]
+
+    def __post_init__(self):
+        if self.public.channel is not self.channel or self.refresher.channel is not self.channel:
+            raise ParameterError("key parts disagree: public key or refresher on another channel")
+        if self.refresher.repartition is not self.public.repartition:
+            raise ParameterError("key parts disagree: refresher on another repartition")
 
     @cached_property
     def eval_keys(self) -> EvalKeys:

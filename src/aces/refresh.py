@@ -2,13 +2,13 @@
 
 A ciphertext's integer shadow is the pair of evaluations
 ``(eval<-c>, eval(c'))`` with its level (``cipher.shadow``), and the whole
-refresh layer reads nothing else: ``refresh_certified`` is the one place a
-ciphertext becomes its shadow.  The shadow is refreshable when the lifted
-dot product against the secret evaluations differs from its reduced form by
-an exact non-negative multiple of p*q; refreshable ciphertexts can have
-their noise rebuilt from scratch without decrypting.  The secret key is
-read only through its evaluations (``cipher.evals``), never through ring
-products.
+refresh layer reads nothing else: ``refresh_certified`` takes a ciphertext,
+and the circuit evaluator passes a shadow it computed.  The shadow is
+refreshable when the lifted dot product against the secret evaluations
+differs from its reduced form by an exact non-negative multiple of p*q;
+refreshable ciphertexts can have their noise rebuilt from scratch without
+decrypting.  The secret key is read only through its evaluations
+(``cipher.evals``), never through ring products.
 
 A shadow that does not check out is re-randomized on the shadow too
 (``make_refreshable``): the evaluation map is a ring homomorphism, so the
@@ -31,6 +31,13 @@ carrier, and the contraction is bilinear, so all of it is one combination
 of a fixed per-key matrix (``EvalKeys.refresh_rows``) with the freshly drawn
 masks and carriers.  The matrix is built on the first refresh with a key,
 and ``EvalKeys`` keeps it for every later one.
+
+A refresh is drawn first (``draw_refresh``: the checks, then the masks and
+carriers) and combined only when something reads its ciphertext
+(``DrawnRefresh.ciphertext``).  Its shadow needs no combination: it is the
+masks' and carriers' evaluations against the rows' shadows
+(``EvalKeys.row_shadows``), so a refreshed wire that only feeds another
+refresh costs no ring product.
 """
 
 from __future__ import annotations
@@ -47,8 +54,8 @@ from .cipher import (
     has_refresh_headroom, level_after, sample_mask, shadow, within_budget,
 )
 from .errors import ParameterError
-from .homo import _product
-from .rings import PackedRows, _int_coeffs, lift
+from .homo import _product, _shadow_product
+from .rings import PackedRows, RingPoly, _int_coeffs, lift
 
 __all__ = [
     "LocatorEntry",
@@ -60,8 +67,11 @@ __all__ = [
     "publicly_refreshable",
     "sample_locator_db",
     "EvalKeys",
+    "DrawnRefresh",
+    "draw_refresh",
     "refresh_ct",
     "make_refreshable",
+    "draw_certified",
     "refresh_certified",
     "secret_refresh_checker",
 ]
@@ -261,6 +271,20 @@ class EvalKeys:
         )
 
     @cached_property
+    def row_shadows(self) -> tuple:
+        """The shadows of ``refresh_rows``' rows, by column: ``n + 1``
+        tuples, column ``j < n`` holding every row's ``v[j]`` and the last
+        every row's ``v'``.  Built on first use from ``PublicKey.shadows``
+        and the refresher ciphertexts' shadows, the product rows through
+        ``homo._shadow_product``; no ring product."""
+        ch = self.channel
+        pk = [(*s.v, s.vprime) for s in self.public.shadows]
+        rho = [(*s.v, s.vprime) for s in (shadow(ch, r) for r in self.refresher.rho)]
+        rows = (*(_shadow_product(self.tensor, ch.q, row, r) for r in rho for row in pk),
+                *pk, *rho)
+        return tuple(zip(*rows))
+
+    @cached_property
     def public_certificates(self) -> dict:
         """``public_certificates`` of the locator database, built on the
         first public check."""
@@ -280,8 +304,35 @@ def _check_shadow(ch: ArithmeticChannel, ps: Pseudociphertext) -> None:
         raise ParameterError(f"shadow: expected residues in [0, {ch.q}) and a level of at least 0")
 
 
-def refresh_ct(keys: EvalKeys, ps: Pseudociphertext, rng: RandomSource) -> Ciphertext:
-    """Rebuild the ciphertext of a refreshable shadow at the fixed
+@dataclass(frozen=True)
+class DrawnRefresh:
+    """A refresh after its draws and before any ring product: the
+    post-refresh ``level``; the ``weights`` of ``EvalKeys.refresh_rows``,
+    the masks in draw order and then the carriers of the vector digits;
+    and ``last``, the scalar digit's carrier, which the scalar part adds."""
+
+    level: int
+    weights: tuple[RingPoly, ...]
+    last: RingPoly
+
+    def shadow(self, keys: EvalKeys) -> Pseudociphertext:
+        """``cipher.shadow`` of ``ciphertext(keys)``, on integers: the
+        weights' evaluations against ``keys.row_shadows``, plus the last
+        carrier's evaluation in the scalar part."""
+        ch = keys.channel
+        w = evals(ch, self.weights)
+        *v, vprime = (sum(map(operator.mul, w, col)) for col in keys.row_shadows)
+        return Pseudociphertext(tuple(x % ch.q for x in v),
+                                (vprime + ch.eval(self.last)) % ch.q, self.level)
+
+    def ciphertext(self, keys: EvalKeys) -> Ciphertext:
+        """The refreshed ciphertext: one combination of the refresh matrix."""
+        *c, cprime = keys.refresh_rows.combine(self.weights)
+        return Ciphertext(tuple(c), cprime + self.last, self.level)
+
+
+def draw_refresh(keys: EvalKeys, ps: Pseudociphertext, rng: RandomSource) -> DrawnRefresh:
+    """The draws of a refresh of a refreshable shadow, at the fixed
     post-refresh level.
 
     Refreshability itself must have been verified (or is asserted) by the
@@ -298,8 +349,13 @@ def refresh_ct(keys: EvalKeys, ps: Pseudociphertext, rng: RandomSource) -> Ciphe
     for v in (*ps.v, ps.vprime):
         masks += sample_mask(ch, rng)
         carriers.append(sample_message_carrier(ch, v % ch.p, rng))
-    *c, cprime = keys.refresh_rows.combine((*masks, *carriers[:-1]))
-    return Ciphertext(tuple(c), cprime + carriers[-1], level)
+    return DrawnRefresh(level, (*masks, *carriers[:-1]), carriers[-1])
+
+
+def refresh_ct(keys: EvalKeys, ps: Pseudociphertext, rng: RandomSource) -> Ciphertext:
+    """Rebuild the ciphertext of a refreshable shadow at the fixed
+    post-refresh level: ``draw_refresh``, then its ciphertext."""
+    return draw_refresh(keys, ps, rng).ciphertext(keys)
 
 
 def secret_refresh_checker(sk, ch: ArithmeticChannel):
@@ -355,12 +411,19 @@ def make_refreshable(ps: Pseudociphertext, checker, pk, ch: ArithmeticChannel,
     return current if checker(current) else None
 
 
-def refresh_certified(keys: EvalKeys, ct: Ciphertext, checker, rng: RandomSource):
-    """``ct``'s shadow re-randomized until ``checker`` certifies it
-    (``make_refreshable``) and then refreshed (``refresh_ct``), or None when
+def draw_certified(keys: EvalKeys, ps: Pseudociphertext, checker, rng: RandomSource):
+    """The shadow ``ps`` re-randomized until ``checker`` certifies it
+    (``make_refreshable``) and then drawn (``draw_refresh``), or None when
     no attempt checks out.  A ``checker`` of None is the public test,
     ``publicly_refreshable`` on ``keys``."""
     if checker is None:
         checker = lambda ps: publicly_refreshable(keys, ps)
-    ready = make_refreshable(shadow(keys.channel, ct), checker, keys.public, keys.channel, rng)
-    return None if ready is None else refresh_ct(keys, ready, rng)
+    ready = make_refreshable(ps, checker, keys.public, keys.channel, rng)
+    return None if ready is None else draw_refresh(keys, ready, rng)
+
+
+def refresh_certified(keys: EvalKeys, ct: Ciphertext, checker, rng: RandomSource):
+    """``draw_certified`` on ``ct``'s shadow, then the refreshed
+    ciphertext, or None when no attempt checks out."""
+    drawn = draw_certified(keys, shadow(keys.channel, ct), checker, rng)
+    return None if drawn is None else drawn.ciphertext(keys)

@@ -34,6 +34,7 @@ import math
 import operator
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import count
 from typing import NamedTuple
 
@@ -617,18 +618,24 @@ class Repartition:
     def n(self) -> int:
         return len(self.assignment)
 
+    @cached_property
+    def _factors(self) -> tuple[int, ...]:
+        """Each slot's factor, ``prime_of`` of every slot, built on first use."""
+        primes = self.primes
+        return tuple(1 if v == 0 else primes[v - 1] for v in self.assignment)
+
     def prime_of(self, i: int) -> int:
         """The factor attached to slot ``i`` (1 for the index 0)."""
-        v = self.assignment[i]
-        return 1 if v == 0 else self.primes[v - 1]
+        return self._factors[i]
 
     def weight(self, i: int, j: int) -> int:
         """The modulus divided by the primes of slots ``i`` and ``j``.
 
-        When both slots carry the same factor it is divided out once only.
+        When both slots carry the same factor it is divided out once only:
+        distinct assignment values name distinct factors.
         """
-        if not (0 <= i < self.n and 0 <= j < self.n):
+        factors = self._factors
+        if not (0 <= i < len(factors) and 0 <= j < len(factors)):
             raise ParameterError(f"slot index out of range: ({i}, {j})")
-        if self.assignment[i] == self.assignment[j]:
-            return self.q // self.prime_of(i)
-        return self.q // (self.prime_of(i) * self.prime_of(j))
+        a, b = factors[i], factors[j]
+        return self.q // (a if a == b else a * b)

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aces
+import aces.circuit as circuit_module
 from aces import serial
 from aces.channel import ArithmeticChannel, RandomSource
 from aces.cipher import (
@@ -31,6 +32,7 @@ from aces.cli import main
 from aces.errors import CircuitError, NoiseBudgetError, ParameterError
 from aces.keygen import keygen
 from aces.refresh import secret_refresh_checker
+from aces.rings import PackedRows
 
 from oracles import dumps, evaluate_reference
 
@@ -223,31 +225,12 @@ def test_a_gate_whose_operands_are_at_or_below_the_post_refresh_level_needs_no_r
     assert decrypt(bundle.secret, ch, outputs["s"]) == 13 % ch.p
 
 
-@given(data=st.data(), seed=st.binary(min_size=1, max_size=8))
-@settings(max_examples=100, deadline=None)
-def test_evaluate_refreshes_as_the_inline_rule_did(desk_bundle, data, seed):
-    """On random add/mul circuits at desk and at p=3, q=5005, with the exact
-    checker, ``evaluate`` gives the outputs, refresh events, levels and
-    refusals of ``oracles.evaluate_reference`` and draws as much randomness."""
-    bundle = desk_bundle if data.draw(st.booleans(), label="desk") else _p3_bundle()
+def _same_as_the_reference(bundle, circuit, levels, seed, policy=None):
+    """Run ``evaluate`` and ``oracles.evaluate_reference`` (with the exact
+    checker) on the key owner's encryptions of random messages at
+    ``levels``: their output bytes, refresh events, levels, refusals and
+    next draw must agree.  Returns them."""
     ch = bundle.channel
-    names = [f"i{k}" for k in range(data.draw(st.integers(1, 3), label="inputs"))]
-    lines = ["in " + " ".join(names)]
-    for g in range(data.draw(st.integers(1, 10), label="gates")):
-        # Operands count back from the newest wire, so chains run deep, and
-        # adds outnumber muls: at p=3 a mul of two wires past level 22 overflows.
-        op, i, j = data.draw(st.tuples(st.sampled_from(["add", "add", "mul"]),
-                                       st.integers(1, len(names)), st.integers(1, len(names))))
-        lines.append(f"g{g} = {op} {names[-i]} {names[-j]}")
-        names.append(f"g{g}")
-    circuit = parse_circuit("\n".join(lines + ["out " + " ".join(names)]))
-    # The key owner encrypts each input at a level drawn from either end of
-    # the budget or where an add of two meets the refresh threshold.
-    budget, post = ch.max_noise_level(), post_refresh_level(ch)
-    a_level = (st.integers(0, budget) | st.integers(0, budget).map(lambda k: budget - k)
-               | st.integers(-1, 1).map(lambda d: (budget - post) // 2 + d))
-    levels = data.draw(st.lists(a_level, min_size=len(circuit.inputs),
-                                max_size=len(circuit.inputs)), label="levels")
     checker = secret_refresh_checker(bundle.secret, ch)
 
     def run(evaluator):
@@ -263,14 +246,117 @@ def test_evaluate_refreshes_as_the_inline_rule_did(desk_bundle, data, seed):
                 *report, rng.below(2**64))
 
     def new(env, rng):
-        policy = RefreshPolicy(checker=checker)
-        outputs, report = evaluate(circuit, env, bundle.eval_keys, policy, rng)
+        outputs, report = evaluate(circuit, env, bundle.eval_keys,
+                                   policy or RefreshPolicy(checker=checker), rng)
         return outputs, report.refresh_events, report.levels
 
     def old(env, rng):
         return evaluate_reference(circuit, env, bundle.eval_keys, checker, rng)
 
-    assert run(new) == run(old)
+    got = run(new)
+    assert got == run(old)
+    return got
+
+
+def _random_gates(data, ch):
+    """A random add/mul circuit over ``ch`` that outputs every wire, or
+    only the last, and levels for its inputs, drawn from either end of the
+    budget or where an add of two meets the refresh threshold."""
+    names = [f"i{k}" for k in range(data.draw(st.integers(1, 3), label="inputs"))]
+    lines = ["in " + " ".join(names)]
+    for g in range(data.draw(st.integers(1, 10), label="gates")):
+        # Operands count back from the newest wire, so chains run deep, and
+        # adds outnumber muls: at p=3 a mul of two wires past level 22 overflows.
+        op, i, j = data.draw(st.tuples(st.sampled_from(["add", "add", "mul"]),
+                                       st.integers(1, len(names)), st.integers(1, len(names))))
+        lines.append(f"g{g} = {op} {names[-i]} {names[-j]}")
+        names.append(f"g{g}")
+    outputs = names if data.draw(st.booleans(), label="every wire out") else names[-1:]
+    circuit = parse_circuit("\n".join(lines + ["out " + " ".join(outputs)]))
+    budget, post = ch.max_noise_level(), post_refresh_level(ch)
+    a_level = (st.integers(0, budget) | st.integers(0, budget).map(lambda k: budget - k)
+               | st.integers(-1, 1).map(lambda d: (budget - post) // 2 + d))
+    levels = data.draw(st.lists(a_level, min_size=len(circuit.inputs),
+                                max_size=len(circuit.inputs)), label="levels")
+    return circuit, levels
+
+
+@given(data=st.data(), seed=st.binary(min_size=1, max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_evaluate_refreshes_as_the_inline_rule_did(desk_bundle, data, seed):
+    """On random add/mul circuits at desk and at p=3, q=5005 that output
+    every wire or only the last, with the exact checker, ``evaluate`` gives
+    the outputs, refresh events, levels and refusals of
+    ``oracles.evaluate_reference`` and draws as much randomness.  With only
+    the last wire read, the wires that feed only refreshes get no
+    polynomials."""
+    bundle = desk_bundle if data.draw(st.booleans(), label="desk") else _p3_bundle()
+    _same_as_the_reference(bundle, *_random_gates(data, bundle.channel), seed)
+
+
+def test_the_power_chain_multiplies_only_the_wire_its_output_reads(desk_bundle, monkeypatch):
+    """The benchmark's 10-gate power chain at desk with the key owner's
+    checker refreshes t3, t5, t7 and t9, and t1 to t9 and the refreshed t3,
+    t5 and t7 feed only refreshes: one ``hom_mul`` (t10, of the refreshed
+    t9 by a) and one combination of the refresh matrix, where the eager
+    loop ran 10 and 4."""
+    ch, keys = desk_bundle.channel, desk_bundle.eval_keys
+    products, combined = [], []
+    hom_mul, combine = circuit_module.hom_mul, PackedRows.combine
+    monkeypatch.setattr(circuit_module, "hom_mul", lambda *a: products.append(a) or hom_mul(*a))
+    monkeypatch.setattr(PackedRows, "combine", lambda rows, w: (
+        combined.append(rows is keys.refresh_rows) or combine(rows, w)))
+    chain = "in a\nt1 = mul a a\n" + "".join(f"t{i} = mul t{i - 1} a\n" for i in range(2, 11))
+    rng = RandomSource(b"power chain")
+    env = {"a": encrypt(desk_bundle.public, ch, 1, rng)}
+    combined.clear()
+    outputs, report = evaluate(parse_circuit(chain + "out t10"), env, keys,
+                               _secret_policy(desk_bundle), rng)
+    assert [wire for wire, _, _ in report.refresh_events] == ["t3", "t5", "t7", "t9"]
+    assert len(products) == 1 and combined == [True]
+    assert decrypt(desk_bundle.secret, ch, outputs["t10"]) == 1
+
+
+@pytest.mark.parametrize("mode, gates", [("off", 1500), ("auto", 3000)])
+def test_a_long_add_chain_evaluates_without_recursion(desk_bundle, mode, gates):
+    """An add chain as long as the budget allows with refresh off (the last
+    wire at level 6004), and twice that with auto refresh, which refreshes
+    t1859 once, evaluates (no ``RecursionError`` from its passes) and
+    equals the reference."""
+    lines = ["in a", "t0 = add a a", *(f"t{i} = add t{i - 1} a" for i in range(1, gates))]
+    circuit = parse_circuit("\n".join(lines + [f"out t{gates - 1}"]))
+    policy = None if mode == "auto" else RefreshPolicy(mode="off")
+    _, events, levels, _ = _same_as_the_reference(desk_bundle, circuit, [4], b"long chain", policy)
+    assert events == ([("t1859", 7444, 60)] if mode == "auto" else [])
+    assert levels[f"t{gates - 1}"] == (4620 if mode == "auto" else 6004)
+
+
+MALFORMED_INPUTS = {
+    "n - 1 vector parts": lambda ct: Ciphertext(ct.c[:-1], ct.cprime, ct.level),
+    "another ring": lambda ct: encrypt(_p3_bundle().public, _p3_bundle().channel, 1,
+                                       RandomSource(b"another ring")),
+}
+
+
+@pytest.mark.parametrize("name", [*MALFORMED_INPUTS, "another channel's tensor"])
+def test_a_malformed_input_is_refused_before_any_draw(desk_bundle, name):
+    """An input with n - 1 vector parts or over another ring, or a tensor of
+    another channel, is refused with ParameterError before the refresh that
+    the first gate would draw (``a`` is at level 7000, so ``mul a a`` is
+    due one)."""
+    ch, keys = desk_bundle.channel, desk_bundle.eval_keys
+    rng = RandomSource(b"malformed input")
+    a = encrypt_with_secret(desk_bundle.secret, desk_bundle.public.repartition, ch, 1, 7000, rng)
+    b = encrypt(desk_bundle.public, ch, 1, rng)
+    if name in MALFORMED_INPUTS:
+        b = MALFORMED_INPUTS[name](b)
+    else:
+        keys = dataclasses.replace(keys, tensor=_p3_bundle().tensor)
+    circuit = parse_circuit("in a b\nt = mul a a\nu = add t b\nout u")
+    rng = RandomSource(b"malformed input/run")
+    with pytest.raises(ParameterError):
+        evaluate(circuit, {"a": a, "b": b}, keys, _secret_policy(desk_bundle), rng)
+    assert rng.below(2**64) == RandomSource(b"malformed input/run").below(2**64)
 
 
 def _random_circuit(rng, n_inputs, n_gates):

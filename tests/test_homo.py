@@ -1,12 +1,22 @@
 """Tests for the homomorphic algebra."""
 
-import pytest
+import math
+import random
+from functools import cache
 
-from aces.channel import sample_message_carrier
-from aces.cipher import decrypt, encrypt, encrypt_with_secret, in_encryption_space
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from aces.channel import ArithmeticChannel, RandomSource, sample_message_carrier
+from aces.cipher import (
+    Ciphertext, decrypt, encrypt, encrypt_with_secret, in_encryption_space, shadow,
+)
 from aces.errors import NoiseBudgetError, ParameterError
-from aces.homo import _product, hom_add, hom_mul, scalar_product, tensor_contract
-from aces.keygen import ProductTensor
+from aces.homo import (
+    _product, hom_add, hom_mul, scalar_product, shadow_add, shadow_mul, tensor_contract,
+)
+from aces.keygen import ProductTensor, keygen
 from aces.rings import Ring, lift
 
 from oracles import planes, poly_vector_dot, rank_one
@@ -342,3 +352,57 @@ def test_product_refuses_an_operand_of_another_ring(desk_bundle, rng, side):
     bad = (*ct.c[:-1], Ring(ch.q, (-1, 0, 1)).poly([1]), ct.cprime)
     with pytest.raises(ParameterError, match="different rings"):
         _product(desk_bundle.tensor, *((bad, good) if side == "first" else (good, bad)))
+
+
+# (p, q, degree, n, N) of desk, of p = 3 with q = 5005, of mid and of large.
+SHADOW_CHANNELS = {
+    "desk": (2, 15015, 4, 3, 2),
+    "p3": (3, 5005, 4, 3, 2),
+    "mid": (2, math.prod((3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)), 16, 6, 4),
+    "large": (3, math.prod((5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)), 64, 10, 8),
+}
+
+
+@cache
+def _shadow_bundle(name, key):
+    p, q, degree, n, big_n = SHADOW_CHANNELS[name]
+    ch = ArithmeticChannel(p=p, q=q, omega=1, u=(-1,) + (0,) * (degree - 1) + (1,),
+                           n=n, big_n=big_n, k0=1).require_valid()
+    return keygen(ch, RandomSource(f"shadow/{name}/{key}".encode()))
+
+
+@pytest.mark.parametrize("name", list(SHADOW_CHANNELS))
+@given(data=st.data())
+@settings(max_examples=12, deadline=None)
+def test_shadow_arithmetic_is_the_image_of_hom_add_and_hom_mul(name, data):
+    """On three keys per channel, ``shadow_add`` and ``shadow_mul`` of two
+    shadows are the shadows of ``hom_add`` and ``hom_mul`` of the
+    ciphertexts, for distinct operands and for a square, on canonical or
+    all-(q-1) polynomials at any level; past the budget both refuse alike."""
+    bundle = _shadow_bundle(name, data.draw(st.integers(0, 2), label="key"))
+    ch, lam = bundle.channel, bundle.tensor
+    level = st.integers(0, 60) | st.integers(0, ch.max_noise_level())
+
+    def operand(label):
+        if data.draw(st.booleans(), label=f"{label} all q-1"):
+            coeffs = [[ch.q - 1] * ch.degree] * (ch.n + 1)
+        else:
+            rnd = random.Random(data.draw(st.integers(0, 2**32 - 1), label=f"{label} seed"))
+            coeffs = [[rnd.randrange(ch.q) for _ in range(ch.degree)] for _ in range(ch.n + 1)]
+        *c, cprime = (ch.ring.poly(x) for x in coeffs)
+        return Ciphertext(tuple(c), cprime, data.draw(level, label=f"{label} level"))
+
+    a = operand("a")
+    b = a if data.draw(st.booleans(), label="square") else operand("b")
+    sa, sb = shadow(ch, a), shadow(ch, b)
+    for hom, image in ((lambda: hom_add(ch, a, b), lambda: shadow_add(ch, sa, sb)),
+                       (lambda: hom_mul(ch, lam, a, b), lambda: shadow_mul(ch, lam, sa, sb))):
+        try:
+            want = shadow(ch, hom())
+        except NoiseBudgetError as exc:
+            want = str(exc)
+        try:
+            got = image()
+        except NoiseBudgetError as exc:
+            got = str(exc)
+        assert got == want

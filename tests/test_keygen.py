@@ -1,5 +1,6 @@
 """Tests for key generation invariants."""
 
+import dataclasses
 import math
 
 import pytest
@@ -10,7 +11,7 @@ from aces import rings
 from aces.channel import ArithmeticChannel, RandomSource, in_noise_space
 from aces.cipher import REFRESHER_LEVEL, decrypt, in_encryption_space
 from aces.errors import GenerationError, ParameterError
-from aces.keygen import _bezout, gen_secret, keygen, owns
+from aces.keygen import KeyBundle, _bezout, gen_secret, keygen, owns
 from aces.rings import Repartition, lift
 from aces.serial import public_to_dict, secret_to_dict
 
@@ -247,3 +248,25 @@ def test_a_refused_factorization_is_not_kept(monkeypatch):
             rings.prime_factors(1)
     assert rings._PRIMES == {}
     assert rings.prime_factors(15) == (3, 5)
+
+
+@pytest.mark.parametrize("part", ["refresher repartition", "refresher channel", "public channel"])
+def test_a_bundle_whose_parts_disagree_is_refused(desk_bundle, part):
+    """The public key and the refresher expand their seeds over the bundle's
+    channel and one repartition, so a hand-built bundle whose refresher has
+    another repartition, or whose parts hold another channel object, is
+    refused on construction; the bundle's own parts are accepted."""
+    b = desk_bundle
+    other = dataclasses.replace(b.channel)
+    public, refresher = b.public, b.refresher
+    if part == "refresher repartition":
+        rep = public.repartition
+        moved = tuple((v + 1) % (len(rep.primes) + 1) for v in rep.assignment)
+        refresher = dataclasses.replace(refresher, repartition=Repartition(rep.q, moved))
+    elif part == "refresher channel":
+        refresher = dataclasses.replace(refresher, channel=other)
+    else:
+        public = dataclasses.replace(public, channel=other)
+    with pytest.raises(ParameterError, match="key parts disagree"):
+        KeyBundle(b.channel, b.secret, public, b.tensor, refresher, b.locators)
+    assert KeyBundle(b.channel, b.secret, b.public, b.tensor, b.refresher, b.locators) == b

@@ -21,6 +21,7 @@ from aces.keygen import ProductTensor, PublicKey, Refresher, SecretKey, keygen
 from aces.refresh import (
     EvalKeys,
     director_index,
+    draw_refresh,
     locator_index,
     make_refreshable,
     margin,
@@ -780,4 +781,6 @@ def _check_against_reference(ch, data):
     want = refresh_reference(keys, ct, RandomSource(seed))
     assert (got.c, got.cprime) == (want.c, want.cprime)
     assert got.level == post_refresh_level(ch)
+    # The drawn refresh's integer shadow is the shadow of its ciphertext.
+    assert draw_refresh(keys, shadow(ch, ct), RandomSource(seed)).shadow(keys) == shadow(ch, got)
     return keys
