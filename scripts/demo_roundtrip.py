@@ -29,7 +29,7 @@ def main():
     # The refresh reads only the product's integer shadow: re-randomize it
     # until the key owner's check passes, then rebuild it at a fixed level.
     checker = secret_refresh_checker(bundle.secret, ch)
-    ready = make_refreshable(shadow(ch, product), checker, bundle.public, ch, rng)
+    ready = make_refreshable(shadow(ch, product), checker, bundle.public, rng)
     fresh = refresh_ct(bundle.eval_keys, ready, rng)
     print(f"\nrefreshed the product: level {product.level} -> {fresh.level}, "
           f"still decrypts to {decrypt(bundle.secret, ch, fresh)}")

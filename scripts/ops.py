@@ -8,7 +8,8 @@ of 11 outputs at the layouts of ``hom_mul``'s last pass and of its first
 pass, ``Ring.layout(n*n*(q-1))`` (between them every slot width the
 benchmark's workloads read), ``Layout.pack`` of the ``2n + 3`` operands of
 ``hom_mul``'s last pass (two ciphertexts and one layer's sum) at its layout,
-``PackedRows.combine`` (the public-key rows by a mask),
+``PackedRows.combine`` (the public-key rows by N drawn polynomials, the
+shape of a mask),
 ``encrypt``, ``decrypt``, ``hom_mul`` of two ciphertexts and of one by
 itself, ``public_from_dict`` of the public file alone and followed by one
 ``hom_mul`` with the loaded tensor (what each ``aces eval`` process pays
@@ -44,10 +45,8 @@ alternates which goes first; the file then holds both, ``ratio``, the
 median of the per-round ratios (one round's median for this checkout over
 the same round's median for the base), and ``ratio_range``, the least and
 the greatest of them.  A row whose range straddles 1 is unresolved: its
-rounds disagree on which tree is faster.  A base whose ``Ring`` has no
-``layout`` (``Ring.width``, ``Ring.pack`` and ``Ring.unpack`` taking the
-layout tuple) is timed through those, so the rows compare.  The script is
-not part of the test suite.
+rounds disagree on which tree is faster.  The script is not part of the
+test suite.
 """
 
 from __future__ import annotations
@@ -90,29 +89,20 @@ def _operations(channel, work: Path):
     a, b = encrypt(bundle.public, ch, 1, rng), encrypt(bundle.public, ch, 0, rng)
     x, y = ch.random_poly(rng), ch.random_poly(rng)
     long = x.coeffs + y.coeffs[1:]
-    mask = sample_mask(ch, rng)
+    mask = [ch.random_poly(rng) for _ in range(ch.big_n)]
     product, owner = hom_mul(ch, bundle.tensor, a, b), secret_refresh_checker(bundle.secret, ch)
     chain = parse_circuit(WORKLOADS["chain-desk"].circuit.text())
     policy = RefreshPolicy(checker=owner)
     bundle.eval_keys.refresh_rows  # built once per key, before timing
 
-    def codec(terms):
-        """The ``pack`` and ``unpack`` of the layout for ``terms``, also in a
-        tree from before ``Ring.layout``, whose ``Ring`` methods take it."""
-        if hasattr(ring, "layout"):
-            layout = ring.layout(terms)
-            return layout.pack, layout.unpack
-        layout = ring.width(terms)
-        return lambda polys: ring.pack(polys, layout), lambda sums: ring.unpack(sums, layout)
-
-    last, pack_last = (*a.c, a.cprime, *b.c, b.cprime, x), codec(3)[0]
+    last, pack_last = (*a.c, a.cprime, *b.c, b.cprime, x), ring.layout(3).pack
 
     def unpack(terms):
         """``Layout.unpack`` of OUTPUTS products at the layout for ``terms``."""
-        pack, unpack = codec(terms)
-        packed = pack([ch.random_poly(rng) for _ in range(2 * OUTPUTS)])
+        layout = ring.layout(terms)
+        packed = layout.pack([ch.random_poly(rng) for _ in range(2 * OUTPUTS)])
         sums = [[s * t for s, t in zip(p[:OUTPUTS], p[OUTPUTS:])] for p in packed]
-        return lambda: unpack(sums)
+        return lambda: layout.unpack(sums)
 
     public = json.loads(json.dumps(serial.public_to_dict(bundle)))
     loaded = serial.public_from_dict(ch, public)

@@ -111,11 +111,16 @@ def fresh_level(ch: ArithmeticChannel) -> int:
     return ch.big_n * ch.p * ch.k0
 
 
-def sample_mask(ch: ArithmeticChannel, rng: RandomSource) -> tuple[RingPoly, ...]:
-    """The encryptor's garbling vector: N carriers with evaluations in [0, p]."""
-    return tuple(
-        sample_message_carrier(ch, rng.between(0, ch.p), rng) for _ in range(ch.big_n)
-    )
+def sample_mask(ch: ArithmeticChannel,
+                rng: RandomSource) -> tuple[tuple[int, ...], tuple[RingPoly, ...]]:
+    """The encryptor's garbling vector: N values drawn from [0, p], each
+    followed by a carrier evaluating to it.  Returns the values, which are
+    the carriers' evaluations, and the carriers."""
+    values, carriers = [], []
+    for _ in range(ch.big_n):
+        values.append(rng.between(0, ch.p))
+        carriers.append(sample_message_carrier(ch, values[-1], rng))
+    return tuple(values), tuple(carriers)
 
 
 def encrypt(pk, ch: ArithmeticChannel, m: int, rng: RandomSource) -> Ciphertext:
@@ -128,7 +133,7 @@ def encrypt(pk, ch: ArithmeticChannel, m: int, rng: RandomSource) -> Ciphertext:
     """
     if not 0 <= m < ch.p:
         raise ParameterError(f"message {m} is not a residue mod p={ch.p}")
-    b = sample_mask(ch, rng)
+    _, b = sample_mask(ch, rng)
     *c, masked = pk.rows.combine(b)
     carrier = sample_message_carrier(ch, m, rng)
     return Ciphertext(tuple(c), carrier + masked, fresh_level(ch))

@@ -16,10 +16,11 @@ report.
 
 A refresh reads only its operand's integer shadow (``cipher.shadow``), and
 the shadow of a sum or product is integer arithmetic on its operands'
-shadows (``homo.shadow_add``, ``homo.shadow_mul``).  So the evaluator
-records each gate and each refresh as a node, checks levels and draws
-refreshes at the gate, and computes polynomials only for the nodes that a
-circuit output reads; a wire that feeds only refreshes never gets them.
+shadows (``homo._shadow_op``, at the level the gate already has).  So the
+evaluator records each gate and each refresh as a node, checks levels and
+draws refreshes at the gate, and computes polynomials only for the nodes
+that a circuit output reads; a wire that feeds only refreshes never gets
+them.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .channel import RandomSource
-from .cipher import Ciphertext, post_refresh_level, refresh_due, shadow
+from .cipher import Ciphertext, Pseudociphertext, post_refresh_level, refresh_due, shadow
 from .errors import CircuitError, NoiseBudgetError, ParameterError
-from .homo import _output_level, hom_add, hom_mul, shadow_add, shadow_mul
+from .homo import _output_level, _shadow_op, hom_add, hom_mul
 from .refresh import EvalKeys, draw_certified
 
 __all__ = [
@@ -200,16 +201,16 @@ def evaluate(
         levels.append(ct.level)
 
     def shadow_of(i: int):
-        for node in nodes[len(shadows):i + 1]:
-            op = node[0]
+        for j in range(len(shadows), i + 1):
+            op, *args = nodes[j]
             if op is None:
-                shadows.append(shadow(ch, node[1]))
+                shadows.append(shadow(ch, args[0]))
             elif op == "refresh":
-                shadows.append(node[1].shadow(keys))
-            elif op == "add":
-                shadows.append(shadow_add(ch, shadows[node[1]], shadows[node[2]]))
+                shadows.append(args[0].shadow(keys))
             else:
-                shadows.append(shadow_mul(ch, keys.tensor, shadows[node[1]], shadows[node[2]]))
+                a, b = (shadows[k] for k in args)
+                *v, vprime = _shadow_op(op, keys.tensor, ch.q, (*a.v, a.vprime), (*b.v, b.vprime))
+                shadows.append(Pseudociphertext(tuple(v), vprime, levels[j]))
         return shadows[i]
 
     for gate in circuit.gates:

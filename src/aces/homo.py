@@ -13,19 +13,21 @@ bookkeeping follows the exact closed forms, never looser bounds.
 
 The channel's evaluation map is a ring homomorphism onto Z_q, so the
 integer shadow (``cipher.shadow``) of a sum or a product is integer
-arithmetic on the shadows of its operands: ``shadow_add`` and
-``shadow_mul`` give the shadows of ``hom_add`` and ``hom_mul`` without a
-ring product.
+arithmetic on the shadows of its operands: ``_shadow_op`` is that image,
+the shadow of ``hom_add`` or ``hom_mul`` without a ring product.  It
+carries no level and checks nothing; its callers (the evaluator, at a gate
+whose level and operands it has already checked, and
+``EvalKeys.row_shadows``) own both.
 """
 
 from __future__ import annotations
 
 import operator
 
-from .cipher import Ciphertext, Pseudociphertext, level_after
+from .cipher import Ciphertext, level_after
 from .errors import NoiseBudgetError, ParameterError
 
-__all__ = ["tensor_contract", "hom_add", "hom_mul", "shadow_add", "shadow_mul", "scalar_product"]
+__all__ = ["tensor_contract", "hom_add", "hom_mul", "scalar_product"]
 
 
 def tensor_contract(lam, v1: tuple, v2: tuple) -> tuple:
@@ -83,12 +85,15 @@ def _product(lam, v1: tuple, v2: tuple) -> tuple:
     return ring.layout(2 + len(layers)).run((*v1, *sums) if square else (*v1, *v2, *sums), fold)
 
 
-def _shadow_product(lam, q: int, v1: tuple, v2: tuple) -> tuple:
-    """``_product`` pushed through the evaluation map: the shadow
-    ``(v_0..v_{n-1}, v')`` of the product of two ciphertexts given by their
-    shadows in that form.  With ``v = -eval(c)``, ``v_k = v1'*v2_k +
-    v2'*v1_k + sum_s alpha_s[k] * (v1^T beta_s v2)`` and ``v' = v1'*v2'``,
-    all mod q; the caller matches the lengths to the tensor's n."""
+def _shadow_op(op: str, lam, q: int, v1: tuple, v2: tuple) -> tuple:
+    """The image of ``op`` under the evaluation map: the shadow ``(v_0..v_{n-1},
+    v')`` of the sum or the product of two ciphertexts given by their shadows
+    in that form.  A sum is componentwise; a product is ``_product`` pushed
+    through the map, with ``v = -eval(c)``, ``v_k = v1'*v2_k + v2'*v1_k +
+    sum_s alpha_s[k] * (v1^T beta_s v2)`` and ``v' = v1'*v2'``; all mod q.
+    The caller matches the lengths to the tensor's n."""
+    if op == "add":
+        return tuple((a + b) % q for a, b in zip(v1, v2))
     *a, a_scalar = v1
     *b, b_scalar = v2
     forms = [sum(map(operator.mul, a, [sum(map(operator.mul, row, b)) for row in beta]))
@@ -131,29 +136,6 @@ def hom_mul(ch, lam, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
     v2 = v1 if ct2 is ct1 else (*ct2.c, ct2.cprime)
     *c, cprime = _product(lam, v1, v2)
     return Ciphertext(tuple(c), cprime, level)
-
-
-def shadow_add(ch, ps1: Pseudociphertext, ps2: Pseudociphertext) -> Pseudociphertext:
-    """The shadow of ``hom_add`` of two ciphertexts, from their shadows,
-    refused as ``hom_add`` refuses the ciphertexts."""
-    _same_length(ps1.v, ps2.v)
-    level = _output_level(ch, "add", ps1.level, ps2.level)
-    q = ch.q
-    return Pseudociphertext(tuple((a + b) % q for a, b in zip(ps1.v, ps2.v)),
-                            (ps1.vprime + ps2.vprime) % q, level)
-
-
-def shadow_mul(ch, lam, ps1: Pseudociphertext, ps2: Pseudociphertext) -> Pseudociphertext:
-    """The shadow of ``hom_mul`` of two ciphertexts, from their shadows
-    (``_shadow_product``), refused as ``hom_mul`` refuses the ciphertexts."""
-    _same_length(ps1.v, ps2.v)
-    level = _output_level(ch, "mul", ps1.level, ps2.level)
-    if len(ps1.v) != len(lam.layers[0][0]):
-        raise ParameterError("vector length does not match tensor dimension")
-    if lam.q != ch.q:
-        raise ParameterError(f"tensor modulus {lam.q} is not the ring's q = {ch.q}")
-    *v, vprime = _shadow_product(lam, ch.q, (*ps1.v, ps1.vprime), (*ps2.v, ps2.vprime))
-    return Pseudociphertext(tuple(v), vprime, level)
 
 
 def scalar_product(ch, lam, gamma: tuple, rho: tuple) -> Ciphertext:

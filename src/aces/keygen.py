@@ -97,13 +97,16 @@ class PublicKey:
 
     @cached_property
     def shadows(self) -> tuple:
-        """The integer shadow (``cipher.shadow``) of each row ``(f0[r],
-        fprime[r])``, an encryption of zero at level k0, built on first use
-        for ``refresh.make_refreshable``; an encryption of zero with the mask
-        ``b`` has the shadow ``sum_r eval(b[r]) * shadows[r]``."""
+        """The integer shadows (``cipher.shadow``) of the rows ``(f0[r],
+        fprime[r])``, each an encryption of zero at level k0, by column:
+        ``n + 1`` tuples, column ``j < n`` holding every row's ``v[j]`` and
+        the last every row's ``v'``.  Built on first use for
+        ``refresh.make_refreshable``: an encryption of zero with the mask
+        ``b`` has the shadow entry ``sum_r eval(b[r]) * shadows[j][r]``."""
         ch = self.channel
-        return tuple(shadow(ch, Ciphertext(row, masked, ch.k0))
-                     for row, masked in zip(self.f0, self.fprime))
+        rows = (shadow(ch, Ciphertext(row, masked, ch.k0))
+                for row, masked in zip(self.f0, self.fprime))
+        return tuple(zip(*((*s.v, s.vprime) for s in rows)))
 
 
 @dataclass(frozen=True)

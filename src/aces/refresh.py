@@ -13,8 +13,9 @@ decrypting.  The secret key is read only through its evaluations
 A shadow that does not check out is re-randomized on the shadow too
 (``make_refreshable``): the evaluation map is a ring homomorphism, so the
 shadow of an encryption of zero is a combination of the public key's row
-shadows (``PublicKey.shadows``) weighted by the evaluations of its mask.
-An attempt draws what ``encrypt`` draws and multiplies no polynomials.
+shadows (``PublicKey.shadows``) weighted by the evaluations of its mask,
+which are the values ``cipher.sample_mask`` drew.  An attempt draws what
+``encrypt`` draws and neither multiplies nor evaluates a polynomial.
 
 Two test routes exist.  With the secret key the defining identity is checked
 exactly, and a sufficient margin condition gives a cheaper certificate.
@@ -35,9 +36,10 @@ and ``EvalKeys`` keeps it for every later one.
 A refresh is drawn first (``draw_refresh``: the checks, then the masks and
 carriers) and combined only when something reads its ciphertext
 (``DrawnRefresh.ciphertext``).  Its shadow needs no combination: it is the
-masks' and carriers' evaluations against the rows' shadows
-(``EvalKeys.row_shadows``), so a refreshed wire that only feeds another
-refresh costs no ring product.
+masks' and carriers' evaluations, kept as drawn (the masks' values and the
+digits), against the rows' shadows (``EvalKeys.row_shadows``), so a
+refreshed wire that only feeds another refresh costs no ring product and no
+evaluation.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from .cipher import (
     has_refresh_headroom, level_after, sample_mask, shadow, within_budget,
 )
 from .errors import ParameterError
-from .homo import _product, _shadow_product
+from .homo import _product, _shadow_op
 from .rings import PackedRows, RingPoly, _int_coeffs, lift
 
 __all__ = [
@@ -276,11 +278,11 @@ class EvalKeys:
         tuples, column ``j < n`` holding every row's ``v[j]`` and the last
         every row's ``v'``.  Built on first use from ``PublicKey.shadows``
         and the refresher ciphertexts' shadows, the product rows through
-        ``homo._shadow_product``; no ring product."""
+        ``homo._shadow_op``; no ring product."""
         ch = self.channel
-        pk = [(*s.v, s.vprime) for s in self.public.shadows]
+        pk = list(zip(*self.public.shadows))
         rho = [(*s.v, s.vprime) for s in (shadow(ch, r) for r in self.refresher.rho)]
-        rows = (*(_shadow_product(self.tensor, ch.q, row, r) for r in rho for row in pk),
+        rows = (*(_shadow_op("mul", self.tensor, ch.q, row, r) for r in rho for row in pk),
                 *pk, *rho)
         return tuple(zip(*rows))
 
@@ -309,21 +311,23 @@ class DrawnRefresh:
     """A refresh after its draws and before any ring product: the
     post-refresh ``level``; the ``weights`` of ``EvalKeys.refresh_rows``,
     the masks in draw order and then the carriers of the vector digits;
-    and ``last``, the scalar digit's carrier, which the scalar part adds."""
+    ``last``, the scalar digit's carrier, which the scalar part adds; and
+    ``values``, the evaluations of the weights and then of ``last``, as
+    drawn: the masks' values, then the digits."""
 
     level: int
     weights: tuple[RingPoly, ...]
     last: RingPoly
+    values: tuple[int, ...]
 
     def shadow(self, keys: EvalKeys) -> Pseudociphertext:
         """``cipher.shadow`` of ``ciphertext(keys)``, on integers: the
-        weights' evaluations against ``keys.row_shadows``, plus the last
-        carrier's evaluation in the scalar part."""
-        ch = keys.channel
-        w = evals(ch, self.weights)
+        weights' values against ``keys.row_shadows``, plus the last
+        carrier's value in the scalar part."""
+        q = keys.channel.q
+        *w, last = self.values
         *v, vprime = (sum(map(operator.mul, w, col)) for col in keys.row_shadows)
-        return Pseudociphertext(tuple(x % ch.q for x in v),
-                                (vprime + ch.eval(self.last)) % ch.q, self.level)
+        return Pseudociphertext(tuple(x % q for x in v), (vprime + last) % q, self.level)
 
     def ciphertext(self, keys: EvalKeys) -> Ciphertext:
         """The refreshed ciphertext: one combination of the refresh matrix."""
@@ -345,11 +349,14 @@ def draw_refresh(keys: EvalKeys, ps: Pseudociphertext, rng: RandomSource) -> Dra
     ch = keys.channel
     _check_shadow(ch, ps)
     level = checked_refresh_level(ch, ps.level)
-    masks, carriers = [], []
-    for v in (*ps.v, ps.vprime):
-        masks += sample_mask(ch, rng)
-        carriers.append(sample_message_carrier(ch, v % ch.p, rng))
-    return DrawnRefresh(level, (*masks, *carriers[:-1]), carriers[-1])
+    digits = [v % ch.p for v in (*ps.v, ps.vprime)]
+    values, masks, carriers = [], [], []
+    for digit in digits:
+        drawn, mask = sample_mask(ch, rng)
+        values += drawn
+        masks += mask
+        carriers.append(sample_message_carrier(ch, digit, rng))
+    return DrawnRefresh(level, (*masks, *carriers[:-1]), carriers[-1], (*values, *digits))
 
 
 def refresh_ct(keys: EvalKeys, ps: Pseudociphertext, rng: RandomSource) -> Ciphertext:
@@ -369,43 +376,41 @@ def secret_refresh_checker(sk, ch: ArithmeticChannel):
     return lambda ps: within_budget(ch, ps.level) and _index(ch, secret, ps) is not None
 
 
-def _plus_zero(ps: Pseudociphertext, pk, ch: ArithmeticChannel, rng: RandomSource):
+def _plus_zero(ps: Pseudociphertext, pk, rng: RandomSource):
     """``ps`` plus the shadow of the encryption of zero that ``encrypt(pk,
-    ch, 0, rng)`` would draw: a mask ``b``, then a carrier of 0, which
-    evaluates to 0, so the shadow is ``sum_r eval(b[r]) * pk.shadows[r]``
-    mod q.  None when the sum's level passes the budget, decided after the
-    draws, as ``hom_add`` refuses the sum of the encryption."""
-    mask = evals(ch, sample_mask(ch, rng))
+    pk.channel, 0, rng)`` would draw: a mask ``b``, then a carrier of 0,
+    which evaluates to 0, so shadow entry ``j`` is ``sum_r eval(b[r]) *
+    pk.shadows[j][r]`` mod q, each ``eval(b[r])`` being the value
+    ``sample_mask`` drew.  None when the sum's level passes the budget,
+    decided after the draws, as ``hom_add`` refuses the sum of the
+    encryption."""
+    ch = pk.channel
+    mask, _ = sample_mask(ch, rng)
     sample_message_carrier(ch, 0, rng)
     level = level_after("add", ps.level, fresh_level(ch), ch)
     if level is None:
         return None
-    q, rows = ch.q, pk.shadows
-
-    def plus(x, parts):
-        return (x + sum(map(operator.mul, mask, parts))) % q
-
-    v = tuple(map(plus, ps.v, zip(*(row.v for row in rows))))
-    return Pseudociphertext(v, plus(ps.vprime, [row.vprime for row in rows]), level)
+    *v, vprime = ((x + sum(map(operator.mul, mask, col))) % ch.q
+                  for x, col in zip((*ps.v, ps.vprime), pk.shadows))
+    return Pseudociphertext(tuple(v), vprime, level)
 
 
-def make_refreshable(ps: Pseudociphertext, checker, pk, ch: ArithmeticChannel,
-                     rng: RandomSource):
+def make_refreshable(ps: Pseudociphertext, checker, pk, rng: RandomSource):
     """Re-randomize a shadow with encryptions of zero until it checks out.
 
     ``checker`` is any refreshability predicate on a shadow (the
     secret-side exact test or the public database test).  Returns the
     refreshable shadow, or None once ``REFRESH_ATTEMPTS`` checks have
     failed or further randomization would overflow.  Each attempt adds the
-    shadow of one encryption of zero (``_plus_zero``), one fresh level step,
-    and none follows the last check.
+    shadow of one encryption of zero under ``pk`` (``_plus_zero``), one
+    fresh level step of ``pk.channel``, and none follows the last check.
     """
-    _check_shadow(ch, ps)
+    _check_shadow(pk.channel, ps)
     current = ps
     for _ in range(REFRESH_ATTEMPTS - 1):
         if checker(current):
             return current
-        current = _plus_zero(current, pk, ch, rng)
+        current = _plus_zero(current, pk, rng)
         if current is None:
             return None
     return current if checker(current) else None
@@ -418,7 +423,7 @@ def draw_certified(keys: EvalKeys, ps: Pseudociphertext, checker, rng: RandomSou
     ``publicly_refreshable`` on ``keys``."""
     if checker is None:
         checker = lambda ps: publicly_refreshable(keys, ps)
-    ready = make_refreshable(ps, checker, keys.public, keys.channel, rng)
+    ready = make_refreshable(ps, checker, keys.public, rng)
     return None if ready is None else draw_refresh(keys, ready, rng)
 
 

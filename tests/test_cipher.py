@@ -40,9 +40,14 @@ def test_encrypt_rejects_out_of_range_messages(desk_bundle, rng):
 
 
 def test_mask_evaluations_are_bounded(desk_channel, rng):
+    """``sample_mask`` returns N values in [0, p], each the evaluation of
+    the carrier returned with it."""
+    ch = desk_channel
     for _ in range(200):
-        for b in sample_mask(desk_channel, rng):
-            assert lift(desk_channel.q, desk_channel.eval(b)) <= desk_channel.p
+        values, carriers = sample_mask(ch, rng)
+        assert len(values) == len(carriers) == ch.big_n
+        assert values == tuple(ch.eval(b) for b in carriers)
+        assert all(0 <= v <= ch.p for v in values)
 
 
 def test_ciphertext_vector_divisibility(desk_bundle, rng):

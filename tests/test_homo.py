@@ -13,9 +13,7 @@ from aces.cipher import (
     Ciphertext, decrypt, encrypt, encrypt_with_secret, in_encryption_space, shadow,
 )
 from aces.errors import NoiseBudgetError, ParameterError
-from aces.homo import (
-    _product, hom_add, hom_mul, scalar_product, shadow_add, shadow_mul, tensor_contract,
-)
+from aces.homo import _product, _shadow_op, hom_add, hom_mul, scalar_product, tensor_contract
 from aces.keygen import ProductTensor, keygen
 from aces.rings import Ring, lift
 
@@ -375,13 +373,13 @@ def _shadow_bundle(name, key):
 @given(data=st.data())
 @settings(max_examples=12, deadline=None)
 def test_shadow_arithmetic_is_the_image_of_hom_add_and_hom_mul(name, data):
-    """On three keys per channel, ``shadow_add`` and ``shadow_mul`` of two
-    shadows are the shadows of ``hom_add`` and ``hom_mul`` of the
-    ciphertexts, for distinct operands and for a square, on canonical or
-    all-(q-1) polynomials at any level; past the budget both refuse alike."""
+    """On three keys per channel, ``_shadow_op`` of two shadows is the
+    shadow of ``hom_add`` and of ``hom_mul`` of the ciphertexts, for
+    distinct operands and for a square, on canonical or all-(q-1)
+    polynomials.  The image carries no level and refuses nothing: the
+    evaluator's refusals are checked against ``oracles.evaluate_reference``."""
     bundle = _shadow_bundle(name, data.draw(st.integers(0, 2), label="key"))
     ch, lam = bundle.channel, bundle.tensor
-    level = st.integers(0, 60) | st.integers(0, ch.max_noise_level())
 
     def operand(label):
         if data.draw(st.booleans(), label=f"{label} all q-1"):
@@ -390,19 +388,12 @@ def test_shadow_arithmetic_is_the_image_of_hom_add_and_hom_mul(name, data):
             rnd = random.Random(data.draw(st.integers(0, 2**32 - 1), label=f"{label} seed"))
             coeffs = [[rnd.randrange(ch.q) for _ in range(ch.degree)] for _ in range(ch.n + 1)]
         *c, cprime = (ch.ring.poly(x) for x in coeffs)
-        return Ciphertext(tuple(c), cprime, data.draw(level, label=f"{label} level"))
+        return Ciphertext(tuple(c), cprime, 0)
 
     a = operand("a")
     b = a if data.draw(st.booleans(), label="square") else operand("b")
     sa, sb = shadow(ch, a), shadow(ch, b)
-    for hom, image in ((lambda: hom_add(ch, a, b), lambda: shadow_add(ch, sa, sb)),
-                       (lambda: hom_mul(ch, lam, a, b), lambda: shadow_mul(ch, lam, sa, sb))):
-        try:
-            want = shadow(ch, hom())
-        except NoiseBudgetError as exc:
-            want = str(exc)
-        try:
-            got = image()
-        except NoiseBudgetError as exc:
-            got = str(exc)
-        assert got == want
+    for op, out in (("add", hom_add(ch, a, b)), ("mul", hom_mul(ch, lam, a, b))):
+        want = shadow(ch, out)
+        got = _shadow_op(op, lam, ch.q, (*sa.v, sa.vprime), (*sb.v, sb.vprime))
+        assert got == (*want.v, want.vprime)

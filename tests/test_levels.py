@@ -68,7 +68,7 @@ def test_emitted_levels_stay_within_the_budget(name, messages, ops, seed):
             elif op == "mul":
                 ct, m = hom_mul(ch, bundle.tensor, a, b), (ma * mb) % ch.p
             else:
-                ready = make_refreshable(shadow(ch, a), checker, pk, ch, rng)
+                ready = make_refreshable(shadow(ch, a), checker, pk, rng)
                 if ready is None:
                     continue
                 ct, m = refresh_ct(bundle.eval_keys, ready, rng), ma

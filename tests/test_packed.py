@@ -462,7 +462,7 @@ def test_every_desk_kernel_runs_on_one_point(layouts):
     a = encrypt(bundle.public, ch, 1, rng)
     b = hom_mul(ch, bundle.tensor, a, a)
     checker = secret_refresh_checker(bundle.secret, ch)
-    ready = make_refreshable(shadow(ch, b), checker, bundle.public, ch, rng)
+    ready = make_refreshable(shadow(ch, b), checker, bundle.public, rng)
     fresh = refresh_ct(bundle.eval_keys, ready, rng)
     assert decrypt(bundle.secret, ch, fresh) == 1
     assert (a.c[0] * a.c[1]).ring is ch.ring
@@ -478,7 +478,7 @@ def test_every_mid_kernel_runs_on_one_point(layouts):
     a = encrypt(bundle.public, ch, 1, rng)
     b = hom_mul(ch, bundle.tensor, a, a)
     checker = secret_refresh_checker(bundle.secret, ch)
-    ready = make_refreshable(shadow(ch, b), checker, bundle.public, ch, rng)
+    ready = make_refreshable(shadow(ch, b), checker, bundle.public, rng)
     fresh = refresh_ct(bundle.eval_keys, ready, rng)
     assert decrypt(bundle.secret, ch, fresh) == 1
     assert (a.c[0] * a.c[1]).ring is ch.ring

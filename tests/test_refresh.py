@@ -370,7 +370,7 @@ def test_refresh_level_is_input_independent(desk_bundle, rng):
     once = refresh_ct(desk_bundle.eval_keys, ps, rng)
     ready = make_refreshable(
         shadow(ch, once), lambda c: margin_test(desk_bundle.secret, ch, c),
-        desk_bundle.public, ch, rng,
+        desk_bundle.public, rng,
     )
     twice = refresh_ct(desk_bundle.eval_keys, ready, rng)
     assert once.level == twice.level == 60
@@ -391,7 +391,7 @@ def test_make_refreshable_with_secret_checker(desk_bundle, rng):
     checker = lambda c: margin_test(desk_bundle.secret, ch, c)
     for m in range(ch.p):
         ct = encrypt(desk_bundle.public, ch, m, rng)
-        ready = make_refreshable(shadow(ch, ct), checker, desk_bundle.public, ch, rng)
+        ready = make_refreshable(shadow(ch, ct), checker, desk_bundle.public, rng)
         assert ready is not None
         assert _lifted_sum(evals(ch, desk_bundle.secret.polys), ready) % ch.q % ch.p == m
         fresh = refresh_ct(desk_bundle.eval_keys, ready, rng)
@@ -466,7 +466,7 @@ def test_refresh_refuses_a_post_refresh_level_past_the_budget(q):
     assert ch.max_noise_level() < post_refresh_level(ch) == 60
     ct = encrypt(bundle.public, ch, 1, rng)
     ready = make_refreshable(shadow(ch, ct), secret_refresh_checker(bundle.secret, ch),
-                             bundle.public, ch, rng)
+                             bundle.public, rng)
     assert ready is not None
     with pytest.raises(NoiseBudgetError, match="accumulated level 58"):
         refresh_ct(bundle.eval_keys, ready, rng)
@@ -480,7 +480,7 @@ def test_refresh_at_a_budget_equal_to_the_post_refresh_level():
     assert ch.max_noise_level() == post_refresh_level(ch) == 60
     ct = encrypt(bundle.public, ch, 1, rng)
     ready = make_refreshable(shadow(ch, ct), secret_refresh_checker(bundle.secret, ch),
-                             bundle.public, ch, rng)
+                             bundle.public, rng)
     fresh = refresh_ct(bundle.eval_keys, ready, rng)
     assert fresh.level == 60
     assert decrypt(bundle.secret, ch, fresh) == 1
@@ -493,7 +493,7 @@ def test_make_refreshable_gives_up_after_the_attempt_budget(desk_bundle, rng):
     calls = []
     ct = encrypt(desk_bundle.public, ch, 1, rng)
     assert make_refreshable(shadow(ch, ct), lambda c: calls.append(c.level) and False,
-                            desk_bundle.public, ch, rng) is None
+                            desk_bundle.public, rng) is None
     assert len(calls) == REFRESH_ATTEMPTS
     assert calls == [ct.level * (1 + i) for i in range(REFRESH_ATTEMPTS)]
 
@@ -509,7 +509,7 @@ def test_make_refreshable_encrypts_only_between_checks(desk_bundle, rng, monkeyp
     monkeypatch.setattr(refresh, "sample_mask", lambda *args: masks.append(args) or real(*args))
     ct = encrypt(desk_bundle.public, ch, 1, rng)
     assert make_refreshable(shadow(ch, ct), lambda c: checks.append(c) and False,
-                            desk_bundle.public, ch, rng) is None
+                            desk_bundle.public, rng) is None
     assert (len(checks), len(masks)) == (REFRESH_ATTEMPTS, REFRESH_ATTEMPTS - 1)
 
 
@@ -535,6 +535,23 @@ def test_a_public_miss_multiplies_nothing(desk_bundle, rng, monkeypatch):
     assert len(checks) == REFRESH_ATTEMPTS
 
 
+def test_a_refresh_shadow_and_its_attempts_evaluate_no_polynomial(desk_bundle, rng, monkeypatch):
+    """A drawn refresh's shadow and every re-randomization attempt read the
+    values their masks and digits were drawn to: with the row shadows
+    built, neither calls the channel's evaluation map."""
+    ch, keys = desk_bundle.channel, desk_bundle.eval_keys
+    ps = shadow(ch, encrypt(desk_bundle.public, ch, 1, rng))
+    keys.row_shadows
+    calls, real = [], ArithmeticChannel.eval
+    monkeypatch.setattr(ArithmeticChannel, "eval", lambda self, v: calls.append(v) or real(self, v))
+    drawn = draw_refresh(keys, ps, rng)
+    got = drawn.shadow(keys)
+    assert make_refreshable(ps, lambda c: False, desk_bundle.public, rng) is None
+    assert calls == []
+    monkeypatch.undo()
+    assert got == shadow(ch, drawn.ciphertext(keys))
+
+
 def test_make_refreshable_stops_at_the_noise_budget(desk_bundle, rng):
     """A failed check at a level that no encryption of zero can join within
     the budget gives up at once."""
@@ -542,7 +559,7 @@ def test_make_refreshable_stops_at_the_noise_budget(desk_bundle, rng):
     ct = encrypt(desk_bundle.public, ch, 1, rng)
     top = Ciphertext(ct.c, ct.cprime, ch.max_noise_level() - ct.level + 1)
     assert make_refreshable(shadow(ch, top), lambda c: checks.append(c.level) and False,
-                            desk_bundle.public, ch, rng) is None
+                            desk_bundle.public, rng) is None
     assert checks == [top.level]
 
 
@@ -579,7 +596,7 @@ def _check_against_the_polynomial_loop(name, seed, start, fails):
 
     checked, want_checked = [], []
     rng, want_rng = RandomSource(seed + b"/attempts"), RandomSource(seed + b"/attempts")
-    got = make_refreshable(shadow(ch, ct), failing(checked), pk, ch, rng)
+    got = make_refreshable(shadow(ch, ct), failing(checked), pk, rng)
     want = make_refreshable_reference(ct, failing(want_checked), pk, ch, want_rng)
     assert got == (None if want is None else shadow(ch, want))
     assert checked == [shadow(ch, c) for c in want_checked]
@@ -639,7 +656,7 @@ def test_refresh_refuses_a_wrong_length_ciphertext(desk_bundle, rng):
     with pytest.raises(ParameterError, match="2 vector parts"):
         refresh_ct(desk_bundle.eval_keys, shadow(ch, short), rng)
     with pytest.raises(ParameterError, match="2 vector parts"):
-        make_refreshable(shadow(ch, short), lambda c: False, desk_bundle.public, ch, rng)
+        make_refreshable(shadow(ch, short), lambda c: False, desk_bundle.public, rng)
 
 
 # Shadows that no ciphertext over the channel has, by name: each is the
@@ -672,7 +689,7 @@ def test_a_malformed_shadow_is_refused_before_any_draw(desk_bundle, name):
     ps = shadow(ch, encrypt(desk_bundle.public, ch, 1, RandomSource(b"malformed/enc")))
     bad = MALFORMED_SHADOWS[name](ps, ch.q)
     for call in (lambda rng: refresh_ct(keys, bad, rng),
-                 lambda rng: make_refreshable(bad, lambda c: True, desk_bundle.public, ch, rng)):
+                 lambda rng: make_refreshable(bad, lambda c: True, desk_bundle.public, rng)):
         rng = RandomSource(b"malformed")
         with pytest.raises(ParameterError):
             call(rng)
@@ -708,7 +725,7 @@ def test_refresh_matrix_is_built_once(desk_channel, monkeypatch):
     checker = secret_refresh_checker(bundle.secret, ch)
     for m in (1, 0):
         ps = make_refreshable(shadow(ch, encrypt(bundle.public, ch, m, rng)), checker,
-                              bundle.public, ch, rng)
+                              bundle.public, rng)
         assert decrypt(bundle.secret, ch, refresh_ct(bundle.eval_keys, ps, rng)) == m
     assert len(contractions) == ch.n * ch.big_n
 

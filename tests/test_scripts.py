@@ -13,3 +13,16 @@ def test_script_runs(script, capsys):
     runpy.run_path(str(SCRIPTS / script), run_name="__main__")
     out = capsys.readouterr().out
     assert "budget" in out
+
+
+def test_code_lines_counts_every_module_and_the_total(capsys):
+    """``scripts/code_lines.py`` prints one row per module of ``src/aces``
+    and their sum, counting neither comments, blank lines nor docstrings."""
+    script = runpy.run_path(str(SCRIPTS / "code_lines.py"))
+    source = '"""Module\ndocstring."""\n\n# a comment\ndef f(x):\n    """Doc."""\n    return (x +\n            1)  # two lines\n'
+    assert script["code_lines"](source) == 3
+    assert script["main"]([]) == 0
+    rows = dict(line.split() for line in capsys.readouterr().out.splitlines())
+    package = SCRIPTS.parent / "src" / "aces"
+    assert set(rows) == {path.stem for path in package.glob("*.py")} | {"total"}
+    assert int(rows.pop("total")) == sum(map(int, rows.values())) > 0
