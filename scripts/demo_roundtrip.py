@@ -30,7 +30,7 @@ def main():
     # until the key owner's check passes, then rebuild it at a fixed level.
     checker = secret_refresh_checker(bundle.secret, ch)
     ready = make_refreshable(shadow(ch, product), checker, bundle.public, rng)
-    fresh = refresh_ct(bundle.eval_keys, ready, rng)
+    fresh = refresh_ct(bundle, ready, rng)
     print(f"\nrefreshed the product: level {product.level} -> {fresh.level}, "
           f"still decrypts to {decrypt(bundle.secret, ch, fresh)}")
     print(f"refreshable index of the fresh ciphertext: "

@@ -36,7 +36,7 @@ def main():
     policy = RefreshPolicy(mode="auto",
                            checker=secret_refresh_checker(bundle.secret, ch))
     env = {"a": encrypt(bundle.public, ch, 1, rng)}
-    outputs, report = evaluate(circuit, env, bundle.eval_keys, policy, rng)
+    outputs, report = evaluate(circuit, env, bundle, policy, rng)
     print(f"depth-{depth} chain with auto refresh:")
     for wire, pre, post in report.refresh_events:
         print(f"  refreshed {wire}: {pre} -> {post}")

@@ -13,28 +13,30 @@ shape of a mask),
 ``encrypt``, ``decrypt``, ``hom_mul`` of two ciphertexts and of one by
 itself, ``public_from_dict`` of the public file alone and followed by one
 ``hom_mul`` with the loaded tensor (what each ``aces eval`` process pays
-before its circuit), the first read of ``PublicKey.f0`` and of
-``Refresher.rho`` on keys loaded from the public file (the expansion of
-each seed; on a fresh copy of the loaded key per call, so a tree that
-reads the parts in full from the file times a copy and an attribute
-read), ``ciphertext_from_dict``, ``serial.dump`` of a
+before its circuit), the first read of ``PublicKey.f0`` and of the
+refresher ciphertexts (``EvalKeys.rho``, or ``Refresher.rho`` on a tree
+whose refresher builds them) on keys loaded from the public file (the
+expansion of each seed; on a fresh copy of the loaded key per call, so a
+tree that reads the parts in full from the file times a copy and an
+attribute read), ``ciphertext_from_dict``, ``serial.dump`` of a
 ciphertext over an existing file, ``RingPoly.__mul__``, ``RingPoly.make``
 of ``2d - 1`` drawn coefficients (a reduction by ``u``), ``sample_mask``,
 ``keygen``, the one-time build of ``EvalKeys.refresh_rows`` (on a fresh
-``EvalKeys`` per call), ``refresh_certified`` with the public checker on a
-ciphertext it never certifies (every attempt of ``make_refreshable`` spent)
-and with the key owner's exact checker on a ``hom_mul`` product (what each
-refresh of the ``chain-desk`` workload runs), ``evaluate`` of the workloads'
-10-gate power chain with the key owner's checker (the refresh matrix built
-before timing), and one whole in-process ``aces encrypt``, ``aces
-decrypt``, ``aces eval`` of one product with no refresh due, ``aces
-refresh`` without ``--secret`` on that miss, which exits 2, and ``aces
-refresh --secret``, which builds the matrix and refreshes
-(``aces.cli.main`` on files in a temporary directory, standard output and
-error captured; the rows call nothing but ``main``, so any base checkout is
-timed the same way).  Calls
-run in batches of about ``--batch-ms``; each batch is one span scaled to the
-reference host by ``bench/hostspeed.py``, and a figure is the median over
+copy of the keys per call that keeps every other part they built, so the
+refresher ciphertexts are not expanded again), ``refresh_certified`` with
+the public checker on a ciphertext it never certifies (every attempt of
+``make_refreshable`` spent) and with the key owner's exact checker on a
+``hom_mul`` product (what each refresh of the ``chain-desk`` workload
+runs), ``evaluate`` of the workloads' 10-gate power chain with the key
+owner's checker (the refresh matrix built before timing), and one whole
+in-process ``aces encrypt``, ``aces decrypt``, ``aces eval`` of one product
+with no refresh due, ``aces refresh`` without ``--secret`` on that miss,
+which exits 2, and ``aces refresh --secret``, which builds the matrix and
+refreshes (``aces.cli.main`` on files in a temporary directory, standard
+output and error captured; the rows call nothing but ``main``, so any base
+checkout is timed the same way).  Calls run in batches of about
+``--batch-ms``; each batch is one span scaled to the reference host by
+``bench/hostspeed.py``, and a figure is the median over
 batches of the scaled time per call, in microseconds.  The file also holds
 the bytes of the ``public.json`` and of the ciphertext file that ``aces
 keygen`` and ``aces encrypt`` write at each channel.
@@ -45,8 +47,8 @@ alternates which goes first; the file then holds both, ``ratio``, the
 median of the per-round ratios (one round's median for this checkout over
 the same round's median for the base), and ``ratio_range``, the least and
 the greatest of them.  A row whose range straddles 1 is unresolved: its
-rounds disagree on which tree is faster.  The script is not part of the
-test suite.
+rounds disagree on which tree is faster.  The test suite builds and calls
+each desk row once (``tests/test_scripts.py``) and times nothing.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ def _operations(channel, work: Path):
     from aces.circuit import RefreshPolicy, evaluate, parse_circuit
     from aces.homo import hom_mul
     from aces.keygen import keygen
-    from aces.refresh import refresh_certified, secret_refresh_checker
+    from aces.refresh import EvalKeys, refresh_certified, secret_refresh_checker
     from aces.rings import RingPoly
     from workloads import WORKLOADS
 
@@ -93,7 +95,8 @@ def _operations(channel, work: Path):
     product, owner = hom_mul(ch, bundle.tensor, a, b), secret_refresh_checker(bundle.secret, ch)
     chain = parse_circuit(WORKLOADS["chain-desk"].circuit.text())
     policy = RefreshPolicy(checker=owner)
-    bundle.eval_keys.refresh_rows  # built once per key, before timing
+    keys = EvalKeys.from_bundle(bundle)
+    keys.refresh_rows  # built once per key, before timing
 
     last, pack_last = (*a.c, a.cprime, *b.c, b.cprime, x), ring.layout(3).pack
 
@@ -104,8 +107,22 @@ def _operations(channel, work: Path):
         sums = [[s * t for s, t in zip(p[:OUTPUTS], p[OUTPUTS:])] for p in packed]
         return lambda: layout.unpack(sums)
 
+    def rows_build():
+        """``keys.refresh_rows`` built on a copy of ``keys`` that holds
+        every other part ``keys`` built."""
+        copy = dataclasses.replace(keys)
+        vars(copy).update((k, v) for k, v in vars(keys).items() if k != "refresh_rows")
+        return copy.refresh_rows
+
     public = json.loads(json.dumps(serial.public_to_dict(bundle)))
     loaded = serial.public_from_dict(ch, public)
+
+    def rho_expansion():
+        """The refresher ciphertexts of a copy of ``loaded`` with a copy of
+        its refresher, so neither holds them yet."""
+        copy = dataclasses.replace(loaded, refresher=dataclasses.replace(loaded.refresher))
+        return copy.rho if hasattr(type(copy), "rho") else copy.refresher.rho
+
     ciphertext = json.loads(json.dumps(serial.ciphertext_to_dict(a)))
 
     def aces(*argv, expect=0):
@@ -114,18 +131,19 @@ def _operations(channel, work: Path):
         if code != expect:
             raise RuntimeError(f"aces {argv[0]} exited {code}")
 
-    keys, ct = work / f"keys-{channel.degree}", work / f"ct-{channel.degree}.json"
-    aces("keygen", *channel.keygen_args(), "--seed", seed.hex(), "--out", keys)
-    files = ("--channel", keys / "channel.json")
-    encrypt_argv = ("encrypt", "--pub", keys / "public.json", *files, "--message", "1",
+    keydir, ct = work / f"keys-{channel.degree}", work / f"ct-{channel.degree}.json"
+    aces("keygen", *channel.keygen_args(), "--seed", seed.hex(), "--out", keydir)
+    files = ("--channel", keydir / "channel.json")
+    encrypt_argv = ("encrypt", "--pub", keydir / "public.json", *files, "--message", "1",
                     "--seed", "0a", "--out", ct)
     aces(*encrypt_argv)
-    refresh_argv = ("refresh", "--pub", keys / "public.json", *files, "--ct", ct,
+    refresh_argv = ("refresh", "--pub", keydir / "public.json", *files, "--ct", ct,
                     "--out", work / "fresh.json")
     (work / "circuit.txt").write_text("in a b\nt = mul a b\nout t\n")
-    eval_argv = ("eval", "--pub", keys / "public.json", *files, "--circuit", work / "circuit.txt",
+    eval_argv = ("eval", "--pub", keydir / "public.json", *files, "--circuit", work / "circuit.txt",
                  "--input", f"a={ct}", "--input", f"b={ct}", "--out", work / "eval")
-    sizes = {"public.json": (keys / "public.json").stat().st_size, "ciphertext": ct.stat().st_size}
+    sizes = {"public.json": (keydir / "public.json").stat().st_size,
+             "ciphertext": ct.stat().st_size}
     dumped = work / "dumped.json"
     serial.dump(ciphertext, dumped)
     return {
@@ -141,24 +159,24 @@ def _operations(channel, work: Path):
         "public_from_dict + hom_mul": lambda: hom_mul(
             ch, serial.public_from_dict(ch, public).tensor, a, b),
         "PublicKey.f0 expansion": lambda: dataclasses.replace(loaded.public).f0,
-        "Refresher.rho expansion": lambda: dataclasses.replace(loaded.refresher).rho,
+        "Refresher.rho expansion": rho_expansion,
         "ciphertext_from_dict": lambda: serial.ciphertext_from_dict(ch, ciphertext),
         "serial.dump (ciphertext, over a file)": lambda: serial.dump(ciphertext, dumped),
         "RingPoly.__mul__": lambda: x * y,
         "RingPoly.make (2d - 1 coefficients)": lambda: RingPoly.make(ch.q, ch.u, long),
         "sample_mask": lambda: sample_mask(ch, rng),
         "keygen": lambda: keygen(ch, RandomSource(seed)),
-        "EvalKeys.refresh_rows (build)": lambda: dataclasses.replace(bundle.eval_keys).refresh_rows,
-        "refresh_certified (public miss)": lambda: refresh_certified(bundle.eval_keys, a, None, rng),
+        "EvalKeys.refresh_rows (build)": rows_build,
+        "refresh_certified (public miss)": lambda: refresh_certified(keys, a, None, rng),
         "refresh_certified (key owner, hom_mul product)": lambda: refresh_certified(
-            bundle.eval_keys, product, owner, rng),
-        "evaluate (power chain, key owner)": lambda: evaluate(
-            chain, {"a": a}, bundle.eval_keys, policy, rng),
+            keys, product, owner, rng),
+        "evaluate (power chain, key owner)": lambda: evaluate(chain, {"a": a}, keys, policy, rng),
         "aces encrypt": lambda: aces(*encrypt_argv),
-        "aces decrypt": lambda: aces("decrypt", "--secret", keys / "secret.json", *files, "--ct", ct),
+        "aces decrypt": lambda: aces(
+            "decrypt", "--secret", keydir / "secret.json", *files, "--ct", ct),
         "aces eval": lambda: aces(*eval_argv),
         "aces refresh (public miss, exit 2)": lambda: aces(*refresh_argv, expect=2),
-        "aces refresh --secret": lambda: aces(*refresh_argv, "--secret", keys / "secret.json"),
+        "aces refresh --secret": lambda: aces(*refresh_argv, "--secret", keydir / "secret.json"),
     }, sizes
 
 

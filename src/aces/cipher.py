@@ -43,6 +43,7 @@ __all__ = [
     "has_refresh_headroom",
     "sample_mask",
     "sample_divisible_vector",
+    "expand_seed",
     "in_encryption_space",
 ]
 
@@ -129,8 +130,11 @@ def encrypt(pk, ch: ArithmeticChannel, m: int, rng: RandomSource) -> Ciphertext:
     c = f0^T b for a bounded random mask b, and the scalar part carries the
     message through a random carrier polynomial plus the masked public-key
     noise fprime^T b; both come from one combination of the packed rows
-    ``(f0[i], fprime[i])`` (``PublicKey.rows``).
+    ``(f0[i], fprime[i])`` (``PublicKey.rows``).  ``ch`` must be the key's
+    own channel, whose noise ``fresh_level`` certifies.
     """
+    if ch is not pk.channel:
+        raise ParameterError("encrypt: the channel is not the public key's channel")
     if not 0 <= m < ch.p:
         raise ParameterError(f"message {m} is not a residue mod p={ch.p}")
     _, b = sample_mask(ch, rng)
@@ -146,6 +150,15 @@ def sample_divisible_vector(ch: ArithmeticChannel, rep, rng: RandomSource) -> tu
         sample_message_carrier(ch, (rep.prime_of(j) * rng.below(ch.q)) % ch.q, rng)
         for j in range(rep.n)
     )
+
+
+def expand_seed(ch: ArithmeticChannel, rep, seed: bytes, count: int):
+    """``count`` divisible vectors (``sample_divisible_vector``) drawn from
+    ``RandomSource(seed)``: the initializer ``f0``, so that fresh ciphertext
+    vectors inherit the divisibility structure, and the refresher's vector
+    parts."""
+    rng = RandomSource(seed)
+    return tuple(sample_divisible_vector(ch, rep, rng) for _ in range(count))
 
 
 def encrypt_with_secret(

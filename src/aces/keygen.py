@@ -10,9 +10,13 @@ Two parts of the public material depend on no secret: the initializer
 ``f0`` and the vector parts of the refresher's ciphertexts.  Each is drawn
 from its own ``SEED_BYTES``-byte seed, which ``keygen`` draws from its
 stream once the repartition, secret and tensor are final; ``PublicKey`` and
-``Refresher`` hold the seed and expand it, over their repartition, on first
-use.  ``expand_seed`` is the one expansion, at keygen as on first use.  A
+``Refresher`` hold the seed, and ``PublicKey.f0`` and ``EvalKeys.rho``
+expand it, over the public key's channel and repartition, on first use.
+``cipher.expand_seed`` is the one expansion, at keygen as on first use.  A
 file publishes the seeds instead of the parts.
+
+Each fact of a key has one owner: the public key holds the channel and the
+repartition, and a ``KeyBundle`` is its ``EvalKeys`` plus the secret.
 """
 
 from __future__ import annotations
@@ -25,11 +29,10 @@ from itertools import chain
 
 from .channel import ArithmeticChannel, RandomSource, sample_noise
 from .cipher import (
-    REFRESHER_LEVEL, Ciphertext, _secret_formula, evals, in_encryption_space,
-    sample_divisible_vector, shadow,
+    REFRESHER_LEVEL, Ciphertext, _secret_formula, evals, expand_seed, in_encryption_space, shadow,
 )
 from .errors import GenerationError, ParameterError
-from .refresh import EvalKeys, LocatorEntry, sample_locator_db
+from .refresh import EvalKeys, sample_locator_db
 from .rings import PackedRows, RingPoly, Repartition, _int_coeffs
 
 __all__ = [
@@ -39,7 +42,6 @@ __all__ = [
     "Refresher",
     "KeyBundle",
     "gen_secret",
-    "expand_seed",
     "gen_public",
     "gen_tensor",
     "gen_refresher",
@@ -71,7 +73,8 @@ class PublicKey:
     ``fprime``, one entry per row.
 
     ``f0`` is ``expand_seed`` of ``seed`` over ``repartition``; the key
-    holds the seed and expands it on first use.
+    holds the seed and expands it on first use.  The public key is the one
+    part of a key that holds its channel and its repartition.
     """
 
     seed: bytes
@@ -159,50 +162,19 @@ class ProductTensor:
 
 @dataclass(frozen=True)
 class Refresher:
-    """Encryptions ``rho`` of the secret key's mod-p digits, each at the
-    level ``cipher.REFRESHER_LEVEL``.
-
-    Their vector parts are ``expand_seed`` of ``seed`` over
-    ``repartition``, one per scalar part; the refresher holds the seed and
-    the scalar parts ``cprime``, and builds ``rho`` on first use.
-    """
+    """What a file holds of the encryptions of the secret key's mod-p
+    digits: the seed of their vector parts and their scalar parts
+    ``cprime``.  ``EvalKeys.rho`` builds the ciphertexts on first use."""
 
     seed: bytes
     cprime: tuple[RingPoly, ...]
-    channel: ArithmeticChannel
-    repartition: Repartition
-
-    @cached_property
-    def rho(self) -> tuple[Ciphertext, ...]:
-        """The ciphertexts, their vector parts expanded from ``seed``."""
-        vectors = expand_seed(self.channel, self.repartition, self.seed, len(self.cprime))
-        return tuple(Ciphertext(c, y, REFRESHER_LEVEL) for c, y in zip(vectors, self.cprime))
 
 
 @dataclass(frozen=True)
-class KeyBundle:
-    """A whole key.  The public key and the refresher expand their seeds
-    over the bundle's channel and one repartition, so parts that disagree
-    are refused on construction."""
+class KeyBundle(EvalKeys):
+    """A whole key: its ``EvalKeys`` plus the secret."""
 
-    channel: ArithmeticChannel
     secret: SecretKey
-    public: PublicKey
-    tensor: ProductTensor
-    refresher: Refresher
-    locators: tuple[LocatorEntry, ...]
-
-    def __post_init__(self):
-        if self.public.channel is not self.channel or self.refresher.channel is not self.channel:
-            raise ParameterError("key parts disagree: public key or refresher on another channel")
-        if self.refresher.repartition is not self.public.repartition:
-            raise ParameterError("key parts disagree: refresher on another repartition")
-
-    @cached_property
-    def eval_keys(self) -> EvalKeys:
-        """The public part as one ``EvalKeys``, made on first use and kept, so
-        its refresh matrix is built once per bundle."""
-        return EvalKeys(self.channel, self.public, self.tensor, self.refresher, self.locators)
 
 
 def _seed(rng: RandomSource) -> bytes:
@@ -254,15 +226,6 @@ def gen_secret(ch: ArithmeticChannel, rep: Repartition, rng: RandomSource) -> Se
         "secret generation failed: weighted evaluations never reached gcd 1 "
         f"within {SECRET_ATTEMPTS} attempts"
     )
-
-
-def expand_seed(ch: ArithmeticChannel, rep: Repartition, seed: bytes, count: int):
-    """``count`` vectors drawn from ``RandomSource(seed)``, each of ``n``
-    carriers whose slot-j entry evaluates to a multiple of slot j's prime
-    (``sample_divisible_vector``): ``f0``, so that fresh ciphertext vectors
-    inherit the divisibility structure, and the refresher's vector parts."""
-    rng = RandomSource(seed)
-    return tuple(sample_divisible_vector(ch, rep, rng) for _ in range(count))
 
 
 def gen_public(
@@ -351,23 +314,21 @@ def gen_refresher(
 ) -> Refresher:
     """Encrypt each secret slot's mod-p digit at ``REFRESHER_LEVEL`` with
     the secret formula of ``encrypt_with_secret``, the vector parts drawn
-    from ``seed`` (as ``Refresher.rho`` expands them) and each carrier and
-    noise from ``rng``.  The refresher keeps the ciphertexts.
+    from ``seed`` (as ``EvalKeys.rho`` expands them) and each carrier and
+    noise from ``rng``.  The refresher keeps the scalar parts.
     """
-    rho = tuple(_secret_formula(sk, ch, c, e % ch.p, REFRESHER_LEVEL, rng)
-                for c, e in zip(expand_seed(ch, rep, seed, ch.n), evals(ch, sk.polys)))
-    refresher = Refresher(seed, tuple(ct.cprime for ct in rho), ch, rep)
-    vars(refresher)["rho"] = rho  # what the cached property would build
-    return refresher
+    rho = (_secret_formula(sk, ch, c, e % ch.p, REFRESHER_LEVEL, rng)
+           for c, e in zip(expand_seed(ch, rep, seed, ch.n), evals(ch, sk.polys)))
+    return Refresher(seed, tuple(ct.cprime for ct in rho))
 
 
 def owns(sk: SecretKey, keys) -> bool:
-    """Whether the public material of ``keys`` (an ``EvalKeys`` or a
-    ``KeyBundle``) is ``sk``'s, as far as the secret can tell: each public
-    row an encryption of 0 at level k0, every slot pair's relinearization
-    defect under the tensor a multiple of the pair's weight, and each
-    refresher ciphertext an encryption of its slot's digit at
-    ``REFRESHER_LEVEL``.  The public material of another key, or with one
+    """Whether the public material of ``keys`` (an ``EvalKeys``, a
+    ``KeyBundle`` among them) is ``sk``'s, as far as the secret can tell:
+    each public row an encryption of 0 at level k0, every slot pair's
+    relinearization defect under the tensor a multiple of the pair's
+    weight, and each refresher ciphertext (``keys.rho``) an encryption of
+    its slot's digit at ``REFRESHER_LEVEL``.  The public material of another key, or with one
     word changed, fails it; a forged key need not."""
     pk, ch, layers = keys.public, keys.channel, keys.tensor.layers
     rep, q = pk.repartition, ch.q
@@ -384,7 +345,7 @@ def owns(sk: SecretKey, keys) -> bool:
             for row, masked in zip(pk.f0, pk.fprime, strict=True))
         and all(relinearizes(i, j) for i in range(ch.n) for j in range(i, ch.n))
         and all(in_encryption_space(sk, rep, ch, ct, e % ch.p, REFRESHER_LEVEL)
-                for ct, e in zip(keys.refresher.rho, secret, strict=True))
+                for ct, e in zip(keys.rho, secret, strict=True))
     )
 
 
@@ -414,5 +375,5 @@ def keygen(ch: ArithmeticChannel, rng: RandomSource) -> KeyBundle:
         pk = gen_public(ch, rep, sk, f0_seed, rng)
         refresher = gen_refresher(ch, rep, sk, rho_seed, rng)
         locators = tuple(sample_locator_db(sk, ch, rng))
-        return KeyBundle(ch, sk, pk, tensor, refresher, locators)
+        return KeyBundle(pk, tensor, refresher, locators, sk)
     raise GenerationError(f"key generation failed: {last_error}")

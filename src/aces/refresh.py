@@ -52,8 +52,9 @@ from itertools import combinations_with_replacement
 
 from .channel import ArithmeticChannel, RandomSource, sample_message_carrier
 from .cipher import (
-    Ciphertext, Pseudociphertext, _lifted_sum, checked_refresh_level, evals, fresh_level,
-    has_refresh_headroom, level_after, sample_mask, shadow, within_budget,
+    REFRESHER_LEVEL, Ciphertext, Pseudociphertext, _lifted_sum, checked_refresh_level, evals,
+    expand_seed, fresh_level, has_refresh_headroom, level_after, sample_mask, shadow,
+    within_budget,
 )
 from .errors import ParameterError
 from .homo import _product, _shadow_op
@@ -239,19 +240,33 @@ def sample_locator_db(sk, ch: ArithmeticChannel, rng: RandomSource) -> list[Loca
 @dataclass(frozen=True)
 class EvalKeys:
     """Evaluation-side material: everything public, nothing secret; what
-    ``serial.public_from_dict`` loads.  The repartition is
-    ``public.repartition``."""
+    ``serial.public_from_dict`` loads, and the public part of every
+    ``keygen.KeyBundle``.  The channel and the repartition are the public
+    key's, and the other parts hold neither."""
 
-    channel: ArithmeticChannel
     public: object
     tensor: object
     refresher: object
-    locators: tuple = ()
+    locators: tuple
 
     @staticmethod
     def from_bundle(bundle) -> "EvalKeys":
-        """The bundle's own evaluation keys, shared by every caller."""
-        return bundle.eval_keys
+        """The bundle itself: a ``KeyBundle`` is its own ``EvalKeys``."""
+        return bundle
+
+    @property
+    def channel(self) -> ArithmeticChannel:
+        return self.public.channel
+
+    @cached_property
+    def rho(self) -> tuple[Ciphertext, ...]:
+        """The refresher ciphertexts, each at ``REFRESHER_LEVEL``: the
+        refresher's scalar parts on the vector parts ``expand_seed`` draws
+        from its seed over the public key's channel and repartition, built
+        on first use."""
+        pk, fresh = self.public, self.refresher
+        vectors = expand_seed(pk.channel, pk.repartition, fresh.seed, len(fresh.cprime))
+        return tuple(Ciphertext(c, y, REFRESHER_LEVEL) for c, y in zip(vectors, fresh.cprime))
 
     @cached_property
     def refresh_rows(self) -> PackedRows:
@@ -267,7 +282,7 @@ class EvalKeys:
         masks in draw order and then the digit carriers.
         """
         pk = self.public.extended_rows
-        rho = tuple((*r.c, r.cprime) for r in self.refresher.rho)
+        rho = tuple((*r.c, r.cprime) for r in self.rho)
         return PackedRows(
             (*(_product(self.tensor, row, r) for r in rho for row in pk), *pk, *rho)
         )
@@ -281,7 +296,7 @@ class EvalKeys:
         ``homo._shadow_op``; no ring product."""
         ch = self.channel
         pk = list(zip(*self.public.shadows))
-        rho = [(*s.v, s.vprime) for s in (shadow(ch, r) for r in self.refresher.rho)]
+        rho = [(*s.v, s.vprime) for s in (shadow(ch, r) for r in self.rho)]
         rows = (*(_shadow_op("mul", self.tensor, ch.q, row, r) for r in rho for row in pk),
                 *pk, *rho)
         return tuple(zip(*rows))

@@ -20,8 +20,9 @@ keys.  There is one reader per kind of value and no reader of older files.
   seed of the initializer (``PublicKey``) and the refresher's ``c`` the
   seed of its ciphertexts' vector parts (``Refresher``), each
   ``SEED_BYTES`` bytes in the same base64, so 24 characters; any bytes are
-  a seed.  ``_seed`` reads them back or refuses.  The loaded keys expand
-  each seed, over the file's ``sigma``, on first use.  ``sigma`` is the
+  a seed.  ``_seed`` reads them back or refuses.  ``PublicKey.f0`` and
+  ``EvalKeys.rho`` expand each seed on first use, over the file's
+  ``sigma``, which the loaded public key alone holds.  ``sigma`` is the
   repartition map alone, since its primes are the prime factors of the
   channel's q, and the refresher holds its seed and its ``n`` scalar parts
   alone, since every refresher ciphertext sits at
@@ -279,8 +280,8 @@ def ciphertext_from_dict(ch: ArithmeticChannel, data: dict) -> Ciphertext:
 
 
 def public_to_dict(keys) -> dict:
-    """Everything publishable from a key bundle or its ``EvalKeys``; never
-    the secret."""
+    """Everything publishable from an ``EvalKeys``, a key bundle among them,
+    read field by field; never the secret."""
     ch, public, locators = keys.channel, keys.public, keys.locators
     ring, n, layers, refresher = ch.ring, ch.n, keys.tensor.layers, keys.refresher
     return {
@@ -323,7 +324,7 @@ def public_from_dict(ch: ArithmeticChannel, data: dict) -> EvalKeys:
         raise ParameterError("lambda beta: a 2x2 minor is not 0 modulo its slot pair's weight")
     _fields([fresh], "refresher", {"c", "cprime"})
     refresher = Refresher(_seed(fresh["c"], "refresher vector seed"),
-                          _polys(ch, fresh["cprime"], "refresher scalar part", n), ch, rep)
+                          _polys(ch, fresh["cprime"], "refresher scalar part", n))
     entries = data["locators"]
     _fields(entries, "locator", {"vec", "kind", "k", "margin_num"})
     kinds = [e["kind"] for e in entries]
@@ -337,7 +338,7 @@ def public_from_dict(ch: ArithmeticChannel, data: dict) -> EvalKeys:
         chain.from_iterable(_words(ch.ring, [e["margin_num"] for e in entries],
                                    "locator margin", (None,), 1)),
     )
-    return EvalKeys(ch, public, tensor, refresher, tuple(locators))
+    return EvalKeys(public, tensor, refresher, tuple(locators))
 
 
 def secret_to_dict(sk: SecretKey) -> dict:

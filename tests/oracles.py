@@ -16,7 +16,7 @@ format 5 as format 4 wrote it, ``render_v3`` a file of format 4 as format
 ``render_v1`` a file of format 2 in that of format 1, so digests recorded
 under any of them still pin every value.  ``render_v4`` expands the public
 file's seeds with the package's own ``PublicKey.f0`` and
-``Refresher.rho``, as ``refresh_reference`` composes the package's
+``cipher.expand_seed``, as ``refresh_reference`` composes the package's
 operations.
 """
 
@@ -28,10 +28,12 @@ import math
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
-from aces.cipher import REFRESHER_LEVEL, encrypt, level_after, post_refresh_level, shadow
+from aces.cipher import (
+    REFRESHER_LEVEL, encrypt, expand_seed, level_after, post_refresh_level, shadow,
+)
 from aces.errors import NoiseBudgetError
 from aces.homo import hom_add, hom_mul, scalar_product
-from aces.keygen import ProductTensor, PublicKey, Refresher
+from aces.keygen import ProductTensor, PublicKey
 from aces.refresh import REFRESH_ATTEMPTS, SEARCH_BUDGET, refresh_certified
 from aces.rings import Repartition, prime_factors
 
@@ -225,7 +227,7 @@ def refresh_reference(keys, ct, rng):
     ps = shadow(ch, ct)
     digits = tuple(encrypt(keys.public, ch, v % ch.p, rng) for v in ps.v)
     scalar = encrypt(keys.public, ch, ps.vprime % ch.p, rng)
-    return hom_add(ch, scalar, scalar_product(ch, keys.tensor, digits, keys.refresher.rho))
+    return hom_add(ch, scalar, scalar_product(ch, keys.tensor, digits, keys.rho))
 
 
 def make_refreshable_reference(ct, checker, pk, ch, rng):
@@ -444,12 +446,11 @@ def render_v4(data: dict, ch) -> dict:
         assert tuple(map(int, sigma["primes"])) == prime_factors(ch.q)
         rep = Repartition(ch.q, tuple(sigma["map"]))
         f0 = PublicKey(base64.b64decode(data["f0"]), (), ch, rep).f0
-        # Only the vector parts are read, so no scalar part is decoded.
-        rho = Refresher(base64.b64decode(fresh["c"]), (None,) * len(fresh["rho"]), ch, rep).rho
+        vectors = expand_seed(ch, rep, base64.b64decode(fresh["c"]), len(fresh["rho"]))
         out["f0"] = [[_word_string(x, ch.q) for x in row] for row in f0]
         out["refresher"] = {"kappa": fresh["kappa"], "rho": [
-            {"c": [_word_string(x, ch.q) for x in ct.c], **e}
-            for ct, e in zip(rho, fresh["rho"])]}
+            {"c": [_word_string(x, ch.q) for x in c], **e}
+            for c, e in zip(vectors, fresh["rho"])]}
     return out
 
 

@@ -16,7 +16,7 @@ from aces.cipher import (
     encrypt_with_secret,
     shadow,
 )
-from aces.circuit import EvalKeys, RefreshPolicy, evaluate, parse_circuit
+from aces.circuit import RefreshPolicy, evaluate, parse_circuit
 from aces.classic import (
     AcesScheme,
     ElGamalScheme,
@@ -159,7 +159,7 @@ def test_07_refresh_correctness(desk_bundle):
             ct = encrypt(desk_bundle.public, ch, m, rng)
             if refreshable_index(desk_bundle.secret, ch, shadow(ch, ct)) is None:
                 continue
-            fresh = refresh_ct(desk_bundle.eval_keys, shadow(ch, ct), rng)
+            fresh = refresh_ct(desk_bundle, shadow(ch, ct), rng)
             assert fresh.level == 60
             assert decrypt(desk_bundle.secret, ch, fresh) == decrypt(
                 desk_bundle.secret, ch, ct
@@ -169,7 +169,7 @@ def test_07_refresh_correctness(desk_bundle):
         chain = parse_circuit(
             "in a\nt1 = mul a a\nt2 = mul t1 t1\nt3 = mul t2 t2\nout t3"
         )
-        keys = EvalKeys.from_bundle(desk_bundle)
+        keys = desk_bundle
         env = {"a": encrypt(desk_bundle.public, ch, 1, rng)}
         try:
             evaluate(chain, dict(env), keys, RefreshPolicy(mode="off"), rng)

@@ -1,5 +1,7 @@
 """Tests for encryption, decryption, and level accounting."""
 
+import dataclasses
+
 import pytest
 
 from aces.channel import ArithmeticChannel, RandomSource, in_noise_space, sample_message_carrier
@@ -37,6 +39,18 @@ def test_fresh_level_value(desk_channel):
 def test_encrypt_rejects_out_of_range_messages(desk_bundle, rng):
     with pytest.raises(ParameterError):
         encrypt(desk_bundle.public, desk_bundle.channel, desk_bundle.channel.p, rng)
+
+
+@pytest.mark.parametrize("k0", [2, 1], ids=["another k0", "an equal copy"])
+def test_encrypt_refuses_a_channel_that_is_not_the_keys(desk_bundle, k0):
+    """``fresh_level`` certifies the noise of the public key's own channel,
+    so ``encrypt`` under any other channel object, one at another ``k0`` or
+    an equal copy, is refused before any draw."""
+    other = dataclasses.replace(desk_bundle.channel, k0=k0)
+    rng = RandomSource(b"another channel")
+    with pytest.raises(ParameterError, match="not the public key's channel"):
+        encrypt(desk_bundle.public, other, 1, rng)
+    assert rng.below(2**64) == RandomSource(b"another channel").below(2**64)
 
 
 def test_mask_evaluations_are_bounded(desk_channel, rng):

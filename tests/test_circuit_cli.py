@@ -113,7 +113,7 @@ def _secret_policy(bundle):
 
 def test_evaluate_identity_passthrough(desk_bundle, rng):
     ch = desk_bundle.channel
-    keys = EvalKeys.from_bundle(desk_bundle)
+    keys = desk_bundle
     ct = encrypt(desk_bundle.public, ch, 1, rng)
     outputs, report = evaluate(parse_circuit("in a\nout a"), {"a": ct}, keys)
     assert outputs["a"] == ct
@@ -122,7 +122,7 @@ def test_evaluate_identity_passthrough(desk_bundle, rng):
 
 def test_evaluate_single_add(desk_bundle, rng):
     ch = desk_bundle.channel
-    keys = EvalKeys.from_bundle(desk_bundle)
+    keys = desk_bundle
     circuit = parse_circuit("in a b\nt = add a b\nout t")
     for m1 in range(ch.p):
         for m2 in range(ch.p):
@@ -135,7 +135,7 @@ def test_evaluate_single_add(desk_bundle, rng):
 
 
 def test_evaluate_rejects_unbound_inputs(desk_bundle):
-    keys = EvalKeys.from_bundle(desk_bundle)
+    keys = desk_bundle
     with pytest.raises(CircuitError, match="unbound"):
         evaluate(parse_circuit("in a\nout a"), {}, keys)
 
@@ -144,7 +144,7 @@ DEPTH3 = "in a\nt1 = mul a a\nt2 = mul t1 t1\nt3 = mul t2 t2\nout t3"
 
 
 def test_mul_chain_fails_without_refresh(desk_bundle, rng):
-    keys = EvalKeys.from_bundle(desk_bundle)
+    keys = desk_bundle
     env = {"a": encrypt(desk_bundle.public, desk_bundle.channel, 1, rng)}
     with pytest.raises(NoiseBudgetError, match="t3"):
         evaluate(parse_circuit(DEPTH3), env, keys, RefreshPolicy(mode="off"), rng)
@@ -166,7 +166,7 @@ def test_evaluation_keys_are_one_class_everywhere():
 
 def test_mul_chain_succeeds_with_refresh(desk_bundle, rng):
     ch = desk_bundle.channel
-    keys = EvalKeys.from_bundle(desk_bundle)
+    keys = desk_bundle
     env = {"a": encrypt(desk_bundle.public, ch, 1, rng)}
     outputs, report = evaluate(
         parse_circuit(DEPTH3), env, keys, _secret_policy(desk_bundle), rng
@@ -181,7 +181,7 @@ def test_mul_chain_succeeds_with_refresh(desk_bundle, rng):
 def test_auto_refresh_without_a_random_source_is_refused(desk_bundle, rng):
     env = {"a": encrypt(desk_bundle.public, desk_bundle.channel, 1, rng)}
     with pytest.raises(CircuitError, match="auto refresh needs a random source"):
-        evaluate(parse_circuit(DEPTH3), env, desk_bundle.eval_keys, _secret_policy(desk_bundle))
+        evaluate(parse_circuit(DEPTH3), env, desk_bundle, _secret_policy(desk_bundle))
 
 
 @cache
@@ -198,7 +198,7 @@ def test_gate_past_the_budget_at_the_post_refresh_level_refreshes_nothing():
     is refused at its operands' own levels before any refresh attempt."""
     bundle = _p3_bundle()
     ch = bundle.channel
-    keys, rng = EvalKeys.from_bundle(bundle), RandomSource(b"found-50/run")
+    keys, rng = bundle, RandomSource(b"found-50/run")
     assert (post_refresh_level(ch), ch.max_noise_level()) == (127, 1667)
     exact, checked = secret_refresh_checker(bundle.secret, ch), []
     policy = RefreshPolicy(checker=lambda ct: checked.append(ct.level) or exact(ct))
@@ -219,7 +219,7 @@ def test_a_gate_whose_operands_are_at_or_below_the_post_refresh_level_needs_no_r
     env = {"a": encrypt(bundle.public, ch, 1, RandomSource(b"no-refresh-due"))}
     circuit = parse_circuit("in a\nt1 = add a a\nt2 = add t1 t1\nt3 = add t2 t2\n"
                             "t4 = add t3 t2\nt5 = add t4 a\ns = mul t5 a\nout s")
-    outputs, report = evaluate(circuit, env, bundle.eval_keys)
+    outputs, report = evaluate(circuit, env, bundle)
     assert report.refresh_events == []
     assert (report.levels["t5"], report.levels["s"]) == (78, 1656)
     assert decrypt(bundle.secret, ch, outputs["s"]) == 13 % ch.p
@@ -246,12 +246,12 @@ def _same_as_the_reference(bundle, circuit, levels, seed, policy=None):
                 *report, rng.below(2**64))
 
     def new(env, rng):
-        outputs, report = evaluate(circuit, env, bundle.eval_keys,
+        outputs, report = evaluate(circuit, env, bundle,
                                    policy or RefreshPolicy(checker=checker), rng)
         return outputs, report.refresh_events, report.levels
 
     def old(env, rng):
-        return evaluate_reference(circuit, env, bundle.eval_keys, checker, rng)
+        return evaluate_reference(circuit, env, bundle, checker, rng)
 
     got = run(new)
     assert got == run(old)
@@ -300,7 +300,7 @@ def test_the_power_chain_multiplies_only_the_wire_its_output_reads(desk_bundle, 
     t5 and t7 feed only refreshes: one ``hom_mul`` (t10, of the refreshed
     t9 by a) and one combination of the refresh matrix, where the eager
     loop ran 10 and 4."""
-    ch, keys = desk_bundle.channel, desk_bundle.eval_keys
+    ch, keys = desk_bundle.channel, desk_bundle
     products, combined = [], []
     hom_mul, combine = circuit_module.hom_mul, PackedRows.combine
     monkeypatch.setattr(circuit_module, "hom_mul", lambda *a: products.append(a) or hom_mul(*a))
@@ -344,7 +344,7 @@ def test_a_malformed_input_is_refused_before_any_draw(desk_bundle, name):
     another channel, is refused with ParameterError before the refresh that
     the first gate would draw (``a`` is at level 7000, so ``mul a a`` is
     due one)."""
-    ch, keys = desk_bundle.channel, desk_bundle.eval_keys
+    ch, keys = desk_bundle.channel, desk_bundle
     rng = RandomSource(b"malformed input")
     a = encrypt_with_secret(desk_bundle.secret, desk_bundle.public.repartition, ch, 1, 7000, rng)
     b = encrypt(desk_bundle.public, ch, 1, rng)
@@ -375,7 +375,7 @@ def _random_circuit(rng, n_inputs, n_gates):
 
 def test_random_circuits_match_plain_evaluation(desk_bundle):
     ch = desk_bundle.channel
-    keys = EvalKeys.from_bundle(desk_bundle)
+    keys = desk_bundle
     policy = _secret_policy(desk_bundle)
     rng = RandomSource(b"random-circuits")
     for trial in range(8):

@@ -78,7 +78,7 @@ def test_scheme_end_to_end_at_omega_two(name):
         assert decrypt(sk, ch, product) == m1 * m2 % ch.p
         ready = make_refreshable(shadow(ch, product), secret_refresh_checker(sk, ch), pk, rng)
         assert ready is not None
-        fresh = refresh_ct(bundle.eval_keys, ready, rng)
+        fresh = refresh_ct(bundle, ready, rng)
         assert fresh.level == post_refresh_level(ch)
         assert decrypt(sk, ch, fresh) == m1 * m2 % ch.p
 

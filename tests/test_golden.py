@@ -33,7 +33,7 @@ import pytest
 from aces import serial
 from aces.channel import ArithmeticChannel, RandomSource
 from aces.cipher import encrypt
-from aces.circuit import EvalKeys, RefreshPolicy, evaluate, parse_circuit
+from aces.circuit import RefreshPolicy, evaluate, parse_circuit
 from aces.cli import main
 from aces.homo import hom_mul
 from aces.keygen import keygen
@@ -428,8 +428,7 @@ def test_desk_auto_refresh_matches_golden_digests(tmp_path, desk_channel):
         f"t{i} = mul {'a' if i == 1 else f't{i - 1}'} a\n" for i in range(1, 7)
     ) + "out t6\n"
     policy = RefreshPolicy(checker=secret_refresh_checker(bundle.secret, ch))
-    outputs, report = evaluate(parse_circuit(chain), {"a": a}, EvalKeys.from_bundle(bundle),
-                               policy, rng)
+    outputs, report = evaluate(parse_circuit(chain), {"a": a}, bundle, policy, rng)
     assert report.refresh_events  # the pin covers the refresh path
     serial.dump(serial.ciphertext_to_dict(outputs["t6"]), tmp_path / "t6.json")
     serial.dump({"levels": report.levels,

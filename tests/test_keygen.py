@@ -1,6 +1,7 @@
 """Tests for key generation invariants."""
 
 import dataclasses
+import json
 import math
 
 import pytest
@@ -9,11 +10,13 @@ from hypothesis import strategies as st
 
 from aces import rings
 from aces.channel import ArithmeticChannel, RandomSource, in_noise_space
-from aces.cipher import REFRESHER_LEVEL, decrypt, in_encryption_space
+from aces.cipher import REFRESHER_LEVEL, decrypt, encrypt, in_encryption_space, shadow
+from aces.circuit import evaluate, parse_circuit
 from aces.errors import GenerationError, ParameterError
-from aces.keygen import KeyBundle, _bezout, gen_secret, keygen, owns
+from aces.keygen import KeyBundle, PublicKey, Refresher, _bezout, gen_secret, keygen, owns
+from aces.refresh import EvalKeys, make_refreshable, refresh_ct, secret_refresh_checker
 from aces.rings import Repartition, lift
-from aces.serial import public_to_dict, secret_to_dict
+from aces.serial import public_from_dict, public_to_dict, secret_to_dict
 
 from oracles import poly_vector_dot, rank_one
 
@@ -120,7 +123,7 @@ def _relinearizes(bundle) -> None:
             defect = (s[i] * s[j] - sum(lam[i][j][k] * s[k] for k in range(n))) % ch.q
             assert lift(ch.q, defect) % rep.weight(i, j) == 0
     assert bundle.tensor.fits(rep)
-    assert owns(bundle.secret, bundle.eval_keys)
+    assert owns(bundle.secret, bundle)
 
 
 # desk, and p = 3 with p not dividing q.
@@ -159,7 +162,7 @@ def test_keygen_publishes_planes_under_a_q_that_is_not_squarefree():
 
 def test_refresher_decrypts_to_secret_digits(desk_bundle):
     ch = desk_bundle.channel
-    for x, ct in zip(desk_bundle.secret.polys, desk_bundle.refresher.rho, strict=True):
+    for x, ct in zip(desk_bundle.secret.polys, desk_bundle.rho, strict=True):
         digit = lift(ch.q, ch.eval(x)) % ch.p
         assert ct.level == REFRESHER_LEVEL == 1
         assert decrypt(desk_bundle.secret, ch, ct) == digit
@@ -250,23 +253,29 @@ def test_a_refused_factorization_is_not_kept(monkeypatch):
     assert rings.prime_factors(15) == (3, 5)
 
 
-@pytest.mark.parametrize("part", ["refresher repartition", "refresher channel", "public channel"])
-def test_a_bundle_whose_parts_disagree_is_refused(desk_bundle, part):
-    """The public key and the refresher expand their seeds over the bundle's
-    channel and one repartition, so a hand-built bundle whose refresher has
-    another repartition, or whose parts hold another channel object, is
-    refused on construction; the bundle's own parts are accepted."""
-    b = desk_bundle
-    other = dataclasses.replace(b.channel)
-    public, refresher = b.public, b.refresher
-    if part == "refresher repartition":
-        rep = public.repartition
-        moved = tuple((v + 1) % (len(rep.primes) + 1) for v in rep.assignment)
-        refresher = dataclasses.replace(refresher, repartition=Repartition(rep.q, moved))
-    elif part == "refresher channel":
-        refresher = dataclasses.replace(refresher, channel=other)
-    else:
-        public = dataclasses.replace(public, channel=other)
-    with pytest.raises(ParameterError, match="key parts disagree"):
-        KeyBundle(b.channel, b.secret, public, b.tensor, refresher, b.locators)
-    assert KeyBundle(b.channel, b.secret, b.public, b.tensor, b.refresher, b.locators) == b
+def test_a_bundle_is_its_evaluation_keys_plus_the_secret(desk_channel):
+    """Each key fact has one owner: the public key alone holds the channel
+    and the repartition, the refresher holds what its file holds, and a
+    bundle is an ``EvalKeys`` with the secret added, which ``from_bundle``
+    returns as it is and ``refresh_ct`` and ``evaluate`` take directly.
+    ``keygen`` keeps no refresher ciphertexts: the bundle expands them on
+    first use, to what the keys loaded from its public file expand."""
+    ch = desk_channel
+    fields = lambda cls: [f.name for f in dataclasses.fields(cls)]
+    assert fields(PublicKey) == ["seed", "fprime", "channel", "repartition"]
+    assert fields(Refresher) == ["seed", "cprime"]
+    assert fields(EvalKeys) == ["public", "tensor", "refresher", "locators"]
+    assert fields(KeyBundle) == [*fields(EvalKeys), "secret"]
+    bundle = keygen(ch, RandomSource(b"one-owner"))
+    assert isinstance(bundle, EvalKeys) and EvalKeys.from_bundle(bundle) is bundle
+    assert bundle.channel is bundle.public.channel is ch
+    assert "rho" not in vars(bundle)
+    loaded = public_from_dict(ch, json.loads(json.dumps(public_to_dict(bundle))))
+    assert bundle.rho == loaded.rho
+    rng = RandomSource(b"one-owner/run")
+    ct = encrypt(bundle.public, ch, 1, rng)
+    ready = make_refreshable(shadow(ch, ct), secret_refresh_checker(bundle.secret, ch),
+                             bundle.public, rng)
+    assert decrypt(bundle.secret, ch, refresh_ct(bundle, ready, rng)) == 1
+    outputs, _ = evaluate(parse_circuit("in a\nt = mul a a\nout t\n"), {"a": ct}, bundle)
+    assert decrypt(bundle.secret, ch, outputs["t"]) == 1

@@ -71,7 +71,7 @@ def test_emitted_levels_stay_within_the_budget(name, messages, ops, seed):
                 ready = make_refreshable(shadow(ch, a), checker, pk, rng)
                 if ready is None:
                     continue
-                ct, m = refresh_ct(bundle.eval_keys, ready, rng), ma
+                ct, m = refresh_ct(bundle, ready, rng), ma
         except NoiseBudgetError:
             continue
         assert ct.level <= budget

@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aces import serial
+from aces import cipher, refresh, serial
 from aces.channel import ArithmeticChannel, RandomSource
 from aces.cipher import REFRESHER_LEVEL, Ciphertext, encrypt
 from aces.cli import main
@@ -221,7 +221,7 @@ def test_intact_public_material_loads_whole(desk_files):
     keys = serial.public_from_dict(ch, data)
     refresher = keys.refresher
     assert len(keys.public.repartition.assignment) == len(refresher.cprime) == ch.n
-    assert [ct.level for ct in refresher.rho] == [REFRESHER_LEVEL] * ch.n
+    assert [ct.level for ct in keys.rho] == [REFRESHER_LEVEL] * ch.n
     assert {e.kind for e in keys.locators} == {"locator", "director"}
 
 
@@ -289,7 +289,7 @@ def test_public_file_round_trips_through_eval_keys(params):
 def test_a_public_file_with_no_locators_round_trips(desk_bundle):
     """An empty locator database is written as an empty list and read back
     as one: no word string at all, not an empty one."""
-    keys = dataclasses.replace(desk_bundle.eval_keys, locators=())
+    keys = dataclasses.replace(desk_bundle, locators=())
     data = json.loads(json.dumps(serial.public_to_dict(keys)))
     assert data["locators"] == []
     back = serial.public_from_dict(desk_bundle.channel, data)
@@ -332,9 +332,9 @@ def test_a_written_public_file_expands_to_the_bundles_parts(name, tmp_path, caps
         bundle = keygen(ch, RandomSource(seed))
         redrawn += len(draws) > 1
         keys = serial.public_from_dict(ch, json.loads(json.dumps(serial.public_to_dict(bundle))))
-        assert "f0" not in vars(keys.public) and "rho" not in vars(keys.refresher)
+        assert "f0" not in vars(keys.public) and "rho" not in vars(keys)
         assert keys.public.f0 == bundle.public.f0
-        assert keys.refresher.rho == bundle.refresher.rho
+        assert keys.rho == bundle.rho
         assert keys.public.repartition == bundle.public.repartition
 
         out = tmp_path / seed.hex()
@@ -345,7 +345,7 @@ def test_a_written_public_file_expands_to_the_bundles_parts(name, tmp_path, caps
                      "--out", str(out / "a.json")]) == 0
         ct = encrypt(bundle.public, ch, m, RandomSource.from_hex("e1"))
         assert (out / "a.json").read_bytes() == dumps_compact(serial.ciphertext_to_dict(ct))
-        fresh = refresh_certified(bundle.eval_keys, ct, secret_refresh_checker(bundle.secret, ch),
+        fresh = refresh_certified(bundle, ct, secret_refresh_checker(bundle.secret, ch),
                                   RandomSource.from_hex("f1"))
         code = main(["refresh", *files, "--ct", str(out / "a.json"), "--seed", "f1",
                      "--secret", str(out / "secret.json"), "--out", str(out / "fresh.json")])
@@ -359,15 +359,17 @@ def test_a_written_public_file_expands_to_the_bundles_parts(name, tmp_path, caps
 
 
 def test_each_command_expands_only_the_parts_it_uses(desk_files, tmp_path, monkeypatch):
-    """A spy on the seed expansion and the sampler it draws through: ``aces
-    encrypt`` expands ``f0`` alone (one seed, N divisible vectors), ``aces
-    eval`` with no refresh due expands nothing, and ``aces refresh
+    """A spy on the seed expansion, where ``PublicKey.f0`` and
+    ``EvalKeys.rho`` look it up, and on the sampler it draws through:
+    ``aces encrypt`` expands ``f0`` alone (one seed, N divisible vectors),
+    ``aces eval`` with no refresh due expands nothing, and ``aces refresh
     --secret`` expands ``f0`` and the refresher's vector parts (two seeds,
     n more vectors)."""
     ch, keys, ct = desk_files
-    module = sys.modules[PublicKey.__module__]
     expansions, vectors = [], []
-    for name, calls in (("expand_seed", expansions), ("sample_divisible_vector", vectors)):
+    for module, name, calls in ((sys.modules[PublicKey.__module__], "expand_seed", expansions),
+                                (refresh, "expand_seed", expansions),
+                                (cipher, "sample_divisible_vector", vectors)):
         real = getattr(module, name)
         monkeypatch.setattr(module, name,
                             lambda *args, real=real, calls=calls: calls.append(1) or real(*args))

@@ -463,7 +463,7 @@ def test_every_desk_kernel_runs_on_one_point(layouts):
     b = hom_mul(ch, bundle.tensor, a, a)
     checker = secret_refresh_checker(bundle.secret, ch)
     ready = make_refreshable(shadow(ch, b), checker, bundle.public, rng)
-    fresh = refresh_ct(bundle.eval_keys, ready, rng)
+    fresh = refresh_ct(bundle, ready, rng)
     assert decrypt(bundle.secret, ch, fresh) == 1
     assert (a.c[0] * a.c[1]).ring is ch.ring
     assert layouts and {points for points, _ in layouts} == {1}
@@ -479,7 +479,7 @@ def test_every_mid_kernel_runs_on_one_point(layouts):
     b = hom_mul(ch, bundle.tensor, a, a)
     checker = secret_refresh_checker(bundle.secret, ch)
     ready = make_refreshable(shadow(ch, b), checker, bundle.public, rng)
-    fresh = refresh_ct(bundle.eval_keys, ready, rng)
+    fresh = refresh_ct(bundle, ready, rng)
     assert decrypt(bundle.secret, ch, fresh) == 1
     assert (a.c[0] * a.c[1]).ring is ch.ring
     assert layouts and {points for points, _ in layouts} == {1}
@@ -498,7 +498,7 @@ def test_the_large_channel_contraction_and_rows_run_on_six_points(layouts):
     assert [points for points, _ in layouts] == [6]
     b = hom_mul(ch, bundle.tensor, a, a)
     assert layouts[1:] == [(6, 12), (6, 8)]
-    assert bundle.eval_keys.refresh_rows.layout.points == 6
+    assert bundle.refresh_rows.layout.points == 6
     assert decrypt(bundle.secret, ch, b) == 1
 
 

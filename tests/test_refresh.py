@@ -229,7 +229,7 @@ def test_refreshable_digit_identity(desk_bundle, rng):
 def test_search_empty_db_is_unknown(desk_bundle):
     ch = desk_bundle.channel
     assert public_certificates([], ch) == {}
-    keys = EvalKeys(ch, desk_bundle.public, desk_bundle.tensor, desk_bundle.refresher)
+    keys = EvalKeys(desk_bundle.public, desk_bundle.tensor, desk_bundle.refresher, ())
     ct = Ciphertext(tuple(ch.ring.poly([1]) for _ in range(ch.n)), ch.ring.poly([1]), 0)
     assert not publicly_refreshable(keys, shadow(ch, ct))
 
@@ -303,7 +303,7 @@ def test_search_matches_reference_on_hits_and_misses(params, keys):
 def test_public_certificates_are_built_once(desk_bundle, monkeypatch):
     """Two public checks with one ``EvalKeys`` build its table once."""
     b, ch = desk_bundle, desk_bundle.channel
-    keys = EvalKeys(ch, b.public, b.tensor, b.refresher, b.locators)
+    keys = EvalKeys(b.public, b.tensor, b.refresher, b.locators)
     builds = []
     monkeypatch.setattr(refresh, "public_certificates",
                         lambda *args: builds.append(args) or public_certificates(*args))
@@ -354,7 +354,7 @@ def test_refresh_preserves_plaintext(desk_bundle, rng):
         ps = shadow(ch, encrypt(desk_bundle.public, ch, m, rng))
         if not margin_test(desk_bundle.secret, ch, ps):
             continue
-        fresh = refresh_ct(desk_bundle.eval_keys, ps, rng)
+        fresh = refresh_ct(desk_bundle, ps, rng)
         assert fresh.level == 60
         assert decrypt(desk_bundle.secret, ch, fresh) == m
         done += 1
@@ -367,12 +367,12 @@ def test_refresh_level_is_input_independent(desk_bundle, rng):
         ps = shadow(ch, encrypt(desk_bundle.public, ch, 1, rng))
         if margin_test(desk_bundle.secret, ch, ps):
             break
-    once = refresh_ct(desk_bundle.eval_keys, ps, rng)
+    once = refresh_ct(desk_bundle, ps, rng)
     ready = make_refreshable(
         shadow(ch, once), lambda c: margin_test(desk_bundle.secret, ch, c),
         desk_bundle.public, rng,
     )
-    twice = refresh_ct(desk_bundle.eval_keys, ready, rng)
+    twice = refresh_ct(desk_bundle, ready, rng)
     assert once.level == twice.level == 60
     assert decrypt(desk_bundle.secret, ch, twice) == 1
 
@@ -383,7 +383,7 @@ def test_refresh_refuses_past_budget(desk_bundle, rng):
         tuple(ch.ring.zero() for _ in range(ch.n)), ch.ring.poly([1]), ch.max_noise_level() + 1
     )
     with pytest.raises(NoiseBudgetError):
-        refresh_ct(desk_bundle.eval_keys, shadow(ch, ct), rng)
+        refresh_ct(desk_bundle, shadow(ch, ct), rng)
 
 
 def test_make_refreshable_with_secret_checker(desk_bundle, rng):
@@ -394,7 +394,7 @@ def test_make_refreshable_with_secret_checker(desk_bundle, rng):
         ready = make_refreshable(shadow(ch, ct), checker, desk_bundle.public, rng)
         assert ready is not None
         assert _lifted_sum(evals(ch, desk_bundle.secret.polys), ready) % ch.q % ch.p == m
-        fresh = refresh_ct(desk_bundle.eval_keys, ready, rng)
+        fresh = refresh_ct(desk_bundle, ready, rng)
         assert decrypt(desk_bundle.secret, ch, fresh) == m
 
 
@@ -403,7 +403,7 @@ def test_refresh_certified_defaults_to_the_public_test(desk_bundle, rng, monkeyp
     keys: with the key owner's exact check in its place a desk
     ciphertext is refreshed, and with the real one a random ciphertext is
     not certified within the attempt budget."""
-    ch, keys = desk_bundle.channel, desk_bundle.eval_keys
+    ch, keys = desk_bundle.channel, desk_bundle
     exact, seen = secret_refresh_checker(desk_bundle.secret, ch), []
     real = refresh.publicly_refreshable
     monkeypatch.setattr(refresh, "publicly_refreshable",
@@ -435,7 +435,7 @@ def test_publicly_refreshable_is_sound(desk_bundle, rng):
         graft = Ciphertext(
             tuple(ch.ring.poly([v]) for v in e.vec), ct.cprime, 0
         )
-        if publicly_refreshable(desk_bundle.eval_keys, shadow(ch, graft)):
+        if publicly_refreshable(desk_bundle, shadow(ch, graft)):
             verified += 1
             assert locator_index(desk_bundle.secret, ch, e.vec) is not None
     assert verified > 0
@@ -448,7 +448,8 @@ def test_refresh_refuses_an_accumulated_level_past_the_budget(rng):
     ch.require_valid()
     assert ch.max_noise_level() == 57
     ct = Ciphertext(tuple(ch.ring.zero() for _ in range(ch.n)), ch.ring.poly([1]), 0)
-    keys = EvalKeys(ch, None, None, Refresher(bytes(16), (ch.ring.zero(),) * 3, ch, None))
+    keys = EvalKeys(PublicKey(bytes(16), (), ch, None), None,
+                    Refresher(bytes(16), (ch.ring.zero(),) * 3), ())
     with pytest.raises(NoiseBudgetError, match="accumulated level 58"):
         refresh_ct(keys, shadow(ch, ct), rng)
     assert "refresh_rows" not in vars(keys)
@@ -469,7 +470,7 @@ def test_refresh_refuses_a_post_refresh_level_past_the_budget(q):
                              bundle.public, rng)
     assert ready is not None
     with pytest.raises(NoiseBudgetError, match="accumulated level 58"):
-        refresh_ct(bundle.eval_keys, ready, rng)
+        refresh_ct(bundle, ready, rng)
 
 
 def test_refresh_at_a_budget_equal_to_the_post_refresh_level():
@@ -481,7 +482,7 @@ def test_refresh_at_a_budget_equal_to_the_post_refresh_level():
     ct = encrypt(bundle.public, ch, 1, rng)
     ready = make_refreshable(shadow(ch, ct), secret_refresh_checker(bundle.secret, ch),
                              bundle.public, rng)
-    fresh = refresh_ct(bundle.eval_keys, ready, rng)
+    fresh = refresh_ct(bundle, ready, rng)
     assert fresh.level == 60
     assert decrypt(bundle.secret, ch, fresh) == 1
 
@@ -520,7 +521,7 @@ def test_a_public_miss_multiplies_nothing(desk_bundle, rng, monkeypatch):
     from aces import cipher
     from aces.refresh import REFRESH_ATTEMPTS
 
-    ch, keys, checks = desk_bundle.channel, desk_bundle.eval_keys, []
+    ch, keys, checks = desk_bundle.channel, desk_bundle, []
     ct = encrypt(desk_bundle.public, ch, 1, rng)
 
     def refused(*args):
@@ -539,7 +540,7 @@ def test_a_refresh_shadow_and_its_attempts_evaluate_no_polynomial(desk_bundle, r
     """A drawn refresh's shadow and every re-randomization attempt read the
     values their masks and digits were drawn to: with the row shadows
     built, neither calls the channel's evaluation map."""
-    ch, keys = desk_bundle.channel, desk_bundle.eval_keys
+    ch, keys = desk_bundle.channel, desk_bundle
     ps = shadow(ch, encrypt(desk_bundle.public, ch, 1, rng))
     keys.row_shadows
     calls, real = [], ArithmeticChannel.eval
@@ -654,7 +655,7 @@ def test_refresh_refuses_a_wrong_length_ciphertext(desk_bundle, rng):
     ct = encrypt(desk_bundle.public, ch, 1, rng)
     short = Ciphertext(ct.c[:2], ct.cprime, ct.level)
     with pytest.raises(ParameterError, match="2 vector parts"):
-        refresh_ct(desk_bundle.eval_keys, shadow(ch, short), rng)
+        refresh_ct(desk_bundle, shadow(ch, short), rng)
     with pytest.raises(ParameterError, match="2 vector parts"):
         make_refreshable(shadow(ch, short), lambda c: False, desk_bundle.public, rng)
 
@@ -685,7 +686,7 @@ def test_a_malformed_shadow_is_refused_before_any_draw(desk_bundle, name):
     outside [0, q), of the wrong length or type, or with a level that is not
     a non-negative integer, with ParameterError and before their first draw;
     the shadow it is edited from is refreshed."""
-    ch, keys = desk_bundle.channel, desk_bundle.eval_keys
+    ch, keys = desk_bundle.channel, desk_bundle
     ps = shadow(ch, encrypt(desk_bundle.public, ch, 1, RandomSource(b"malformed/enc")))
     bad = MALFORMED_SHADOWS[name](ps, ch.q)
     for call in (lambda rng: refresh_ct(keys, bad, rng),
@@ -702,9 +703,8 @@ def test_a_malformed_shadow_is_refused_before_any_draw(desk_bundle, name):
 
 def test_evaluation_keys_are_shared_and_built_lazily(desk_channel, tmp_path):
     bundle = keygen(desk_channel, RandomSource(b"lazy"))
-    assert "eval_keys" not in vars(bundle)
     keys = EvalKeys.from_bundle(bundle)
-    assert keys is EvalKeys.from_bundle(bundle) is bundle.eval_keys
+    assert keys is bundle
     assert "refresh_rows" not in vars(keys)
     serial.dump(serial.public_to_dict(bundle), tmp_path / "public.json")
     loaded = serial.public_from_dict(desk_channel, serial.load(tmp_path / "public.json"))
@@ -726,7 +726,7 @@ def test_refresh_matrix_is_built_once(desk_channel, monkeypatch):
     for m in (1, 0):
         ps = make_refreshable(shadow(ch, encrypt(bundle.public, ch, m, rng)), checker,
                               bundle.public, rng)
-        assert decrypt(bundle.secret, ch, refresh_ct(bundle.eval_keys, ps, rng)) == m
+        assert decrypt(bundle.secret, ch, refresh_ct(bundle, ps, rng)) == m
     assert len(contractions) == ch.n * ch.big_n
 
 
@@ -789,9 +789,9 @@ def _check_against_reference(ch, data):
     rho = tuple(Ciphertext(_polys(data, ch, n), *_polys(data, ch, 1), 1) for _ in range(n))
     # Arbitrary parts, not drawn from a seed: each is set as its expansion.
     public = PublicKey(bytes(16), _polys(data, ch, big_n), ch, None)
-    refresher = Refresher(bytes(16), tuple(r.cprime for r in rho), ch, None)
-    vars(public)["f0"], vars(refresher)["rho"] = f0, rho
-    keys = EvalKeys(ch, public, _symmetric_tensor(data, ch), refresher)
+    refresher = Refresher(bytes(16), tuple(r.cprime for r in rho))
+    keys = EvalKeys(public, _symmetric_tensor(data, ch), refresher, ())
+    vars(public)["f0"], vars(keys)["rho"] = f0, rho
     ct = Ciphertext(_polys(data, ch, n), *_polys(data, ch, 1), 0)
     seed = data.draw(st.binary(max_size=8), label="refresh seed")
     got = refresh_ct(keys, shadow(ch, ct), RandomSource(seed))

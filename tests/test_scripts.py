@@ -26,3 +26,16 @@ def test_code_lines_counts_every_module_and_the_total(capsys):
     package = SCRIPTS.parent / "src" / "aces"
     assert set(rows) == {path.stem for path in package.glob("*.py")} | {"total"}
     assert int(rows.pop("total")) == sum(map(int, rows.values())) > 0
+
+
+def test_ops_builds_and_runs_every_desk_row(tmp_path, monkeypatch):
+    """``scripts/ops.py`` builds each of its rows at the desk channel, and
+    each row runs once, so the script keeps up with the package's API."""
+    monkeypatch.syspath_prepend(str(SCRIPTS.parent / "bench"))
+    script = runpy.run_path(str(SCRIPTS / "ops.py"))
+    from workloads import DESK
+
+    ops, sizes = script["_operations"](DESK, tmp_path)
+    assert len(ops) == 27 and set(sizes) == {"public.json", "ciphertext"}
+    for row in ops.values():
+        row()
