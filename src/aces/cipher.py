@@ -8,13 +8,14 @@ updates it by the exact closed-form rules, all defined in this module,
 rather than re-deriving it from data.  So is the evaluator's rule for when
 to refresh a wire, ``refresh_due``.
 
-This is also the one module where secret-side code reads ciphertexts and
-keys, and it reads them only through the channel's evaluation map, a ring
-homomorphism onto Z_q.  A ciphertext's integer shadow ``(v, v')`` holds
-the negated evaluations of ``c`` and the evaluation of ``c'``; with the
-secret evaluations ``s``, the lifted sum ``v' + <v, s>`` is
-``eval(c' - <c, x>)`` modulo q, so decryption, the membership check and the
-refreshability index are integer arithmetic on it, with no ring product.
+Secret-side code, here and in ``refresh`` and ``keygen``, reads the secret
+only through ``SecretKey.values``: its evaluations under the channel's
+evaluation map, a ring homomorphism onto Z_q, computed once per key.  A
+ciphertext's integer shadow ``(v, v')`` holds the negated evaluations of
+``c`` and the evaluation of ``c'``; with the secret evaluations ``s``, the
+lifted sum ``v' + <v, s>`` is ``eval(c' - <c, x>)`` modulo q, so
+decryption, the membership check and the refreshability index are integer
+arithmetic on it, with no ring product.
 """
 
 from __future__ import annotations
@@ -192,7 +193,7 @@ def decrypt(sk, ch: ArithmeticChannel, ct: Ciphertext) -> int:
         raise NoiseBudgetError(
             f"noise budget exceeded: level {ct.level} > {ch.max_noise_level()}"
         )
-    return _lifted_sum(evals(ch, sk.polys), shadow(ch, ct)) % ch.q % ch.p
+    return _lifted_sum(sk.values(ch), shadow(ch, ct)) % ch.q % ch.p
 
 
 def level_after(op: str, k1: int, k2: int, ch: ArithmeticChannel):
@@ -268,8 +269,10 @@ def in_encryption_space(sk, rep, ch: ArithmeticChannel, ct: Ciphertext, m: int, 
     Verifies the divisibility constraint on the vector part and that the
     scalar residual evaluates to the message plus level-``k`` noise.
     """
-    for j, value in enumerate(evals(ch, ct.c)):
-        if value % rep.prime_of(j) != 0:
-            return False
-    residual = _lifted_sum(evals(ch, sk.polys), shadow(ch, ct)) % ch.q
+    # Slot j's prime divides q, so it divides eval(c_j) exactly when it
+    # divides the shadow's -eval(c_j) mod q.
+    ps = shadow(ch, ct)
+    if any(value % rep.prime_of(j) for j, value in enumerate(ps.v)):
+        return False
+    residual = _lifted_sum(sk.values(ch), ps) % ch.q
     return is_leveled_multiple(ch.p, k, (residual - m) % ch.q)

@@ -58,6 +58,16 @@ SEED_BYTES = 16
 class SecretKey:
     polys: tuple[RingPoly, ...]
 
+    def values(self, ch: ArithmeticChannel) -> tuple[int, ...]:
+        """The secret's evaluations under ``ch`` (``cipher.evals`` of
+        ``polys``), computed on first use and kept beside ``ch``; another
+        channel object computes them again.  Every secret-side check reads
+        the secret through here."""
+        kept = vars(self).get("_values")
+        if kept is None or kept[0] is not ch:
+            kept = vars(self)["_values"] = (ch, evals(ch, self.polys))
+        return kept[1]
+
     @cached_property
     def rows(self) -> PackedRows:
         """The secret as an ``n x 1`` packed matrix, for the two places that
@@ -183,7 +193,7 @@ def _seed(rng: RandomSource) -> bytes:
 
 
 def _weighted_evals(ch: ArithmeticChannel, rep: Repartition, sk: SecretKey) -> list[int]:
-    return [rep.prime_of(i) * e for i, e in enumerate(evals(ch, sk.polys))]
+    return [rep.prime_of(i) * e for i, e in enumerate(sk.values(ch))]
 
 
 def _bezout(values: list[int]) -> tuple[int, list[int]]:
@@ -260,8 +270,7 @@ def gen_tensor(
     g, mu = _bezout(weighted)
     if g != 1:
         raise GenerationError("tensor generation needs coprime weighted evaluations")
-    n, q = ch.n, ch.q
-    secret = evals(ch, sk.polys)
+    n, q, secret = ch.n, ch.q, sk.values(ch)
     alpha = tuple(rep.prime_of(k) * mu[k] % q for k in range(n))
     beta = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -318,7 +327,7 @@ def gen_refresher(
     noise from ``rng``.  The refresher keeps the scalar parts.
     """
     rho = (_secret_formula(sk, ch, c, e % ch.p, REFRESHER_LEVEL, rng)
-           for c, e in zip(expand_seed(ch, rep, seed, ch.n), evals(ch, sk.polys)))
+           for c, e in zip(expand_seed(ch, rep, seed, ch.n), sk.values(ch)))
     return Refresher(seed, tuple(ct.cprime for ct in rho))
 
 
@@ -331,8 +340,7 @@ def owns(sk: SecretKey, keys) -> bool:
     its slot's digit at ``REFRESHER_LEVEL``.  The public material of another key, or with one
     word changed, fails it; a forged key need not."""
     pk, ch, layers = keys.public, keys.channel, keys.tensor.layers
-    rep, q = pk.repartition, ch.q
-    secret = evals(ch, sk.polys)
+    rep, q, secret = pk.repartition, ch.q, sk.values(ch)
     # sum_k lambda[i][j][k] * s_k is sum_s beta_s[i][j] * <alpha_s, s>.
     scales = [sum(map(operator.mul, alpha, secret)) % q for alpha, _ in layers]
 

@@ -8,7 +8,7 @@ refreshable when the lifted dot product against the secret evaluations
 differs from its reduced form by an exact non-negative multiple of p*q;
 refreshable ciphertexts can have their noise rebuilt from scratch without
 decrypting.  The secret key is read only through its evaluations
-(``cipher.evals``), never through ring products.
+(``SecretKey.values``), never through ring products.
 
 A shadow that does not check out is re-randomized on the shadow too
 (``make_refreshable``): the evaluation map is a ring homomorphism, so the
@@ -52,9 +52,8 @@ from itertools import combinations_with_replacement
 
 from .channel import ArithmeticChannel, RandomSource, sample_message_carrier
 from .cipher import (
-    REFRESHER_LEVEL, Ciphertext, Pseudociphertext, _lifted_sum, checked_refresh_level, evals,
-    expand_seed, fresh_level, has_refresh_headroom, level_after, sample_mask, shadow,
-    within_budget,
+    REFRESHER_LEVEL, Ciphertext, Pseudociphertext, _lifted_sum, checked_refresh_level, expand_seed,
+    fresh_level, has_refresh_headroom, level_after, sample_mask, shadow, within_budget,
 )
 from .errors import ParameterError
 from .homo import _product, _shadow_op
@@ -64,6 +63,7 @@ __all__ = [
     "LocatorEntry",
     "margin",
     "locator_index",
+    "director_index",
     "refreshable_index",
     "margin_test",
     "public_certificates",
@@ -121,29 +121,22 @@ def _split(ch: ArithmeticChannel, secret: tuple[int, ...], vec: tuple[int, ...])
 def margin(sk, ch: ArithmeticChannel, vec: tuple[int, ...]) -> Fraction:
     """Fractional part of the lifted dot product with the secret evaluations,
     as an exact rational with denominator q."""
-    return Fraction(_split(ch, evals(ch, sk.polys), vec)[2], ch.q)
+    return Fraction(_split(ch, sk.values(ch), vec)[2], ch.q)
 
 
 def locator_index(sk, ch: ArithmeticChannel, vec: tuple[int, ...]):
     """The locator index of ``vec``, or None if it is not a locator."""
-    return _split(ch, evals(ch, sk.polys), vec)[0]
+    return _split(ch, sk.values(ch), vec)[0]
 
 
 def director_index(sk, ch: ArithmeticChannel, vec: tuple[int, ...]):
     """The director index of ``vec``, or None."""
-    return _split(ch, evals(ch, sk.polys), vec)[1]
+    return _split(ch, sk.values(ch), vec)[1]
 
 
 def _vector(ch: ArithmeticChannel, ps: Pseudociphertext) -> tuple[int, ...]:
     """The evaluations of the vector part ``c`` that ``ps`` is the shadow of."""
     return tuple((-v) % ch.q for v in ps.v)
-
-
-def _index(ch: ArithmeticChannel, secret: tuple[int, ...], ps: Pseudociphertext):
-    """``refreshable_index`` on the secret evaluations ``secret``."""
-    # The lifted sum minus its reduction is q times its whole part.
-    whole = _lifted_sum(secret, ps) // ch.q
-    return whole // ch.p if whole % ch.p == 0 else None
 
 
 def refreshable_index(sk, ch: ArithmeticChannel, ps: Pseudociphertext):
@@ -152,7 +145,9 @@ def refreshable_index(sk, ch: ArithmeticChannel, ps: Pseudociphertext):
     Returns the index k for which the lifted dot-product identity holds with
     an exact offset of k*p*q, or None when no non-negative k works.
     """
-    return _index(ch, evals(ch, sk.polys), ps)
+    # The lifted sum minus its reduction is q times its whole part.
+    whole = _lifted_sum(sk.values(ch), ps) // ch.q
+    return whole // ch.p if whole % ch.p == 0 else None
 
 
 def margin_test(sk, ch: ArithmeticChannel, ps: Pseudociphertext) -> bool:
@@ -162,7 +157,7 @@ def margin_test(sk, ch: ArithmeticChannel, ps: Pseudociphertext) -> bool:
     shadow's level leaves enough headroom below the margin, decided on the
     margin's numerator over q.
     """
-    loc, _, num = _split(ch, evals(ch, sk.polys), _vector(ch, ps))
+    loc, _, num = _split(ch, sk.values(ch), _vector(ch, ps))
     return loc is not None and has_refresh_headroom(ch, ps.level, num)
 
 
@@ -219,7 +214,7 @@ def sample_locator_db(sk, ch: ArithmeticChannel, rng: RandomSource) -> list[Loca
     exactly."""
     entries: list[LocatorEntry] = []
     want_loc, want_dir = DB_LOCATORS, DB_DIRECTORS
-    secret = evals(ch, sk.polys)
+    secret = sk.values(ch)
     draws = 0
     while (want_loc > 0 or want_dir > 0) and draws < LOCATOR_DRAWS:
         draws += 1
@@ -384,11 +379,10 @@ def secret_refresh_checker(sk, ch: ArithmeticChannel):
     """Exact refreshability predicate on a shadow, for the key owner.
 
     Plaintext preservation under refresh needs the identity to hold and the
-    level to sit inside the decryption budget; both are checked exactly.
-    The secret is evaluated once, here.
+    level to sit inside the decryption budget; both are checked exactly, on
+    the secret's evaluations that the key keeps (``SecretKey.values``).
     """
-    secret = evals(ch, sk.polys)
-    return lambda ps: within_budget(ch, ps.level) and _index(ch, secret, ps) is not None
+    return lambda ps: within_budget(ch, ps.level) and refreshable_index(sk, ch, ps) is not None
 
 
 def _plus_zero(ps: Pseudociphertext, pk, rng: RandomSource):

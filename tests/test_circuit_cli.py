@@ -317,6 +317,22 @@ def test_the_power_chain_multiplies_only_the_wire_its_output_reads(desk_bundle, 
     assert decrypt(desk_bundle.secret, ch, outputs["t10"]) == 1
 
 
+def test_the_owner_reads_the_secret_evaluations_keygen_kept(desk_channel, monkeypatch):
+    """After ``keygen``, the power chain with the key owner's checker and
+    the decryption of its output read the secret's evaluations that key
+    generation kept (``SecretKey.values``): the channel evaluates no
+    polynomial of the secret."""
+    ch = desk_channel
+    bundle = keygen(ch, RandomSource(b"secret kept"))
+    calls, real = [], ArithmeticChannel.eval
+    monkeypatch.setattr(ArithmeticChannel, "eval", lambda self, v: calls.append(v) or real(self, v))
+    rng = RandomSource(b"secret kept/run")
+    env = {"a": encrypt(bundle.public, ch, 1, rng)}
+    outputs, report = evaluate(parse_circuit(POWER_CHAIN), env, bundle, _secret_policy(bundle), rng)
+    assert report.refresh_events and decrypt(bundle.secret, ch, outputs["t10"]) == 1
+    assert calls and not any(v is x for v in calls for x in bundle.secret.polys)
+
+
 @pytest.mark.parametrize("mode, gates", [("off", 1500), ("auto", 3000)])
 def test_a_long_add_chain_evaluates_without_recursion(desk_bundle, mode, gates):
     """An add chain as long as the budget allows with refresh off (the last

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from aces import rings
 from aces.channel import ArithmeticChannel, RandomSource, in_noise_space
-from aces.cipher import REFRESHER_LEVEL, decrypt, encrypt, in_encryption_space, shadow
+from aces.cipher import REFRESHER_LEVEL, decrypt, encrypt, evals, in_encryption_space, shadow
 from aces.circuit import evaluate, parse_circuit
 from aces.errors import GenerationError, ParameterError
-from aces.keygen import KeyBundle, PublicKey, Refresher, _bezout, gen_secret, keygen, owns
+from aces.keygen import KeyBundle, PublicKey, Refresher, SecretKey, _bezout, gen_secret, keygen, owns
 from aces.refresh import EvalKeys, make_refreshable, refresh_ct, secret_refresh_checker
 from aces.rings import Repartition, lift
 from aces.serial import public_from_dict, public_to_dict, secret_to_dict
@@ -279,3 +279,33 @@ def test_a_bundle_is_its_evaluation_keys_plus_the_secret(desk_channel):
     assert decrypt(bundle.secret, ch, refresh_ct(bundle, ready, rng)) == 1
     outputs, _ = evaluate(parse_circuit("in a\nt = mul a a\nout t\n"), {"a": ct}, bundle)
     assert decrypt(bundle.secret, ch, outputs["t"]) == 1
+
+
+def test_keygen_evaluates_each_secret_polynomial_once(desk_channel, monkeypatch):
+    """The Bezout check, the tensor, the refresher and the locator database
+    share one evaluation of each polynomial of the accepted secret
+    (``SecretKey.values``), ``owns`` evaluates none of them again, and the
+    secret key's one dataclass field is still its polynomials."""
+    calls, real = [], ArithmeticChannel.eval
+    monkeypatch.setattr(ArithmeticChannel, "eval", lambda self, v: calls.append(v) or real(self, v))
+    bundle = keygen(desk_channel, RandomSource(b"secret once"))
+    sk = bundle.secret
+    assert [sum(v is x for v in calls) for x in sk.polys] == [1] * desk_channel.n
+    calls.clear()
+    assert owns(sk, bundle)
+    assert calls and not any(v is x for v in calls for x in sk.polys)
+    assert [f.name for f in dataclasses.fields(SecretKey)] == ["polys"]
+
+
+def test_secret_values_follow_the_channel_object(desk_bundle):
+    """``SecretKey.values`` is ``evals`` of the secret under the channel it
+    is given: an equal copy of the key's channel, and the channel at omega
+    = q - 1, another root of the same ``u`` over the same ring whose values
+    differ, are each evaluated on their own, and a later call with an
+    earlier channel gets that channel's values again."""
+    ch, sk = desk_bundle.channel, desk_bundle.secret
+    copy, flipped = dataclasses.replace(ch), dataclasses.replace(ch, omega=ch.q - 1)
+    assert copy == ch and copy is not ch and flipped.ring is ch.ring
+    assert evals(flipped, sk.polys) != evals(ch, sk.polys)
+    for other in (ch, copy, flipped, copy, ch):
+        assert sk.values(other) == evals(other, sk.polys)

@@ -8,11 +8,52 @@ import pytest
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
+# What each demo script prints, line for line: keys, draws and levels are
+# fixed by their seeds, so any change here is a change of behaviour.
+DEMO_OUTPUT = {
+    "demo_roundtrip.py": """\
+channel: p=2 q=15015 degree=4 n=3 N=2
+noise budget: levels up to 7506
+repartition: primes (3, 5, 7, 11, 13), assignment (5, 3, 2)
+
+encrypted two bits at level 4
+1 + 1 -> 0 (level 8)
+1 * 1 -> 1 (level 48)
+
+refreshed the product: level 48 -> 60, still decrypts to 1
+refreshable index of the fresh ciphertext: 6196
+""",
+    "noise_levels.py": """\
+budget 7506, post-refresh level 60
+
+squaring chain without refresh:
+  depth 0: level 4
+  depth 1: level 48
+  depth 2: level 4800
+  depth 3: overflow
+
+depth-6 chain with auto refresh:
+  refreshed t2: 4800 -> 60
+  refreshed t3: 7440 -> 60
+  refreshed t4: 7440 -> 60
+  refreshed t5: 7440 -> 60
+  wire a: final level 4
+  wire t1: final level 48
+  wire t2: final level 60
+  wire t3: final level 60
+  wire t4: final level 60
+  wire t5: final level 60
+  wire t6: final level 7440
+""",
+}
+
+
 @pytest.mark.parametrize("script", ["noise_levels.py", "demo_roundtrip.py"])
 def test_script_runs(script, capsys):
     runpy.run_path(str(SCRIPTS / script), run_name="__main__")
     out = capsys.readouterr().out
     assert "budget" in out
+    assert out.splitlines() == DEMO_OUTPUT[script].splitlines()
 
 
 def test_code_lines_counts_every_module_and_the_total(capsys):
