@@ -44,6 +44,7 @@ __all__ = [
     "has_refresh_headroom",
     "sample_mask",
     "sample_divisible_vector",
+    "draw_seed",
     "expand_seed",
     "in_encryption_space",
 ]
@@ -51,6 +52,8 @@ __all__ = [
 # The level of every refresher ciphertext: the smallest nonzero level keeps
 # the post-refresh level minimal while still masking the digit.
 REFRESHER_LEVEL = 1
+# Bytes of each seed that material is expanded from (``draw_seed``).
+SEED_BYTES = 16
 
 
 @dataclass(frozen=True)
@@ -113,16 +116,10 @@ def fresh_level(ch: ArithmeticChannel) -> int:
     return ch.big_n * ch.p * ch.k0
 
 
-def sample_mask(ch: ArithmeticChannel,
-                rng: RandomSource) -> tuple[tuple[int, ...], tuple[RingPoly, ...]]:
-    """The encryptor's garbling vector: N values drawn from [0, p], each
-    followed by a carrier evaluating to it.  Returns the values, which are
-    the carriers' evaluations, and the carriers."""
-    values, carriers = [], []
-    for _ in range(ch.big_n):
-        values.append(rng.between(0, ch.p))
-        carriers.append(sample_message_carrier(ch, values[-1], rng))
-    return tuple(values), tuple(carriers)
+def sample_mask(ch: ArithmeticChannel, rng: RandomSource) -> tuple[RingPoly, ...]:
+    """The encryptor's garbling vector: N carriers, each of a value drawn
+    from [0, p] just before it."""
+    return tuple(sample_message_carrier(ch, rng.between(0, ch.p), rng) for _ in range(ch.big_n))
 
 
 def encrypt(pk, ch: ArithmeticChannel, m: int, rng: RandomSource) -> Ciphertext:
@@ -138,7 +135,7 @@ def encrypt(pk, ch: ArithmeticChannel, m: int, rng: RandomSource) -> Ciphertext:
         raise ParameterError("encrypt: the channel is not the public key's channel")
     if not 0 <= m < ch.p:
         raise ParameterError(f"message {m} is not a residue mod p={ch.p}")
-    _, b = sample_mask(ch, rng)
+    b = sample_mask(ch, rng)
     *c, masked = pk.rows.combine(b)
     carrier = sample_message_carrier(ch, m, rng)
     return Ciphertext(tuple(c), carrier + masked, fresh_level(ch))
@@ -151,6 +148,13 @@ def sample_divisible_vector(ch: ArithmeticChannel, rep, rng: RandomSource) -> tu
         sample_message_carrier(ch, (rep.prime_of(j) * rng.below(ch.q)) % ch.q, rng)
         for j in range(rep.n)
     )
+
+
+def draw_seed(rng: RandomSource) -> bytes:
+    """A seed of ``SEED_BYTES`` uniform bytes drawn from ``rng``: the seeds
+    of ``f0`` and of the refresher's vector parts, and a refresh's carrier
+    seed."""
+    return rng.below(1 << 8 * SEED_BYTES).to_bytes(SEED_BYTES, "little")
 
 
 def expand_seed(ch: ArithmeticChannel, rep, seed: bytes, count: int):

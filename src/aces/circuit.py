@@ -124,7 +124,7 @@ class RefreshPolicy:
     other mode is refused.  ``checker`` is a predicate Pseudociphertext ->
     bool certifying refreshability of a wire's shadow (``cipher.shadow``),
     or None for the public test on the published locator database
-    (``refresh.refresh_certified``), which is sound but frequently
+    (``refresh.draw_certified``), which is sound but frequently
     inconclusive; a key owner can pass ``refresh.secret_refresh_checker``.
     """
 

@@ -8,12 +8,12 @@ a published locator/director database for the public refreshability test.
 
 Two parts of the public material depend on no secret: the initializer
 ``f0`` and the vector parts of the refresher's ciphertexts.  Each is drawn
-from its own ``SEED_BYTES``-byte seed, which ``keygen`` draws from its
-stream once the repartition, secret and tensor are final; ``PublicKey`` and
-``Refresher`` hold the seed, and ``PublicKey.f0`` and ``EvalKeys.rho``
-expand it, over the public key's channel and repartition, on first use.
-``cipher.expand_seed`` is the one expansion, at keygen as on first use.  A
-file publishes the seeds instead of the parts.
+from its own seed, which ``keygen`` draws from its stream
+(``cipher.draw_seed``) once the repartition, secret and tensor are final;
+``PublicKey`` and ``Refresher`` hold the seed, and ``PublicKey.f0`` and
+``EvalKeys.rho`` expand it, over the public key's channel and repartition,
+on first use.  ``cipher.expand_seed`` is the one expansion, at keygen as on
+first use.  A file publishes the seeds instead of the parts.
 
 Each fact of a key has one owner: the public key holds the channel and the
 repartition, and a ``KeyBundle`` is its ``EvalKeys`` plus the secret.
@@ -29,7 +29,8 @@ from itertools import chain
 
 from .channel import ArithmeticChannel, RandomSource, sample_noise
 from .cipher import (
-    REFRESHER_LEVEL, Ciphertext, _secret_formula, evals, expand_seed, in_encryption_space, shadow,
+    REFRESHER_LEVEL, Ciphertext, _secret_formula, draw_seed, evals, expand_seed,
+    in_encryption_space, shadow,
 )
 from .errors import GenerationError, ParameterError
 from .refresh import EvalKeys, sample_locator_db
@@ -50,8 +51,6 @@ __all__ = [
 
 SECRET_ATTEMPTS = 256
 REPARTITION_ATTEMPTS = 16
-# Bytes of each seed the public material is drawn from.
-SEED_BYTES = 16
 
 
 @dataclass(frozen=True)
@@ -185,11 +184,6 @@ class KeyBundle(EvalKeys):
     """A whole key: its ``EvalKeys`` plus the secret."""
 
     secret: SecretKey
-
-
-def _seed(rng: RandomSource) -> bytes:
-    """A seed of ``SEED_BYTES`` uniform bytes drawn from ``rng``."""
-    return rng.below(1 << 8 * SEED_BYTES).to_bytes(SEED_BYTES, "little")
 
 
 def _weighted_evals(ch: ArithmeticChannel, rep: Repartition, sk: SecretKey) -> list[int]:
@@ -379,7 +373,7 @@ def keygen(ch: ArithmeticChannel, rng: RandomSource) -> KeyBundle:
             # degenerate rows): resample the repartition and secret.
             last_error = exc
             continue
-        f0_seed, rho_seed = _seed(rng), _seed(rng)
+        f0_seed, rho_seed = draw_seed(rng), draw_seed(rng)
         pk = gen_public(ch, rep, sk, f0_seed, rng)
         refresher = gen_refresher(ch, rep, sk, rho_seed, rng)
         locators = tuple(sample_locator_db(sk, ch, rng))

@@ -13,9 +13,9 @@ decrypting.  The secret key is read only through its evaluations
 A shadow that does not check out is re-randomized on the shadow too
 (``make_refreshable``): the evaluation map is a ring homomorphism, so the
 shadow of an encryption of zero is a combination of the public key's row
-shadows (``PublicKey.shadows``) weighted by the evaluations of its mask,
-which are the values ``cipher.sample_mask`` drew.  An attempt draws what
-``encrypt`` draws and neither multiplies nor evaluates a polynomial.
+shadows (``PublicKey.shadows``) weighted by the evaluations of its mask.
+Those N values in [0, p] are all an attempt reads, so it draws them alone:
+no carrier, no ring product and no evaluation.
 
 Two test routes exist.  With the secret key the defining identity is checked
 exactly, and a sufficient margin condition gives a cheaper certificate.
@@ -29,16 +29,18 @@ The refresh itself encrypts the mod-p digits of the shadow with the public
 key and contracts each against its refresher ciphertext, adding an
 encryption of the scalar digit.  Encryption is linear in its mask and
 carrier, and the contraction is bilinear, so all of it is one combination
-of a fixed per-key matrix (``EvalKeys.refresh_rows``) with the freshly drawn
-masks and carriers.  The matrix is built on the first refresh with a key,
-and ``EvalKeys`` keeps it for every later one.
+of a fixed per-key matrix (``EvalKeys.refresh_rows``) with the masks and
+carriers.  The matrix is built on the first refresh with a key, and
+``EvalKeys`` keeps it for every later one.
 
-A refresh is drawn first (``draw_refresh``: the checks, then the masks and
-carriers) and combined only when something reads its ciphertext
-(``DrawnRefresh.ciphertext``).  Its shadow needs no combination: it is the
-masks' and carriers' evaluations, kept as drawn (the masks' values and the
-digits), against the rows' shadows (``EvalKeys.row_shadows``), so a
-refreshed wire that only feeds another refresh costs no ring product and no
+A refresh is drawn first (``draw_refresh``: the checks, then the values of
+the masks, then one carrier seed) and expanded only when something reads
+its ciphertext (``DrawnRefresh.ciphertext``): one carrier per mask value
+and per digit, drawn from the seed as ``cipher.expand_seed`` draws ``f0``,
+then one combination.  Its shadow needs neither: it is the values the
+masks and carriers evaluate to, the mask values and the digits, against
+the rows' shadows (``EvalKeys.row_shadows``), so a refreshed wire that
+only feeds another refresh costs no carrier, no ring product and no
 evaluation.
 """
 
@@ -52,12 +54,12 @@ from itertools import combinations_with_replacement
 
 from .channel import ArithmeticChannel, RandomSource, sample_message_carrier
 from .cipher import (
-    REFRESHER_LEVEL, Ciphertext, Pseudociphertext, _lifted_sum, checked_refresh_level, expand_seed,
-    fresh_level, has_refresh_headroom, level_after, sample_mask, shadow, within_budget,
+    REFRESHER_LEVEL, Ciphertext, Pseudociphertext, _lifted_sum, checked_refresh_level, draw_seed,
+    expand_seed, fresh_level, has_refresh_headroom, level_after, shadow, within_budget,
 )
 from .errors import ParameterError
 from .homo import _product, _shadow_op
-from .rings import PackedRows, RingPoly, _int_coeffs, lift
+from .rings import PackedRows, _int_coeffs, lift
 
 __all__ = [
     "LocatorEntry",
@@ -318,31 +320,34 @@ def _check_shadow(ch: ArithmeticChannel, ps: Pseudociphertext) -> None:
 
 @dataclass(frozen=True)
 class DrawnRefresh:
-    """A refresh after its draws and before any ring product: the
-    post-refresh ``level``; the ``weights`` of ``EvalKeys.refresh_rows``,
-    the masks in draw order and then the carriers of the vector digits;
-    ``last``, the scalar digit's carrier, which the scalar part adds; and
-    ``values``, the evaluations of the weights and then of ``last``, as
-    drawn: the masks' values, then the digits."""
+    """A refresh after its draws and before any carrier or ring product:
+    the post-refresh ``level``; ``values``, the masks' values as drawn
+    (``N`` per digit, the scalar digit's last) and then the digits, which
+    are what the weights of ``EvalKeys.refresh_rows`` and then the scalar
+    digit's carrier evaluate to; and ``seed``, the seed of those carriers."""
 
     level: int
-    weights: tuple[RingPoly, ...]
-    last: RingPoly
     values: tuple[int, ...]
+    seed: bytes
 
     def shadow(self, keys: EvalKeys) -> Pseudociphertext:
         """``cipher.shadow`` of ``ciphertext(keys)``, on integers: the
-        weights' values against ``keys.row_shadows``, plus the last
-        carrier's value in the scalar part."""
+        values but the last against ``keys.row_shadows``, plus the last,
+        the scalar digit, in the scalar part."""
         q = keys.channel.q
         *w, last = self.values
         *v, vprime = (sum(map(operator.mul, w, col)) for col in keys.row_shadows)
         return Pseudociphertext(tuple(x % q for x in v), (vprime + last) % q, self.level)
 
     def ciphertext(self, keys: EvalKeys) -> Ciphertext:
-        """The refreshed ciphertext: one combination of the refresh matrix."""
-        *c, cprime = keys.refresh_rows.combine(self.weights)
-        return Ciphertext(tuple(c), cprime + self.last, self.level)
+        """The refreshed ciphertext: one carrier per value, drawn from
+        ``RandomSource(seed)`` in ``values`` order (``refresh_rows``' row
+        order), and one combination of the refresh matrix with all but the
+        last, which the scalar part adds."""
+        ch, rng = keys.channel, RandomSource(self.seed)
+        *weights, last = (sample_message_carrier(ch, v, rng) for v in self.values)
+        *c, cprime = keys.refresh_rows.combine(weights)
+        return Ciphertext(tuple(c), cprime + last, self.level)
 
 
 def draw_refresh(keys: EvalKeys, ps: Pseudociphertext, rng: RandomSource) -> DrawnRefresh:
@@ -352,21 +357,17 @@ def draw_refresh(keys: EvalKeys, ps: Pseudociphertext, rng: RandomSource) -> Dra
     Refreshability itself must have been verified (or is asserted) by the
     caller; this routine checks only the shadow itself (``_check_shadow``)
     and the level preconditions it can see without the secret key
-    (``checked_refresh_level``).  The draws are those of encrypting each
-    mod-p digit of the shadow and then its scalar digit: per digit, a mask
-    and then a carrier.
+    (``checked_refresh_level``).  It draws the ``N`` mask values in [0, p]
+    of each mod-p digit's encryption, the shadow's digits and then its
+    scalar digit, in one call, and then the seed of their carriers
+    (``cipher.draw_seed``), which ``DrawnRefresh.ciphertext`` expands.
     """
     ch = keys.channel
     _check_shadow(ch, ps)
     level = checked_refresh_level(ch, ps.level)
-    digits = [v % ch.p for v in (*ps.v, ps.vprime)]
-    values, masks, carriers = [], [], []
-    for digit in digits:
-        drawn, mask = sample_mask(ch, rng)
-        values += drawn
-        masks += mask
-        carriers.append(sample_message_carrier(ch, digit, rng))
-    return DrawnRefresh(level, (*masks, *carriers[:-1]), carriers[-1], (*values, *digits))
+    masks = rng.draws(ch.p + 1, (ch.n + 1) * ch.big_n)
+    digits = (v % ch.p for v in (*ps.v, ps.vprime))
+    return DrawnRefresh(level, (*masks, *digits), draw_seed(rng))
 
 
 def refresh_ct(keys: EvalKeys, ps: Pseudociphertext, rng: RandomSource) -> Ciphertext:
@@ -386,16 +387,15 @@ def secret_refresh_checker(sk, ch: ArithmeticChannel):
 
 
 def _plus_zero(ps: Pseudociphertext, pk, rng: RandomSource):
-    """``ps`` plus the shadow of the encryption of zero that ``encrypt(pk,
-    pk.channel, 0, rng)`` would draw: a mask ``b``, then a carrier of 0,
-    which evaluates to 0, so shadow entry ``j`` is ``sum_r eval(b[r]) *
-    pk.shadows[j][r]`` mod q, each ``eval(b[r])`` being the value
-    ``sample_mask`` drew.  None when the sum's level passes the budget,
-    decided after the draws, as ``hom_add`` refuses the sum of the
-    encryption."""
+    """``ps`` plus the shadow of an encryption of zero under ``pk`` whose
+    mask evaluates to the ``N`` values in [0, p] drawn here, in one call:
+    its carrier evaluates to 0, so shadow entry ``j`` is ``sum_r b[r] *
+    pk.shadows[j][r]`` mod q for the values ``b``, and neither the mask's
+    carriers nor the message's are drawn.  None when the sum's level passes
+    the budget, decided after the draw, as ``hom_add`` refuses the sum of
+    the encryption."""
     ch = pk.channel
-    mask, _ = sample_mask(ch, rng)
-    sample_message_carrier(ch, 0, rng)
+    mask = rng.draws(ch.p + 1, ch.big_n)
     level = level_after("add", ps.level, fresh_level(ch), ch)
     if level is None:
         return None
@@ -412,7 +412,8 @@ def make_refreshable(ps: Pseudociphertext, checker, pk, rng: RandomSource):
     refreshable shadow, or None once ``REFRESH_ATTEMPTS`` checks have
     failed or further randomization would overflow.  Each attempt adds the
     shadow of one encryption of zero under ``pk`` (``_plus_zero``), one
-    fresh level step of ``pk.channel``, and none follows the last check.
+    fresh level step of ``pk.channel``, and draws only its ``N`` mask
+    values; none follows the last check.
     """
     _check_shadow(pk.channel, ps)
     current = ps

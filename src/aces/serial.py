@@ -47,9 +47,9 @@ from itertools import chain
 from operator import itemgetter
 
 from .channel import ArithmeticChannel
-from .cipher import Ciphertext
+from .cipher import SEED_BYTES, Ciphertext
 from .errors import ParameterError
-from .keygen import SEED_BYTES, ProductTensor, PublicKey, Refresher, SecretKey
+from .keygen import ProductTensor, PublicKey, Refresher, SecretKey
 from .refresh import EvalKeys, LocatorEntry
 from .rings import Repartition, Ring, RingPoly, _wrap
 

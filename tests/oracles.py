@@ -3,21 +3,22 @@
 Everything here is written against the definitions directly, with plain
 integer lists and a monomial-substitution reduction, deliberately not
 sharing code or algorithm shape with the package under test.  The one
-exception is ``refresh_reference``, which composes the package's own
-encryption and homomorphic operations (each checked against the oracles
-above) into the refresh as it is defined, ``make_refreshable_reference``,
-the re-randomization on whole ciphertexts with the package's ``encrypt``
-and ``hom_add``, and ``evaluate_reference``, the auto-refresh evaluator
-with its refresh rule written inline, on the package's level rules,
-refresh and gates.  ``render_v5`` renders a file of
-the current wire format as file format 5 wrote it, ``render_v4`` a file of
-format 5 as format 4 wrote it, ``render_v3`` a file of format 4 as format
-3 wrote it, ``render_v2`` a file of format 3 in the layout of format 2, and
-``render_v1`` a file of format 2 in that of format 1, so digests recorded
-under any of them still pin every value.  ``render_v4`` expands the public
-file's seeds with the package's own ``PublicKey.f0`` and
-``cipher.expand_seed``, as ``refresh_reference`` composes the package's
-operations.
+exception is ``refresh_reference``, which composes public encryptions with
+explicit masks and carriers (``encryption``) and the package's own
+homomorphic operations (each checked against the oracles above) into the
+refresh as it is defined, ``make_refreshable_reference``, the
+re-randomization on whole ciphertexts with ``encryption`` and the
+package's ``hom_add``, and ``evaluate_reference``, the auto-refresh
+evaluator with its refresh rule written inline, on the package's level
+rules and gates and the two references above.  ``render_v5`` renders a
+file of the current wire format as file format 5 wrote it, ``render_v4`` a
+file of format 5 as format 4 wrote it, ``render_v3`` a file of format 4 as
+format 3 wrote it, ``render_v2`` a file of format 3 in the layout of
+format 2, and ``render_v1`` a file of format 2 in that of format 1, so
+digests recorded under any of them still pin every value.  ``render_v4``
+expands the public file's seeds with the package's own ``PublicKey.f0``
+and ``cipher.expand_seed``, as ``refresh_reference`` composes the
+package's operations.
 """
 
 from __future__ import annotations
@@ -28,13 +29,15 @@ import math
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
+from aces.channel import RandomSource, sample_message_carrier
 from aces.cipher import (
-    REFRESHER_LEVEL, encrypt, expand_seed, level_after, post_refresh_level, shadow,
+    REFRESHER_LEVEL, Ciphertext, checked_refresh_level, expand_seed, fresh_level, level_after,
+    post_refresh_level, shadow,
 )
 from aces.errors import NoiseBudgetError
 from aces.homo import hom_add, hom_mul, scalar_product
 from aces.keygen import ProductTensor, PublicKey
-from aces.refresh import REFRESH_ATTEMPTS, SEARCH_BUDGET, refresh_certified
+from aces.refresh import REFRESH_ATTEMPTS, SEARCH_BUDGET
 from aces.rings import Repartition, prime_factors
 
 
@@ -218,30 +221,52 @@ def floor_dot_over_q(vec, secret_evals, q: int) -> int:
     return s // q
 
 
+def encryption(pk, ch, mask, carrier) -> Ciphertext:
+    """The public encryption with the mask polynomials ``mask`` (one per
+    public-key row) and the message carrier ``carrier``, by its definition:
+    ``c = f0^T mask`` and ``c' = fprime^T mask + carrier``, one ring product
+    per term (``poly_vector_dot``), at the fresh level."""
+    c = tuple(poly_vector_dot(mask, [row[j] for row in pk.f0]) for j in range(ch.n))
+    return Ciphertext(c, poly_vector_dot(mask, pk.fprime) + carrier, fresh_level(ch))
+
+
 def refresh_reference(keys, ct, rng):
-    """The refresh by its definition: a public encryption of each mod-p digit
-    of the shadow and then of its scalar digit, the digit encryptions folded
-    against the refresher by ``scalar_product``, plus the scalar encryption.
-    Returns the ciphertext at its accumulated level."""
-    ch = keys.channel
+    """The refresh by its definition: a public encryption (``encryption``)
+    of each mod-p digit of the shadow and then of its scalar digit, the
+    digit encryptions folded against the refresher by ``scalar_product``,
+    plus the scalar encryption.  From ``rng`` come the masks' values, ``N``
+    per digit in [0, p], one at a time, and then a 16-byte seed; from the
+    seed's stream come a carrier of each mask value, in the same order, and
+    then one of each digit.  Returns the ciphertext at its accumulated
+    level."""
+    ch, big_n = keys.channel, keys.channel.big_n
     ps = shadow(ch, ct)
-    digits = tuple(encrypt(keys.public, ch, v % ch.p, rng) for v in ps.v)
-    scalar = encrypt(keys.public, ch, ps.vprime % ch.p, rng)
-    return hom_add(ch, scalar, scalar_product(ch, keys.tensor, digits, keys.rho))
+    digits = [v % ch.p for v in (*ps.v, ps.vprime)]
+    values = [rng.below(ch.p + 1) for _ in range(len(digits) * big_n)]
+    carriers = RandomSource(rng.below(2**128).to_bytes(16, "little"))
+    masks = [sample_message_carrier(ch, v, carriers) for v in values]
+    messages = [sample_message_carrier(ch, d, carriers) for d in digits]
+    *encs, scalar = (encryption(keys.public, ch, masks[i * big_n:(i + 1) * big_n], m)
+                     for i, m in enumerate(messages))
+    return hom_add(ch, scalar, scalar_product(ch, keys.tensor, tuple(encs), keys.rho))
 
 
 def make_refreshable_reference(ct, checker, pk, ch, rng):
     """The re-randomization on whole ciphertexts: ``checker`` reads a
     ``Ciphertext``, and between each two checks a public-key encryption of
-    zero is added with ``hom_add``, which refuses a sum past the budget
-    after the encryption's draws.  Returns the ciphertext that checks out,
-    or None."""
-    current = ct
+    zero (``encryption``) is added with ``hom_add``, which refuses a sum
+    past the budget after the encryption's draws.  Its mask's ``N`` values
+    in [0, p] come from ``rng``, one at a time, and nothing else does: the
+    mask's carriers and the message's come from a stream of their own.
+    Returns the ciphertext that checks out, or None."""
+    current, carriers = ct, RandomSource(b"make_refreshable_reference")
     for _ in range(REFRESH_ATTEMPTS - 1):
         if checker(current):
             return current
+        mask = [sample_message_carrier(ch, rng.below(ch.p + 1), carriers) for _ in range(ch.big_n)]
+        zero = encryption(pk, ch, mask, sample_message_carrier(ch, 0, carriers))
         try:
-            current = hom_add(ch, current, encrypt(pk, ch, 0, rng))
+            current = hom_add(ch, current, zero)
         except NoiseBudgetError:
             return None
     return current if checker(current) else None
@@ -251,9 +276,13 @@ def evaluate_reference(circuit, env, keys, checker, rng):
     """The auto-refresh evaluator with its rule inline: before each gate,
     for each distinct operand in order, stop when the gate leaves at least
     the post-refresh level of headroom or overflows even at that level,
-    skip an operand already at or below it, else refresh it.  Returns the
-    outputs, the refresh events and every wire's level, or raises the
-    gate's NoiseBudgetError as ``evaluate`` words it."""
+    skip an operand already at or below it, else refresh it: re-randomize
+    it until ``checker`` certifies its shadow
+    (``make_refreshable_reference``), then refuse a refresh past the budget
+    (``checked_refresh_level``) or draw it (``refresh_reference``) at the
+    post-refresh level.  Returns the outputs, the refresh events and every
+    wire's level, or raises the gate's NoiseBudgetError as ``evaluate``
+    words it."""
     ch = keys.channel
     values, events = dict(env), []
     refreshed = post_refresh_level(ch)
@@ -269,10 +298,13 @@ def evaluate_reference(circuit, env, keys, checker, rng):
             ct = values[wire]
             if ct.level <= refreshed:
                 continue
-            fresh = refresh_certified(keys, ct, checker, rng)
-            if fresh is not None:
-                events.append((wire, ct.level, fresh.level))
-                values[wire] = fresh
+            ready = make_refreshable_reference(ct, lambda c: checker(shadow(ch, c)),
+                                               keys.public, ch, rng)
+            if ready is not None:
+                level = checked_refresh_level(ch, ready.level)
+                fresh = refresh_reference(keys, ready, rng)
+                events.append((wire, ct.level, level))
+                values[wire] = Ciphertext(fresh.c, fresh.cprime, level)
         left, right = values[gate.left], values[gate.right]
         try:
             if gate.op == "add":

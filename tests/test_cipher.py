@@ -54,14 +54,12 @@ def test_encrypt_refuses_a_channel_that_is_not_the_keys(desk_bundle, k0):
 
 
 def test_mask_evaluations_are_bounded(desk_channel, rng):
-    """``sample_mask`` returns N values in [0, p], each the evaluation of
-    the carrier returned with it."""
+    """``sample_mask`` returns N carriers, each evaluating into [0, p]."""
     ch = desk_channel
     for _ in range(200):
-        values, carriers = sample_mask(ch, rng)
-        assert len(values) == len(carriers) == ch.big_n
-        assert values == tuple(ch.eval(b) for b in carriers)
-        assert all(0 <= v <= ch.p for v in values)
+        carriers = sample_mask(ch, rng)
+        assert len(carriers) == ch.big_n
+        assert all(0 <= ch.eval(b) <= ch.p for b in carriers)
 
 
 def test_ciphertext_vector_divisibility(desk_bundle, rng):

@@ -18,9 +18,13 @@ recorded before the next format existed, so they showed that no value and
 no draw moved with a format; the ``*_V1`` to ``*_V5`` tables were
 re-recorded with format 5, whose keygen draws the public seeds from its
 stream in place of ``f0`` and the refresher's vector parts, so every key
-moved, and hold unchanged through format 6.  ``report.json`` has the same
-fields in every format, so its digests are equal up to format 3, whose
-indented layout its rendering keeps, and again from format 4 on.
+moved, and hold unchanged through format 6.  The refresh tables'
+``t6.json`` and ``fresh.json`` digests were re-recorded in every format
+when a refresh came to draw its carriers from a seed of its own: they
+cover a refreshed ciphertext, whose carriers moved, and no other digest
+did.  ``report.json`` has the same fields in every format, so its digests
+are equal up to format 3, whose indented layout its rendering keeps, and
+again from format 4 on.
 """
 
 import hashlib
@@ -72,7 +76,7 @@ GOLDEN_CLI_V1 = {
     },
 }
 GOLDEN_DESK_REFRESH_V1 = {
-    "t6.json": "aa1e1e168edf0048b612386ec6d74dbb616e030f296a53e46023d78e188c9c3d",
+    "t6.json": "3a3aa6a9e51480152a6dcb40b5aa75531e308862fc091da4ae1314e0261902e1",
     "report.json": "b91b86242d6542c2a25f5d44f2b0e6ff66413e1cd5c7728e21877c963835d6cb",
 }
 # CLI keygen (seed 7e57), encrypt, then refresh --secret (seed f1), at mid
@@ -84,13 +88,13 @@ GOLDEN_CLI_REFRESH_V1 = {
         "keys/public.json": "c1f48f7ddb05ad571bf708191fd4e6d155d7db4d3e965e65a2fe2fa4ce6c9f87",
         "keys/secret.json": "c45191c3ffae1546ade31a55131290da41de2086d3c9589a4c7907d812251466",
         "a.json": "b856bfd503199cd7d3092f8b39108800745102286df801d9d57807cb9a0a0db3",
-        "fresh.json": "25994e247acfa3fcc818573d5410931ecd010c17553950b0eec078f5b4f3c692",
+        "fresh.json": "c36b8ca2ae0885371ebde53d7752a6d2d36d36dcaa99b548c07ae0e5fac6441e",
     }),
     "odd": ("e1", 2, {
         "keys/public.json": "f625937d19c8d3c89f9c80d914659e292a60de9614e7e918f8e9143a37776c92",
         "keys/secret.json": "9411abd3cb105e24ae6545e0503ec4ceb1c7b90e0074a24ee51d78e8bbbace57",
         "a.json": "1cf0b6a9b275c5f287b14a821962416c8fa54eea6bac426990c55ee4024f5112",
-        "fresh.json": "689d4f97cb17f47ebcc2cf480bb7e5b74c54fcda054b6652391b7b59f52764af",
+        "fresh.json": "27c222a6779ef3ba96a3f630021cfd07ec28ae11caf10037332a57183655effb",
     }),
 }
 GOLDEN_LARGE_MUL_V1 = "1e76c4b35d8781139246f1bfe8e444c435edcf31fd04fa4a392eb841e46de645"
@@ -124,7 +128,7 @@ GOLDEN_CLI_V2 = {
     },
 }
 GOLDEN_DESK_REFRESH_V2 = {
-    "t6.json": "f0498271ad1ee581becb553f5130c74215b87cfa5e353d748559cd9e0b12b109",
+    "t6.json": "0213010ec29dc7618df5f90e23c9bedf4887615b55c0338a6570d545febadfc2",
     "report.json": "b91b86242d6542c2a25f5d44f2b0e6ff66413e1cd5c7728e21877c963835d6cb",
 }
 GOLDEN_CLI_REFRESH_V2 = {
@@ -132,13 +136,13 @@ GOLDEN_CLI_REFRESH_V2 = {
         "keys/public.json": "61ea452c4ca066c861569e71f3e74e8aee961bfa8d5148b62835271e72c65c0d",
         "keys/secret.json": "9382e17ee91b03a34ce8bc159dc225de60313cbae2a529ab323a67dc6e51a026",
         "a.json": "79f25c65a9fa2265f155a4321077dfa0cd5a829f2151e3926dc8c7ac54dbc223",
-        "fresh.json": "2178e4a3cbf9272b57b02d9eba448505898a9860c172b1e20c29a8a37b5d2ad9",
+        "fresh.json": "df73d1ee18b78c87f33a45cb8d320c0b700a101e596df992577332738521a726",
     },
     "odd": {
         "keys/public.json": "609daf493bdbd1931158a2e766e2774a5511d31866596d291bdcd8df240d9a1b",
         "keys/secret.json": "ff40dca7ca9809a308ff53c7fa3ddf1ee89a60e302fa203cdda6c6b293544548",
         "a.json": "e82acf01c77e9a39446787aa3c5b1d265e3692e77dd0eaf6b7c35fdf5cb2482a",
-        "fresh.json": "1b7d49b46a5e6119739071fb1eec9b06dd3be6f75a151b63ab22efa8b893aba3",
+        "fresh.json": "890763e53e2f74250950b21642c6404b9cd4b534b795e01f4f3eb00f2d031c8c",
     },
 }
 GOLDEN_LARGE_MUL_V2 = "f52f6beb6efd2423be0d9af25e4029d3272c0bb4e60c3cf4a60f761906fc7a59"
@@ -173,7 +177,7 @@ GOLDEN_CLI_V3 = {
     },
 }
 GOLDEN_DESK_REFRESH_V3 = {
-    "t6.json": "8e098481000553a53fb66e62daea2ddbab68574df97ab86bd1348d28bc74ae67",
+    "t6.json": "05e6b0094d5b575bee202133cad1040ba9477134d9221cb2dfa61a0f5729982c",
     "report.json": "b91b86242d6542c2a25f5d44f2b0e6ff66413e1cd5c7728e21877c963835d6cb",
 }
 GOLDEN_CLI_REFRESH_V3 = {
@@ -181,13 +185,13 @@ GOLDEN_CLI_REFRESH_V3 = {
         "keys/public.json": "18b355dcb2431ff5b42648a64c4eb59f2171cb894a6026e388b4eebd00edd031",
         "keys/secret.json": "31c89f07407751f3f7c0552971fef6ce54c84d10dc7286ea81d303b103e6428b",
         "a.json": "a0715733f5b73dcc98bd2c19790cda5409695ab049c2c82d269f0c1682d0a04b",
-        "fresh.json": "98e6bb9bf530ac5aaa8c9c026ac7910c7863ad41f42e9edee2e2abc766afd343",
+        "fresh.json": "e7f332b4b9f2eaea25d9d1747018561c58f71c507c9dc34c9cde100569836b67",
     },
     "odd": {
         "keys/public.json": "00048d0010cf963a1644b0d06ae4e9df89f80de0e0e219c7f1734973ffd8eeaa",
         "keys/secret.json": "7323f5ea4d25a462a08e4899d32b480be829f495c5533ea2e59fbaa096968a08",
         "a.json": "bea73f35b524341b13a113f6891ada4e7c8d3a8351a9a15efe08386cd8132180",
-        "fresh.json": "8c89769e113c5482907df7459201cbdd59a23c8ef70303f2e9f871eac42bab44",
+        "fresh.json": "1e9a211501e4c60b57dcdcecc4ba6f7376f9f1970d4ba57330f39f8511417fd6",
     },
 }
 GOLDEN_LARGE_MUL_V3 = "3e07e0bd613f6ddfc3f03adad550243106d8ebc86039fd7f2bd9ca9fee5a6eb3"
@@ -223,7 +227,7 @@ GOLDEN_CLI_V4 = {
     },
 }
 GOLDEN_DESK_REFRESH_V4 = {
-    "t6.json": "df08d4037fa2aaa22d2ca4b9eb16379fac1a5f998758e3392babee0eb85a697a",
+    "t6.json": "85c294919fe0251c9ebb723fe3d2d7e2543433a1bcd2d3ddd541139d86b1974a",
     "report.json": "d1a053782000336889d7be0f5b4c845a6ff4b381e9ab47308413d222fcbac04f",
 }
 GOLDEN_CLI_REFRESH_V4 = {
@@ -231,13 +235,13 @@ GOLDEN_CLI_REFRESH_V4 = {
         "keys/public.json": "fb9685b7105c6b58b4c109e32db2a1a1eff2d0a354995ef1736d831c55635f41",
         "keys/secret.json": "3a4acd8d6d9616682c94cd0958e48a3f2ad4cb531b0ce83eff0855e295bb87c3",
         "a.json": "41486ef901ef4835e18bf3aa2b7e7d0537a100d125dbb19d6b548a23b4605dab",
-        "fresh.json": "d2576e4968198fd5dadb99345a790919c758341113b33020667f6631cb9e5145",
+        "fresh.json": "33d31ed6d4008ab7575dc9977e045640632723fd0cee999f5d5ff62ba146bf17",
     },
     "odd": {
         "keys/public.json": "a119f3f7628528b9c11a5d813e2071d5c7a045b05e155a0fd312872184855d0e",
         "keys/secret.json": "6b14d39669bfc039961bc0efc74c47b749fbc86f005af08431fcc37d986b31ed",
         "a.json": "dd35d799bb1a71f28885b2a404024086b3387999abcddf8f6995c2862dabad03",
-        "fresh.json": "09e433b4a4a5db370b0c9da580da45995a603322305ab0c19a023e4e920b8021",
+        "fresh.json": "d5a359e4da29df6761ed64349ebc4b8afea620bc3cb487bb70b6cc6310d07e00",
     },
 }
 GOLDEN_LARGE_MUL_V4 = "369e97555b6eddbffd57f4dc4ed0d086b0ba617c83ee724eae6335e5b237bbba"
@@ -272,7 +276,7 @@ GOLDEN_CLI_V5 = {
     },
 }
 GOLDEN_DESK_REFRESH_V5 = {
-    "t6.json": "2f116a53507d7c4f83e3e79d7cd4e91f60d249fe58547ee9d0867f9cbd1f514b",
+    "t6.json": "27a3cf11a0fe81bdb20af83f64b34c641b001b9d6099191fb1b1fe26b3d65aba",
     "report.json": "d1a053782000336889d7be0f5b4c845a6ff4b381e9ab47308413d222fcbac04f",
 }
 GOLDEN_CLI_REFRESH_V5 = {
@@ -280,13 +284,13 @@ GOLDEN_CLI_REFRESH_V5 = {
         "keys/public.json": "172501cd5fdffbac0b731512b77a595946041be74140c4efcb8690369f8b09c0",
         "keys/secret.json": "5bfdc8d8344cf2cceab968f871e712e48dc940bb057e3f85169802a030af22d3",
         "a.json": "2bfc717809ff8217f45dba0313386b812375adccc7063204cec12abdfc792ad8",
-        "fresh.json": "40640b58d9ff12fba80adb3ad6ae5db49f3a9c7f439afee68b20eb01acdf792c",
+        "fresh.json": "74f051f1516a9d2cb258807f5eeeaa15cf246a6ae188e897398c9f30f42d7d85",
     },
     "odd": {
         "keys/public.json": "6037bd7b86532480daaab135cc516008056db0898041b5bcab22056fc71e0b58",
         "keys/secret.json": "02b935c5f8c1b2026a1fb5fb1f7228ba7063d9e36d8406f45c3f61568bacfe63",
         "a.json": "cbc7b4f6b5531df10d327ed96c882ca4ede7380984b2ea86c35c7e128dd675ae",
-        "fresh.json": "860002ebce3305051e9a9f0d6ef2ec41426f9a2c700abedf9675dcaaf9d622b0",
+        "fresh.json": "01a9508aa9f30f73013ad7d1fa4dcebd0de96fcad5895a7f5af4808802ab45d9",
     },
 }
 GOLDEN_LARGE_MUL_V5 = "4b7a02f594a0fc7f43c00bc50625ee61ef3cdd7e012f16739ed3910220659ced"
@@ -321,7 +325,7 @@ GOLDEN_CLI_V6 = {
     },
 }
 GOLDEN_DESK_REFRESH_V6 = {
-    "t6.json": "2218871b2ab100bb1e15bf92ddbf05ac142aa3d82e3adafc681a3f09488fa64f",
+    "t6.json": "ab783ab0abbe73e7a5e59d036a4208c3eae739bbe96ded4c2cf688204ce49566",
     "report.json": "d1a053782000336889d7be0f5b4c845a6ff4b381e9ab47308413d222fcbac04f",
 }
 GOLDEN_CLI_REFRESH_V6 = {
@@ -329,13 +333,13 @@ GOLDEN_CLI_REFRESH_V6 = {
         "keys/public.json": "b7fbfeca9632504e90e3edeaeb31d731289363df3729491c34a8270ed6201a89",
         "keys/secret.json": "0e5da7dda1fd17b820595ce06628f533728b30e6e1cdddc502d827a835110142",
         "a.json": "590b4651fc53c8b2bace74c5711d634a5c867c1624606d60e50467cb8fffbf0e",
-        "fresh.json": "6ba1470b877461845d3789d1c8f4ee89ea29bb9e00c9d3ef46624105364affb4",
+        "fresh.json": "ae4ea8d0bf05e9e203e83217526d5e0b71f1d134a46984e5d4adbd6964aaedcb",
     },
     "odd": {
         "keys/public.json": "ff73f96a69240a6914fb671fe7970c884c383db51992aa42651eec6937b2d1eb",
         "keys/secret.json": "1fc132485b03abaadf82c07f82aebb6a800776d0f8209e4b9d39056fef9e4848",
         "a.json": "235b840d4b9be7334b1010389e15bef19c9e676271fbcd2ebb8b026bc57e0e4b",
-        "fresh.json": "be0b9a50d8e489ef8c96da73f2ecb4b6f3c5fb4055647513babbd1b403a960b4",
+        "fresh.json": "f4651b475a899952a460392dbeba4b8c2f1c09e9ffaa9e85aaf3cce52fe9259c",
     },
 }
 GOLDEN_LARGE_MUL_V6 = "5667a8f3f2b9e620c6866cb54a1bf19fecd8253c31829040ffbcbc30edb7c2d2"

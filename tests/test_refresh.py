@@ -17,6 +17,7 @@ from aces.cipher import (
     has_refresh_headroom, post_refresh_level, shadow,
 )
 from aces.errors import NoiseBudgetError, ParameterError
+from aces.homo import hom_mul
 from aces.keygen import ProductTensor, PublicKey, Refresher, SecretKey, keygen
 from aces.refresh import (
     EvalKeys,
@@ -499,19 +500,29 @@ def test_make_refreshable_gives_up_after_the_attempt_budget(desk_bundle, rng):
     assert calls == [ct.level * (1 + i) for i in range(REFRESH_ATTEMPTS)]
 
 
-def test_make_refreshable_encrypts_only_between_checks(desk_bundle, rng, monkeypatch):
-    """An exhausted budget is 32 checks and the 31 encryptions of zero
-    between them, each drawing one mask: no encryption follows the last
-    check."""
+def test_a_refresh_draws_carriers_only_for_its_ciphertext(desk_bundle, rng, monkeypatch):
+    """A carrier is drawn only where a ciphertext is read: an exhausted
+    public miss (32 checks and the 31 attempts between them) draws none,
+    ``draw_refresh`` draws none, and ``DrawnRefresh.ciphertext`` expands
+    exactly (n+1)(N+1), one per mask value and then one per digit, in
+    ``values`` order."""
+    from aces import channel, cipher
     from aces.refresh import REFRESH_ATTEMPTS
 
-    ch, masks, checks = desk_bundle.channel, [], []
-    real = refresh.sample_mask
-    monkeypatch.setattr(refresh, "sample_mask", lambda *args: masks.append(args) or real(*args))
+    ch, keys, carriers, checks = desk_bundle.channel, desk_bundle, [], []
     ct = encrypt(desk_bundle.public, ch, 1, rng)
-    assert make_refreshable(shadow(ch, ct), lambda c: checks.append(c) and False,
-                            desk_bundle.public, rng) is None
-    assert (len(checks), len(masks)) == (REFRESH_ATTEMPTS, REFRESH_ATTEMPTS - 1)
+    carrier, check = channel.sample_message_carrier, refresh.publicly_refreshable
+    for module in (cipher, refresh):
+        monkeypatch.setattr(module, "sample_message_carrier",
+                            lambda ch, m, rng: carriers.append(m) or carrier(ch, m, rng))
+    monkeypatch.setattr(refresh, "publicly_refreshable",
+                        lambda *args: checks.append(args) or check(*args))
+    assert refresh.refresh_certified(keys, ct, None, rng) is None
+    assert (len(checks), carriers) == (REFRESH_ATTEMPTS, [])
+    drawn = draw_refresh(keys, shadow(ch, ct), rng)
+    assert carriers == []
+    drawn.ciphertext(keys)
+    assert carriers == list(drawn.values) and len(carriers) == (ch.n + 1) * (ch.big_n + 1)
 
 
 def test_a_public_miss_multiplies_nothing(desk_bundle, rng, monkeypatch):
@@ -631,6 +642,43 @@ def test_make_refreshable_refuses_past_the_budget_after_the_draws(name):
     ch = _shadow_bundle(name).channel
     start = ch.max_noise_level() - fresh_level(ch)
     assert _check_against_the_polynomial_loop(name, b"edge", start, REFRESH_ATTEMPTS) is None
+
+
+# Channels on which a drawn refresh is read against its ciphertext, with
+# keygen keys: desk, the p = 3 channel at q = 5005 and mid.
+DRAWN_CHANNELS = {
+    "desk": SHADOW_CHANNELS["desk"],
+    "p3": dict(p=3, q=5005, omega=1, u=(-1, 0, 0, 0, 1), n=3, big_n=2, k0=1),
+    "mid": SHADOW_CHANNELS["mid"],
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _drawn_bundle(name):
+    ch = ArithmeticChannel(**DRAWN_CHANNELS[name]).require_valid()
+    return keygen(ch, RandomSource(b"drawn/" + name.encode()))
+
+
+@given(name=st.sampled_from(sorted(DRAWN_CHANNELS)), seed=st.binary(max_size=8),
+       squared=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_a_drawn_refresh_reads_as_its_ciphertext(name, seed, squared):
+    """On keygen keys, a refresh that the owner's checker certifies, of a
+    fresh encryption or of its square, has the shadow of the ciphertext it
+    expands to, at the post-refresh level, and that ciphertext decrypts to
+    the input's message."""
+    bundle = _drawn_bundle(name)
+    ch, rng = bundle.channel, RandomSource(seed)
+    m = rng.below(ch.p)
+    ct = encrypt(bundle.public, ch, m, rng)
+    if squared:
+        ct, m = hom_mul(ch, bundle.tensor, ct, ct), m * m % ch.p
+    drawn = refresh.draw_certified(bundle, shadow(ch, ct),
+                                   secret_refresh_checker(bundle.secret, ch), rng)
+    got = drawn.ciphertext(bundle)
+    assert drawn.shadow(bundle) == shadow(ch, got)
+    assert got.level == drawn.level == post_refresh_level(ch)
+    assert decrypt(bundle.secret, ch, got) == m
 
 
 # -- wrong-length vectors ----------------------------------------------------

@@ -21,7 +21,7 @@ encrypted two bits at level 4
 1 * 1 -> 1 (level 48)
 
 refreshed the product: level 48 -> 60, still decrypts to 1
-refreshable index of the fresh ciphertext: 6196
+refreshable index of the fresh ciphertext: 8531
 """,
     "noise_levels.py": """\
 budget 7506, post-refresh level 60
