@@ -1,7 +1,7 @@
 """Per-operation timings of ``aces`` at the benchmark's three channels.
 
-    python3 scripts/ops.py --out BENCH_29.json
-    python3 scripts/ops.py --out BENCH_29.json --base OTHER/src --rounds 3
+    python3 scripts/ops.py --out BENCH_40.json
+    python3 scripts/ops.py --out BENCH_40.json --base OTHER/src --rounds 3
 
 At desk, mid and large (``bench/workloads.py``) it times ``Layout.unpack``
 of 11 outputs at the layouts of ``hom_mul``'s last pass and of its first
@@ -11,14 +11,16 @@ benchmark's workloads read), ``Layout.pack`` of the ``2n + 3`` operands of
 ``PackedRows.combine`` (the public-key rows by N drawn polynomials, the
 shape of a mask),
 ``encrypt``, ``decrypt``, ``hom_mul`` of two ciphertexts and of one by
-itself, ``public_from_dict`` of the public file alone and followed by one
+itself, ``public_to_dict`` of the keys, ``public_from_dict`` of the public
+file alone and followed by one
 ``hom_mul`` with the loaded tensor (what each ``aces eval`` process pays
 before its circuit), the first read of ``PublicKey.f0`` and of the
 refresher ciphertexts (``EvalKeys.rho``, or ``Refresher.rho`` on a tree
 whose refresher builds them) on keys loaded from the public file (the
 expansion of each seed; on a fresh copy of the loaded key per call, so a
 tree that reads the parts in full from the file times a copy and an
-attribute read), ``ciphertext_from_dict``, ``serial.dump`` of a
+attribute read), ``ciphertext_to_dict`` and ``ciphertext_from_dict``,
+``serial.dump`` of a
 ciphertext over an existing file, ``RingPoly.__mul__``, ``RingPoly.make``
 of ``2d - 1`` drawn coefficients (a reduction by ``u``), ``sample_mask``,
 ``keygen``, the one-time build of ``EvalKeys.refresh_rows`` (on a fresh
@@ -155,11 +157,13 @@ def _operations(channel, work: Path):
         "decrypt": lambda: decrypt(bundle.secret, ch, a),
         "hom_mul": lambda: hom_mul(ch, bundle.tensor, a, b),
         "hom_mul(ct, ct)": lambda: hom_mul(ch, bundle.tensor, a, a),
+        "public_to_dict": lambda: serial.public_to_dict(bundle),
         "public_from_dict": lambda: serial.public_from_dict(ch, public),
         "public_from_dict + hom_mul": lambda: hom_mul(
             ch, serial.public_from_dict(ch, public).tensor, a, b),
         "PublicKey.f0 expansion": lambda: dataclasses.replace(loaded.public).f0,
         "Refresher.rho expansion": rho_expansion,
+        "ciphertext_to_dict": lambda: serial.ciphertext_to_dict(a),
         "ciphertext_from_dict": lambda: serial.ciphertext_from_dict(ch, ciphertext),
         "serial.dump (ciphertext, over a file)": lambda: serial.dump(ciphertext, dumped),
         "RingPoly.__mul__": lambda: x * y,

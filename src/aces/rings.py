@@ -40,10 +40,11 @@ from typing import NamedTuple
 
 from .errors import ParameterError
 
-# The largest q: every residue below it fits an 8-byte word (``Ring.word``),
-# and ``factorize`` is exact up to it.  ``factorize`` takes primes below
-# ``_TRIAL`` by trial division: every benchmark modulus is a product of such
-# primes.
+# The largest q: every residue below it fits 64 bits (``Ring.bits``, a
+# file's field) and an 8-byte word (``Ring.word``, a Kronecker slot's
+# start), and ``factorize`` is exact up to it.  ``factorize`` takes primes
+# below ``_TRIAL`` by trial division: every benchmark modulus is a product
+# of such primes.
 MAX_Q, _TRIAL = 1 << 64, 1 << 10
 
 # One-point operand size (d slots, in bytes) from which a kernel of a cyclic
@@ -185,10 +186,12 @@ class Ring:
     ``Ring(q, u)`` validates ``(q, u)`` once and returns the same object for
     every later call with equal arguments, so two polynomials belong to the
     same ring exactly when they hold the same ``Ring``.  It holds the
-    residue word (``word``): the smallest of 1, 2, 4 or 8 bytes that holds
-    ``q - 1``, which every Kronecker slot (``Layout``) and every file
-    (``serial``) start from, so ``q`` is at most ``2**64``.  ``layout``
-    picks the Kronecker layout a kernel call runs on.
+    residue width ``bits``, the bit length of ``q - 1``, which is the width
+    of every residue field of a file (``serial``), and the residue word
+    (``word``): the smallest of 1, 2, 4 or 8 bytes that holds ``q - 1``,
+    which every Kronecker slot (``Layout``) starts from, so ``q`` is at
+    most ``2**64``.  ``layout`` picks the Kronecker layout a kernel call
+    runs on.
 
     Reduction by ``u``: ``reduce`` divides by ``u`` top-down, one
     multiply-add per nonzero lower coefficient of ``u`` mod q.  The
@@ -198,7 +201,7 @@ class Ring:
     output already folded by ``X^d = 1``.
     """
 
-    __slots__ = ("q", "u", "d", "word", "_tail", "_cyclic")
+    __slots__ = ("q", "u", "d", "bits", "word", "_tail", "_cyclic")
 
     def __new__(cls, q: int, u):
         (q,), u = _int_coeffs((q,), "coefficient modulus"), _int_coeffs(u)
@@ -219,8 +222,8 @@ class Ring:
         if u[-1] != 1:
             raise ParameterError("modulus polynomial must be monic")
         d = len(u) - 1
-        self.q, self.u, self.d = q, u, d
-        # The struct code and byte width of one residue.
+        self.q, self.u, self.d, self.bits = q, u, d, (q - 1).bit_length()
+        # The struct code and byte width of one residue in a Kronecker slot.
         self.word = next((code, size) for size, code in _WORDS.items() if q - 1 < 1 << 8 * size)
         # X^d mod (q, u): a term c * X^i for each nonzero lower coefficient of u.
         self._tail = tuple([(i, (-c) % q) for i, c in enumerate(u[:d]) if c % q])

@@ -1,19 +1,21 @@
-"""JSON wire formats, file format 6.
+"""JSON wire formats, file format 7.
 
-Every file but ``report.json`` starts with ``"format": 6``; a file without
+Every file but ``report.json`` starts with ``"format": 7``; a file without
 it, or with any other value, is refused, with a message to regenerate the
 keys.  There is one reader per kind of value and no reader of older files.
 ``dump`` writes every file, ``report.json`` included, as compact JSON
 (no spaces, no indentation) with a final newline.
 
-* A polynomial in ``Z_q[X]/(u)`` is one string of its ``deg(u)``
-  canonical coefficients, each a little-endian residue word of its ring,
-  ``Ring.word``: the smallest of 1, 2, 4 or 8 bytes that holds ``q - 1``,
-  the word ``Layout.pack`` writes too (``Ring(q, u)`` refuses a ``q`` above
-  ``2**64``, which no word holds).  The words' bytes are written in
-  standard, padded base64 (RFC 4648, section 4).  The multiplication
-  tensor is a list of layers, each ``alpha`` (one string of ``n`` words)
-  and ``beta`` (``n`` strings of ``n`` words, a symmetric matrix); the
+* A polynomial in ``Z_q[X]/(u)`` is one word string of its ``deg(u)``
+  canonical coefficients: each residue a field of ``b = Ring.bits`` bits,
+  the bit length of ``q - 1``, field ``i`` at bits ``b*i`` to ``b*i + b -
+  1`` of a little-endian integer of ``ceil(b * count / 8)`` bytes whose
+  bits past the last field are zero, as ML-KEM's ``ByteEncode`` writes its
+  coefficients (NIST FIPS 203).  ``Ring(q, u)`` refuses a ``q`` above
+  ``2**64``, so ``b`` is at most 64.  The bytes are written in standard,
+  padded base64 (RFC 4648, section 4).  The multiplication tensor is a
+  list of layers, each ``alpha`` (one string of ``n`` residues) and
+  ``beta`` (``n`` strings of ``n`` residues, a symmetric matrix); the
   locator vectors and the locator margins are word strings in the same
   way.  ``_words`` reads them all back or refuses.
 * The public file holds nothing the reader can work out.  ``f0`` is the
@@ -40,11 +42,12 @@ the public-material exporters.
 from __future__ import annotations
 
 import json
-import struct
 from binascii import a2b_base64, b2a_base64
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain
 from operator import itemgetter
+from struct import Struct
+from typing import NamedTuple
 
 from .channel import ArithmeticChannel
 from .cipher import SEED_BYTES, Ciphertext
@@ -67,7 +70,7 @@ __all__ = [
     "load",
 ]
 
-FORMAT = 6
+FORMAT = 7
 
 # The top-level fields of each kind of file.
 _CHANNEL = frozenset({"format", "p", "q", "omega", "u", "n", "N", "k0"})
@@ -77,12 +80,12 @@ _SECRET = frozenset({"format", "secret"})
 
 
 def _format(data, what: str, fields: frozenset) -> None:
-    """Refuse a file that is not format 6 (an older file, or not a file of
+    """Refuse a file that is not format 7 (an older file, or not a file of
     this package), and one whose top-level fields are not ``fields``."""
     if type(data) is not dict:
         raise TypeError(f"{what}: expected a JSON object")
     found = data.get("format")
-    if type(found) is not int or found != FORMAT:  # 6.0 is not 6
+    if type(found) is not int or found != FORMAT:  # 7.0 is not 7
         raise ParameterError(
             f"{what}: file format {found!r}, expected {FORMAT}; "
             "regenerate the keys (and re-encrypt) with this version of aces")
@@ -184,20 +187,67 @@ def _base64(items: list, what: str, size: int, noun: str) -> list[bytes]:
     return raws
 
 
+class _Layout(NamedTuple):
+    """How ``_words`` and ``_words_out`` move ``strings`` word strings of
+    ``count`` fields of ``bits`` bits at once (``_layout``)."""
+
+    slots: Struct  # every string's residues in 8-byte slots, zero slots to whole chunks
+    chunks: Struct  # cuts the chunks of ``bits`` bytes out of the padded strings
+    heads: Struct  # the first ``bits`` bytes of every 64
+    pads: int  # the slots past each string's ``count``
+    rounds: tuple  # the (mask, shift) rounds between 8 fields packed and in slots
+
+
+@lru_cache(maxsize=64)
+def _layout(bits: int, count: int, strings: int) -> _Layout:
+    """The layout of ``strings`` word strings of ``count`` fields of
+    ``bits`` bits.  Eight fields fill exactly ``bits`` bytes, a chunk, so
+    each string padded with zero bytes to whole chunks is a sequence of
+    chunks that ``struct`` cuts apart and moves to 64 bytes each.  Within
+    every 64 bytes, three rounds move the chunk's fields between packed,
+    ``bits`` apart, and 8-byte slots, 64 bits apart: the round of ``half``
+    splits every group of ``2 * half`` fields in two, its mask keeps the
+    lower half and its shift is how far the upper half moves.  Each round
+    is four operations on one integer, so no field costs Python work of its
+    own and the cost is linear in the length of the strings."""
+    per = -(-count // 8)
+    total = per * strings
+    return _Layout(
+        Struct("<" + f"{count}Q{64 * per - 8 * count}x" * strings),
+        Struct(f"{bits}s" * total),
+        Struct(f"{bits}s{64 - bits}x" * total),
+        int.from_bytes((bytes(8 * count) + b"\xff" * (64 * per - 8 * count)) * strings, "little"),
+        tuple((int.from_bytes(((1 << half * bits) - 1).to_bytes(16 * half, "little")
+                              * (4 * total // half), "little"), half * (64 - bits))
+              for half in (1, 2, 4)))
+
+
 def _words(ring: Ring, data, what: str, shape, count: int) -> tuple:
     """The residues mod ``q`` of ``ring`` in ``data``: nested lists of
-    ``shape`` whose leaves are word strings of ``count`` words each
-    (``Ring.word``), as nested tuples whose innermost tuples hold one
-    string's words.  A leaf must be canonical base64 (``_base64``) and
-    every word below ``q``; anything else is refused, never reduced or
-    truncated.
+    ``shape`` whose leaves are word strings of ``count`` fields of
+    ``Ring.bits`` bits each, as nested tuples whose innermost tuples hold
+    one string's residues.  A leaf must be canonical base64 (``_base64``)
+    of exactly ``ceil(bits * count / 8)`` bytes, its bits past the last
+    field zero and every field below ``q``; anything else is refused, never
+    reduced or truncated.  All strings are read at once (``_layout``).
     """
-    q, (code, width) = ring.q, ring.word
+    q, bits = ring.q, ring.bits
     items = _leaves(data, what, shape)
-    raws = _base64(items, what, count * width, f"{count} words of {width} bytes")
-    values = struct.unpack(f"<{len(items) * count}{code}", b"".join(raws))
+    noun = f"{count} residues of {bits} bits"
+    size = -(-count * bits // 8)
+    raws = _base64(items, what, size, noun)
+    layout = _layout(bits, count, len(raws))
+    fill = bytes(-size % bits)  # pads a string to whole chunks
+    x = int.from_bytes(bytes(64 - bits).join(layout.chunks.unpack(fill.join([*raws, b""]))),
+                       "little")
+    for mask, shift in reversed(layout.rounds):
+        low = x & mask
+        x = low | (x ^ low) << shift
+    if x & layout.pads:
+        raise ParameterError(f"{what}: expected {noun} and zero bits past them")
+    values = layout.slots.unpack(x.to_bytes(layout.slots.size, "little"))
     if max(values, default=0) >= q:
-        raise ParameterError(f"{what}: expected words below q = {q}")
+        raise ParameterError(f"{what}: expected residues below q = {q}")
     return _nest(values, (*shape, count))
 
 
@@ -209,15 +259,20 @@ def _seed(data, what: str) -> bytes:
 
 def _words_out(ring: Ring, rows) -> list[str]:
     """One word string per row of ``rows`` (equal-length rows of residues
-    mod ``q`` of ``ring``), all packed in one call."""
+    mod ``q`` of ``ring``), all packed at once, the way ``_words`` reads
+    them in reverse."""
     rows = list(rows)
     if not rows:
         return []
-    code, width = ring.word
-    flat = list(chain.from_iterable(rows))
-    raw = struct.pack(f"<{len(flat)}{code}", *flat)
-    step = width * len(rows[0])
-    return [_encode(raw[i:i + step]).decode("ascii") for i in range(0, len(raw), step)]
+    bits, count = ring.bits, len(rows[0])
+    layout = _layout(bits, count, len(rows))
+    x = int.from_bytes(layout.slots.pack(*chain.from_iterable(rows)), "little")
+    for mask, shift in layout.rounds:
+        low = x & mask
+        x = low | (x ^ low) >> shift
+    raw = b"".join(layout.heads.unpack(x.to_bytes(layout.slots.size, "little")))
+    size, step = -(-count * bits // 8), -(-count // 8) * bits
+    return [_encode(raw[i:i + size]).decode("ascii") for i in range(0, len(raw), step)]
 
 
 def _polys(ch: ArithmeticChannel, data, what: str, count: int) -> tuple[RingPoly, ...]:
@@ -308,8 +363,8 @@ def public_from_dict(ch: ArithmeticChannel, data: dict) -> EvalKeys:
     """The public file as the evaluation keys it publishes."""
     _format(data, "public key", _PUBLIC)
     n, sigma, fresh = ch.n, data["sigma"], data["refresher"]
-    if type(sigma) is dict:  # format 5's {"map", "primes"} in a file that says 6
-        raise ParameterError("sigma: expected the repartition map alone, as format 6 writes it")
+    if type(sigma) is dict:  # format 5's {"map", "primes"} in a file that says 7
+        raise ParameterError("sigma: expected the repartition map alone, as format 7 writes it")
     # Repartition itself rejects a map entry past the prime factors of q.
     rep = Repartition(ch.q, _ints(sigma, "sigma map", (n,)))
     public = PublicKey(_seed(data["f0"], "f0"), _polys(ch, data["fprime"], "fprime", ch.big_n),

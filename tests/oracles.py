@@ -10,8 +10,9 @@ refresh as it is defined, ``make_refreshable_reference``, the
 re-randomization on whole ciphertexts with ``encryption`` and the
 package's ``hom_add``, and ``evaluate_reference``, the auto-refresh
 evaluator with its refresh rule written inline, on the package's level
-rules and gates and the two references above.  ``render_v5`` renders a
-file of the current wire format as file format 5 wrote it, ``render_v4`` a
+rules and gates and the two references above.  ``render_v6`` renders a
+file of the current wire format as file format 6 wrote it, ``render_v5`` a
+file of format 6 as format 5 wrote it, ``render_v4`` a
 file of format 5 as format 4 wrote it, ``render_v3`` a file of format 4 as
 format 3 wrote it, ``render_v2`` a file of format 3 in the layout of
 format 2, and ``render_v1`` a file of format 2 in that of format 1, so
@@ -444,6 +445,48 @@ def _word_string(poly, q: int) -> str:
     return base64.b64encode(b"".join(c.to_bytes(width, "little") for c in poly.coeffs)).decode()
 
 
+def _bit_fields(text: str, b: int, count: int) -> list[int]:
+    """The ``count`` residues of a format-7 word string of ``b``-bit
+    fields, read from its bits written out least significant first."""
+    stream = "".join(format(byte, "08b")[::-1] for byte in base64.b64decode(text, validate=True))
+    assert len(stream) == 8 * math.ceil(b * count / 8) and "1" not in stream[b * count:]
+    return [int(stream[i:i + b][::-1], 2) for i in range(0, b * count, b)]
+
+
+def render_v6(data: dict, ch) -> dict:
+    """The format-6 document for the same values as the format-7 document
+    ``data`` (a channel, ciphertext, public, secret or report file over the
+    channel ``ch``): ``"format": 6`` where a format field is, and every
+    word string (polynomials of ``deg(u)`` residues, ``alpha``, ``beta``
+    rows and locator vectors of ``n``, margins of one) as its residues in
+    words of the fewest of 1, 2, 4 or 8 bytes that hold ``q - 1``, where
+    format 7 packs each in the bit length of ``q - 1``."""
+    q, d, n = ch.q, len(ch.u) - 1, ch.n
+    b, width = (q - 1).bit_length(), next(w for w in (1, 2, 4, 8) if q - 1 < 256**w)
+
+    def words(value, count):
+        if isinstance(value, list):
+            return [words(v, count) for v in value]
+        return base64.b64encode(b"".join(
+            x.to_bytes(width, "little") for x in _bit_fields(value, b, count))).decode()
+
+    out = dict(data)
+    if "format" in out:
+        out["format"] = 6
+    for key in ("c", "cprime", "fprime", "secret"):
+        if key in out:
+            out[key] = words(out[key], d)
+    if "lambda" in out:
+        out["lambda"] = [{"alpha": words(e["alpha"], n), "beta": words(e["beta"], n)}
+                         for e in out["lambda"]]
+    if "refresher" in out:
+        out["refresher"] = {**out["refresher"], "cprime": words(out["refresher"]["cprime"], d)}
+    if "locators" in out:
+        out["locators"] = [{**e, "vec": words(e["vec"], n),
+                            "margin_num": words(e["margin_num"], 1)} for e in out["locators"]]
+    return out
+
+
 def render_v5(data: dict, q: int) -> dict:
     """The format-5 document for the same values as the format-6 document
     ``data`` (a channel, ciphertext, public, secret or report file over the
@@ -487,7 +530,7 @@ def render_v4(data: dict, ch) -> dict:
 
 
 def dumps_compact(data: dict) -> bytes:
-    """``data`` as file formats 4 to 6 are written: compact JSON, a final
+    """``data`` as file formats 4 to 7 are written: compact JSON, a final
     newline."""
     return (json.dumps(data, separators=(",", ":")) + "\n").encode()
 

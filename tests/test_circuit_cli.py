@@ -424,7 +424,7 @@ def test_ciphertext_roundtrip(desk_bundle, rng, tmp_path):
     serial.dump(serial.ciphertext_to_dict(ct), path)
     assert serial.ciphertext_from_dict(ch, serial.load(path)) == ct
     data = serial.load(path)
-    assert data["format"] == 6
+    assert data["format"] == 7
     assert isinstance(data["level"], int)
     assert isinstance(data["cprime"], str) and all(isinstance(c, str) for c in data["c"])
 

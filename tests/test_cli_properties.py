@@ -10,13 +10,19 @@ ciphertext and no ``report.json``.  Keys are made once per module.
 
 A desk channel, public, secret or ciphertext file with one mutation (a
 field dropped or added at any depth, a structural integer of another type,
-or in a base64 word string or one of the public file's two seeds: a word
-a byte narrower or wider, a residue set to q (word strings only: any bytes
-are a seed), the string truncated, a pad bit set, the padding dropped, a
-URL-safe character, a space or newline, or format 3's hex in its place) is
-read by ``encrypt``, ``eval``, ``refresh --secret`` or ``decrypt``: each
-exits 1 or 2 and writes nothing, or exits 0 with outputs that decrypt to
-the plain result.
+or in a base64 word string or one of the public file's two seeds: the
+bytes one byte narrower or wider, a residue field set to q or a bit past
+the last field set (word strings only: any bytes are a seed), the string
+truncated, the low bit of its last base64 character set (a pad bit of the
+base64 when the string has padding, a data bit when it has none), the
+padding dropped, a URL-safe character, a space or newline, or format 3's
+hex in its place) is read by ``encrypt``, ``eval``, ``refresh --secret``
+or ``decrypt``: each exits 1 or 2 and writes nothing, or exits 0 with
+outputs that decrypt to the plain result.  One case is a known defect and
+is left out of that test: ``eval`` without the secret reads a moved
+``alpha`` word and decrypts wrong (ROADMAP, "A key id in every file"), which
+``test_eval_refuses_a_moved_alpha_word_or_runs_right`` pins as a strict
+expected failure.
 """
 
 import base64
@@ -27,7 +33,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from aces.circuit import eval_plain, parse_circuit
@@ -184,16 +190,26 @@ def _field(path) -> str:
     return next((key for key in reversed(path) if isinstance(key, str)), "")
 
 
-def _mutate(draw, tree, q: int) -> None:
-    """Apply one drawn mutation to ``tree`` in place."""
+def _mutate(draw, tree, q: int) -> tuple:
+    """Apply one drawn mutation to ``tree`` in place; return its kind and the
+    field it changed."""
     nodes = list(_nodes(tree))
     dicts = [v for _, v in nodes if isinstance(v, dict) and v]
     words = [(path, v) for path, v in nodes if isinstance(v, str) and _field(path) in WORD_FIELDS]
     ints = [(path, v) for path, v in nodes
             if not isinstance(v, (dict, list)) and _field(path) in INT_FIELDS]
+    bits = (q - 1).bit_length()  # per residue field; desk's q is below 2^bits
+    residues = [(path, v) for path, v in words if path not in SEED_PATHS]  # any bytes are a seed
+    # Strings with base64 padding, whose last character's low bit is a pad
+    # bit, strings without, where it is data, and word strings whose fields
+    # leave bits of their last byte free.
+    padded = [(path, v) for path, v in words if v.endswith("=")]
+    unpadded = [(path, v) for path, v in words if not v.endswith("=")]
+    unfilled = [(path, v) for path, v in residues if 8 * len(base64.b64decode(v)) % bits]
     kind = draw(st.sampled_from(["drop", "add"] + ["retype"] * bool(ints) + [
-        "narrower", "wider", "residue q", "truncate", "pad bit", "unpadded", "url-safe",
-        "whitespace", "hex"] * bool(words)), label="mutation")
+        "narrower", "wider", "residue q", "truncate", "unpadded", "url-safe", "whitespace",
+        "hex"] * bool(words) + ["pad bit"] * bool(padded) + ["data bit"] * bool(unpadded)
+        + ["field pad bit"] * bool(unfilled)), label="mutation")
     if kind in ("drop", "add"):
         obj = draw(st.sampled_from(dicts), label="object")
         if kind == "drop":
@@ -201,25 +217,31 @@ def _mutate(draw, tree, q: int) -> None:
         else:
             obj[draw(st.sampled_from([k for k in ("extra", "level", "vec") if k not in obj]),
                      label="field")] = 1
-        return
-    residues = [(path, v) for path, v in words if path not in SEED_PATHS]  # any bytes are a seed
+        return kind, None
     path, v = draw(st.sampled_from(
-        {"retype": ints, "residue q": residues}.get(kind, words)), label="target")
-    # Bytes per word; a seed's bytes are its words.
-    width = 1 if path in SEED_PATHS else next(w for w in (1, 2, 4, 8) if q - 1 < 256**w)
+        {"retype": ints, "residue q": residues, "pad bit": padded, "data bit": unpadded,
+         "field pad bit": unfilled}.get(kind, words)),
+        label="target")
     if kind == "retype":
         new = draw(st.sampled_from(
             [float(int(v)), bool(int(v)), None, [v], str(v) if type(v) is int else int(v)]))
     elif kind == "truncate":
         new = v[:draw(st.integers(0, len(v) - 1))]
-    elif kind in ("narrower", "wider", "residue q"):
+    elif kind in ("narrower", "wider"):
         raw = base64.b64decode(v)
-        i = draw(st.integers(0, len(raw) // width - 1)) * width  # one word's start
-        new = base64.b64encode(
-            raw[:i] + raw[i + 1:] if kind == "narrower"
-            else raw[:i + width] + b"\0" + raw[i + width:] if kind == "wider"
-            else raw[:i] + q.to_bytes(width, "little") + raw[i + width:]).decode()
-    elif kind == "pad bit":  # the last data character's low bit: a pad bit when padded
+        i = draw(st.integers(0, len(raw) - 1))  # one byte dropped, or a zero byte put before it
+        new = base64.b64encode(raw[:i] + raw[i + 1:] if kind == "narrower"
+                               else raw[:i] + b"\0" + raw[i:]).decode()
+    elif kind in ("residue q", "field pad bit"):
+        raw = base64.b64decode(v)
+        value, end = int.from_bytes(raw, "little"), 8 * len(raw) // bits * bits  # past the fields
+        if kind == "residue q":
+            at = draw(st.integers(0, end // bits - 1)) * bits  # one field's lowest bit
+            value = value & ~((1 << bits) - 1 << at) | q << at
+        else:
+            value |= 1 << draw(st.integers(end, 8 * len(raw) - 1))
+        new = base64.b64encode(value.to_bytes(len(raw), "little")).decode()
+    elif kind in ("pad bit", "data bit"):  # the last data character's low bit
         j = len(v.rstrip("=")) - 1
         new = v[:j] + B64[B64.index(v[j]) | 1] + v[j + 1:]
     elif kind == "unpadded":
@@ -234,6 +256,7 @@ def _mutate(draw, tree, q: int) -> None:
     for key in path[:-1]:
         parent = parent[key]
     parent[path[-1]] = new
+    return kind, _field(path)
 
 
 @given(kind=st.sampled_from(list(READERS)), data=st.data())
@@ -244,8 +267,10 @@ def test_a_mutated_file_is_refused_or_runs_right(keys, files, kind, data):
     under the intact key."""
     p, path = keys["desk"]
     tree = json.loads(files[kind].read_text())
-    _mutate(data.draw, tree, int(json.loads(files["channel"].read_text())["q"]))
+    mutation = _mutate(data.draw, tree, int(json.loads(files["channel"].read_text())["q"]))
     command = data.draw(st.sampled_from(READERS[kind]), label="command")
+    # The known defect, pinned by the strict expected failure below.
+    assume((command, mutation) != ("eval", ("data bit", "alpha")))
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
         given_files = {**files, kind: work / f"{kind}.json"}
@@ -273,3 +298,34 @@ def test_a_mutated_file_is_refused_or_runs_right(keys, files, kind, data):
             assert printed.strip() == str(want)
         else:
             assert _decrypt(path, out / "t.json" if command == "eval" else out) == str(want)
+
+
+@pytest.mark.xfail(strict=True, reason="without the secret nothing checks an alpha word "
+                   "(ROADMAP, 'A key id in every file')")
+def test_eval_refuses_a_moved_alpha_word_or_runs_right(keys, files):
+    """``alpha[2]`` moved by 4096, to another residue below q, as the data
+    bit flip of the mutation test moves it: ``eval`` without the secret
+    exits 2 and writes nothing, or its output decrypts to the plain result.
+    Today it exits 0 and the output decrypts wrong."""
+    p, path = keys["desk"]
+    q = int(json.loads(files["channel"].read_text())["q"])
+    tree = json.loads(files["public"].read_text())
+    raw = base64.b64decode(tree["lambda"][0]["alpha"])
+    bits, value = (q - 1).bit_length(), int.from_bytes(raw, "little")
+    word = value >> 2 * bits & (1 << bits) - 1
+    value ^= (word ^ (word + 4096) % q) << 2 * bits
+    tree["lambda"][0]["alpha"] = base64.b64encode(value.to_bytes(len(raw), "little")).decode()
+    with tempfile.TemporaryDirectory() as work:
+        work = Path(work)
+        (work / "public.json").write_text(json.dumps(tree))
+        (work / "circ.txt").write_text(CIRCUIT)
+        out = work / "out"
+        code, printed = _aces("eval", "--pub", work / "public.json", "--channel", files["channel"],
+                              "--circuit", work / "circ.txt", "--input",
+                              f"a={files['ciphertext']}", "--out", out)
+        if code:
+            assert code == 2
+            assert printed == "" and not out.exists()
+            return
+        want = eval_plain(parse_circuit(CIRCUIT), {"a": 1}, p)["t"]
+        assert _decrypt(path, out / "t.json") == str(want)

@@ -6,19 +6,22 @@ These digests were recorded once and are compared against every build: a
 refactor that claims "same behaviour" must keep them unchanged.  If a change
 alters the outputs on purpose, it must say why and re-record the digests.
 
-Each file is pinned six times.  The ``*_V1`` to ``*_V5`` tables hold the
-digests of its renderings in file formats 1 to 5: ``oracles.render_v5``
-renders it in format 5 (the public file's ``sigma`` primes and refresher
-levels put back), ``oracles.render_v4`` that in format 4 (the public
-file's seeds expanded into the word strings format 4 held),
-``oracles.render_v3`` that in format 3, ``oracles.render_v2`` that in
-format 2 and ``oracles.render_v1`` that in format 1.  The ``*_V6`` tables
-hold the digests of the files as written.  Each older table was first
-recorded before the next format existed, so they showed that no value and
-no draw moved with a format; the ``*_V1`` to ``*_V5`` tables were
-re-recorded with format 5, whose keygen draws the public seeds from its
-stream in place of ``f0`` and the refresher's vector parts, so every key
-moved, and hold unchanged through format 6.  The refresh tables'
+Each file is pinned seven times.  The ``*_V1`` to ``*_V6`` tables hold the
+digests of its renderings in file formats 1 to 6: ``oracles.render_v6``
+renders it in format 6 (every residue in a word of 1, 2, 4 or 8 bytes
+instead of a field of the bit length of q - 1), ``oracles.render_v5`` that
+in format 5 (the public file's ``sigma`` primes and refresher levels put
+back), ``oracles.render_v4`` that in format 4 (the public file's seeds
+expanded into the word strings format 4 held), ``oracles.render_v3`` that
+in format 3, ``oracles.render_v2`` that in format 2 and
+``oracles.render_v1`` that in format 1.  The ``*_V7`` tables hold the
+digests of the files as written.  Each older table was first recorded
+before the next format existed, so they show that no value and no draw
+moved with a format: the ``*_V6`` tables were the digests of the files as
+format 6 wrote them, and hold unchanged through format 7.  The ``*_V1`` to
+``*_V5`` tables were re-recorded with format 5, whose keygen draws the
+public seeds from its stream in place of ``f0`` and the refresher's vector
+parts, so every key moved, and hold unchanged since.  The refresh tables'
 ``t6.json`` and ``fresh.json`` digests were re-recorded in every format
 when a refresh came to draw its carriers from a seed of its own: they
 cover a refreshed ciphertext, whose carriers moved, and no other digest
@@ -42,7 +45,9 @@ from aces.cli import main
 from aces.homo import hom_mul
 from aces.keygen import keygen
 from aces.refresh import secret_refresh_checker
-from oracles import dumps, dumps_compact, render_v1, render_v2, render_v3, render_v4, render_v5
+from oracles import (
+    dumps, dumps_compact, render_v1, render_v2, render_v3, render_v4, render_v5, render_v6,
+)
 
 DESK_ARGS = ["--p", "2", "--q", "15015", "--degree", "4", "--n", "3", "--bigN", "2", "--k0", "1"]
 MID_Q = math.prod((3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
@@ -50,6 +55,8 @@ MID_ARGS = ["--p", "2", "--q", str(MID_Q), "--degree", "16", "--n", "6", "--bigN
 ODD_Q = math.prod((5, 7, 11, 13, 17, 19))
 ODD_ARGS = ["--p", "3", "--q", str(ODD_Q), "--degree", "8", "--n", "4", "--bigN", "5", "--k0", "1"]
 LARGE_Q = math.prod((5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47))
+LARGE_ARGS = ["--p", "3", "--q", str(LARGE_Q), "--degree", "64", "--n", "10", "--bigN", "8",
+              "--k0", "1"]
 
 CIRCUIT = "in a b\nt = mul a b\ns = add t b\nr = mul s a\nout r s\n"
 
@@ -351,16 +358,66 @@ GOLDEN_ODD_ROWS_V6 = {
     "ab.json": "118e3495a3272bda7060de795e24113f69c92887cdcad3cd64c9f29adce28b52",
 }
 
+GOLDEN_CLI_V7 = {
+    "desk": {
+        "keys/channel.json": "b8b059bd06a7784528b9612a2c657d0ed496ae4a59264ab50c4d24ecbf050f0f",
+        "keys/public.json": "7c7277ae8f2e5015580994c67d12ea9043d5edc3520aaaab40655b7da9578071",
+        "keys/secret.json": "1d2aab085cf0bfa2f5b9d1040a93bba20b94d57be92d0ab8e7a3037e171f57de",
+        "a.json": "0f62e99d075cf90b96674a43dec81c7a789eff67b40cebbbf9f52fffa55e4824",
+        "b.json": "d48e2f6e76d65dd42d8e468785ea1d7675a56e926818dbc10abd4212c12ad7cf",
+        "out/r.json": "fc331989aee231f699ac0ac8b91f56ce75ebec40f5facd8b9674e98ef401e037",
+        "out/s.json": "4793b9ea270f5e2440b25ff751f57c7e1cca2fa0cd7fb0238ed14630d833e849",
+        "out/report.json": "b047491480042efee2373c3b191104158ba1f4e1db07bfe4250d5c947d5fdb11",
+    },
+    "mid": {
+        "keys/channel.json": "05a35c7c99433e27c39acec8a91e0fcbe1202f85d88e43c79bc8914d4d7e591f",
+        "keys/public.json": "c61cb1eb2043a651072cb2476e314fd454aa21e9f66c129f3527e22e40156eda",
+        "keys/secret.json": "332938fd9c156b9f71a48a7608d517a6ef0edf0fa852657d87230521d76f8991",
+        "a.json": "f1383cfe486227e3c8d33836cd15ffa6e50bd3cad11395af1ad6153ae3840b02",
+        "b.json": "6fa2b4859fbe4d76248f08782ba500335a2cb84718bfbcc2a26551df6ad8501c",
+        "out/r.json": "9cd23bce4c88a7f26c5d5d58ce3f3ad8836eda26e05c4133da9953c492692679",
+        "out/s.json": "3354573122fc143592bc5f6a87478350d8e7465933091fd00505a8eff87fb9b0",
+        "out/report.json": "a798832f4fd826e9ac3487fbf32577960d7577e2730e16f71bf2fbe54463af6d",
+    },
+}
+GOLDEN_DESK_REFRESH_V7 = {
+    "t6.json": "be5982803f38ecb80b5d013b74185140e4c9e7d7db3e5b8c634441a79801a732",
+    "report.json": "d1a053782000336889d7be0f5b4c845a6ff4b381e9ab47308413d222fcbac04f",
+}
+GOLDEN_CLI_REFRESH_V7 = {
+    "mid": {
+        "keys/public.json": "238a349568ead5a50d7b88204b73c16712d3e1c3b31f57171741bed00bb908ae",
+        "keys/secret.json": "49d61464c0d1b3324664ea6b389ccd0a01ddaf6eaec96fe861e4e11182dfdd13",
+        "a.json": "8657af5b39418ca8524cb3d2e61ed99371b36318d30ef141e56a037b91e5b6f9",
+        "fresh.json": "a5c7eeba1d9f10c7f5653fb1f1ae7657ab8538c73a530bbbb4ab706f4d37afbb",
+    },
+    "odd": {
+        "keys/public.json": "37911ab138d25c6f3da8877bda6b54b5886560633a78ce0bedbe13ed40c47d7e",
+        "keys/secret.json": "65db030d025ee44b47e8627289d73ec4c2d6de6206cf53039e737314188d79dd",
+        "a.json": "b9830ee7d97a6709b5ca37dc4aaa7599b3e468d20b66285ef3f4938b14b45b66",
+        "fresh.json": "6d5f828d5621de8881c14dcc6565b5ad5489500305cb0b51e5a46fdf9acf8596",
+    },
+}
+GOLDEN_LARGE_MUL_V7 = "9def18317ff44ade1891e7a10f4ff627143ffd2aa00628ccb6c1443488d86dff"
+GOLDEN_ODD_ROWS_V7 = {
+    "public.json": "70058cec58e9174b3431c5150034b72464c043edfe0111d5c2e6693f3e0ca63c",
+    "secret.json": "05152c00a530445454b84cccfd32737a6080fe9b90095084b4d1040ce5667db7",
+    "a.json": "7fca7c792b59bdc2723b955b7581a483fd3363cfa621a260999f0615be757cba",
+    "b.json": "a7a49264ae0c32cede4c062339314ca9d12f4aeed776c1fd6fc949d1d4a0ba9b",
+    "ab.json": "c1127ccb86e6698d715e4896478d61e56f3314b6272c395118be7c19a556c0f4",
+}
+
 
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _digests(root: Path, rels, ch) -> tuple[dict, dict, dict, dict, dict, dict]:
-    """The format-1 to format-5 rendering digests and the file digest of
+def _digests(root: Path, rels, ch) -> tuple[dict, ...]:
+    """The format-1 to format-6 rendering digests and the file digest of
     each file, over the channel ``ch``."""
     files = {rel: (root / rel).read_bytes() for rel in rels}
-    v5 = {rel: render_v5(json.loads(data), ch.q) for rel, data in files.items()}
+    v6 = {rel: render_v6(json.loads(data), ch) for rel, data in files.items()}
+    v5 = {rel: render_v5(doc, ch.q) for rel, doc in v6.items()}
     v4 = {rel: render_v4(doc, ch) for rel, doc in v5.items()}
     v3 = {rel: render_v3(doc) for rel, doc in v4.items()}
     v2 = {rel: render_v2(json.loads(data), ch.q) for rel, data in v3.items()}
@@ -369,6 +426,7 @@ def _digests(root: Path, rels, ch) -> tuple[dict, dict, dict, dict, dict, dict]:
             {rel: _digest(data) for rel, data in v3.items()},
             {rel: _digest(dumps_compact(doc)) for rel, doc in v4.items()},
             {rel: _digest(dumps_compact(doc)) for rel, doc in v5.items()},
+            {rel: _digest(dumps_compact(doc)) for rel, doc in v6.items()},
             {rel: _digest(data) for rel, data in files.items()})
 
 
@@ -392,13 +450,14 @@ def test_cli_outputs_match_golden_digests(tmp_path, name, params):
           "--circuit", tmp_path / "c.txt", "--input", f"a={tmp_path / 'a.json'}",
           "--input", f"b={tmp_path / 'b.json'}", "--refresh", "off",
           "--out", tmp_path / "out"])
-    v1, v2, v3, v4, v5, v6 = _digests(tmp_path, GOLDEN_CLI_V1[name], _channel(keys))
+    v1, v2, v3, v4, v5, v6, v7 = _digests(tmp_path, GOLDEN_CLI_V1[name], _channel(keys))
     assert v1 == GOLDEN_CLI_V1[name]
     assert v2 == GOLDEN_CLI_V2[name]
     assert v3 == GOLDEN_CLI_V3[name]
     assert v4 == GOLDEN_CLI_V4[name]
     assert v5 == GOLDEN_CLI_V5[name]
     assert v6 == GOLDEN_CLI_V6[name]
+    assert v7 == GOLDEN_CLI_V7[name]
 
 
 @pytest.mark.parametrize("name,params", [("mid", MID_ARGS), ("odd", ODD_ARGS)])
@@ -410,13 +469,14 @@ def test_cli_refresh_matches_golden_digests(tmp_path, capsys, name, params):
     _run(["encrypt", *files, "--message", message, "--seed", seed, "--out", tmp_path / "a.json"])
     _run(["refresh", *files, "--ct", tmp_path / "a.json", "--seed", "f1",
           "--secret", keys / "secret.json", "--out", tmp_path / "fresh.json"])
-    v1, v2, v3, v4, v5, v6 = _digests(tmp_path, golden, _channel(keys))
+    v1, v2, v3, v4, v5, v6, v7 = _digests(tmp_path, golden, _channel(keys))
     assert v1 == golden
     assert v2 == GOLDEN_CLI_REFRESH_V2[name]
     assert v3 == GOLDEN_CLI_REFRESH_V3[name]
     assert v4 == GOLDEN_CLI_REFRESH_V4[name]
     assert v5 == GOLDEN_CLI_REFRESH_V5[name]
     assert v6 == GOLDEN_CLI_REFRESH_V6[name]
+    assert v7 == GOLDEN_CLI_REFRESH_V7[name]
     capsys.readouterr()
     _run(["decrypt", "--secret", keys / "secret.json", "--channel", keys / "channel.json",
           "--ct", tmp_path / "fresh.json"])
@@ -438,13 +498,14 @@ def test_desk_auto_refresh_matches_golden_digests(tmp_path, desk_channel):
     serial.dump({"levels": report.levels,
                  "refresh_events": [list(e) for e in report.refresh_events]},
                 tmp_path / "report.json")
-    v1, v2, v3, v4, v5, v6 = _digests(tmp_path, GOLDEN_DESK_REFRESH_V1, ch)
+    v1, v2, v3, v4, v5, v6, v7 = _digests(tmp_path, GOLDEN_DESK_REFRESH_V1, ch)
     assert v1 == GOLDEN_DESK_REFRESH_V1
     assert v2 == GOLDEN_DESK_REFRESH_V2
     assert v3 == GOLDEN_DESK_REFRESH_V3
     assert v4 == GOLDEN_DESK_REFRESH_V4
     assert v5 == GOLDEN_DESK_REFRESH_V5
     assert v6 == GOLDEN_DESK_REFRESH_V6
+    assert v7 == GOLDEN_DESK_REFRESH_V7
 
 
 def test_large_hom_mul_matches_golden_digest(tmp_path):
@@ -455,13 +516,14 @@ def test_large_hom_mul_matches_golden_digest(tmp_path):
     a = encrypt(bundle.public, ch, 2, rng)
     b = encrypt(bundle.public, ch, 2, rng)
     serial.dump(serial.ciphertext_to_dict(hom_mul(ch, bundle.tensor, a, b)), tmp_path / "ab.json")
-    v1, v2, v3, v4, v5, v6 = _digests(tmp_path, ["ab.json"], ch)
+    v1, v2, v3, v4, v5, v6, v7 = _digests(tmp_path, ["ab.json"], ch)
     assert v1["ab.json"] == GOLDEN_LARGE_MUL_V1
     assert v2["ab.json"] == GOLDEN_LARGE_MUL_V2
     assert v3["ab.json"] == GOLDEN_LARGE_MUL_V3
     assert v4["ab.json"] == GOLDEN_LARGE_MUL_V4
     assert v5["ab.json"] == GOLDEN_LARGE_MUL_V5
     assert v6["ab.json"] == GOLDEN_LARGE_MUL_V6
+    assert v7["ab.json"] == GOLDEN_LARGE_MUL_V7
 
 
 def test_odd_row_count_matches_golden_digests(tmp_path):
@@ -477,10 +539,34 @@ def test_odd_row_count_matches_golden_digests(tmp_path):
     serial.dump(serial.secret_to_dict(bundle.secret), tmp_path / "secret.json")
     for name, ct in (("a", a), ("b", b), ("ab", hom_mul(ch, bundle.tensor, a, b))):
         serial.dump(serial.ciphertext_to_dict(ct), tmp_path / f"{name}.json")
-    v1, v2, v3, v4, v5, v6 = _digests(tmp_path, GOLDEN_ODD_ROWS_V1, ch)
+    v1, v2, v3, v4, v5, v6, v7 = _digests(tmp_path, GOLDEN_ODD_ROWS_V1, ch)
     assert v1 == GOLDEN_ODD_ROWS_V1
     assert v2 == GOLDEN_ODD_ROWS_V2
     assert v3 == GOLDEN_ODD_ROWS_V3
     assert v4 == GOLDEN_ODD_ROWS_V4
     assert v5 == GOLDEN_ODD_ROWS_V5
     assert v6 == GOLDEN_ODD_ROWS_V6
+    assert v7 == GOLDEN_ODD_ROWS_V7
+
+
+# Bytes of public.json and of a fresh ciphertext of 1 (keygen seed 60fd,
+# encrypt seed a1) as written: residue fields of 14, 42 and 57 bits.  Format
+# 6 wrote 946 and 98, 3782 and 1263, 15640 and 7596 B (words of 2, 8 and 8
+# bytes; at desk the fields fill the same base64 characters the words did).
+FILE_BYTES = {
+    "desk": {"public.json": 946, "a.json": 98},
+    "mid": {"public.json": 2802, "a.json": 843},
+    "large": {"public.json": 14020, "a.json": 6760},
+}
+
+
+@pytest.mark.parametrize("name,params", [("desk", DESK_ARGS), ("mid", MID_ARGS),
+                                         ("large", LARGE_ARGS)])
+def test_file_sizes_are_pinned(tmp_path, name, params):
+    """A size regression fails here before a benchmark run sees it."""
+    keys = tmp_path / "keys"
+    _run(["keygen", *params, "--seed", "60fd", "--out", keys])
+    _run(["encrypt", "--pub", keys / "public.json", "--channel", keys / "channel.json",
+          "--message", 1, "--seed", "a1", "--out", tmp_path / "a.json"])
+    for path in (keys / "public.json", tmp_path / "a.json"):
+        assert path.stat().st_size == FILE_BYTES[name][path.name], path.name

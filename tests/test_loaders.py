@@ -3,12 +3,16 @@
 Nothing read from a file is silently reduced or truncated; a malformed
 polynomial or tensor layer (an ``alpha`` that is not ``n`` words, a
 ``beta`` that is not ``n`` rows of ``n`` words, not symmetric, or with a
-2x2 minor that is not 0 modulo its slot pair's weight), a word
-string that is not exactly the canonical base64 of its words, a word not
-below q, a seed that is not exactly the canonical base64 of 16 bytes, a
-float or boolean where an integer belongs, or a file of another format is
-refused with ParameterError (CLI exit 2).  A wrong container type is
-malformed input (CLI exit 1).  A written public file loads as keys whose
+2x2 minor that is not 0 modulo its slot pair's weight), a word string
+that is not exactly the canonical base64 of its fields (one field of
+``(q - 1).bit_length()`` bits per residue, the bits past the last field
+zero), a field not below q, a seed that is not exactly the canonical
+base64 of 16 bytes, a float or boolean where an integer belongs, or a
+file of another format is refused with ParameterError (CLI exit 2).  A
+wrong container type is malformed input (CLI exit 1).  Word strings
+round-trip at every field width from 2 to 64 bits, and the codec itself
+refuses a field of q, a set bit past the last field and a byte more or
+less.  A written public file loads as keys whose
 seeds expand to the parts of the bundle it was written from, and each
 command expands only the parts it uses.  ``refresh --secret`` and ``eval
 --secret`` refuse a public file that the secret does not own.
@@ -23,18 +27,20 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from aces import cipher, refresh, serial
 from aces.channel import ArithmeticChannel, RandomSource
-from aces.cipher import REFRESHER_LEVEL, Ciphertext, encrypt
+from aces.cipher import REFRESHER_LEVEL, encrypt
 from aces.cli import main
 from aces.errors import ParameterError
 from aces.keygen import PublicKey, keygen
 from aces.refresh import refresh_certified, secret_refresh_checker
-from aces.rings import Repartition, Ring
-from oracles import dumps_compact, render_v1, render_v2, render_v3, render_v4, render_v5
+from aces.rings import MAX_Q, Repartition, Ring
+from oracles import (
+    dumps_compact, render_v1, render_v2, render_v3, render_v4, render_v5, render_v6,
+)
 
 
 @pytest.fixture()
@@ -50,27 +56,56 @@ def desk_files(tmp_path):
     return ch, keys, ct
 
 
-def _width(ch) -> int:
-    """Bytes per word: the fewest of 1, 2, 4 or 8 that hold q - 1."""
-    return next(w for w in (1, 2, 4, 8) if ch.q - 1 < 256**w)
+def _bits(ch) -> int:
+    """Bits per residue field: the bit length of q - 1."""
+    return (ch.q - 1).bit_length()
+
+
+def _fields(ch, text: str) -> list[int]:
+    """The fields of a word string, as many as its bytes hold whole."""
+    b, raw = _bits(ch), base64.b64decode(text)
+    value = int.from_bytes(raw, "little")
+    return [value >> b * i & (1 << b) - 1 for i in range(8 * len(raw) // b)]
+
+
+def _pack(ch, fields) -> str:
+    """The canonical word string of ``fields``, each below ``2^bits``."""
+    b = _bits(ch)
+    assert max(fields, default=0) < 1 << b
+    value = sum(x << b * i for i, x in enumerate(fields))
+    return base64.b64encode(value.to_bytes(-(-b * len(fields) // 8), "little")).decode()
 
 
 def _word(ch, text: str, i: int) -> int:
-    w = _width(ch)
-    return int.from_bytes(base64.b64decode(text)[i * w:(i + 1) * w], "little")
+    return _fields(ch, text)[i]
 
 
 def _set_word(ch, text: str, i: int, value: int) -> str:
-    w, raw = _width(ch), base64.b64decode(text)
-    return base64.b64encode(raw[:i * w] + value.to_bytes(w, "little") + raw[(i + 1) * w:]).decode()
+    fields = _fields(ch, text)
+    fields[i] = value
+    return _pack(ch, fields)
 
 
 def _resize(ch, text: str, words: int) -> str:
-    """The word string with ``words`` zero words appended, or as many of
-    its last words dropped when negative: canonical base64 either way."""
+    """The word string with ``words`` zero fields appended, or as many of
+    its last fields dropped when negative: canonical base64 either way."""
+    fields = _fields(ch, text)
+    return _pack(ch, fields + [0] * words if words > 0 else fields[:words])
+
+
+def _bytes(text: str, change: int) -> str:
+    """The word string a zero byte longer (``change`` 1) or its last byte
+    shorter (-1): canonical base64 either way."""
     raw = base64.b64decode(text)
-    raw = raw + bytes(_width(ch) * words) if words > 0 else raw[:_width(ch) * words]
-    return base64.b64encode(raw).decode()
+    return base64.b64encode(raw + b"\0" if change > 0 else raw[:-1]).decode()
+
+
+def _field_pad_bit(text: str) -> str:
+    """The word string with its top bit set: a bit past the last field when
+    the fields do not fill the last byte (at desk, ``n = 3`` fields of 14
+    bits in 6 bytes, or one in 2)."""
+    raw = base64.b64decode(text)
+    return base64.b64encode(raw[:-1] + bytes([raw[-1] | 0x80])).decode()
 
 
 # The standard base64 alphabet, in the order of the values it encodes.
@@ -94,7 +129,7 @@ def _decrypt(keys, ct):
 
 
 @pytest.mark.parametrize("corrupt", [
-    lambda ch, d: _edit(d, "cprime", lambda t: _set_word(ch, t, 0, _word(ch, t, 0) + ch.q)),  # q + c
+    lambda ch, d: _edit(d, "cprime", lambda t: _set_word(ch, t, 0, 2**_bits(ch) - 1)),  # 2^b - 1
     lambda ch, d: _edit(d, "cprime", lambda t: "-" + t[1:]),  # a minus sign, or URL-safe base64
     lambda ch, d: _edit(d, "cprime", lambda t: "_" + t[1:]),  # URL-safe base64
     lambda ch, d: _edit(d["c"], 0, lambda t: _resize(ch, t, 1)),  # one word long
@@ -113,6 +148,8 @@ def _decrypt(keys, ct):
     lambda ch, d: _edit(d, "cprime", _pad_bits),  # non-zero pad bits, the same bytes
     lambda ch, d: _edit(d, "cprime", lambda t: base64.b64decode(t).hex()),  # format 3's hex
     lambda ch, d: _edit(d, "cprime", lambda t: _set_word(ch, t, 0, ch.q)),  # a word equal to q
+    lambda ch, d: _edit(d["c"], 0, lambda t: _bytes(t, 1)),  # one byte long
+    lambda ch, d: _edit(d["c"], 1, lambda t: _bytes(t, -1)),  # one byte short
 ])
 def test_corrupted_ciphertext_is_refused(desk_files, tmp_path, corrupt):
     ch, keys, ct = desk_files
@@ -137,6 +174,9 @@ def test_corrupted_ciphertext_is_refused(desk_files, tmp_path, corrupt):
     lambda ch, lam: _edit(lam[0], "alpha", lambda t: _set_word(ch, t, 0, ch.q)),  # a word equal to q
     lambda ch, lam: lam.append({"alpha": lam[0]["alpha"], "beta": lam[0]["beta"][:-1]}),  # n - 1 rows
     lambda ch, lam: _edit(lam[0]["beta"], 2, lambda t: _moved(ch, t, 2)),  # a minor not 0 mod its weight
+    lambda ch, lam: _edit(lam[0], "alpha", _field_pad_bit),  # a bit past the last field
+    lambda ch, lam: _edit(lam[0]["beta"], 1, _field_pad_bit),
+    lambda ch, lam: _edit(lam[0]["beta"], 1, lambda t: _bytes(t, 1)),  # a byte long
 ])
 def test_malformed_tensor_is_refused(desk_files, tmp_path, corrupt):
     ch, keys, ct = desk_files
@@ -201,6 +241,9 @@ def test_channel_poly_stays_lenient_in_library_code(desk_files):
     lambda ch, d: _edit(d["refresher"], "c", lambda t: t[:4] + " " + t[5:]),
     lambda ch, d: _edit(d["refresher"], "c", _pad_bits),
     lambda ch, d: d["refresher"].__setitem__("c", d["refresher"]["cprime"][0]),  # a word string
+    lambda ch, d: _edit(d["locators"][0], "margin_num", _field_pad_bit),
+    lambda ch, d: _edit(d["locators"][0], "vec", _field_pad_bit),
+    lambda ch, d: _edit(d["refresher"]["cprime"], 0, lambda t: _bytes(t, -1)),
 ])
 def test_malformed_public_material_is_refused(desk_files, tmp_path, corrupt):
     ch, keys, ct = desk_files
@@ -568,7 +611,7 @@ def test_a_file_that_is_not_a_json_object_is_refused(desk_files, tmp_path, capsy
 
 def _render_v1(path, ch) -> bytes:
     """The file at ``path``, over the channel ``ch``, as format 1 held it."""
-    v3 = render_v3(render_v4(render_v5(serial.load(path), ch.q), ch))
+    v3 = render_v3(render_v4(render_v5(render_v6(serial.load(path), ch), ch.q), ch))
     return render_v1(render_v2(json.loads(v3), ch.q), ch.q)
 
 
@@ -641,7 +684,7 @@ def test_a_format_3_file_is_exit_2(desk_files, tmp_path, capsys, monkeypatch, ki
     ch, _, _ = desk_files
     monkeypatch.chdir(tmp_path)
     files = {k: rel for k, (rel, _, _) in FILE_KINDS.items()}
-    v5 = render_v5(serial.load(files[kind]), ch.q)
+    v5 = render_v5(render_v6(serial.load(files[kind]), ch), ch.q)
     v4 = render_v4(v5, ch)
     Path("c.txt").write_text("in a\nt = mul a a\nout t\n")
     Path("out").mkdir()
@@ -651,8 +694,38 @@ def test_a_format_3_file_is_exit_2(desk_files, tmp_path, capsys, monkeypatch, ki
         capsys.readouterr()
         assert main(_command(command, {**files, kind: f"v{found}.json"})) == 2
         out, err = capsys.readouterr()
-        assert out == "" and f"file format {found}, expected 6; regenerate the keys" in err
+        assert out == "" and f"file format {found}, expected 7; regenerate the keys" in err
         assert not any(Path("out").iterdir())
+
+
+@pytest.mark.parametrize("kind", list(FILE_KINDS))
+def test_a_format_6_file_is_exit_2(desk_files, tmp_path, capsys, monkeypatch, kind):
+    """A file as format 6 wrote it (every residue in a word of 1, 2, 4 or 8
+    bytes), the other files intact: its loader refuses it with the message
+    to regenerate the keys, and so does every command that reads it, with
+    exit 2, printing nothing and writing no file.  Relabelled as format 7,
+    its word strings are refused too (at desk a polynomial of four 2-byte
+    words is 8 bytes, where format 7 packs four 14-bit fields in 7)."""
+    ch, _, _ = desk_files
+    monkeypatch.chdir(tmp_path)
+    files = {k: rel for k, (rel, _, _) in FILE_KINDS.items()}
+    _, read, _ = FILE_KINDS[kind]
+    v6 = render_v6(serial.load(files[kind]), ch)
+    assert v6["format"] == 6
+    with pytest.raises(ParameterError, match="file format 6, expected 7; regenerate the keys"):
+        read(ch, v6)
+    if kind != "channel":  # a channel file holds no word string
+        with pytest.raises(ParameterError, match="expected canonical base64 of"):
+            read(ch, {**v6, "format": serial.FORMAT})
+    Path("v6.json").write_bytes(dumps_compact(v6))
+    Path("c.txt").write_text("in a\nt = mul a a\nout t\n")
+    Path("out").mkdir()
+    for command in READERS_OF[kind]:
+        capsys.readouterr()
+        assert main(_command(command, {**files, kind: "v6.json"})) == 2, command
+        out, err = capsys.readouterr()
+        assert out == "" and "file format 6, expected 7; regenerate the keys" in err, command
+        assert not any(Path("out").iterdir()), command
 
 
 @pytest.mark.parametrize("q", ["0", 0], ids=["str", "int"])
@@ -698,23 +771,69 @@ def test_a_channel_may_mix_integers_and_decimal_strings(desk_files, tmp_path, ca
     assert capsys.readouterr().err == ""
 
 
-# q at each side of every word width, a composite near 2^62, and the largest q.
-WORD_EDGES = {256: 1, 257: 2, 65536: 2, 65537: 4, 2**32: 4, 2**32 + 1: 8, (1 << 62) - 57: 8, 2**64: 8}
+# Every residue width b from 2 to 64: q = 2^b - 1, 2^b and 2^b + 1, so q - 1
+# fills its b bits or q itself is a value of b + 1 bits that no residue takes;
+# and a composite near 2^62.  The counts are a margin's, and n and d at desk,
+# mid and large.
+QS = sorted({q for b in range(2, 65) for q in (2**b - 1, 2**b, 2**b + 1) if q <= MAX_Q}
+            | {(1 << 62) - 57})
+COUNTS = (1, 3, 4, 6, 10, 16, 64)
 
 
-@pytest.mark.parametrize("q", list(WORD_EDGES))
+def test_the_field_width_is_the_bit_length_of_q_minus_1():
+    assert [Ring(q, (-1, 0, 1)).bits for q in QS] == [(q - 1).bit_length() for q in QS]
+    assert {Ring(q, (-1, 0, 1)).bits for q in QS} == set(range(2, 65))
+
+
+@pytest.mark.parametrize("q", QS)
 @given(data=st.data())
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=2, deadline=None)
 def test_word_strings_round_trip_at_every_word_width(q, data):
-    """A ciphertext over ``Z_q[X]/(X^3 - 1)`` written and read back, with
-    every residue drawn from the two ends of ``[0, q)`` or anywhere in it."""
-    ch = ArithmeticChannel(p=2, q=q, omega=1, u=(-1, 0, 0, 1), n=2, big_n=1, k0=1).require_valid()
-    residue = st.one_of(st.sampled_from([0, 1, q - 1]), st.integers(0, q - 1))
-    polys = [ch.ring.poly(data.draw(st.lists(residue, min_size=3, max_size=3))) for _ in range(3)]
-    ct = Ciphertext(tuple(polys[:2]), polys[2], data.draw(st.integers(0, 10**6)))
-    text = json.loads(json.dumps(serial.ciphertext_to_dict(ct)))
-    assert {len(t) for t in (*text["c"], text["cprime"])} == {4 * WORD_EDGES[q]}  # 3 words
-    assert serial.ciphertext_from_dict(ch, text) == ct
+    """At every count, an all-(q - 1) row and rows of residues drawn from
+    the two ends of ``[0, q)`` or anywhere in it, written and read back
+    (``serial._words_out``, ``serial._words``): each string is the canonical
+    base64 of ``ceil(count * b / 8)`` bytes for the bit length ``b`` of
+    ``q - 1``."""
+    ring, rnd = Ring(q, (-1, 0, 1)), data.draw(st.randoms(use_true_random=False))
+    for count in COUNTS:
+        rows = [(q - 1,) * count] + [
+            tuple(rnd.choice((0, 1, q - 1, rnd.randrange(q))) for _ in range(count))
+            for _ in range(rnd.randrange(4))]
+        texts = serial._words_out(ring, rows)
+        assert all(base64.b64encode(base64.b64decode(t)).decode() == t for t in texts)
+        assert {len(base64.b64decode(t)) for t in texts} == {math.ceil(count * ring.bits / 8)}
+        assert serial._words(ring, texts, "leaf", (None,), count) == tuple(rows)
+
+
+@given(q=st.sampled_from(QS), count=st.sampled_from(COUNTS),
+       kind=st.sampled_from(["field q", "pad bit", "longer", "shorter"]), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_a_field_of_q_a_pad_bit_or_a_byte_more_or_less_is_refused(q, count, kind, data):
+    """One change to the string of a row of drawn residues: a field set to q
+    (where q has ``b`` bits), a set bit past the last field, or a byte put in
+    or taken out.  The string stays canonical base64, so the codec's own
+    checks refuse it with ParameterError."""
+    ring = Ring(q, (-1, 0, 1))
+    bits, size = ring.bits, math.ceil(ring.bits * count / 8)
+    row = data.draw(st.tuples(*[st.integers(0, q - 1)] * count))
+    raw = base64.b64decode(serial._words_out(ring, [row])[0])
+    value = int.from_bytes(raw, "little")
+    if kind == "field q":
+        assume(q < 1 << bits)  # 2^b itself is no b-bit value
+        at = data.draw(st.integers(0, count - 1)) * bits
+        raw = (value & ~((1 << bits) - 1 << at) | q << at).to_bytes(size, "little")
+    elif kind == "pad bit":
+        assume(8 * size > bits * count)
+        bit = data.draw(st.integers(bits * count, 8 * size - 1))
+        raw = (value | 1 << bit).to_bytes(size, "little")
+    elif kind == "longer":
+        at = data.draw(st.integers(0, size))
+        raw = raw[:at] + bytes([data.draw(st.integers(0, 255))]) + raw[at:]
+    else:
+        at = data.draw(st.integers(0, size - 1))
+        raw = raw[:at] + raw[at + 1:]
+    with pytest.raises(ParameterError):
+        serial._words(ring, [base64.b64encode(raw).decode()], "leaf", (None,), count)
 
 
 @pytest.mark.parametrize("q", [256, 2**64], ids=["1-byte", "8-byte"])
@@ -725,10 +844,11 @@ def test_a_word_string_is_read_exactly_when_it_is_canonical(q, data):
     it has the string's bytes and encodes back to it; every padding occurs
     (1 to 4 words).  Leaves are canonical ones with up to two characters
     replaced, by base64 characters, the padding, URL-safe ones or
-    whitespace."""
+    whitespace.  At ``q = 2^8`` and ``2^64`` each field is whole bytes and
+    every value is below q, so the base64 alone decides."""
     ring = Ring(q, (-1, 0, 1))
     count = data.draw(st.integers(1, 4), label="count")
-    size = count * ring.word[1]
+    size = count * ring.bits // 8  # whole bytes: no bit past the last field
     leaf = list(base64.b64encode(data.draw(st.binary(min_size=size, max_size=size))).decode())
     for _ in range(data.draw(st.integers(0, 2), label="edits")):
         leaf[data.draw(st.integers(0, len(leaf) - 1))] = data.draw(st.sampled_from(B64 + "=-_ \n"))

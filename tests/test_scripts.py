@@ -77,6 +77,6 @@ def test_ops_builds_and_runs_every_desk_row(tmp_path, monkeypatch):
     from workloads import DESK
 
     ops, sizes = script["_operations"](DESK, tmp_path)
-    assert len(ops) == 27 and set(sizes) == {"public.json", "ciphertext"}
+    assert len(ops) == 29 and set(sizes) == {"public.json", "ciphertext"}
     for row in ops.values():
         row()
